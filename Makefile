@@ -2,11 +2,15 @@ GO ?= go
 
 .PHONY: check build test race vet bench bench-smoke benchdiff chaos obs-smoke cluster partition syndicate economics
 
-# The full pre-merge gate: vet, build, the test suite under the race
-# detector (the replicate runner, signal engine, httpgate and detect
-# monitors are concurrent), the chaos suite, the cluster suite, a
-# one-iteration benchmark compile+run, and the telemetry smoke test.
-check: vet build race chaos cluster partition syndicate economics bench-smoke obs-smoke
+# The full pre-merge gate, each test once: vet, build, the whole suite
+# under the race detector (the replicate runner, signal engine, httpgate,
+# cluster gossip and detect monitors are concurrent), and a one-iteration
+# benchmark compile+run.
+check: vet build race bench-smoke
+
+# The targets below are local shortcuts: -run subsets of `race` for
+# iterating on one subsystem. They gate nothing — check and CI run every
+# test they name exactly once, through `race`.
 
 # cluster runs the multi-node gate-fleet suite — routing, anti-entropy
 # replication and the worker/node golden determinism tests — under the
@@ -16,23 +20,23 @@ cluster:
 
 # partition runs the socket-gossip and fault-injection fleet suites
 # under the race detector: the HTTP transport, the fault transport, the
-# wire codec, and the E16 partition-scenario goldens (determinism, drop
-# curve, heal convergence).
+# wire codec, and the E16 partition-scenario behaviour tests (drop curve,
+# heal convergence).
 partition:
 	$(GO) test -race -count=1 -timeout 300s -run 'Partition|HTTPTransport|FaultTransport|SnapshotWire|FetchRetry|FetchTimeout|RoundBudget|Degraded' ./cmd/fraudsim ./internal/cluster
 
 # syndicate runs the E17 entity-linkage suites under the race detector:
 # the entitygraph package, the gate's entity layer, the detect arm
-# registry, and the coordinated-ring scenario goldens (worker-count
-# determinism, leak contrast, honest admit).
+# registry, and the coordinated-ring scenario behaviour test (leak
+# contrast, honest admit).
 syndicate:
 	$(GO) test -race -count=1 ./internal/entitygraph
 	$(GO) test -race -count=1 -run 'Syndicate|Entity|Arm|GraphFeeder' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect
 
 # economics runs the E18 attacker-economics suites under the race
 # detector: the account store, the gate's account layer, the decoy set,
-# and the three-arm ROI scenario goldens (worker-count determinism,
-# strict ROI ordering, honest admit).
+# and the three-arm ROI scenario behaviour test (strict ROI ordering,
+# honest admit).
 economics:
 	$(GO) test -race -count=1 ./internal/account
 	$(GO) test -race -count=1 -run 'Economics|Account|Decoy|ROI|Econ' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect ./internal/mitigate

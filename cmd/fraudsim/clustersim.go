@@ -8,7 +8,6 @@ import (
 	"funabuse/internal/cluster"
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
-	"funabuse/internal/obs"
 	"funabuse/internal/simclock"
 )
 
@@ -20,6 +19,26 @@ import (
 // sketch state merges, and a shorter gossip interval shortens both the
 // detection lag and the window in which a deployed rule only guards its
 // origin node.
+var clustersim = scenario[clusterArm, cluster.Stats]{
+	name: "clustersim",
+	plan: loadgen.LowAndSlowScenario,
+	// The arms sweep the two tentpole axes: node count (1, 4, 8) and
+	// gossip interval (none, 8 s, 4 s, 2 s). The single-node arm is the
+	// all-seeing baseline; "per-node" is the same fleet with replication off.
+	arms: []clusterArm{
+		{name: "single-node", nodes: 1},
+		{name: "per-node n=4", nodes: 4},
+		{name: "merged n=4 g=8s", nodes: 4, gossip: 8 * time.Second, replicate: true},
+		{name: "merged n=4 g=4s", nodes: 4, gossip: 4 * time.Second, replicate: true},
+		clustersimDirectArm,
+		{name: "merged n=8 g=2s", nodes: 8, gossip: 2 * time.Second, replicate: true},
+	},
+	boot:   bootClustersimArm,
+	report: clustersimReport,
+	direct: func(run loadRun, clock simclock.Clock) loadgen.DirectTarget {
+		return cluster.New(clustersimDirectArm.fleetConfig(run.opts.seed, clock))
+	},
+}
 
 // clustersimRuleThreshold is the fleet-view detection threshold: well
 // above one node's 1/N share of the attacker volume, well below the
@@ -37,217 +56,83 @@ type clusterArm struct {
 	replicate bool
 }
 
-// clustersimArms sweep the two tentpole axes: node count (1, 4, 8) and
-// gossip interval (none, 8 s, 4 s, 2 s). The single-node arm is the
-// all-seeing baseline; "per-node" is the same fleet with replication off.
-var clustersimArms = []clusterArm{
-	{name: "single-node", nodes: 1},
-	{name: "per-node n=4", nodes: 4},
-	{name: "merged n=4 g=8s", nodes: 4, gossip: 8 * time.Second, replicate: true},
-	{name: "merged n=4 g=4s", nodes: 4, gossip: 4 * time.Second, replicate: true},
-	{name: "merged n=4 g=2s", nodes: 4, gossip: 2 * time.Second, replicate: true},
-	{name: "merged n=8 g=2s", nodes: 8, gossip: 2 * time.Second, replicate: true},
-}
+func (a clusterArm) armName() string { return a.name }
 
-// clusterOutcome is one arm's measurements, joined for the report.
-type clusterOutcome struct {
-	arm    clusterArm
-	result *loadgen.Result
-	stats  cluster.Stats
-}
+// clusterOutcome is one arm's result plus its fleet's counters.
+type clusterOutcome = outcome[clusterArm, cluster.Stats]
 
-// runClustersim replays the seeded distributed low-and-slow plan against
-// each fleet arm and reports leak rate vs. gossip interval vs. node
-// count. Virtual pacing (the default) makes every arm bit-deterministic
-// per seed; -loadreal paces the same plan in wall time.
-func runClustersim(opts options, stdout, stderr io.Writer) error {
-	start := loadsimEpoch
-	if opts.loadReal {
-		start = time.Now()
-	}
-	sc := loadgen.LowAndSlowScenario(opts.seed, start)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		return err
-	}
+// clustersimDirectArm is the arm -loaddirect measures in-process: the
+// batch scatters across four nodes per router verdict and gathers per-node
+// DecideBatch results, so the speedup reflects the fleet front, not one
+// gate.
+var clustersimDirectArm = clusterArm{name: "merged n=4 g=2s", nodes: 4, gossip: 2 * time.Second, replicate: true}
 
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = opts.telemetry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-		reg.Gauge("fraudsim_scenario_info",
-			obs.Label{Name: "scenario", Value: "clustersim"}).Set(1)
-		reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-
-	outcomes, err := clustersimOutcomes(opts, plan, reg, stderr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprint(stdout, clustersimReport(outcomes).String())
-
-	if opts.loadDirect {
-		if err := clustersimDirect(opts, plan, stdout); err != nil {
-			return fmt.Errorf("direct section: %w", err)
-		}
-	}
-
-	if opts.stayUp && opts.serve != "" {
-		waitForInterrupt(stderr)
-	}
-	return nil
-}
-
-// clustersimOutcomes replays the plan against every arm in order.
-func clustersimOutcomes(opts options, plan *loadgen.Plan, reg *obs.Registry, stderr io.Writer) ([]clusterOutcome, error) {
-	outcomes := make([]clusterOutcome, 0, len(clustersimArms))
-	for _, arm := range clustersimArms {
-		out, err := runClustersimArm(opts, plan, arm, reg, stderr)
-		if err != nil {
-			return nil, fmt.Errorf("arm %q: %w", arm.name, err)
-		}
-		outcomes = append(outcomes, out)
-	}
-	return outcomes, nil
-}
-
-// runClustersimArm boots a fresh fleet for the arm, replays the shared
-// plan through its routing front, and tears the fleet down. Multi-node
-// arms use the seeded random router — the dumb-LB topology the
-// low-and-slow shape exploits — so per-node arms and merged arms see the
-// same request spread and differ only in replication.
-func runClustersimArm(opts options, plan *loadgen.Plan, arm clusterArm, reg *obs.Registry, stderr io.Writer) (clusterOutcome, error) {
-	var manual *simclock.Manual
+// fleetConfig is the arm's fleet on the given clock. Multi-node arms use
+// the seeded random router — the dumb-LB topology the low-and-slow shape
+// exploits — so per-node arms and merged arms see the same request spread
+// and differ only in replication.
+func (a clusterArm) fleetConfig(seed uint64, clock simclock.Clock) cluster.Config {
 	ccfg := cluster.Config{
-		Nodes:          arm.nodes,
-		Gossip:         arm.gossip,
-		ReplicateRules: arm.replicate,
-		ReplicateState: arm.replicate,
+		Nodes:          a.nodes,
+		Clock:          clock,
+		Gossip:         a.gossip,
+		ReplicateRules: a.replicate,
+		ReplicateState: a.replicate,
 		RuleThreshold:  clustersimRuleThreshold,
 		RuleWindow:     clustersimRuleWindow,
 		RulePaths:      []string{loadgen.PathHold, loadgen.PathSMS},
 	}
-	if arm.nodes > 1 {
-		ccfg.Router = cluster.NewRandomRouter(opts.seed)
+	if a.nodes > 1 {
+		ccfg.Router = cluster.NewRandomRouter(seed)
 	}
-	if !opts.loadReal {
-		manual = simclock.NewManual(plan.Scenario.Start)
-		ccfg.Clock = manual
-	}
-	fleet, err := cluster.Start(ccfg)
-	if err != nil {
-		return clusterOutcome{}, err
-	}
-	defer fleet.Close()
-	fmt.Fprintf(stderr, "fraudsim: clustersim arm %q driving %s (%d arrivals, %d nodes)\n",
-		arm.name, fleet.URL, len(plan.Arrivals), arm.nodes)
-
-	runner, err := loadgen.NewRunner(loadgen.RunnerConfig{
-		Plan:      plan,
-		BaseURL:   fleet.URL,
-		Workers:   opts.loadWorkers,
-		Virtual:   manual,
-		Telemetry: reg,
-		Arm:       arm.name,
-	})
-	if err != nil {
-		return clusterOutcome{}, err
-	}
-	res, err := runner.Run()
-	if err != nil {
-		return clusterOutcome{}, err
-	}
-	return clusterOutcome{arm: arm, result: res, stats: fleet.Cluster.Stats()}, nil
+	return ccfg
 }
 
-// clustersimReport renders the per-arm comparison. Every column replays
-// the same seeded plan, so differences are the fleet topology's.
-func clustersimReport(outcomes []clusterOutcome) *metrics.Table {
-	headers := make([]string, 0, len(outcomes)+1)
-	headers = append(headers, "Metric")
-	for _, o := range outcomes {
-		headers = append(headers, o.arm.name)
+// bootClustersimArm serves the arm's fleet behind its routing front and
+// reads back the fleet counters.
+func bootClustersimArm(run loadRun, clock simclock.Clock, arm clusterArm) (target[cluster.Stats], error) {
+	fleet, err := cluster.Start(arm.fleetConfig(run.opts.seed, clock))
+	if err != nil {
+		return target[cluster.Stats]{}, err
 	}
-	t := metrics.NewTable("clustersim report", headers...)
+	return target[cluster.Stats]{
+		url:   fleet.URL,
+		read:  func(*loadgen.Result) cluster.Stats { return fleet.Cluster.Stats() },
+		close: func() { _ = fleet.Close() },
+	}, nil
+}
 
-	row := func(label string, cell func(clusterOutcome) string) {
-		cells := make([]string, 0, len(outcomes)+1)
-		cells = append(cells, label)
-		for _, o := range outcomes {
-			cells = append(cells, cell(o))
-		}
-		t.AddRow(cells...)
-	}
-
-	row("plan hash", func(o clusterOutcome) string {
-		return fmt.Sprintf("%016x", o.result.PlanHash)
+// clustersimReport renders the per-arm comparison: leak rate vs. gossip
+// interval vs. node count.
+func clustersimReport(w io.Writer, _ loadRun, outs []clusterOutcome) {
+	t := newArmTable("clustersim report", outs)
+	t.planHash()
+	t.row("nodes", func(o clusterOutcome) string {
+		return metrics.FormatInt(int64(o.read.Nodes))
 	})
-	row("nodes", func(o clusterOutcome) string {
-		return metrics.FormatInt(int64(o.stats.Nodes))
-	})
-	row("gossip interval", func(o clusterOutcome) string {
+	t.row("gossip interval", func(o clusterOutcome) string {
 		if o.arm.gossip <= 0 {
 			return "off"
 		}
 		return o.arm.gossip.String()
 	})
-	row("requests completed", func(o clusterOutcome) string {
-		var done uint64
-		for _, c := range o.result.Classes {
-			done += c.Completed()
-		}
-		return metrics.FormatInt(int64(done))
+	t.completed()
+	t.row("gossip rounds", func(o clusterOutcome) string {
+		return metrics.FormatInt(int64(o.read.GossipRounds))
 	})
-	row("gossip rounds", func(o clusterOutcome) string {
-		return metrics.FormatInt(int64(o.stats.GossipRounds))
+	t.row("rules originated", func(o clusterOutcome) string {
+		return metrics.FormatInt(int64(o.read.RulesOriginated))
 	})
-	row("rules originated", func(o clusterOutcome) string {
-		return metrics.FormatInt(int64(o.stats.RulesOriginated))
+	t.row("rules replicated", func(o clusterOutcome) string {
+		return metrics.FormatInt(int64(o.read.RulesReplicated))
 	})
-	row("rules replicated", func(o clusterOutcome) string {
-		return metrics.FormatInt(int64(o.stats.RulesReplicated))
-	})
-	row("mean rule propagation", func(o clusterOutcome) string {
-		if o.stats.RulesReplicated == 0 {
+	t.row("mean rule propagation", func(o clusterOutcome) string {
+		if o.read.RulesReplicated == 0 {
 			return "n/a"
 		}
-		return o.stats.MeanPropagation.Round(time.Millisecond).String()
+		return o.read.MeanPropagation.Round(time.Millisecond).String()
 	})
-	row("attacker leak rate", func(o clusterOutcome) string {
-		rate, ok := o.result.AbusiveLeakRate()
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", rate)
-	})
-	row("honest admit rate", func(o clusterOutcome) string {
-		var admitted, done uint64
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			admitted += c.Admitted
-			done += c.Completed()
-		}
-		if done == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", float64(admitted)/float64(done))
-	})
-	return t
+	t.leakRate("attacker leak rate")
+	t.honestAdmit()
+	fmt.Fprint(w, t.String())
 }

@@ -1,57 +1,13 @@
 package main
 
-import (
-	"bytes"
-	"io"
-	"strings"
-	"testing"
-
-	"funabuse/internal/loadgen"
-)
-
-// TestClustersimDeterministic runs the virtual-paced clustersim with one
-// seed across different worker counts and again with the same worker
-// count, requiring byte-identical reports each time — the whole-command
-// form of the cluster golden tests.
-func TestClustersimDeterministic(t *testing.T) {
-	runOnce := func(workers int) string {
-		var out bytes.Buffer
-		opts := options{scenario: "clustersim", days: 1, seed: 1, loadWorkers: workers}
-		if err := run(opts, &out, io.Discard); err != nil {
-			t.Fatalf("run(clustersim, %d workers): %v", workers, err)
-		}
-		return out.String()
-	}
-	first := runOnce(1)
-	second := runOnce(4)
-	if first != second {
-		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", first, second)
-	}
-	if again := runOnce(4); again != second {
-		t.Fatal("repeated run with identical options produced a different report")
-	}
-	for _, want := range []string{"plan hash", "gossip interval", "rules replicated", "attacker leak rate"} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("report missing %q:\n%s", want, first)
-		}
-	}
-}
+import "testing"
 
 // TestClustersimLeakCurve asserts the tentpole claim on the seed-1 run:
 // a per-node-only defence leaks strictly more than every
 // sketch-replicated fleet, and within a fixed fleet size the leak rate
 // falls monotonically as the gossip interval shrinks.
 func TestClustersimLeakCurve(t *testing.T) {
-	sc := loadgen.LowAndSlowScenario(1, loadsimEpoch)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	opts := options{scenario: "clustersim", seed: 1, loadWorkers: 2}
-	outcomes, err := clustersimOutcomes(opts, plan, nil, io.Discard)
-	if err != nil {
-		t.Fatalf("outcomes: %v", err)
-	}
+	_, outcomes := mustOutcomes(t, clustersim)
 
 	leak := make(map[string]float64, len(outcomes))
 	for _, o := range outcomes {
@@ -88,13 +44,6 @@ func TestClustersimLeakCurve(t *testing.T) {
 	}
 	// Replication must never tax honest traffic.
 	for _, o := range outcomes {
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			if done := c.Completed(); c.Admitted != done {
-				t.Fatalf("arm %q: honest class %q admitted %d of %d", o.arm.name, c.Name, c.Admitted, done)
-			}
-		}
+		requireHonestUntaxed(t, o.arm.name, o.result)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"funabuse/internal/cluster"
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
 	"funabuse/internal/simclock"
@@ -19,34 +18,33 @@ import (
 // section is off by default because its timing columns are wall-clock —
 // the deterministic report above it stays byte-identical per seed.
 
-// directBuilder constructs a fresh in-process target on the run's clock.
-type directBuilder func(clock simclock.Clock) loadgen.DirectTarget
-
-// directSection replays plan at batch=1 and batch=batch against
-// independently built targets and renders the comparison.
-func directSection(stdout io.Writer, title string, plan *loadgen.Plan, batch int, build directBuilder) error {
+// directSection replays the plan at batch=1 and batch=-loadbatch against
+// independently built in-process targets and renders the comparison.
+func (s scenario[A, R]) directSection(run loadRun, stdout io.Writer) error {
+	batch := run.opts.loadBatch
 	if batch < 2 {
 		batch = 64
 	}
-	run := func(b int) (*loadgen.DirectResult, error) {
-		clock := simclock.NewManual(plan.Scenario.Start)
+	replay := func(b int) (*loadgen.DirectResult, error) {
+		clock := simclock.NewManual(run.plan.Scenario.Start)
 		return loadgen.RunDirect(loadgen.DirectConfig{
-			Plan:    plan,
-			Target:  build(clock),
+			Plan:    run.plan,
+			Target:  s.direct(run, clock),
 			Batch:   b,
 			Virtual: clock,
 		})
 	}
-	seq, err := run(1)
+	seq, err := replay(1)
 	if err != nil {
 		return err
 	}
-	bat, err := run(batch)
+	bat, err := replay(batch)
 	if err != nil {
 		return err
 	}
 
-	t := metrics.NewTable(title, "Metric", "batch=1", fmt.Sprintf("batch=%d", batch))
+	t := metrics.NewTable(s.name+" direct decision throughput",
+		"Metric", "batch=1", fmt.Sprintf("batch=%d", batch))
 	cell := func(label string, f func(*loadgen.DirectResult) string) {
 		t.AddRow(label, f(seq), f(bat))
 	}
@@ -72,45 +70,4 @@ func directSection(stdout io.Writer, title string, plan *loadgen.Plan, batch int
 	t.AddRow("batch speedup", "1.00x", speedup)
 	fmt.Fprint(stdout, t.String())
 	return nil
-}
-
-// loadsimDirect measures the single-gate decision path on the loadsim
-// plan, configured like the blocklist+path-limit arm (rule-deploying
-// defender included) — the full instrumented pipeline, minus the socket.
-func loadsimDirect(opts options, plan *loadgen.Plan, stdout io.Writer) error {
-	build := func(clock simclock.Clock) loadgen.DirectTarget {
-		gate, _, _ := loadgen.NewTargetGate(loadgen.TargetConfig{
-			Clock:          clock,
-			RuleThreshold:  40,
-			RuleWindow:     30 * time.Second,
-			RulePaths:      []string{loadsimPathHold, loadsimPathSMS},
-			PathLimit:      300,
-			PathWindow:     time.Minute,
-			ResourceLimit:  6,
-			ResourceWindow: time.Hour,
-		})
-		return gate
-	}
-	return directSection(stdout, "loadsim direct decision throughput", plan, opts.loadBatch, build)
-}
-
-// clustersimDirect measures the routed-fleet decision path on the
-// low-and-slow plan against the merged n=4 g=2s arm: the batch scatters
-// across four nodes per router verdict and gathers per-node DecideBatch
-// results, so the speedup column reflects the fleet front, not one gate.
-func clustersimDirect(opts options, plan *loadgen.Plan, stdout io.Writer) error {
-	build := func(clock simclock.Clock) loadgen.DirectTarget {
-		return cluster.New(cluster.Config{
-			Nodes:          4,
-			Clock:          clock,
-			Gossip:         2 * time.Second,
-			ReplicateRules: true,
-			ReplicateState: true,
-			RuleThreshold:  clustersimRuleThreshold,
-			RuleWindow:     clustersimRuleWindow,
-			RulePaths:      []string{loadgen.PathHold, loadgen.PathSMS},
-			Router:         cluster.NewRandomRouter(opts.seed),
-		})
-	}
-	return directSection(stdout, "clustersim direct decision throughput", plan, opts.loadBatch, build)
 }

@@ -10,7 +10,6 @@ import (
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
 	"funabuse/internal/mitigate"
-	"funabuse/internal/obs"
 	"funabuse/internal/simclock"
 )
 
@@ -24,6 +23,18 @@ import (
 // ROI over time: tiering cuts revenue, and honeypots push the operation
 // under water — admitted decoy bookings earn nothing while every hit
 // deploys an instant blocking rule that burns the account behind it.
+var economics = scenario[econArm, econRead]{
+	name: "economics",
+	plan: loadgen.EconomicsScenario,
+	// The arms are the three rungs of the E18 comparison.
+	arms: []econArm{
+		{name: "no tiering"},
+		{name: "tiering", tiering: true},
+		{name: "tiering + honeypots", tiering: true, decoys: true},
+	},
+	boot:   bootEconArm,
+	report: econReport,
+}
 
 // Economics defence tuning: guests get a per-account rate allowance low
 // enough to blunt a burst while the member/silver/gold multipliers keep
@@ -43,21 +54,18 @@ type econArm struct {
 	decoys  bool
 }
 
-// econArms are the three rungs of the E18 comparison.
-var econArms = []econArm{
-	{name: "no tiering"},
-	{name: "tiering", tiering: true},
-	{name: "tiering + honeypots", tiering: true, decoys: true},
-}
+func (a econArm) armName() string { return a.name }
 
-// econOutcome is one arm's measurements, joined for the report.
-type econOutcome struct {
-	arm    econArm
-	result *loadgen.Result
+// econRead is what one arm reads back: deployed rules, the decoy set (nil
+// without honeypots) and the attacker's ROI ledger with the run folded in.
+type econRead struct {
 	rules  []loadgen.Rule
 	decoys *mitigate.DecoySet
 	ledger *loadgen.ROILedger
 }
+
+// econOutcome is one arm's measurements, joined for the report.
+type econOutcome = outcome[econArm, econRead]
 
 // econAttackerClass locates the scenario's priced class.
 func econAttackerClass(sc loadgen.Scenario) int {
@@ -69,88 +77,20 @@ func econAttackerClass(sc loadgen.Scenario) int {
 	return -1
 }
 
-// runEconomics replays the seeded attacker-economics plan against each
-// defence arm on a live httpgate-backed server and reports the ROI
-// contrast side by side. Virtual pacing (the default) makes the whole run
-// bit-deterministic per seed; -loadreal paces the same plan in wall time.
-func runEconomics(opts options, stdout, stderr io.Writer) error {
-	start := loadsimEpoch
-	if opts.loadReal {
-		start = time.Now()
-	}
-	sc := loadgen.EconomicsScenario(opts.seed, start)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		return err
-	}
-
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = opts.telemetry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-		reg.Gauge("fraudsim_scenario_info",
-			obs.Label{Name: "scenario", Value: "economics"}).Set(1)
-		reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-
-	outcomes, err := econOutcomes(opts, plan, reg, stderr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprint(stdout, econReport(plan, outcomes).String())
-
-	if opts.stayUp && opts.serve != "" {
-		waitForInterrupt(stderr)
-	}
-	return nil
-}
-
-// econOutcomes replays the plan against every arm in order.
-func econOutcomes(opts options, plan *loadgen.Plan, reg *obs.Registry, stderr io.Writer) ([]econOutcome, error) {
-	outcomes := make([]econOutcome, 0, len(econArms))
-	for _, arm := range econArms {
-		out, err := runEconArm(opts, plan, arm, reg, stderr)
-		if err != nil {
-			return nil, fmt.Errorf("arm %q: %w", arm.name, err)
-		}
-		outcomes = append(outcomes, out)
-	}
-	return outcomes, nil
-}
-
-// runEconArm boots a fresh defended target for the arm, replays the
-// shared plan against it, and folds the run into the arm's ROI ledger.
-// Tiered arms pre-register the honest fleet as long-standing gold members
-// — established customers whose history the attacker cannot buy — while
-// attacker accounts are created on first sight as guests.
-func runEconArm(opts options, plan *loadgen.Plan, arm econArm, reg *obs.Registry, stderr io.Writer) (econOutcome, error) {
-	sc := plan.Scenario
+// bootEconArm serves the arm's defended target and feeds every
+// observation to the arm's ROI ledger, folding the result in once the
+// replay is done. Tiered arms pre-register the honest fleet as
+// long-standing gold members — established customers whose history the
+// attacker cannot buy — while attacker accounts are created on first
+// sight as guests.
+func bootEconArm(run loadRun, clock simclock.Clock, arm econArm) (target[econRead], error) {
+	sc := run.plan.Scenario
 	attacker := econAttackerClass(sc)
 	if attacker < 0 {
-		return econOutcome{}, fmt.Errorf("scenario has no priced class")
+		return target[econRead]{}, fmt.Errorf("scenario has no priced class")
 	}
 
-	var manual *simclock.Manual
-	tcfg := loadgen.TargetConfig{}
-	if !opts.loadReal {
-		manual = simclock.NewManual(sc.Start)
-		tcfg.Clock = manual
-	}
+	tcfg := loadgen.TargetConfig{Clock: clock}
 	if arm.tiering {
 		store := account.NewStore(account.Config{})
 		for _, c := range sc.Classes {
@@ -174,13 +114,10 @@ func runEconArm(opts options, plan *loadgen.Plan, arm econArm, reg *obs.Registry
 		decoys = mitigate.NewDecoySet(sc.Seed, sc.ClassRefs(attacker), econDecoyFraction)
 		tcfg.Decoys = decoys
 	}
-	target, err := loadgen.StartTarget(tcfg)
+	tgt, err := loadgen.StartTarget(tcfg)
 	if err != nil {
-		return econOutcome{}, err
+		return target[econRead]{}, err
 	}
-	defer target.Close()
-	fmt.Fprintf(stderr, "fraudsim: economics arm %q driving %s (%d arrivals)\n",
-		arm.name, target.URL, len(plan.Arrivals))
 
 	ledger := loadgen.NewROILedger(loadgen.ROILedgerConfig{
 		Econ:   *sc.Classes[attacker].Econ,
@@ -189,136 +126,87 @@ func runEconArm(opts options, plan *loadgen.Plan, arm econArm, reg *obs.Registry
 		Bucket: econBucket,
 		Decoys: decoys,
 	})
-	runner, err := loadgen.NewRunner(loadgen.RunnerConfig{
-		Plan:      plan,
-		BaseURL:   target.URL,
-		Workers:   opts.loadWorkers,
-		Virtual:   manual,
-		Telemetry: reg,
-		Arm:       arm.name,
-		Observe:   ledger.Observe,
-	})
-	if err != nil {
-		return econOutcome{}, err
+	read := func(res *loadgen.Result) econRead {
+		ledger.FoldResult(res)
+		out := econRead{ledger: ledger, decoys: decoys}
+		if tgt.Deployer != nil {
+			out.rules = tgt.Deployer.Rules()
+		}
+		return out
 	}
-	res, err := runner.Run()
-	if err != nil {
-		return econOutcome{}, err
-	}
-	ledger.FoldResult(res)
-	out := econOutcome{arm: arm, result: res, ledger: ledger, decoys: decoys}
-	if target.Deployer != nil {
-		out.rules = target.Deployer.Rules()
-	}
-	return out, nil
+	return target[econRead]{
+		url:     tgt.URL,
+		observe: ledger.Observe,
+		read:    read,
+		close:   func() { _ = tgt.Close() },
+	}, nil
 }
 
 // econReport renders the per-arm comparison. Every column replays the
-// same seeded plan with the same attacker cost sheet, so every
-// difference is the defence configuration's.
-func econReport(plan *loadgen.Plan, outcomes []econOutcome) *metrics.Table {
-	headers := make([]string, 0, len(outcomes)+1)
-	headers = append(headers, "Metric")
-	for _, o := range outcomes {
-		headers = append(headers, o.arm.name)
-	}
-	t := metrics.NewTable("attacker economics report", headers...)
-
-	row := func(label string, cell func(econOutcome) string) {
-		cells := make([]string, 0, len(outcomes)+1)
-		cells = append(cells, label)
-		for _, o := range outcomes {
-			cells = append(cells, cell(o))
-		}
-		t.AddRow(cells...)
-	}
-	attacker := econAttackerClass(plan.Scenario)
+// same attacker cost sheet, so every difference is the defence
+// configuration's.
+func econReport(w io.Writer, run loadRun, outs []econOutcome) {
+	t := newArmTable("attacker economics report", outs)
+	attacker := econAttackerClass(run.plan.Scenario)
 	attackerOf := func(o econOutcome) loadgen.ClassResult {
 		return o.result.Classes[attacker]
 	}
 
-	row("plan hash", func(o econOutcome) string {
-		return fmt.Sprintf("%016x", o.result.PlanHash)
+	t.planHash()
+	t.completed()
+	t.honestAdmit()
+	t.leakRate("attacker leak rate")
+	t.row("rules deployed", func(o econOutcome) string {
+		return metrics.FormatInt(int64(len(o.read.rules)))
 	})
-	row("requests completed", func(o econOutcome) string {
-		var done uint64
-		for _, c := range o.result.Classes {
-			done += c.Completed()
-		}
-		return metrics.FormatInt(int64(done))
-	})
-	row("honest admit rate", func(o econOutcome) string {
-		var admitted, done uint64
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			admitted += c.Admitted
-			done += c.Completed()
-		}
-		if done == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", float64(admitted)/float64(done))
-	})
-	row("attacker leak rate", func(o econOutcome) string {
-		rate, ok := o.result.AbusiveLeakRate()
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", rate)
-	})
-	row("rules deployed", func(o econOutcome) string {
-		return metrics.FormatInt(int64(len(o.rules)))
-	})
-	row("tier denials", func(o econOutcome) string {
+	t.row("tier denials", func(o econOutcome) string {
 		return metrics.FormatInt(int64(attackerOf(o).Denied[httpgate.ReasonAccountTier]))
 	})
-	row("account rate-limit denials", func(o econOutcome) string {
+	t.row("account rate-limit denials", func(o econOutcome) string {
 		return metrics.FormatInt(int64(attackerOf(o).Denied[httpgate.ReasonAccountLimit]))
 	})
-	row("decoy hits", func(o econOutcome) string {
-		if o.decoys == nil {
+	t.row("decoy hits", func(o econOutcome) string {
+		if o.read.decoys == nil {
 			return "n/a"
 		}
-		return metrics.FormatInt(int64(o.decoys.HitCount()))
+		return metrics.FormatInt(int64(o.read.decoys.HitCount()))
 	})
-	row("accounts registered", func(o econOutcome) string {
+	t.row("accounts registered", func(o econOutcome) string {
 		return metrics.FormatInt(int64(attackerOf(o).Registrations))
 	})
-	row("accounts burned", func(o econOutcome) string {
+	t.row("accounts burned", func(o econOutcome) string {
 		return metrics.FormatInt(int64(attackerOf(o).Burned))
 	})
-	row("budget-stopped arrivals", func(o econOutcome) string {
+	t.row("budget-stopped arrivals", func(o econOutcome) string {
 		return metrics.FormatInt(int64(attackerOf(o).BudgetSkipped))
 	})
-	row("attacker spend", func(o econOutcome) string {
-		spend, _, _ := o.ledger.Totals()
+	t.row("attacker spend", func(o econOutcome) string {
+		spend, _, _ := o.read.ledger.Totals()
 		return fmt.Sprintf("$%.2f", spend)
 	})
-	row("believed revenue", func(o econOutcome) string {
-		_, believed, _ := o.ledger.Totals()
+	t.row("believed revenue", func(o econOutcome) string {
+		_, believed, _ := o.read.ledger.Totals()
 		return fmt.Sprintf("$%.2f", believed)
 	})
-	row("actual revenue", func(o econOutcome) string {
-		_, _, actual := o.ledger.Totals()
+	t.row("actual revenue", func(o econOutcome) string {
+		_, _, actual := o.read.ledger.Totals()
 		return fmt.Sprintf("$%.2f", actual)
 	})
-	row("attacker profit", func(o econOutcome) string {
-		return fmt.Sprintf("$%.2f", o.ledger.ProfitUSD())
+	t.row("attacker profit", func(o econOutcome) string {
+		return fmt.Sprintf("$%.2f", o.read.ledger.ProfitUSD())
 	})
-	row("attacker ROI", func(o econOutcome) string {
-		roi, ok := o.ledger.ROI()
+	t.row("attacker ROI", func(o econOutcome) string {
+		roi, ok := o.read.ledger.ROI()
 		if !ok {
 			return "n/a"
 		}
 		return fmt.Sprintf("%.2f", roi)
 	})
 	for _, offset := range []time.Duration{econBucket, 2 * econBucket, 3 * econBucket, 4 * econBucket} {
-		at := plan.Scenario.Start.Add(offset)
-		row(fmt.Sprintf("cumulative profit @ %s", offset), func(o econOutcome) string {
-			return fmt.Sprintf("$%.2f", o.ledger.At(at).ProfitUSD())
+		at := run.plan.Scenario.Start.Add(offset)
+		t.row(fmt.Sprintf("cumulative profit @ %s", offset), func(o econOutcome) string {
+			return fmt.Sprintf("$%.2f", o.read.ledger.At(at).ProfitUSD())
 		})
 	}
-	return t
+	fmt.Fprint(w, t.String())
 }

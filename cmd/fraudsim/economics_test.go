@@ -1,47 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-	"strings"
-	"testing"
-
-	"funabuse/internal/loadgen"
-)
-
-// TestEconomicsDeterministic runs the virtual-paced economics scenario
-// with one seed across different worker counts and again with the same
-// worker count, requiring byte-identical reports each time, and pins the
-// seed-1 plan hash the report prints.
-func TestEconomicsDeterministic(t *testing.T) {
-	runOnce := func(workers int) string {
-		var out bytes.Buffer
-		opts := options{scenario: "economics", days: 1, seed: 1, loadWorkers: workers}
-		if err := run(opts, &out, io.Discard); err != nil {
-			t.Fatalf("run(economics, %d workers): %v", workers, err)
-		}
-		return out.String()
-	}
-	first := runOnce(1)
-	second := runOnce(4)
-	if first != second {
-		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", first, second)
-	}
-	if again := runOnce(4); again != second {
-		t.Fatal("repeated run with identical options produced a different report")
-	}
-	plan, err := loadgen.BuildPlan(loadgen.EconomicsScenario(1, loadsimEpoch))
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	wantHash := fmt.Sprintf("%016x", plan.Hash())
-	for _, want := range []string{"plan hash", wantHash, "attacker ROI", "decoy hits", "accounts burned"} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("report missing %q:\n%s", want, first)
-		}
-	}
-}
+import "testing"
 
 // TestEconomicsROIOrdering asserts the E18 tentpole claim on the seed-1
 // run: each added defence rung strictly lowers the attacker's return on
@@ -50,48 +9,32 @@ func TestEconomicsDeterministic(t *testing.T) {
 // arrivals appear only in the honeypot arm, whose attacker finishes under
 // water; neither tiering-only arm deploys a rule.
 func TestEconomicsROIOrdering(t *testing.T) {
-	plan, err := loadgen.BuildPlan(loadgen.EconomicsScenario(1, loadsimEpoch))
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	opts := options{scenario: "economics", seed: 1, loadWorkers: 2}
-	outcomes, err := econOutcomes(opts, plan, nil, io.Discard)
-	if err != nil {
-		t.Fatalf("outcomes: %v", err)
-	}
-	if len(outcomes) != len(econArms) {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(econArms))
-	}
+	plan, outcomes := mustOutcomes(t, economics)
 
 	attacker := econAttackerClass(plan.Scenario)
 	roi := make([]float64, len(outcomes))
 	for i, o := range outcomes {
-		r, ok := o.ledger.ROI()
+		r, ok := o.read.ledger.ROI()
 		if !ok {
 			t.Fatalf("arm %q: attacker spent nothing", o.arm.name)
 		}
 		roi[i] = r
 
 		// No arm may price out honest customers.
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			done := c.Completed()
-			if done == 0 {
-				t.Fatalf("arm %q: honest class %q completed nothing", o.arm.name, c.Name)
-			}
-			if rate := float64(c.Admitted) / float64(done); rate < 0.99 {
-				t.Fatalf("arm %q: honest admit rate %v, want >= 0.99", o.arm.name, rate)
-			}
+		rate, ok := o.result.HonestAdmitRate()
+		if !ok {
+			t.Fatalf("arm %q: honest traffic completed nothing", o.arm.name)
+		}
+		if rate < 0.99 {
+			t.Fatalf("arm %q: honest admit rate %v, want >= 0.99", o.arm.name, rate)
 		}
 
 		ac := o.result.Classes[attacker]
 		if o.arm.decoys {
-			if o.decoys.HitCount() == 0 {
+			if o.read.decoys.HitCount() == 0 {
 				t.Fatalf("arm %q: no decoy hits; the enumeration must touch seeded inventory", o.arm.name)
 			}
-			if len(o.rules) == 0 {
+			if len(o.read.rules) == 0 {
 				t.Fatalf("arm %q: decoy hits deployed no rules", o.arm.name)
 			}
 			if ac.Burned == 0 {
@@ -101,8 +44,8 @@ func TestEconomicsROIOrdering(t *testing.T) {
 				t.Fatalf("arm %q: burn costs never exhausted a budget", o.arm.name)
 			}
 		} else {
-			if len(o.rules) != 0 {
-				t.Fatalf("arm %q deployed %d rules without decoys", o.arm.name, len(o.rules))
+			if len(o.read.rules) != 0 {
+				t.Fatalf("arm %q deployed %d rules without decoys", o.arm.name, len(o.read.rules))
 			}
 			if ac.Burned != 0 || ac.BudgetSkipped != 0 {
 				t.Fatalf("arm %q: burned=%d budgetSkipped=%d, want 0 without decoy rules",
@@ -119,7 +62,7 @@ func TestEconomicsROIOrdering(t *testing.T) {
 	}
 	// The honeypot arm pushes the operation under water outright.
 	last := outcomes[len(outcomes)-1]
-	if p := last.ledger.ProfitUSD(); p >= 0 {
+	if p := last.read.ledger.ProfitUSD(); p >= 0 {
 		t.Fatalf("honeypot arm attacker profit $%.2f, want negative", p)
 	}
 }

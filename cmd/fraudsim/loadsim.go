@@ -7,7 +7,6 @@ import (
 
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
-	"funabuse/internal/obs"
 	"funabuse/internal/simclock"
 )
 
@@ -17,15 +16,17 @@ import (
 // against the boarding-pass path. Abusive clients adapt: a blocklist
 // denial schedules a fingerprint rotation after a reaction delay, so each
 // defence arm measures the rule→rotation arms race it induces.
-const (
-	loadsimPathSearch = "/search"
-	loadsimPathHold   = "/booking/hold"
-	loadsimPathSMS    = "/checkin/boardingpass/sms"
-)
-
-// loadsimEpoch anchors virtual-clock runs so the schedule is
-// bit-identical per seed. Wall runs re-anchor at time.Now instead.
-var loadsimEpoch = time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC)
+var loadsim = scenario[loadsimArm, []loadgen.Rule]{
+	name:   "loadsim",
+	plan:   loadsimScenario,
+	arms:   []loadsimArm{{name: "blocklist"}, loadsimPathLimitArm},
+	boot:   bootLoadsimArm,
+	report: loadsimReport,
+	direct: func(_ loadRun, clock simclock.Clock) loadgen.DirectTarget {
+		gate, _, _ := loadgen.NewTargetGate(loadsimPathLimitArm.targetConfig(clock))
+		return gate
+	},
+}
 
 // loadsimScenario is the fixed scenario shape; only the seed and start
 // vary. Roughly a minute of traffic, compressed so second-scale reaction
@@ -39,14 +40,14 @@ func loadsimScenario(seed uint64, start time.Time) loadgen.Scenario {
 				Name:    "honest",
 				Kind:    loadgen.Honest,
 				Clients: 12,
-				Paths:   []string{loadsimPathSearch, loadsimPathHold, loadsimPathSMS},
+				Paths:   []string{loadgen.PathSearch, loadgen.PathHold, loadgen.PathSMS},
 				Phases:  []loadgen.Phase{{Dur: 60 * time.Second, Rate: 4}},
 			},
 			{
 				Name:         "seatspin",
 				Kind:         loadgen.SeatSpin,
 				Clients:      3,
-				Paths:        []string{loadsimPathHold},
+				Paths:        []string{loadgen.PathHold},
 				ReactionMean: 6 * time.Second,
 				Phases: []loadgen.Phase{
 					{Dur: 10 * time.Second, Rate: 0},
@@ -57,7 +58,7 @@ func loadsimScenario(seed uint64, start time.Time) loadgen.Scenario {
 				Name:         "smspump",
 				Kind:         loadgen.SMSPump,
 				Clients:      3,
-				Paths:        []string{loadsimPathSMS},
+				Paths:        []string{loadgen.PathSMS},
 				Resources:    80,
 				ReactionMean: 6 * time.Second,
 				Phases: []loadgen.Phase{
@@ -75,202 +76,81 @@ type loadsimArm struct {
 	pathLimit bool
 }
 
-// loadsimArms are the two ends of the paper's comparison: reactive
+func (a loadsimArm) armName() string { return a.name }
+
+// loadsimOutcome is one arm's result plus the rules its defender deployed.
+type loadsimOutcome = outcome[loadsimArm, []loadgen.Rule]
+
+// The arms are the two ends of the paper's comparison: reactive
 // fingerprint rules alone, then the same rules backed by per-path and
 // per-booking-reference rate limits that cap what rotation can recover.
-var loadsimArms = []loadsimArm{
-	{name: "blocklist"},
-	{name: "blocklist+path-limit", pathLimit: true},
-}
+// The path-limit arm — the full instrumented pipeline — is also the one
+// -loaddirect measures minus the socket.
+var loadsimPathLimitArm = loadsimArm{name: "blocklist+path-limit", pathLimit: true}
 
-// armOutcome is one arm's measurements, joined for the report.
-type armOutcome struct {
-	arm    loadsimArm
-	result *loadgen.Result
-	rules  []loadgen.Rule
-}
-
-// runLoadsim replays one seeded plan against each defence arm on a live
-// httpgate-backed server and reports the arms-race outcome side by side.
-// Virtual pacing (the default) makes the whole run bit-deterministic per
-// seed; -loadreal paces the same plan open-loop in wall time, which is
-// where the intended-start latency column becomes meaningful.
-func runLoadsim(opts options, stdout, stderr io.Writer) error {
-	start := loadsimEpoch
-	if opts.loadReal {
-		start = time.Now()
-	}
-	sc := loadsimScenario(opts.seed, start)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		return err
-	}
-
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = opts.telemetry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-		reg.Gauge("fraudsim_scenario_info",
-			obs.Label{Name: "scenario", Value: "loadsim"}).Set(1)
-		reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-
-	outcomes := make([]armOutcome, 0, len(loadsimArms))
-	for _, arm := range loadsimArms {
-		out, err := runLoadsimArm(opts, plan, arm, reg, stderr)
-		if err != nil {
-			return fmt.Errorf("arm %q: %w", arm.name, err)
-		}
-		outcomes = append(outcomes, out)
-	}
-
-	fmt.Fprint(stdout, loadsimReport(outcomes, opts.loadReal).String())
-
-	if opts.loadDirect {
-		if err := loadsimDirect(opts, plan, stdout); err != nil {
-			return fmt.Errorf("direct section: %w", err)
-		}
-	}
-
-	if opts.stayUp && opts.serve != "" {
-		waitForInterrupt(stderr)
-	}
-	return nil
-}
-
-// runLoadsimArm boots a fresh defended target for the arm, replays the
-// shared plan against it, and tears the target down. The gate and its
-// rule-deploying defender share the runner's clock, so in virtual mode
-// rule windows and reaction delays line up with the schedule exactly.
-func runLoadsimArm(opts options, plan *loadgen.Plan, arm loadsimArm, reg *obs.Registry, stderr io.Writer) (armOutcome, error) {
-	var manual *simclock.Manual
+// targetConfig is the arm's defended target on the given clock. The gate
+// and its rule-deploying defender share the runner's clock, so in virtual
+// mode rule windows and reaction delays line up with the schedule exactly.
+func (a loadsimArm) targetConfig(clock simclock.Clock) loadgen.TargetConfig {
 	tcfg := loadgen.TargetConfig{
+		Clock:         clock,
 		RuleThreshold: 40,
 		RuleWindow:    30 * time.Second,
-		RulePaths:     []string{loadsimPathHold, loadsimPathSMS},
+		RulePaths:     []string{loadgen.PathHold, loadgen.PathSMS},
 	}
-	if !opts.loadReal {
-		manual = simclock.NewManual(plan.Scenario.Start)
-		tcfg.Clock = manual
-	}
-	if arm.pathLimit {
+	if a.pathLimit {
 		tcfg.PathLimit = 300
 		tcfg.PathWindow = time.Minute
 		tcfg.ResourceLimit = 6
 		tcfg.ResourceWindow = time.Hour
 	}
-	target, err := loadgen.StartTarget(tcfg)
-	if err != nil {
-		return armOutcome{}, err
-	}
-	defer target.Close()
-	fmt.Fprintf(stderr, "fraudsim: loadsim arm %q driving %s (%d arrivals)\n",
-		arm.name, target.URL, len(plan.Arrivals))
-
-	runner, err := loadgen.NewRunner(loadgen.RunnerConfig{
-		Plan:      plan,
-		BaseURL:   target.URL,
-		Workers:   opts.loadWorkers,
-		Virtual:   manual,
-		Telemetry: reg,
-		Arm:       arm.name,
-	})
-	if err != nil {
-		return armOutcome{}, err
-	}
-	res, err := runner.Run()
-	if err != nil {
-		return armOutcome{}, err
-	}
-	return armOutcome{arm: arm, result: res, rules: target.Deployer.Rules()}, nil
+	return tcfg
 }
 
-// loadsimReport renders the per-arm comparison. Every column comes from
-// the same seeded plan, so differences are the defence configuration's.
-func loadsimReport(outcomes []armOutcome, wall bool) *metrics.Table {
-	headers := make([]string, 0, len(outcomes)+1)
-	headers = append(headers, "Metric")
-	for _, o := range outcomes {
-		headers = append(headers, o.arm.name)
+// bootLoadsimArm serves the arm's target and reads back the rules its
+// defender deployed.
+func bootLoadsimArm(_ loadRun, clock simclock.Clock, arm loadsimArm) (target[[]loadgen.Rule], error) {
+	tgt, err := loadgen.StartTarget(arm.targetConfig(clock))
+	if err != nil {
+		return target[[]loadgen.Rule]{}, err
 	}
-	t := metrics.NewTable("loadsim report", headers...)
+	return target[[]loadgen.Rule]{
+		url:   tgt.URL,
+		read:  func(*loadgen.Result) []loadgen.Rule { return tgt.Deployer.Rules() },
+		close: func() { _ = tgt.Close() },
+	}, nil
+}
 
-	row := func(label string, cell func(armOutcome) string) {
-		cells := make([]string, 0, len(outcomes)+1)
-		cells = append(cells, label)
-		for _, o := range outcomes {
-			cells = append(cells, cell(o))
-		}
-		t.AddRow(cells...)
-	}
-
-	row("plan hash", func(o armOutcome) string {
-		return fmt.Sprintf("%016x", o.result.PlanHash)
+// loadsimReport renders the per-arm comparison. -loadreal adds the
+// intended-start latency row, which only wall pacing makes meaningful.
+func loadsimReport(w io.Writer, run loadRun, outs []loadsimOutcome) {
+	t := newArmTable("loadsim report", outs)
+	t.planHash()
+	t.completed()
+	t.row("rules deployed", func(o loadsimOutcome) string {
+		return metrics.FormatInt(int64(len(o.read)))
 	})
-	row("requests completed", func(o armOutcome) string {
-		var done uint64
-		for _, c := range o.result.Classes {
-			done += c.Completed()
-		}
-		return metrics.FormatInt(int64(done))
-	})
-	row("rules deployed", func(o armOutcome) string {
-		return metrics.FormatInt(int64(len(o.rules)))
-	})
-	row("attacker rotations", func(o armOutcome) string {
+	t.row("attacker rotations", func(o loadsimOutcome) string {
 		return metrics.FormatInt(int64(len(o.result.Rotations())))
 	})
-	row("mean time-to-rotation", func(o armOutcome) string {
-		mean, ok := loadgen.MeanTimeToRotation(o.result.Rotations(), o.rules)
+	t.row("mean time-to-rotation", func(o loadsimOutcome) string {
+		mean, ok := loadgen.MeanTimeToRotation(o.result.Rotations(), o.read)
 		if !ok {
 			return "n/a"
 		}
 		return mean.Round(time.Millisecond).String()
 	})
-	row("attacker leak rate", func(o armOutcome) string {
-		rate, ok := o.result.AbusiveLeakRate()
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", rate)
-	})
-	row("honest admit rate", func(o armOutcome) string {
-		var admitted, done uint64
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			admitted += c.Admitted
-			done += c.Completed()
-		}
-		if done == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", float64(admitted)/float64(done))
-	})
-	row("degraded responses", func(o armOutcome) string {
+	t.leakRate("attacker leak rate")
+	t.honestAdmit()
+	t.row("degraded responses", func(o loadsimOutcome) string {
 		var n uint64
 		for _, c := range o.result.Classes {
 			n += c.DegradedSeen
 		}
 		return metrics.FormatInt(int64(n))
 	})
-	if wall {
-		row("mean intended-start latency", func(o armOutcome) string {
+	if run.opts.loadReal {
+		t.row("mean intended-start latency", func(o loadsimOutcome) string {
 			var sum time.Duration
 			var classes int
 			for _, c := range o.result.Classes {
@@ -286,5 +166,5 @@ func loadsimReport(outcomes []armOutcome, wall bool) *metrics.Table {
 			return (sum / time.Duration(classes)).Round(time.Millisecond).String()
 		})
 	}
-	return t
+	fmt.Fprint(w, t.String())
 }

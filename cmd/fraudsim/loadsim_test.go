@@ -6,49 +6,22 @@ import (
 	"strings"
 	"testing"
 
-	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
 	"funabuse/internal/obs"
 )
-
-// TestLoadsimDeterministic runs the virtual-paced loadsim twice with one
-// seed and different worker counts and requires byte-identical reports —
-// the whole-command form of the loadgen workers-1-vs-N golden.
-func TestLoadsimDeterministic(t *testing.T) {
-	runOnce := func(workers int) string {
-		var out bytes.Buffer
-		opts := options{scenario: "loadsim", days: 1, seed: 7, loadWorkers: workers}
-		if err := run(opts, &out, io.Discard); err != nil {
-			t.Fatalf("run(loadsim, %d workers): %v", workers, err)
-		}
-		return out.String()
-	}
-	first := runOnce(1)
-	second := runOnce(4)
-	if first != second {
-		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", first, second)
-	}
-	for _, want := range []string{"plan hash", "rules deployed", "attacker rotations", "attacker leak rate"} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("report missing %q:\n%s", want, first)
-		}
-	}
-	if strings.Contains(first, "mean intended-start latency") {
-		t.Fatal("virtual run reported the wall-only latency row")
-	}
-}
 
 // TestLoadsimDirectSection renders the -loaddirect throughput comparison
 // on the loadsim plan and checks both batch columns replayed the full
 // plan. Timing cells are wall-clock, so only structure is asserted.
 func TestLoadsimDirectSection(t *testing.T) {
-	plan, err := loadgen.BuildPlan(loadsimScenario(7, loadsimEpoch))
+	opts := options{seed: 7, loadBatch: 16}
+	plan, err := loadsim.buildPlan(opts)
 	if err != nil {
 		t.Fatalf("build plan: %v", err)
 	}
 	var out bytes.Buffer
-	if err := loadsimDirect(options{seed: 7, loadBatch: 16}, plan, &out); err != nil {
-		t.Fatalf("loadsimDirect: %v", err)
+	if err := loadsim.directSection(loadRun{opts: opts, plan: plan}, &out); err != nil {
+		t.Fatalf("directSection: %v", err)
 	}
 	report := out.String()
 	for _, want := range []string{

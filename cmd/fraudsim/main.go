@@ -13,6 +13,10 @@
 //	fraudsim -scenario syndicate
 //	fraudsim -scenario economics
 //
+// fraudsim -h lists every scenario: the in-process simulations
+// (simScenarios) and the rows of the load-scenario table (loadScenarios),
+// each documented in the file that defines its row.
+//
 // The loadsim scenario is different in kind: instead of the in-process
 // simulation it boots a real httpgate-backed HTTP server and replays a
 // seeded mixed-traffic plan against it over sockets, with adaptive
@@ -63,6 +67,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -110,12 +115,24 @@ type options struct {
 	traces *obs.TraceRing
 }
 
-// scenarioNames lists every scenario run accepts, in the order the
-// package doc introduces them; the unknown-scenario error echoes it.
-var scenarioNames = []string{
-	"seatspin", "smspump", "manual", "mixed",
-	"loadsim", "clustersim", "partition", "syndicate", "economics",
-}
+// simScenarios are the in-process simulations run drives itself.
+var simScenarios = []string{"seatspin", "smspump", "manual", "mixed"}
+
+// loadScenarios is the load-scenario table: each row is one socket-replay
+// comparison the harness runs (see harness.go). Adding a scenario is one
+// row here plus its file and its testdata golden.
+var loadScenarios = []loadScenario{loadsim, clustersim, partition, syndicate, economics}
+
+// scenarioNames lists every scenario run accepts, simulations first, then
+// the load table in order; the flag help and the unknown-scenario error
+// echo it.
+var scenarioNames = func() []string {
+	names := append([]string(nil), simScenarios...)
+	for _, s := range loadScenarios {
+		names = append(names, s.scenarioName())
+	}
+	return names
+}()
 
 func main() {
 	scenario := flag.String("scenario", "seatspin",
@@ -150,12 +167,9 @@ func main() {
 	}
 }
 
-// buildTelemetry registers the run's collectors on reg (allocating one if
-// nil) and documents the app-level families.
-func buildTelemetry(env *core.Env, opts options, reg *obs.Registry) *obs.Registry {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+// registerApp adds the in-process simulation's collectors to the run's
+// registry and documents the app-level families.
+func registerApp(reg *obs.Registry, env *core.Env, opts options) {
 	reg.Register(env.App.Collector())
 	reg.Help("app_requests_total", "Requests entering the defence pipeline.")
 	reg.Help("app_blocked_total", "Requests denied by blocklists or fingerprint rules.")
@@ -163,11 +177,6 @@ func buildTelemetry(env *core.Env, opts options, reg *obs.Registry) *obs.Registr
 	reg.Help("app_served_total", "Requests that reached the business feature.")
 	reg.Help("app_block_rules", "Live blocklist rules.")
 	reg.Gauge("fraudsim_days").Set(float64(opts.days))
-	reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-	reg.Gauge("fraudsim_scenario_info",
-		obs.Label{Name: "scenario", Value: opts.scenario}).Set(1)
-	reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	return reg
 }
 
 // serveTelemetry boots the obs mux on addr and reports the bound address
@@ -189,6 +198,36 @@ func serveTelemetry(addr string, reg *obs.Registry, ring *obs.TraceRing, stderr 
 	return srv, nil
 }
 
+// startTelemetry returns the registry the run reports into — the caller's
+// opts.telemetry, a fresh one under -serve, nil when neither asks for
+// telemetry — stamped with the run-identity gauges, and exposes it on
+// -serve. stop shuts the serving surface down.
+func startTelemetry(opts options, stderr io.Writer) (reg *obs.Registry, stop func(), err error) {
+	reg, stop = opts.telemetry, func() {}
+	if reg == nil && opts.serve == "" {
+		return nil, stop, nil
+	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
+	reg.Gauge("fraudsim_scenario_info",
+		obs.Label{Name: "scenario", Value: opts.scenario}).Set(1)
+	reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
+	if opts.serve == "" {
+		return reg, stop, nil
+	}
+	ring := opts.traces
+	if ring == nil {
+		ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
+	}
+	srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
+	if err != nil {
+		return nil, nil, err
+	}
+	return reg, func() { _ = srv.Close() }, nil
+}
+
 func run(opts options, stdout, stderr io.Writer) error {
 	if opts.days < 1 {
 		fmt.Fprintf(stderr, "fraudsim: -days %d is invalid; clamped to 1\n", opts.days)
@@ -197,19 +236,12 @@ func run(opts options, stdout, stderr io.Writer) error {
 	if opts.honeypot {
 		opts.defend = true
 	}
-	switch opts.scenario {
-	case "loadsim":
-		return runLoadsim(opts, stdout, stderr)
-	case "clustersim":
-		return runClustersim(opts, stdout, stderr)
-	case "partition":
-		return runPartition(opts, stdout, stderr)
-	case "syndicate":
-		return runSyndicate(opts, stdout, stderr)
-	case "economics":
-		return runEconomics(opts, stdout, stderr)
-	case "seatspin", "smspump", "manual", "mixed":
-	default:
+	for _, s := range loadScenarios {
+		if s.scenarioName() == opts.scenario {
+			return s.run(opts, stdout, stderr)
+		}
+	}
+	if !slices.Contains(simScenarios, opts.scenario) {
 		return fmt.Errorf("unknown scenario %q (valid: %s)",
 			opts.scenario, strings.Join(scenarioNames, ", "))
 	}
@@ -228,20 +260,13 @@ func run(opts options, stdout, stderr io.Writer) error {
 	envCfg.TargetDep = core.SimStart.Add(warmup + horizon + 72*time.Hour)
 	env := core.NewEnv(envCfg)
 
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = buildTelemetry(env, opts, opts.telemetry)
+	reg, stop, err := startTelemetry(opts, stderr)
+	if err != nil {
+		return err
 	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
+	defer stop()
+	if reg != nil {
+		registerApp(reg, env, opts)
 	}
 
 	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)

@@ -10,7 +10,6 @@ import (
 	"funabuse/internal/faultinject"
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
-	"funabuse/internal/obs"
 	"funabuse/internal/resilience"
 	"funabuse/internal/simclock"
 )
@@ -36,6 +35,29 @@ import (
 // draws come from one seeded stream serialized under the transport mutex,
 // the anti-entropy loop fetches serially, and link cuts are pure
 // functions of the shared manual clock.
+var partition = scenario[partitionArm, partitionRead]{
+	name: "partition",
+	plan: loadgen.LowAndSlowScenario,
+	// The arms: the drop sweep (with a retry arm at the same drop rate),
+	// the delay sweep, and the healed-partition pair.
+	arms: []partitionArm{
+		{name: "clean", group: "drop"},
+		{name: "drop p=0.3", group: "drop", drop: 0.3},
+		{name: "drop p=0.6", group: "drop", drop: 0.6},
+		{name: "drop p=0.6 retry", group: "drop", drop: 0.6, retries: 2},
+		{name: "drop p=0.9", group: "drop", drop: 0.9},
+		{name: "delay 4s", group: "delay", delay: 4 * time.Second},
+		{name: "delay 8s", group: "delay", delay: 8 * time.Second},
+		{name: "healthy", group: "timeline"},
+		{name: "partitioned", group: "timeline", cut: true},
+	},
+	boot: bootPartitionArm,
+	report: func(w io.Writer, _ loadRun, outs []partitionOutcome) {
+		fmt.Fprint(w, partitionSweepReport("partition drop sweep", outs, "drop").String())
+		fmt.Fprint(w, partitionSweepReport("partition delay sweep", outs, "delay").String())
+		fmt.Fprint(w, partitionTimelineReport(outs).String())
+	},
+}
 
 // Partition-scenario fleet shape. The rule threshold is chosen against
 // the low-and-slow plan's arithmetic: the full 4-node fleet view reaches
@@ -62,19 +84,7 @@ type partitionArm struct {
 	cut     bool          // partition {0,1}|{2,3} during the cut window
 }
 
-// partitionArms: the drop sweep (with a retry arm at the same drop rate),
-// the delay sweep, and the healed-partition pair.
-var partitionArms = []partitionArm{
-	{name: "clean", group: "drop"},
-	{name: "drop p=0.3", group: "drop", drop: 0.3},
-	{name: "drop p=0.6", group: "drop", drop: 0.6},
-	{name: "drop p=0.6 retry", group: "drop", drop: 0.6, retries: 2},
-	{name: "drop p=0.9", group: "drop", drop: 0.9},
-	{name: "delay 4s", group: "delay", delay: 4 * time.Second},
-	{name: "delay 8s", group: "delay", delay: 8 * time.Second},
-	{name: "healthy", group: "timeline"},
-	{name: "partitioned", group: "timeline", cut: true},
-}
+func (a partitionArm) armName() string { return a.name }
 
 // bucketTally accumulates one timeline bucket's outcomes.
 type bucketTally struct {
@@ -83,87 +93,25 @@ type bucketTally struct {
 	degraded        int
 }
 
-// partitionOutcome is one arm's measurements, joined for the report.
-type partitionOutcome struct {
-	arm     partitionArm
-	result  *loadgen.Result
-	stats   cluster.Stats
-	faults  cluster.FaultStats
-	reasons map[string]uint64
+// partitionRead is what one arm reads back from its fleet and fault
+// transport after the replay.
+type partitionRead struct {
+	stats  cluster.Stats
+	faults cluster.FaultStats
 	// firstRule is the first origination instant relative to plan start;
 	// negative when no rule originated.
 	firstRule time.Duration
 	buckets   []bucketTally
 }
 
-// runPartition replays the seeded low-and-slow plan against every fault
-// arm and reports the three sections.
-func runPartition(opts options, stdout, stderr io.Writer) error {
-	start := loadsimEpoch
-	if opts.loadReal {
-		start = time.Now()
-	}
-	sc := loadgen.LowAndSlowScenario(opts.seed, start)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		return err
-	}
+// partitionOutcome is one arm's measurements, joined for the report.
+type partitionOutcome = outcome[partitionArm, partitionRead]
 
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = opts.telemetry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-		reg.Gauge("fraudsim_scenario_info",
-			obs.Label{Name: "scenario", Value: "partition"}).Set(1)
-		reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-
-	outcomes, err := partitionOutcomes(opts, plan, reg, stderr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprint(stdout, partitionSweepReport("partition drop sweep", outcomes, "drop").String())
-	fmt.Fprint(stdout, partitionSweepReport("partition delay sweep", outcomes, "delay").String())
-	fmt.Fprint(stdout, partitionTimelineReport(outcomes, start).String())
-
-	if opts.stayUp && opts.serve != "" {
-		waitForInterrupt(stderr)
-	}
-	return nil
-}
-
-// partitionOutcomes replays the plan against every arm in order.
-func partitionOutcomes(opts options, plan *loadgen.Plan, reg *obs.Registry, stderr io.Writer) ([]partitionOutcome, error) {
-	outcomes := make([]partitionOutcome, 0, len(partitionArms))
-	for _, arm := range partitionArms {
-		out, err := runPartitionArm(opts, plan, arm, reg, stderr)
-		if err != nil {
-			return nil, fmt.Errorf("arm %q: %w", arm.name, err)
-		}
-		outcomes = append(outcomes, out)
-	}
-	return outcomes, nil
-}
-
-// runPartitionArm boots a fresh socket-gossip fleet behind the arm's
-// fault plan, replays the shared plan through its routing front, and
-// tears everything down.
-func runPartitionArm(opts options, plan *loadgen.Plan, arm partitionArm, reg *obs.Registry, stderr io.Writer) (partitionOutcome, error) {
+// bootPartitionArm boots a fresh socket-gossip fleet behind the arm's
+// fault plan; the runner replays the shared plan through its routing front
+// and close tears everything down.
+func bootPartitionArm(run loadRun, clock simclock.Clock, arm partitionArm) (target[partitionRead], error) {
+	plan := run.plan
 	start := plan.Scenario.Start
 
 	// Gossip rides real loopback sockets: one HTTP transport serves every
@@ -171,22 +119,15 @@ func runPartitionArm(opts options, plan *loadgen.Plan, arm partitionArm, reg *ob
 	httpTr := cluster.NewHTTPTransport(nil)
 	gossipURL, closeGossip, err := httpTr.Serve()
 	if err != nil {
-		return partitionOutcome{}, err
+		return target[partitionRead]{}, err
 	}
-	defer func() { _ = closeGossip() }()
 	for i := range partitionNodes {
 		httpTr.SetPeer(i, gossipURL)
 	}
 
-	var manual *simclock.Manual
-	var clk simclock.Clock
-	if !opts.loadReal {
-		manual = simclock.NewManual(start)
-		clk = manual
-	}
 	fcfg := cluster.FaultConfig{
-		Seed:     opts.seed,
-		Clock:    clk,
+		Seed:     run.opts.seed,
+		Clock:    clock,
 		DropRate: arm.drop,
 	}
 	if arm.delay > 0 {
@@ -203,10 +144,10 @@ func runPartitionArm(opts options, plan *loadgen.Plan, arm partitionArm, reg *ob
 	}
 	faultTr := cluster.NewFaultTransport(httpTr, fcfg)
 
-	ccfg := cluster.Config{
+	fleet, err := cluster.Start(cluster.Config{
 		Nodes:          partitionNodes,
-		Clock:          clk,
-		Router:         cluster.NewRandomRouter(opts.seed),
+		Clock:          clock,
+		Router:         cluster.NewRandomRouter(run.opts.seed),
 		Transport:      faultTr,
 		Gossip:         partitionGossip,
 		ReplicateRules: true,
@@ -215,14 +156,11 @@ func runPartitionArm(opts options, plan *loadgen.Plan, arm partitionArm, reg *ob
 		RuleThreshold:  partitionRuleThreshold,
 		RuleWindow:     partitionRuleWindow,
 		RulePaths:      []string{loadgen.PathHold, loadgen.PathSMS},
-	}
-	fleet, err := cluster.Start(ccfg)
+	})
 	if err != nil {
-		return partitionOutcome{}, err
+		_ = closeGossip()
+		return target[partitionRead]{}, err
 	}
-	defer fleet.Close()
-	fmt.Fprintf(stderr, "fraudsim: partition arm %q driving %s (gossip via %s)\n",
-		arm.name, fleet.URL, gossipURL)
 
 	// The Observe hook buckets outcomes by arrival time for the timeline:
 	// abusive leak and degraded-response stamps per window.
@@ -250,36 +188,27 @@ func runPartitionArm(opts options, plan *loadgen.Plan, arm partitionArm, reg *ob
 		}
 	}
 
-	runner, err := loadgen.NewRunner(loadgen.RunnerConfig{
-		Plan:      plan,
-		BaseURL:   fleet.URL,
-		Workers:   opts.loadWorkers,
-		Virtual:   manual,
-		Telemetry: reg,
-		Arm:       arm.name,
-		Observe:   observe,
-	})
-	if err != nil {
-		return partitionOutcome{}, err
+	read := func(*loadgen.Result) partitionRead {
+		out := partitionRead{
+			stats:     fleet.Cluster.Stats(),
+			faults:    faultTr.Stats(),
+			firstRule: -1,
+			buckets:   buckets,
+		}
+		if rules := fleet.Cluster.Rules(); len(rules) > 0 {
+			out.firstRule = rules[0].At.Sub(start)
+		}
+		return out
 	}
-	res, err := runner.Run()
-	if err != nil {
-		return partitionOutcome{}, err
-	}
-
-	out := partitionOutcome{
-		arm:       arm,
-		result:    res,
-		stats:     fleet.Cluster.Stats(),
-		faults:    faultTr.Stats(),
-		reasons:   fleet.Cluster.FailuresByReason(),
-		firstRule: -1,
-		buckets:   buckets,
-	}
-	if rules := fleet.Cluster.Rules(); len(rules) > 0 {
-		out.firstRule = rules[0].At.Sub(start)
-	}
-	return out, nil
+	return target[partitionRead]{
+		url:     fleet.URL,
+		observe: observe,
+		read:    read,
+		close: func() {
+			_ = fleet.Close()
+			_ = closeGossip()
+		},
+	}, nil
 }
 
 // partitionSweepReport renders one sweep section: arms of the given group
@@ -291,68 +220,33 @@ func partitionSweepReport(title string, outcomes []partitionOutcome, group strin
 			cols = append(cols, o)
 		}
 	}
-	headers := append(make([]string, 0, len(cols)+1), "Metric")
-	for _, o := range cols {
-		headers = append(headers, o.arm.name)
-	}
-	t := metrics.NewTable(title, headers...)
-	row := func(label string, cell func(partitionOutcome) string) {
-		cells := append(make([]string, 0, len(cols)+1), label)
-		for _, o := range cols {
-			cells = append(cells, cell(o))
-		}
-		t.AddRow(cells...)
-	}
-
-	row("plan hash", func(o partitionOutcome) string {
-		return fmt.Sprintf("%016x", o.result.PlanHash)
+	t := newArmTable(title, cols)
+	t.planHash()
+	t.row("gossip rounds", func(o partitionOutcome) string {
+		return metrics.FormatInt(int64(o.read.stats.GossipRounds))
 	})
-	row("gossip rounds", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.stats.GossipRounds))
+	t.row("fetches faulted", func(o partitionOutcome) string {
+		f := o.read.faults
+		return metrics.FormatInt(int64(f.Cuts + f.Drops + f.Delays))
 	})
-	row("fetches faulted", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.faults.Cuts + o.faults.Drops + o.faults.Delays))
+	t.row("fetch failures", func(o partitionOutcome) string {
+		return metrics.FormatInt(int64(o.read.stats.FetchFailures))
 	})
-	row("fetch failures", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.stats.FetchFailures))
+	t.row("degraded responses", func(o partitionOutcome) string {
+		return metrics.FormatInt(int64(o.read.stats.DegradedResponses))
 	})
-	row("degraded responses", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.stats.DegradedResponses))
+	t.row("rules originated", func(o partitionOutcome) string {
+		return metrics.FormatInt(int64(o.read.stats.RulesOriginated))
 	})
-	row("rules originated", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.stats.RulesOriginated))
+	t.row("rules replicated", func(o partitionOutcome) string {
+		return metrics.FormatInt(int64(o.read.stats.RulesReplicated))
 	})
-	row("rules replicated", func(o partitionOutcome) string {
-		return metrics.FormatInt(int64(o.stats.RulesReplicated))
+	t.row("first rule at", func(o partitionOutcome) string {
+		return fmtFirstRule(o.read.firstRule)
 	})
-	row("first rule at", func(o partitionOutcome) string {
-		if o.firstRule < 0 {
-			return "never"
-		}
-		return "+" + o.firstRule.Round(time.Millisecond).String()
-	})
-	row("attacker leak rate", func(o partitionOutcome) string {
-		rate, ok := o.result.AbusiveLeakRate()
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", rate)
-	})
-	row("honest admit rate", func(o partitionOutcome) string {
-		var admitted, done uint64
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			admitted += c.Admitted
-			done += c.Completed()
-		}
-		if done == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", float64(admitted)/float64(done))
-	})
-	return t
+	t.leakRate("attacker leak rate")
+	t.honestAdmit()
+	return t.Table
 }
 
 // partitionTimelineReport renders the healed-partition timeline: per
@@ -361,14 +255,14 @@ func partitionSweepReport(title string, outcomes []partitionOutcome, group strin
 // through the whole cut — both halves keep serving below threshold — and
 // converges to the healthy arm's blocked state after the first post-heal
 // exchanges.
-func partitionTimelineReport(outcomes []partitionOutcome, start time.Time) *metrics.Table {
-	var healthy, parted *partitionOutcome
-	for i := range outcomes {
-		switch outcomes[i].arm.name {
+func partitionTimelineReport(outcomes []partitionOutcome) *metrics.Table {
+	var healthy, parted partitionRead
+	for _, o := range outcomes {
+		switch o.arm.name {
 		case "healthy":
-			healthy = &outcomes[i]
+			healthy = o.read
 		case "partitioned":
-			parted = &outcomes[i]
+			parted = o.read
 		}
 	}
 	t := metrics.NewTable(

@@ -1,52 +1,13 @@
 package main
 
-import (
-	"bytes"
-	"io"
-	"strings"
-	"testing"
-
-	"funabuse/internal/loadgen"
-)
-
-// TestPartitionDeterministic runs the virtual-paced partition scenario —
-// gossip over real loopback sockets through the seeded fault transport —
-// with one seed across different worker counts and again with the same
-// options, requiring byte-identical reports each time. Socket transport
-// and injected faults must not cost the E16 determinism guarantee.
-func TestPartitionDeterministic(t *testing.T) {
-	runOnce := func(workers int) string {
-		var out bytes.Buffer
-		opts := options{scenario: "partition", days: 1, seed: 1, loadWorkers: workers}
-		if err := run(opts, &out, io.Discard); err != nil {
-			t.Fatalf("run(partition, %d workers): %v", workers, err)
-		}
-		return out.String()
-	}
-	first := runOnce(1)
-	second := runOnce(4)
-	if first != second {
-		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", first, second)
-	}
-	if again := runOnce(4); again != second {
-		t.Fatal("repeated run with identical options produced a different report")
-	}
-	for _, want := range []string{
-		"partition drop sweep", "partition delay sweep",
-		"healed partition timeline", "degraded responses", "first rule",
-	} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("report missing %q:\n%s", want, first)
-		}
-	}
-}
+import "testing"
 
 // TestPartitionDropCurve asserts the drop-sweep claims on the seed-1 run:
 // the attacker leak rate is monotone non-decreasing in gossip drop
 // probability with a strict rise across the sweep, and one fetch retry at
 // p=0.6 recovers a large share of the failed exchanges.
 func TestPartitionDropCurve(t *testing.T) {
-	outcomes := partitionRun(t)
+	_, outcomes := mustOutcomes(t, partition)
 
 	byName := make(map[string]partitionOutcome, len(outcomes))
 	for _, o := range outcomes {
@@ -80,13 +41,13 @@ func TestPartitionDropCurve(t *testing.T) {
 	// Retry value: at the same 0.6 drop rate, one retry must cut both the
 	// failed exchanges and the degraded-response count.
 	bare, retry := byName["drop p=0.6"], byName["drop p=0.6 retry"]
-	if retry.stats.FetchFailures >= bare.stats.FetchFailures {
+	if retry.read.stats.FetchFailures >= bare.read.stats.FetchFailures {
 		t.Fatalf("retry did not reduce fetch failures: %d (retry) vs %d (bare)",
-			retry.stats.FetchFailures, bare.stats.FetchFailures)
+			retry.read.stats.FetchFailures, bare.read.stats.FetchFailures)
 	}
-	if retry.stats.DegradedResponses >= bare.stats.DegradedResponses {
+	if retry.read.stats.DegradedResponses >= bare.read.stats.DegradedResponses {
 		t.Fatalf("retry did not reduce degraded responses: %d (retry) vs %d (bare)",
-			retry.stats.DegradedResponses, bare.stats.DegradedResponses)
+			retry.read.stats.DegradedResponses, bare.read.stats.DegradedResponses)
 	}
 
 	// Delay sweep: staler snapshots can only leak more.
@@ -97,14 +58,7 @@ func TestPartitionDropCurve(t *testing.T) {
 	// Injected faults must never tax honest traffic: fail-static keeps
 	// serving below-threshold clients through every fault plan.
 	for _, o := range outcomes {
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			if done := c.Completed(); c.Admitted != done {
-				t.Fatalf("arm %q: honest class %q admitted %d of %d", o.arm.name, c.Name, c.Admitted, done)
-			}
-		}
+		requireHonestUntaxed(t, o.arm.name, o.result)
 	}
 }
 
@@ -114,14 +68,14 @@ func TestPartitionDropCurve(t *testing.T) {
 // post-heal exchange merges the halves, lands the rule, and converges the
 // leak back to the healthy arm's blocked state.
 func TestPartitionHealConvergence(t *testing.T) {
-	outcomes := partitionRun(t)
-	var healthy, parted *partitionOutcome
+	_, outcomes := mustOutcomes(t, partition)
+	var healthy, parted *partitionRead
 	for i := range outcomes {
 		switch outcomes[i].arm.name {
 		case "healthy":
-			healthy = &outcomes[i]
+			healthy = &outcomes[i].read
 		case "partitioned":
-			parted = &outcomes[i]
+			parted = &outcomes[i].read
 		}
 	}
 	if healthy == nil || parted == nil {
@@ -141,7 +95,7 @@ func TestPartitionHealConvergence(t *testing.T) {
 		t.Fatalf("partitioned arm detected at +%v, inside the cut: a split half crossed the threshold", parted.firstRule)
 	}
 
-	bucketLeak := func(o *partitionOutcome, i int) float64 {
+	bucketLeak := func(o *partitionRead, i int) float64 {
 		if i >= len(o.buckets) || o.buckets[i].abusiveDone == 0 {
 			return -1
 		}
@@ -185,20 +139,4 @@ func TestPartitionHealConvergence(t *testing.T) {
 	if healthy.stats.DegradedResponses != 0 {
 		t.Fatalf("healthy arm stamped %d degraded responses", healthy.stats.DegradedResponses)
 	}
-}
-
-// partitionRun replays the seed-1 partition arms once per test binary.
-func partitionRun(t *testing.T) []partitionOutcome {
-	t.Helper()
-	sc := loadgen.LowAndSlowScenario(1, loadsimEpoch)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	opts := options{scenario: "partition", seed: 1, loadWorkers: 2}
-	outcomes, err := partitionOutcomes(opts, plan, nil, io.Discard)
-	if err != nil {
-		t.Fatalf("outcomes: %v", err)
-	}
-	return outcomes
 }

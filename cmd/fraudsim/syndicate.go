@@ -9,7 +9,6 @@ import (
 	"funabuse/internal/httpgate"
 	"funabuse/internal/loadgen"
 	"funabuse/internal/metrics"
-	"funabuse/internal/obs"
 	"funabuse/internal/simclock"
 )
 
@@ -22,6 +21,17 @@ import (
 // attack essentially whole, while the graph collapses the ring's
 // co-occurring identities into one flagged component and the gate's
 // entity layer shuts all of it down at once.
+var syndicate = scenario[syndicateArm, syndicateRead]{
+	name: "syndicate",
+	plan: loadgen.SyndicateScenario,
+	// The arms are the two ends of the E17 comparison.
+	arms: []syndicateArm{
+		{name: "volume rules"},
+		{name: "volume + entity graph", graph: true},
+	},
+	boot:   bootSyndicateArm,
+	report: syndicateReport,
+}
 
 // Syndicate defence tuning: the rule threshold sits well above any pooled
 // fingerprint's in-window volume (the ring's whole point), and the graph
@@ -44,98 +54,27 @@ type syndicateArm struct {
 	graph bool
 }
 
-// syndicateArms are the two ends of the E17 comparison.
-var syndicateArms = []syndicateArm{
-	{name: "volume rules"},
-	{name: "volume + entity graph", graph: true},
+func (a syndicateArm) armName() string { return a.name }
+
+// syndicateRead is what one arm reads back: the volume rules its defender
+// deployed and, on the graph arm, the entity graph's final shape.
+type syndicateRead struct {
+	rules []loadgen.Rule
+	stats entitygraph.Stats
 }
 
 // syndicateOutcome is one arm's measurements, joined for the report.
-type syndicateOutcome struct {
-	arm    syndicateArm
-	result *loadgen.Result
-	rules  []loadgen.Rule
-	stats  entitygraph.Stats
-}
+type syndicateOutcome = outcome[syndicateArm, syndicateRead]
 
-// runSyndicate replays the seeded coordinated-ring plan against each
-// defence arm on a live httpgate-backed server and reports the contrast
-// side by side. Virtual pacing (the default) makes the whole run
-// bit-deterministic per seed; -loadreal paces the same plan in wall time.
-func runSyndicate(opts options, stdout, stderr io.Writer) error {
-	start := loadsimEpoch
-	if opts.loadReal {
-		start = time.Now()
-	}
-	sc := loadgen.SyndicateScenario(opts.seed, start)
-	plan, err := loadgen.BuildPlan(sc)
-	if err != nil {
-		return err
-	}
-
-	var reg *obs.Registry
-	if opts.telemetry != nil || opts.serve != "" {
-		reg = opts.telemetry
-		if reg == nil {
-			reg = obs.NewRegistry()
-		}
-		reg.Gauge("fraudsim_seed").Set(float64(opts.seed))
-		reg.Gauge("fraudsim_scenario_info",
-			obs.Label{Name: "scenario", Value: "syndicate"}).Set(1)
-		reg.Help("fraudsim_scenario_info", "Constant 1; the scenario label identifies the run.")
-	}
-	if opts.serve != "" {
-		ring := opts.traces
-		if ring == nil {
-			ring = obs.NewTraceRing(obs.DefaultTraceCapacity)
-		}
-		srv, err := serveTelemetry(opts.serve, reg, ring, stderr)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-	}
-
-	outcomes, err := syndicateOutcomes(opts, plan, reg, stderr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprint(stdout, syndicateReport(outcomes).String())
-
-	if opts.stayUp && opts.serve != "" {
-		waitForInterrupt(stderr)
-	}
-	return nil
-}
-
-// syndicateOutcomes replays the plan against every arm in order.
-func syndicateOutcomes(opts options, plan *loadgen.Plan, reg *obs.Registry, stderr io.Writer) ([]syndicateOutcome, error) {
-	outcomes := make([]syndicateOutcome, 0, len(syndicateArms))
-	for _, arm := range syndicateArms {
-		out, err := runSyndicateArm(opts, plan, arm, reg, stderr)
-		if err != nil {
-			return nil, fmt.Errorf("arm %q: %w", arm.name, err)
-		}
-		outcomes = append(outcomes, out)
-	}
-	return outcomes, nil
-}
-
-// runSyndicateArm boots a fresh defended target for the arm, replays the
-// shared plan against it, and tears the target down. Both arms share the
+// bootSyndicateArm serves the arm's defended target. Both arms share the
 // volume-rule defender; the graph arm adds the entity graph, its request
 // feeder and the gate's entity layer on top.
-func runSyndicateArm(opts options, plan *loadgen.Plan, arm syndicateArm, reg *obs.Registry, stderr io.Writer) (syndicateOutcome, error) {
-	var manual *simclock.Manual
+func bootSyndicateArm(_ loadRun, clock simclock.Clock, arm syndicateArm) (target[syndicateRead], error) {
 	tcfg := loadgen.TargetConfig{
+		Clock:         clock,
 		RuleThreshold: syndicateRuleThreshold,
 		RuleWindow:    syndicateRuleWindow,
 		RulePaths:     []string{loadgen.PathHold, loadgen.PathSMS},
-	}
-	if !opts.loadReal {
-		manual = simclock.NewManual(plan.Scenario.Start)
-		tcfg.Clock = manual
 	}
 	var graph *entitygraph.Graph
 	if arm.graph {
@@ -144,113 +83,48 @@ func runSyndicateArm(opts options, plan *loadgen.Plan, arm syndicateArm, reg *ob
 		tcfg.EntityPaths = []string{loadgen.PathHold, loadgen.PathSMS}
 		tcfg.EntityWeak = syndicateEntityWeak
 	}
-	target, err := loadgen.StartTarget(tcfg)
+	tgt, err := loadgen.StartTarget(tcfg)
 	if err != nil {
-		return syndicateOutcome{}, err
+		return target[syndicateRead]{}, err
 	}
-	defer target.Close()
-	fmt.Fprintf(stderr, "fraudsim: syndicate arm %q driving %s (%d arrivals)\n",
-		arm.name, target.URL, len(plan.Arrivals))
-
-	runner, err := loadgen.NewRunner(loadgen.RunnerConfig{
-		Plan:      plan,
-		BaseURL:   target.URL,
-		Workers:   opts.loadWorkers,
-		Virtual:   manual,
-		Telemetry: reg,
-		Arm:       arm.name,
-	})
-	if err != nil {
-		return syndicateOutcome{}, err
+	read := func(*loadgen.Result) syndicateRead {
+		out := syndicateRead{rules: tgt.Deployer.Rules()}
+		if graph != nil {
+			out.stats = graph.Stats()
+		}
+		return out
 	}
-	res, err := runner.Run()
-	if err != nil {
-		return syndicateOutcome{}, err
-	}
-	out := syndicateOutcome{arm: arm, result: res, rules: target.Deployer.Rules()}
-	if graph != nil {
-		out.stats = graph.Stats()
-	}
-	return out, nil
+	return target[syndicateRead]{url: tgt.URL, read: read, close: func() { _ = tgt.Close() }}, nil
 }
 
-// syndicateReport renders the per-arm comparison. Every column replays
-// the same seeded plan, so differences are the defence configuration's.
-func syndicateReport(outcomes []syndicateOutcome) *metrics.Table {
-	headers := make([]string, 0, len(outcomes)+1)
-	headers = append(headers, "Metric")
-	for _, o := range outcomes {
-		headers = append(headers, o.arm.name)
-	}
-	t := metrics.NewTable("syndicate report", headers...)
-
-	row := func(label string, cell func(syndicateOutcome) string) {
-		cells := make([]string, 0, len(outcomes)+1)
-		cells = append(cells, label)
-		for _, o := range outcomes {
-			cells = append(cells, cell(o))
+// syndicateReport renders the per-arm comparison.
+func syndicateReport(w io.Writer, _ loadRun, outs []syndicateOutcome) {
+	t := newArmTable("syndicate report", outs)
+	// graphCell reads a graph statistic, n/a on the arm that has no graph.
+	graphCell := func(stat func(entitygraph.Stats) int) func(syndicateOutcome) string {
+		return func(o syndicateOutcome) string {
+			if !o.arm.graph {
+				return "n/a"
+			}
+			return metrics.FormatInt(int64(stat(o.read.stats)))
 		}
-		t.AddRow(cells...)
 	}
-
-	row("plan hash", func(o syndicateOutcome) string {
-		return fmt.Sprintf("%016x", o.result.PlanHash)
+	t.planHash()
+	t.completed()
+	t.row("volume rules deployed", func(o syndicateOutcome) string {
+		return metrics.FormatInt(int64(len(o.read.rules)))
 	})
-	row("requests completed", func(o syndicateOutcome) string {
-		var done uint64
-		for _, c := range o.result.Classes {
-			done += c.Completed()
-		}
-		return metrics.FormatInt(int64(done))
-	})
-	row("volume rules deployed", func(o syndicateOutcome) string {
-		return metrics.FormatInt(int64(len(o.rules)))
-	})
-	row("entity denials", func(o syndicateOutcome) string {
+	t.row("entity denials", func(o syndicateOutcome) string {
 		var n uint64
 		for _, c := range o.result.Classes {
 			n += c.Denied[httpgate.ReasonEntity]
 		}
 		return metrics.FormatInt(int64(n))
 	})
-	row("graph nodes", func(o syndicateOutcome) string {
-		if !o.arm.graph {
-			return "n/a"
-		}
-		return metrics.FormatInt(int64(o.stats.Nodes))
-	})
-	row("graph components", func(o syndicateOutcome) string {
-		if !o.arm.graph {
-			return "n/a"
-		}
-		return metrics.FormatInt(int64(o.stats.Components))
-	})
-	row("flagged components", func(o syndicateOutcome) string {
-		if !o.arm.graph {
-			return "n/a"
-		}
-		return metrics.FormatInt(int64(o.stats.FlaggedComponents))
-	})
-	row("syndicate leak rate", func(o syndicateOutcome) string {
-		rate, ok := o.result.AbusiveLeakRate()
-		if !ok {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", rate)
-	})
-	row("honest admit rate", func(o syndicateOutcome) string {
-		var admitted, done uint64
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			admitted += c.Admitted
-			done += c.Completed()
-		}
-		if done == 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%.3f", float64(admitted)/float64(done))
-	})
-	return t
+	t.row("graph nodes", graphCell(func(s entitygraph.Stats) int { return s.Nodes }))
+	t.row("graph components", graphCell(func(s entitygraph.Stats) int { return s.Components }))
+	t.row("flagged components", graphCell(func(s entitygraph.Stats) int { return s.FlaggedComponents }))
+	t.leakRate("syndicate leak rate")
+	t.honestAdmit()
+	fmt.Fprint(w, t.String())
 }

@@ -1,47 +1,6 @@
 package main
 
-import (
-	"bytes"
-	"fmt"
-	"io"
-	"strings"
-	"testing"
-
-	"funabuse/internal/loadgen"
-)
-
-// TestSyndicateDeterministic runs the virtual-paced syndicate scenario
-// with one seed across different worker counts and again with the same
-// worker count, requiring byte-identical reports each time, and pins the
-// seed-1 plan hash the report prints.
-func TestSyndicateDeterministic(t *testing.T) {
-	runOnce := func(workers int) string {
-		var out bytes.Buffer
-		opts := options{scenario: "syndicate", days: 1, seed: 1, loadWorkers: workers}
-		if err := run(opts, &out, io.Discard); err != nil {
-			t.Fatalf("run(syndicate, %d workers): %v", workers, err)
-		}
-		return out.String()
-	}
-	first := runOnce(1)
-	second := runOnce(4)
-	if first != second {
-		t.Fatalf("reports differ across worker counts:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", first, second)
-	}
-	if again := runOnce(4); again != second {
-		t.Fatal("repeated run with identical options produced a different report")
-	}
-	plan, err := loadgen.BuildPlan(loadgen.SyndicateScenario(1, loadsimEpoch))
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	wantHash := fmt.Sprintf("%016x", plan.Hash())
-	for _, want := range []string{"plan hash", wantHash, "flagged components", "syndicate leak rate"} {
-		if !strings.Contains(first, want) {
-			t.Fatalf("report missing %q:\n%s", want, first)
-		}
-	}
-}
+import "testing"
 
 // TestSyndicateLeakContrast asserts the E17 tentpole claim on the seed-1
 // run: per-identity volume rules leak the ring's traffic whole (no pooled
@@ -49,18 +8,7 @@ func TestSyndicateDeterministic(t *testing.T) {
 // the ring into one flagged component and cuts the leak by an order of
 // magnitude, and neither arm costs a single honest request.
 func TestSyndicateLeakContrast(t *testing.T) {
-	plan, err := loadgen.BuildPlan(loadgen.SyndicateScenario(1, loadsimEpoch))
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	opts := options{scenario: "syndicate", seed: 1, loadWorkers: 2}
-	outcomes, err := syndicateOutcomes(opts, plan, nil, io.Discard)
-	if err != nil {
-		t.Fatalf("outcomes: %v", err)
-	}
-	if len(outcomes) != len(syndicateArms) {
-		t.Fatalf("got %d outcomes, want %d", len(outcomes), len(syndicateArms))
-	}
+	_, outcomes := mustOutcomes(t, syndicate)
 
 	leak := make(map[string]float64, len(outcomes))
 	for _, o := range outcomes {
@@ -71,18 +19,11 @@ func TestSyndicateLeakContrast(t *testing.T) {
 		leak[o.arm.name] = rate
 
 		// The ring's whole design: no volume rule ever fires.
-		if len(o.rules) != 0 {
-			t.Fatalf("arm %q deployed %d volume rules; pooled identities must stay under threshold", o.arm.name, len(o.rules))
+		if len(o.read.rules) != 0 {
+			t.Fatalf("arm %q deployed %d volume rules; pooled identities must stay under threshold", o.arm.name, len(o.read.rules))
 		}
 		// Neither arm may cost honest traffic.
-		for _, c := range o.result.Classes {
-			if c.Kind.Abusive() {
-				continue
-			}
-			if done := c.Completed(); c.Admitted != done {
-				t.Fatalf("arm %q: honest class %q admitted %d of %d", o.arm.name, c.Name, c.Admitted, done)
-			}
-		}
+		requireHonestUntaxed(t, o.arm.name, o.result)
 	}
 
 	volume := leak["volume rules"]
@@ -103,8 +44,8 @@ func TestSyndicateLeakContrast(t *testing.T) {
 		if !o.arm.graph {
 			continue
 		}
-		if o.stats.FlaggedComponents != 1 {
-			t.Fatalf("flagged components = %d, want exactly 1 (the ring)", o.stats.FlaggedComponents)
+		if o.read.stats.FlaggedComponents != 1 {
+			t.Fatalf("flagged components = %d, want exactly 1 (the ring)", o.read.stats.FlaggedComponents)
 		}
 		var entity uint64
 		for _, c := range o.result.Classes {

@@ -60,7 +60,8 @@ func TestReplicateMetricNamesStable(t *testing.T) {
 // on four, must produce bit-identical samples and statistics. Any
 // nondeterminism an experiment picks up from pool interleaving — shared
 // mutable state, map-iteration-order leakage into RNG or scheduling — shows
-// up here as a diff.
+// up here as a diff. Each experiment is its own parallel subtest, so a
+// divergence names its experiment and the single-worker sweeps overlap.
 func TestReplicateParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serial-vs-parallel sweep in -short mode")
@@ -68,19 +69,22 @@ func TestReplicateParallelMatchesSerial(t *testing.T) {
 	cfgSerial := runner.Config{Replicates: 4, Workers: 1, BaseSeed: 1}
 	cfgParallel := runner.Config{Replicates: 4, Workers: 4, BaseSeed: 1}
 	for _, e := range Experiments() {
-		serial, err := runner.Run(e.ID, cfgSerial, e.Run)
-		if err != nil {
-			t.Fatalf("%s serial: %v", e.ID, err)
-		}
-		parallel, err := runner.Run(e.ID, cfgParallel, e.Run)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", e.ID, err)
-		}
-		if !reflect.DeepEqual(serial.Samples, parallel.Samples) {
-			t.Errorf("%s: parallel samples differ from serial", e.ID)
-		}
-		if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
-			t.Errorf("%s: parallel stats differ from serial", e.ID)
-		}
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			serial, err := runner.Run(e.ID, cfgSerial, e.Run)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			parallel, err := runner.Run(e.ID, cfgParallel, e.Run)
+			if err != nil {
+				t.Fatalf("parallel: %v", err)
+			}
+			if !reflect.DeepEqual(serial.Samples, parallel.Samples) {
+				t.Error("parallel samples differ from serial")
+			}
+			if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
+				t.Error("parallel stats differ from serial")
+			}
+		})
 	}
 }

@@ -445,3 +445,32 @@ func BenchmarkBuildPlan(b *testing.B) {
 		}
 	}
 }
+
+// TestResultRates pins the aggregate helpers every fraudsim report shares
+// on a hand-built result: Completed sums over all classes, and the two
+// admit rates split exactly on Kind.Abusive, each reporting !ok when its
+// side completed nothing.
+func TestResultRates(t *testing.T) {
+	res := &Result{Classes: []ClassResult{
+		{Kind: Honest, Sent: 10, TransportErrors: 2, Admitted: 6},
+		{Kind: Honest, Sent: 4, Admitted: 4},
+		{Kind: SeatSpin, Sent: 20, Admitted: 5},
+	}}
+	if got := res.Completed(); got != 32 {
+		t.Fatalf("Completed = %d, want 32", got)
+	}
+	if rate, ok := res.HonestAdmitRate(); !ok || rate != 10.0/12.0 {
+		t.Fatalf("HonestAdmitRate = %v, %v; want %v, true", rate, ok, 10.0/12.0)
+	}
+	if rate, ok := res.AbusiveLeakRate(); !ok || rate != 0.25 {
+		t.Fatalf("AbusiveLeakRate = %v, %v; want 0.25, true", rate, ok)
+	}
+
+	honestOnly := &Result{Classes: res.Classes[:2]}
+	if _, ok := honestOnly.AbusiveLeakRate(); ok {
+		t.Fatal("AbusiveLeakRate ok with no abusive class")
+	}
+	if _, ok := (&Result{Classes: res.Classes[2:]}).HonestAdmitRate(); ok {
+		t.Fatal("HonestAdmitRate ok with no honest class")
+	}
+}

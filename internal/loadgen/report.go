@@ -79,12 +79,34 @@ func (r *Result) Rotations() []Rotation {
 	return out
 }
 
+// Completed sums ClassResult.Completed over every class.
+func (r *Result) Completed() uint64 {
+	var done uint64
+	for _, c := range r.Classes {
+		done += c.Completed()
+	}
+	return done
+}
+
 // AbusiveLeakRate aggregates LeakRate over the abusive classes. ok is
 // false when no abusive request completed.
 func (r *Result) AbusiveLeakRate() (rate float64, ok bool) {
+	return r.admitRate(true)
+}
+
+// HonestAdmitRate aggregates LeakRate over the non-abusive classes — the
+// paper's cost-to-honest-users measure. ok is false when no honest
+// request completed.
+func (r *Result) HonestAdmitRate() (rate float64, ok bool) {
+	return r.admitRate(false)
+}
+
+// admitRate is admitted/completed over the classes whose Kind.Abusive()
+// equals abusive.
+func (r *Result) admitRate(abusive bool) (rate float64, ok bool) {
 	var admitted, done uint64
 	for _, c := range r.Classes {
-		if !c.Kind.Abusive() {
+		if c.Kind.Abusive() != abusive {
 			continue
 		}
 		admitted += c.Admitted
