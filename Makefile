@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build test race vet bench bench-smoke benchdiff chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt-check build test race vet bench bench-smoke bench-module benchdiff chaos obs-smoke cluster partition syndicate economics
 
-# The full pre-merge gate, each test once: vet, build, the whole suite
-# under the race detector (the replicate runner, signal engine, httpgate,
-# cluster gossip and detect monitors are concurrent), and a one-iteration
-# benchmark compile+run.
-check: vet build race bench-smoke
+# The full pre-merge gate, each test once: formatting, vet, build, the whole
+# suite under the race detector (the replicate runner, signal engine,
+# httpgate, cluster gossip and detect monitors are concurrent), a
+# one-iteration benchmark compile+run, and the nested bench/ module's own
+# vet and tests (root ./... does not reach it).
+check: fmt-check vet build race bench-smoke bench-module
 
 # The targets below are local shortcuts: -run subsets of `race` for
 # iterating on one subsystem. They gate nothing — check and CI run every
@@ -51,6 +52,10 @@ obs-smoke:
 chaos:
 	$(GO) test -race -run 'Chaos' ./internal/httpgate ./internal/core ./internal/faultinject ./internal/resilience
 
+# fmt-check fails when gofmt would rewrite any file (bench/ included).
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 build:
 	$(GO) build ./...
 
@@ -82,3 +87,7 @@ benchdiff:
 # measuring anything (one iteration each).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
+
+# bench-module vets and tests the benchmark harness, a module of its own.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -4,17 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"funabuse/internal/app"
 	"funabuse/internal/booking"
 	"funabuse/internal/core"
 	"funabuse/internal/detect"
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/geo"
 	"funabuse/internal/names"
+	"funabuse/internal/proxy"
 	"funabuse/internal/runner"
 	"funabuse/internal/simclock"
 	"funabuse/internal/simrand"
 	"funabuse/internal/sms"
 	"funabuse/internal/weblog"
+	"funabuse/internal/workload"
 )
 
 // Paper-artefact benchmarks: each regenerates one table or figure of the
@@ -243,6 +246,78 @@ func BenchmarkFingerprintValidate(b *testing.B) {
 	b.ResetTimer()
 	for b.Loop() {
 		_ = fingerprint.Validate(f)
+	}
+}
+
+// BenchmarkProxyPoolBuild builds one ISP-sized exit pool, the cost
+// workload.Population pays per market code per scenario arm.
+func BenchmarkProxyPoolBuild(b *testing.B) {
+	b.ReportAllocs()
+	rng := simrand.New(1)
+	for b.Loop() {
+		_ = proxy.NewPool(rng, "FR", 4096)
+	}
+}
+
+func BenchmarkProxyPoolDraw(b *testing.B) {
+	b.ReportAllocs()
+	pool := proxy.NewPool(simrand.New(1), "FR", 4096)
+	b.ResetTimer()
+	for b.Loop() {
+		_ = pool.Draw()
+	}
+}
+
+// nopSMS accepts every SMS request, so BenchmarkWorkloadNewUser measures
+// visitor creation and nothing behind it.
+type nopSMS struct{}
+
+func (nopSMS) RequestOTP(app.ClientContext, geo.MSISDN, string) error       { return nil }
+func (nopSMS) SendBoardingPass(app.ClientContext, string, geo.MSISDN) error { return nil }
+
+// BenchmarkWorkloadNewUser runs one virtual day of OTP logins from a fresh
+// population against a no-op SMS surface: every login is one new visitor
+// (market draw, ISP pool built on first use, address, fingerprint, phone).
+func BenchmarkWorkloadNewUser(b *testing.B) {
+	b.ReportAllocs()
+	users := 0
+	for b.Loop() {
+		sched := simclock.NewScheduler(simclock.NewManual(core.SimStart))
+		until := core.SimStart.Add(24 * time.Hour)
+		pop := workload.NewPopulation(workload.Config{OTPPerHour: 400, TailMarketShare: 0.03, Until: until},
+			nil, nopSMS{}, nil, sched, simrand.New(1), geo.Default())
+		pop.Start()
+		if err := sched.RunUntil(until); err != nil {
+			b.Fatal(err)
+		}
+		users = pop.OTPs()
+	}
+	b.ReportMetric(float64(users), "users/op")
+}
+
+// BenchmarkApplicationRequestHold is one reservation attempt through the
+// defended front-end with blocklists and static fingerprint checks on:
+// screen, hold, weblog line, audit entry.
+func BenchmarkApplicationRequestHold(b *testing.B) {
+	b.ReportAllocs()
+	clock := simclock.NewManual(core.SimStart)
+	rng := simrand.New(1)
+	bookings := booking.NewSystem(clock, rng.Derive("b"), booking.DefaultConfig())
+	bookings.AddFlight(booking.Flight{ID: "F", Capacity: 1 << 30, Departure: core.SimStart.AddDate(1000, 0, 0)})
+	a := core.NewApplication(clock, rng.Derive("app"), core.DefenceConfig{StaticFPChecks: true, Blocklists: true},
+		bookings, nil, sms.NewGateway(clock, geo.Default()))
+	ctx := app.ClientContext{
+		IP:          "10.0.0.1",
+		Fingerprint: fingerprint.NewGenerator(rng.Derive("fp")).Organic(),
+		ClientKey:   "u1", Cookie: "u1", Actor: weblog.ActorHuman, ActorID: "u1",
+	}
+	req := booking.HoldRequest{Flight: "F", Passengers: []names.Identity{names.NewGenerator(rng.Derive("id")).Realistic()}, ActorID: "u1"}
+	b.ResetTimer()
+	for b.Loop() {
+		if _, err := a.RequestHold(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+		clock.Advance(31 * time.Minute)
 	}
 }
 

@@ -73,10 +73,10 @@ func TestSnapshotWireEmpty(t *testing.T) {
 func TestSnapshotWireRejectsCorrupt(t *testing.T) {
 	enc := EncodeSnapshot(sampleSnapshot(t))
 	cases := map[string][]byte{
-		"empty":     nil,
-		"bad magic": []byte("XGS1\x00"),
+		"empty":      nil,
+		"bad magic":  []byte("XGS1\x00"),
 		"magic only": []byte(snapshotMagic),
-		"trailing":  append(append([]byte(nil), enc...), 0x7),
+		"trailing":   append(append([]byte(nil), enc...), 0x7),
 	}
 	// Every truncation of a valid encoding must error, never panic.
 	for i := range len(enc) - 1 {
@@ -96,8 +96,8 @@ func TestSnapshotWireBoundsRecordLength(t *testing.T) {
 	// A fabricated record length beyond maxWireRuleLen must be rejected
 	// before any allocation sized by it.
 	b := []byte(snapshotMagic)
-	b = append(b, 0)    // node 0
-	b = append(b, 1)    // one rule
+	b = append(b, 0)                // node 0
+	b = append(b, 1)                // one rule
 	b = append(b, 0xFF, 0xFF, 0x7F) // record length 2097151 > maxWireRuleLen
 	if _, err := DecodeSnapshot(b); err == nil {
 		t.Fatal("oversized record length accepted")

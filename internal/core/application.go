@@ -266,15 +266,17 @@ func (a *Application) FingerprintByHash(h uint64) (fingerprint.Fingerprint, bool
 	return f, ok
 }
 
-// record appends a weblog line for the request.
-func (a *Application) record(ctx app.ClientContext, method, path string, status int) {
-	if _, ok := a.fpSeen[ctx.Fingerprint.Hash()]; !ok {
-		a.fpSeen[ctx.Fingerprint.Hash()] = ctx.Fingerprint
+// record appends a weblog line for the request. fp is the request's
+// fingerprint digest: every API entry point hashes once, in screen, and
+// threads the value through the layers instead of re-hashing per use.
+func (a *Application) record(ctx app.ClientContext, fp uint64, method, path string, status int) {
+	if _, ok := a.fpSeen[fp]; !ok {
+		a.fpSeen[fp] = ctx.Fingerprint
 	}
 	a.log.Append(weblog.Request{
 		Time:        a.clock.Now(),
 		IP:          ctx.IP,
-		Fingerprint: ctx.Fingerprint.Hash(),
+		Fingerprint: fp,
 		Cookie:      ctx.Cookie,
 		Method:      method,
 		Path:        path,
@@ -285,11 +287,12 @@ func (a *Application) record(ctx app.ClientContext, method, path string, status 
 }
 
 // screen runs the layers common to every surface: blocklists and static
-// fingerprint rules. It returns a non-nil error when the request must be
-// rejected.
-func (a *Application) screen(ctx app.ClientContext, method, path string) error {
+// fingerprint rules. It returns the request's fingerprint digest for the
+// later layers, and a non-nil error when the request must be rejected.
+func (a *Application) screen(ctx app.ClientContext, method, path string) (fp uint64, err error) {
 	a.stats.requests.Add(1)
 	now := a.clock.Now()
+	fp = ctx.Fingerprint.Hash()
 	if a.cfg.Blocklists {
 		// Candidate keys are assembled in a reused scratch buffer and
 		// probed with BlockedBytes, so screening a clean request costs no
@@ -297,7 +300,7 @@ func (a *Application) screen(ctx app.ClientContext, method, path string) error {
 		// scratch field needs no synchronisation. Stats counters are
 		// atomic only so a -serve telemetry scrape can read them live.
 		buf := append(a.keyScratch[:0], "fp:"...)
-		buf = strconv.AppendUint(buf, ctx.Fingerprint.Hash(), 16)
+		buf = strconv.AppendUint(buf, fp, 16)
 		blocked := a.blocks.BlockedBytes(buf, now)
 		if !blocked {
 			buf = append(buf[:0], "ip:"...)
@@ -312,23 +315,23 @@ func (a *Application) screen(ctx app.ClientContext, method, path string) error {
 		a.keyScratch = buf
 		if blocked {
 			a.stats.blocked.Add(1)
-			a.record(ctx, method, path, 403)
-			return app.ErrBlocked
+			a.record(ctx, fp, method, path, 403)
+			return fp, app.ErrBlocked
 		}
 	}
-	if v := a.fpRules.Judge(ctx.Fingerprint, now); v.Flagged {
+	if v := a.fpRules.Judge(ctx.Fingerprint, fp, now); v.Flagged {
 		a.stats.blocked.Add(1)
-		a.record(ctx, method, path, 403)
-		return app.ErrBlocked
+		a.record(ctx, fp, method, path, 403)
+		return fp, app.ErrBlocked
 	}
-	return nil
+	return fp, nil
 }
 
 // challenge runs the CAPTCHA gate when enabled for the surface. The ground
 // truth actor label selects the *solving capability* model (humans solve in
 // the browser; bots buy solves) — it is simulation mechanics, not a
 // detection signal.
-func (a *Application) challenge(ctx app.ClientContext, enabled bool, method, path string) error {
+func (a *Application) challenge(ctx app.ClientContext, fp uint64, enabled bool, method, path string) error {
 	if !enabled || !a.captcha.Enabled() {
 		return nil
 	}
@@ -341,7 +344,7 @@ func (a *Application) challenge(ctx app.ClientContext, enabled bool, method, pat
 	}
 	if !pass {
 		a.stats.challengeRej.Add(1)
-		a.record(ctx, method, path, 403)
+		a.record(ctx, fp, method, path, 403)
 		return app.ErrChallengeFailed
 	}
 	return nil
@@ -350,14 +353,14 @@ func (a *Application) challenge(ctx app.ClientContext, enabled bool, method, pat
 // RequestHold implements app.ReservationAPI.
 func (a *Application) RequestHold(ctx app.ClientContext, req booking.HoldRequest) (*booking.Hold, error) {
 	const path = "/booking/hold"
-	if err := a.screen(ctx, "POST", path); err != nil {
+	fp, err := a.screen(ctx, "POST", path)
+	if err != nil {
 		return nil, err
 	}
-	if err := a.challenge(ctx, a.cfg.CaptchaOnHold, "POST", path); err != nil {
+	if err := a.challenge(ctx, fp, a.cfg.CaptchaOnHold, "POST", path); err != nil {
 		return nil, err
 	}
 	var hold *booking.Hold
-	var err error
 	if a.honeypot != nil {
 		hold, err = a.honeypot.RequestHold(ctx.ClientKey, req)
 	} else {
@@ -367,11 +370,11 @@ func (a *Application) RequestHold(ctx app.ClientContext, req booking.HoldRequest
 	if err != nil {
 		status = 409
 	}
-	a.record(ctx, "POST", path, status)
+	a.record(ctx, fp, "POST", path, status)
 	a.audit = append(a.audit, HoldAudit{
 		Time:      a.clock.Now(),
 		ClientKey: ctx.ClientKey,
-		FPHash:    ctx.Fingerprint.Hash(),
+		FPHash:    fp,
 		IP:        ctx.IP,
 		Flight:    req.Flight,
 		NiP:       len(req.Passengers),
@@ -387,17 +390,18 @@ func (a *Application) RequestHold(ctx app.ClientContext, req booking.HoldRequest
 // Confirm implements app.ReservationAPI.
 func (a *Application) Confirm(ctx app.ClientContext, id booking.HoldID) (booking.Ticket, error) {
 	const path = "/booking/confirm"
-	if err := a.screen(ctx, "POST", path); err != nil {
+	fp, err := a.screen(ctx, "POST", path)
+	if err != nil {
 		return booking.Ticket{}, err
 	}
 	// Redirected clients confirm against the decoy so the deception holds.
 	if a.honeypot != nil && a.honeypot.IsRedirected(ctx.ClientKey) {
 		t, err := a.honeypot.Decoy().Confirm(id)
-		a.record(ctx, "POST", path, statusOf(err))
+		a.record(ctx, fp, "POST", path, statusOf(err))
 		return t, err
 	}
 	t, err := a.bookings.Confirm(id)
-	a.record(ctx, "POST", path, statusOf(err))
+	a.record(ctx, fp, "POST", path, statusOf(err))
 	if err == nil {
 		a.stats.served.Add(1)
 	}
@@ -407,11 +411,12 @@ func (a *Application) Confirm(ctx app.ClientContext, id booking.HoldID) (booking
 // Availability implements app.ReservationAPI.
 func (a *Application) Availability(ctx app.ClientContext, id booking.FlightID) (booking.Availability, error) {
 	const path = "/booking/availability"
-	if err := a.screen(ctx, "GET", path); err != nil {
+	fp, err := a.screen(ctx, "GET", path)
+	if err != nil {
 		return booking.Availability{}, err
 	}
 	av, err := a.bookings.AvailabilityOf(id)
-	a.record(ctx, "GET", path, statusOf(err))
+	a.record(ctx, fp, "GET", path, statusOf(err))
 	if err == nil {
 		a.stats.served.Add(1)
 	}
@@ -420,29 +425,29 @@ func (a *Application) Availability(ctx app.ClientContext, id booking.FlightID) (
 
 // smsGates runs the SMS-surface defence layers shared by OTP and boarding
 // pass: loyalty restriction, challenge, and the rate-limit family.
-func (a *Application) smsGates(ctx app.ClientContext, path, locator string) error {
+func (a *Application) smsGates(ctx app.ClientContext, fp uint64, path, locator string) error {
 	now := a.clock.Now()
 	if a.cfg.LoyaltySMS && !a.loyalty.Allow(ctx.ClientKey) {
 		a.stats.restricted.Add(1)
-		a.record(ctx, "POST", path, 403)
+		a.record(ctx, fp, "POST", path, 403)
 		return app.ErrRestricted
 	}
-	if err := a.challenge(ctx, a.cfg.CaptchaOnSMS, "POST", path); err != nil {
+	if err := a.challenge(ctx, fp, a.cfg.CaptchaOnSMS, "POST", path); err != nil {
 		return err
 	}
 	if a.profileLimiter != nil && !a.profileLimiter.Allow("pf:"+ctx.ClientKey, now) {
 		a.stats.rateLimited.Add(1)
-		a.record(ctx, "POST", path, 429)
+		a.record(ctx, fp, "POST", path, 429)
 		return app.ErrRateLimited
 	}
 	if locator != "" && a.locatorLimiter != nil && !a.locatorLimiter.Allow("loc:"+locator, now) {
 		a.stats.rateLimited.Add(1)
-		a.record(ctx, "POST", path, 429)
+		a.record(ctx, fp, "POST", path, 429)
 		return app.ErrRateLimited
 	}
 	if a.pathLimiter != nil && !a.pathLimiter.Allow("path:"+path, now) {
 		a.stats.rateLimited.Add(1)
-		a.record(ctx, "POST", path, 429)
+		a.record(ctx, fp, "POST", path, 429)
 		return app.ErrRateLimited
 	}
 	return nil
@@ -451,14 +456,15 @@ func (a *Application) smsGates(ctx app.ClientContext, path, locator string) erro
 // RequestOTP implements app.SMSAPI.
 func (a *Application) RequestOTP(ctx app.ClientContext, to geo.MSISDN, login string) error {
 	const path = "/auth/otp"
-	if err := a.screen(ctx, "POST", path); err != nil {
+	fp, err := a.screen(ctx, "POST", path)
+	if err != nil {
 		return err
 	}
-	if err := a.smsGates(ctx, path, ""); err != nil {
+	if err := a.smsGates(ctx, fp, path, ""); err != nil {
 		return err
 	}
-	_, err := a.otp.Request(to, login, ctx.ActorID)
-	a.record(ctx, "POST", path, statusOf(err))
+	_, err = a.otp.Request(to, login, ctx.ActorID)
+	a.record(ctx, fp, "POST", path, statusOf(err))
 	if err == nil {
 		a.stats.served.Add(1)
 	}
@@ -468,19 +474,20 @@ func (a *Application) RequestOTP(ctx app.ClientContext, to geo.MSISDN, login str
 // SendBoardingPass implements app.SMSAPI.
 func (a *Application) SendBoardingPass(ctx app.ClientContext, locator string, to geo.MSISDN) error {
 	const path = "/checkin/boardingpass/sms"
-	if err := a.screen(ctx, "POST", path); err != nil {
+	fp, err := a.screen(ctx, "POST", path)
+	if err != nil {
 		return err
 	}
-	if err := a.smsGates(ctx, path, locator); err != nil {
+	if err := a.smsGates(ctx, fp, path, locator); err != nil {
 		return err
 	}
-	_, err := a.boarding.Send(locator, to, ctx.ActorID)
+	_, err = a.boarding.Send(locator, to, ctx.ActorID)
 	if errors.Is(err, sms.ErrFeatureDisabled) {
 		a.stats.restricted.Add(1)
-		a.record(ctx, "POST", path, 403)
+		a.record(ctx, fp, "POST", path, 403)
 		return app.ErrRestricted
 	}
-	a.record(ctx, "POST", path, statusOf(err))
+	a.record(ctx, fp, "POST", path, statusOf(err))
 	if err == nil {
 		a.stats.served.Add(1)
 	}
@@ -489,11 +496,12 @@ func (a *Application) SendBoardingPass(ctx app.ClientContext, locator string, to
 
 // Get implements app.BrowseAPI.
 func (a *Application) Get(ctx app.ClientContext, path string) (int, error) {
-	if err := a.screen(ctx, "GET", path); err != nil {
+	fp, err := a.screen(ctx, "GET", path)
+	if err != nil {
 		return 403, err
 	}
 	a.stats.served.Add(1)
-	a.record(ctx, "GET", path, 200)
+	a.record(ctx, fp, "GET", path, 200)
 	return 200, nil
 }
 

@@ -56,18 +56,25 @@ func TestReplicateMetricNamesStable(t *testing.T) {
 }
 
 // TestReplicateParallelMatchesSerial is the golden equivalence check of the
-// replicate runner: every experiment, run for seeds 1..4 on one worker and
-// on four, must produce bit-identical samples and statistics. Any
+// replicate runner: every experiment, run for seeds 1..2 on one worker and
+// on two, must produce bit-identical samples and statistics. Any
 // nondeterminism an experiment picks up from pool interleaving — shared
 // mutable state, map-iteration-order leakage into RNG or scheduling — shows
 // up here as a diff. Each experiment is its own parallel subtest, so a
 // divergence names its experiment and the single-worker sweeps overlap.
+//
+// Two seeds suffice: the property is that the seed-order merge does not
+// depend on the worker count, and one worker (strictly sequential) against
+// two (both replicates in flight at once, finishing in either order) is
+// already every interleaving class the pool has. More seeds re-ran the
+// same simulations for about half of internal/core's tier-1 time; the
+// per-seed outputs themselves are pinned by the golden tests.
 func TestReplicateParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full serial-vs-parallel sweep in -short mode")
 	}
-	cfgSerial := runner.Config{Replicates: 4, Workers: 1, BaseSeed: 1}
-	cfgParallel := runner.Config{Replicates: 4, Workers: 4, BaseSeed: 1}
+	cfgSerial := runner.Config{Replicates: 2, Workers: 1, BaseSeed: 1}
+	cfgParallel := runner.Config{Replicates: 2, Workers: 2, BaseSeed: 1}
 	for _, e := range Experiments() {
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()

@@ -176,7 +176,7 @@ func (a FingerprintArm) Judge(s *weblog.Session) Verdict {
 		if !ok {
 			continue
 		}
-		if v := a.Rules.Judge(f, r.Time); v.Flagged {
+		if v := a.Rules.Judge(f, r.Fingerprint, r.Time); v.Flagged {
 			return v
 		}
 	}

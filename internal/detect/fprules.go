@@ -51,9 +51,10 @@ func (r *FingerprintRules) Unblock(hash uint64) {
 // Rules returns how many hash rules are installed.
 func (r *FingerprintRules) Rules() int { return len(r.blocked) }
 
-// Judge evaluates a fingerprint at an instant.
-func (r *FingerprintRules) Judge(f fingerprint.Fingerprint, at time.Time) Verdict {
-	h := f.Hash()
+// Judge evaluates a fingerprint at an instant. h is f.Hash(): every caller
+// already holds the digest (the application hashes once per request, the
+// weblog stores it), so the rules engine does not hash again.
+func (r *FingerprintRules) Judge(f fingerprint.Fingerprint, h uint64, at time.Time) Verdict {
 	if _, blocked := r.blocked[h]; blocked {
 		r.lastHit[h] = at
 		return Verdict{Flagged: true, Score: 1, Reason: "fp-blocklist"}

@@ -34,7 +34,7 @@ func TrainKMeans(rng *simrand.RNG, samples []Sample, k, iterations int) (*KMeans
 	sc := fitScaler(samples)
 	points := make([][]float64, len(samples))
 	for i, s := range samples {
-		points[i] = sc.transform(s.X)
+		points[i] = sc.transform(make([]float64, 0, len(s.X)), s.X)
 	}
 
 	centroids := seedPlusPlus(rng, points, k)
@@ -84,7 +84,8 @@ func (m *KMeans) K() int { return len(m.centroids) }
 
 // Assign returns the cluster index for a feature vector.
 func (m *KMeans) Assign(x []float64) int {
-	return nearest(m.centroids, m.scaler.transform(x))
+	var scratch [scaledStack]float64
+	return nearest(m.centroids, m.scaler.transform(scratch[:0], x))
 }
 
 // Assignments maps each sample to its cluster.

@@ -63,11 +63,12 @@ func TrainLogReg(rng *simrand.RNG, samples []Sample, cfg LogRegConfig) (*LogReg,
 	for i := range idx {
 		idx[i] = i
 	}
+	x := make([]float64, 0, dim)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.ShuffleInts(idx)
 		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
 		for _, i := range idx {
-			x := sc.transform(samples[i].X)
+			x = sc.transform(x, samples[i].X)
 			p := m.prob(x)
 			g := p - samples[i].Y
 			for j := range m.weights {
@@ -89,7 +90,8 @@ func (m *LogReg) prob(scaled []float64) float64 {
 
 // Prob returns P(abusive | x).
 func (m *LogReg) Prob(x []float64) float64 {
-	return m.prob(m.scaler.transform(x))
+	var scratch [scaledStack]float64
+	return m.prob(m.scaler.transform(scratch[:0], x))
 }
 
 // Judge classifies with a 0.5 threshold.
@@ -150,10 +152,16 @@ func fitScaler(samples []Sample) scaler {
 	return sc
 }
 
-func (s scaler) transform(x []float64) []float64 {
-	out := make([]float64, len(x))
+// scaledStack is the scratch size callers keep on the stack for one
+// standardized vector; the session feature vector has 15 dimensions.
+const scaledStack = 16
+
+// transform standardizes x into dst[:0], growing it only if x is longer
+// than dst's capacity, and returns the result.
+func (s scaler) transform(dst, x []float64) []float64 {
+	dst = dst[:0]
 	for j, v := range x {
-		out[j] = (v - s.mean[j]) / s.std[j]
+		dst = append(dst, (v-s.mean[j])/s.std[j])
 	}
-	return out
+	return dst
 }

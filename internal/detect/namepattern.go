@@ -95,8 +95,37 @@ func NewNamePatternDetector(cfg NamePatternConfig) *NamePatternDetector {
 
 // nameStats aggregates per-name reservation evidence.
 type nameStats struct {
-	reservations map[booking.HoldID]bool
-	birthdates   map[time.Time]bool
+	reservations distinct[booking.HoldID]
+	birthdates   distinct[time.Time]
+}
+
+// distinct counts distinct values. Nearly every name appears on one
+// reservation with one birthdate, so the first value is held inline and the
+// set is only allocated when a second distinct value arrives.
+type distinct[T comparable] struct {
+	first T
+	some  bool
+	rest  map[T]struct{}
+}
+
+func (d *distinct[T]) add(v T) {
+	switch {
+	case !d.some:
+		d.first, d.some = v, true
+	case v == d.first:
+	default:
+		if d.rest == nil {
+			d.rest = make(map[T]struct{})
+		}
+		d.rest[v] = struct{}{}
+	}
+}
+
+func (d *distinct[T]) len() int {
+	if !d.some {
+		return 0
+	}
+	return 1 + len(d.rest)
 }
 
 // Analyze scans accepted journal records and returns the findings sorted by
@@ -111,29 +140,26 @@ func (d *NamePatternDetector) Analyze(records []booking.Record) []NameFinding {
 			key := p.Key()
 			st, ok := stats[key]
 			if !ok {
-				st = &nameStats{
-					reservations: make(map[booking.HoldID]bool),
-					birthdates:   make(map[time.Time]bool),
-				}
+				st = &nameStats{}
 				stats[key] = st
 			}
-			st.reservations[r.HoldID] = true
-			st.birthdates[p.BirthDate] = true
+			st.reservations.add(r.HoldID)
+			st.birthdates.add(p.BirthDate)
 		}
 	}
 
 	var findings []NameFinding
 	for key, st := range stats {
-		n := len(st.reservations)
+		n := st.reservations.len()
 		if n < d.cfg.MinReuse {
 			continue
 		}
-		if len(st.birthdates) >= d.cfg.MinBirthdates {
+		if st.birthdates.len() >= d.cfg.MinBirthdates {
 			findings = append(findings, NameFinding{
 				Pattern:      PatternRotatingBirthdate,
 				Key:          key,
 				Reservations: n,
-				Detail:       "distinct birthdates: " + strconv.Itoa(len(st.birthdates)),
+				Detail:       "distinct birthdates: " + strconv.Itoa(st.birthdates.len()),
 			})
 		} else {
 			findings = append(findings, NameFinding{
@@ -173,25 +199,28 @@ func (d *NamePatternDetector) typoClusters(stats map[string]*nameStats) []NameFi
 	}
 	sort.Strings(keys)
 
-	buckets := make(map[string][]string)
-	for _, k := range keys {
-		first, last := splitKey(k)
-		buckets["f:"+first] = append(buckets["f:"+first], k)
-		buckets["l:"+last] = append(buckets["l:"+last], k)
+	byFirst := bucketKeys(keys, func(k string) string { first, _ := splitKey(k); return first })
+	byLast := bucketKeys(keys, func(k string) string { _, last := splitKey(k); return last })
+	// within1 reports distance exactly 1. The distance is at least the
+	// length difference, so most pairs are settled without running the DP.
+	within1 := func(rep, other string) bool {
+		if d := len(rep) - len(other); d < -1 || d > 1 {
+			return false
+		}
+		return names.DamerauLevenshtein(rep, other) == 1
 	}
 	neighbours := func(rep string) []string {
 		first, last := splitKey(rep)
-		seen := map[string]bool{rep: true}
 		var out []string
-		for _, bucket := range [][]string{buckets["f:"+first], buckets["l:"+last]} {
-			for _, other := range bucket {
-				if seen[other] {
-					continue
-				}
-				seen[other] = true
-				if names.DamerauLevenshtein(rep, other) == 1 {
-					out = append(out, other)
-				}
+		for _, other := range byFirst[first] {
+			if other != rep && within1(rep, other) {
+				out = append(out, other)
+			}
+		}
+		for _, other := range byLast[last] {
+			// Keys sharing rep's first name were judged in the loop above.
+			if otherFirst, _ := splitKey(other); otherFirst != first && within1(rep, other) {
+				out = append(out, other)
 			}
 		}
 		sort.Strings(out)
@@ -215,7 +244,7 @@ func (d *NamePatternDetector) typoClusters(stats map[string]*nameStats) []NameFi
 		}
 		span := 0
 		for _, k := range cluster {
-			span += len(stats[k].reservations)
+			span += stats[k].reservations.len()
 			used[k] = true
 		}
 		if span >= d.cfg.MinClusterSize {
@@ -228,6 +257,27 @@ func (d *NamePatternDetector) typoClusters(stats map[string]*nameStats) []NameFi
 		}
 	}
 	return findings
+}
+
+// bucketKeys groups keys by part(key), preserving their order. A counting
+// pass sizes every bucket, so all of them are carved from one backing array.
+func bucketKeys(keys []string, part func(string) string) map[string][]string {
+	counts := make(map[string]int)
+	for _, k := range keys {
+		counts[part(k)]++
+	}
+	backing := make([]string, len(keys))
+	buckets := make(map[string][]string, len(counts))
+	for _, k := range keys {
+		p := part(k)
+		b, ok := buckets[p]
+		if !ok {
+			n := counts[p]
+			b, backing = backing[:0:n], backing[n:]
+		}
+		buckets[p] = append(b, k)
+	}
+	return buckets
 }
 
 // splitKey separates a canonical "FIRST LAST" key into its two name parts.

@@ -171,3 +171,128 @@ func TestFindingsSortedBySpan(t *testing.T) {
 		t.Fatal("findings not sorted by span")
 	}
 }
+
+// benchmarkRecords is the BenchmarkNamePatternAnalyze input: 5,000 accepted
+// holds of one to four realistic passengers each.
+func benchmarkRecords() []booking.Record {
+	g := names.NewGenerator(simrand.New(4))
+	rng := simrand.New(5)
+	records := make([]booking.Record, 0, 5000)
+	for i := range 5000 {
+		nip := 1 + rng.Intn(4)
+		ps := make([]names.Identity, nip)
+		for j := range ps {
+			ps[j] = g.Realistic()
+		}
+		records = append(records, booking.Record{
+			HoldID: booking.HoldID(i + 1), NiP: nip,
+			Outcome: booking.OutcomeAccepted, Passengers: ps,
+		})
+	}
+	return records
+}
+
+// attackRecords is a small journal carrying every case-study-B signature at
+// once — rotating birthdates, a reused fixed party, misspelt variants — plus
+// the shapes the per-name bookkeeping must count once: a hold journalled
+// twice, a party naming one passenger twice, a rejected attempt.
+func attackRecords() []booking.Record {
+	rng := simrand.New(6)
+	pool := names.NewPool(rng.Derive("pool"), 6)
+	var records []booking.Record
+	next := booking.HoldID(9000)
+	add := func(outcome booking.Outcome, ps ...names.Identity) {
+		next++
+		records = append(records, booking.Record{HoldID: next, NiP: len(ps), Outcome: outcome, Passengers: ps})
+	}
+	for range 12 {
+		add(booking.OutcomeAccepted, pool.OverlappingParty(3)...)
+	}
+	fixed := pool.Permuted(3)
+	for range 8 {
+		add(booking.OutcomeAccepted, fixed...)
+	}
+	reused := names.NewPool(rng.Derive("reused"), 2).Permuted(2)
+	for range 6 {
+		add(booking.OutcomeAccepted, reused...)
+	}
+	for range 10 {
+		ps := pool.Permuted(2)
+		add(booking.OutcomeAccepted, names.Misspell(rng, ps[0]), ps[1])
+	}
+	records = append(records, records[len(records)-1])
+	add(booking.OutcomeAccepted, fixed[0], fixed[0])
+	add(booking.OutcomeRejectedCap, pool.OverlappingParty(9)...)
+	return records
+}
+
+// TestNamePatternAnalyzeGolden pins Analyze's findings — order, keys, spans
+// and Detail strings — as the map-per-name implementation produced them, so
+// the leaner bookkeeping and the length pre-filter in typoClusters cannot
+// move a finding.
+func TestNamePatternAnalyzeGolden(t *testing.T) {
+	const rot, reuse, typo = PatternRotatingBirthdate, PatternNameReuse, PatternTypoCluster
+	cases := []struct {
+		name    string
+		records []booking.Record
+		want    []NameFinding
+	}{
+		{"benchmark input", benchmarkRecords(), []NameFinding{
+			{typo, "ELIZABETH WANG", 5, "variants: 3"},
+			{typo, "ERIC BRADLEY", 4, "variants: 2"},
+			{typo, "KATHERINE HANSEN", 4, "variants: 2"},
+			{typo, "MICHAEL BERRY", 4, "variants: 2"},
+			{typo, "AISHA BURNS", 3, "variants: 2"},
+			{typo, "ANDRE COLE", 3, "variants: 2"},
+			{typo, "ANDRE REID", 3, "variants: 2"},
+			{typo, "BENJAMIN LE", 3, "variants: 2"},
+			{typo, "CARLOS HANSEN", 3, "variants: 2"},
+			{typo, "CATHERINE PRICE", 3, "variants: 3"},
+			{typo, "DEBORAH KELLEY", 3, "variants: 2"},
+			{typo, "DEBORAH ROSE", 3, "variants: 2"},
+			{typo, "ELENA DAY", 3, "variants: 2"},
+			{typo, "ERIC MILLER", 3, "variants: 2"},
+			{typo, "ERIC PATEL", 3, "variants: 2"},
+			{typo, "ERIC SULLIVAN", 3, "variants: 2"},
+			{typo, "FREJA WANG", 3, "variants: 2"},
+			{typo, "GARY GONZALEZ", 3, "variants: 2"},
+			{typo, "GIULIA WANG", 3, "variants: 2"},
+			{typo, "HANA BOYD", 3, "variants: 2"},
+			{typo, "HANA VEGA", 3, "variants: 2"},
+			{typo, "ISABELLA REED", 3, "variants: 2"},
+			{typo, "KATYA SCHMIDT", 3, "variants: 2"},
+			{typo, "KEVIN KELLEY", 3, "variants: 2"},
+			{typo, "MELISSA HANSEN", 3, "variants: 2"},
+			{typo, "RUTH FERNANDEZ", 3, "variants: 2"},
+			{typo, "SVEN GRAY", 3, "variants: 2"},
+			{typo, "YUI ARNOLD", 3, "variants: 2"},
+			{typo, "YUI PATEL", 3, "variants: 2"},
+		}},
+		{"attack journal", attackRecords(), []NameFinding{
+			{typo, "INGRID FOX", 18, "variants: 2"},
+			{rot, "INGRID FOX", 17, "distinct birthdates: 5"},
+			{typo, "ANDREW NELSO NRIVERA", 15, "variants: 2"},
+			{rot, "ANDREW NELSON RIVERA", 14, "distinct birthdates: 6"},
+			{typo, "ANJALI-LINDA STEPHENS", 14, "variants: 4"},
+			{typo, "YUKI TORES", 14, "variants: 2"},
+			{rot, "YUKI TORRES", 12, "distinct birthdates: 12"},
+			{rot, "ANJALI-LINDA STEPHENS", 11, "distinct birthdates: 4"},
+			{rot, "OLIVIA JOHNSON", 9, "distinct birthdates: 7"},
+			{reuse, "IRINA ORTEGA", 6, ""},
+			{reuse, "MIGUEL MALDONADO", 6, ""},
+			{typo, "KAATHERINE MENDEZ", 6, "variants: 2"},
+			{rot, "KATHERINE MENDEZ", 5, "distinct birthdates: 7"},
+		}},
+	}
+	for _, tc := range cases {
+		got := NewNamePatternDetector(NamePatternConfig{}).Analyze(tc.records)
+		if len(got) != len(tc.want) {
+			t.Fatalf("%s: %d findings, want %d: %+v", tc.name, len(got), len(tc.want), got)
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: finding %d = %+v, want %+v", tc.name, i, got[i], tc.want[i])
+			}
+		}
+	}
+}

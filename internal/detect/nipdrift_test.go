@@ -116,14 +116,14 @@ func TestFingerprintRulesBlocklist(t *testing.T) {
 	f := g.Organic()
 	at := time.Date(2022, 5, 2, 0, 0, 0, 0, time.UTC)
 
-	if v := rules.Judge(f, at); v.Flagged {
+	if v := rules.Judge(f, f.Hash(), at); v.Flagged {
 		t.Fatalf("clean organic print flagged: %+v", v)
 	}
 	rules.Block(f.Hash(), at)
 	if rules.Rules() != 1 {
 		t.Fatalf("Rules() = %d", rules.Rules())
 	}
-	v := rules.Judge(f, at.Add(2*time.Hour))
+	v := rules.Judge(f, f.Hash(), at.Add(2*time.Hour))
 	if !v.Flagged || v.Reason != "fp-blocklist" {
 		t.Fatalf("verdict %+v", v)
 	}
@@ -137,18 +137,19 @@ func TestFingerprintRulesArtifacts(t *testing.T) {
 	rules := NewFingerprintRules()
 	g := fingerprint.NewGenerator(simrand.New(2))
 	at := time.Now()
-	v := rules.Judge(g.NaiveHeadless(), at)
+	judge := func(f fingerprint.Fingerprint) Verdict { return rules.Judge(f, f.Hash(), at) }
+	v := judge(g.NaiveHeadless())
 	if !v.Flagged || v.Reason != "fp-artifact" {
 		t.Fatalf("verdict %+v", v)
 	}
 	// With artifact checks off, the inconsistency family still fires.
 	rules.CheckArtifacts = false
-	v = rules.Judge(g.NaiveHeadless(), at)
+	v = judge(g.NaiveHeadless())
 	if !v.Flagged {
 		t.Fatal("headless print passed with artifacts off but consistency on")
 	}
 	rules.CheckConsistency = false
-	v = rules.Judge(g.NaiveHeadless(), at)
+	v = judge(g.NaiveHeadless())
 	if v.Flagged {
 		t.Fatalf("all static checks off but still flagged: %+v", v)
 	}
@@ -162,7 +163,7 @@ func TestFingerprintRulesStaleness(t *testing.T) {
 	g := fingerprint.NewGenerator(simrand.New(3))
 	f := g.Organic()
 	rules.Block(f.Hash(), at)
-	rules.Judge(f, at.Add(time.Hour)) // rule 3 matches once
+	rules.Judge(f, f.Hash(), at.Add(time.Hour)) // rule 3 matches once
 	stale := rules.StaleRules(at.Add(30 * time.Minute))
 	if stale != 2 {
 		t.Fatalf("StaleRules = %d, want 2", stale)

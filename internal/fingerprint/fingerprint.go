@@ -58,26 +58,60 @@ type Fingerprint struct {
 	Webdriver bool
 }
 
-// Hash returns a stable 64-bit digest of the full attribute vector.
+// FNV-1a 64-bit parameters (hash/fnv's, spelled out so Hash needs no
+// hash.Hash64 on the heap).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hash returns a stable 64-bit digest of the full attribute vector: FNV-1a
+// over every field in declaration order, each followed by a zero byte —
+// strings raw, ints in decimal, the two render hashes in lower-case hex,
+// Webdriver as "true"/"false". Block rules, weblog lines and the goldens
+// are keyed on this value, so the byte stream is a contract
+// (TestFingerprintHashMatchesFNV pins it against hash/fnv).
 func (f Fingerprint) Hash() uint64 {
-	h := fnv.New64a()
-	write := func(s string) { _, _ = h.Write([]byte(s)); _, _ = h.Write([]byte{0}) }
-	write(f.Browser)
-	write(strconv.Itoa(f.BrowserVersion))
-	write(f.OS)
-	write(strconv.Itoa(f.ScreenW))
-	write(strconv.Itoa(f.ScreenH))
-	write(f.Timezone)
-	write(f.Language)
-	write(strconv.Itoa(f.Cores))
-	write(strconv.Itoa(f.MemoryGB))
-	write(strconv.Itoa(f.TouchPoints))
-	write(strconv.FormatUint(uint64(f.CanvasHash), 16))
-	write(strconv.FormatUint(uint64(f.WebGLHash), 16))
-	write(strconv.Itoa(f.FontCount))
-	write(strconv.Itoa(f.PluginCount))
-	write(strconv.FormatBool(f.Webdriver))
-	return h.Sum64()
+	h := uint64(fnvOffset64)
+	h = hashField(h, f.Browser)
+	h = hashInt(h, f.BrowserVersion)
+	h = hashField(h, f.OS)
+	h = hashInt(h, f.ScreenW)
+	h = hashInt(h, f.ScreenH)
+	h = hashField(h, f.Timezone)
+	h = hashField(h, f.Language)
+	h = hashInt(h, f.Cores)
+	h = hashInt(h, f.MemoryGB)
+	h = hashInt(h, f.TouchPoints)
+	h = hashHex(h, f.CanvasHash)
+	h = hashHex(h, f.WebGLHash)
+	h = hashInt(h, f.FontCount)
+	h = hashInt(h, f.PluginCount)
+	if f.Webdriver {
+		return hashField(h, "true")
+	}
+	return hashField(h, "false")
+}
+
+// hashField folds one field's bytes and the zero separator into h.
+func hashField[T string | []byte](h uint64, field T) uint64 {
+	for i := 0; i < len(field); i++ {
+		h = (h ^ uint64(field[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // separator: (h ^ 0) * prime
+}
+
+// hashInt folds the decimal form of v and the separator into h. The
+// scratch array fits any int64 with its sign and never escapes.
+func hashInt(h uint64, v int) uint64 {
+	var buf [20]byte
+	return hashField(h, strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// hashHex folds the lower-case hex form of v and the separator into h.
+func hashHex(h uint64, v uint32) uint64 {
+	var buf [20]byte
+	return hashField(h, strconv.AppendUint(buf[:0], uint64(v), 16))
 }
 
 // String renders a short human-readable summary.

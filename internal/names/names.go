@@ -203,9 +203,29 @@ func (g *Generator) randomBirthDate() time.Time {
 	return time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
 }
 
+// emailFor renders "first.last@domain" in lower case. Name parts come from
+// the ASCII tables above, so lowering is per byte and the address is built
+// in one sized allocation.
 func emailFor(first, last string, r *simrand.RNG) string {
-	return strings.ToLower(first) + "." + strings.ToLower(last) +
-		"@" + simrand.Pick(r, emailDomains)
+	domain := simrand.Pick(r, emailDomains)
+	var b strings.Builder
+	b.Grow(len(first) + 1 + len(last) + 1 + len(domain))
+	writeLower(&b, first)
+	b.WriteByte('.')
+	writeLower(&b, last)
+	b.WriteByte('@')
+	b.WriteString(domain)
+	return b.String()
+}
+
+func writeLower(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
 }
 
 // Pool is a fixed set of identities an attacker reuses across reservations,
@@ -314,6 +334,9 @@ func typo(r *simrand.RNG, s string) string {
 	return string(b)
 }
 
+// dlStackRow is the longest DP row DamerauLevenshtein keeps on the stack.
+const dlStackRow = 64
+
 // DamerauLevenshtein returns the optimal-string-alignment edit distance
 // between a and b, counting adjacent transpositions as a single edit. Manual
 // typos are dominated by substitutions, drops, duplications and
@@ -327,10 +350,16 @@ func DamerauLevenshtein(a, b string) int {
 	if lb == 0 {
 		return la
 	}
-	// Three rolling rows: i-2, i-1, i.
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
+	// Three rolling rows: i-2, i-1, i. Passenger names are a few dozen
+	// bytes, so the rows normally live in a stack array; longer inputs fall
+	// back to the heap.
+	w := lb + 1
+	var stack [3 * dlStackRow]int
+	rows := stack[:]
+	if w > dlStackRow {
+		rows = make([]int, 3*w)
+	}
+	prev2, prev, cur := rows[:w], rows[w:2*w], rows[2*w:3*w]
 	for j := 0; j <= lb; j++ {
 		prev[j] = j
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"funabuse/internal/simrand"
 )
@@ -44,28 +45,45 @@ func (p RotationPolicy) String() string {
 	}
 }
 
+// poolSpace is how many exits a country's address space holds: the /16
+// under its leading octet pair, last octet 1..254.
+const poolSpace = 256 * 254
+
 // Pool is a per-country set of residential exit addresses.
+//
+// Every exit of a pool shares the country's leading octet pair, so an exit
+// is stored as its low 16 bits (third octet in the high byte) and the
+// dotted-quad string is rendered once, the first time the exit is drawn:
+// populations build thousands of exits per market and draw a handful. The
+// RNG draw order — two Intn per candidate address, duplicates redrawn — is
+// the contract that keeps every Draw byte-identical across representations
+// (TestPoolLazyMatchesEager).
 type Pool struct {
 	country string
 	rng     *simrand.RNG
-	exits   []IP
-	index   map[IP]int
+	// prefix is the shared "a.b." leading octet pair.
+	prefix string
+	exits  []uint16
+	// member holds the packed exits, for duplicate checks and Contains.
+	member exitSet
+	// rendered caches exit i's string form; allocated on the first Draw,
+	// "" until exit i is drawn.
+	rendered []IP
 }
+
+// exitSet is a bitmap over the 16-bit packed exits of one country space.
+type exitSet [1 << 16 / 64]uint64
+
+func (s *exitSet) has(e uint16) bool { return s[e>>6]&(1<<(e&63)) != 0 }
+func (s *exitSet) add(e uint16)      { s[e>>6] |= 1 << (e & 63) }
+func (s *exitSet) remove(e uint16)   { s[e>>6] &^= 1 << (e & 63) }
 
 // NewPool builds a pool of size exits attributed to the given country code.
 // Addresses are synthesized deterministically from the RNG; each country's
 // pool lives in a distinct /8-derived space so exits never collide across
-// countries.
+// countries. size is clamped to [1, 65024], the addresses that space holds.
 func NewPool(r *simrand.RNG, country string, size int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	p := &Pool{
-		country: country,
-		rng:     r,
-		exits:   make([]IP, 0, size),
-		index:   make(map[IP]int, size),
-	}
+	size = max(1, min(size, poolSpace))
 	// Derive a stable leading octet pair from the country code so pools are
 	// disjoint between countries.
 	lead := 0
@@ -74,16 +92,30 @@ func NewPool(r *simrand.RNG, country string, size int) *Pool {
 	}
 	a := 11 + (lead % 80) // avoid 0/10/127 specials well enough for a simulation
 	b := (lead / 80) % 256
+	p := &Pool{
+		country: country,
+		rng:     r,
+		prefix:  strconv.Itoa(a) + "." + strconv.Itoa(b) + ".",
+		exits:   make([]uint16, 0, size),
+	}
 	for len(p.exits) < size {
-		ip := IP(strconv.Itoa(a) + "." + strconv.Itoa(b) + "." +
-			strconv.Itoa(p.rng.Intn(256)) + "." + strconv.Itoa(1+p.rng.Intn(254)))
-		if _, dup := p.index[ip]; dup {
-			continue
-		}
-		p.index[ip] = len(p.exits)
-		p.exits = append(p.exits, ip)
+		p.exits = append(p.exits, p.fresh())
 	}
 	return p
+}
+
+// fresh draws addresses until one is not in the pool, marks it a member and
+// returns it.
+func (p *Pool) fresh() uint16 {
+	for {
+		c := p.rng.Intn(256)
+		d := 1 + p.rng.Intn(254)
+		e := uint16(c<<8 | d)
+		if !p.member.has(e) {
+			p.member.add(e)
+			return e
+		}
+	}
 }
 
 // Country returns the pool's country code.
@@ -94,20 +126,63 @@ func (p *Pool) Size() int { return len(p.exits) }
 
 // Contains reports whether ip belongs to this pool.
 func (p *Pool) Contains(ip IP) bool {
-	_, ok := p.index[ip]
-	return ok
+	rest, ok := strings.CutPrefix(string(ip), p.prefix)
+	if !ok {
+		return false
+	}
+	c, rest, ok := cutOctet(rest)
+	if !ok || rest == "" || rest[0] != '.' {
+		return false
+	}
+	d, rest, ok := cutOctet(rest[1:])
+	if !ok || rest != "" {
+		return false
+	}
+	return p.member.has(uint16(c<<8 | d))
+}
+
+// cutOctet parses a leading canonical decimal octet (no sign, no leading
+// zero, at most 255) off s.
+func cutOctet(s string) (v int, rest string, ok bool) {
+	i := 0
+	for i < len(s) && i < 3 && s[i] >= '0' && s[i] <= '9' {
+		v = v*10 + int(s[i]-'0')
+		i++
+	}
+	if i == 0 || v > 255 || (i > 1 && s[0] == '0') {
+		return 0, s, false
+	}
+	return v, s[i:], true
 }
 
 // Draw returns a uniformly random exit.
 func (p *Pool) Draw() IP {
-	return p.exits[p.rng.Intn(len(p.exits))]
+	return p.exit(p.rng.Intn(len(p.exits)))
+}
+
+// exit returns exit i in string form, rendering it on first use.
+func (p *Pool) exit(i int) IP {
+	if p.rendered == nil {
+		p.rendered = make([]IP, len(p.exits))
+	}
+	if p.rendered[i] == "" {
+		e := p.exits[i]
+		var scratch [24]byte
+		buf := append(scratch[:0], p.prefix...)
+		buf = strconv.AppendUint(buf, uint64(e>>8), 10)
+		buf = append(buf, '.')
+		buf = strconv.AppendUint(buf, uint64(e&0xff), 10)
+		p.rendered[i] = IP(buf)
+	}
+	return p.rendered[i]
 }
 
 // Churn replaces fraction of the exits with fresh addresses, modelling
 // user-installed proxy nodes joining and leaving. It returns how many exits
-// were replaced.
+// were replaced; a pool that fills its whole address space has no fresh
+// address to move to and replaces none.
 func (p *Pool) Churn(fraction float64) int {
-	if fraction <= 0 {
+	if fraction <= 0 || len(p.exits) == poolSpace {
 		return 0
 	}
 	if fraction > 1 {
@@ -116,39 +191,13 @@ func (p *Pool) Churn(fraction float64) int {
 	n := int(float64(len(p.exits)) * fraction)
 	for i := 0; i < n; i++ {
 		victim := p.rng.Intn(len(p.exits))
-		old := p.exits[victim]
-		delete(p.index, old)
-		// New address in the same leading space.
-		parts := splitIP(old)
-		for {
-			ip := IP(parts[0] + "." + parts[1] + "." +
-				strconv.Itoa(p.rng.Intn(256)) + "." + strconv.Itoa(1+p.rng.Intn(254)))
-			if _, dup := p.index[ip]; dup {
-				continue
-			}
-			p.exits[victim] = ip
-			p.index[ip] = victim
-			break
+		p.member.remove(p.exits[victim])
+		p.exits[victim] = p.fresh()
+		if p.rendered != nil {
+			p.rendered[victim] = ""
 		}
 	}
 	return n
-}
-
-func splitIP(ip IP) [4]string {
-	var parts [4]string
-	s := string(ip)
-	idx := 0
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '.' {
-			if idx < 4 {
-				parts[idx] = s[start:i]
-			}
-			idx++
-			start = i + 1
-		}
-	}
-	return parts
 }
 
 // Service is a residential proxy provider with per-country pools and a
@@ -165,7 +214,8 @@ type Service struct {
 // ServiceOption configures a Service.
 type ServiceOption func(*Service)
 
-// WithPoolSize sets how many exits each country pool holds.
+// WithPoolSize sets how many exits each country pool holds. NewPool clamps
+// it to the 65,024 addresses of a country's space.
 func WithPoolSize(n int) ServiceOption {
 	return func(s *Service) { s.poolSize = n }
 }

@@ -15,13 +15,22 @@ func TestPoolGeneratesDistinctValidIPs(t *testing.T) {
 		t.Fatalf("Size() = %d", p.Size())
 	}
 	seen := map[IP]bool{}
-	for _, ip := range p.exits {
+	for _, ip := range exitsOf(p) {
 		if seen[ip] {
 			t.Fatalf("duplicate exit %s", ip)
 		}
 		seen[ip] = true
 		assertValidIP(t, ip)
 	}
+}
+
+// exitsOf renders every exit of p, in pool order.
+func exitsOf(p *Pool) []IP {
+	out := make([]IP, p.Size())
+	for i := range out {
+		out[i] = p.exit(i)
+	}
+	return out
 }
 
 func assertValidIP(t *testing.T, ip IP) {
@@ -42,7 +51,7 @@ func TestPoolsDisjointAcrossCountries(t *testing.T) {
 	r := simrand.New(2)
 	fr := NewPool(r.Derive("fr"), "FR", 200)
 	uz := NewPool(r.Derive("uz"), "UZ", 200)
-	for _, ip := range uz.exits {
+	for _, ip := range exitsOf(uz) {
 		if fr.Contains(ip) {
 			t.Fatalf("exit %s in both FR and UZ pools", ip)
 		}
@@ -61,7 +70,7 @@ func TestPoolDrawIsMember(t *testing.T) {
 func TestChurnReplacesExits(t *testing.T) {
 	p := NewPool(simrand.New(4), "DE", 100)
 	before := make(map[IP]bool, 100)
-	for _, ip := range p.exits {
+	for _, ip := range exitsOf(p) {
 		before[ip] = true
 	}
 	n := p.Churn(0.3)
@@ -72,7 +81,7 @@ func TestChurnReplacesExits(t *testing.T) {
 		t.Fatalf("pool size changed to %d", p.Size())
 	}
 	fresh := 0
-	for _, ip := range p.exits {
+	for _, ip := range exitsOf(p) {
 		if !before[ip] {
 			fresh++
 		}

@@ -12,8 +12,8 @@ import (
 // manualSleeper advances a Manual clock instead of blocking, recording the
 // requested delays.
 type manualSleeper struct {
-	clock  *simclock.Manual
-	slept  []time.Duration
+	clock *simclock.Manual
+	slept []time.Duration
 }
 
 func (s *manualSleeper) sleep(d time.Duration) {

@@ -15,6 +15,7 @@ package runner
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -184,6 +185,7 @@ func Run(name string, cfg Config, fn Func) (*Summary, error) {
 		return nil, fmt.Errorf("runner: %s: %d/%d replicates completed", name, got, cfg.Replicates)
 	}
 
+	compact(samples)
 	sum := &Summary{
 		Name:             name,
 		Replicates:       cfg.Replicates,
@@ -197,11 +199,30 @@ func Run(name string, cfg Config, fn Func) (*Summary, error) {
 	return sum, nil
 }
 
+// compact trims what a Summary keeps alive, since sweep drivers hold
+// summaries long after the run: every sample is copied to its exact length
+// (experiments build them by append) and later replicates share the first
+// replicate's metric-name strings instead of holding equal copies.
+func compact(samples []Sample) {
+	names := make(map[string]string, len(samples[0]))
+	for i, s := range samples {
+		s = slices.Clone(s)
+		for j := range s {
+			if shared, ok := names[s[j].Name]; ok {
+				s[j].Name = shared
+			} else {
+				names[s[j].Name] = s[j].Name
+			}
+		}
+		samples[i] = s
+	}
+}
+
 // mergeStats folds the per-seed samples into per-metric accumulators, in
 // seed order so the floating-point result is reproducible.
 func mergeStats(samples []Sample) []Stat {
-	index := make(map[string]int)
-	var stats []Stat
+	index := make(map[string]int, len(samples[0]))
+	stats := make([]Stat, 0, len(samples[0]))
 	for _, s := range samples {
 		for _, m := range s {
 			i, ok := index[m.Name]

@@ -33,13 +33,20 @@ func New(seed uint64) *RNG {
 // Derive returns a new RNG whose stream is a pure function of this RNG's
 // seed and the label, independent of how many values have been drawn from
 // the parent. Use it to give each simulated actor its own stream.
+//
+// Derive is a thin wrapper so that it inlines: a caller that only draws
+// from the derived stream and drops it keeps the RNG on its stack.
 func (r *RNG) Derive(label string) *RNG {
+	return New(r.derivedSeed(label))
+}
+
+func (r *RNG) derivedSeed(label string) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	putUint64(buf[:], r.seed)
 	_, _ = h.Write(buf[:])
 	_, _ = h.Write([]byte(label))
-	return New(mix(h.Sum64()))
+	return mix(h.Sum64())
 }
 
 func putUint64(b []byte, v uint64) {
