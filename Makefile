@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build test race vet bench bench-smoke bench-module benchdiff chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt-check build test race vet bench bench-smoke bench-module chaos obs-smoke cluster partition syndicate economics
 
 # The full pre-merge gate, each test once: formatting, vet, build, the whole
 # suite under the race detector (the replicate runner, signal engine,
@@ -68,20 +68,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench writes the full benchmark sweep (3 samples per benchmark, with
-# allocation stats) as machine-readable go-test JSON for regression
-# tracking across PRs. Override BENCH_OUT to keep older snapshots.
-BENCH_OUT ?= BENCH_PR10.json
+# bench runs the repository's benchmark (see BENCHMARK.json): five
+# end-to-end workloads plus the per-layer probes, every output checked
+# against bench/testdata/golden_seed1.json. It writes bench/out/result.json
+# and exits non-zero when any workload reports a failed operation.
 bench:
-	$(GO) test -bench=. -benchmem -count=3 -run=^$$ -json ./... > $(BENCH_OUT)
-
-# benchdiff gates the decision hot path: it compares BENCH_OUT against
-# the committed BENCH_BASELINE.json and fails on >10% ns/op regression
-# or any allocs/op growth in benchmarks matching GateDecide. Run `make
-# bench` first to produce BENCH_OUT.
-BENCH_BASELINE ?= BENCH_BASELINE.json
-benchdiff:
-	$(GO) run ./cmd/benchdiff $(BENCH_BASELINE) $(BENCH_OUT)
+	$(GO) run -C bench .
 
 # bench-smoke proves every benchmark still compiles and completes without
 # measuring anything (one iteration each).

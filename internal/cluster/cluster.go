@@ -29,7 +29,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -333,7 +332,9 @@ func New(cfg Config) *Cluster {
 func (c *Cluster) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		c.maybeGossip(c.clock.Now())
-		idx := c.router.Route(frontRouteInfo(r), len(c.nodes))
+		// Every node's gate is built from one Config, so any of them
+		// attributes the request exactly as the serving gate will.
+		idx := c.router.Route(routeInfo(c.nodes[0].gate.Client(r)), len(c.nodes))
 		if idx < 0 || idx >= len(c.nodes) {
 			idx = 0
 		}
@@ -344,29 +345,6 @@ func (c *Cluster) Handler() http.Handler {
 		}
 		n.handler.ServeHTTP(w, r)
 	})
-}
-
-// frontRouteInfo extracts routing identity the same way the gates do:
-// the collector fingerprint header, and the first X-Forwarded-For hop
-// (the front sits behind the same trusted proxy as its gates) falling
-// back to the socket address.
-func frontRouteInfo(r *http.Request) RouteInfo {
-	var info RouteInfo
-	if raw := r.Header.Get(httpgate.FingerprintHeader); raw != "" {
-		if v, err := strconv.ParseUint(raw, 16, 64); err == nil {
-			info.Fingerprint = v
-			info.HasFingerprint = true
-		}
-	}
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		if i := strings.IndexByte(xff, ','); i >= 0 {
-			xff = xff[:i]
-		}
-		info.IP = strings.TrimSpace(xff)
-	} else if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		info.IP = host
-	}
-	return info
 }
 
 // onDecision is each node's gate hook: it feeds the local engine and

@@ -72,6 +72,44 @@ func TestHashRouterPinsFingerprint(t *testing.T) {
 	}
 }
 
+// TestFrontAndDecideAgreeOnAttribution pins that the HTTP front routes on
+// the same client address its gates attribute: for fingerprint-less
+// requests HashRouter hashes the IP, so Handler and Decide must pick the
+// same node whether the first X-Forwarded-For hop is valid, empty or not
+// an address (the latter two fall back to the socket address).
+func TestFrontAndDecideAgreeOnAttribution(t *testing.T) {
+	const nodes = 8
+	served := func(c *Cluster) int {
+		for i := range nodes {
+			if v, _ := obs.Value(c.NodeGate(i).Collector(), httpgate.MetricDenied); v > 0 {
+				return i
+			}
+		}
+		t.Fatal("no node decided the request")
+		return -1
+	}
+	for _, xff := range []string{"198.51.100.7", "198.51.100.7, 10.0.0.1", ",1.2.3.4", "garbage"} {
+		for port := range 8 {
+			build := func() *http.Request {
+				r := httptest.NewRequest(http.MethodGet, "/search", nil)
+				r.RemoteAddr = "203.0.113." + strconv.Itoa(port) + ":4711"
+				r.Header.Set("X-Forwarded-For", xff)
+				return r
+			}
+			front := New(Config{Nodes: nodes, Clock: simclock.NewManual(epoch)})
+			front.Handler().ServeHTTP(httptest.NewRecorder(), build())
+
+			direct := New(Config{Nodes: nodes, Clock: simclock.NewManual(epoch)})
+			r := build()
+			direct.Decide(r, direct.NodeGate(0).Client(r))
+
+			if f, d := served(front), served(direct); f != d {
+				t.Fatalf("xff %q from %s: Handler served on node %d, Decide on node %d", xff, build().RemoteAddr, f, d)
+			}
+		}
+	}
+}
+
 func TestRuleReplicationDelta(t *testing.T) {
 	manual := simclock.NewManual(epoch)
 	c := New(Config{

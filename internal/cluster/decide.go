@@ -7,9 +7,9 @@ import (
 	"funabuse/internal/httpgate"
 )
 
-// routeInfo builds the router's identity view from attribution the
-// caller already extracted — the in-process twin of frontRouteInfo,
-// which parses the same identity out of headers.
+// routeInfo builds the router's identity view from gate attribution:
+// what the caller extracted for Decide and DecideBatch, what a node's
+// gate.Client reads off the request for Handler.
 func routeInfo(info httpgate.ClientInfo) RouteInfo {
 	return RouteInfo{
 		Fingerprint:    info.Fingerprint,

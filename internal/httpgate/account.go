@@ -1,10 +1,6 @@
 package httpgate
 
-import (
-	"time"
-
-	"funabuse/internal/signal"
-)
+import "time"
 
 // numAccountTiers is the gate's view of the loyalty ladder
 // (guest/member/silver/gold). It mirrors account.NumTiers without
@@ -13,21 +9,8 @@ import (
 // outside the range are clamped.
 const numAccountTiers = 4
 
-// accountTierName names a tier slot for telemetry labels.
-func accountTierName(t int) string {
-	switch t {
-	case 0:
-		return "guest"
-	case 1:
-		return "member"
-	case 2:
-		return "silver"
-	case 3:
-		return "gold"
-	default:
-		return "unknown"
-	}
-}
+// accountTierNames names the tier slots for telemetry labels.
+var accountTierNames = [numAccountTiers]string{"guest", "member", "silver", "gold"}
 
 // AccountLookup resolves a client key's loyalty tier (0 = guest). The
 // gate probes it once or twice per request on the admitted hot path, so
@@ -92,27 +75,15 @@ func (g *Gate) buildAccounts() {
 		if t < len(mults) && mults[t] > 0 {
 			last = mults[t]
 		}
-		g.accountLims[t] = signal.NewLimiter(signal.LimiterConfig{
-			Window: pol.Window, Limit: pol.BaseLimit * last,
-			Buckets: g.cfg.WindowBuckets, Shards: g.cfg.Shards,
-		})
+		g.accountLims[t] = g.newLimiter(nil, pol.BaseLimit*last, pol.Window)
 	}
 }
 
-// skipFor reports whether the step does not apply to this client: the
-// per-client-key limiters (profile, account rate) skip anonymous
-// requests rather than funnelling them into one shared bucket. The
-// account feature gate does NOT skip them — an anonymous client is a
-// guest, and guests do not reach member-only features.
-func (st *layerStep) skipFor(info *ClientInfo) bool {
-	return (st.kind == stepProfile || st.kind == stepAccountLimit) && info.ClientKey == ""
-}
-
 // accountTier resolves the request's loyalty tier, clamped into the
-// gate's tier range, counting it into the per-tier telemetry family on
-// the step that owns the counter (so a request is counted once even when
-// both account steps evaluate it).
-func accountTier(g *Gate, kind stepKind, ctx *decisionCtx) (int, error) {
+// gate's tier range. count adds it to the per-tier telemetry family; the
+// callers arrange that exactly one account step counts, so a request is
+// counted once even when both steps evaluate it.
+func accountTier(g *Gate, ctx *decisionCtx, count bool) (int, error) {
 	var tier int
 	if fn := g.accounts.TierFunc; fn != nil {
 		t, err := fn(ctx.info.ClientKey, ctx.now)
@@ -123,21 +94,18 @@ func accountTier(g *Gate, kind stepKind, ctx *decisionCtx) (int, error) {
 	} else {
 		tier = g.accounts.Lookup.TierOf(ctx.info.ClientKey)
 	}
-	if tier < 0 {
-		tier = 0
-	} else if tier >= numAccountTiers {
-		tier = numAccountTiers - 1
-	}
-	if tel := g.tel; tel != nil && kind == g.accountCountIn && tel.tiers[tier] != nil {
+	tier = min(max(tier, 0), numAccountTiers-1)
+	if tel := g.tel; count && tel != nil && tel.tiers[tier] != nil {
 		tel.tiers[tier].Inc()
 	}
 	return tier, nil
 }
 
 // callAccountGate enforces per-tier feature access: paths in Restricted
-// require the mapped minimum tier.
+// require the mapped minimum tier. When enabled it runs first and sees
+// every request, so it owns the tier count.
 func callAccountGate(g *Gate, ctx *decisionCtx) (bool, error) {
-	tier, err := accountTier(g, stepAccountGate, ctx)
+	tier, err := accountTier(g, ctx, true)
 	if err != nil {
 		return false, err
 	}
@@ -148,9 +116,10 @@ func callAccountGate(g *Gate, ctx *decisionCtx) (bool, error) {
 	return tier >= min, nil
 }
 
-// callAccountLimit probes the tier's per-client-key limiter.
+// callAccountLimit probes the tier's per-client-key limiter. It counts
+// the tier only when the feature gate is off.
 func callAccountLimit(g *Gate, ctx *decisionCtx) (bool, error) {
-	tier, err := accountTier(g, stepAccountLimit, ctx)
+	tier, err := accountTier(g, ctx, len(g.accounts.Restricted) == 0)
 	if err != nil {
 		return false, err
 	}
@@ -158,8 +127,5 @@ func callAccountLimit(g *Gate, ctx *decisionCtx) (bool, error) {
 	if lim == nil {
 		return true, nil
 	}
-	buf := append(ctx.buf[:0], "ak:"...)
-	buf = append(buf, ctx.info.ClientKey...)
-	ctx.buf = buf
-	return lim.AllowBytes(buf, ctx.now), nil
+	return allowKeyed(ctx, append(append(ctx.buf[:0], "ak:"...), ctx.info.ClientKey...), lim, nil)
 }

@@ -136,40 +136,6 @@ func TestAccountStoreBackedGate(t *testing.T) {
 	}
 }
 
-func TestAccountBatchMatchesSequential(t *testing.T) {
-	build := func() *Gate {
-		return New(Config{
-			Clock:      simclock.NewManual(t0),
-			PathLimit:  1 << 30,
-			PathWindow: time.Hour,
-		}, WithResilience(ResilienceConfig{}), WithAccounts(AccountPolicy{
-			Lookup:      tierMap{"vip": 3},
-			Restricted:  map[string]int{"/seatmap/bulk": 1},
-			BaseLimit:   1,
-			Window:      time.Hour,
-			Multipliers: []int{1, 2, 4, 8},
-		}))
-	}
-	restricted := httptest.NewRequest(http.MethodGet, "/seatmap/bulk", nil)
-	open := httptest.NewRequest(http.MethodGet, "/search", nil)
-	reqs := []Request{
-		{R: restricted, Info: ClientInfo{IP: "198.51.100.1", ClientKey: "guest-1"}},
-		{R: open, Info: ClientInfo{IP: "198.51.100.1", ClientKey: "guest-1"}},
-		{R: open, Info: ClientInfo{IP: "198.51.100.2"}},
-		{R: restricted, Info: ClientInfo{IP: "198.51.100.3", ClientKey: "vip"}},
-		{R: open, Info: ClientInfo{IP: "198.51.100.4", ClientKey: "guest-2"}},
-		{R: open, Info: ClientInfo{IP: "198.51.100.4", ClientKey: "guest-2"}},
-	}
-	batch := build().DecideBatch(reqs, nil)
-	seq := build()
-	for i, req := range reqs {
-		want := seq.Decide(req.R, req.Info)
-		if batch[i] != want {
-			t.Fatalf("request %d: batch %+v vs sequential %+v", i, batch[i], want)
-		}
-	}
-}
-
 func TestAccountTierTelemetryCountsOnce(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := New(Config{Clock: simclock.NewManual(t0)},
@@ -207,7 +173,6 @@ func TestAccountTierTelemetryCountsOnce(t *testing.T) {
 // store-backed tier lookups, a restricted-path table and per-tier
 // limiters — over the instrumented gate config.
 var accountGate = New(allocGateConfig,
-	WithClock(simclock.NewManual(t0)),
 	WithResilience(ResilienceConfig{}),
 	WithTelemetry(obs.NewRegistry()),
 	WithTraces(obs.NewTraceRing(1024)),
@@ -245,7 +210,7 @@ func TestAccountDecideZeroAllocs(t *testing.T) {
 // BenchmarkGateDecideAccount is the instrumented admitted path with the
 // account-lifecycle layer enabled — a tier lookup, the feature-access
 // probe and a per-tier limiter on top of BenchmarkGateDecideInstrumented.
-// Must stay 0 allocs/op; gated by cmd/benchdiff's default GateDecide set.
+// Must stay 0 allocs/op, as TestAccountDecideZeroAllocs asserts.
 func BenchmarkGateDecideAccount(b *testing.B) {
 	reqs, infos := benchInputs()
 	b.ReportAllocs()

@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"funabuse/internal/resilience"
 )
 
 // batchScratch is the pooled working set of one DecideBatch call: the
@@ -50,9 +48,7 @@ func (g *Gate) DecideBatch(reqs []Request, out []Decision) []Decision {
 	if n == 0 {
 		return out
 	}
-	for i := range out {
-		out[i] = Decision{}
-	}
+	clear(out)
 
 	now := g.clock.Now()
 	sc := batchPool.Get().(*batchScratch)
@@ -72,28 +68,21 @@ func (g *Gate) DecideBatch(reqs []Request, out []Decision) []Decision {
 		if len(pending) == 0 {
 			break
 		}
-		pending, alt = g.batchStep(&g.steps[si], reqs, out, pending, alt[:0], sc, ctx, now), pending
+		pending, alt = g.batchStep(&g.steps[si], reqs, out, pending, alt[:0], sc, ctx), pending
 	}
 	sc.a, sc.b = pending, alt
 
-	releaseCtx(ctx)
 	batchPool.Put(sc)
 
-	// Finalize every request in index order — the journal hook and the
-	// accounting a sequential Decide's finish() runs, with the round's
-	// totals folded into the gate counters in one atomic add per counter
-	// and telemetry recorded once per round (observeBatch).
+	// Finalize every request in index order — the journal and the
+	// accounting a sequential Decide runs, with the round's totals folded
+	// into the gate counters in one atomic add per counter and telemetry
+	// recorded once per round (observeBatch).
 	var admitted, denied, degraded uint64
 	for i := range reqs {
 		d := &out[i]
-		if g.onDecision != nil {
-			if !g.runDecisionHook(reqs[i].R, reqs[i].Info, d.Reason, now) {
-				d.Degraded |= 1 << LayerDecision
-				if g.guards[LayerDecision].policy == resilience.FailClosed && d.Reason == "" {
-					d.Reason, d.Status = ReasonDecision, http.StatusServiceUnavailable
-				}
-			}
-		}
+		ctx.r, ctx.info = reqs[i].R, reqs[i].Info
+		d.Reason, d.Status, d.Degraded = g.journal(ctx, d.Reason, d.Status, d.Degraded)
 		if d.Reason != "" {
 			denied++
 		} else {
@@ -103,6 +92,7 @@ func (g *Gate) DecideBatch(reqs []Request, out []Decision) []Decision {
 			degraded++
 		}
 	}
+	releaseCtx(ctx)
 	if admitted > 0 {
 		g.admitted.Add(admitted)
 	}
@@ -117,125 +107,90 @@ func (g *Gate) DecideBatch(reqs []Request, out []Decision) []Decision {
 }
 
 // batchStep advances one layer over the undecided requests, writing the
-// still-undecided indices into next and returning it. Built-in layers
-// snapshot the breaker once for the round; custom layers run the full
-// per-request guarded call.
-func (g *Gate) batchStep(st *layerStep, reqs []Request, out []Decision, pending, next []int32, sc *batchScratch, ctx *decisionCtx, now time.Time) []int32 {
+// still-undecided indices into next and returning it. The row picks the
+// strategy. Custom CheckFunc layers and hook-backed layers (challenge,
+// resource) run the full per-request guarded call, identical to
+// sequential decide. Infallible built-ins take one breaker-state snapshot
+// for the round — Allow is non-mutating while the breaker is closed, so
+// in the healthy state this is indistinguishable from per-request checks
+// — and record one aggregated outcome; those with a bulk limiter are
+// probed in one AllowBatch.
+func (g *Gate) batchStep(st *layerStep, reqs []Request, out []Decision, pending, next []int32, sc *batchScratch, ctx *decisionCtx) []int32 {
 	gd := &g.guards[st.layer]
-
-	// Custom CheckFunc layers and hook-backed layers (challenge,
-	// resource): per-request semantics, identical to sequential decide.
-	if !st.builtin {
-		for _, i := range pending {
-			if st.skipFor(&reqs[i].Info) {
-				next = append(next, i)
-				continue
-			}
-			ctx.r, ctx.info = reqs[i].R, reqs[i].Info
-			v, deg := g.runCheck(st, ctx)
-			out[i].Degraded |= deg
-			if v != st.passVal {
-				out[i].Reason, out[i].Status = st.reason, st.status
-			} else {
-				next = append(next, i)
-			}
-		}
-		return next
+	open := st.infallible && gd.breaker != nil && !gd.breaker.Allow(ctx.now)
+	if st.infallible && !open && st.bulk != nil {
+		return g.batchBulk(st, reqs, out, pending, next, sc, ctx.now)
 	}
-
-	// One breaker-state snapshot for the whole round. Allow is
-	// non-mutating while the breaker is closed, so in the healthy state
-	// this is indistinguishable from per-request checks.
-	if gd.breaker != nil && !gd.breaker.Allow(now) {
-		for _, i := range pending {
-			if st.skipFor(&reqs[i].Info) {
-				next = append(next, i)
-				continue
-			}
-			v, deg := gd.degrade(st.layer, st.passVal)
-			out[i].Degraded |= deg
-			if v != st.passVal {
-				out[i].Reason, out[i].Status = st.reason, st.status
-			} else {
-				next = append(next, i)
-			}
+	ok := true
+	for _, i := range pending {
+		if st.needsKey && reqs[i].Info.ClientKey == "" {
+			next = append(next, i)
+			continue
 		}
-		return next
-	}
-
-	switch st.kind {
-	case stepBlocklist, stepEntity, stepAccountGate, stepAccountLimit:
-		// The shared BlockList (and the entity graph and account store,
-		// same per-identity probe shape) synchronises internally and each
-		// request probes distinct identities, so bulk grouping buys
-		// nothing — but the round still shares the breaker snapshot above
-		// and records one aggregated outcome below.
-		ok := true
-		for _, i := range pending {
-			if st.skipFor(&reqs[i].Info) {
-				next = append(next, i)
-				continue
-			}
-			ctx.r, ctx.info = reqs[i].R, reqs[i].Info
-			v, err := g.safeCall(gd, st, ctx)
-			var deg uint8
-			if err != nil { // unreachable for the built-in list; guard stays honest
+		ctx.r, ctx.info = reqs[i].R, reqs[i].Info
+		var v bool
+		var deg uint8
+		switch {
+		case !st.infallible:
+			v, deg = g.runCheck(st, ctx)
+		case open:
+			v, deg = gd.degrade(st.layer, st.passVal)
+		default:
+			// The shared BlockList, the entity graph and the account store
+			// synchronise internally and each request probes distinct
+			// identities, so bulk grouping buys nothing.
+			var err error
+			if v, err = g.safeCall(gd, st, ctx); err != nil { // unreachable for the built-ins; guard stays honest
 				gd.errors.Add(1)
 				ok = false
 				v, deg = gd.degrade(st.layer, st.passVal)
 			}
-			out[i].Degraded |= deg
-			if v != st.passVal {
-				out[i].Reason, out[i].Status = st.reason, st.status
-			} else {
-				next = append(next, i)
-			}
 		}
-		if gd.breaker != nil {
-			gd.breaker.Record(now, ok)
+		out[i].Degraded |= deg
+		if v != st.passVal {
+			out[i].Reason, out[i].Status = st.reason, st.status
+		} else {
+			next = append(next, i)
 		}
-
-	case stepProfile, stepPath:
-		// Gather keys into the arena and bulk-probe the limiter: one
-		// hash per key, each shard lock taken at most once.
-		probe, keys, arena := sc.probe[:0], sc.keys[:0], sc.arena[:0]
-		for _, i := range pending {
-			if st.skipFor(&reqs[i].Info) {
-				next = append(next, i)
-				continue
-			}
-			off := len(arena)
-			if st.kind == stepProfile {
-				arena = append(arena, "pf:"...)
-				arena = append(arena, reqs[i].Info.ClientKey...)
-			} else {
-				arena = append(arena, "path:"...)
-				arena = append(arena, reqs[i].R.URL.Path...)
-			}
-			keys = append(keys, arena[off:len(arena):len(arena)])
-			probe = append(probe, i)
-		}
-		verdicts := sc.verdicts
-		if cap(verdicts) < len(keys) {
-			verdicts = make([]bool, len(keys))
-		}
-		verdicts = verdicts[:len(keys)]
-		lim := g.profile
-		if st.kind == stepPath {
-			lim = g.path
-		}
-		lim.AllowBatch(now, keys, verdicts)
-		if gd.breaker != nil {
-			gd.breaker.Record(now, true)
-		}
-		for j, i := range probe {
-			if verdicts[j] {
-				next = append(next, i)
-			} else {
-				out[i].Reason, out[i].Status = st.reason, st.status
-			}
-		}
-		sc.probe, sc.keys, sc.verdicts, sc.arena = probe, keys, verdicts, arena
 	}
+	if st.infallible && !open && gd.breaker != nil {
+		gd.breaker.Record(ctx.now, ok)
+	}
+	return next
+}
+
+// batchBulk is batchStep for a built-in keyed limiter behind a closed
+// breaker: it gathers the round's keys into the arena and bulk-probes the
+// limiter — one hash per key, each shard lock taken at most once.
+func (g *Gate) batchBulk(st *layerStep, reqs []Request, out []Decision, pending, next []int32, sc *batchScratch, now time.Time) []int32 {
+	lim, key := st.bulk(g)
+	probe, keys, arena := sc.probe[:0], sc.keys[:0], sc.arena[:0]
+	for _, i := range pending {
+		if st.needsKey && reqs[i].Info.ClientKey == "" {
+			next = append(next, i)
+			continue
+		}
+		off := len(arena)
+		arena = key(arena, reqs[i].R, &reqs[i].Info)
+		keys = append(keys, arena[off:len(arena):len(arena)])
+		probe = append(probe, i)
+	}
+	verdicts := sc.verdicts
+	if cap(verdicts) < len(keys) {
+		verdicts = make([]bool, len(keys))
+	}
+	verdicts = verdicts[:len(keys)]
+	lim.AllowBatch(now, keys, verdicts)
+	if gd := &g.guards[st.layer]; gd.breaker != nil {
+		gd.breaker.Record(now, true)
+	}
+	for j, i := range probe {
+		if verdicts[j] {
+			next = append(next, i)
+		} else {
+			out[i].Reason, out[i].Status = st.reason, st.status
+		}
+	}
+	sc.probe, sc.keys, sc.verdicts, sc.arena = probe, keys, verdicts, arena
 	return next
 }

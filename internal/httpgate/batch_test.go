@@ -8,53 +8,128 @@ import (
 	"testing"
 	"time"
 
+	"funabuse/internal/entitygraph"
 	"funabuse/internal/mitigate"
 	"funabuse/internal/obs"
+	"funabuse/internal/signal"
 	"funabuse/internal/simclock"
 )
 
-// batchFixture builds one fully loaded gate — blocklist, challenge hook,
-// profile/resource/path limiters, decision journal, resilience guards and
-// telemetry — plus the handles the equivalence test compares.
+// The seven check layers as bits of a batchFixture layer set.
+const (
+	fxBlocklist = 1 << iota
+	fxEntity
+	fxAccount
+	fxChallenge
+	fxProfile
+	fxResource
+	fxPath
+	fxAll = 1<<iota - 1
+	// fxClassic is the original fixture: the five layers that predate the
+	// entity and account ones.
+	fxClassic = fxBlocklist | fxChallenge | fxProfile | fxResource | fxPath
+)
+
+// batchFixture is one gate plus the handles the equivalence test
+// compares. Handles a fixture does not carry (nil registry, ring or
+// limiter) are skipped by the comparison.
 type batchFixture struct {
 	g       *Gate
 	clock   *simclock.Manual
 	reg     *obs.Registry
 	ring    *obs.TraceRing
 	journal []string
+	// The keyed limiters behind the profile, resource and path layers:
+	// the gate's built-ins, or the ones the custom CheckFuncs wrap.
+	limiters [3]*signal.Limiter
 }
 
-func newBatchFixture(t *testing.T) *batchFixture {
+// newBatchFixture builds a gate with the given subset of check layers on
+// — plus RequireFingerprint, the decision journal, resilience guards and
+// full telemetry — either over the built-in implementations or, with
+// custom, over the CheckFunc/TierFunc/ChallengeFunc seams wrapping
+// equivalent state.
+func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 	t.Helper()
 	f := &batchFixture{
 		clock: simclock.NewManual(t0),
 		reg:   obs.NewRegistry(),
 		ring:  obs.NewTraceRing(4096),
 	}
-	blocks := mitigate.NewBlockList(0)
-	blocks.Block("ip:10.0.0.5", t0)
-	blocks.Block("ck:user-8", t0)
-	f.g = New(Config{
-		Clock:  f.clock,
-		Blocks: blocks,
-		Challenge: func(r *http.Request, info ClientInfo) bool {
-			return r.Header.Get("X-Challenge") != "deny"
-		},
-		ProfileLimit:       3,
-		ProfileWindow:      time.Minute,
-		PathLimit:          40,
-		PathWindow:         time.Minute,
-		ResourceKey:        func(r *http.Request) string { return r.URL.Query().Get("pnr") },
-		ResourceLimit:      20,
-		ResourceWindow:     time.Minute,
+	cfg := Config{
+		Clock:              f.clock,
 		RequireFingerprint: true,
 		OnDecisionFunc: func(r *http.Request, info ClientInfo, deniedBy string) error {
 			f.journal = append(f.journal, info.ClientKey+"|"+r.URL.Path+"|"+deniedBy)
 			return nil
 		},
-	}, WithResilience(ResilienceConfig{}),
-		WithTelemetry(f.reg),
-		WithTraces(f.ring))
+	}
+	if layers&fxBlocklist != 0 {
+		blocks := mitigate.NewBlockList(0)
+		blocks.Block("ip:10.0.0.5", t0)
+		blocks.Block("ck:user-8", t0)
+		if custom {
+			cfg.BlocklistFunc = func(key string, now time.Time) (bool, error) { return blocks.Blocked(key, now), nil }
+		} else {
+			cfg.Blocks = blocks
+		}
+	}
+	if layers&fxEntity != 0 {
+		graph := entitygraph.New(entitygraph.Config{MinSize: 3, MinTypes: 2, FlagScore: 1})
+		graph.Observe([]string{"fp:6", "ip:10.0.0.4", "ck:user-5"}, 2)
+		if custom {
+			cfg.EntityCheck = func(key string, _ time.Time) (bool, error) { return graph.Flagged(key), nil }
+		} else {
+			cfg.Entities = graph
+		}
+	}
+	if layers&fxAccount != 0 {
+		tiers := tierMap{"user-1": 1, "user-2": 3}
+		cfg.Accounts = &AccountPolicy{
+			Restricted:  map[string]int{"/p/3": 1},
+			BaseLimit:   4,
+			Window:      time.Minute,
+			Multipliers: []int{1, 2, 4, 8},
+		}
+		if custom {
+			cfg.Accounts.TierFunc = func(key string, _ time.Time) (int, error) { return tiers[key], nil }
+		} else {
+			cfg.Accounts.Lookup = tiers
+		}
+	}
+	if layers&fxChallenge != 0 {
+		pass := func(r *http.Request, info ClientInfo) bool { return r.Header.Get("X-Challenge") != "deny" }
+		if custom {
+			cfg.ChallengeFunc = func(r *http.Request, info ClientInfo) (bool, error) { return pass(r, info), nil }
+		} else {
+			cfg.Challenge = pass
+		}
+	}
+	// limiter wires one keyed-limiter layer: the built-in via its limit
+	// and window, or a CheckFunc over an identical limiter of the test's.
+	limiter := func(slot, limit int, setLimit *int, window *time.Duration, check *CheckFunc) {
+		if !custom {
+			*setLimit, *window = limit, time.Minute
+			return
+		}
+		lim := signal.NewLimiter(signal.LimiterConfig{Window: time.Minute, Limit: limit})
+		f.limiters[slot] = lim
+		*check = func(key string, now time.Time) (bool, error) { return lim.Allow(key, now), nil }
+	}
+	if layers&fxProfile != 0 {
+		limiter(0, 3, &cfg.ProfileLimit, &cfg.ProfileWindow, &cfg.ProfileCheck)
+	}
+	if layers&fxResource != 0 {
+		cfg.ResourceKey = func(r *http.Request) string { return r.URL.Query().Get("pnr") }
+		limiter(1, 20, &cfg.ResourceLimit, &cfg.ResourceWindow, &cfg.ResourceCheck)
+	}
+	if layers&fxPath != 0 {
+		limiter(2, 40, &cfg.PathLimit, &cfg.PathWindow, &cfg.PathCheck)
+	}
+	f.g = New(cfg, WithResilience(ResilienceConfig{}), WithTelemetry(f.reg), WithTraces(f.ring))
+	if !custom {
+		f.limiters = [3]*signal.Limiter{f.g.profile, f.g.resource, f.g.path}
+	}
 	return f
 }
 
@@ -80,96 +155,187 @@ func batchStreamRequest(i int) Request {
 	return Request{R: r, Info: info}
 }
 
+// mixedStream is the first n requests of batchStreamRequest.
+func mixedStream(n int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
+		reqs[i] = batchStreamRequest(i)
+	}
+	return reqs
+}
+
+// entityBatchFixture and accountBatchFixture are the single-layer gates
+// (and streams) the entity and account layers were first checked with:
+// one round holding every request, resilience on, no telemetry.
+func entityBatchFixture(t *testing.T) *batchFixture {
+	clock := simclock.NewManual(t0)
+	return &batchFixture{clock: clock, g: New(Config{
+		Clock:      clock,
+		Entities:   flaggedGraph(t),
+		PathLimit:  1 << 30,
+		PathWindow: time.Hour,
+	}, WithResilience(ResilienceConfig{}))}
+}
+
+func entityBatchStream() []Request {
+	r := httptest.NewRequest(http.MethodPost, "/booking/hold", nil)
+	var reqs []Request
+	for _, info := range []ClientInfo{
+		{IP: "198.51.100.1", Fingerprint: 0xabc, HasFingerprint: true},
+		{IP: "198.51.100.2", Fingerprint: 0xdef, HasFingerprint: true},
+		{IP: "203.0.113.66"},
+		{IP: "198.51.100.3", ClientKey: "syn-1"},
+		{IP: "198.51.100.4", ClientKey: "user-9"},
+	} {
+		reqs = append(reqs, Request{R: r, Info: info})
+	}
+	return reqs
+}
+
+func accountBatchFixture(*testing.T) *batchFixture {
+	clock := simclock.NewManual(t0)
+	return &batchFixture{clock: clock, g: New(Config{
+		Clock:      clock,
+		PathLimit:  1 << 30,
+		PathWindow: time.Hour,
+	}, WithResilience(ResilienceConfig{}), WithAccounts(AccountPolicy{
+		Lookup:      tierMap{"vip": 3},
+		Restricted:  map[string]int{"/seatmap/bulk": 1},
+		BaseLimit:   1,
+		Window:      time.Hour,
+		Multipliers: []int{1, 2, 4, 8},
+	}))}
+}
+
+func accountBatchStream() []Request {
+	restricted := httptest.NewRequest(http.MethodGet, "/seatmap/bulk", nil)
+	open := httptest.NewRequest(http.MethodGet, "/search", nil)
+	return []Request{
+		{R: restricted, Info: ClientInfo{IP: "198.51.100.1", ClientKey: "guest-1"}},
+		{R: open, Info: ClientInfo{IP: "198.51.100.1", ClientKey: "guest-1"}},
+		{R: open, Info: ClientInfo{IP: "198.51.100.2"}},
+		{R: restricted, Info: ClientInfo{IP: "198.51.100.3", ClientKey: "vip"}},
+		{R: open, Info: ClientInfo{IP: "198.51.100.4", ClientKey: "guest-2"}},
+		{R: open, Info: ClientInfo{IP: "198.51.100.4", ClientKey: "guest-2"}},
+	}
+}
+
 // TestDecideBatchMatchesSequential is the batch API's golden equivalence
-// test: the same deterministic request stream — exercising every layer's
-// admit and deny paths, with resilience guards and full telemetry on —
-// through per-request Decide on one gate and through DecideBatch (batch
-// sizes 1, 7, 64) on a twin, with the clocks advanced in lockstep at
-// chunk boundaries. Verdicts must match request for request, and the
-// gates' counters, limiter denial totals, per-reason telemetry, trace
-// journals and decision journals must agree.
+// test: the same deterministic request stream through per-request Decide
+// on one gate and through DecideBatch on a twin, with the clocks advanced
+// in lockstep at chunk boundaries (assertBatchMatchesSequential lists
+// what must agree). The batch=N rows run the mixed stream — every classic
+// layer's admit and deny paths, resilience guards and full telemetry on —
+// at batch sizes 1, 7 and 64; the entity and account rows are those
+// layers' own fixtures; the seam rows repeat the mixed stream over every
+// on/off subset of the seven check layers, once on the built-in
+// implementations and once on the custom CheckFunc seams.
 func TestDecideBatchMatchesSequential(t *testing.T) {
+	classic := func(t *testing.T) *batchFixture { return newBatchFixture(t, fxClassic, false) }
 	for _, batch := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			seq := newBatchFixture(t)
-			bat := newBatchFixture(t)
-			const total = 256
-			out := make([]Decision, 0, batch)
-			for start := 0; start < total; start += batch {
-				end := min(start+batch, total)
-				reqs := make([]Request, 0, batch)
-				for i := start; i < end; i++ {
-					reqs = append(reqs, batchStreamRequest(i))
-				}
-				want := make([]Decision, len(reqs))
-				for j, rq := range reqs {
-					want[j] = seq.g.Decide(rq.R, rq.Info)
-				}
-				out = bat.g.DecideBatch(reqs, out)
-				for j := range reqs {
-					if out[j] != want[j] {
-						t.Fatalf("request %d: batch %+v, sequential %+v", start+j, out[j], want[j])
-					}
-				}
-				seq.clock.Advance(time.Second)
-				bat.clock.Advance(time.Second)
-			}
-
-			if a, b := seq.g.admitted.Load(), bat.g.admitted.Load(); a != b {
-				t.Fatalf("admitted diverge: sequential %d, batch %d", a, b)
-			}
-			if a, b := seq.g.denied.Load(), bat.g.denied.Load(); a != b {
-				t.Fatalf("denied diverge: sequential %d, batch %d", a, b)
-			}
-			if a, b := seq.g.degraded.Load(), bat.g.degraded.Load(); a != b {
-				t.Fatalf("degraded diverge: sequential %d, batch %d", a, b)
-			}
-			for _, lim := range []struct {
-				name     string
-				seq, bat uint64
-			}{
-				{"profile", seq.g.profile.Denials(), bat.g.profile.Denials()},
-				{"resource", seq.g.resource.Denials(), bat.g.resource.Denials()},
-				{"path", seq.g.path.Denials(), bat.g.path.Denials()},
-			} {
-				if lim.seq != lim.bat {
-					t.Fatalf("%s limiter denials diverge: sequential %d, batch %d", lim.name, lim.seq, lim.bat)
-				}
-			}
-
-			// Per-reason denial counters and the latency sample count.
-			sg, bg := seq.reg.Gather(), bat.reg.Gather()
-			for _, reason := range allReasons {
-				lbl := obs.Label{Name: "reason", Value: reason}
-				if a, b := findSample(t, sg, MetricDenials, lbl), findSample(t, bg, MetricDenials, lbl); a != b {
-					t.Fatalf("denials[%s] diverge: sequential %v, batch %v", reason, a, b)
-				}
-			}
-			if a, b := findSample(t, sg, MetricLatency+"_count"), findSample(t, bg, MetricLatency+"_count"); a != b {
-				t.Fatalf("latency counts diverge: sequential %v, batch %v", a, b)
-			}
-
-			// Decision journals: same entries in the same order.
-			if len(seq.journal) != len(bat.journal) {
-				t.Fatalf("journal lengths diverge: sequential %d, batch %d", len(seq.journal), len(bat.journal))
-			}
-			for i := range seq.journal {
-				if seq.journal[i] != bat.journal[i] {
-					t.Fatalf("journal[%d] diverges: sequential %q, batch %q", i, seq.journal[i], bat.journal[i])
-				}
-			}
-			// Trace journals: same verdict sequence.
-			ss, bs := seq.ring.Snapshot(), bat.ring.Snapshot()
-			if len(ss) != len(bs) {
-				t.Fatalf("trace lengths diverge: %d vs %d", len(ss), len(bs))
-			}
-			for i := range ss {
-				if ss[i].Verdict != bs[i].Verdict || ss[i].Path != bs[i].Path {
-					t.Fatalf("span %d diverges: sequential %s@%s, batch %s@%s",
-						i, ss[i].Verdict, ss[i].Path, bs[i].Verdict, bs[i].Path)
+			assertBatchMatchesSequential(t, "", classic, mixedStream(256), batch)
+		})
+	}
+	t.Run("entity", func(t *testing.T) {
+		reqs := entityBatchStream()
+		assertBatchMatchesSequential(t, "", entityBatchFixture, reqs, len(reqs))
+	})
+	t.Run("account", func(t *testing.T) {
+		reqs := accountBatchStream()
+		assertBatchMatchesSequential(t, "", accountBatchFixture, reqs, len(reqs))
+	})
+	for _, seam := range []string{"builtin", "custom"} {
+		t.Run("seam="+seam, func(t *testing.T) {
+			reqs := mixedStream(256)
+			for layers := 0; layers <= fxAll; layers++ {
+				build := func(t *testing.T) *batchFixture { return newBatchFixture(t, layers, seam == "custom") }
+				for _, batch := range []int{1, 7, 64} {
+					assertBatchMatchesSequential(t, fmt.Sprintf("layers %07b batch %d: ", layers, batch), build, reqs, batch)
 				}
 			}
 		})
+	}
+}
+
+// assertBatchMatchesSequential drives reqs in chunks of batch through
+// Decide on one fixture and DecideBatch on its twin. Verdicts must match
+// request for request, and the gates' counters, limiter denial totals,
+// per-reason and per-tier telemetry, trace journals and decision journals
+// must agree. what prefixes failure messages.
+func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing.T) *batchFixture, reqs []Request, batch int) {
+	t.Helper()
+	seq, bat := build(t), build(t)
+	out := make([]Decision, 0, batch)
+	for start := 0; start < len(reqs); start += batch {
+		chunk := reqs[start:min(start+batch, len(reqs))]
+		want := make([]Decision, len(chunk))
+		for j, rq := range chunk {
+			want[j] = seq.g.Decide(rq.R, rq.Info)
+		}
+		out = bat.g.DecideBatch(chunk, out)
+		for j := range chunk {
+			if out[j] != want[j] {
+				t.Fatalf("%srequest %d: batch %+v, sequential %+v", what, start+j, out[j], want[j])
+			}
+		}
+		seq.clock.Advance(time.Second)
+		bat.clock.Advance(time.Second)
+	}
+
+	if a, b := seq.g.admitted.Load(), bat.g.admitted.Load(); a != b {
+		t.Fatalf("%sadmitted diverge: sequential %d, batch %d", what, a, b)
+	}
+	if a, b := seq.g.denied.Load(), bat.g.denied.Load(); a != b {
+		t.Fatalf("%sdenied diverge: sequential %d, batch %d", what, a, b)
+	}
+	if a, b := seq.g.degraded.Load(), bat.g.degraded.Load(); a != b {
+		t.Fatalf("%sdegraded diverge: sequential %d, batch %d", what, a, b)
+	}
+	for i, name := range []string{"profile", "resource", "path"} {
+		if seq.limiters[i] == nil {
+			continue
+		}
+		if a, b := seq.limiters[i].Denials(), bat.limiters[i].Denials(); a != b {
+			t.Fatalf("%s%s limiter denials diverge: sequential %d, batch %d", what, name, a, b)
+		}
+	}
+
+	// Per-reason denial counters, per-tier account counters and the
+	// latency sample count.
+	if seq.reg != nil {
+		sg, bg := seq.reg.Gather(), bat.reg.Gather()
+		for _, s := range sg {
+			if s.Name != MetricDenials && s.Name != MetricAccountTier && s.Name != MetricLatency+"_count" {
+				continue
+			}
+			if b := findSample(t, bg, s.Name, s.Labels...); s.Value != b {
+				t.Fatalf("%s%s%v diverge: sequential %v, batch %v", what, s.Name, s.Labels, s.Value, b)
+			}
+		}
+	}
+
+	// Decision journals: same entries in the same order.
+	if len(seq.journal) != len(bat.journal) {
+		t.Fatalf("%sjournal lengths diverge: sequential %d, batch %d", what, len(seq.journal), len(bat.journal))
+	}
+	for i := range seq.journal {
+		if seq.journal[i] != bat.journal[i] {
+			t.Fatalf("%sjournal[%d] diverges: sequential %q, batch %q", what, i, seq.journal[i], bat.journal[i])
+		}
+	}
+	// Trace journals: same verdict sequence.
+	if seq.ring != nil {
+		ss, bs := seq.ring.Snapshot(), bat.ring.Snapshot()
+		if len(ss) != len(bs) {
+			t.Fatalf("%strace lengths diverge: %d vs %d", what, len(ss), len(bs))
+		}
+		for i := range ss {
+			if ss[i].Verdict != bs[i].Verdict || ss[i].Path != bs[i].Path {
+				t.Fatalf("%sspan %d diverges: sequential %s@%s, batch %s@%s",
+					what, i, ss[i].Verdict, ss[i].Path, bs[i].Verdict, bs[i].Path)
+			}
+		}
 	}
 }
 

@@ -68,7 +68,7 @@ func BenchmarkGateDecideSharded(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			g.decide(reqs[i%8], infos[i%512])
+			g.decideAt(reqs[i%8], infos[i%512], t0)
 			i++
 		}
 	})
@@ -94,7 +94,7 @@ func BenchmarkGateDecideResilient(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			g.decide(reqs[i%8], infos[i%512])
+			g.decideAt(reqs[i%8], infos[i%512], t0)
 			i++
 		}
 	})
@@ -196,7 +196,7 @@ func TestDecideResilientAddsNoAllocs(t *testing.T) {
 	info := ClientInfo{IP: "203.0.113.7", ClientKey: "user-1", Fingerprint: 0xabc, HasFingerprint: true}
 	measure := func(g *Gate) float64 {
 		return testing.AllocsPerRun(512, func() {
-			if reason, _, mask := g.decide(r, info); reason != "" || mask != 0 {
+			if reason, _, mask := g.decideAt(r, info, t0); reason != "" || mask != 0 {
 				t.Fatalf("reason %q mask %d", reason, mask)
 			}
 		})

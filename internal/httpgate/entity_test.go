@@ -107,37 +107,6 @@ func TestEntityCheckCustomAndPolicies(t *testing.T) {
 	}
 }
 
-func TestEntityBatchMatchesSequential(t *testing.T) {
-	build := func() *Gate {
-		return New(Config{
-			Clock:      simclock.NewManual(t0),
-			Entities:   flaggedGraph(t),
-			PathLimit:  1 << 30,
-			PathWindow: time.Hour,
-		}, WithResilience(ResilienceConfig{}))
-	}
-	r := httptest.NewRequest(http.MethodPost, "/booking/hold", nil)
-	infos := []ClientInfo{
-		{IP: "198.51.100.1", Fingerprint: 0xabc, HasFingerprint: true},
-		{IP: "198.51.100.2", Fingerprint: 0xdef, HasFingerprint: true},
-		{IP: "203.0.113.66"},
-		{IP: "198.51.100.3", ClientKey: "syn-1"},
-		{IP: "198.51.100.4", ClientKey: "user-9"},
-	}
-	var reqs []Request
-	for _, info := range infos {
-		reqs = append(reqs, Request{R: r, Info: info})
-	}
-	batch := build().DecideBatch(reqs, nil)
-	seq := build()
-	for i, req := range reqs {
-		want := seq.Decide(req.R, req.Info)
-		if batch[i] != want {
-			t.Fatalf("request %d: batch %+v vs sequential %+v", i, batch[i], want)
-		}
-	}
-}
-
 // TestEntityDecideZeroAllocs extends the zero-alloc acceptance criterion
 // to a gate with the entity layer enabled: the admitted hot path — now
 // including flagged-component lookups for fingerprint, IP and client key —
@@ -161,16 +130,16 @@ func TestEntityDecideZeroAllocs(t *testing.T) {
 // entityGate mirrors instrumentedGate with the entity layer enabled. The
 // graph holds a flagged component the probed identities do not touch, so
 // lookups walk the real read path.
-var entityGate = New(allocGateConfig,
-	WithClock(simclock.NewManual(t0)),
-	WithResilience(ResilienceConfig{}),
-	WithTelemetry(obs.NewRegistry()),
-	WithTraces(obs.NewTraceRing(1024)),
-	WithEntities(func() *entitygraph.Graph {
-		g := entitygraph.New(entitygraph.Config{MinSize: 3, MinTypes: 2, FlagScore: 1})
-		g.Observe([]string{"fp:dead", "ip:192.0.2.1", "ck:syn-9"}, 2)
-		return g
-	}()))
+var entityGate = func() *Gate {
+	cfg := allocGateConfig
+	graph := entitygraph.New(entitygraph.Config{MinSize: 3, MinTypes: 2, FlagScore: 1})
+	graph.Observe([]string{"fp:dead", "ip:192.0.2.1", "ck:syn-9"}, 2)
+	cfg.Entities = graph
+	return New(cfg,
+		WithResilience(ResilienceConfig{}),
+		WithTelemetry(obs.NewRegistry()),
+		WithTraces(obs.NewTraceRing(1024)))
+}()
 
 // BenchmarkGateDecideEntity is the instrumented admitted path with the
 // entity-linkage layer enabled — three flagged-component lookups on top of

@@ -12,22 +12,26 @@
 //     site's client-side collector script;
 //   - the client key is the session cookie or authenticated profile.
 //
-// The gate enforces, in order: blocklists (fingerprint, IP, client key),
-// a challenge hook, then rate limits keyed per client profile, per
-// caller-chosen resource (e.g. a booking reference) and per path. Denials
-// are returned as 403/429 with machine-readable reason headers so that
-// downstream analytics — and honest clients — can tell the layers apart.
+// The gate enforces eight layers, in order: blocklists (fingerprint, IP,
+// client key), the entity-linkage screen over the same identities, the
+// account layer (per-tier feature access, then per-tier rate), a
+// challenge hook, rate limits keyed per client profile, per caller-chosen
+// resource (e.g. a booking reference) and per path, and last the decision
+// journal. Denials are returned as 403/429 (503 for a fail-closed
+// journal) with machine-readable reason headers so that downstream
+// analytics — and honest clients — can tell the layers apart.
 //
 // # Hot path
 //
 // The admitted path is allocation-free: each decision borrows a pooled
 // scratch context (attribution, key-assembly buffer, the decision's
-// shared clock reading), the layer order with its call adapters, fail
-// policies and denial reasons is resolved once at construction into a
-// step table, and built-in layers are probed with byte keys assembled in
-// scratch space. Callers holding many requests use DecideBatch, which
-// additionally shares one clock read and one breaker-state snapshot per
-// round and probes the built-in limiters in bulk.
+// shared clock reading), the enabled rows of the package's layer table
+// (layers.go: order, call adapters, fail policies, denial reasons) are
+// resolved once at construction into a step table, and built-in layers
+// are probed with byte keys assembled in scratch space. Callers holding
+// many requests use DecideBatch, which additionally shares one clock read
+// and one breaker-state snapshot per round and probes the built-in
+// limiters in bulk.
 //
 // # Resilience
 //
@@ -98,62 +102,6 @@ const (
 	// deployments).
 	ReasonDecision = "decision-journal"
 )
-
-// Layer identifies one guarded stage of the pipeline.
-type Layer int
-
-// Pipeline layers, in evaluation order.
-const (
-	LayerBlocklist Layer = iota
-	LayerEntity
-	LayerAccount
-	LayerChallenge
-	LayerProfile
-	LayerResource
-	LayerPath
-	LayerDecision
-	numLayers
-)
-
-// String names the layer as reported in DegradedHeader.
-func (l Layer) String() string {
-	switch l {
-	case LayerBlocklist:
-		return "blocklist"
-	case LayerEntity:
-		return "entity"
-	case LayerAccount:
-		return "account"
-	case LayerChallenge:
-		return "challenge"
-	case LayerProfile:
-		return "profile"
-	case LayerResource:
-		return "resource"
-	case LayerPath:
-		return "path"
-	case LayerDecision:
-		return "decision"
-	default:
-		return "unknown"
-	}
-}
-
-// degradedNames[mask] is the DegradedHeader value for each combination of
-// degraded layers, precomputed so the degraded path does not rebuild it.
-var degradedNames = func() [1 << numLayers]string {
-	var names [1 << numLayers]string
-	for mask := 1; mask < len(names); mask++ {
-		var parts []string
-		for l := LayerBlocklist; l < numLayers; l++ {
-			if mask&(1<<l) != 0 {
-				parts = append(parts, l.String())
-			}
-		}
-		names[mask] = strings.Join(parts, ",")
-	}
-	return names
-}()
 
 // ClientInfo is the gate's view of one request's origin.
 type ClientInfo struct {
@@ -325,54 +273,31 @@ type layerGuard struct {
 	degraded atomic.Uint64
 }
 
-// stepKind selects a layer step's call adapter and its batch strategy.
-type stepKind uint8
-
-const (
-	stepBlocklist stepKind = iota
-	stepEntity
-	stepAccountGate
-	stepAccountLimit
-	stepChallenge
-	stepProfile
-	stepResource
-	stepPath
-)
-
-// layerStep is one enabled pipeline stage, fully resolved at New time:
-// evaluation order is the table order, the call adapter is a static
-// function value, and the denial reason and status are bound here so the
-// hot path never rebuilds or re-derives them per request.
+// layerStep is one enabled pipeline stage: its layerTable row, copied so
+// the hot path reads the call adapter, continue verdict and denial
+// reason/status without a further indirection, plus what New resolved
+// against this gate's configuration.
 type layerStep struct {
-	kind  stepKind
-	layer Layer
-	// passVal is the verdict that lets the request continue — false for
-	// the blocklist ("not blocked"), true for challenge and the limiters
-	// ("allowed"). It doubles as the FailOpen resolution of an
-	// unavailable layer.
-	passVal bool
-	// builtin marks an infallible in-process layer (the shared BlockList
-	// or a built-in sharded limiter). DecideBatch snapshots a built-in
-	// layer's breaker once per round and probes the limiters in bulk;
-	// custom checks — the remote-lookup and fault-injection seam — keep
-	// per-request breaker semantics.
-	builtin bool
-	call    func(*Gate, *decisionCtx) (bool, error)
-	reason  string
-	status  int
+	layerRow
+	// infallible is the row's builtin predicate evaluated for this gate:
+	// DecideBatch shares one breaker snapshot per round across such a
+	// step, and probes it in bulk when the row names a bulk limiter.
+	infallible bool
 }
 
 // decisionCtx is the pooled per-decision scratch: the request under
-// evaluation, its attribution, the decision's shared clock reading and a
-// key-assembly buffer. Pooling it keeps the admitted hot path free of
+// evaluation, its attribution, the decision's shared clock reading, a
+// key-assembly buffer and, once the check steps have run, the verdict the
+// journal step records. Pooling it keeps the admitted hot path free of
 // heap allocations. A context never outlives the decision that borrowed
 // it: every layer call runs under panic isolation (safeCall), so no
 // panic can carry a pooled context out of decide before it is released.
 type decisionCtx struct {
-	r    *http.Request
-	info ClientInfo
-	now  time.Time
-	buf  []byte
+	r      *http.Request
+	info   ClientInfo
+	now    time.Time
+	buf    []byte
+	reason string
 }
 
 // ctxBufCap is the key scratch's initial capacity; buffers grown past
@@ -396,8 +321,7 @@ func acquireCtx(r *http.Request, info ClientInfo, now time.Time) *decisionCtx {
 // releaseCtx returns ctx to the pool, dropping request references so the
 // pool never pins request memory between decisions.
 func releaseCtx(ctx *decisionCtx) {
-	ctx.r = nil
-	ctx.info = ClientInfo{}
+	ctx.r, ctx.info, ctx.reason = nil, ClientInfo{}, ""
 	if cap(ctx.buf) > ctxBufMax {
 		ctx.buf = make([]byte, 0, ctxBufCap)
 	}
@@ -417,34 +341,24 @@ type Gate struct {
 	clock simclock.Clock
 
 	// Built-in layer state; nil when the layer is disabled or replaced by
-	// a custom CheckFunc. The built-ins are the byte-keyed fast path.
-	blocks   *mitigate.BlockList
-	entities EntityLookup
-	path     *signal.Limiter
-	profile  *signal.Limiter
-	resource *signal.Limiter
+	// a custom CheckFunc (read straight from cfg). The built-ins are the
+	// byte-keyed fast path.
+	blockProbe  byteProbe
+	entityProbe byteProbe
+	path        *signal.Limiter
+	profile     *signal.Limiter
+	resource    *signal.Limiter
 
-	// Account layer state: the normalized policy, the per-tier limiter
-	// table, and which account step owns the per-tier telemetry counter
-	// (so a request's tier is counted exactly once when both account
-	// steps are enabled).
-	accounts       *AccountPolicy
-	accountLims    [numAccountTiers]*signal.Limiter
-	accountCountIn stepKind
+	// Account layer state: the normalized policy, the per-tier limiters.
+	accounts    *AccountPolicy
+	accountLims [numAccountTiers]*signal.Limiter
 
-	// Custom fallible layer calls; nil means the built-in (or nothing)
-	// serves the layer.
-	blockCheck    CheckFunc
-	entityCheck   CheckFunc
-	challenge     func(r *http.Request, info ClientInfo) (bool, error)
-	pathCheck     CheckFunc
-	profileCheck  CheckFunc
-	resourceCheck CheckFunc
-	onDecision    func(r *http.Request, info ClientInfo, deniedBy string) error
+	// journalStep is the journal row, resolved like a step; nil without
+	// a decision hook.
+	journalStep *layerStep
 
-	// steps is the pre-resolved pipeline: only enabled layers appear, in
-	// evaluation order, with their call adapters and denial verdicts
-	// bound at construction.
+	// steps is the pre-resolved pipeline: the enabled layerTable rows, in
+	// table order.
 	steps []layerStep
 
 	guards [numLayers]layerGuard
@@ -458,161 +372,66 @@ type Gate struct {
 	tel *gateTelemetry
 }
 
-// New builds a Gate from cfg, then applies opts in order. Options are the
-// growth surface for cross-cutting concerns (WithClock, WithResilience,
+// New builds a Gate from cfg, then applies opts in order. Options carry
+// the cross-cutting concerns Config has no field for (WithResilience,
 // WithTelemetry, ...); plain New(cfg) construction keeps working.
 func New(cfg Config, opts ...Option) *Gate {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	g := &Gate{cfg: cfg, clock: clock}
-
-	g.blockCheck = cfg.BlocklistFunc
-	if g.blockCheck == nil && cfg.Blocks != nil {
-		g.blocks = cfg.Blocks
-	}
-	g.entityCheck = cfg.EntityCheck
-	if g.entityCheck == nil && cfg.Entities != nil {
-		g.entities = cfg.Entities
-	}
-	g.challenge = cfg.ChallengeFunc
-	if g.challenge == nil && cfg.Challenge != nil {
-		hook := cfg.Challenge
-		g.challenge = func(r *http.Request, info ClientInfo) (bool, error) {
-			return hook(r, info), nil
-		}
-	}
-	g.onDecision = cfg.OnDecisionFunc
-	if g.onDecision == nil && cfg.OnDecision != nil {
-		hook := cfg.OnDecision
-		g.onDecision = func(r *http.Request, info ClientInfo, deniedBy string) error {
-			hook(r, info, deniedBy)
-			return nil
-		}
+	g := &Gate{cfg: cfg, clock: cfg.Clock}
+	if g.clock == nil {
+		g.clock = simclock.Real{}
 	}
 
-	g.pathCheck = cfg.PathCheck
-	if g.pathCheck == nil && cfg.PathLimit > 0 {
-		g.path = signal.NewLimiter(signal.LimiterConfig{
-			Window: cfg.PathWindow, Limit: cfg.PathLimit,
-			Buckets: cfg.WindowBuckets, Shards: cfg.Shards,
-		})
+	if cfg.BlocklistFunc == nil && cfg.Blocks != nil {
+		g.blockProbe = cfg.Blocks.BlockedBytes
 	}
-	g.profileCheck = cfg.ProfileCheck
-	if g.profileCheck == nil && cfg.ProfileLimit > 0 {
-		g.profile = signal.NewLimiter(signal.LimiterConfig{
-			Window: cfg.ProfileWindow, Limit: cfg.ProfileLimit,
-			Buckets: cfg.WindowBuckets, Shards: cfg.Shards,
-		})
+	if lookup := cfg.Entities; cfg.EntityCheck == nil && lookup != nil {
+		g.entityProbe = func(key []byte, _ time.Time) bool { return lookup.FlaggedBytes(key) }
 	}
-	g.resourceCheck = cfg.ResourceCheck
-	if g.resourceCheck == nil && cfg.ResourceLimit > 0 {
-		g.resource = signal.NewLimiter(signal.LimiterConfig{
-			Window: cfg.ResourceWindow, Limit: cfg.ResourceLimit,
-			Buckets: cfg.WindowBuckets, Shards: cfg.Shards,
-		})
-	}
+	g.path = g.newLimiter(cfg.PathCheck, cfg.PathLimit, cfg.PathWindow)
+	g.profile = g.newLimiter(cfg.ProfileCheck, cfg.ProfileLimit, cfg.ProfileWindow)
+	g.resource = g.newLimiter(cfg.ResourceCheck, cfg.ResourceLimit, cfg.ResourceWindow)
 	g.buildAccounts()
 
-	g.buildSteps()
-
-	if rc := cfg.Resilience; rc != nil {
-		policies := [numLayers]resilience.Policy{
-			LayerBlocklist: rc.Blocklist,
-			LayerEntity:    rc.Entity,
-			LayerAccount:   rc.Account,
-			LayerChallenge: rc.Challenge,
-			LayerProfile:   rc.Profile,
-			LayerResource:  rc.Resource,
-			LayerPath:      rc.Path,
-			LayerDecision:  rc.Decision,
+	// Resolve the step table: one entry per enabled row, in table order,
+	// the trailing journal row held apart because it runs after the
+	// verdict. With a ResilienceConfig every layer takes its fail policy
+	// and every enabled one its own breaker.
+	rc := cfg.Resilience
+	for i := range layerTable {
+		row := &layerTable[i]
+		if rc != nil {
+			g.guards[row.layer].policy = row.policy(rc)
 		}
-		for l := LayerBlocklist; l < numLayers; l++ {
-			g.guards[l].policy = policies[l]
+		if !row.enabled(g) {
+			continue
 		}
-		for i := range g.steps {
-			g.guards[g.steps[i].layer].breaker = resilience.NewBreaker(rc.Breaker)
+		if rc != nil {
+			g.guards[row.layer].breaker = resilience.NewBreaker(rc.Breaker)
 		}
-		if g.onDecision != nil {
-			g.guards[LayerDecision].breaker = resilience.NewBreaker(rc.Breaker)
+		step := layerStep{layerRow: *row, infallible: row.builtin != nil && row.builtin(g)}
+		if row.layer == LayerDecision {
+			g.journalStep = &step
+		} else {
+			g.steps = append(g.steps, step)
 		}
 	}
 	g.initTelemetry(cfg.telemetry, cfg.traces)
 	return g
 }
 
-// buildSteps resolves the decision table: one entry per enabled layer in
-// evaluation order, each carrying its static call adapter, continue
-// verdict and denial reason/status.
-func (g *Gate) buildSteps() {
-	if g.blocks != nil || g.blockCheck != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepBlocklist, layer: LayerBlocklist, passVal: false,
-			builtin: g.blocks != nil, call: callBlocklist,
-			reason: ReasonBlocklist, status: http.StatusForbidden,
-		})
+// newLimiter builds a layer's built-in sharded limiter; nil when a custom
+// check replaces it or the limit disables the layer.
+func (g *Gate) newLimiter(custom CheckFunc, limit int, window time.Duration) *signal.Limiter {
+	if custom != nil || limit <= 0 {
+		return nil
 	}
-	if g.entities != nil || g.entityCheck != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepEntity, layer: LayerEntity, passVal: false,
-			builtin: g.entities != nil, call: callEntity,
-			reason: ReasonEntity, status: http.StatusForbidden,
-		})
-	}
-	if p := g.accounts; p != nil {
-		// A custom TierFunc is the remote-lookup/fault-injection seam, so
-		// it keeps per-request breaker semantics in batch rounds.
-		builtin := p.TierFunc == nil
-		g.accountCountIn = stepAccountLimit
-		if len(p.Restricted) > 0 {
-			g.accountCountIn = stepAccountGate
-			g.steps = append(g.steps, layerStep{
-				kind: stepAccountGate, layer: LayerAccount, passVal: true,
-				builtin: builtin, call: callAccountGate,
-				reason: ReasonAccountTier, status: http.StatusForbidden,
-			})
-		}
-		if p.BaseLimit > 0 {
-			g.steps = append(g.steps, layerStep{
-				kind: stepAccountLimit, layer: LayerAccount, passVal: true,
-				builtin: builtin, call: callAccountLimit,
-				reason: ReasonAccountLimit, status: http.StatusTooManyRequests,
-			})
-		}
-	}
-	if g.challenge != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepChallenge, layer: LayerChallenge, passVal: true,
-			call: callChallenge, reason: ReasonChallenge, status: http.StatusForbidden,
-		})
-	}
-	if g.profile != nil || g.profileCheck != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepProfile, layer: LayerProfile, passVal: true,
-			builtin: g.profile != nil, call: callProfile,
-			reason: ReasonProfile, status: http.StatusTooManyRequests,
-		})
-	}
-	// The resource step stays non-builtin even over the built-in limiter:
-	// its key extractor is an operator hook, so batch rounds keep
-	// per-request guard semantics around it.
-	if (g.resource != nil || g.resourceCheck != nil) && g.cfg.ResourceKey != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepResource, layer: LayerResource, passVal: true,
-			call: callResource, reason: ReasonResource, status: http.StatusTooManyRequests,
-		})
-	}
-	if g.path != nil || g.pathCheck != nil {
-		g.steps = append(g.steps, layerStep{
-			kind: stepPath, layer: LayerPath, passVal: true,
-			builtin: g.path != nil, call: callPath,
-			reason: ReasonPathLimit, status: http.StatusTooManyRequests,
-		})
-	}
+	return signal.NewLimiter(signal.LimiterConfig{
+		Window: window, Limit: limit,
+		Buckets: g.cfg.WindowBuckets, Shards: g.cfg.Shards,
+	})
 }
 
 // Breaker exposes a layer's breaker for tests and dashboards; nil without
@@ -622,7 +441,7 @@ func (g *Gate) Breaker(l Layer) *resilience.Breaker { return g.guards[l].breaker
 // Wrap returns next guarded by the gate.
 func (g *Gate) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := g.Decide(r, g.client(r))
+		d := g.Decide(r, g.Client(r))
 		if d.Degraded != 0 {
 			w.Header().Set(DegradedHeader, degradedNames[d.Degraded])
 		}
@@ -644,82 +463,43 @@ func (g *Gate) Wrap(next http.Handler) http.Handler {
 func (g *Gate) Decide(r *http.Request, info ClientInfo) Decision {
 	now := g.clock.Now()
 	reason, status, mask := g.decideAt(r, info, now)
-	return g.finish(r, info, now, reason, status, mask)
-}
-
-// Client extracts the gate's view of the request's origin — the
-// attribution Wrap computes before deciding, exported for Decide and
-// DecideBatch callers.
-func (g *Gate) Client(r *http.Request) ClientInfo { return g.client(r) }
-
-// finish runs the decision journal and the accounting shared by Wrap,
-// Decide and DecideBatch: the journal hook behind its guard, the
-// admit/deny/degraded counters, and the telemetry record.
-func (g *Gate) finish(r *http.Request, info ClientInfo, start time.Time, reason string, status int, mask uint8) Decision {
-	if g.onDecision != nil {
-		if !g.runDecisionHook(r, info, reason, start) {
-			mask |= 1 << LayerDecision
-			if g.guards[LayerDecision].policy == resilience.FailClosed && reason == "" {
-				reason, status = ReasonDecision, http.StatusServiceUnavailable
-			}
-		}
-	}
 	if reason != "" {
 		g.denied.Add(1)
 	} else {
 		g.admitted.Add(1)
 	}
-	g.observeDecision(start, r.URL.Path, reason, mask)
+	g.observeDecision(now, r.URL.Path, reason, mask)
 	if mask != 0 {
 		g.degraded.Add(1)
 	}
 	return Decision{Reason: reason, Status: status, Degraded: mask}
 }
 
-// runDecisionHook journals the decision behind the decision layer's guard,
-// reporting whether the journal write succeeded.
-func (g *Gate) runDecisionHook(r *http.Request, info ClientInfo, reason string, now time.Time) bool {
-	gd := &g.guards[LayerDecision]
-	if gd.breaker != nil && !gd.breaker.Allow(now) {
-		gd.degraded.Add(1)
-		return false
-	}
-	err := g.safeDecision(gd, r, info, reason)
-	if gd.breaker != nil {
-		gd.breaker.Record(now, err == nil)
-	}
-	if err != nil {
-		gd.errors.Add(1)
-		gd.degraded.Add(1)
-		return false
-	}
-	return true
-}
-
-// safeDecision invokes the decision hook with panic isolation.
-func (g *Gate) safeDecision(gd *layerGuard, r *http.Request, info ClientInfo, reason string) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			gd.panics.Add(1)
-			err = &resilience.PanicError{Value: p}
-		}
-	}()
-	return g.onDecision(r, info, reason)
-}
-
-// decide runs the layers in order, returning the denial reason, HTTP
-// status and the degraded-layer bitmask, or ("", 0, mask) to admit.
-func (g *Gate) decide(r *http.Request, info ClientInfo) (string, int, uint8) {
-	return g.decideAt(r, info, g.clock.Now())
-}
-
-// decideAt is decide with the clock reading hoisted out, so batch callers
-// share one reading across a round.
+// decideAt runs the layers in order and then the journal, at the caller's
+// clock reading, returning the denial reason, HTTP status and the
+// degraded-layer bitmask, or ("", 0, mask) to admit.
 func (g *Gate) decideAt(r *http.Request, info ClientInfo, now time.Time) (string, int, uint8) {
 	ctx := acquireCtx(r, info, now)
 	reason, status, mask := g.run(ctx)
+	reason, status, mask = g.journal(ctx, reason, status, mask)
 	releaseCtx(ctx)
 	return reason, status, mask
+}
+
+// journal records ctx's request and the verdict the check steps reached
+// through the decision hook, as one more guarded step. An unavailable
+// journal — breaker open, error or panic — is marked degraded and, under
+// FailClosed, turns an admit into the journal row's denial.
+func (g *Gate) journal(ctx *decisionCtx, reason string, status int, mask uint8) (string, int, uint8) {
+	if g.journalStep == nil {
+		return reason, status, mask
+	}
+	ctx.reason = reason
+	ok, deg := g.runCheck(g.journalStep, ctx)
+	if !ok && reason == "" {
+		reason, status = g.journalStep.reason, g.journalStep.status
+	}
+	return reason, status, mask | deg
 }
 
 // run evaluates the pre-resolved step table against ctx.
@@ -730,7 +510,7 @@ func (g *Gate) run(ctx *decisionCtx) (string, int, uint8) {
 	}
 	for i := range g.steps {
 		st := &g.steps[i]
-		if st.skipFor(&ctx.info) {
+		if st.needsKey && ctx.info.ClientKey == "" {
 			continue
 		}
 		v, deg := g.runCheck(st, ctx)
@@ -783,147 +563,10 @@ func (g *Gate) safeCall(gd *layerGuard, st *layerStep, ctx *decisionCtx) (v bool
 	return st.call(g, ctx)
 }
 
-// callBlocklist screens the request's identities against the deny list,
-// stopping at the first hit or error. The built-in list is probed with
-// byte keys assembled in the context's scratch buffer; a custom
-// BlocklistFunc receives the same prefixed keys as strings.
-func callBlocklist(g *Gate, ctx *decisionCtx) (bool, error) {
-	info := &ctx.info
-	if g.blocks != nil {
-		if info.HasFingerprint {
-			buf := append(ctx.buf[:0], "fp:"...)
-			buf = strconv.AppendUint(buf, info.Fingerprint, 16)
-			ctx.buf = buf
-			if g.blocks.BlockedBytes(buf, ctx.now) {
-				return true, nil
-			}
-		}
-		buf := append(ctx.buf[:0], "ip:"...)
-		buf = append(buf, info.IP...)
-		ctx.buf = buf
-		if g.blocks.BlockedBytes(buf, ctx.now) {
-			return true, nil
-		}
-		if info.ClientKey != "" {
-			buf = append(ctx.buf[:0], "ck:"...)
-			buf = append(buf, info.ClientKey...)
-			ctx.buf = buf
-			if g.blocks.BlockedBytes(buf, ctx.now) {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	if info.HasFingerprint {
-		blocked, err := g.blockCheck("fp:"+strconv.FormatUint(info.Fingerprint, 16), ctx.now)
-		if blocked || err != nil {
-			return blocked, err
-		}
-	}
-	blocked, err := g.blockCheck("ip:"+info.IP, ctx.now)
-	if blocked || err != nil {
-		return blocked, err
-	}
-	if info.ClientKey != "" {
-		return g.blockCheck("ck:"+info.ClientKey, ctx.now)
-	}
-	return false, nil
-}
-
-// callEntity screens the request's identities against the flagged
-// entity-linkage components, stopping at the first hit or error. Keys are
-// assembled exactly as for the blocklist: byte keys in the context's
-// scratch for the in-process graph, prefixed strings for a custom
-// EntityCheck.
-func callEntity(g *Gate, ctx *decisionCtx) (bool, error) {
-	info := &ctx.info
-	if g.entities != nil {
-		if info.HasFingerprint {
-			buf := append(ctx.buf[:0], "fp:"...)
-			buf = strconv.AppendUint(buf, info.Fingerprint, 16)
-			ctx.buf = buf
-			if g.entities.FlaggedBytes(buf) {
-				return true, nil
-			}
-		}
-		buf := append(ctx.buf[:0], "ip:"...)
-		buf = append(buf, info.IP...)
-		ctx.buf = buf
-		if g.entities.FlaggedBytes(buf) {
-			return true, nil
-		}
-		if info.ClientKey != "" {
-			buf = append(ctx.buf[:0], "ck:"...)
-			buf = append(buf, info.ClientKey...)
-			ctx.buf = buf
-			if g.entities.FlaggedBytes(buf) {
-				return true, nil
-			}
-		}
-		return false, nil
-	}
-	if info.HasFingerprint {
-		flagged, err := g.entityCheck("fp:"+strconv.FormatUint(info.Fingerprint, 16), ctx.now)
-		if flagged || err != nil {
-			return flagged, err
-		}
-	}
-	flagged, err := g.entityCheck("ip:"+info.IP, ctx.now)
-	if flagged || err != nil {
-		return flagged, err
-	}
-	if info.ClientKey != "" {
-		return g.entityCheck("ck:"+info.ClientKey, ctx.now)
-	}
-	return false, nil
-}
-
-// callChallenge invokes the challenge hook.
-func callChallenge(g *Gate, ctx *decisionCtx) (bool, error) {
-	return g.challenge(ctx.r, ctx.info)
-}
-
-// callProfile probes the per-client-key limiter.
-func callProfile(g *Gate, ctx *decisionCtx) (bool, error) {
-	if g.profile != nil {
-		buf := append(ctx.buf[:0], "pf:"...)
-		buf = append(buf, ctx.info.ClientKey...)
-		ctx.buf = buf
-		return g.profile.AllowBytes(buf, ctx.now), nil
-	}
-	return g.profileCheck("pf:"+ctx.info.ClientKey, ctx.now)
-}
-
-// callResource probes the per-resource limiter. Key extraction is an
-// operator hook: it runs inside the guard so its panics degrade the layer
-// rather than the goroutine.
-func callResource(g *Gate, ctx *decisionCtx) (bool, error) {
-	key := g.cfg.ResourceKey(ctx.r)
-	if key == "" {
-		return true, nil
-	}
-	if g.resource != nil {
-		buf := append(ctx.buf[:0], "rs:"...)
-		buf = append(buf, key...)
-		ctx.buf = buf
-		return g.resource.AllowBytes(buf, ctx.now), nil
-	}
-	return g.resourceCheck("rs:"+key, ctx.now)
-}
-
-// callPath probes the per-path limiter.
-func callPath(g *Gate, ctx *decisionCtx) (bool, error) {
-	if g.path != nil {
-		buf := append(ctx.buf[:0], "path:"...)
-		buf = append(buf, ctx.r.URL.Path...)
-		ctx.buf = buf
-		return g.path.AllowBytes(buf, ctx.now), nil
-	}
-	return g.pathCheck("path:"+ctx.r.URL.Path, ctx.now)
-}
-
-// client extracts attribution from the request.
-func (g *Gate) client(r *http.Request) ClientInfo {
+// Client extracts the gate's view of the request's origin — the
+// attribution Wrap computes before deciding, exported for Decide and
+// DecideBatch callers.
+func (g *Gate) Client(r *http.Request) ClientInfo {
 	var info ClientInfo
 
 	info.IP = remoteIP(r, g.cfg.TrustForwardedFor)

@@ -1,20 +1,12 @@
 package httpgate
 
-import (
-	"funabuse/internal/obs"
-	"funabuse/internal/simclock"
-)
+import "funabuse/internal/obs"
 
-// Option tunes a Gate at construction. Options exist so cross-cutting
-// concerns (clock, resilience, telemetry, sharding) stop growing the
-// monolithic Config struct: New(cfg) keeps compiling unchanged, and new
-// capabilities arrive as WithX options instead of new Config fields.
+// Option tunes a Gate at construction. Options carry the cross-cutting
+// concerns (resilience, telemetry, tracing, the account policy) that
+// Config either has no exported field for or takes by pointer; every
+// other setting has exactly one way in, its Config field.
 type Option func(*Config)
-
-// WithClock supplies the gate's time source (overrides Config.Clock).
-func WithClock(c simclock.Clock) Option {
-	return func(cfg *Config) { cfg.Clock = c }
-}
 
 // WithResilience puts every enabled fallible layer behind its own circuit
 // breaker with rc's fail policies (overrides Config.Resilience).
@@ -49,29 +41,10 @@ func WithTraces(ring *obs.TraceRing) Option {
 	return func(cfg *Config) { cfg.traces = ring }
 }
 
-// WithEntities enables the entity-linkage layer over lookup (overrides
-// Config.Entities): requests whose fingerprint, IP or client key sits in
-// a flagged linkage component are denied with 403/entity-graph.
-func WithEntities(lookup EntityLookup) Option {
-	return func(cfg *Config) { cfg.Entities = lookup }
-}
-
 // WithAccounts enables the account-lifecycle layer under p (overrides
 // Config.Accounts): the client key's loyalty tier gates feature access
 // (Restricted paths, 403/account-tier) and scales the per-key rate
 // allowance (BaseLimit x Multipliers[tier], 429/rate-limit-account).
 func WithAccounts(p AccountPolicy) Option {
 	return func(cfg *Config) { cfg.Accounts = &p }
-}
-
-// WithShards sets the lock-stripe count for each rate-limiting layer
-// (overrides Config.Shards).
-func WithShards(n int) Option {
-	return func(cfg *Config) { cfg.Shards = n }
-}
-
-// WithWindowBuckets sets the expiry granularity of the limiter bucket
-// rings (overrides Config.WindowBuckets).
-func WithWindowBuckets(n int) Option {
-	return func(cfg *Config) { cfg.WindowBuckets = n }
 }

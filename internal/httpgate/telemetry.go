@@ -29,81 +29,47 @@ const (
 
 // gateTelemetry holds the gate's live metric handles, pre-resolved at
 // construction so the serving path touches only atomics. The denial
-// counters live in a fixed table indexed by reasonIndex — resolving a
-// reason to its counter is a switch and an array load, with no map hash
-// on the denial path.
+// counters live in a table indexed by reasonIndex — resolving a reason to
+// its counter is a scan of the layer table's reasons and a slice load,
+// with no map hash on the denial path. Every counter exists
+// (at zero) from the first scrape.
 type gateTelemetry struct {
 	latency *obs.Histogram
-	denials [len(allReasons)]*obs.Counter
+	denials []*obs.Counter
 	tiers   [numAccountTiers]*obs.Counter
 	traces  *obs.TraceRing
 }
 
-// allReasons enumerates every ReasonHeader value the gate can emit, so
-// the per-reason denial counters exist (at zero) from the first scrape.
-// Order is the reasonIndex slot order.
-var allReasons = [...]string{
-	ReasonBlocklist, ReasonEntity, ReasonAccountTier, ReasonAccountLimit,
-	ReasonChallenge, ReasonProfile, ReasonResource, ReasonPathLimit,
-	ReasonDecision,
-}
-
-// reasonIndex maps a denial reason to its slot in allReasons (and in the
-// pre-resolved counter table); -1 for a reason the gate never emits.
-func reasonIndex(reason string) int {
-	switch reason {
-	case ReasonBlocklist:
-		return 0
-	case ReasonEntity:
-		return 1
-	case ReasonAccountTier:
-		return 2
-	case ReasonAccountLimit:
-		return 3
-	case ReasonChallenge:
-		return 4
-	case ReasonProfile:
-		return 5
-	case ReasonResource:
-		return 6
-	case ReasonPathLimit:
-		return 7
-	case ReasonDecision:
-		return 8
-	default:
-		return -1
-	}
-}
-
-// newGateTelemetry wires the gate onto a registry (and optionally a trace
+// initTelemetry wires the gate onto a registry (and optionally a trace
 // ring) and registers the gate's collector. reg may be nil when only
 // tracing is enabled.
 func (g *Gate) initTelemetry(reg *obs.Registry, traces *obs.TraceRing) {
 	if reg == nil && traces == nil {
 		return
 	}
-	tel := &gateTelemetry{traces: traces}
+	tel := &gateTelemetry{traces: traces, denials: make([]*obs.Counter, len(reasons))}
 	if reg != nil {
 		base := g.cfg.telLabels
 		reg.Help(MetricLatency, "Gate decision latency in seconds.")
 		reg.Help(MetricDenials, "Denied requests by denial reason.")
 		tel.latency = reg.Histogram(MetricLatency, nil, base...)
-		for i, reason := range allReasons {
-			lbls := append(append(make([]obs.Label, 0, len(base)+1), base...),
-				obs.Label{Name: "reason", Value: reason})
-			tel.denials[i] = reg.Counter(MetricDenials, lbls...)
+		for i, reason := range reasons {
+			tel.denials[i] = reg.Counter(MetricDenials, withLabel(base, "reason", reason)...)
 		}
 		if g.accounts != nil {
 			reg.Help(MetricAccountTier, "Account-layer evaluations by resolved loyalty tier.")
-			for t := 0; t < numAccountTiers; t++ {
-				lbls := append(append(make([]obs.Label, 0, len(base)+1), base...),
-					obs.Label{Name: "tier", Value: accountTierName(t)})
-				tel.tiers[t] = reg.Counter(MetricAccountTier, lbls...)
+			for t, name := range accountTierNames {
+				tel.tiers[t] = reg.Counter(MetricAccountTier, withLabel(base, "tier", name)...)
 			}
 		}
 		reg.Register(g.Collector())
 	}
 	g.tel = tel
+}
+
+// withLabel returns base plus one more label, in a slice of its own.
+func withLabel(base []obs.Label, name, value string) []obs.Label {
+	return append(append(make([]obs.Label, 0, len(base)+1), base...), obs.Label{Name: name, Value: value})
 }
 
 // observeDecision records one decision's telemetry: latency, the denial
@@ -119,22 +85,30 @@ func (g *Gate) observeDecision(start time.Time, path, reason string, mask uint8)
 	if tel.latency != nil {
 		tel.latency.Observe(dur.Seconds())
 	}
-	verdict := obs.VerdictAdmit
 	if reason != "" {
-		verdict = reason
 		if i := reasonIndex(reason); i >= 0 && tel.denials[i] != nil {
 			tel.denials[i].Inc()
 		}
 	}
-	if tel.traces != nil {
-		tel.traces.Record(obs.Span{
-			Start:    start,
-			Dur:      dur,
-			Path:     path,
-			Verdict:  verdict,
-			Degraded: degradedNames[mask],
-		})
+	tel.span(start, dur, path, reason, mask)
+}
+
+// span journals one decision into the trace ring, when tracing is on.
+func (tel *gateTelemetry) span(start time.Time, dur time.Duration, path, reason string, mask uint8) {
+	if tel.traces == nil {
+		return
 	}
+	verdict := obs.VerdictAdmit
+	if reason != "" {
+		verdict = reason
+	}
+	tel.traces.Record(obs.Span{
+		Start:    start,
+		Dur:      dur,
+		Path:     path,
+		Verdict:  verdict,
+		Degraded: degradedNames[mask],
+	})
 }
 
 // observeBatch is observeDecision for one DecideBatch round: the shared
@@ -152,24 +126,14 @@ func (g *Gate) observeBatch(start time.Time, reqs []Request, out []Decision) {
 	if tel.latency != nil {
 		tel.latency.ObserveN(dur.Seconds(), uint64(len(out)))
 	}
-	var denials [len(allReasons)]uint64
+	var denials [len(reasons)]uint64
 	for i := range out {
-		verdict := obs.VerdictAdmit
 		if reason := out[i].Reason; reason != "" {
-			verdict = reason
 			if j := reasonIndex(reason); j >= 0 {
 				denials[j]++
 			}
 		}
-		if tel.traces != nil {
-			tel.traces.Record(obs.Span{
-				Start:    start,
-				Dur:      dur,
-				Path:     reqs[i].R.URL.Path,
-				Verdict:  verdict,
-				Degraded: degradedNames[out[i].Degraded],
-			})
-		}
+		tel.span(start, dur, reqs[i].R.URL.Path, out[i].Reason, out[i].Degraded)
 	}
 	for j, n := range denials {
 		if n > 0 && tel.denials[j] != nil {
@@ -187,8 +151,7 @@ func (g *Gate) Collector() obs.Collector {
 	base := g.cfg.telLabels
 	layerLabels := make([][]obs.Label, numLayers)
 	for l := LayerBlocklist; l < numLayers; l++ {
-		layerLabels[l] = append(append(make([]obs.Label, 0, len(base)+1), base...),
-			obs.Label{Name: "layer", Value: l.String()})
+		layerLabels[l] = withLabel(base, "layer", l.String())
 	}
 	return obs.CollectorFunc(func(dst []obs.Sample) []obs.Sample {
 		dst = append(dst,

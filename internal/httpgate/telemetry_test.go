@@ -167,15 +167,6 @@ func TestGateTelemetryExposition(t *testing.T) {
 	}
 }
 
-// TestWithClockOption proves the option overrides the Config field.
-func TestWithClockOption(t *testing.T) {
-	manual := simclock.NewManual(t0.Add(42 * time.Hour))
-	g := New(Config{}, WithClock(manual))
-	if got := g.clock.Now(); !got.Equal(t0.Add(42 * time.Hour)) {
-		t.Fatalf("clock now = %v", got)
-	}
-}
-
 // TestWithResilienceOption proves option-built gates get breakers exactly
 // like Config.Resilience ones.
 func TestWithResilienceOption(t *testing.T) {
@@ -210,11 +201,11 @@ func TestDecideZeroAllocs(t *testing.T) {
 
 	// Warm the limiter keys: the first sighting of a key inserts its
 	// window (an allocation by design, amortised over the key's life).
-	plainGate.decide(r, info)
+	plainGate.decideAt(r, info, t0)
 	instrumentedGate.Decide(r, info)
 
 	if plain := testing.AllocsPerRun(512, func() {
-		if reason, _, mask := plainGate.decide(r, info); reason != "" || mask != 0 {
+		if reason, _, mask := plainGate.decideAt(r, info, t0); reason != "" || mask != 0 {
 			t.Fatalf("plain: reason %q mask %d", reason, mask)
 		}
 	}); plain != 0 {
@@ -261,14 +252,14 @@ func TestDecideBatchZeroAllocs(t *testing.T) {
 // measured region). The config mirrors BenchmarkGateDecideSharded.
 var (
 	allocGateConfig = Config{
+		Clock:         simclock.NewManual(t0),
 		ProfileLimit:  1 << 30,
 		ProfileWindow: time.Hour,
 		PathLimit:     1 << 30,
 		PathWindow:    time.Hour,
 	}
-	plainGate        = New(allocGateConfig, WithClock(simclock.NewManual(t0)))
+	plainGate        = New(allocGateConfig)
 	instrumentedGate = New(allocGateConfig,
-		WithClock(simclock.NewManual(t0)),
 		WithResilience(ResilienceConfig{}),
 		WithTelemetry(obs.NewRegistry()),
 		WithTraces(obs.NewTraceRing(1024)))

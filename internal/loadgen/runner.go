@@ -34,20 +34,10 @@ const verdictAdmit = "admit"
 // budget was spent; Observe hooks see it with Status 0 and no header.
 const verdictBudgetExhausted = "budget-exhausted"
 
-// knownVerdicts pre-resolves one counter per verdict the gate can emit,
-// so the issue path never touches the registry lock.
-var knownVerdicts = []string{
-	verdictAdmit,
-	httpgate.ReasonBlocklist,
-	httpgate.ReasonEntity,
-	httpgate.ReasonAccountTier,
-	httpgate.ReasonAccountLimit,
-	httpgate.ReasonChallenge,
-	httpgate.ReasonProfile,
-	httpgate.ReasonResource,
-	httpgate.ReasonPathLimit,
-	httpgate.ReasonDecision,
-}
+// knownVerdicts pre-resolves one counter per verdict the gate can emit —
+// admit, then the gate's denial reasons in pipeline order — so the issue
+// path never touches the registry lock.
+var knownVerdicts = append([]string{verdictAdmit}, httpgate.Reasons()...)
 
 // RunnerConfig assembles a Runner.
 type RunnerConfig struct {

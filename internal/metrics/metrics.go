@@ -1,89 +1,22 @@
 // Package metrics provides the small measurement toolkit the experiment
-// harness reports with: counters, keyed counters, running moments,
-// duration histograms and fixed-width text tables.
+// harness reports with: running moments, sharded keyed counters and
+// fixed-width text tables. Live counters and histograms are internal/obs.
 //
 // Concurrency contract: unless a type documents otherwise, the types in
-// this package are NOT safe for concurrent use. Counter, KeyedCounter,
-// Running and DurationStats are single-goroutine accumulators — the
-// deterministic simulation model is single-threaded virtual time, and the
-// hot loops that feed them must not pay for synchronisation they do not
-// need. Code that accumulates from several goroutines (the replicate
-// runner's worker pool) uses the sharded variants in sharded.go
-// (ShardedKeyedCounter, ShardedRunning), which are safe for concurrent
-// use and merge into the plain types for reporting.
+// this package are NOT safe for concurrent use. Running is a
+// single-goroutine accumulator — the deterministic simulation model is
+// single-threaded virtual time, and the hot loops that feed it must not
+// pay for synchronisation they do not need. Code that accumulates from
+// several goroutines (the replicate runner's worker pool) uses the types
+// in sharded.go (ShardedKeyedCounter, ShardedRunning), which are safe for
+// concurrent use; ShardedRunning merges into a Running for reporting.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"time"
 )
-
-// Counter is a monotone event counter.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta (negative deltas are ignored; counters are monotone).
-func (c *Counter) Add(delta int) {
-	if delta > 0 {
-		c.n += uint64(delta)
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// KeyedCounter counts events per string key. It is a bare map underneath
-// and must only be used from one goroutine at a time (see the package
-// concurrency contract); use ShardedKeyedCounter where writers race.
-type KeyedCounter struct {
-	counts map[string]uint64
-}
-
-// NewKeyedCounter returns an empty keyed counter.
-func NewKeyedCounter() *KeyedCounter {
-	return &KeyedCounter{counts: make(map[string]uint64)}
-}
-
-// Inc adds one to key.
-func (k *KeyedCounter) Inc(key string) { k.counts[key]++ }
-
-// Get returns the count for key.
-func (k *KeyedCounter) Get(key string) uint64 { return k.counts[key] }
-
-// Keys returns all keys sorted.
-func (k *KeyedCounter) Keys() []string {
-	out := make([]string, 0, len(k.counts))
-	for key := range k.counts {
-		out = append(out, key)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Total sums all counts.
-func (k *KeyedCounter) Total() uint64 {
-	var total uint64
-	for _, v := range k.counts {
-		total += v
-	}
-	return total
-}
-
-// Snapshot returns a copy of the underlying map.
-func (k *KeyedCounter) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(k.counts))
-	for key, v := range k.counts {
-		out[key] = v
-	}
-	return out
-}
 
 // Running accumulates mean and variance online (Welford's algorithm).
 // It is single-goroutine like the rest of the package; concurrent
@@ -161,27 +94,6 @@ func (r *Running) Min() float64 { return r.min }
 
 // Max returns the largest sample (0 with no samples).
 func (r *Running) Max() float64 { return r.max }
-
-// DurationStats accumulates durations through a Running in seconds.
-type DurationStats struct {
-	run Running
-}
-
-// Observe adds one duration sample.
-func (d *DurationStats) Observe(v time.Duration) { d.run.Observe(v.Seconds()) }
-
-// N returns the sample count.
-func (d *DurationStats) N() int { return d.run.N() }
-
-// Mean returns the mean duration.
-func (d *DurationStats) Mean() time.Duration {
-	return time.Duration(d.run.Mean() * float64(time.Second))
-}
-
-// Std returns the standard deviation.
-func (d *DurationStats) Std() time.Duration {
-	return time.Duration(d.run.Std() * float64(time.Second))
-}
 
 // Table is a fixed-column text table for experiment reports.
 type Table struct {

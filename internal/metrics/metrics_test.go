@@ -5,40 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(5)
-	c.Add(-3) // ignored
-	if c.Value() != 6 {
-		t.Fatalf("Value() = %d", c.Value())
-	}
-}
-
-func TestKeyedCounter(t *testing.T) {
-	k := NewKeyedCounter()
-	k.Inc("a")
-	k.Inc("a")
-	k.Inc("b")
-	if k.Get("a") != 2 || k.Get("b") != 1 || k.Get("zz") != 0 {
-		t.Fatal("counts wrong")
-	}
-	if k.Total() != 3 {
-		t.Fatalf("Total() = %d", k.Total())
-	}
-	keys := k.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys() = %v", keys)
-	}
-	snap := k.Snapshot()
-	snap["a"] = 99
-	if k.Get("a") != 2 {
-		t.Fatal("Snapshot exposed internal map")
-	}
-}
 
 func TestRunningMoments(t *testing.T) {
 	var r Running
@@ -103,21 +70,6 @@ func TestRunningMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDurationStats(t *testing.T) {
-	var d DurationStats
-	d.Observe(4 * time.Hour)
-	d.Observe(6 * time.Hour)
-	if d.N() != 2 {
-		t.Fatalf("N() = %d", d.N())
-	}
-	if d.Mean() != 5*time.Hour {
-		t.Fatalf("Mean() = %v", d.Mean())
-	}
-	if d.Std() != time.Hour {
-		t.Fatalf("Std() = %v", d.Std())
 	}
 }
 

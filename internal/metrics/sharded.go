@@ -5,12 +5,11 @@ import (
 	"sync/atomic"
 )
 
-// This file holds the concurrent counterparts of KeyedCounter and Running.
-// Both stripe their state across mutex-guarded shards so writers on
-// different keys (or different pool workers) rarely contend, and both
-// merge into the plain single-goroutine types for reporting. They exist
-// for the replicate runner's worker pool; inside a deterministic
-// simulation the unsharded types remain the right choice.
+// This file holds the concurrent accumulators: a keyed counter and the
+// counterpart of Running. Both stripe their state across mutex-guarded
+// shards so writers on different keys (or different pool workers) rarely
+// contend. They exist for the replicate runner's worker pool; inside a
+// deterministic simulation the unsharded Running remains the right choice.
 
 // shardCount is the stripe width. 32 comfortably exceeds any worker-pool
 // size the runner spawns (GOMAXPROCS-bounded) while keeping the zero-key
@@ -31,9 +30,9 @@ func fnv1a(key string) uint32 {
 	return h
 }
 
-// ShardedKeyedCounter is a KeyedCounter safe for concurrent use: keys are
-// striped across locked shards, so goroutines incrementing different keys
-// proceed in parallel.
+// ShardedKeyedCounter counts events per string key and is safe for
+// concurrent use: keys are striped across locked shards, so goroutines
+// incrementing different keys proceed in parallel.
 type ShardedKeyedCounter struct {
 	shards [shardCount]struct {
 		mu     sync.Mutex

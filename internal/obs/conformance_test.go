@@ -43,10 +43,10 @@ func TestCollectorConformance(t *testing.T) {
 			name: "httpgate.Gate",
 			build: func(t *testing.T) obs.Collector {
 				g := httpgate.New(httpgate.Config{
+					Clock:      simclock.NewManual(confT0),
 					PathLimit:  10,
 					PathWindow: time.Hour,
-				}, httpgate.WithClock(simclock.NewManual(confT0)),
-					httpgate.WithResilience(httpgate.ResilienceConfig{}))
+				}, httpgate.WithResilience(httpgate.ResilienceConfig{}))
 				h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 				r := httptest.NewRequest(http.MethodGet, "/checkout", nil)
 				r.RemoteAddr = "203.0.113.1:999"
@@ -191,10 +191,10 @@ func TestFleetGatesShareOneRegistry(t *testing.T) {
 	gates := make([]*httpgate.Gate, nodes)
 	for i := range gates {
 		gates[i] = httpgate.New(httpgate.Config{
+			Clock:      simclock.NewManual(confT0),
 			PathLimit:  3,
 			PathWindow: time.Hour,
-		}, httpgate.WithClock(simclock.NewManual(confT0)),
-			httpgate.WithTelemetry(reg),
+		}, httpgate.WithTelemetry(reg),
 			httpgate.WithTelemetryLabels(obs.Label{Name: "node", Value: strconv.Itoa(i)}))
 	}
 
@@ -269,8 +269,7 @@ func TestCollectorsComposeOnOneRegistry(t *testing.T) {
 	m.Observe(weblog.Request{Time: confT0, IP: "1.1.1.1", Cookie: "c"})
 	reg.Register(m.Collector())
 
-	g := httpgate.New(httpgate.Config{PathLimit: 5, PathWindow: time.Hour},
-		httpgate.WithClock(simclock.NewManual(confT0)),
+	g := httpgate.New(httpgate.Config{Clock: simclock.NewManual(confT0), PathLimit: 5, PathWindow: time.Hour},
 		httpgate.WithTelemetry(reg))
 
 	h := g.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
