@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build test race vet bench bench-smoke bench-module chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt-check build test race vet bench bench-smoke bench-module fuzz chaos obs-smoke cluster partition syndicate economics
 
 # The full pre-merge gate, each test once: formatting, vet, build, the whole
 # suite under the race detector (the replicate runner, signal engine,
@@ -79,6 +79,13 @@ bench:
 # measuring anything (one iteration each).
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
+
+# fuzz hammers the two decoders that face untrusted gossip bytes — the
+# FAS1 sketch-state codec and the FGS1 snapshot codec — for 15 s each,
+# starting from the seed corpus the plain test run already replays.
+fuzz:
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeState -fuzztime 15s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime 15s ./internal/cluster
 
 # bench-module vets and tests the benchmark harness, a module of its own.
 bench-module:

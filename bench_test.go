@@ -440,7 +440,7 @@ func BenchmarkReplicateSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(sum.Stats) == 0 {
+		if len(sum.Stats()) == 0 {
 			b.Fatal("no stats merged")
 		}
 	}

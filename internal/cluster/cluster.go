@@ -8,18 +8,20 @@
 // volume across enough sessions stays under every per-node threshold.
 // Each node here runs the usual per-node defence (gate, blocklist,
 // signal engine); what replication adds is the fleet view — a node
-// thresholds on its local sliding-window rate plus the last merged peer
-// snapshots, so volume invisible to every single vantage point still
-// crosses the line once sketches merge.
+// thresholds on its local sliding-window rate plus the rates in the last
+// state it holds of every peer, so volume invisible to every single
+// vantage point still crosses the line once sketches are shared.
 //
 // Replication is anti-entropy on a configurable gossip interval,
 // piggybacked on request handling: the front checks the interval before
 // routing each request, so under loadgen's virtual pacing (one request
 // in flight, clock set per arrival) full cluster runs are
-// seed-deterministic. Peer state views are rebuilt from the latest
-// snapshots each round — sketch merges are additive, so re-merging the
-// same snapshot would double-count. The in-process Transport is the
-// first implementation; the interface is the seam for real sockets.
+// seed-deterministic. A node keeps one decoded state per peer — a fresh
+// fetch replaces that peer's slot, a failed one leaves it alone — and
+// sums the slots when it needs a fleet rate, so no snapshot is ever
+// folded into a running total and nothing can be counted twice. The
+// in-process Transport is the first implementation; the interface is the
+// seam for real sockets.
 package cluster
 
 import (
@@ -73,9 +75,9 @@ type Config struct {
 	// ReplicateRules ships each node's originated-rule log; peers apply
 	// the per-origin delta into their own blocklists.
 	ReplicateRules bool
-	// ReplicateState ships each node's encoded signal.State; peers merge
-	// the received snapshots into the fleet view their detectors add to
-	// local rates.
+	// ReplicateState ships each node's encoded signal.State; peers keep
+	// the latest one decoded per node and their detectors add its rates
+	// to local ones.
 	ReplicateState bool
 
 	// FetchRetry tunes the jittered-backoff retry wrapped around every
@@ -90,8 +92,8 @@ type Config struct {
 	FetchTimeout time.Duration
 	// RoundBudget caps the time one anti-entropy round may spend
 	// fetching, measured on the cluster clock: once spent, the remaining
-	// peers are skipped this round (their last-known snapshots still
-	// feed the view) rather than stalling the piggybacked request. Zero
+	// peers are skipped this round (their last-known states still feed
+	// the view) rather than stalling the piggybacked request. Zero
 	// means no budget.
 	RoundBudget time.Duration
 	// StaleAfter marks a node degraded while its freshest successful
@@ -102,9 +104,10 @@ type Config struct {
 	StaleAfter time.Duration
 
 	// RuleThreshold arms per-node detection: when one fingerprint's
-	// fleet-view volume — its local sliding-window rate plus the merged
-	// peer view — reaches the threshold on a watched path, the node
-	// originates a fingerprint block rule. Zero disables detection.
+	// fleet-view volume — its local sliding-window rate plus its rate in
+	// every peer's last state — reaches the threshold on a watched path,
+	// the node originates a fingerprint block rule. Zero disables
+	// detection.
 	RuleThreshold int
 	// RuleWindow is the detection sliding window (and the node engines'
 	// window); defaults to one minute.
@@ -172,7 +175,7 @@ type Cluster struct {
 // node is one fleet member: a gate over its own blocklist, a local
 // signal engine keyed by fingerprint, and the replication state — the
 // originated-rule log it publishes, per-origin high-water marks for the
-// deltas it has applied, and the last merged peer view.
+// deltas it has applied, and the last decoded state of each peer.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -189,12 +192,13 @@ type node struct {
 	seen       map[string]bool
 	applied    map[int]uint64
 	replicated uint64
-	peerView   *signal.State
-	// lastGood is the last snapshot per peer that fetched and validated
-	// cleanly; lastOKAt is when. A peer that cannot be reached this round
-	// keeps contributing its last-known state — graceful degradation
-	// instead of a shrinking fleet view.
-	lastGood map[int]Snapshot
+	// peers holds, by node id, the sketch state of the last snapshot that
+	// fetched and decoded cleanly from each peer (nil until one does, for
+	// a snapshot shipped without state, and for the node itself);
+	// lastOKAt is when. A peer that cannot be reached this round keeps
+	// contributing its last-known state — graceful degradation instead of
+	// a shrinking fleet view. The states are only ever read.
+	peers    []*signal.State
 	lastOKAt map[int]time.Time
 
 	// degraded is recomputed after each absorb: some peer's last good
@@ -273,7 +277,7 @@ func New(cfg Config) *Cluster {
 			watch:    watch,
 			seen:     make(map[string]bool),
 			applied:  make(map[int]uint64),
-			lastGood: make(map[int]Snapshot),
+			peers:    make([]*signal.State, cfg.Nodes),
 			lastOKAt: make(map[int]time.Time),
 		}
 		// A compact engine profile: snapshots stay small on the wire and
@@ -360,18 +364,15 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 		return
 	}
 	now := n.clock.Now()
-	key := "fp:" + strconv.FormatUint(info.Fingerprint, 16)
+	var buf [len("fp:") + 16]byte
+	key := string(strconv.AppendUint(append(buf[:0], "fp:"...), info.Fingerprint, 16))
 	local := n.engine.ObserveAttr(key, info.IP, now)
 	if n.cluster.cfg.RuleThreshold <= 0 {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fleet := local
-	if n.peerView != nil {
-		fleet += n.peerView.Rate(key, now)
-	}
-	if fleet < n.cluster.cfg.RuleThreshold || n.seen[key] {
+	if local+n.peerRate(key, now) < n.cluster.cfg.RuleThreshold || n.seen[key] {
 		return
 	}
 	n.seen[key] = true
@@ -380,9 +381,27 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 	n.blocks.Block(key, now)
 }
 
+// peerRate sums key's in-window rate over the peer slots: the fleet view
+// minus this node's own engine. Rings of one geometry count additively as
+// long as no bucket lies after now — the fleet shares one clock, and a
+// slot raced in microseconds ahead of now only leaves its newest events
+// uncounted until the next request — so the sum is what one merged ring
+// would answer. Callers hold n.mu.
+func (n *node) peerRate(key string, now time.Time) int {
+	total := 0
+	for _, st := range n.peers {
+		if st != nil {
+			total += st.Rate(key, now)
+		}
+	}
+	return total
+}
+
 // maybeGossip runs one exchange round if at least one gossip interval has
 // elapsed. At most one round runs per elapsed interval no matter how many
-// requests race past the check.
+// requests race past the check: the first one through is elected to run
+// it, and a request that finds a round already running passes on rather
+// than queueing behind it.
 func (c *Cluster) maybeGossip(now time.Time) {
 	if c.cfg.Gossip <= 0 {
 		return
@@ -390,7 +409,9 @@ func (c *Cluster) maybeGossip(now time.Time) {
 	if now.UnixNano()-c.lastGossip.Load() < int64(c.cfg.Gossip) {
 		return
 	}
-	c.gossipMu.Lock()
+	if !c.gossipMu.TryLock() {
+		return
+	}
 	defer c.gossipMu.Unlock()
 	if now.UnixNano()-c.lastGossip.Load() < int64(c.cfg.Gossip) {
 		return
@@ -440,74 +461,46 @@ func (n *node) snapshot(includeState bool) Snapshot {
 
 // absorb folds every peer's latest snapshot into this node: rule deltas
 // beyond the per-origin high-water mark land in the local blocklist, and
-// peer states merge into a fresh fleet view. The view is rebuilt from
-// scratch each round — never re-merged — because State.Merge is additive.
+// the peer's decoded sketch state replaces its slot in n.peers.
 //
 // This is the loop hardened for lossy networks. Each fetch runs behind
 // the configured retry/timeout within the round's deadline budget; a peer
-// that cannot be reached (or whose snapshot fails decoding) falls back to
-// its last-known-good snapshot, so the fleet view degrades to staleness
-// instead of losing vantage points, and the failure is counted by reason.
+// that cannot be reached keeps the slot it has, so the fleet view degrades
+// to staleness instead of losing vantage points, and the failure is
+// counted by reason. Nothing needs re-applying for such a peer: its slot
+// already holds its last good state and its rules are already below the
+// high-water mark.
 func (n *node) absorb(now time.Time) {
 	c := n.cluster
-	var view *signal.State
 	for _, peer := range c.nodes {
 		if peer.id == n.id {
 			continue
 		}
 		snap, err := n.fetchPeer(peer.id, now)
-		fresh := err == nil
-		if !fresh {
+		if err != nil {
 			c.countFailure(err)
-			var ok bool
-			n.mu.Lock()
-			snap, ok = n.lastGood[peer.id]
-			n.mu.Unlock()
-			if !ok {
-				continue
-			}
+			continue
 		}
 		var st *signal.State
 		if c.cfg.ReplicateState && len(snap.State) > 0 {
 			st, err = signal.DecodeState(snap.State)
-			if err != nil {
-				c.failures[failDecode].Add(1)
-				st = nil
-				if fresh {
-					// A fresh snapshot with a corrupt sketch: its rule log
-					// still decoded cleanly and stays usable, but the state
-					// comes from the last good snapshot and the peer is not
-					// promoted to fresh, so its staleness keeps growing.
-					fresh = false
-					n.mu.Lock()
-					prev, ok := n.lastGood[peer.id]
-					n.mu.Unlock()
-					if ok && len(prev.State) > 0 {
-						st, _ = signal.DecodeState(prev.State)
-					}
-				}
-			}
 		}
-		if fresh {
+		if err != nil {
+			// A fresh snapshot with a corrupt sketch: its rule log still
+			// decoded cleanly and is applied below, but the slot keeps the
+			// last good state and the peer is not promoted to fresh, so
+			// its staleness keeps growing.
+			c.failures[failDecode].Add(1)
+		} else {
 			n.mu.Lock()
-			n.lastGood[peer.id] = snap
+			n.peers[peer.id] = st
 			n.lastOKAt[peer.id] = now
 			n.mu.Unlock()
-		}
-		if st != nil {
-			if view == nil {
-				view = st
-			} else {
-				view.Merge(st)
-			}
 		}
 		if c.cfg.ReplicateRules {
 			n.applyRules(snap, now)
 		}
 	}
-	n.mu.Lock()
-	n.peerView = view
-	n.mu.Unlock()
 	n.updateDegraded(now)
 }
 

@@ -287,10 +287,12 @@ func TestRoundBudgetSkipsRemainingPeers(t *testing.T) {
 	}
 }
 
-// blockingTransport never returns until released.
+// blockingTransport never returns until released; entered, when set,
+// is signalled (without blocking) by every fetch that starts waiting.
 type blockingTransport struct {
 	inner   Transport
 	release chan struct{}
+	entered chan struct{}
 }
 
 func (b *blockingTransport) Publish(snap Snapshot) { b.inner.Publish(snap) }
@@ -299,6 +301,10 @@ func (b *blockingTransport) Fetch(node int) (Snapshot, bool) {
 	return snap, err == nil
 }
 func (b *blockingTransport) FetchFrom(from, to int) (Snapshot, error) {
+	select {
+	case b.entered <- struct{}{}:
+	default:
+	}
 	<-b.release
 	return fetchVia(b.inner, from, to)
 }

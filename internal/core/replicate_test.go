@@ -89,7 +89,7 @@ func TestReplicateParallelMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(serial.Samples, parallel.Samples) {
 				t.Error("parallel samples differ from serial")
 			}
-			if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
+			if !reflect.DeepEqual(serial.Stats(), parallel.Stats()) {
 				t.Error("parallel stats differ from serial")
 			}
 		})

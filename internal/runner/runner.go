@@ -123,10 +123,6 @@ type Summary struct {
 	BaseSeed   uint64
 	// Samples holds each replicate's metrics in seed order.
 	Samples []Sample
-	// Stats holds per-metric mean/std/min/max, metrics ordered as the
-	// first replicate declared them. Merged in seed order, so the values
-	// are bit-identical across worker counts.
-	Stats []Stat
 	// ReplicateSeconds is the wall-clock distribution of individual
 	// replicates, accumulated concurrently by the workers (this is the
 	// one statistic that legitimately varies run to run).
@@ -192,7 +188,6 @@ func Run(name string, cfg Config, fn Func) (*Summary, error) {
 		Workers:          cfg.Workers,
 		BaseSeed:         cfg.BaseSeed,
 		Samples:          samples,
-		Stats:            mergeStats(samples),
 		ReplicateSeconds: wall.Summary(),
 		Elapsed:          time.Since(start),
 	}
@@ -218,12 +213,14 @@ func compact(samples []Sample) {
 	}
 }
 
-// mergeStats folds the per-seed samples into per-metric accumulators, in
-// seed order so the floating-point result is reproducible.
-func mergeStats(samples []Sample) []Stat {
-	index := make(map[string]int, len(samples[0]))
-	stats := make([]Stat, 0, len(samples[0]))
-	for _, s := range samples {
+// Stats derives per-metric mean/std/min/max from Samples, metrics ordered
+// as the first replicate declared them. The fold runs in seed order, so
+// the values are bit-identical across worker counts. A Summary keeps only
+// the samples alive — sweep drivers hold summaries long after the run.
+func (s *Summary) Stats() []Stat {
+	index := make(map[string]int, len(s.Samples[0]))
+	stats := make([]Stat, 0, len(s.Samples[0]))
+	for _, s := range s.Samples {
 		for _, m := range s {
 			i, ok := index[m.Name]
 			if !ok {
@@ -243,7 +240,7 @@ func (s *Summary) Table() *metrics.Table {
 		fmt.Sprintf("%s — %d replicates (seeds %d..%d), %d workers",
 			s.Name, s.Replicates, s.BaseSeed, s.BaseSeed+uint64(s.Replicates)-1, s.Workers),
 		"Metric", "Mean", "Std", "Min", "Max")
-	for _, st := range s.Stats {
+	for _, st := range s.Stats() {
 		t.AddRow(st.Name,
 			formatStat(st.Run.Mean()),
 			formatStat(st.Run.Std()),

@@ -47,15 +47,16 @@ func TestRunMergesInSeedOrder(t *testing.T) {
 			t.Fatalf("sample %d seed metric = %v, want %v", i, s[0].Value, want)
 		}
 	}
-	if sum.Stats[0].Name != "seed" || sum.Stats[1].Name != "seed_sq" {
-		t.Fatalf("stat order %q,%q", sum.Stats[0].Name, sum.Stats[1].Name)
+	stats := sum.Stats()
+	if stats[0].Name != "seed" || stats[1].Name != "seed_sq" {
+		t.Fatalf("stat order %q,%q", stats[0].Name, stats[1].Name)
 	}
 	// seeds 3..10: mean 6.5, min 3, max 10.
-	if got := sum.Stats[0].Run.Mean(); got != 6.5 {
+	if got := stats[0].Run.Mean(); got != 6.5 {
 		t.Fatalf("mean = %v, want 6.5", got)
 	}
-	if sum.Stats[0].Run.Min() != 3 || sum.Stats[0].Run.Max() != 10 {
-		t.Fatalf("min/max = %v/%v", sum.Stats[0].Run.Min(), sum.Stats[0].Run.Max())
+	if stats[0].Run.Min() != 3 || stats[0].Run.Max() != 10 {
+		t.Fatalf("min/max = %v/%v", stats[0].Run.Min(), stats[0].Run.Max())
 	}
 	if sum.ReplicateSeconds.N() != 8 {
 		t.Fatalf("wall samples = %d, want 8", sum.ReplicateSeconds.N())
@@ -78,7 +79,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		if !reflect.DeepEqual(got.Samples, ref.Samples) {
 			t.Fatalf("workers=%d: samples differ from serial", workers)
 		}
-		if !reflect.DeepEqual(got.Stats, ref.Stats) {
+		if !reflect.DeepEqual(got.Stats(), ref.Stats()) {
 			t.Fatalf("workers=%d: stats differ from serial", workers)
 		}
 	}

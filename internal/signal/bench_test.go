@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -79,4 +80,48 @@ func BenchmarkEngineObserveAttr(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// fleetProfileEngine returns an engine with the profile cluster nodes use,
+// holding keys fingerprints each seen from several exits inside one window:
+// the state a node snapshots, encodes and ships every gossip round.
+func fleetProfileEngine(keys int) *Engine {
+	start := time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
+	e := NewEngine(EngineConfig{
+		Shards: 4, Window: time.Minute, TopK: 32, SketchWidth: 512, SketchDepth: 4,
+		DistinctPrecision: 8, SurgeStart: start, SurgePeriod: time.Minute,
+	})
+	for i := range 4 * keys {
+		at := start.Add(time.Duration(i) * 10 * time.Millisecond)
+		fp := uint64(i%keys+1) * 0x9e3779b97f4a7c15
+		e.ObserveAttr("fp:"+strconv.FormatUint(fp, 16), "10.0.0."+itoa(i%200), at)
+	}
+	return e
+}
+
+func BenchmarkEngineState(b *testing.B) {
+	e := fleetProfileEngine(500)
+	b.ReportAllocs()
+	for b.Loop() {
+		e.State()
+	}
+}
+
+func BenchmarkStateEncode(b *testing.B) {
+	st := fleetProfileEngine(500).State()
+	b.ReportAllocs()
+	for b.Loop() {
+		st.Encode()
+	}
+}
+
+func BenchmarkStateDecode(b *testing.B) {
+	wire := fleetProfileEngine(500).State().Encode()
+	b.SetBytes(int64(len(wire)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := DecodeState(wire); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -26,8 +26,9 @@ func NewCountMin(width, depth int) *CountMin {
 		depth = 4
 	}
 	rows := make([][]uint64, depth)
+	cells := make([]uint64, width*depth)
 	for i := range rows {
-		rows[i] = make([]uint64, width)
+		rows[i] = cells[i*width : (i+1)*width : (i+1)*width]
 	}
 	return &CountMin{width: width, depth: depth, rows: rows}
 }

@@ -23,13 +23,45 @@ const DefaultDistinctPrecision = 12
 // NewDistinct returns a counter with 2^precision registers. Precision is
 // clamped to [4, 16].
 func NewDistinct(precision uint8) *Distinct {
-	if precision < 4 {
-		precision = 4
-	}
-	if precision > 16 {
-		precision = 16
-	}
+	precision = clampPrecision(precision)
 	return &Distinct{p: precision, regs: make([]uint8, 1<<precision)}
+}
+
+func clampPrecision(precision uint8) uint8 {
+	return min(max(precision, 4), 16)
+}
+
+// distinctSlab carves counters of one precision out of shared backing
+// arrays, the Distinct half of what windowSlab does for rings.
+type distinctSlab struct {
+	p        uint8
+	counters []Distinct
+	regs     []uint8
+}
+
+// reserve makes sure n more counters can be carved, replacing the backing
+// arrays when they cannot.
+func (s *distinctSlab) reserve(n int) {
+	if len(s.counters) >= n {
+		return
+	}
+	s.counters = make([]Distinct, n)
+	s.regs = make([]uint8, n<<s.p)
+}
+
+// next carves one zeroed counter out of what reserve set aside.
+func (s *distinctSlab) next() *Distinct {
+	d, m := &s.counters[0], 1<<s.p
+	*d = Distinct{p: s.p, regs: s.regs[:m:m]}
+	s.counters, s.regs = s.counters[1:], s.regs[m:]
+	return d
+}
+
+// clone carves a copy of o, a counter of the slab's precision.
+func (s *distinctSlab) clone(o *Distinct) *Distinct {
+	d := s.next()
+	copy(d.regs, o.regs)
+	return d
 }
 
 // Precision returns the register-count exponent.

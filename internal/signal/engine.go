@@ -1,7 +1,6 @@
 package signal
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -351,8 +350,8 @@ func (e *Engine) Stats() EngineStats {
 // both engines stay live; merging an engine into itself is rejected.
 //
 // Merge is additive: folding the same engine in twice double-counts.
-// Fleet views built from repeated exchanges must be rebuilt from fresh
-// snapshots each round rather than re-merged — see State.
+// Fleet views built from repeated exchanges keep the latest State per
+// source and sum over them instead — see State.
 func (e *Engine) Merge(o *Engine) bool {
 	if o == nil || o == e || len(o.shards) != len(e.shards) || !compatibleEngines(e.cfg, o.cfg) {
 		return false
@@ -428,14 +427,4 @@ func compatibleEngines(a, b EngineConfig) bool {
 		a.SurgeStart.Equal(b.SurgeStart) && a.SurgePeriod == b.SurgePeriod &&
 		a.DisableSurge == b.DisableSurge && a.DisableDistinct == b.DisableDistinct &&
 		a.DisableSketch == b.DisableSketch && a.DisableTopK == b.DisableTopK
-}
-
-// sortTopEntries applies the ordering TopK.Top uses to the merged slice.
-func sortTopEntries(s []TopEntry) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].Count != s[j].Count {
-			return s[i].Count > s[j].Count
-		}
-		return s[i].Key < s[j].Key
-	})
 }

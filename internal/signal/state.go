@@ -1,10 +1,13 @@
 package signal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -16,9 +19,17 @@ import (
 // engine, ships the compact Encode form, and peers fold received states
 // into a fleet view.
 //
-// Merge is additive: folding the same snapshot in twice double-counts.
-// A view assembled from periodic exchanges must therefore be rebuilt from
-// the latest snapshots each round, never re-merged cumulatively.
+// Merge is additive: folding the same snapshot in twice double-counts, so
+// it suits folding each source once (Cluster.MergedState), not a view fed
+// by periodic exchanges. Such a view keeps the latest state per source
+// and sums Rate over them at query time, which answers exactly what the
+// merge would as long as no ring holds a bucket later than the instant
+// asked about.
+//
+// The per-key rings and counters of a snapshot or a decode are carved from
+// slabs the state owns, and decoded keys are views of shared chunks; a
+// state is meant to be dropped whole, and whatever outlives it (a key or
+// ring adopted by Merge) keeps its chunk alive.
 //
 // State is not safe for concurrent use.
 type State struct {
@@ -43,24 +54,41 @@ type State struct {
 // dimension, so its estimates carry the usual mergeable-summaries error
 // bounds rather than per-shard exactness.
 func (e *Engine) State() *State {
+	// Size the maps and slabs for the whole dimension up front. A shard
+	// that gained keys since the count just reserves again under its lock.
+	var nWindows, nDistinct int
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.mu.Lock()
+		nWindows += len(s.windows)
+		nDistinct += len(s.distinct)
+		s.mu.Unlock()
+	}
 	st := &State{
 		window:   e.cfg.Window,
 		buckets:  e.cfg.WindowBuckets,
 		observed: e.observed.Load(),
-		windows:  make(map[string]*Window),
+		windows:  make(map[string]*Window, nWindows),
 	}
+	rings := windowSlab{width: bucketWidth(e.cfg.Window, e.cfg.WindowBuckets), buckets: e.cfg.WindowBuckets}
+	rings.reserve(nWindows)
+	var counters distinctSlab
 	if !e.cfg.DisableDistinct {
 		st.precision = e.cfg.DistinctPrecision
-		st.distinct = make(map[string]*Distinct)
+		st.distinct = make(map[string]*Distinct, nDistinct)
+		counters.p = clampPrecision(e.cfg.DistinctPrecision)
+		counters.reserve(nDistinct)
 	}
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
+		rings.reserve(len(s.windows))
 		for k, w := range s.windows {
-			st.windows[k] = w.Clone()
+			st.windows[k] = rings.clone(w)
 		}
+		counters.reserve(len(s.distinct))
 		for k, d := range s.distinct {
-			st.distinct[k] = d.Clone()
+			st.distinct[k] = counters.clone(d)
 		}
 		if s.sketch != nil {
 			if st.sketch == nil {
@@ -210,8 +238,21 @@ const stateMagic = "FAS1"
 // registers travel), with all map keys in sorted order so encoding is a
 // pure function of the snapshot's logical content — byte-identical
 // encodings mean identical states, which the determinism goldens rely on.
+//
+// The bytes are assembled in a recycled scratch buffer, so the returned
+// slice is allocated once, at the size it needs.
 func (s *State) Encode() []byte {
-	b := make([]byte, 0, 1024)
+	scratch := encodeScratch.Get().(*[]byte)
+	*scratch = s.appendTo((*scratch)[:0])
+	b := bytes.Clone(*scratch)
+	encodeScratch.Put(scratch)
+	return b
+}
+
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendTo appends the wire form to b.
+func (s *State) appendTo(b []byte) []byte {
 	b = append(b, stateMagic...)
 	b = binary.AppendUvarint(b, uint64(s.window))
 	b = binary.AppendUvarint(b, uint64(s.buckets))
@@ -323,6 +364,18 @@ const (
 	maxDecodeDistinctRegs = 1 << 24
 )
 
+// Decode-side slab chunks. Per-key structures are carved from slabs that
+// grow a chunk at a time as keys are actually parsed — never sized from a
+// claimed key count — and a chunk holds no more keys than the unread bytes
+// could still spell, so a short corrupt buffer allocates no more than the
+// same number of well-formed keys would. The chunks are sized to take a
+// fleet node's ~500-key state in one piece each.
+const (
+	slabWindowSlots  = 1 << 14
+	slabDistinctRegs = 1 << 17
+	slabKeyBytes     = 1 << 13
+)
+
 var errDecodeBudget = errors.New("signal: state decode allocation budget exceeded")
 
 // DecodeState parses an Encode-produced buffer back into a State.
@@ -345,9 +398,13 @@ func DecodeState(b []byte) (*State, error) {
 		return nil, errDecodeBudget
 	}
 	st.windows = make(map[string]*Window, nWindows)
-	for range nWindows {
-		key := r.string()
-		w := NewWindow(st.window, st.buckets)
+	rings := windowSlab{width: bucketWidth(st.window, st.buckets), buckets: st.buckets}
+	for i := range nWindows {
+		key := r.key()
+		if len(rings.rings) == 0 {
+			rings.reserve(r.chunk(nWindows-i, slabWindowSlots/st.buckets))
+		}
+		w := rings.next()
 		used := r.count()
 		for range used {
 			slot := int(r.uvarint())
@@ -374,9 +431,13 @@ func DecodeState(b []byte) (*State, error) {
 			return nil, errDecodeBudget
 		}
 		st.distinct = make(map[string]*Distinct, nDistinct)
-		for range nDistinct {
-			key := r.string()
-			d := NewDistinct(st.precision)
+		counters := distinctSlab{p: st.precision}
+		for i := range nDistinct {
+			key := r.key()
+			if len(counters.counters) == 0 {
+				counters.reserve(r.chunk(nDistinct-i, slabDistinctRegs>>st.precision))
+			}
+			d := counters.next()
 			used := r.count()
 			for range used {
 				idx := r.uvarint()
@@ -428,7 +489,7 @@ func DecodeState(b []byte) (*State, error) {
 		n := r.count()
 		entries := make([]TopEntry, 0, n)
 		for range n {
-			key := r.string()
+			key := r.key()
 			count := r.uvarint()
 			errBound := r.uvarint()
 			entries = append(entries, TopEntry{Key: key, Count: count, Err: errBound})
@@ -454,13 +515,12 @@ func DecodeState(b []byte) (*State, error) {
 		if r.err != nil || period <= 0 {
 			return nil, errors.New("signal: bad surge header")
 		}
-		sd := NewSurgeDetector(start, period)
-		sd.curIdx = curIdx
-		if err := readCountMap(r, sd.cur); err != nil {
-			return nil, err
+		sd := &SurgeDetector{start: start, period: period, curIdx: curIdx}
+		if sd.cur = readCountMap(r); r.err != nil {
+			return nil, r.err
 		}
-		if err := readCountMap(r, sd.prev); err != nil {
-			return nil, err
+		if sd.prev = readCountMap(r); r.err != nil {
+			return nil, r.err
 		}
 		st.surge = sd
 	}
@@ -474,11 +534,13 @@ func DecodeState(b []byte) (*State, error) {
 	return st, nil
 }
 
-// stateReader walks an encoded buffer with a sticky error.
+// stateReader walks an encoded buffer with a sticky error. keys is the
+// chunk map keys are currently copied into.
 type stateReader struct {
-	b   []byte
-	off int
-	err error
+	b    []byte
+	off  int
+	err  error
+	keys strings.Builder
 }
 
 var errTruncated = errors.New("signal: truncated state")
@@ -522,18 +584,24 @@ func (r *stateReader) byte() byte {
 	return v
 }
 
-func (r *stateReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
+// key reads one length-prefixed map key. Keys are copied into shared
+// chunks — one allocation per slabKeyBytes of keys rather than one per key
+// — that are never larger than the bytes still unread, and each returned
+// string is a view of its chunk: a Builder only ever appends, so the bytes
+// under a string already handed out never change.
+func (r *stateReader) key() string {
+	n := r.count()
+	if n == 0 {
 		return ""
 	}
-	if n > uint64(len(r.b)-r.off) {
-		r.err = errTruncated
-		return ""
+	if r.keys.Cap()-r.keys.Len() < n {
+		r.keys = strings.Builder{}
+		r.keys.Grow(max(n, min(slabKeyBytes, len(r.b)-r.off)))
 	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	start := r.keys.Len()
+	r.keys.Write(r.b[r.off : r.off+n])
+	r.off += n
+	return r.keys.String()[start:]
 }
 
 // count reads a collection length, bounding it by the bytes remaining so
@@ -548,6 +616,13 @@ func (r *stateReader) count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// chunk sizes the next slab growth: the keys still claimed, capped by the
+// slab's chunk and by the bytes left to spell them (a key costs at least
+// one), and never less than the one key about to be carved.
+func (r *stateReader) chunk(claimed, perChunk int) int {
+	return max(1, min(claimed, perChunk, len(r.b)-r.off))
 }
 
 func appendString(b []byte, s string) []byte {
@@ -565,17 +640,20 @@ func appendCountMap(b []byte, m map[string]int) []byte {
 	return b
 }
 
-func readCountMap(r *stateReader, m map[string]int) error {
+// readCountMap reads one surge period's counts; on a malformed map r.err
+// is set and the partial map is the caller's to drop.
+func readCountMap(r *stateReader) map[string]int {
 	n := r.count()
+	m := make(map[string]int, n)
 	for range n {
-		key := r.string()
+		key := r.key()
 		v := r.varint()
 		if r.err != nil {
-			return r.err
+			break
 		}
 		m[key] = int(v)
 	}
-	return r.err
+	return m
 }
 
 func sortedKeys[V any](m map[string]V) []string {

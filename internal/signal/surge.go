@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"time"
@@ -121,15 +122,13 @@ func (s *SurgeDetector) Merge(o *SurgeDetector) bool {
 
 // Clone returns a deep copy of the detector.
 func (s *SurgeDetector) Clone() *SurgeDetector {
-	c := NewSurgeDetector(s.start, s.period)
-	c.curIdx = s.curIdx
-	for k, v := range s.cur {
-		c.cur[k] = v
+	return &SurgeDetector{
+		start:  s.start,
+		period: s.period,
+		curIdx: s.curIdx,
+		cur:    maps.Clone(s.cur),
+		prev:   maps.Clone(s.prev),
 	}
-	for k, v := range s.prev {
-		c.prev[k] = v
-	}
-	return c
 }
 
 func addCounts(dst, src map[string]int) {

@@ -1,6 +1,9 @@
 package signal
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TopEntry is one heavy hitter reported by TopK.
 type TopEntry struct {
@@ -87,12 +90,7 @@ func (t *TopK) Top(n int) []TopEntry {
 	for _, it := range t.heap {
 		out = append(out, TopEntry{Key: it.key, Count: it.count, Err: it.err})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
+	sortTopEntries(out)
 	if n > 0 && n < len(out) {
 		out = out[:n]
 	}
@@ -143,7 +141,7 @@ func (t *TopK) Merge(o *TopK) bool {
 
 // Clone returns a deep copy of the tracker in canonical layout.
 func (t *TopK) Clone() *TopK {
-	c := NewTopK(t.k)
+	c := &TopK{k: t.k}
 	c.rebuild(t.Top(0))
 	return c
 }
@@ -159,12 +157,15 @@ func (t *TopK) floor() uint64 {
 }
 
 // rebuild replaces the table with the given entries, restoring the item
-// map and min-heap deterministically from their order.
+// map and min-heap deterministically from their order. The items share one
+// backing array; Offer recycles them in place and allocates only newcomers.
 func (t *TopK) rebuild(entries []TopEntry) {
 	t.items = make(map[string]*tkItem, len(entries))
-	t.heap = t.heap[:0]
-	for _, e := range entries {
-		it := &tkItem{key: e.Key, count: e.Count, err: e.Err, pos: len(t.heap)}
+	t.heap = slices.Grow(t.heap[:0], len(entries))
+	items := make([]tkItem, len(entries))
+	for i, e := range entries {
+		it := &items[i]
+		*it = tkItem{key: e.Key, count: e.Count, err: e.Err, pos: len(t.heap)}
 		t.items[e.Key] = it
 		t.heap = append(t.heap, it)
 		t.siftUp(it.pos)
@@ -203,4 +204,15 @@ func (t *TopK) swap(i, j int) {
 	t.heap[i], t.heap[j] = t.heap[j], t.heap[i]
 	t.heap[i].pos = i
 	t.heap[j].pos = j
+}
+
+// sortTopEntries applies the canonical ranking: count descending, ties by
+// ascending key.
+func sortTopEntries(s []TopEntry) {
+	slices.SortFunc(s, func(a, b TopEntry) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
 }

@@ -34,16 +34,57 @@ func NewWindow(window time.Duration, buckets int) *Window {
 	if buckets <= 0 {
 		buckets = DefaultWindowBuckets
 	}
-	width := window / time.Duration(buckets)
-	if width <= 0 {
-		width = 1
-	}
 	return &Window{
-		width:   width,
+		width:   bucketWidth(window, buckets),
 		buckets: buckets,
 		counts:  make([]uint32, buckets),
 		nums:    make([]int64, buckets),
 	}
+}
+
+// bucketWidth is the span of one ring bucket, at least a nanosecond.
+func bucketWidth(window time.Duration, buckets int) time.Duration {
+	return max(window/time.Duration(buckets), 1)
+}
+
+// windowSlab carves rings of one geometry out of shared backing arrays: a
+// State holds one ring per key, and a slab costs three allocations per
+// reserve where separate rings cost three per key. Each ring's slices are
+// cut with a full slice expression, so nothing done to one ring can reach
+// its neighbours.
+type windowSlab struct {
+	width   time.Duration
+	buckets int
+	rings   []Window
+	counts  []uint32
+	nums    []int64
+}
+
+// reserve makes sure n more rings can be carved, replacing the backing
+// arrays (and abandoning what was left of them) when they cannot.
+func (s *windowSlab) reserve(n int) {
+	if len(s.rings) >= n {
+		return
+	}
+	s.rings = make([]Window, n)
+	s.counts = make([]uint32, n*s.buckets)
+	s.nums = make([]int64, n*s.buckets)
+}
+
+// next carves one zeroed ring out of what reserve set aside.
+func (s *windowSlab) next() *Window {
+	w, b := &s.rings[0], s.buckets
+	*w = Window{width: s.width, buckets: b, counts: s.counts[:b:b], nums: s.nums[:b:b]}
+	s.rings, s.counts, s.nums = s.rings[1:], s.counts[b:], s.nums[b:]
+	return w
+}
+
+// clone carves a copy of o, a ring of the slab's geometry.
+func (s *windowSlab) clone(o *Window) *Window {
+	w := s.next()
+	copy(w.counts, o.counts)
+	copy(w.nums, o.nums)
+	return w
 }
 
 // Span returns the nominal trailing window (bucket width times ring size).
