@@ -80,12 +80,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
 
-# fuzz hammers the two decoders that face untrusted gossip bytes — the
-# FAS1 sketch-state codec and the FGS1 snapshot codec — for 15 s each,
-# starting from the seed corpus the plain test run already replays.
+# fuzz hammers what faces untrusted bytes for 15 s each, starting from the
+# seed corpus the plain test run already replays: the two gossip decoders
+# (the FAS1 sketch-state codec, the FGS1 snapshot codec) and the gate's
+# in-place query scan, held equal to net/url on every raw query.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeState -fuzztime 15s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime 15s ./internal/cluster
+	$(GO) test -run=^$$ -fuzz=FuzzQueryValue -fuzztime 15s ./internal/httpgate
 
 # bench-module vets and tests the benchmark harness, a module of its own.
 bench-module:

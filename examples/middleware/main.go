@@ -35,7 +35,7 @@ func run() error {
 		// Per-booking-reference limit: 3 boarding-pass sends per day —
 		// the control the paper's case study C shows was missing.
 		ResourceKey: func(r *http.Request) string {
-			return r.URL.Query().Get("pnr")
+			return httpgate.QueryValue(r, "pnr")
 		},
 		ResourceLimit:  3,
 		ResourceWindow: 24 * time.Hour,

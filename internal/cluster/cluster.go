@@ -307,7 +307,7 @@ func New(cfg Config) *Cluster {
 		}
 		if cfg.ResourceLimit > 0 {
 			gcfg.ResourceKey = func(r *http.Request) string {
-				return r.URL.Query().Get("pnr")
+				return httpgate.QueryValue(r, "pnr")
 			}
 		}
 		var opts []httpgate.Option

@@ -231,8 +231,41 @@ func (g *Graph) Observe(keys []string, weak float64) {
 		if k == "" {
 			continue
 		}
-		ids = append(ids, g.getOrAdd(k))
+		id, ok := g.idx[k]
+		if !ok {
+			id = g.add(k)
+		}
+		ids = append(ids, id)
 	}
+	g.observe(ids, weak)
+}
+
+// ObserveBytes is Observe for keys assembled in reusable byte buffers —
+// the per-request feed path. Known keys are resolved without materialising
+// a string; a key is cloned only when it is first inserted, the point the
+// graph must retain it, so an observation over a recurring key set
+// allocates nothing. The graph keeps no reference to keys.
+func (g *Graph) ObserveBytes(keys [][]byte, weak float64) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+
+	ids := g.scratch[:0]
+	for _, k := range keys {
+		if len(k) == 0 {
+			continue
+		}
+		id, ok := g.idx[string(k)]
+		if !ok {
+			id = g.add(string(k))
+		}
+		ids = append(ids, id)
+	}
+	g.observe(ids, weak)
+}
+
+// observe is the shared body of Observe and ObserveBytes once the keys are
+// resolved to node ids. Callers hold the write lock.
+func (g *Graph) observe(ids []int32, weak float64) {
 	g.scratch = ids
 	if len(ids) == 0 {
 		return
@@ -257,12 +290,9 @@ func (g *Graph) Observe(keys []string, weak float64) {
 	}
 }
 
-// getOrAdd resolves key to its node index, inserting a fresh singleton
-// component if unseen. Callers hold the write lock.
-func (g *Graph) getOrAdd(key string) int32 {
-	if i, ok := g.idx[key]; ok {
-		return i
-	}
+// add inserts an unseen key as a fresh singleton component and returns its
+// node index. Callers hold the write lock.
+func (g *Graph) add(key string) int32 {
 	i := int32(len(g.nodes))
 	typ := KeyType(key)
 	g.nodes = append(g.nodes, node{

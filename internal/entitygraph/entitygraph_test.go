@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"funabuse/internal/simrand"
 )
 
 func TestKeyHelpers(t *testing.T) {
@@ -230,6 +232,67 @@ func TestSelfLinkObservation(t *testing.T) {
 	st := g.Stats()
 	if st.Nodes != 1 || st.Edges != 0 || st.Components != 1 {
 		t.Fatalf("self-co-occurrence should be a lone node, got %+v", st)
+	}
+}
+
+// TestObserveBytesMatchesObserve is the model test for the byte-key feed
+// path: twin graphs under a node budget small enough to force evictions,
+// one fed through Observe and one through ObserveBytes out of a single
+// reused scratch buffer, must agree on Stats and on Lookup and Flagged for
+// every key ever fed — and a warm ObserveBytes must not allocate.
+func TestObserveBytesMatchesObserve(t *testing.T) {
+	cfg := Config{MaxNodes: 48, MinSize: 3, MinTypes: 2, FlagScore: 2}
+	str, byt := New(cfg), New(cfg)
+	rng := simrand.New(7)
+	var pool []string
+	for i := range 40 {
+		pool = append(pool, FingerprintKey(uint64(i)), IPKey(fmt.Sprintf("203.0.113.%d", i)), BookingKey(fmt.Sprintf("PNR%05d", i)))
+	}
+	pool = append(pool, "") // empty keys are skipped on both paths
+	var buf []byte
+	for op := range 3000 {
+		keys := make([]string, 1+rng.Intn(4))
+		for i := range keys {
+			keys[i] = simrand.Pick(rng, pool)
+		}
+		weak := float64(rng.Intn(3)) / 4
+		str.Observe(keys, weak)
+
+		// One shared buffer, overwritten every observation: a graph that
+		// kept a view instead of cloning would see its keys change.
+		buf = buf[:0]
+		views := make([][]byte, len(keys))
+		for _, k := range keys {
+			buf = append(buf, k...)
+		}
+		off := 0
+		for i, k := range keys {
+			views[i] = buf[off : off+len(k)]
+			off += len(k)
+		}
+		byt.ObserveBytes(views, weak)
+
+		if s, b := str.Stats(), byt.Stats(); s != b {
+			t.Fatalf("op %d: Stats diverge: Observe %+v, ObserveBytes %+v", op, s, b)
+		}
+	}
+	if str.Stats().Evicted == 0 || str.Stats().FlaggedComponents == 0 {
+		t.Fatalf("stream forced no eviction or no flag: %+v", str.Stats())
+	}
+	for _, k := range pool {
+		sc, sok := str.Lookup(k)
+		bc, bok := byt.Lookup(k)
+		if sc != bc || sok != bok || str.Flagged(k) != byt.Flagged(k) {
+			t.Fatalf("key %q: Observe %+v/%v flagged %v, ObserveBytes %+v/%v flagged %v",
+				k, sc, sok, str.Flagged(k), bc, bok, byt.Flagged(k))
+		}
+	}
+
+	g := New(Config{})
+	warm := [][]byte{[]byte("fp:a"), []byte("ip:1"), []byte("bk:X")}
+	g.ObserveBytes(warm, 0.1)
+	if avg := testing.AllocsPerRun(256, func() { g.ObserveBytes(warm, 0.1) }); avg != 0 {
+		t.Fatalf("ObserveBytes allocates %v/op over known keys, want 0", avg)
 	}
 }
 

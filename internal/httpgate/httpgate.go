@@ -612,6 +612,28 @@ func cookieValue(r *http.Request, name string) string {
 	return ""
 }
 
+// QueryValue returns the first value of the URL query parameter name,
+// exactly as r.URL.Query().Get(name) does, without that call's per-request
+// url.Values map: a raw query free of escapes ('%', '+') and of the ';'
+// separator net/url rejects is scanned in place and the value returned as
+// a substring of it; any other query takes the net/url path. It is the
+// extractor for ResourceKey and OnDecision hooks that read one parameter —
+// a booking reference, a phone number — on every request.
+func QueryValue(r *http.Request, name string) string {
+	q := r.URL.RawQuery
+	if strings.ContainsAny(q, "%+;") {
+		return r.URL.Query().Get(name)
+	}
+	for q != "" {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		if key, val, _ := strings.Cut(pair, "="); key == name && pair != "" {
+			return val
+		}
+	}
+	return ""
+}
+
 // remoteIP resolves the client address, honouring X-Forwarded-For only
 // when trusted. A malformed first hop (empty, whitespace, or not an IP
 // address — e.g. the header ",1.2.3.4") falls back to RemoteAddr rather

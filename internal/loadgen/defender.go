@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -47,11 +46,11 @@ type RuleDeployerConfig struct {
 // practised, and the stimulus the adaptive attacker clients react to.
 // It is driven from the gate's serving goroutines and synchronises itself.
 type RuleDeployer struct {
+	decisionSinks
 	blocks    *mitigate.BlockList
 	clock     simclock.Clock
 	threshold int
 	window    time.Duration
-	watch     map[string]bool
 	decoys    *mitigate.DecoySet
 
 	mu       sync.Mutex
@@ -67,61 +66,49 @@ func NewRuleDeployer(cfg RuleDeployerConfig) *RuleDeployer {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	watch := make(map[string]bool, len(cfg.Paths))
-	for _, p := range cfg.Paths {
-		watch[p] = true
-	}
-	return &RuleDeployer{
+	d := &RuleDeployer{
 		blocks:    cfg.Blocks,
 		clock:     clock,
 		threshold: cfg.Threshold,
 		window:    cfg.Window,
-		watch:     watch,
 		decoys:    cfg.Decoys,
 		counts:    make(map[uint64]int),
 		ruleAt:    make(map[uint64]time.Time),
 	}
+	d.decisionSinks = decisionSinks{{cfg.Paths, len(cfg.Paths) == 0, d.feed}}
+	return d
 }
 
-// OnDecision is wired as the gate's decision hook. Blocklist denials are
-// not counted: a fingerprint already caught by a rule must not re-trigger
+// feed is the deployer's decision sink. Blocklist denials are not
+// counted: a fingerprint already caught by a rule must not re-trigger
 // deployment, and everything else — including rate-limited requests — is
 // evidence of volume. With decoy inventory wired, an admitted request
 // touching a decoy reference deploys immediately, regardless of the
 // volume threshold or the watched-path set.
-func (d *RuleDeployer) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
+func (d *RuleDeployer) feed(watched bool, ref string, info httpgate.ClientInfo, deniedBy string) {
 	if !info.HasFingerprint || deniedBy == httpgate.ReasonBlocklist {
 		return
 	}
 	now := d.clock.Now()
-	if d.decoys != nil && deniedBy == "" {
-		if ref := r.URL.Query().Get("pnr"); ref != "" && d.decoys.IsDecoy(ref) {
-			d.decoys.RecordHit(ref, info.Fingerprint, info.ClientKey, now)
-			d.mu.Lock()
-			d.deployLocked(info.Fingerprint, now)
-			d.mu.Unlock()
-		}
+	if d.decoys != nil && deniedBy == "" && ref != "" && d.decoys.IsDecoy(ref) {
+		d.decoys.RecordHit(ref, info.Fingerprint, info.ClientKey, now)
+		d.mu.Lock()
+		d.deployLocked(info.Fingerprint, now)
+		d.mu.Unlock()
 	}
-	if d.threshold <= 0 {
-		return
-	}
-	if len(d.watch) > 0 && !d.watch[r.URL.Path] {
+	if d.threshold <= 0 || !watched {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.winStart.IsZero() {
-		d.winStart = now
-	}
-	if d.window > 0 && now.Sub(d.winStart) >= d.window {
+	if d.winStart.IsZero() || d.window > 0 && now.Sub(d.winStart) >= d.window {
 		d.winStart = now
 		clear(d.counts)
 	}
 	d.counts[info.Fingerprint]++
-	if d.counts[info.Fingerprint] != d.threshold {
-		return
+	if d.counts[info.Fingerprint] == d.threshold {
+		d.deployLocked(info.Fingerprint, now)
 	}
-	d.deployLocked(info.Fingerprint, now)
 }
 
 // deployLocked pushes a fingerprint rule unless one already exists.
@@ -130,7 +117,8 @@ func (d *RuleDeployer) deployLocked(fp uint64, now time.Time) {
 	if _, dup := d.ruleAt[fp]; dup {
 		return
 	}
-	d.blocks.Block("fp:"+strconv.FormatUint(fp, 16), now)
+	var buf [len("fp:") + 16]byte
+	d.blocks.Block(string(strconv.AppendUint(append(buf[:0], "fp:"...), fp, 16)), now)
 	d.ruleAt[fp] = now
 	d.rules = append(d.rules, Rule{FP: fp, At: now})
 }

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"net/http"
 	"sync"
 	"time"
 
@@ -52,9 +51,9 @@ type AccountFeederConfig struct {
 // rather than assigned. It is driven from the gate's serving goroutines;
 // the store synchronises itself.
 type AccountFeeder struct {
-	store   *account.Store
-	clock   simclock.Clock
-	booking map[string]bool
+	decisionSinks
+	store *account.Store
+	clock simclock.Clock
 }
 
 // NewAccountFeeder returns a feeder observing into cfg.Store.
@@ -63,21 +62,18 @@ func NewAccountFeeder(cfg AccountFeederConfig) *AccountFeeder {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	booking := make(map[string]bool, len(cfg.BookingPaths))
-	for _, p := range cfg.BookingPaths {
-		booking[p] = true
-	}
-	return &AccountFeeder{store: cfg.Store, clock: clock, booking: booking}
+	f := &AccountFeeder{store: cfg.Store, clock: clock}
+	f.decisionSinks = decisionSinks{{cfg.BookingPaths, false, f.feed}}
+	return f
 }
 
-// OnDecision is wired as the gate's decision hook. Anonymous requests
-// carry no account identity and are ignored.
-func (f *AccountFeeder) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
+// feed is the feeder's decision sink. Anonymous requests carry no account
+// identity and are ignored.
+func (f *AccountFeeder) feed(onBookingPath bool, _ string, info httpgate.ClientInfo, deniedBy string) {
 	if info.ClientKey == "" {
 		return
 	}
-	booked := deniedBy == "" && f.booking[r.URL.Path]
-	f.store.Observe(info.ClientKey, f.clock.Now(), booked, deniedBy != "")
+	f.store.Observe(info.ClientKey, f.clock.Now(), deniedBy == "" && onBookingPath, deniedBy != "")
 }
 
 // ROILedgerConfig assembles a ROILedger.

@@ -1,7 +1,8 @@
 package loadgen
 
 import (
-	"net/http"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -67,46 +68,52 @@ type GraphFeederConfig struct {
 // thresholds. It is driven from the gate's serving goroutines and
 // synchronises itself.
 type GraphFeeder struct {
+	decisionSinks
 	graph *entitygraph.Graph
 	weak  float64
-	watch map[string]bool
 
 	mu   sync.Mutex
-	keys []string
+	buf  []byte    // one observation's keys, back to back
+	keys [3][]byte // views into buf, for ObserveBytes
 }
 
 // NewGraphFeeder returns a feeder observing into cfg.Graph.
 func NewGraphFeeder(cfg GraphFeederConfig) *GraphFeeder {
-	watch := make(map[string]bool, len(cfg.Paths))
-	for _, p := range cfg.Paths {
-		watch[p] = true
-	}
-	return &GraphFeeder{graph: cfg.Graph, weak: cfg.Weak, watch: watch}
+	f := &GraphFeeder{graph: cfg.Graph, weak: cfg.Weak}
+	f.decisionSinks = decisionSinks{{cfg.Paths, len(cfg.Paths) == 0, f.feed}}
+	return f
 }
 
-// OnDecision is wired as the gate's decision hook. Every watched-path
-// request is evidence, whatever its verdict: a denied request still
-// demonstrates the co-occurrence of its identities, and observing it
-// keeps the component's score honest.
-func (f *GraphFeeder) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
-	if len(f.watch) > 0 && !f.watch[r.URL.Path] {
+// feed is the feeder's decision sink. Every watched-path request is
+// evidence, whatever its verdict: a denied request still demonstrates the
+// co-occurrence of its identities, and observing it keeps the component's
+// score honest.
+func (f *GraphFeeder) feed(watched bool, ref string, info httpgate.ClientInfo, _ string) {
+	if !watched {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// Grown to the observation's full length first, so no append below
+	// moves the buffer from under the views already cut.
+	buf := slices.Grow(f.buf[:0], 3*len("fp:")+16+len(info.IP)+len(ref))
 	keys := f.keys[:0]
 	if info.HasFingerprint {
-		keys = append(keys, entitygraph.FingerprintKey(info.Fingerprint))
+		buf = strconv.AppendUint(append(buf, "fp:"...), info.Fingerprint, 16)
+		keys = append(keys, buf)
 	}
 	if info.IP != "" {
-		keys = append(keys, entitygraph.IPKey(info.IP))
+		n := len(buf)
+		buf = append(append(buf, "ip:"...), info.IP...)
+		keys = append(keys, buf[n:])
 	}
-	if pnr := r.URL.Query().Get("pnr"); pnr != "" {
-		keys = append(keys, entitygraph.BookingKey(pnr))
+	if ref != "" {
+		n := len(buf)
+		buf = append(append(buf, "bk:"...), ref...)
+		keys = append(keys, buf[n:])
 	}
-	f.keys = keys
-	if len(keys) < 2 {
-		return
+	f.buf = buf
+	if len(keys) >= 2 {
+		f.graph.ObserveBytes(keys, f.weak)
 	}
-	f.graph.Observe(keys, f.weak)
 }

@@ -143,6 +143,16 @@ func TestGraphFeederObserves(t *testing.T) {
 	if !g.Flagged(entitygraph.FingerprintKey(0xfeed)) || !g.Flagged(entitygraph.FingerprintKey(0xbeef)) {
 		t.Fatalf("ring not flagged: %+v", g.Stats())
 	}
+	// The feeder spells its keys in scratch space; they must be the keys
+	// the graph's constructors — and so the gate's probes — spell.
+	for _, k := range []string{entitygraph.IPKey("203.0.5.10"), entitygraph.BookingKey("PNR00001")} {
+		if _, ok := g.Lookup(k); !ok {
+			t.Fatalf("no node under %q: %+v", k, g.Stats())
+		}
+	}
+	if st := g.Stats(); st.Nodes != 5 {
+		t.Fatalf("graph holds %d nodes, want 5: a scratch view leaked into a neighbouring key", st.Nodes)
+	}
 }
 
 // TestTargetEntityWiring builds the defended gate with an entity graph

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	"funabuse/internal/account"
@@ -111,14 +112,11 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 		ProfileWindow:      cfg.ProfileWindow,
 		ResourceLimit:      cfg.ResourceLimit,
 		ResourceWindow:     cfg.ResourceWindow,
-	}
-	if cfg.ResourceLimit > 0 {
-		gcfg.ResourceKey = func(r *http.Request) string {
-			return r.URL.Query().Get("pnr")
-		}
+		// Inert without a ResourceLimit: the layer needs both.
+		ResourceKey: func(r *http.Request) string { return httpgate.QueryValue(r, "pnr") },
 	}
 	var deployer *RuleDeployer
-	var hooks []func(*http.Request, httpgate.ClientInfo, string)
+	var sinks decisionSinks
 	if cfg.RuleThreshold > 0 || cfg.Decoys != nil {
 		deployer = NewRuleDeployer(RuleDeployerConfig{
 			Blocks:    blocks,
@@ -128,7 +126,7 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 			Paths:     cfg.RulePaths,
 			Decoys:    cfg.Decoys,
 		})
-		hooks = append(hooks, deployer.OnDecision)
+		sinks = append(sinks, deployer.decisionSinks...)
 	}
 	var opts []httpgate.Option
 	if cfg.Accounts != nil {
@@ -139,32 +137,22 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 			Window:      cfg.AccountWindow,
 			Multipliers: cfg.AccountMultipliers,
 		}))
-		feeder := NewAccountFeeder(AccountFeederConfig{
+		sinks = append(sinks, NewAccountFeeder(AccountFeederConfig{
 			Store:        cfg.Accounts,
 			Clock:        cfg.Clock,
 			BookingPaths: cfg.AccountBookingPaths,
-		})
-		hooks = append(hooks, feeder.OnDecision)
+		}).decisionSinks...)
 	}
 	if cfg.EntityGraph != nil {
 		gcfg.Entities = cfg.EntityGraph
-		feeder := NewGraphFeeder(GraphFeederConfig{
+		sinks = append(sinks, NewGraphFeeder(GraphFeederConfig{
 			Graph: cfg.EntityGraph,
 			Weak:  cfg.EntityWeak,
 			Paths: cfg.EntityPaths,
-		})
-		hooks = append(hooks, feeder.OnDecision)
+		}).decisionSinks...)
 	}
-	switch len(hooks) {
-	case 0:
-	case 1:
-		gcfg.OnDecision = hooks[0]
-	default:
-		gcfg.OnDecision = func(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
-			for _, h := range hooks {
-				h(r, info, deniedBy)
-			}
-		}
+	if len(sinks) > 0 {
+		gcfg.OnDecision = sinks.OnDecision
 	}
 	if cfg.Telemetry != nil {
 		opts = append(opts, httpgate.WithTelemetry(cfg.Telemetry))
@@ -173,6 +161,26 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 		opts = append(opts, httpgate.WithTraces(cfg.Traces))
 	}
 	return httpgate.New(gcfg, opts...), blocks, deployer
+}
+
+// decisionSinks is the gate's decision hook as a table, one row per
+// defender: the paths it watches (every path when all is set) and the
+// sink fed with every decision — whether its path is watched, the booking
+// reference (pnr parameter) it names, the attribution and the verdict.
+// Each defender embeds its own one-row table, whose promoted OnDecision
+// wires it into a gate alone; NewTargetGate concatenates them.
+type decisionSinks []struct {
+	paths []string
+	all   bool
+	feed  func(watched bool, ref string, info httpgate.ClientInfo, deniedBy string)
+}
+
+// OnDecision reads path and booking reference once and feeds every row.
+func (s decisionSinks) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
+	path, ref := r.URL.Path, httpgate.QueryValue(r, "pnr")
+	for _, row := range s {
+		row.feed(row.all || slices.Contains(row.paths, path), ref, info, deniedBy)
+	}
 }
 
 // StartTarget boots the defended server on an ephemeral 127.0.0.1 port.

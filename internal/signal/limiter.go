@@ -28,11 +28,18 @@ type Limiter struct {
 	denials atomic.Uint64
 }
 
+// limiterShard is one lock stripe, sized to exactly one 64-byte cache line
+// (mutex 8 + map 8 + ops 8 + slice 24 + pad 16; a test pins the multiple)
+// so neighbouring shards' hot locks never share one.
 type limiterShard struct {
 	mu   sync.Mutex
 	keys map[string]*Window
 	ops  int
-	_    [24]byte // keep hot shard locks off one cache line
+	// free holds rings the sweep took back from idle keys for the next
+	// inserts to reuse: an insert then costs the key's string clone and
+	// nothing else.
+	free []*Window
+	_    [16]byte
 }
 
 // LimiterConfig tunes a Limiter; the zero value of every optional field
@@ -55,6 +62,11 @@ const DefaultShards = 16
 
 // sweepEvery is how many shard operations pass between idle-key sweeps.
 const sweepEvery = 1024
+
+// maxFreeWindows caps a shard's free list, and with it the memory an idle
+// limiter keeps: 256 default-geometry rings are ~112 KiB a shard. A sweep
+// that frees more leaves the rest to the garbage collector, as before.
+const maxFreeWindows = 256
 
 // NewLimiter returns a sharded limiter.
 func NewLimiter(cfg LimiterConfig) *Limiter {
@@ -95,11 +107,11 @@ func (l *Limiter) Allow(key string, now time.Time) bool {
 	s.ops++
 	if s.ops >= sweepEvery {
 		s.ops = 0
-		sweepShard(s.keys, now)
+		s.sweep(now)
 	}
 	w, ok := s.keys[key]
 	if !ok {
-		w = NewWindow(l.window, l.buckets)
+		w = l.newWindow(s)
 		s.keys[key] = w
 	}
 	allowed := w.Count(now) < l.limit
@@ -190,11 +202,11 @@ func (l *Limiter) allowBytesLocked(s *limiterShard, key []byte, now time.Time) b
 	s.ops++
 	if s.ops >= sweepEvery {
 		s.ops = 0
-		sweepShard(s.keys, now)
+		s.sweep(now)
 	}
 	w, ok := s.keys[string(key)]
 	if !ok {
-		w = NewWindow(l.window, l.buckets)
+		w = l.newWindow(s)
 		s.keys[string(key)] = w
 	}
 	allowed := w.Count(now) < l.limit
@@ -238,17 +250,38 @@ func (l *Limiter) Sweep(now time.Time) {
 	for i := range l.shards {
 		s := &l.shards[i]
 		s.mu.Lock()
-		sweepShard(s.keys, now)
+		s.sweep(now)
 		s.mu.Unlock()
 	}
 }
 
-// sweepShard removes idle keys from one shard map. Callers hold the shard
-// lock.
-func sweepShard(keys map[string]*Window, now time.Time) {
-	for k, w := range keys {
-		if w.Empty(now) {
-			delete(keys, k)
+// sweep removes idle keys from the shard, keeping up to maxFreeWindows of
+// their rings for reuse. Callers hold the shard lock.
+func (s *limiterShard) sweep(now time.Time) {
+	for k, w := range s.keys {
+		if !w.Empty(now) {
+			continue
+		}
+		delete(s.keys, k)
+		if len(s.free) < maxFreeWindows {
+			s.free = append(s.free, w)
 		}
 	}
+}
+
+// newWindow returns a zeroed ring for a key entering shard s: a recycled
+// one when the free list has any, else a fresh allocation. Every ring of
+// one limiter has the same geometry, so a reset ring is indistinguishable
+// from a new one — the reset matters when the clock steps back onto
+// buckets the ring last used. Callers hold the shard lock.
+func (l *Limiter) newWindow(s *limiterShard) *Window {
+	n := len(s.free)
+	if n == 0 {
+		return NewWindow(l.window, l.buckets)
+	}
+	w := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	w.Reset()
+	return w
 }

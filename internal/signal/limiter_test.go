@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
+
+	"funabuse/internal/simrand"
 )
 
 // TestAllowBytesMatchesAllow drives the same key sequence through the
@@ -90,6 +93,99 @@ func TestAllowBytesSteadyStateAllocs(t *testing.T) {
 		l.AllowBatch(t0, keys, out)
 	}); avg != 0 {
 		t.Fatalf("AllowBatch allocates %v/op on warm keys", avg)
+	}
+
+	// Evict-then-reinsert: the sweep hands the key's ring to the shard's
+	// free list and the reinsert takes it back, so a key returning after
+	// its window emptied costs its string clone and nothing else.
+	if raceEnabled {
+		return // the detector's map instrumentation perturbs the count
+	}
+	l = NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30})
+	now := t0
+	l.AllowBytes(key, now)
+	if avg := testing.AllocsPerRun(256, func() {
+		now = now.Add(2 * time.Minute)
+		l.Sweep(now)
+		l.AllowBytes(key, now)
+	}); avg > 1 {
+		t.Fatalf("AllowBytes allocates %v/op on an evicted key's return, want <= 1", avg)
+	}
+}
+
+// TestLimiterShardFillsCacheLines pins the false-sharing guard: shards sit
+// back to back in one slice, so only a size that is a whole number of
+// 64-byte lines keeps one shard's lock off its neighbour's line.
+func TestLimiterShardFillsCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(limiterShard{}); size%64 != 0 {
+		t.Fatalf("limiterShard is %d bytes, not a multiple of 64", size)
+	}
+}
+
+// TestLimiterRecycleMatchesFresh is the model test for ring recycling: a
+// limiter that recycles swept rings against a twin whose free lists are
+// emptied before every operation — so every insert takes NewWindow, the
+// behaviour before recycling existed. Seeded random key/time streams run
+// through Allow, AllowBytes and AllowBatch with explicit sweeps (and the
+// automatic ones) interleaved; every verdict, the denial totals and the
+// tracked-key counts must agree throughout.
+func TestLimiterRecycleMatchesFresh(t *testing.T) {
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 2}
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := simrand.New(seed)
+		rec, ref := NewLimiter(cfg), NewLimiter(cfg)
+		key := func() []byte { return []byte("rs:" + itoa(rng.Intn(300))) }
+		recycled := 0
+		now := t0
+		for op := 0; op < 20000; op++ {
+			now = now.Add(time.Duration(rng.Intn(120)) * time.Millisecond)
+			if rng.Intn(40) == 0 {
+				// A clock stepping back lands on buckets a recycled ring
+				// last used: only a ring that was reset reads as fresh.
+				now = now.Add(-time.Duration(rng.Intn(30)) * time.Second)
+			}
+			for i := range ref.shards {
+				ref.shards[i].free = nil
+			}
+			for i := range rec.shards {
+				recycled += len(rec.shards[i].free)
+			}
+			switch rng.Intn(10) {
+			case 0:
+				rec.Sweep(now)
+				ref.Sweep(now)
+			case 1:
+				keys := make([][]byte, 1+rng.Intn(9))
+				for i := range keys {
+					keys[i] = key()
+				}
+				got, want := make([]bool, len(keys)), make([]bool, len(keys))
+				rec.AllowBatch(now, keys, got)
+				ref.AllowBatch(now, keys, want)
+				for i := range keys {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d op %d: AllowBatch[%d] %q = %v, fresh rings say %v", seed, op, i, keys[i], got[i], want[i])
+					}
+				}
+			case 2, 3, 4:
+				k := string(key())
+				if got, want := rec.Allow(k, now), ref.Allow(k, now); got != want {
+					t.Fatalf("seed %d op %d: Allow(%q) = %v, fresh rings say %v", seed, op, k, got, want)
+				}
+			default:
+				k := key()
+				if got, want := rec.AllowBytes(k, now), ref.AllowBytes(k, now); got != want {
+					t.Fatalf("seed %d op %d: AllowBytes(%q) = %v, fresh rings say %v", seed, op, k, got, want)
+				}
+			}
+			if rec.Denials() != ref.Denials() || rec.TrackedKeys() != ref.TrackedKeys() {
+				t.Fatalf("seed %d op %d: denials %d vs %d, tracked keys %d vs %d", seed, op,
+					rec.Denials(), ref.Denials(), rec.TrackedKeys(), ref.TrackedKeys())
+			}
+		}
+		if recycled == 0 || ref.Denials() == 0 {
+			t.Fatalf("seed %d: stream exercised nothing (free-list sightings %d, denials %d)", seed, recycled, ref.Denials())
+		}
 	}
 }
 
