@@ -1,13 +1,14 @@
 GO ?= go
 
-.PHONY: check fmt-check build test race vet bench bench-smoke bench-module fuzz chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt-check build test race allocs vet bench bench-smoke bench-module fuzz chaos obs-smoke cluster partition syndicate economics
 
 # The full pre-merge gate, each test once: formatting, vet, build, the whole
 # suite under the race detector (the replicate runner, signal engine,
-# httpgate, cluster gossip and detect monitors are concurrent), a
-# one-iteration benchmark compile+run, and the nested bench/ module's own
-# vet and tests (root ./... does not reach it).
-check: fmt-check vet build race bench-smoke bench-module
+# httpgate, cluster gossip and detect monitors are concurrent), the
+# allocation and memory budgets without it, a one-iteration benchmark
+# compile+run, and the nested bench/ module's own vet and tests (root ./...
+# does not reach it).
+check: fmt-check vet build race allocs bench-smoke bench-module
 
 # The targets below are local shortcuts: -run subsets of `race` for
 # iterating on one subsystem. They gate nothing — check and CI run every
@@ -67,6 +68,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# allocs enforces the allocation and memory budgets: every test that counts
+# mallocs or reads runtime.MemStats skips under the race detector, whose
+# instrumentation perturbs the counts, so `race` alone gates none of them.
+# Only the tests named *Alloc* run here; the few of them that do not skip
+# under -race run in both for different reasons (races there, counts here).
+allocs:
+	$(GO) test -count=1 -run 'Alloc' ./...
 
 # bench runs the repository's benchmark (see BENCHMARK.json): five
 # end-to-end workloads plus the per-layer probes, every output checked

@@ -12,16 +12,42 @@
 // the gate probes per request; it is a lock-shared map read returning an
 // int, so the admitted hot path stays allocation-free.
 //
-// Memory is bounded: when the store exceeds its budget it deterministically
-// evicts the least-recently-seen accounts (ties broken by key order) down
-// to three quarters of the budget, so a registration flood cannot grow the
-// store without limit — exactly the attack the budget models, since fake
-// account registration is the attacker cost lever the economics scenario
-// charges for.
+// Memory is bounded: when an insert takes the store over its budget it
+// deterministically evicts the least-recently-seen accounts (ties broken by
+// key order) down to three quarters of the budget, so a registration flood
+// cannot grow the store without limit — exactly the attack the budget
+// models, since fake account registration is the attacker cost lever the
+// economics scenario charges for.
+//
+// What is exact: the victim set. Records live by value in a slab indexed by
+// a key → slot map; an eviction lists (lastSeen, slot) for every account in
+// a reused scratch and selects — an nth-element partition, not a sort — the
+// len − 3/4·budget oldest, reading keys only to order two accounts last
+// seen at the same instant. The order is on lastSeen.UnixNano(), the wall
+// instant, exact for any clock reading between the years 1678 and 2262.
+// What is amortised: that one pass over the slab, paid once per quarter
+// budget of inserts, so an insert under a saturated budget costs O(1)
+// amortised and, after the first eviction has sized the scratch and the
+// free list, allocates nothing: the record lands in a slot an eviction
+// freed and the store keeps the caller's key string, as it always has. The
+// slab grows by a quarter at a time but never past budget+1 slots — the one
+// account over budget that exists while its own eviction runs. The hit path
+// (Observe of a known key, TierOf) never moves or links anything: recency
+// is read from the records when an eviction needs it, not maintained on
+// every touch.
+//
+// The self-eviction rule: an account inserted with a now older than the
+// eviction cut — a late-stamped request, a member registered as of long
+// ago into a full store — is the oldest entry of the eviction it triggers.
+// It is created, counted in Created and Evicted, and gone; Observe and
+// Register return without touching it, so no tier gauge counts an account
+// the store does not hold.
 package account
 
 import (
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,6 +123,8 @@ func (c *Config) normalize() {
 	if c.MaxAccounts <= 0 {
 		c.MaxAccounts = DefaultMaxAccounts
 	}
+	// Slots are int32 and an insert occupies one slot over budget.
+	c.MaxAccounts = min(c.MaxAccounts, math.MaxInt32-1)
 	zero := Threshold{}
 	if c.MemberT == zero {
 		c.MemberT = DefaultMemberT
@@ -109,8 +137,10 @@ func (c *Config) normalize() {
 	}
 }
 
-// record is one account's mutable state, guarded by the store mutex.
+// record is one account's mutable state, held by value in the store's slab
+// and guarded by the store mutex. A slot whose key is empty is free.
 type record struct {
+	key       string
 	createdAt time.Time
 	lastSeen  time.Time
 	requests  uint64
@@ -140,9 +170,12 @@ func (s Snapshot) Age() time.Duration { return s.LastSeen.Sub(s.CreatedAt) }
 type Store struct {
 	cfg Config
 
-	mu       sync.RWMutex
-	accounts map[string]*record
-	byTier   [NumTiers]int
+	mu     sync.RWMutex
+	index  map[string]int32 // key → slot in recs
+	recs   []record         // the slab: never more than MaxAccounts+1 slots
+	free   []int32          // slots an eviction emptied, reused before the slab grows
+	cands  []evictCand      // eviction scratch, sized once
+	byTier [NumTiers]int
 
 	created    atomic.Uint64
 	evicted    atomic.Uint64
@@ -152,7 +185,7 @@ type Store struct {
 // NewStore builds a Store.
 func NewStore(cfg Config) *Store {
 	cfg.normalize()
-	return &Store{cfg: cfg, accounts: make(map[string]*record)}
+	return &Store{cfg: cfg, index: make(map[string]int32)}
 }
 
 // tierFor derives the tier an account with the given age and bookings has
@@ -179,8 +212,8 @@ func (s *Store) TierOf(key string) int {
 	}
 	t := Guest
 	s.mu.RLock()
-	if rec := s.accounts[key]; rec != nil {
-		t = rec.tier
+	if slot, ok := s.index[key]; ok {
+		t = s.recs[slot].tier
 	}
 	s.mu.RUnlock()
 	return int(t)
@@ -195,16 +228,14 @@ func (s *Store) Observe(key string, now time.Time, booked, denied bool) {
 		return
 	}
 	s.mu.Lock()
-	rec := s.accounts[key]
-	if rec == nil {
-		rec = &record{createdAt: now, lastSeen: now, tier: Guest}
-		s.accounts[key] = rec
-		s.byTier[Guest]++
-		s.created.Add(1)
-		if len(s.accounts) > s.cfg.MaxAccounts {
-			s.evictLocked()
+	slot, ok := s.index[key]
+	if !ok {
+		if slot, ok = s.insertLocked(key, now, now); !ok {
+			s.mu.Unlock()
+			return
 		}
 	}
+	rec := &s.recs[slot]
 	if now.After(rec.lastSeen) {
 		rec.lastSeen = now
 	}
@@ -216,10 +247,7 @@ func (s *Store) Observe(key string, now time.Time, booked, denied bool) {
 		rec.denials++
 	}
 	if t := s.tierFor(rec.lastSeen.Sub(rec.createdAt), rec.bookings); t > rec.tier {
-		s.byTier[rec.tier]--
-		s.byTier[t]++
-		rec.tier = t
-		s.promotions.Add(1)
+		s.promoteLocked(rec, t)
 	}
 	s.mu.Unlock()
 }
@@ -233,16 +261,14 @@ func (s *Store) Register(key string, createdAt time.Time, bookings uint64, now t
 		return
 	}
 	s.mu.Lock()
-	rec := s.accounts[key]
-	if rec == nil {
-		rec = &record{createdAt: createdAt, lastSeen: now, tier: Guest}
-		s.accounts[key] = rec
-		s.byTier[Guest]++
-		s.created.Add(1)
-		if len(s.accounts) > s.cfg.MaxAccounts {
-			s.evictLocked()
+	slot, ok := s.index[key]
+	if !ok {
+		if slot, ok = s.insertLocked(key, createdAt, now); !ok {
+			s.mu.Unlock()
+			return
 		}
 	}
+	rec := &s.recs[slot]
 	if createdAt.Before(rec.createdAt) {
 		rec.createdAt = createdAt
 	}
@@ -253,54 +279,157 @@ func (s *Store) Register(key string, createdAt time.Time, bookings uint64, now t
 		rec.bookings = bookings
 	}
 	if t := s.tierFor(rec.lastSeen.Sub(rec.createdAt), rec.bookings); t > rec.tier {
-		s.byTier[rec.tier]--
-		s.byTier[t]++
-		rec.tier = t
-		s.promotions.Add(1)
+		s.promoteLocked(rec, t)
 	}
 	s.mu.Unlock()
 }
 
+// insertLocked creates key's account as a guest last seen at now, in a
+// freed slot when there is one. An insert that takes the store over its
+// budget evicts at once, and an account whose now is older than the
+// eviction cut is then its own victim: ok is false and the caller must
+// leave the slot alone. Caller holds the write lock.
+func (s *Store) insertLocked(key string, createdAt, now time.Time) (slot int32, ok bool) {
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		if len(s.recs) == cap(s.recs) {
+			// Grow by a quarter, so a store far under its budget carries
+			// little slack, and never past the one slot over budget an
+			// insert can occupy before its eviction runs.
+			grown := make([]record, len(s.recs), min(cap(s.recs)+cap(s.recs)/4+16, s.cfg.MaxAccounts+1))
+			copy(grown, s.recs)
+			s.recs = grown
+		}
+		slot = int32(len(s.recs))
+		s.recs = s.recs[:slot+1]
+	}
+	s.recs[slot] = record{key: key, createdAt: createdAt, lastSeen: now, tier: Guest}
+	s.index[key] = slot
+	s.byTier[Guest]++
+	s.created.Add(1)
+	if len(s.index) > s.cfg.MaxAccounts {
+		s.evictLocked()
+	}
+	return slot, s.recs[slot].key != ""
+}
+
+// promoteLocked raises rec to the tier its history has earned; tiers only
+// rise, and the callers check that inline so the common no-change request
+// pays no call.
+func (s *Store) promoteLocked(rec *record, t Tier) {
+	s.byTier[rec.tier]--
+	s.byTier[t]++
+	rec.tier = t
+	s.promotions.Add(1)
+}
+
+// evictCand is one account as the eviction selection sees it: its last-seen
+// instant and its slot, 16 bytes. The key is read through the slot, and
+// only to order two accounts last seen at the same instant.
+type evictCand struct {
+	at   int64 // lastSeen.UnixNano()
+	slot int32
+}
+
 // evictLocked drops the least-recently-seen accounts (ties broken by key
 // order, so eviction is deterministic for any map iteration order) until
-// the store is at 3/4 of its budget. Caller holds the write lock.
+// the store is at 3/4 of its budget. It selects the victims instead of
+// sorting the population, and allocates nothing after its first call: the
+// scratch and the free list are sized exactly then. Caller holds the write
+// lock.
 func (s *Store) evictLocked() {
-	target := s.cfg.MaxAccounts * 3 / 4
-	if target < 1 {
-		target = 1
+	target := max(s.cfg.MaxAccounts*3/4, 1)
+	k := len(s.index) - target
+	if cap(s.cands) < len(s.index) {
+		s.cands = make([]evictCand, 0, len(s.index))
+		s.free = make([]int32, 0, k)
 	}
-	type victim struct {
-		key string
-		at  time.Time
-	}
-	victims := make([]victim, 0, len(s.accounts))
-	for k, rec := range s.accounts {
-		victims = append(victims, victim{key: k, at: rec.lastSeen})
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if !victims[i].at.Equal(victims[j].at) {
-			return victims[i].at.Before(victims[j].at)
+	c := s.cands[:0]
+	for i := range s.recs {
+		if rec := &s.recs[i]; rec.key != "" {
+			c = append(c, evictCand{at: rec.lastSeen.UnixNano(), slot: int32(i)})
 		}
-		return victims[i].key < victims[j].key
+	}
+	s.selectOldest(c, k)
+	for _, v := range c[:k] {
+		rec := &s.recs[v.slot]
+		s.byTier[rec.tier]--
+		delete(s.index, rec.key)
+		*rec = record{}
+		s.free = append(s.free, v.slot)
+	}
+	s.evicted.Add(uint64(k))
+}
+
+// older is the eviction order: last-seen instant, then key.
+func (s *Store) older(a, b evictCand) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return s.recs[a.slot].key < s.recs[b.slot].key
+}
+
+// selectOldest reorders c so that c[:k] holds its k oldest entries, in no
+// particular order (0 < k < len(c)). Keys are distinct, so older is a
+// strict total order and the selected set is unique whatever the pivots.
+// It is a quickselect on a median-of-three pivot; a run of bad pivots
+// falls back to sorting what is left, which keeps the worst case at
+// n log n for any arrival pattern.
+func (s *Store) selectOldest(c []evictCand, k int) {
+	lo, hi := 0, len(c)
+	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 12 && budget > 0; budget-- {
+		a, b, p := c[lo], c[hi-1], c[lo+(hi-lo)/2]
+		if s.older(b, a) {
+			a, b = b, a
+		}
+		if s.older(p, a) {
+			p = a
+		} else if s.older(b, p) {
+			p = b
+		}
+		i, j := lo, hi-1
+		for i <= j {
+			for s.older(c[i], p) {
+				i++
+			}
+			for s.older(p, c[j]) {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		// c[lo:j+1] ≤ p ≤ c[i:hi], and anything between is p itself.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.SortFunc(c[lo:hi], func(a, b evictCand) int {
+		if s.older(a, b) {
+			return -1
+		}
+		return 1
 	})
-	for _, v := range victims {
-		if len(s.accounts) <= target {
-			break
-		}
-		s.byTier[s.accounts[v.key].tier]--
-		delete(s.accounts, v.key)
-		s.evicted.Add(1)
-	}
 }
 
 // Snapshot returns key's state, reporting whether the account exists.
 func (s *Store) Snapshot(key string) (Snapshot, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rec := s.accounts[key]
-	if rec == nil {
+	slot, ok := s.index[key]
+	if !ok {
 		return Snapshot{}, false
 	}
+	rec := &s.recs[slot]
 	return Snapshot{
 		Key:       key,
 		CreatedAt: rec.createdAt,
@@ -316,7 +445,7 @@ func (s *Store) Snapshot(key string) (Snapshot, bool) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.accounts)
+	return len(s.index)
 }
 
 // TierCount reports how many accounts currently hold tier t.

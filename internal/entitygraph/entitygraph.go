@@ -28,6 +28,24 @@
 // and sticky flags. Two graphs fed the same observation sequence evict
 // identically, which is what the loadgen determinism goldens rely on.
 //
+// What is exact: the victim set (an nth-element selection over (tick, slot)
+// pairs in a reused scratch, keys read only to order the nodes of one
+// observation), every component's size, type span, score and flag after
+// the rebuild, and all of Stats. What is amortised: the rebuild itself —
+// one pass over the node slab and the edge map per quarter budget of new
+// nodes. Nodes live in stable slots: a survivor keeps its slot through any
+// number of evictions and a victim's slot goes on a free list for the next
+// new key, so an eviction removes only the victims' keys from the index,
+// compacts and reallocates nothing, and a saturated graph's inserts
+// allocate the key clone the graph must retain and nothing else. Because
+// slots are stable, an edge is keyed by its two slots packed in a uint64
+// rather than by its two key strings: recording a co-occurrence hashes 8
+// bytes, and the rebuild re-unions by slot without hashing a string. A slot
+// is never reused while an edge still names it — the eviction that frees a
+// slot drops every edge with a dead endpoint in the same step. Only the
+// edge-budget branch (a hub with more edges than MaxEdges) still sorts, by
+// (tick, lower key, higher key), and allocates while it does.
+//
 // The graph is safe for concurrent use: observations take the write
 // lock; lookups — including the gate hot path's FlaggedBytes — take the
 // read lock and never mutate (the read path walks parent pointers
@@ -35,8 +53,9 @@
 package entitygraph
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -163,37 +182,50 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one entity. parent/size implement the union-find; size,
-// typeMask, score and flagged are authoritative only at a root (except
-// during eviction, when flags are propagated to members so they survive
-// the rebuild). own is the node's personally accrued weak score — the
+// node is one entity in a stable slot of the graph's slab; a slot whose key
+// is empty is free. parent/size implement the union-find; size, typeMask,
+// score and flagged are authoritative only at a root (except during
+// eviction, when flags are propagated to members so they survive the
+// rebuild). own is the node's personally accrued weak score — the
 // quantity that survives eviction and from which root scores are rebuilt.
 type node struct {
-	key    string
-	typ    Type
-	parent int32
-	tick   uint64
+	key   string
+	tick  uint64
+	score float64
+	own   float64
 
+	parent   int32
 	size     int32
 	typeMask uint16
-	score    float64
-	own      float64
+	typ      Type
 	flagged  bool
 }
 
-// edgeKey identifies a co-occurrence edge by its endpoint keys, ordered
-// so (a,b) and (b,a) are one edge. Keys, not node indices: indices are
-// compacted on eviction, keys are stable.
-type edgeKey struct{ a, b string }
+// edgeID identifies a co-occurrence edge by its endpoint slots, the lower
+// slot in the high half, so (a,b) and (b,a) are one edge. Slots, not keys:
+// a slot is stable for as long as its node lives, and an eviction drops
+// every edge of a node in the same step that frees its slot, so a reused
+// slot never inherits an edge.
+type edgeID uint64
+
+func edgeBetween(a, b int32) edgeID {
+	if b < a {
+		a, b = b, a
+	}
+	return edgeID(uint32(a))<<32 | edgeID(uint32(b))
+}
+
+func (e edgeID) ends() (a, b int32) { return int32(e >> 32), int32(uint32(e)) }
 
 // Graph is the incremental entity-linkage graph.
 type Graph struct {
 	cfg Config
 
 	mu    sync.RWMutex
-	idx   map[string]int32
-	nodes []node
-	edges map[edgeKey]uint64 // last tick the co-occurrence was observed
+	idx   map[string]int32  // key → slot in nodes, live nodes only
+	nodes []node            // the slab: live nodes and free slots
+	free  []int32           // slots an eviction emptied, reused before the slab grows
+	edges map[edgeID]uint64 // last tick the co-occurrence was observed
 
 	tick       uint64
 	components int
@@ -201,6 +233,7 @@ type Graph struct {
 	evicted    uint64
 
 	scratch []int32
+	cands   []evictCand // eviction scratch, reused
 }
 
 // New returns an empty graph under cfg's budgets.
@@ -209,7 +242,7 @@ func New(cfg Config) *Graph {
 	return &Graph{
 		cfg:   cfg,
 		idx:   make(map[string]int32),
-		edges: make(map[edgeKey]uint64),
+		edges: make(map[edgeID]uint64),
 	}
 }
 
@@ -285,20 +318,27 @@ func (g *Graph) observe(ids []int32, weak float64) {
 	}
 	g.refreshFlag(root)
 
-	if len(g.nodes) > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
+	if len(g.idx) > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
 		g.evict()
 	}
 }
 
-// add inserts an unseen key as a fresh singleton component and returns its
-// node index. Callers hold the write lock.
+// add inserts an unseen key as a fresh singleton component, in a freed slot
+// when there is one, and returns its slot. Callers hold the write lock.
 func (g *Graph) add(key string) int32 {
-	i := int32(len(g.nodes))
+	var i int32
+	if n := len(g.free); n > 0 {
+		i = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		i = int32(len(g.nodes))
+		g.nodes = append(g.nodes, node{})
+	}
 	typ := KeyType(key)
-	g.nodes = append(g.nodes, node{
+	g.nodes[i] = node{
 		key: key, typ: typ, parent: i,
 		size: 1, typeMask: 1 << typ,
-	})
+	}
 	g.idx[key] = i
 	g.components++
 	return i
@@ -310,11 +350,7 @@ func (g *Graph) link(a, b int32) {
 	if a == b {
 		return
 	}
-	ka, kb := g.nodes[a].key, g.nodes[b].key
-	if kb < ka {
-		ka, kb = kb, ka
-	}
-	g.edges[edgeKey{ka, kb}] = g.tick
+	g.edges[edgeBetween(a, b)] = g.tick
 	g.union(a, b)
 }
 
@@ -375,12 +411,23 @@ func (g *Graph) refreshFlag(root int32) {
 	}
 }
 
+// evictCand is one node as the eviction selection sees it: the tick it was
+// last observed at and its slot. The key is read through the slot, and only
+// to order two nodes of one observation.
+type evictCand struct {
+	tick uint64
+	slot int32
+}
+
 // evict is the deterministic decay step: drop the least recently
 // observed nodes (ties by key) down to 3/4 of the node budget, drop
 // edges that lost an endpoint (then the oldest edges if still over
 // budget), and rebuild the union-find from the survivors. Per-node
 // accrued score and sticky flags survive; a flagged component that the
 // eviction splits leaves every surviving fragment flagged.
+//
+// Survivors keep their slots: only the victims' keys leave idx, nothing is
+// compacted or reallocated, and the rebuild resets and re-unions by slot.
 func (g *Graph) evict() {
 	// Sticky flags must survive the rebuild at node granularity.
 	for i := range g.nodes {
@@ -389,37 +436,36 @@ func (g *Graph) evict() {
 		}
 	}
 
-	keep := g.nodes
-	if target := g.cfg.MaxNodes * 3 / 4; len(g.nodes) > target {
-		order := make([]int32, len(g.nodes))
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			na, nb := &g.nodes[order[a]], &g.nodes[order[b]]
-			if na.tick != nb.tick {
-				return na.tick < nb.tick
+	if target := g.cfg.MaxNodes * 3 / 4; len(g.idx) > target {
+		c := slices.Grow(g.cands[:0], len(g.idx))
+		for i := range g.nodes {
+			if n := &g.nodes[i]; n.key != "" {
+				c = append(c, evictCand{tick: n.tick, slot: int32(i)})
 			}
-			return na.key < nb.key
-		})
-		keep = make([]node, 0, target)
-		for _, i := range order[len(order)-target:] {
-			keep = append(keep, g.nodes[i])
 		}
-		g.evicted += uint64(len(g.nodes) - target)
+		g.cands = c
+		k := len(c) - target
+		if k < len(c) {
+			g.selectOldest(c, k)
+		}
+		for _, v := range c[:k] {
+			delete(g.idx, g.nodes[v.slot].key)
+			// A free slot is its own unflagged root, so the walks over
+			// the whole slab above and below pass through it untouched.
+			g.nodes[v.slot] = node{parent: v.slot}
+			g.free = append(g.free, v.slot)
+		}
+		g.evicted += uint64(k)
 	}
 
-	idx := make(map[string]int32, len(keep))
-	for i := range keep {
-		n := &keep[i]
+	for i := range g.nodes {
+		n := &g.nodes[i]
 		n.parent = int32(i)
 		n.size = 1
 		n.typeMask = 1 << n.typ
 		n.score = n.own
-		idx[n.key] = int32(i)
 	}
-	g.nodes, g.idx = keep, idx
-	g.components = len(keep)
+	g.components = len(g.idx)
 
 	// Surviving edges: both endpoints kept. Determinism note: map
 	// iteration order is random, but edge filtering is order-independent
@@ -427,54 +473,115 @@ func (g *Graph) evict() {
 	// so the resulting components, scores and flags are identical across
 	// runs; only when the edge budget itself overflows is an explicit
 	// sort imposed.
-	for ek := range g.edges {
-		if _, oka := idx[ek.a]; !oka {
-			delete(g.edges, ek)
-			continue
-		}
-		if _, okb := idx[ek.b]; !okb {
-			delete(g.edges, ek)
+	for e := range g.edges {
+		if a, b := e.ends(); g.nodes[a].key == "" || g.nodes[b].key == "" {
+			delete(g.edges, e)
 		}
 	}
 	if target := g.cfg.MaxEdges * 3 / 4; len(g.edges) > target {
-		type aged struct {
-			ek   edgeKey
-			tick uint64
-		}
-		all := make([]aged, 0, len(g.edges))
-		for ek, t := range g.edges {
-			all = append(all, aged{ek, t})
-		}
-		sort.Slice(all, func(a, b int) bool {
-			if all[a].tick != all[b].tick {
-				return all[a].tick < all[b].tick
-			}
-			if all[a].ek.a != all[b].ek.a {
-				return all[a].ek.a < all[b].ek.a
-			}
-			return all[a].ek.b < all[b].ek.b
-		})
-		for _, e := range all[:len(all)-target] {
-			delete(g.edges, e.ek)
-		}
+		g.evictEdges(len(g.edges) - target)
 	}
 
 	g.flagRoots = 0
-	for ek := range g.edges {
-		g.union(idx[ek.a], idx[ek.b])
+	for e := range g.edges {
+		g.union(e.ends())
 	}
 	// union counts a flagged-flagged merge as losing one flagged root
 	// starting from flagRoots = 0, so recount from the rebuilt forest.
 	g.flagRoots = 0
 	for i := range g.nodes {
-		if g.nodes[i].parent == int32(i) && g.nodes[i].flagged {
+		if n := &g.nodes[i]; n.key != "" && n.parent == int32(i) && n.flagged {
 			g.flagRoots++
 		}
 	}
 	for i := range g.nodes {
-		if g.nodes[i].parent == int32(i) {
+		if n := &g.nodes[i]; n.key != "" && n.parent == int32(i) {
 			g.refreshFlag(int32(i))
 		}
+	}
+}
+
+// older is the node eviction order: last-observed tick, then key.
+func (g *Graph) older(a, b evictCand) bool {
+	if a.tick != b.tick {
+		return a.tick < b.tick
+	}
+	return g.nodes[a.slot].key < g.nodes[b.slot].key
+}
+
+// selectOldest reorders c so that c[:k] holds its k oldest entries, in no
+// particular order (0 < k < len(c)). Keys are distinct, so older is a
+// strict total order and the selected set is unique whatever the pivots.
+// It is a quickselect on a median-of-three pivot; a run of bad pivots
+// falls back to sorting what is left, which keeps the worst case at
+// n log n for any observation pattern.
+func (g *Graph) selectOldest(c []evictCand, k int) {
+	lo, hi := 0, len(c)
+	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 12 && budget > 0; budget-- {
+		a, b, p := c[lo], c[hi-1], c[lo+(hi-lo)/2]
+		if g.older(b, a) {
+			a, b = b, a
+		}
+		if g.older(p, a) {
+			p = a
+		} else if g.older(b, p) {
+			p = b
+		}
+		i, j := lo, hi-1
+		for i <= j {
+			for g.older(c[i], p) {
+				i++
+			}
+			for g.older(p, c[j]) {
+				j--
+			}
+			if i <= j {
+				c[i], c[j] = c[j], c[i]
+				i++
+				j--
+			}
+		}
+		// c[lo:j+1] ≤ p ≤ c[i:hi], and anything between is p itself.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+	slices.SortFunc(c[lo:hi], func(a, b evictCand) int {
+		if g.older(a, b) {
+			return -1
+		}
+		return 1
+	})
+}
+
+// evictEdges drops the n least recently observed edges, ties broken by the
+// endpoint keys in order. Only a hub pattern — few nodes, many edges —
+// gets here, so it sorts, and allocates its own scratch.
+func (g *Graph) evictEdges(n int) {
+	type aged struct {
+		e    edgeID
+		tick uint64
+		a, b string // endpoint keys, a < b
+	}
+	all := make([]aged, 0, len(g.edges))
+	for e, t := range g.edges {
+		a, b := e.ends()
+		ka, kb := g.nodes[a].key, g.nodes[b].key
+		if kb < ka {
+			ka, kb = kb, ka
+		}
+		all = append(all, aged{e, t, ka, kb})
+	}
+	slices.SortFunc(all, func(x, y aged) int {
+		return cmp.Or(cmp.Compare(x.tick, y.tick), strings.Compare(x.a, y.a), strings.Compare(x.b, y.b))
+	})
+	for _, e := range all[:n] {
+		delete(g.edges, e.e)
 	}
 }
 
@@ -550,7 +657,7 @@ func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return Stats{
-		Nodes:             len(g.nodes),
+		Nodes:             len(g.idx),
 		Edges:             len(g.edges),
 		Components:        g.components,
 		FlaggedComponents: g.flagRoots,
