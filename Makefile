@@ -91,12 +91,15 @@ bench-smoke:
 
 # fuzz hammers what faces untrusted bytes for 15 s each, starting from the
 # seed corpus the plain test run already replays: the two gossip decoders
-# (the FAS1 sketch-state codec, the FGS1 snapshot codec) and the gate's
-# in-place query scan, held equal to net/url on every raw query.
+# (the FAS1 sketch-state codec, every decoded ring's reads held equal to a
+# full scan; the FGS1 snapshot codec) and the gate's in-place request
+# scans, held equal to net/url on every raw query and to net/http on every
+# Cookie header.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeState -fuzztime 15s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime 15s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzQueryValue -fuzztime 15s ./internal/httpgate
+	$(GO) test -run=^$$ -fuzz=FuzzCookieValue -fuzztime 15s ./internal/httpgate
 
 # bench-module vets and tests the benchmark harness, a module of its own.
 bench-module:

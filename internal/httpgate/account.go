@@ -13,7 +13,9 @@ const numAccountTiers = 4
 var accountTierNames = [numAccountTiers]string{"guest", "member", "silver", "gold"}
 
 // AccountLookup resolves a client key's loyalty tier (0 = guest). The
-// gate probes it once or twice per request on the admitted hot path, so
+// gate probes it once per Decide on the admitted hot path — the feature
+// gate and the per-tier rate share the answer; DecideBatch, which runs a
+// step for the whole round before the next, probes once per step — so
 // implementations must be allocation-free and safe for concurrent use;
 // account.Store's TierOf is the canonical implementation. Unknown and
 // empty keys are guests.
@@ -80,21 +82,26 @@ func (g *Gate) buildAccounts() {
 }
 
 // accountTier resolves the request's loyalty tier, clamped into the
-// gate's tier range. count adds it to the per-tier telemetry family; the
-// callers arrange that exactly one account step counts, so a request is
-// counted once even when both steps evaluate it.
+// gate's tier range. The built-in lookup runs once per decision and both
+// account steps share its answer; a custom TierFunc, the fault-injection
+// seam, is asked by each step. count adds the tier to the per-tier
+// telemetry family; the callers arrange that exactly one account step
+// counts, so a request is counted once even when both steps evaluate it.
 func accountTier(g *Gate, ctx *decisionCtx, count bool) (int, error) {
 	var tier int
-	if fn := g.accounts.TierFunc; fn != nil {
+	switch fn := g.accounts.TierFunc; {
+	case fn != nil:
 		t, err := fn(ctx.info.ClientKey, ctx.now)
 		if err != nil {
 			return 0, err
 		}
-		tier = t
-	} else {
-		tier = g.accounts.Lookup.TierOf(ctx.info.ClientKey)
+		tier = min(max(t, 0), numAccountTiers-1)
+	case ctx.tier >= 0:
+		tier = ctx.tier
+	default:
+		tier = min(max(g.accounts.Lookup.TierOf(ctx.info.ClientKey), 0), numAccountTiers-1)
+		ctx.tier = tier
 	}
-	tier = min(max(tier, 0), numAccountTiers-1)
 	if tel := g.tel; count && tel != nil && tel.tiers[tier] != nil {
 		tel.tiers[tier].Inc()
 	}

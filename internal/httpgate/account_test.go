@@ -169,6 +169,55 @@ func TestAccountTierTelemetryCountsOnce(t *testing.T) {
 	}
 }
 
+// countingTiers is a tierMap that counts its lookups.
+type countingTiers struct {
+	tierMap
+	calls int
+}
+
+func (c *countingTiers) TierOf(key string) int {
+	c.calls++
+	return c.tierMap.TierOf(key)
+}
+
+// TestAccountTierLookedUpOncePerDecision pins the shared tier: with both
+// account steps enabled, Decide asks the built-in lookup once and both
+// steps act on that answer, while a DecideBatch round resolves each
+// request's tier for itself.
+func TestAccountTierLookedUpOncePerDecision(t *testing.T) {
+	tiers := &countingTiers{tierMap: tierMap{"vip": 1}}
+	g := New(Config{Clock: simclock.NewManual(t0)}, WithAccounts(AccountPolicy{
+		Lookup:     tiers,
+		Restricted: map[string]int{"/seatmap/bulk": 1},
+		BaseLimit:  1,
+		Window:     time.Hour,
+	}))
+	open := httptest.NewRequest(http.MethodGet, "/search", nil)
+	vip := ClientInfo{IP: "198.51.100.1", ClientKey: "vip"}
+	for i, want := range []string{"", "", "", "", ReasonAccountLimit} {
+		if d := g.Decide(open, vip); d.Reason != want {
+			t.Fatalf("vip decision %d: %+v, want reason %q", i, d, want)
+		}
+	}
+	if tiers.calls != 5 {
+		t.Fatalf("5 decisions made %d tier lookups, want 5", tiers.calls)
+	}
+
+	// The feature-gate step runs over the whole round before the rate
+	// step, so a tier carried over from the round's last request would
+	// give the two member requests the guest allowance of 1.
+	tiers.tierMap["vip2"] = 1
+	member := ClientInfo{IP: "198.51.100.3", ClientKey: "vip2"}
+	guest := ClientInfo{IP: "198.51.100.2", ClientKey: "guest"}
+	reqs := []Request{{open, member}, {open, member}, {open, guest}, {open, guest}}
+	out := g.DecideBatch(reqs, nil)
+	for i, want := range []string{"", "", "", ReasonAccountLimit} {
+		if out[i].Reason != want {
+			t.Fatalf("batch request %d: %+v, want reason %q", i, out[i], want)
+		}
+	}
+}
+
 // accountGate mirrors entityGate with the full account layer enabled —
 // store-backed tier lookups, a restricted-path table and per-tier
 // limiters — over the instrumented gate config.

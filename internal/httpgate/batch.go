@@ -81,7 +81,7 @@ func (g *Gate) DecideBatch(reqs []Request, out []Decision) []Decision {
 	var admitted, denied, degraded uint64
 	for i := range reqs {
 		d := &out[i]
-		ctx.r, ctx.info = reqs[i].R, reqs[i].Info
+		ctx.bind(reqs[i].R, reqs[i].Info)
 		d.Reason, d.Status, d.Degraded = g.journal(ctx, d.Reason, d.Status, d.Degraded)
 		if d.Reason != "" {
 			denied++
@@ -127,7 +127,7 @@ func (g *Gate) batchStep(st *layerStep, reqs []Request, out []Decision, pending,
 			next = append(next, i)
 			continue
 		}
-		ctx.r, ctx.info = reqs[i].R, reqs[i].Info
+		ctx.bind(reqs[i].R, reqs[i].Info)
 		var v bool
 		var deg uint8
 		switch {

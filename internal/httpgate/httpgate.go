@@ -53,6 +53,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"sync"
@@ -287,17 +288,24 @@ type layerStep struct {
 
 // decisionCtx is the pooled per-decision scratch: the request under
 // evaluation, its attribution, the decision's shared clock reading, a
-// key-assembly buffer and, once the check steps have run, the verdict the
-// journal step records. Pooling it keeps the admitted hot path free of
-// heap allocations. A context never outlives the decision that borrowed
-// it: every layer call runs under panic isolation (safeCall), so no
-// panic can carry a pooled context out of decide before it is released.
+// key-assembly buffer, what more than one row derives from the request
+// (the "fp:" key, the built-in account tier) and, once the check steps
+// have run, the verdict the journal step records. Pooling it keeps the
+// admitted hot path free of heap allocations. A context never outlives
+// the decision that borrowed it: every layer call runs under panic
+// isolation (safeCall), so no panic can carry a pooled context out of
+// decide before it is released.
 type decisionCtx struct {
 	r      *http.Request
 	info   ClientInfo
 	now    time.Time
 	buf    []byte
 	reason string
+	// tier is the built-in account tier once a row resolved it, else -1.
+	tier int
+	// fp[:fpLen] is the "fp:<hex>" key once a screen formatted it.
+	fp    [len("fp:") + 16]byte
+	fpLen uint8
 }
 
 // ctxBufCap is the key scratch's initial capacity; buffers grown past
@@ -314,14 +322,29 @@ var ctxPool = sync.Pool{
 
 func acquireCtx(r *http.Request, info ClientInfo, now time.Time) *decisionCtx {
 	ctx := ctxPool.Get().(*decisionCtx)
-	ctx.r, ctx.info, ctx.now = r, info, now
+	ctx.bind(r, info)
+	ctx.now = now
 	return ctx
+}
+
+// bind points ctx at one request, dropping what was derived from the last.
+func (ctx *decisionCtx) bind(r *http.Request, info ClientInfo) {
+	ctx.r, ctx.info, ctx.tier, ctx.fpLen = r, info, -1, 0
+}
+
+// fpKey returns the request's "fp:<hex>" key, formatted on first use.
+func (ctx *decisionCtx) fpKey() []byte {
+	if ctx.fpLen == 0 {
+		ctx.fpLen = uint8(len(strconv.AppendUint(append(ctx.fp[:0], "fp:"...), ctx.info.Fingerprint, 16)))
+	}
+	return ctx.fp[:ctx.fpLen]
 }
 
 // releaseCtx returns ctx to the pool, dropping request references so the
 // pool never pins request memory between decisions.
 func releaseCtx(ctx *decisionCtx) {
-	ctx.r, ctx.info, ctx.reason = nil, ClientInfo{}, ""
+	ctx.bind(nil, ClientInfo{})
+	ctx.reason = ""
 	if cap(ctx.buf) > ctxBufMax {
 		ctx.buf = make([]byte, 0, ctxBufCap)
 	}
@@ -583,34 +606,68 @@ func (g *Gate) Client(r *http.Request) ClientInfo {
 	return info
 }
 
-// cookieValue scans the Cookie headers for name's value without
-// allocating: net/http's Cookie accessor parses every cookie into fresh
-// structs per call, which was the last allocation on the attribution
-// path. The value is returned as a substring of the header, with
-// surrounding double quotes stripped as net/http does.
+// cookieValue answers what r.Cookie(name) would — the value of the first
+// well-formed cookie called name, "" when there is none — without
+// allocating: net/http's accessor parses every cookie into fresh structs
+// per call, which was the last allocation on the attribution path. As in
+// net/http, a part and its name are trimmed of ASCII blanks (so "sid =v"
+// names sid), a part without '=' is a cookie with an empty value, and a
+// value holding a byte RFC 6265 forbids is skipped for the next
+// candidate. The value is returned as a substring of the header, with
+// surrounding double quotes stripped.
 func cookieValue(r *http.Request, name string) string {
 	for _, line := range r.Header["Cookie"] {
-		for len(line) > 0 {
+		for line != "" {
 			part := line
 			if i := strings.IndexByte(line, ';'); i >= 0 {
 				part, line = line[:i], line[i+1:]
 			} else {
 				line = ""
 			}
-			part = strings.TrimSpace(part)
-			eq := strings.IndexByte(part, '=')
-			if eq <= 0 || part[:eq] != name {
+			// The trimmed part is name, then blanks, then '=' or its end.
+			val, ok := strings.CutPrefix(textproto.TrimString(part), name)
+			if !ok {
 				continue
 			}
-			val := part[eq+1:]
-			if len(val) >= 2 && val[0] == '"' && val[len(val)-1] == '"' {
+			for val != "" && (val[0] == ' ' || val[0] == '\t' || val[0] == '\r' || val[0] == '\n') {
+				val = val[1:]
+			}
+			if val != "" {
+				if val[0] != '=' {
+					continue
+				}
+				val = val[1:]
+			}
+			if len(val) > 1 && val[0] == '"' && val[len(val)-1] == '"' {
 				val = val[1 : len(val)-1]
 			}
-			return val
+			if validCookieValue(val) {
+				return val
+			}
 		}
 	}
 	return ""
 }
+
+// validCookieValue reports whether every byte of v may appear in a cookie
+// value.
+func validCookieValue(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if !cookieValueBytes[v[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// cookieValueBytes marks the bytes a cookie value may hold: printable
+// ASCII other than '"', ';' and '\'.
+var cookieValueBytes = func() (ok [256]bool) {
+	for b := byte(0x20); b < 0x7f; b++ {
+		ok[b] = b != '"' && b != ';' && b != '\\'
+	}
+	return ok
+}()
 
 // QueryValue returns the first value of the URL query parameter name,
 // exactly as r.URL.Query().Get(name) does, without that call's per-request

@@ -2,7 +2,6 @@ package httpgate
 
 import (
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -231,37 +230,36 @@ var degradedNames = func() [1 << numLayers]string {
 // FlaggedBytes (which ignores the instant).
 type byteProbe func(key []byte, now time.Time) bool
 
-// probeKey asks a layer about the key assembled in ctx.buf: the
+// probeKey asks a layer about a key held in the context's scratch: the
 // in-process probe reads it in place, a custom CheckFunc receives the
 // same prefixed key as a string.
-func (ctx *decisionCtx) probeKey(probe byteProbe, check CheckFunc) (bool, error) {
+func (ctx *decisionCtx) probeKey(key []byte, probe byteProbe, check CheckFunc) (bool, error) {
 	if probe != nil {
-		return probe(ctx.buf, ctx.now), nil
+		return probe(key, ctx.now), nil
 	}
-	return check(string(ctx.buf), ctx.now)
+	return check(string(key), ctx.now)
 }
 
 // screenIdentities screens the request's identities — fingerprint, IP,
 // client key, prefixed "fp:", "ip:", "ck:" — against the deny list or
 // the flagged entity-linkage components, stopping at the first hit or
-// error.
+// error. The "fp:" key is formatted once per decision for both screens.
 func screenIdentities(ctx *decisionCtx, probe byteProbe, check CheckFunc) (bool, error) {
 	info := &ctx.info
 	if info.HasFingerprint {
-		ctx.buf = strconv.AppendUint(append(ctx.buf[:0], "fp:"...), info.Fingerprint, 16)
-		if hit, err := ctx.probeKey(probe, check); hit || err != nil {
+		if hit, err := ctx.probeKey(ctx.fpKey(), probe, check); hit || err != nil {
 			return hit, err
 		}
 	}
 	ctx.buf = append(append(ctx.buf[:0], "ip:"...), info.IP...)
-	if hit, err := ctx.probeKey(probe, check); hit || err != nil {
+	if hit, err := ctx.probeKey(ctx.buf, probe, check); hit || err != nil {
 		return hit, err
 	}
 	if info.ClientKey == "" {
 		return false, nil
 	}
 	ctx.buf = append(append(ctx.buf[:0], "ck:"...), info.ClientKey...)
-	return ctx.probeKey(probe, check)
+	return ctx.probeKey(ctx.buf, probe, check)
 }
 
 // allowKeyed charges one request to a keyed limiter: key, assembled in

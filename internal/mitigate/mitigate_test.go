@@ -14,43 +14,6 @@ import (
 
 var t0 = time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 
-func TestTokenBucketBurstAndRefill(t *testing.T) {
-	b := NewTokenBucket(3, 1) // 3 burst, 1/s refill
-	for i := range 3 {
-		if !b.Allow(t0) {
-			t.Fatalf("burst request %d denied", i)
-		}
-	}
-	if b.Allow(t0) {
-		t.Fatal("4th request in burst allowed")
-	}
-	if !b.Allow(t0.Add(time.Second)) {
-		t.Fatal("request after refill denied")
-	}
-	if b.Allow(t0.Add(time.Second)) {
-		t.Fatal("second request after single refill allowed")
-	}
-}
-
-func TestTokenBucketCapsAtCapacity(t *testing.T) {
-	b := NewTokenBucket(2, 10)
-	b.Allow(t0)
-	// Long idle: tokens must cap at capacity, not accumulate unboundedly.
-	if !b.Allow(t0.Add(time.Hour)) {
-		t.Fatal("denied after long idle")
-	}
-	if b.Tokens() > 2 {
-		t.Fatalf("tokens %v exceed capacity", b.Tokens())
-	}
-}
-
-func TestTokenBucketClampsBadArgs(t *testing.T) {
-	b := NewTokenBucket(-1, -1)
-	if !b.Allow(t0) {
-		t.Fatal("clamped bucket denied first request")
-	}
-}
-
 func TestKeyedLimiterEnforcesPerKey(t *testing.T) {
 	l := NewKeyedLimiter(time.Hour, 2)
 	if !l.Allow("a", t0) || !l.Allow("a", t0.Add(time.Minute)) {

@@ -1,60 +1,15 @@
 // Package mitigate implements the countermeasures the paper's Section V
-// recommends: ad-hoc rate limiting (token bucket and keyed sliding windows,
-// with the key choice — path vs user profile vs booking reference — as a
-// first-class ablation), feature access restriction to trusted users, extra
-// anti-bot friction (a CAPTCHA gate with a solver-cost model), TTL'd block
-// rules, and honeypot decoy inventory that undermines attacker economics.
+// recommends: ad-hoc rate limiting (keyed sliding windows, with the key
+// choice — path vs user profile vs booking reference — as a first-class
+// ablation), feature access restriction to trusted users, extra anti-bot
+// friction (a CAPTCHA gate with a solver-cost model), TTL'd block rules, and
+// honeypot decoy inventory that undermines attacker economics.
 package mitigate
 
 import (
 	"sort"
 	"time"
 )
-
-// TokenBucket is a classic token-bucket limiter over virtual time.
-type TokenBucket struct {
-	capacity    float64
-	refillPerS  float64
-	tokens      float64
-	last        time.Time
-	initialised bool
-}
-
-// NewTokenBucket returns a bucket holding at most capacity tokens, refilled
-// at refillPerSecond. Non-positive arguments are clamped to 1.
-func NewTokenBucket(capacity, refillPerSecond float64) *TokenBucket {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	if refillPerSecond <= 0 {
-		refillPerSecond = 1
-	}
-	return &TokenBucket{capacity: capacity, refillPerS: refillPerSecond}
-}
-
-// Allow consumes one token at the given instant if available.
-func (b *TokenBucket) Allow(now time.Time) bool {
-	if !b.initialised {
-		b.tokens = b.capacity
-		b.last = now
-		b.initialised = true
-	}
-	if now.After(b.last) {
-		b.tokens += now.Sub(b.last).Seconds() * b.refillPerS
-		if b.tokens > b.capacity {
-			b.tokens = b.capacity
-		}
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true
-	}
-	return false
-}
-
-// Tokens returns the current token count (after the last Allow).
-func (b *TokenBucket) Tokens() float64 { return b.tokens }
 
 // KeyedLimiter applies an independent sliding-window limit per string key.
 // It is the building block for all the "ad-hoc rate limiting" variants: the

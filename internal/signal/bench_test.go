@@ -48,6 +48,52 @@ func BenchmarkWindowAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkWindowCount reads a ring holding events in every bucket at the
+// instants a limiter meets: inside the newest bucket, some buckets later,
+// after the key idled past the span (the sweep's case), and before the
+// newest bucket (a clock that stepped back).
+func BenchmarkWindowCount(b *testing.B) {
+	const span = time.Hour
+	width := span / DefaultWindowBuckets
+	base := time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
+	for _, bc := range []struct {
+		name string
+		at   time.Time
+	}{
+		{"same_bucket", base},
+		{"4_buckets_later", base.Add(4 * width)},
+		{"idle_past_span", base.Add(2 * span)},
+		{"stepped_back", base.Add(-3 * width)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			w := NewWindow(span, DefaultWindowBuckets)
+			for i := range DefaultWindowBuckets {
+				w.Add(base.Add(-time.Duration(i)*width), 1)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				w.Count(bc.at)
+			}
+		})
+	}
+}
+
+// BenchmarkLimiterAllowBytesWarm charges a warmed set of 2k keys in turn,
+// the clock advancing a microsecond per attempt: the gate's steady state.
+func BenchmarkLimiterAllowBytesWarm(b *testing.B) {
+	l := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30})
+	base := time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
+	keys := make([][]byte, 2048)
+	for i := range keys {
+		keys[i] = []byte("pf:user-" + itoa(i))
+		l.AllowBytes(keys[i], base)
+	}
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		l.AllowBytes(keys[i%len(keys)], base.Add(time.Duration(i)*time.Microsecond))
+	}
+}
+
 func BenchmarkCountMinAdd(b *testing.B) {
 	c := NewCountMin(2048, 4)
 	for i := 0; b.Loop(); i++ {

@@ -149,8 +149,7 @@ func (e *Engine) observe(key, attr string, now time.Time) int {
 		w = NewWindow(e.cfg.Window, e.cfg.WindowBuckets)
 		s.windows[key] = w
 	}
-	w.Add(now, 1)
-	rate := w.Count(now)
+	rate := w.addCount(now)
 	if s.sketch != nil {
 		s.sketch.AddHash(h, 1)
 	}

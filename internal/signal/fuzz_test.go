@@ -2,6 +2,7 @@ package signal
 
 import (
 	"encoding/binary"
+	"math"
 	"testing"
 	"time"
 )
@@ -18,10 +19,23 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add([]byte("FAS1"))
 	f.Add([]byte("FAS1\x01\x01\xff\xff\xff\xff"))
 	f.Add([]byte(nil))
+	// Hand-built rings a well-formed encoder never writes: a slot index
+	// repeated, zero counts, buckets that do not sit at their own slot (in
+	// and out of slot order), and bucket numbers far apart, down to both
+	// ends of int64.
+	f.Add(rawWindowState(4, [][3]int64{{1, 5, 2}, {1, 100, 3}, {1, 37, 0}, {2, 98, 1}}))
+	f.Add(rawWindowState(4, [][3]int64{{0, 7, 4}, {2, 7, 1}, {3, 0, 0}, {1, 6, 2}}))
+	f.Add(rawWindowState(4, [][3]int64{{0, -1 << 62, 1}, {1, 1 << 62, 2}, {2, math.MaxInt64, 3}, {3, math.MinInt64, 4}}))
+	f.Add(rawWindowState(3, [][3]int64{{0, 9, 1}, {1, 10, 1}, {2, -4, 5}}))
+	f.Add(rawWindowState(4, [][3]int64{{0, 7, 4}, {1, 6, 2}, {2, 7, 1}}))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := DecodeState(b)
 		if err != nil {
 			return
+		}
+		// Every decoded ring answers exactly as a full scan of its slots.
+		for _, w := range st.windows {
+			checkWindowProbes(t, w)
 		}
 		// A decoded state must be mergeable with itself via a re-decoded
 		// copy and re-encodable without panicking.
@@ -31,8 +45,29 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatalf("re-decode of decoded state failed: %v", err)
 		}
 		st.Merge(again)
+		for _, w := range st.windows {
+			checkWindowProbes(t, w)
+		}
 		_ = st.Encode()
 	})
+}
+
+// rawWindowState encodes a one-key FAS1 state whose ring holds exactly the
+// given (slot, bucket number, count) entries, in order, and no other signal.
+func rawWindowState(buckets int, slots [][3]int64) []byte {
+	b := []byte("FAS1")
+	b = binary.AppendUvarint(b, uint64(time.Minute))
+	b = binary.AppendUvarint(b, uint64(buckets))
+	b = binary.AppendUvarint(b, 0) // observed
+	b = binary.AppendUvarint(b, 1) // one key
+	b = appendString(b, "fp:raw")
+	b = binary.AppendUvarint(b, uint64(len(slots)))
+	for _, s := range slots {
+		b = binary.AppendUvarint(b, uint64(s[0]))
+		b = binary.AppendVarint(b, s[1])
+		b = binary.AppendUvarint(b, uint64(s[2]))
+	}
+	return append(b, 0, 0, 0, 0) // no distinct, sketch, top-K or surge
 }
 
 // TestDecodeStateBoundsAllocation pins the decode-side allocation budgets:

@@ -114,10 +114,7 @@ func (l *Limiter) Allow(key string, now time.Time) bool {
 		w = l.newWindow(s)
 		s.keys[key] = w
 	}
-	allowed := w.Count(now) < l.limit
-	if allowed {
-		w.Add(now, 1)
-	}
+	allowed := w.admit(now, l.limit)
 	s.mu.Unlock()
 	if !allowed {
 		l.denials.Add(1)
@@ -209,11 +206,7 @@ func (l *Limiter) allowBytesLocked(s *limiterShard, key []byte, now time.Time) b
 		w = l.newWindow(s)
 		s.keys[string(key)] = w
 	}
-	allowed := w.Count(now) < l.limit
-	if allowed {
-		w.Add(now, 1)
-	}
-	return allowed
+	return w.admit(now, l.limit)
 }
 
 // Count returns key's in-window event count as of now.

@@ -72,6 +72,45 @@ func TestAllowBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("batch=%d denials diverge: %d vs %d", batch, seq.Denials(), bat.Denials())
 		}
 	}
+
+	// Seeded random streams: batches of random size over a key set that
+	// repeats within and across batches, a clock that advances, stalls,
+	// steps back and jumps past the window, and the automatic sweeps firing
+	// on both twins.
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 4}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := simrand.New(seed)
+		seq, bat := NewLimiter(cfg), NewLimiter(cfg)
+		now := t0
+		for round := 0; round < 3000; round++ {
+			switch r := rng.Intn(20); {
+			case r < 12:
+				now = now.Add(time.Duration(rng.Intn(1500)) * time.Millisecond)
+			case r < 14:
+				now = now.Add(-time.Duration(rng.Intn(15000)) * time.Millisecond)
+			case r < 15:
+				now = now.Add(time.Duration(10+rng.Intn(30)) * time.Second)
+			}
+			keys := make([][]byte, 1+rng.Intn(16))
+			for i := range keys {
+				keys[i] = []byte("k:" + itoa(rng.Intn(40)))
+			}
+			got := make([]bool, len(keys))
+			bat.AllowBatch(now, keys, got)
+			for i, k := range keys {
+				if want := seq.AllowBytes(k, now); got[i] != want {
+					t.Fatalf("seed %d round %d key %d %q: batch = %v, sequential = %v", seed, round, i, k, got[i], want)
+				}
+			}
+			if seq.Denials() != bat.Denials() || seq.TrackedKeys() != bat.TrackedKeys() {
+				t.Fatalf("seed %d round %d: denials %d vs %d, tracked keys %d vs %d", seed, round,
+					bat.Denials(), seq.Denials(), bat.TrackedKeys(), seq.TrackedKeys())
+			}
+		}
+		if seq.Denials() == 0 {
+			t.Fatalf("seed %d: stream denied nothing", seed)
+		}
+	}
 }
 
 // TestAllowBytesSteadyStateAllocs pins the zero-alloc contract: once a
