@@ -1,7 +1,7 @@
 // Package cluster runs a fleet of httpgate nodes behind one routing
 // front, with anti-entropy replication between nodes: blocklist rule
-// deltas carrying per-rule origin and sequence metadata, and merged
-// signal-engine sketch state in the compact signal.State wire form.
+// deltas carrying per-rule origin and sequence metadata, and each node's
+// per-key sliding windows in the compact signal.State wire form.
 //
 // The package exists to model the paper's core warning at system scale:
 // functional abuse is distributed by design, so an attacker who spreads
@@ -10,7 +10,7 @@
 // signal engine); what replication adds is the fleet view — a node
 // thresholds on its local sliding-window rate plus the rates in the last
 // state it holds of every peer, so volume invisible to every single
-// vantage point still crosses the line once sketches are shared.
+// vantage point still crosses the line once windows are shared.
 //
 // Replication is anti-entropy on a configurable gossip interval,
 // piggybacked on request handling: the front checks the interval before
@@ -75,9 +75,10 @@ type Config struct {
 	// ReplicateRules ships each node's originated-rule log; peers apply
 	// the per-origin delta into their own blocklists.
 	ReplicateRules bool
-	// ReplicateState ships each node's encoded signal.State; peers keep
-	// the latest one decoded per node and their detectors add its rates
-	// to local ones.
+	// ReplicateState ships each node's per-key sliding windows as an
+	// encoded signal.State (its sketch sections empty); peers keep the
+	// latest one decoded per node and their detectors add its rates to
+	// local ones.
 	ReplicateState bool
 
 	// FetchRetry tunes the jittered-backoff retry wrapped around every
@@ -192,7 +193,7 @@ type node struct {
 	seen       map[string]bool
 	applied    map[int]uint64
 	replicated uint64
-	// peers holds, by node id, the sketch state of the last snapshot that
+	// peers holds, by node id, the windows of the last snapshot that
 	// fetched and decoded cleanly from each peer (nil until one does, for
 	// a snapshot shipped without state, and for the node itself);
 	// lastOKAt is when. A peer that cannot be reached this round keeps
@@ -208,8 +209,7 @@ type node struct {
 	degradedServed atomic.Uint64
 }
 
-// New assembles the fleet. Node engines share the construction-time clock
-// reading as their surge anchor, so their states merge.
+// New assembles the fleet.
 func New(cfg Config) *Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -263,7 +263,6 @@ func New(cfg Config) *Cluster {
 			"Duration of each anti-entropy round on the cluster clock.")
 		c.roundHist = cfg.Telemetry.Histogram(MetricGossipRoundSeconds, nil)
 	}
-	start := c.clock.Now()
 	watch := make(map[string]bool, len(cfg.RulePaths))
 	for _, p := range cfg.RulePaths {
 		watch[p] = true
@@ -280,17 +279,15 @@ func New(cfg Config) *Cluster {
 			peers:    make([]*signal.State, cfg.Nodes),
 			lastOKAt: make(map[int]time.Time),
 		}
-		// A compact engine profile: snapshots stay small on the wire and
-		// the fingerprint key space of one dimension fits comfortably.
+		// Per-key windows only: the fleet reads nothing but Rate, so the
+		// sketches stay off — neither updated per request nor shipped.
 		n.engine = signal.NewEngine(signal.EngineConfig{
-			Shards:            4,
-			Window:            cfg.RuleWindow,
-			TopK:              32,
-			SketchWidth:       512,
-			SketchDepth:       4,
-			DistinctPrecision: 8,
-			SurgeStart:        start,
-			SurgePeriod:       cfg.RuleWindow,
+			Shards:          4,
+			Window:          cfg.RuleWindow,
+			DisableSketch:   true,
+			DisableTopK:     true,
+			DisableDistinct: true,
+			DisableSurge:    true,
 		})
 		gcfg := httpgate.Config{
 			Clock:              cfg.Clock,
@@ -366,7 +363,7 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 	now := n.clock.Now()
 	var buf [len("fp:") + 16]byte
 	key := string(strconv.AppendUint(append(buf[:0], "fp:"...), info.Fingerprint, 16))
-	local := n.engine.ObserveAttr(key, info.IP, now)
+	local := n.engine.Observe(key, now)
 	if n.cluster.cfg.RuleThreshold <= 0 {
 		return
 	}
@@ -461,7 +458,7 @@ func (n *node) snapshot(includeState bool) Snapshot {
 
 // absorb folds every peer's latest snapshot into this node: rule deltas
 // beyond the per-origin high-water mark land in the local blocklist, and
-// the peer's decoded sketch state replaces its slot in n.peers.
+// the peer's decoded windows replace its slot in n.peers.
 //
 // This is the loop hardened for lossy networks. Each fetch runs behind
 // the configured retry/timeout within the round's deadline budget; a peer
@@ -486,7 +483,7 @@ func (n *node) absorb(now time.Time) {
 			st, err = signal.DecodeState(snap.State)
 		}
 		if err != nil {
-			// A fresh snapshot with a corrupt sketch: its rule log still
+			// A fresh snapshot with corrupt state: its rule log still
 			// decoded cleanly and is applied below, but the slot keeps the
 			// last good state and the peer is not promoted to fresh, so
 			// its staleness keeps growing.
@@ -695,22 +692,6 @@ func sortRules(rules []Rule) {
 		}
 		return a.Seq < b.Seq
 	})
-}
-
-// MergedState folds every node's local engine into one fleet-wide
-// signal.State — the quiesced ground truth the per-node gossip views
-// converge toward, and the snapshot the determinism goldens compare.
-func (c *Cluster) MergedState() *signal.State {
-	var st *signal.State
-	for _, n := range c.nodes {
-		s := n.engine.State()
-		if st == nil {
-			st = s
-		} else {
-			st.Merge(s)
-		}
-	}
-	return st
 }
 
 // Stats is the cluster's aggregate replication snapshot.

@@ -19,8 +19,8 @@ type Rule struct {
 // Snapshot is one node's published anti-entropy payload: its full
 // originated-rule log in sequence order — receivers keep a per-origin
 // high-water mark and apply only the delta, so re-reading the full log is
-// idempotent — and, when sketch replication is on, the signal.State wire
-// encoding of its local engine.
+// idempotent — and, when state replication is on, the signal.State wire
+// encoding of its local engine's per-key windows.
 type Snapshot struct {
 	Node  int
 	Rules []Rule

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -146,5 +148,56 @@ func TestGossipRoundHistogramRegistered(t *testing.T) {
 	h := reg.Histogram(MetricGossipRoundSeconds, nil)
 	if h.Count() != 1 {
 		t.Fatalf("round histogram count %d, want 1", h.Count())
+	}
+}
+
+// TestPublishedStateIsWindowsOnly pins the fleet's wire shape: after
+// traffic, each node's published state decodes to its per-key windows and
+// nothing else — no sketch, heavy-hitter, distinct or surge signal rides
+// along — and every window answers what the node's own engine does.
+func TestPublishedStateIsWindowsOnly(t *testing.T) {
+	const nodes, fingerprints = 3, 12
+	manual := simclock.NewManual(epoch)
+	tr := NewInProc()
+	c := New(Config{
+		Nodes:          nodes,
+		Clock:          manual,
+		Router:         NewRandomRouter(7),
+		Transport:      tr,
+		ReplicateState: true,
+		RuleWindow:     time.Minute,
+	})
+	h := c.Handler()
+	for i := range 200 {
+		manual.Advance(250 * time.Millisecond)
+		h.ServeHTTP(httptest.NewRecorder(),
+			fleetRequest("/search", uint64(0xb000+i%fingerprints), "203.0.113."+strconv.Itoa(1+i%50)))
+	}
+	now := manual.Now()
+	c.Gossip(now)
+	for i, n := range c.nodes {
+		snap, ok := tr.Fetch(i)
+		if !ok || len(snap.State) == 0 {
+			t.Fatalf("node %d published no state", i)
+		}
+		st, err := signal.DecodeState(snap.State)
+		if err != nil {
+			t.Fatalf("node %d: decode: %v", i, err)
+		}
+		if st.Keys() == 0 || st.Keys() != n.engine.TrackedKeys() {
+			t.Fatalf("node %d: %d keys on the wire, engine tracks %d", i, st.Keys(), n.engine.TrackedKeys())
+		}
+		if st.Top(0) != nil || st.Surges(0, now) != nil {
+			t.Fatalf("node %d: top-K or surge state on the wire", i)
+		}
+		for f := range fingerprints {
+			key := "fp:" + strconv.FormatUint(uint64(0xb000+f), 16)
+			if st.Freq(key) != 0 || st.Distinct(key) != 0 {
+				t.Fatalf("node %d: %s carries a frequency or distinct estimate", i, key)
+			}
+			if got, want := st.Rate(key, now), n.engine.Rate(key, now); got != want {
+				t.Fatalf("node %d: %s rate %d on the wire, %d in the engine", i, key, got, want)
+			}
+		}
 	}
 }

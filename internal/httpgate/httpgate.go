@@ -695,6 +695,10 @@ func QueryValue(r *http.Request, name string) string {
 // when trusted. A malformed first hop (empty, whitespace, or not an IP
 // address — e.g. the header ",1.2.3.4") falls back to RemoteAddr rather
 // than attributing every such request to the shared degenerate "ip:" key.
+// A valid hop is keyed on its canonical form, zone dropped, so spellings
+// of one address ("2001:DB8::1", "2001:db8:0::1", "fe80::1%eth0") never
+// become separate blocklist, limiter and entity keys; a hop already in
+// canonical form is returned as is, without allocating.
 func remoteIP(r *http.Request, trustXFF bool) string {
 	if trustXFF {
 		if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
@@ -703,8 +707,8 @@ func remoteIP(r *http.Request, trustXFF bool) string {
 				first = xff[:i]
 			}
 			first = strings.TrimSpace(first)
-			if _, err := netip.ParseAddr(first); err == nil {
-				return first
+			if addr, err := netip.ParseAddr(first); err == nil {
+				return canonicalAddr(first, addr)
 			}
 		}
 	}
@@ -713,4 +717,15 @@ func remoteIP(r *http.Request, trustXFF bool) string {
 		return r.RemoteAddr
 	}
 	return host
+}
+
+// canonicalAddr returns addr's zone-free canonical spelling, reusing raw
+// (the text addr was parsed from) when it already is that spelling.
+func canonicalAddr(raw string, addr netip.Addr) string {
+	addr = addr.WithZone("")
+	var buf [64]byte
+	if canon := addr.AppendTo(buf[:0]); string(canon) == raw {
+		return raw
+	}
+	return addr.String()
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -304,17 +306,69 @@ func TestRemoteIPMalformedForwardedFor(t *testing.T) {
 		{"198.51.100.9", "198.51.100.9"},
 		{" 198.51.100.9 , 192.0.2.1", "198.51.100.9"}, // trimmed valid hop
 		{"2001:db8::1, 192.0.2.1", "2001:db8::1"},
+		// Spellings of one address share one canonical key.
+		{"2001:DB8::1", "2001:db8::1"},
+		{"2001:db8:0::1", "2001:db8::1"},
+		{"2001:0db8:0000:0000:0000:0000:0000:0001", "2001:db8::1"},
+		{"fe80::1%a, 192.0.2.1", "fe80::1"},
+		{"fe80::1%b", "fe80::1"},
+		{"::FFFF:198.51.100.9", "::ffff:198.51.100.9"},
 	}
 	for _, c := range cases {
-		r := httptest.NewRequest(http.MethodGet, "/", nil)
-		r.RemoteAddr = "203.0.113.7:51000"
-		if c.xff != "" {
-			r.Header.Set("X-Forwarded-For", c.xff)
-		}
-		if got := remoteIP(r, true); got != c.want {
+		if got := remoteIP(xffRequest(c.xff), true); got != c.want {
 			t.Fatalf("XFF %q: remoteIP %q, want %q", c.xff, got, c.want)
 		}
 	}
+}
+
+// xffRequest builds a request from 203.0.113.7 carrying the given
+// X-Forwarded-For header (none when empty).
+func xffRequest(xff string) *http.Request {
+	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	r.RemoteAddr = "203.0.113.7:51000"
+	if xff != "" {
+		r.Header.Set("X-Forwarded-For", xff)
+	}
+	return r
+}
+
+// FuzzRemoteIP holds remoteIP's X-Forwarded-For handling equal to
+// net/netip: a first hop netip parses keys on its zone-free canonical
+// spelling, anything else falls back to the socket address, and every
+// other spelling of the same address — upper-case, fully expanded, or
+// zoned — lands on the same key.
+func FuzzRemoteIP(f *testing.F) {
+	for _, xff := range []string{
+		"", "198.51.100.9", " 198.51.100.9 , 192.0.2.1", "2001:DB8::1",
+		"2001:db8:0::1", "fe80::1%eth0", "::ffff:198.51.100.9", ",1.2.3.4",
+		"not-an-ip", "01.2.3.4",
+	} {
+		f.Add(xff)
+	}
+	f.Fuzz(func(t *testing.T, xff string) {
+		got := remoteIP(xffRequest(xff), true)
+		first, _, _ := strings.Cut(xff, ",")
+		addr, err := netip.ParseAddr(strings.TrimSpace(first))
+		if err != nil {
+			if got != "203.0.113.7" {
+				t.Fatalf("XFF %q: remoteIP %q, want the socket address", xff, got)
+			}
+			return
+		}
+		addr = addr.WithZone("")
+		if want := addr.String(); got != want {
+			t.Fatalf("XFF %q: remoteIP %q, net/netip says %q", xff, got, want)
+		}
+		spellings := []string{strings.ToUpper(addr.StringExpanded())}
+		if addr.Is6() {
+			spellings = append(spellings, got+"%z9")
+		}
+		for _, alt := range spellings {
+			if again := remoteIP(xffRequest(alt), true); again != got {
+				t.Fatalf("XFF %q keys on %q, its spelling %q on %q", xff, got, alt, again)
+			}
+		}
+	})
 }
 
 func TestRemoteIPMalformedForwardedForEndToEnd(t *testing.T) {

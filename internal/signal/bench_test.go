@@ -128,9 +128,9 @@ func BenchmarkEngineObserveAttr(b *testing.B) {
 	})
 }
 
-// fleetProfileEngine returns an engine with the profile cluster nodes use,
-// holding keys fingerprints each seen from several exits inside one window:
-// the state a node snapshots, encodes and ships every gossip round.
+// fleetProfileEngine returns a compact engine with every signal on, holding
+// keys fingerprints each seen from several exits inside one window: a
+// fleet-sized state with every codec section populated.
 func fleetProfileEngine(keys int) *Engine {
 	start := time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
 	e := NewEngine(EngineConfig{

@@ -338,92 +338,3 @@ func (e *Engine) Stats() EngineStats {
 		Shards:      len(e.shards),
 	}
 }
-
-// Merge folds another engine of identical configuration into this one,
-// signal by signal: windows and distinct counters merge per key, sketches
-// add, heavy-hitter tables merge under the mergeable-summaries rule and
-// surge detectors align periods and add. Identical configuration includes
-// the shard count, so key→shard placement matches and each shard pair
-// merges independently. The other engine is only read (each of its shards
-// is snapshotted under its own lock, then folded under the receiver's), so
-// both engines stay live; merging an engine into itself is rejected.
-//
-// Merge is additive: folding the same engine in twice double-counts.
-// Fleet views built from repeated exchanges keep the latest State per
-// source and sum over them instead — see State.
-func (e *Engine) Merge(o *Engine) bool {
-	if o == nil || o == e || len(o.shards) != len(e.shards) || !compatibleEngines(e.cfg, o.cfg) {
-		return false
-	}
-	for i := range e.shards {
-		os := &o.shards[i]
-		os.mu.Lock()
-		windows := make(map[string]*Window, len(os.windows))
-		for k, w := range os.windows {
-			windows[k] = w.Clone()
-		}
-		var distinct map[string]*Distinct
-		if os.distinct != nil {
-			distinct = make(map[string]*Distinct, len(os.distinct))
-			for k, d := range os.distinct {
-				distinct[k] = d.Clone()
-			}
-		}
-		var sketch *CountMin
-		if os.sketch != nil {
-			sketch = os.sketch.Clone()
-		}
-		var topk *TopK
-		if os.topk != nil {
-			topk = os.topk.Clone()
-		}
-		var surge *SurgeDetector
-		if os.surge != nil {
-			surge = os.surge.Clone()
-		}
-		os.mu.Unlock()
-
-		s := &e.shards[i]
-		s.mu.Lock()
-		for k, w := range windows {
-			if mine, ok := s.windows[k]; ok {
-				mine.Merge(w)
-			} else {
-				s.windows[k] = w
-			}
-		}
-		if s.distinct != nil {
-			for k, d := range distinct {
-				if mine, ok := s.distinct[k]; ok {
-					mine.Merge(d)
-				} else {
-					s.distinct[k] = d
-				}
-			}
-		}
-		if s.sketch != nil && sketch != nil {
-			s.sketch.Merge(sketch)
-		}
-		if s.topk != nil && topk != nil {
-			s.topk.Merge(topk)
-		}
-		if s.surge != nil && surge != nil {
-			s.surge.Merge(surge)
-		}
-		s.mu.Unlock()
-	}
-	e.observed.Add(o.observed.Load())
-	return true
-}
-
-// compatibleEngines reports whether two normalized configs describe
-// dimensionally identical engines — the Merge precondition.
-func compatibleEngines(a, b EngineConfig) bool {
-	return a.Window == b.Window && a.WindowBuckets == b.WindowBuckets &&
-		a.TopK == b.TopK &&
-		a.SketchWidth == b.SketchWidth && a.SketchDepth == b.SketchDepth &&
-		a.DistinctPrecision == b.DistinctPrecision &&
-		a.SurgeStart.Equal(b.SurgeStart) && a.SurgePeriod == b.SurgePeriod &&
-		a.DisableSurge == b.DisableSurge && a.DisableDistinct == b.DisableDistinct &&
-		a.DisableSketch == b.DisableSketch && a.DisableTopK == b.DisableTopK
-}

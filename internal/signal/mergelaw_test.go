@@ -13,8 +13,8 @@ import (
 // rings of one geometry once no bucket lies in the future — summing Rate
 // over separate states answers exactly what their merge would. A gate
 // cluster keeps one state per peer and sums at query time on the strength
-// of the third; the first two are what lets MergedState fold nodes in any
-// order.
+// of the third; the first two keep State.Merge, which only the benchmark
+// still calls, an order-free fold.
 
 // lawKeys is the key pool of the random streams: small enough that the
 // states overlap on most keys.

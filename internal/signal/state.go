@@ -14,17 +14,12 @@ import (
 // State is a dimension-level snapshot of an Engine's mergeable signals,
 // folded across shards and freed of shard structure: per-key window
 // rings, per-key distinct counters, and one count-min sketch, heavy-hitter
-// table and surge detector for the whole dimension. It is the unit of
-// sketch replication in a gate fleet — each node snapshots its local
-// engine, ships the compact Encode form, and peers fold received states
-// into a fleet view.
-//
-// Merge is additive: folding the same snapshot in twice double-counts, so
-// it suits folding each source once (Cluster.MergedState), not a view fed
-// by periodic exchanges. Such a view keeps the latest state per source
-// and sums Rate over them at query time, which answers exactly what the
-// merge would as long as no ring holds a bucket later than the instant
-// asked about.
+// table and surge detector for the whole dimension (each nil when the
+// engine disables it). It is the unit of replication in a gate fleet —
+// each node snapshots its windows-only engine, ships the compact Encode
+// form, and peers keep the latest state per node and sum Rate over them
+// at query time, which answers exactly what a merge would as long as no
+// ring holds a bucket later than the instant asked about.
 //
 // The per-key rings and counters of a snapshot or a decode are carved from
 // slabs the state owns, and decoded keys are views of shared chunks; a
@@ -120,7 +115,11 @@ func (e *Engine) State() *State {
 // other snapshot is only read. It reports whether every dimension matched
 // (window geometry, enabled signal set, sketch shape, top-K capacity,
 // distinct precision, surge anchoring); on mismatch the receiver is left
-// untouched.
+// untouched. Merge is additive: folding the same snapshot in twice
+// double-counts.
+//
+// No fleet path merges states. Merge and the per-sketch Merge methods
+// stay for the benchmark's signal.state_merge_us probe and go with it.
 func (s *State) Merge(o *State) bool {
 	if o == nil || o == s || o.window != s.window || o.buckets != s.buckets {
 		return false

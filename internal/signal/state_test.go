@@ -47,7 +47,7 @@ func TestSurgeMergeDropsAncientPeriods(t *testing.T) {
 	}
 }
 
-// clusterEngineConfig is a compact engine the state tests share.
+// stateTestConfig is a compact engine the state tests share.
 func stateTestConfig() EngineConfig {
 	return EngineConfig{
 		Shards:            4,
@@ -76,49 +76,61 @@ func feedEngine(e *Engine, sel int) {
 	}
 }
 
-func TestEngineMergeMatchesUnionStream(t *testing.T) {
+func TestStateMergeMatchesUnionStream(t *testing.T) {
 	union := NewEngine(stateTestConfig())
 	a := NewEngine(stateTestConfig())
 	b := NewEngine(stateTestConfig())
 	feedEngine(union, -1)
 	feedEngine(a, 0)
 	feedEngine(b, 1)
-	if !a.Merge(b) {
+	merged := a.State()
+	if !merged.Merge(b.State()) {
 		t.Fatal("merge of identical configs failed")
 	}
-	// The merged engine must be indistinguishable from one that saw the
-	// whole stream: compare the canonical encodings of their states.
-	got, want := a.State().Encode(), union.State().Encode()
+	// The merged state must be indistinguishable from a snapshot of one
+	// engine that saw the whole stream: compare canonical encodings.
+	got, want := merged.Encode(), union.State().Encode()
 	if !bytes.Equal(got, want) {
-		t.Fatalf("merged engine state differs from union-stream state (%d vs %d bytes)",
+		t.Fatalf("merged state differs from union-stream state (%d vs %d bytes)",
 			len(got), len(want))
 	}
-	if a.Observed() != union.Observed() {
-		t.Fatalf("merged observed %d, want %d", a.Observed(), union.Observed())
+	if merged.Observed() != union.Observed() {
+		t.Fatalf("merged observed %d, want %d", merged.Observed(), union.Observed())
 	}
 }
 
-func TestEngineMergeRejectsMismatch(t *testing.T) {
+func TestStateMergeRejectsMismatch(t *testing.T) {
 	base := NewEngine(stateTestConfig())
-	if base.Merge(base) {
+	feedEngine(base, -1)
+	view := base.State()
+	if view.Merge(view) {
 		t.Fatal("self-merge accepted")
 	}
-	mutations := []func(*EngineConfig){
-		func(c *EngineConfig) { c.Shards = 8 },
-		func(c *EngineConfig) { c.Window = 2 * time.Minute },
-		func(c *EngineConfig) { c.WindowBuckets = 6 },
-		func(c *EngineConfig) { c.TopK = 16 },
-		func(c *EngineConfig) { c.SketchWidth = 512 },
-		func(c *EngineConfig) { c.DistinctPrecision = 10 },
-		func(c *EngineConfig) { c.SurgePeriod = time.Minute },
-		func(c *EngineConfig) { c.SurgeStart = t0.Add(time.Second) },
-		func(c *EngineConfig) { c.DisableSketch = true },
+	want := view.Encode()
+	mutations := map[string]func(*EngineConfig){
+		"window":     func(c *EngineConfig) { c.Window = 2 * time.Minute },
+		"buckets":    func(c *EngineConfig) { c.WindowBuckets = 6 },
+		"topk":       func(c *EngineConfig) { c.TopK = 16 },
+		"width":      func(c *EngineConfig) { c.SketchWidth = 512 },
+		"depth":      func(c *EngineConfig) { c.SketchDepth = 4 },
+		"precision":  func(c *EngineConfig) { c.DistinctPrecision = 10 },
+		"period":     func(c *EngineConfig) { c.SurgePeriod = time.Minute },
+		"anchor":     func(c *EngineConfig) { c.SurgeStart = t0.Add(time.Second) },
+		"nosketch":   func(c *EngineConfig) { c.DisableSketch = true },
+		"notopk":     func(c *EngineConfig) { c.DisableTopK = true },
+		"nodistinct": func(c *EngineConfig) { c.DisableDistinct = true },
+		"nosurge":    func(c *EngineConfig) { c.DisableSurge = true },
 	}
-	for i, mutate := range mutations {
+	for name, mutate := range mutations {
 		cfg := stateTestConfig()
 		mutate(&cfg)
-		if base.Merge(NewEngine(cfg)) {
-			t.Fatalf("mutation %d: merge of mismatched configs accepted", i)
+		other := NewEngine(cfg)
+		feedEngine(other, -1)
+		if view.Merge(other.State()) {
+			t.Fatalf("%s: merge of mismatched configs accepted", name)
+		}
+		if !bytes.Equal(view.Encode(), want) {
+			t.Fatalf("%s: refused merge modified the receiver", name)
 		}
 	}
 }
@@ -200,16 +212,5 @@ func TestStateMergeCombinesDisjointNodes(t *testing.T) {
 	}
 	if fleet != a.Rate(key, now)+b.Rate(key, now) {
 		t.Fatalf("fleet rate %d, want exact sum %d", fleet, a.Rate(key, now)+b.Rate(key, now))
-	}
-
-	cfg := stateTestConfig()
-	cfg.WindowBuckets = 6
-	if view.Merge(NewEngine(cfg).State()) {
-		t.Fatal("merge of mismatched geometry accepted")
-	}
-	cfg = stateTestConfig()
-	cfg.DisableTopK = true
-	if view.Merge(NewEngine(cfg).State()) {
-		t.Fatal("merge of mismatched signal sets accepted")
 	}
 }

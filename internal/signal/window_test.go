@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -293,107 +294,204 @@ func referenceScan(counts []uint32, nums []int64, num int64) int {
 // reference twins through the same random Add/Count/Empty/Merge/Reset/
 // Clone stream, plus the fused admit and addCount against their two-call
 // forms — fresh and slab-carved rings, a clock that moves forward,
-// stalls, steps back and jumps past the span — and requires every read
-// and every slot to agree.
+// stalls, steps back and jumps past the span, and now and then a merge of
+// a ring whose slots sit at the wrong index, as corrupt gossip decodes —
+// and requires every read and every slot to agree. Each windowMutants row
+// breaks one step of Window the way a plausible edit would, and the same
+// comparison must catch it: a row that passes is a blind spot.
 func TestWindowMatchesReference(t *testing.T) {
-	const seeds, ops, rings = 24, 20000, 4
+	const seeds = 24
 	for seed := uint64(1); seed <= seeds; seed++ {
-		rng := simrand.New(seed)
-		buckets := 1 + rng.Intn(40)
-		span := time.Duration(1+rng.Intn(120)) * time.Second
-		ws := make([]*Window, rings)
-		refs := make([]*referenceWindow, rings)
-		slab := windowSlab{width: bucketWidth(span, buckets), buckets: buckets}
-		for i := range ws {
-			if i%2 == 0 {
-				ws[i] = NewWindow(span, buckets)
+		if err := runWindowModel(seed, windowMutant{}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	for _, m := range windowMutants {
+		caught := false
+		for seed := uint64(1); seed <= seeds && !caught; seed++ {
+			caught = runWindowModel(seed, m) != nil
+		}
+		if !caught {
+			t.Errorf("mutant %q matches the reference on every seed", m.name)
+		}
+	}
+}
+
+// windowMutant overrides one step of Window inside runWindowModel; the
+// zero value overrides nothing.
+type windowMutant struct {
+	name string
+	// countAt, when set, answers the model's Count and Empty reads.
+	countAt func(w *Window, num int64) int
+	// afterMerge, when set, runs on the receiver after every Merge.
+	afterMerge func(w *Window)
+}
+
+// windowMutants are the edits the reference comparison must reject.
+var windowMutants = []windowMutant{
+	{
+		// countAt without its num < head case: a read before head falls
+		// through to countAhead, which answers 0.
+		name:    "step-back fallback dropped",
+		countAt: func(w *Window, num int64) int { return w.countAhead(num) },
+	},
+	{
+		// recountAt without its alignment check: a merged ring whose slots
+		// are not at their bucket's index keeps the running total instead
+		// of pinning itself to scan mode.
+		name: "merge alignment check dropped",
+		afterMerge: func(w *Window) {
+			head := int64(0)
+			for i, c := range w.counts {
+				if c != 0 {
+					head = max(head, w.nums[i])
+				}
+			}
+			w.head, w.total = head, referenceScan(w.counts, w.nums, head)
+		},
+	},
+}
+
+// runWindowModel is one seed of TestWindowMatchesReference under the
+// given mutant, returning the first divergence from the reference.
+func runWindowModel(seed uint64, mut windowMutant) error {
+	const ops, rings = 20000, 4
+	rng := simrand.New(seed)
+	buckets := 1 + rng.Intn(40)
+	span := time.Duration(1+rng.Intn(120)) * time.Second
+	ws := make([]*Window, rings)
+	refs := make([]*referenceWindow, rings)
+	slab := windowSlab{width: bucketWidth(span, buckets), buckets: buckets}
+	for i := range ws {
+		if i%2 == 0 {
+			ws[i] = NewWindow(span, buckets)
+		} else {
+			slab.reserve(1)
+			ws[i] = slab.next()
+		}
+		refs[i] = newReferenceWindow(span, buckets)
+	}
+	count := func(w *Window, now time.Time) int {
+		if mut.countAt != nil {
+			return mut.countAt(w, bucketIndex(now, w.width))
+		}
+		return w.Count(now)
+	}
+	empty := func(w *Window, now time.Time) bool {
+		if mut.countAt != nil {
+			return count(w, now) == 0
+		}
+		return w.Empty(now)
+	}
+	merge := func(w, o *Window) {
+		w.Merge(o)
+		if mut.afterMerge != nil {
+			mut.afterMerge(w)
+		}
+	}
+	now := t0
+	for op := range ops {
+		switch r := rng.Intn(100); {
+		case r < 50: // forward within a few buckets
+			now = now.Add(time.Duration(rng.Int63() % int64(span/4+1)))
+		case r < 60: // stall
+		case r < 70: // step back, up to a span and a half
+			now = now.Add(-time.Duration(rng.Int63() % int64(span*3/2+1)))
+		case r < 75: // jump past the span
+			now = now.Add(span + time.Duration(rng.Int63()%int64(3*span)))
+		}
+		i := rng.Intn(rings)
+		w, ref := ws[i], refs[i]
+		switch r := rng.Intn(100); {
+		case r < 45:
+			n := 1 + rng.Intn(3)
+			switch rng.Intn(200) {
+			case 0:
+				n = 0
+			case 1:
+				n = 1<<32 - 1 - rng.Intn(4) // wraps the slot
+			}
+			w.Add(now, n)
+			ref.Add(now, n)
+		case r < 55:
+			// The limiter's read-then-write, against its two-call form.
+			limit := rng.Intn(12)
+			want := ref.Count(now) < limit
+			if want {
+				ref.Add(now, 1)
+			}
+			if got := w.admit(now, limit); got != want {
+				return fmt.Errorf("op %d ring %d: admit(%d) = %v, reference %v", op, i, limit, got, want)
+			}
+		case r < 60:
+			// The engine's write-then-read.
+			ref.Add(now, 1)
+			if got, want := w.addCount(now), ref.Count(now); got != want {
+				return fmt.Errorf("op %d ring %d: addCount %d, reference %d", op, i, got, want)
+			}
+		case r < 85:
+			if got, want := count(w, now), ref.Count(now); got != want {
+				return fmt.Errorf("op %d ring %d: Count %d, reference %d", op, i, got, want)
+			}
+		case r < 93:
+			if got, want := empty(w, now), ref.Empty(now); got != want {
+				return fmt.Errorf("op %d ring %d: Empty %v, reference %v", op, i, got, want)
+			}
+		case r < 97:
+			if rng.Intn(16) == 0 {
+				o, oref := misalignedRing(rng, w, bucketIndex(now, w.width))
+				merge(w, o)
+				ref.Merge(oref)
+			} else if j := rng.Intn(rings); j != i {
+				merge(w, ws[j])
+				ref.Merge(refs[j])
+			}
+		case r < 98:
+			w.Reset()
+			ref.Reset()
+		default:
+			// Replace the ring by a copy: a heap clone or a slab clone.
+			if rng.Intn(2) == 0 {
+				ws[i] = w.Clone()
 			} else {
 				slab.reserve(1)
-				ws[i] = slab.next()
+				ws[i] = slab.clone(w)
 			}
-			refs[i] = newReferenceWindow(span, buckets)
+			refs[i] = ref.clone()
 		}
-		now := t0
-		for op := range ops {
-			switch r := rng.Intn(100); {
-			case r < 50: // forward within a few buckets
-				now = now.Add(time.Duration(rng.Int63() % int64(span/4+1)))
-			case r < 60: // stall
-			case r < 70: // step back, up to a span and a half
-				now = now.Add(-time.Duration(rng.Int63() % int64(span*3/2+1)))
-			case r < 75: // jump past the span
-				now = now.Add(span + time.Duration(rng.Int63()%int64(3*span)))
-			}
-			i := rng.Intn(rings)
-			w, ref := ws[i], refs[i]
-			switch r := rng.Intn(100); {
-			case r < 45:
-				n := 1 + rng.Intn(3)
-				switch rng.Intn(200) {
-				case 0:
-					n = 0
-				case 1:
-					n = 1<<32 - 1 - rng.Intn(4) // wraps the slot
-				}
-				w.Add(now, n)
-				ref.Add(now, n)
-			case r < 55:
-				// The limiter's read-then-write, against its two-call form.
-				limit := rng.Intn(12)
-				want := ref.Count(now) < limit
-				if want {
-					ref.Add(now, 1)
-				}
-				if got := w.admit(now, limit); got != want {
-					t.Fatalf("seed %d op %d ring %d: admit(%d) = %v, reference %v", seed, op, i, limit, got, want)
-				}
-			case r < 60:
-				// The engine's write-then-read.
-				ref.Add(now, 1)
-				if got, want := w.addCount(now), ref.Count(now); got != want {
-					t.Fatalf("seed %d op %d ring %d: addCount %d, reference %d", seed, op, i, got, want)
-				}
-			case r < 85:
-				if got, want := w.Count(now), ref.Count(now); got != want {
-					t.Fatalf("seed %d op %d ring %d: Count %d, reference %d", seed, op, i, got, want)
-				}
-			case r < 93:
-				if got, want := w.Empty(now), ref.Empty(now); got != want {
-					t.Fatalf("seed %d op %d ring %d: Empty %v, reference %v", seed, op, i, got, want)
-				}
-			case r < 97:
-				j := rng.Intn(rings)
-				if j != i {
-					w.Merge(ws[j])
-					ref.Merge(refs[j])
-				}
-			case r < 98:
-				w.Reset()
-				ref.Reset()
-			default:
-				// Replace the ring by a copy: a heap clone or a slab clone.
-				if rng.Intn(2) == 0 {
-					ws[i] = w.Clone()
-				} else {
-					slab.reserve(1)
-					ws[i] = slab.clone(w)
-				}
-				refs[i] = ref.clone()
-			}
-			if !slices.Equal(ws[i].counts, refs[i].counts) || !slices.Equal(ws[i].nums, refs[i].nums) {
-				t.Fatalf("seed %d op %d ring %d: slots diverge from the reference", seed, op, i)
-			}
-			if op%499 == 0 {
-				checkWindowProbes(t, ws[i])
-			}
+		if !slices.Equal(ws[i].counts, refs[i].counts) || !slices.Equal(ws[i].nums, refs[i].nums) {
+			return fmt.Errorf("op %d ring %d: slots diverge from the reference", op, i)
 		}
-		for i, w := range ws {
-			checkWindowProbes(t, w)
-			if got, want := w.Count(now), refs[i].Count(now); got != want {
-				t.Fatalf("seed %d ring %d: final Count %d, reference %d", seed, i, got, want)
+		if op%499 == 0 {
+			if err := windowProbes(ws[i]); err != nil {
+				return fmt.Errorf("op %d ring %d: %w", op, i, err)
 			}
 		}
 	}
+	for i, w := range ws {
+		if err := windowProbes(w); err != nil {
+			return fmt.Errorf("ring %d: %w", i, err)
+		}
+		if got, want := count(w, now), refs[i].Count(now); got != want {
+			return fmt.Errorf("ring %d: final Count %d, reference %d", i, got, want)
+		}
+	}
+	return nil
+}
+
+// misalignedRing builds a ring of w's geometry holding a few events of
+// buckets in the span ending at num, filed at random slots rather than
+// their own — what DecodeState makes of corrupt gossip — and its twin.
+func misalignedRing(rng *simrand.RNG, w *Window, num int64) (*Window, *referenceWindow) {
+	o := &Window{width: w.width, buckets: w.buckets,
+		counts: make([]uint32, w.buckets), nums: make([]int64, w.buckets)}
+	for range 3 {
+		slot := rng.Intn(w.buckets)
+		o.nums[slot] = num - int64(rng.Intn(w.buckets))
+		o.counts[slot] = uint32(1 + rng.Intn(3))
+	}
+	return o, &referenceWindow{width: o.width, buckets: o.buckets,
+		counts: slices.Clone(o.counts), nums: slices.Clone(o.nums)}
 }
 
 // checkWindowProbes requires w's reads to equal the full-ring scan of its
@@ -406,6 +504,13 @@ func TestWindowMatchesReference(t *testing.T) {
 // per-slot probes.
 func checkWindowProbes(t *testing.T, w *Window) {
 	t.Helper()
+	if err := windowProbes(w); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// windowProbes is checkWindowProbes returning the first mismatch.
+func windowProbes(w *Window) error {
 	b := int64(w.buckets)
 	probes := []int64{w.head, w.head + 1, w.head - 1, w.head - b}
 	budget := max(3, 1<<16/w.buckets)
@@ -421,19 +526,20 @@ func checkWindowProbes(t *testing.T, w *Window) {
 	for _, num := range probes {
 		want := referenceScan(w.counts, w.nums, num)
 		if got := w.countAt(num); got != want {
-			t.Fatalf("count at bucket %d (head %d, %d buckets): %d, full scan %d", num, w.head, w.buckets, got, want)
+			return fmt.Errorf("count at bucket %d (head %d, %d buckets): %d, full scan %d", num, w.head, w.buckets, got, want)
 		}
 		if num < math.MinInt64/width || num > math.MaxInt64/width {
 			continue
 		}
 		at := time.Unix(0, num*width)
 		if got := w.Count(at); got != want {
-			t.Fatalf("Count at bucket %d (head %d): %d, full scan %d", num, w.head, got, want)
+			return fmt.Errorf("Count at bucket %d (head %d): %d, full scan %d", num, w.head, got, want)
 		}
 		if got := w.Empty(at); got != (want == 0) {
-			t.Fatalf("Empty at bucket %d (head %d): %v, full scan %d", num, w.head, got, want)
+			return fmt.Errorf("Empty at bucket %d (head %d): %v, full scan %d", num, w.head, got, want)
 		}
 	}
+	return nil
 }
 
 func itoa(v int) string {
