@@ -94,13 +94,16 @@ bench-smoke:
 # (the FAS1 sketch-state codec, every decoded ring's reads held equal to a
 # full scan; the FGS1 snapshot codec), the gate's in-place request scans,
 # held equal to net/url on every raw query and to net/http on every Cookie
-# header, and its X-Forwarded-For keying, held equal to net/netip.
+# header, its X-Forwarded-For keying, held equal to net/netip, and the
+# /metrics exposition reader, whose accepted input must survive a write and
+# re-parse unchanged.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeState -fuzztime 15s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime 15s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzQueryValue -fuzztime 15s ./internal/httpgate
 	$(GO) test -run=^$$ -fuzz=FuzzCookieValue -fuzztime 15s ./internal/httpgate
 	$(GO) test -run=^$$ -fuzz=FuzzRemoteIP -fuzztime 15s ./internal/httpgate
+	$(GO) test -run=^$$ -fuzz=FuzzParseText -fuzztime 15s ./internal/obs
 
 # bench-module vets and tests the benchmark harness, a module of its own.
 bench-module:

@@ -404,9 +404,6 @@ func TestSMSPumperPurchasesThenPumps(t *testing.T) {
 	if err := sched.RunFor(12 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.Locators()); got != 3 {
-		t.Fatalf("locators = %d, want 3", got)
-	}
 	if api.confirms != 3 {
 		t.Fatalf("confirms = %d", api.confirms)
 	}
@@ -446,9 +443,17 @@ func TestSMSPumperGeoMatchedExits(t *testing.T) {
 	if err := sched.RunFor(4 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	// Exit pools materialized per destination country — geo matching.
-	if got := len(svc.Countries()); got < 5 {
-		t.Fatalf("proxy pools in %d countries, want several (geo-matched exits)", got)
+	// Exits come from per-destination-country pools — geo matching. Each
+	// country's pool owns its own leading octet pair.
+	spaces := map[string]bool{}
+	for ip := range api.ips {
+		s := string(ip)
+		dot := strings.IndexByte(s, '.')
+		dot += 1 + strings.IndexByte(s[dot+1:], '.')
+		spaces[s[:dot]] = true
+	}
+	if got := len(spaces); got < 5 {
+		t.Fatalf("exits from %d country pools, want several (geo-matched exits)", got)
 	}
 }
 

@@ -162,13 +162,6 @@ func (p *SMSPumper) Rotations() int { return p.rotations }
 // Stopped reports whether the campaign has ended.
 func (p *SMSPumper) Stopped() bool { return p.stopped }
 
-// Locators returns the record locators obtained in the purchase phase.
-func (p *SMSPumper) Locators() []string {
-	out := make([]string, len(p.locators))
-	copy(out, p.locators)
-	return out
-}
-
 // Start runs the purchase phase immediately and schedules the pump loop.
 func (p *SMSPumper) Start() {
 	p.sched.ScheduleAfter(time.Second, func(now time.Time) {

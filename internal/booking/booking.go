@@ -176,13 +176,6 @@ func (s *System) SetMaxNiP(n int) {
 	}
 }
 
-// SetHoldTTL adjusts the hold duration at runtime (ablation knob).
-func (s *System) SetHoldTTL(d time.Duration) {
-	if d > 0 {
-		s.cfg.HoldTTL = d
-	}
-}
-
 // AddFlight registers a flight. Re-adding an existing ID resets its state.
 func (s *System) AddFlight(f Flight) {
 	s.flights[f.ID] = &flightState{flight: f}
@@ -283,18 +276,6 @@ func (s *System) Confirm(id HoldID) (Ticket, error) {
 	return t, nil
 }
 
-// Release cancels a live hold, returning its seats to stock.
-func (s *System) Release(id HoldID) error {
-	s.ExpireDue(s.clock.Now())
-	h, ok := s.holds[id]
-	if !ok {
-		return ErrHoldNotFound
-	}
-	s.flights[h.Flight].held -= h.NiP
-	delete(s.holds, id)
-	return nil
-}
-
 // ExpireDue releases every hold whose TTL elapsed at or before now and
 // returns how many holds expired.
 func (s *System) ExpireDue(now time.Time) int {
@@ -349,12 +330,6 @@ func (s *System) AvailabilityOf(id FlightID) (Availability, error) {
 		Sold:      fs.sold,
 		Available: fs.flight.Capacity - fs.held - fs.sold,
 	}, nil
-}
-
-// TicketByLocator resolves a record locator.
-func (s *System) TicketByLocator(loc string) (Ticket, bool) {
-	t, ok := s.tickets[loc]
-	return t, ok
 }
 
 // TicketExists reports whether loc identifies an issued ticket. It

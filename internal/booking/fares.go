@@ -83,14 +83,3 @@ func (fs FareSchedule) BucketIndex(occupied int) int {
 	}
 	return len(fs)
 }
-
-// QuoteFare returns the flight's displayed fare under schedule fs, counting
-// both sold and held seats as unavailable — the behaviour attackers
-// exploit.
-func (s *System) QuoteFare(id FlightID, fs FareSchedule) (float64, error) {
-	av, err := s.AvailabilityOf(id)
-	if err != nil {
-		return 0, err
-	}
-	return fs.Quote(av.Held + av.Sold)
-}

@@ -93,7 +93,11 @@ func TestQuoteFareReflectsHolds(t *testing.T) {
 	)
 	quote := func() float64 {
 		t.Helper()
-		v, err := sys.QuoteFare("F", fs)
+		av, err := sys.AvailabilityOf("F")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := fs.Quote(av.Held + av.Sold)
 		if err != nil {
 			t.Fatal(err)
 		}

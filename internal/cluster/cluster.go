@@ -543,46 +543,24 @@ func (n *node) fetchPeer(peer int, roundStart time.Time) (Snapshot, error) {
 	return snap, nil
 }
 
-// fetchResult carries one attempt's outcome over the timeout channel, so
-// an abandoned slow attempt writes to its own slot and never races the
-// caller.
-type fetchResult struct {
-	snap Snapshot
-	err  error
-}
-
 // timedFetch is one transport fetch bounded by FetchTimeout (when set) on
-// a real timer, with panic isolation either way.
+// a real timer, with panic isolation either way. Each call fills its own
+// snap, which the caller reads only once WithTimeout has seen the fetch
+// return: an attempt abandoned at the deadline writes to a variable nobody
+// reads again.
 func (c *Cluster) timedFetch(from, to int) (Snapshot, error) {
-	if c.cfg.FetchTimeout <= 0 {
-		var snap Snapshot
-		err := resilience.Safe(func() error {
-			s, ferr := fetchVia(c.transport, from, to)
-			if ferr == nil {
-				snap = s
-			}
-			return ferr
-		})
-		return snap, err
+	var snap Snapshot
+	err := resilience.WithTimeout(c.cfg.FetchTimeout, func() error {
+		s, ferr := fetchVia(c.transport, from, to)
+		if ferr == nil {
+			snap = s
+		}
+		return ferr
+	})
+	if err != nil {
+		return Snapshot{}, err
 	}
-	done := make(chan fetchResult, 1)
-	go func() {
-		var s Snapshot
-		err := resilience.Safe(func() error {
-			var ferr error
-			s, ferr = fetchVia(c.transport, from, to)
-			return ferr
-		})
-		done <- fetchResult{snap: s, err: err}
-	}()
-	timer := time.NewTimer(c.cfg.FetchTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-done:
-		return r.snap, r.err
-	case <-timer.C:
-		return Snapshot{}, resilience.ErrTimeout
-	}
+	return snap, nil
 }
 
 // countFailure buckets one failed peer fetch under its reason counter.

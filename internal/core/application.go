@@ -6,7 +6,6 @@
 package core
 
 import (
-	"errors"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -53,8 +52,6 @@ type DefenceConfig struct {
 	SMSPerProfileLimit  int
 	SMSPerProfileWindow time.Duration
 
-	// LoyaltySMS restricts SMS features to enrolled loyalty members.
-	LoyaltySMS bool
 	// Honeypot routes flagged clients to decoy inventory.
 	Honeypot bool
 }
@@ -74,7 +71,6 @@ type Application struct {
 	fpRules *detect.FingerprintRules
 	blocks  *mitigate.BlockList
 	captcha *mitigate.CaptchaGate
-	loyalty *mitigate.LoyaltyGate
 
 	pathLimiter    *mitigate.KeyedLimiter
 	locatorLimiter *mitigate.KeyedLimiter
@@ -165,7 +161,6 @@ func NewApplication(
 		fpRules:  detect.NewFingerprintRules(),
 		blocks:   mitigate.NewBlockList(cfg.BlockTTL),
 		captcha:  newCaptcha(rng, cfg),
-		loyalty:  mitigate.NewLoyaltyGate(cfg.LoyaltySMS),
 		fpSeen:   make(map[uint64]fingerprint.Fingerprint),
 	}
 	a.fpRules.CheckArtifacts = cfg.StaticFPChecks
@@ -209,28 +204,12 @@ func (a *Application) Blocks() *mitigate.BlockList { return a.blocks }
 // Captcha returns the challenge gate.
 func (a *Application) Captcha() *mitigate.CaptchaGate { return a.captcha }
 
-// Loyalty returns the trusted-user gate.
-func (a *Application) Loyalty() *mitigate.LoyaltyGate { return a.loyalty }
-
 // Honeypot returns the decoy router (nil when disabled).
 func (a *Application) Honeypot() *mitigate.Honeypot { return a.honeypot }
-
-// BoardingPass returns the boarding-pass feature for kill-switch control.
-func (a *Application) BoardingPass() *sms.BoardingPassService { return a.boarding }
-
-// OTP returns the OTP feature.
-func (a *Application) OTP() *sms.OTPService { return a.otp }
 
 // Stats returns a snapshot of the pipeline counters. Safe to call from
 // any goroutine while the simulation runs.
 func (a *Application) Stats() Stats { return a.stats.snapshot() }
-
-// Audit returns a copy of the hold audit trail.
-func (a *Application) Audit() []HoldAudit {
-	out := make([]HoldAudit, len(a.audit))
-	copy(out, a.audit)
-	return out
-}
 
 // AuditSince returns audit entries at or after cutoff.
 func (a *Application) AuditSince(cutoff time.Time) []HoldAudit {
@@ -241,22 +220,6 @@ func (a *Application) AuditSince(cutoff time.Time) []HoldAudit {
 		}
 	}
 	return out
-}
-
-// PathDenials returns how many SMS requests the path limiter rejected.
-func (a *Application) PathDenials() int {
-	if a.pathLimiter == nil {
-		return 0
-	}
-	return a.pathLimiter.TotalDenials()
-}
-
-// LocatorDenials returns per-locator limiter rejections.
-func (a *Application) LocatorDenials() int {
-	if a.locatorLimiter == nil {
-		return 0
-	}
-	return a.locatorLimiter.TotalDenials()
 }
 
 // FingerprintByHash resolves a weblog fingerprint hash to the full
@@ -319,7 +282,7 @@ func (a *Application) screen(ctx app.ClientContext, method, path string) (fp uin
 			return fp, app.ErrBlocked
 		}
 	}
-	if v := a.fpRules.Judge(ctx.Fingerprint, fp, now); v.Flagged {
+	if v := a.fpRules.Judge(ctx.Fingerprint, fp); v.Flagged {
 		a.stats.blocked.Add(1)
 		a.record(ctx, fp, method, path, 403)
 		return fp, app.ErrBlocked
@@ -332,7 +295,7 @@ func (a *Application) screen(ctx app.ClientContext, method, path string) (fp uin
 // the browser; bots buy solves) — it is simulation mechanics, not a
 // detection signal.
 func (a *Application) challenge(ctx app.ClientContext, fp uint64, enabled bool, method, path string) error {
-	if !enabled || !a.captcha.Enabled() {
+	if !enabled {
 		return nil
 	}
 	a.stats.challenged.Add(1)
@@ -424,14 +387,9 @@ func (a *Application) Availability(ctx app.ClientContext, id booking.FlightID) (
 }
 
 // smsGates runs the SMS-surface defence layers shared by OTP and boarding
-// pass: loyalty restriction, challenge, and the rate-limit family.
+// pass: challenge, then the rate-limit family.
 func (a *Application) smsGates(ctx app.ClientContext, fp uint64, path, locator string) error {
 	now := a.clock.Now()
-	if a.cfg.LoyaltySMS && !a.loyalty.Allow(ctx.ClientKey) {
-		a.stats.restricted.Add(1)
-		a.record(ctx, fp, "POST", path, 403)
-		return app.ErrRestricted
-	}
 	if err := a.challenge(ctx, fp, a.cfg.CaptchaOnSMS, "POST", path); err != nil {
 		return err
 	}
@@ -482,11 +440,6 @@ func (a *Application) SendBoardingPass(ctx app.ClientContext, locator string, to
 		return err
 	}
 	_, err = a.boarding.Send(locator, to, ctx.ActorID)
-	if errors.Is(err, sms.ErrFeatureDisabled) {
-		a.stats.restricted.Add(1)
-		a.record(ctx, fp, "POST", path, 403)
-		return app.ErrRestricted
-	}
 	a.record(ctx, fp, "POST", path, statusOf(err))
 	if err == nil {
 		a.stats.served.Add(1)

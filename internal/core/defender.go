@@ -206,7 +206,7 @@ func (d *Defender) act(suspects map[string]bool, from, now time.Time) {
 				continue
 			}
 			if d.cfg.BlockFingerprints {
-				d.application.FingerprintRules().Block(h.FPHash, now)
+				d.application.FingerprintRules().Block(h.FPHash)
 				d.application.Blocks().Block("fp:"+strconv.FormatUint(h.FPHash, 16), now)
 				d.rulesAdded++
 			}

@@ -103,9 +103,6 @@ func TestQuotaExhaustionLocksOutLegitimateUsers(t *testing.T) {
 	if env.Gateway.Sent() != 600 {
 		t.Fatalf("gateway sent %d, want quota-bounded 600", env.Gateway.Sent())
 	}
-	if env.Gateway.Rejected() == 0 {
-		t.Fatal("no quota rejections recorded")
-	}
 	// Legitimate users were locked out once the pump burned the quota.
 	if pop.Friction() == 0 {
 		t.Fatal("no legitimate friction despite exhausted quota")

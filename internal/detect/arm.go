@@ -3,7 +3,6 @@ package detect
 import (
 	"fmt"
 
-	"funabuse/internal/booking"
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/weblog"
 )
@@ -16,10 +15,11 @@ import (
 // implement RequestObserver or SessionObserver to consume the traffic
 // before judging.
 //
-// The typed entry points the arms wrap (VolumeRules.Judge,
-// GraphRules.JudgeSession, FingerprintRules.Judge, ...) remain as thin
-// adapters for existing call sites, the same deprecation pattern PR 4/5
-// used for stats accessors.
+// Each arm wraps one detector's own entry point (VolumeRules.Judge,
+// GraphRules.JudgeSession, FingerprintRules.Judge, ...). The
+// application's request path and the case-B and ablation experiments call
+// those directly; the detection comparison and the StreamMonitor judge
+// through arms.
 type Arm interface {
 	// Name labels the arm in reports and registries.
 	Name() string
@@ -28,8 +28,8 @@ type Arm interface {
 }
 
 // RequestObserver is implemented by arms that consume the raw request
-// stream (velocity counters, the stream monitor, the entity graph's
-// online feed) before sessions are judged.
+// stream (the stream monitor, the entity graph's online feed, the
+// account store) before sessions are judged.
 type RequestObserver interface {
 	ObserveRequest(r weblog.Request)
 }
@@ -176,133 +176,8 @@ func (a FingerprintArm) Judge(s *weblog.Session) Verdict {
 		if !ok {
 			continue
 		}
-		if v := a.Rules.Judge(f, r.Fingerprint, r.Time); v.Flagged {
+		if v := a.Rules.Judge(f, r.Fingerprint); v.Flagged {
 			return v
-		}
-	}
-	return Verdict{}
-}
-
-// VelocityArm adapts a Velocity counter: requests feed the sliding
-// window through a caller-chosen key (path, profile, booking reference),
-// keys that ever run hot are remembered, and a session is flagged when
-// any of its requests maps to a hot key. The sticky set is what makes an
-// online threshold judgeable post hoc — the window itself forgets.
-type VelocityArm struct {
-	ArmName string
-	V       *Velocity
-	// Key derives the velocity key for a request; empty skips it.
-	Key func(r weblog.Request) string
-
-	hot map[string]bool
-}
-
-// NewVelocityArm builds a velocity arm over v.
-func NewVelocityArm(name string, v *Velocity, key func(r weblog.Request) string) *VelocityArm {
-	return &VelocityArm{ArmName: name, V: v, Key: key, hot: make(map[string]bool)}
-}
-
-// Name implements Arm.
-func (a *VelocityArm) Name() string { return a.ArmName }
-
-// ObserveRequest implements RequestObserver.
-func (a *VelocityArm) ObserveRequest(r weblog.Request) {
-	k := a.Key(r)
-	if k == "" {
-		return
-	}
-	if a.V.Observe(k, r.Time) {
-		a.hot[k] = true
-	}
-}
-
-// Judge implements Arm.
-func (a *VelocityArm) Judge(s *weblog.Session) Verdict {
-	for _, r := range s.Requests {
-		if k := a.Key(r); k != "" && a.hot[k] {
-			return Verdict{Flagged: true, Score: 0.7, Reason: "velocity:" + k}
-		}
-	}
-	return Verdict{}
-}
-
-// NamePatternArm adapts the passenger-name-pattern detector: the booking
-// journal is analyzed once at construction, the suspect actors are
-// remembered, and a session is flagged when any request carries a
-// suspect actor ID. ActorID here is the application-level account
-// identity the booking records carry — a legitimate detector input,
-// unlike the ground-truth Actor label.
-type NamePatternArm struct {
-	suspects map[string]bool
-	findings []NameFinding
-}
-
-// NewNamePatternArm analyzes records with det and indexes the suspects.
-func NewNamePatternArm(det *NamePatternDetector, records []booking.Record) *NamePatternArm {
-	findings := det.Analyze(records)
-	arm := &NamePatternArm{
-		suspects: make(map[string]bool),
-		findings: findings,
-	}
-	for _, id := range SuspectActors(records, findings) {
-		arm.suspects[id] = true
-	}
-	return arm
-}
-
-// Name implements Arm.
-func (*NamePatternArm) Name() string { return "name patterns" }
-
-// Findings returns the analysis the arm was built from.
-func (a *NamePatternArm) Findings() []NameFinding { return a.findings }
-
-// Judge implements Arm.
-func (a *NamePatternArm) Judge(s *weblog.Session) Verdict {
-	for _, r := range s.Requests {
-		if r.ActorID != "" && a.suspects[r.ActorID] {
-			return Verdict{Flagged: true, Score: 0.8, Reason: "name-pattern"}
-		}
-	}
-	return Verdict{}
-}
-
-// NiPDriftArm adapts the NiP-drift detector to the session contract:
-// when the window drifts anomalously from the baseline, the actors
-// concentrating bookings at the drift's top bucket are suspects, and a
-// session is flagged when a request carries one of them.
-type NiPDriftArm struct {
-	report   DriftReport
-	suspects map[string]bool
-}
-
-// NewNiPDriftArm compares window against d's baseline and, when the
-// drift is anomalous, marks the actors whose dominant NiP sits at the
-// drifted bucket and whose hold count reaches minHolds.
-func NewNiPDriftArm(d *NiPDrift, window []booking.Record, minHolds int) *NiPDriftArm {
-	arm := &NiPDriftArm{suspects: make(map[string]bool)}
-	arm.report = d.Compare(window)
-	if !arm.report.Anomalous() {
-		return arm
-	}
-	for _, p := range ProfileActors(window) {
-		if p.DominantNiP == arm.report.TopBucket && p.Holds >= minHolds {
-			arm.suspects[p.ActorID] = true
-		}
-	}
-	return arm
-}
-
-// Name implements Arm.
-func (*NiPDriftArm) Name() string { return "nip drift" }
-
-// Report returns the drift comparison the arm was built from.
-func (a *NiPDriftArm) Report() DriftReport { return a.report }
-
-// Judge implements Arm.
-func (a *NiPDriftArm) Judge(s *weblog.Session) Verdict {
-	for _, r := range s.Requests {
-		if r.ActorID != "" && a.suspects[r.ActorID] {
-			return Verdict{Flagged: true, Score: 0.7, Reason: "nip-drift"}
 		}
 	}
 	return Verdict{}
@@ -395,6 +270,3 @@ func SensitivePath(path string) bool {
 	}
 	return false
 }
-
-// VelocityPathKey is the canonical velocity key for path-rate arms.
-func VelocityPathKey(r weblog.Request) string { return r.Path }

@@ -4,11 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"funabuse/internal/booking"
 	"funabuse/internal/fingerprint"
-	"funabuse/internal/names"
 	"funabuse/internal/proxy"
-	"funabuse/internal/simrand"
 	"funabuse/internal/weblog"
 )
 
@@ -123,87 +120,6 @@ func TestFingerprintArm(t *testing.T) {
 	}
 }
 
-func TestVelocityArmStickyHotKeys(t *testing.T) {
-	arm := NewVelocityArm("path velocity", NewVelocity(time.Minute, 3), VelocityPathKey)
-	early := &weblog.Session{Requests: []weblog.Request{{
-		Time: armT0, Path: "/checkin/boardingpass/sms",
-	}}}
-	if v := arm.Judge(early); v.Flagged {
-		t.Fatal("flagged before any key ran hot")
-	}
-	hot := pumpSession(1, "203.0.113.5")
-	for _, r := range hot.Requests {
-		arm.ObserveRequest(r)
-	}
-	// The window has long forgotten by now, but the hot set is sticky:
-	// the early session judges flagged post hoc.
-	if v := arm.Judge(early); !v.Flagged || v.Reason != "velocity:/checkin/boardingpass/sms" {
-		t.Fatalf("hot key not sticky: %+v", v)
-	}
-	if v := arm.Judge(browseSession("h1")); v.Flagged {
-		t.Fatalf("cold-path session flagged: %+v", v)
-	}
-}
-
-func TestNamePatternArm(t *testing.T) {
-	pool := names.NewPool(simrand.New(1), 4)
-	var records []booking.Record
-	for i := range 10 {
-		records = append(records, booking.Record{
-			Time: armT0, Flight: "B200", NiP: 1,
-			Outcome: booking.OutcomeAccepted, ActorID: "bot-1",
-			HoldID:     booking.HoldID(i + 1),
-			Passengers: []names.Identity{pool.RotatingBirthdate()},
-		})
-	}
-	arm := NewNamePatternArm(NewNamePatternDetector(NamePatternConfig{}), records)
-	if len(arm.Findings()) == 0 {
-		t.Fatal("rotating-birthdate journal produced no findings")
-	}
-	if v := arm.Judge(browseSession("bot-1")); !v.Flagged || v.Reason != "name-pattern" {
-		t.Fatalf("suspect actor not flagged: %+v", v)
-	}
-	if v := arm.Judge(browseSession("human-1")); v.Flagged {
-		t.Fatalf("clean actor flagged: %+v", v)
-	}
-}
-
-func TestNiPDriftArm(t *testing.T) {
-	baseline := journalWithShares(5000, typicalWeek)
-	// Attack week: one actor concentrates NiP=6 holds.
-	attacked := []float64{0.30, 0.17, 0.05, 0.03, 0.02, 0.42, 0.01}
-	c := simrand.NewCategorical(attacked)
-	r := simrand.New(7)
-	var window []booking.Record
-	for i := range 2000 {
-		nip := c.Draw(r) + 1
-		actor := "human-" + string(rune('a'+i%20))
-		if nip == 6 {
-			actor = "pump-1"
-		}
-		window = append(window, booking.Record{
-			HoldID: booking.HoldID(i + 1), NiP: nip,
-			Outcome: booking.OutcomeAccepted, ActorID: actor,
-		})
-	}
-	arm := NewNiPDriftArm(NewNiPDrift(baseline, 7), window, 10)
-	if !arm.Report().Anomalous() {
-		t.Fatalf("attack window not anomalous: %+v", arm.Report())
-	}
-	if v := arm.Judge(browseSession("pump-1")); !v.Flagged || v.Reason != "nip-drift" {
-		t.Fatalf("concentrating actor not flagged: %+v", v)
-	}
-	if v := arm.Judge(browseSession("human-a")); v.Flagged {
-		t.Fatalf("background actor flagged: %+v", v)
-	}
-
-	// A calm window yields no suspects at all.
-	calm := NewNiPDriftArm(NewNiPDrift(baseline, 7), journalWithShares(2000, typicalWeek), 10)
-	if v := calm.Judge(browseSession("pump-1")); v.Flagged {
-		t.Fatalf("calm window flagged an actor: %+v", v)
-	}
-}
-
 func TestAnyArmFirstFlagWins(t *testing.T) {
 	a := AnyArm{ArmName: "combo", Members: []Arm{
 		&stubArm{name: "cold"},
@@ -235,7 +151,7 @@ func TestWeakSignal(t *testing.T) {
 }
 
 func TestStreamMonitorJudgesArms(t *testing.T) {
-	arm := NewVelocityArm("path velocity", NewVelocity(time.Minute, 3), VelocityPathKey)
+	arm := VolumeArm{Rules: VolumeRules{MaxRequests: 3}}
 	m := NewStreamMonitor(StreamConfig{
 		Arms: NewRegistry(arm),
 	})
@@ -254,8 +170,8 @@ func TestStreamMonitorJudgesArms(t *testing.T) {
 	if !m.Flagged(key) {
 		t.Fatal("arm-judged identity not flagged")
 	}
-	if sig := m.FlaggedSignal(key); sig != "arm:path velocity" {
-		t.Fatalf("signal = %q, want arm:path velocity", sig)
+	if sig := m.FlaggedSignal(key); sig != "arm:volume rules" {
+		t.Fatalf("signal = %q, want arm:volume rules", sig)
 	}
 	if flaggedAt == 0 {
 		t.Fatal("Observe never reported the flag")
@@ -265,7 +181,7 @@ func TestStreamMonitorJudgesArms(t *testing.T) {
 		t.Fatalf("flagged identity still buffered: %+v", st)
 	}
 	alerts := m.Alerts()
-	if len(alerts) != 1 || alerts[0].Signal != "arm:path velocity" {
+	if len(alerts) != 1 || alerts[0].Signal != "arm:volume rules" {
 		t.Fatalf("alert journal = %+v", alerts)
 	}
 }

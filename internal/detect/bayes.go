@@ -107,15 +107,6 @@ func (m *NaiveBayes) Judge(x []float64) Verdict {
 	return Verdict{Flagged: p >= 0.5, Score: p, Reason: "naive-bayes"}
 }
 
-// Evaluate scores the model on labelled samples.
-func (m *NaiveBayes) Evaluate(samples []Sample) Confusion {
-	var c Confusion
-	for _, s := range samples {
-		c.Observe(m.Prob(s.X) >= 0.5, s.Y >= 0.5)
-	}
-	return c
-}
-
 func logGauss(v, mean, variance float64) float64 {
 	d := v - mean
 	return -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)

@@ -58,25 +58,3 @@ func (v VolumeRules) Judge(f weblog.Features) Verdict {
 		return Verdict{}
 	}
 }
-
-// JudgeSessions applies the rules to every session and returns verdicts in
-// the same order.
-func (v VolumeRules) JudgeSessions(sessions []*weblog.Session) []Verdict {
-	out := make([]Verdict, len(sessions))
-	for i, s := range sessions {
-		out[i] = v.Judge(weblog.Extract(s))
-	}
-	return out
-}
-
-// EvaluateSessions runs the rules over labelled sessions and scores them
-// against ground truth, where "positive" means the session's dominant actor
-// is abusive.
-func (v VolumeRules) EvaluateSessions(sessions []*weblog.Session) Confusion {
-	var c Confusion
-	for _, s := range sessions {
-		verdict := v.Judge(weblog.Extract(s))
-		c.Observe(verdict.Flagged, s.Actor().Abusive())
-	}
-	return c
-}

@@ -2,12 +2,13 @@
 //
 //   - Behaviour-based approaches (Section III-A): classical session-volume
 //     rules plus from-scratch classifiers (logistic regression, Gaussian
-//     naive Bayes, k-means) over web-session features.
+//     naive Bayes) over web-session features.
 //   - Knowledge-based approaches (Section III-B): a fingerprint rules engine
 //     with hash blocklists and artifact/inconsistency checks.
 //   - The ad-hoc signals that actually caught the paper's attacks: passenger
-//     name-pattern analysis (case B), NiP distribution drift (case A /
-//     Fig. 1), and per-key velocity (the path rate limit of case C).
+//     name-pattern analysis (case B) and NiP distribution drift (case A /
+//     Fig. 1). Case C's per-key velocity is the StreamMonitor's rate
+//     signal here and mitigate's keyed limiter in the defence.
 //
 // The ground-truth actor labels carried by the substrates are only ever read
 // by the evaluation helpers, never by detectors.
@@ -67,23 +68,6 @@ func (c Confusion) F1() float64 {
 		return 0
 	}
 	return 2 * p * r / (p + r)
-}
-
-// Accuracy returns the share of correct decisions.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
-// FalsePositiveRate returns FP/(FP+TN), 0 when undefined.
-func (c Confusion) FalsePositiveRate() float64 {
-	if c.FP+c.TN == 0 {
-		return 0
-	}
-	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
 // String summarises the matrix.

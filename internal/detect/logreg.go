@@ -100,15 +100,6 @@ func (m *LogReg) Judge(x []float64) Verdict {
 	return Verdict{Flagged: p >= 0.5, Score: p, Reason: "logreg"}
 }
 
-// Evaluate scores the model on labelled samples.
-func (m *LogReg) Evaluate(samples []Sample) Confusion {
-	var c Confusion
-	for _, s := range samples {
-		c.Observe(m.Prob(s.X) >= 0.5, s.Y >= 0.5)
-	}
-	return c
-}
-
 func sigmoid(z float64) float64 {
 	if z < -30 {
 		return 0

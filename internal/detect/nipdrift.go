@@ -2,7 +2,6 @@ package detect
 
 import (
 	"math"
-	"sort"
 
 	"funabuse/internal/booking"
 )
@@ -29,13 +28,6 @@ func NewNiPDrift(baselineRecords []booking.Record, maxBucket int) *NiPDrift {
 		MaxBucket: maxBucket,
 		baseline:  booking.NiPShares(hist, maxBucket),
 	}
-}
-
-// Baseline returns a copy of the fitted baseline shares.
-func (d *NiPDrift) Baseline() []float64 {
-	out := make([]float64, len(d.baseline))
-	copy(out, d.baseline)
-	return out
 }
 
 // DriftReport summarises one window against the baseline.
@@ -82,54 +74,4 @@ func (d *NiPDrift) Compare(window []booking.Record) DriftReport {
 		}
 	}
 	return rep
-}
-
-// PerActorNiP profiles each actor's accepted-hold count and dominant NiP —
-// the per-client view a defender pivots to once drift is detected.
-type PerActorNiP struct {
-	ActorID      string
-	Holds        int
-	DominantNiP  int
-	DominantSpan int
-}
-
-// ProfileActors aggregates accepted holds per actor, sorted by descending
-// hold count (ties by actor ID).
-func ProfileActors(records []booking.Record) []PerActorNiP {
-	type agg struct {
-		holds int
-		byNiP map[int]int
-	}
-	actors := make(map[string]*agg)
-	for _, r := range records {
-		if r.Outcome != booking.OutcomeAccepted {
-			continue
-		}
-		a, ok := actors[r.ActorID]
-		if !ok {
-			a = &agg{byNiP: make(map[int]int)}
-			actors[r.ActorID] = a
-		}
-		a.holds++
-		a.byNiP[r.NiP]++
-	}
-	out := make([]PerActorNiP, 0, len(actors))
-	for id, a := range actors {
-		best, bestN := 0, -1
-		for nip, n := range a.byNiP {
-			if n > bestN || (n == bestN && nip < best) {
-				best, bestN = nip, n
-			}
-		}
-		out = append(out, PerActorNiP{
-			ActorID: id, Holds: a.holds, DominantNiP: best, DominantSpan: bestN,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Holds != out[j].Holds {
-			return out[i].Holds > out[j].Holds
-		}
-		return out[i].ActorID < out[j].ActorID
-	})
-	return out
 }

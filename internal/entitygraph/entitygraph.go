@@ -103,26 +103,6 @@ func FingerprintKey(hash uint64) string { return "fp:" + strconv.FormatUint(hash
 // IPKey returns the node key for a source address.
 func IPKey(ip string) string { return "ip:" + ip }
 
-// NameKey returns the node key for a normalized passenger-name token.
-func NameKey(token string) string { return "nm:" + strings.ToLower(token) }
-
-// BookingKey returns the node key for a booking reference.
-func BookingKey(ref string) string { return "bk:" + ref }
-
-// PhonePrefixLen is how many leading digits of a destination number form
-// its prefix node — enough to identify a premium-rate block without
-// storing full numbers.
-const PhonePrefixLen = 6
-
-// PhoneKey returns the node key for a phone number's prefix.
-func PhoneKey(number string) string {
-	trimmed := strings.TrimPrefix(number, "+")
-	if len(trimmed) > PhonePrefixLen {
-		trimmed = trimmed[:PhonePrefixLen]
-	}
-	return "ph:" + trimmed
-}
-
 // KeyType classifies a node key by its prefix.
 func KeyType(key string) Type {
 	if len(key) < 3 || key[2] != ':' {

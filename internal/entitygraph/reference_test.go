@@ -263,7 +263,7 @@ func diverges(seed uint64, ref *referenceGraph) (diff string, final Stats, flagg
 	rng := simrand.New(seed)
 	var pool []string
 	for i := range 12 {
-		pool = append(pool, FingerprintKey(uint64(i)), IPKey(fmt.Sprintf("203.0.113.%d", i)), BookingKey(fmt.Sprintf("PNR%05d", i)))
+		pool = append(pool, FingerprintKey(uint64(i)), IPKey(fmt.Sprintf("203.0.113.%d", i)), "bk:"+fmt.Sprintf("PNR%05d", i))
 	}
 	seen := append([]string{""}, pool...)
 	const ops = 4000

@@ -143,19 +143,6 @@ func (i *Injector) Stalls() uint64 { return i.stalls.Load() }
 // Outages returns how many calls landed in schedule down-windows.
 func (i *Injector) Outages() uint64 { return i.outages.Load() }
 
-// WrapCheck decorates an infallible keyed check (a blocklist lookup or
-// limiter decision, in the gate's key/time shape) with this injector's
-// fault plan. The wrapped check reports the inner result untouched when no
-// fault fires.
-func (i *Injector) WrapCheck(inner func(key string, now time.Time) bool) func(key string, now time.Time) (bool, error) {
-	return func(key string, now time.Time) (bool, error) {
-		if err := i.Hit(now); err != nil {
-			return false, err
-		}
-		return inner(key, now), nil
-	}
-}
-
 // WrapErr decorates a fallible keyed check, preserving inner errors when
 // no fault fires first.
 func (i *Injector) WrapErr(inner func(key string, now time.Time) (bool, error)) func(key string, now time.Time) (bool, error) {

@@ -155,9 +155,15 @@ func TestInjectorConcurrentCountsExact(t *testing.T) {
 	}
 }
 
-func TestWrapCheck(t *testing.T) {
+func TestWrapErr(t *testing.T) {
 	inj := New(Config{Seed: 1, Schedule: Schedule{Start: t0, Period: time.Hour, Down: time.Minute}})
-	check := inj.WrapCheck(func(key string, now time.Time) bool { return key == "yes" })
+	errInner := errors.New("inner")
+	check := inj.WrapErr(func(key string, now time.Time) (bool, error) {
+		if key == "fail" {
+			return false, errInner
+		}
+		return key == "yes", nil
+	})
 	if _, err := check("yes", t0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err %v in outage", err)
 	}
@@ -167,6 +173,9 @@ func TestWrapCheck(t *testing.T) {
 	}
 	if ok, err := check("no", up); err != nil || ok {
 		t.Fatalf("ok %v err %v", ok, err)
+	}
+	if _, err := check("fail", up); !errors.Is(err, errInner) {
+		t.Fatalf("inner error not preserved: %v", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
-	"strings"
 
 	"funabuse/internal/simrand"
 )
@@ -118,29 +117,6 @@ func hashHex(h uint64, v uint32) uint64 {
 func (f Fingerprint) String() string {
 	return fmt.Sprintf("%s/%d on %s %dx%d tz=%s lang=%s",
 		f.Browser, f.BrowserVersion, f.OS, f.ScreenW, f.ScreenH, f.Timezone, f.Language)
-}
-
-// UserAgent renders a plausible User-Agent string for logging surfaces.
-func (f Fingerprint) UserAgent() string {
-	var b strings.Builder
-	b.WriteString("Mozilla/5.0 (")
-	switch f.OS {
-	case OSWindows:
-		b.WriteString("Windows NT 10.0; Win64; x64")
-	case OSMacOS:
-		b.WriteString("Macintosh; Intel Mac OS X 10_15_7")
-	case OSLinux:
-		b.WriteString("X11; Linux x86_64")
-	case OSAndroid:
-		b.WriteString("Linux; Android 13")
-	case OSIOS:
-		b.WriteString("iPhone; CPU iPhone OS 16_5 like Mac OS X")
-	default:
-		b.WriteString(f.OS)
-	}
-	b.WriteString(") ")
-	fmt.Fprintf(&b, "%s/%d.0", f.Browser, f.BrowserVersion)
-	return b.String()
 }
 
 type screen struct{ w, h int }

@@ -22,7 +22,7 @@ func TestNaiveHeadlessIsCaught(t *testing.T) {
 	g := NewGenerator(simrand.New(2))
 	for range 100 {
 		f := g.NaiveHeadless()
-		if Consistent(f) {
+		if len(Validate(f)) == 0 {
 			t.Fatalf("naive headless fingerprint passed validation: %s", f)
 		}
 		found := false
@@ -153,7 +153,7 @@ func TestValidateSpecificContradictions(t *testing.T) {
 	base.Webdriver = false
 	base.CanvasHash = RenderHash(base, "canvas")
 	base.WebGLHash = RenderHash(base, "webgl")
-	if !Consistent(base) {
+	if len(Validate(base)) != 0 {
 		t.Fatalf("base print inconsistent: %+v", Validate(base))
 	}
 
@@ -190,19 +190,6 @@ func TestValidateSpecificContradictions(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("%s: check %q not triggered (got %+v)", tc.name, tc.check, Validate(f))
-		}
-	}
-}
-
-func TestUserAgentMentionsBrowserAndOSMarker(t *testing.T) {
-	f := Fingerprint{Browser: BrowserChrome, BrowserVersion: 120, OS: OSWindows}
-	ua := f.UserAgent()
-	if ua == "" || len(ua) < 20 {
-		t.Fatalf("UserAgent too short: %q", ua)
-	}
-	for _, want := range []string{"Chrome/120.0", "Windows NT"} {
-		if !contains(ua, want) {
-			t.Errorf("UserAgent %q missing %q", ua, want)
 		}
 	}
 }
@@ -251,6 +238,47 @@ func TestRotatorDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rotation sequence diverged at %d", i)
+		}
+	}
+}
+
+func TestOrganicPopulationIsHighEntropy(t *testing.T) {
+	// The organic generator spans a large configuration space: full-vector
+	// fingerprints are highly distinguishing (Laperdrix-style uniqueness),
+	// which is exactly what makes exact-hash block rules precise — and
+	// exactly why rotation defeats them.
+	g := NewGenerator(simrand.New(3))
+	prints := make([]Fingerprint, 5000)
+	for i := range prints {
+		prints[i] = g.Organic()
+	}
+	distinct := map[uint64]bool{}
+	for _, f := range prints {
+		distinct[f.Hash()] = true
+	}
+	if len(distinct) < 4000 {
+		t.Fatalf("distinct %d of %d", len(distinct), len(prints))
+	}
+}
+
+func TestSpoofingTargetsBigAnonymitySets(t *testing.T) {
+	// A spoofing rotation hides in the organic population: its prints must
+	// belong to configurations that actually occur there.
+	r := simrand.New(5)
+	gen := NewGenerator(r.Derive("pop"))
+	population := make([]Fingerprint, 3000)
+	hashes := map[uint64]bool{}
+	for i := range population {
+		population[i] = gen.Organic()
+		hashes[population[i].Hash()] = true
+	}
+	// Spoofed prints are fresh draws from the same generator model; their
+	// attribute combinations must validate like the population's.
+	ro := NewRotator(r.Derive("rot"), NewGenerator(r.Derive("botgen")), WithSpoofing())
+	for range 50 {
+		f := ro.Rotate()
+		if f.Webdriver {
+			t.Fatal("spoofed print carries automation artifact")
 		}
 	}
 }

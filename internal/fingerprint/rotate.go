@@ -186,6 +186,3 @@ func Validate(f Fingerprint) []Inconsistency {
 	}
 	return out
 }
-
-// Consistent reports whether Validate finds no contradictions.
-func Consistent(f Fingerprint) bool { return len(Validate(f)) == 0 }

@@ -167,25 +167,6 @@ func (r *Registry) All() []Country {
 	return out
 }
 
-// HighCostCodes returns codes of countries in the expensive termination band,
-// sorted by descending termination price (ties broken by code).
-func (r *Registry) HighCostCodes() []string {
-	var out []string
-	for _, code := range r.codes {
-		if r.byCode[code].HighCost() {
-			out = append(out, code)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := r.byCode[out[i]], r.byCode[out[j]]
-		if a.TerminationUSD != b.TerminationUSD {
-			return a.TerminationUSD > b.TerminationUSD
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 func defaultCountries() []Country {
 	return []Country{
 		// Table I countries. Termination pricing gives the six high-cost

@@ -1,7 +1,6 @@
 package geo
 
 import (
-	"fmt"
 	"strings"
 
 	"funabuse/internal/simrand"
@@ -87,21 +86,4 @@ func (r *Registry) CountryOf(n MSISDN) (Country, bool) {
 		}
 	}
 	return Country{}, false
-}
-
-// FormatE164 renders the number with a leading "+".
-func FormatE164(n MSISDN) string { return "+" + string(n) }
-
-// ValidateMSISDN checks basic shape: digits only, plausible length.
-func ValidateMSISDN(n MSISDN) error {
-	s := string(n)
-	if len(s) < 7 || len(s) > 15 {
-		return fmt.Errorf("geo: MSISDN %q has invalid length %d", s, len(s))
-	}
-	for i := range len(s) {
-		if s[i] < '0' || s[i] > '9' {
-			return fmt.Errorf("geo: MSISDN %q contains non-digit %q", s, s[i])
-		}
-	}
-	return nil
 }

@@ -74,7 +74,7 @@ func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
 			Schedule: faultinject.Schedule{Start: downAt, Period: 1000 * time.Hour, Down: time.Hour},
 		})
 		gate, server, clock := chaosGate(func(c *Config) {
-			c.ProfileCheck = inj.WrapCheck(func(key string, now time.Time) bool { return true })
+			c.ProfileCheck = inj.WrapErr(func(key string, now time.Time) (bool, error) { return true, nil })
 			c.Resilience = &ResilienceConfig{
 				Breaker: resilience.BreakerConfig{
 					Window:         time.Minute,

@@ -120,16 +120,12 @@ type Decision struct {
 	// Status is the denial's HTTP status; zero on admit.
 	Status int
 	// Degraded is the degraded-layer bitmask (bit 1<<Layer for each layer
-	// that was unavailable while deciding); DegradedLayers renders it.
+	// that was unavailable while deciding).
 	Degraded uint8
 }
 
 // Denied reports whether the request was denied.
 func (d Decision) Denied() bool { return d.Reason != "" }
-
-// DegradedLayers renders the degraded bitmask as the DegradedHeader
-// value; empty for a healthy decision.
-func (d Decision) DegradedLayers() string { return degradedNames[d.Degraded] }
 
 // Request is one decision input for DecideBatch: the HTTP request (seen
 // by the challenge, resource-key and decision hooks) and the client

@@ -101,7 +101,7 @@ func RunDirect(cfg DirectConfig) (*DirectResult, error) {
 		fpHex, sid, ip, _ := cl.identity(a.At)
 		url := "http://direct" + a.Path
 		if a.Resource >= 0 {
-			url += fmt.Sprintf("?pnr=PNR%05d", a.Resource)
+			url += "?pnr=" + ResourceRef(a.Resource)
 		}
 		r, err := http.NewRequest(http.MethodGet, url, nil)
 		if err != nil {

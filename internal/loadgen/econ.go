@@ -191,26 +191,6 @@ type ROIPoint struct {
 // ProfitUSD is the point's cumulative actual profit.
 func (p ROIPoint) ProfitUSD() float64 { return p.ActualUSD - p.SpendUSD }
 
-// Points renders the cumulative timeline.
-func (l *ROILedger) Points() []ROIPoint {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]ROIPoint, len(l.spend))
-	var spend, believed, actual float64
-	for i := range l.spend {
-		spend += l.spend[i]
-		believed += l.believed[i]
-		actual += l.actual[i]
-		out[i] = ROIPoint{
-			At:          l.cfg.Start.Add(time.Duration(i+1) * l.cfg.Bucket),
-			SpendUSD:    spend,
-			BelievedUSD: believed,
-			ActualUSD:   actual,
-		}
-	}
-	return out
-}
-
 // At returns the cumulative point through instant t: the sum of every
 // bucket that has fully ended by t. Reports sample fixed instants with
 // it so arms whose timelines end early still line up.

@@ -53,13 +53,6 @@ func TestROILedgerPricesObservations(t *testing.T) {
 		t.Fatalf("BudgetSkipped = %d, want 1", n)
 	}
 
-	pts := l.Points()
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	if pts[0].BelievedUSD != 0.5 || pts[1].BelievedUSD != 1.0 {
-		t.Fatalf("cumulative believed = %v, %v; want 0.5, 1.0", pts[0].BelievedUSD, pts[1].BelievedUSD)
-	}
 	if got := l.At(econT0.Add(10 * time.Second)); got.BelievedUSD != 0.5 {
 		t.Fatalf("At(+10s) believed = %v, want only the first bucket's 0.5", got.BelievedUSD)
 	}

@@ -128,6 +128,16 @@ func TestBuildPlanDeterministic(t *testing.T) {
 	}
 }
 
+// classCounts returns the scheduled request count per class, in class
+// order.
+func classCounts(p *Plan) []int {
+	counts := make([]int, len(p.Scenario.Classes))
+	for _, a := range p.Arrivals {
+		counts[a.Class]++
+	}
+	return counts
+}
+
 // TestPlanGoldenCounts pins the seed-1 schedule: the per-class request
 // counts and the full-schedule hash CI asserts stay bit-identical.
 func TestPlanGoldenCounts(t *testing.T) {
@@ -135,7 +145,7 @@ func TestPlanGoldenCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := plan.ClassCounts()
+	counts := classCounts(plan)
 	want := []int{goldenHonest, goldenSeatspin, goldenSMSPump}
 	if !reflect.DeepEqual(counts, want) {
 		t.Fatalf("seed-1 class counts = %v, want %v", counts, want)

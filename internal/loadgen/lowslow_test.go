@@ -41,7 +41,7 @@ func TestLowAndSlowScenario(t *testing.T) {
 		t.Fatalf("seed-1 plan hash = %#x, want 0xd25a01ac7845e5ad", got)
 	}
 
-	counts := p1.ClassCounts()
+	counts := classCounts(p1)
 	if len(counts) != 2 || counts[0] == 0 || counts[1] == 0 {
 		t.Fatalf("class counts = %v, want two non-empty classes", counts)
 	}

@@ -42,26 +42,6 @@ func (c ClassResult) Completed() uint64 {
 	return c.Sent - c.TransportErrors
 }
 
-// DeniedTotal sums the per-reason denial counts (Other included).
-func (c ClassResult) DeniedTotal() uint64 {
-	var total uint64
-	for _, n := range c.Denied {
-		total += n
-	}
-	return total + c.Other
-}
-
-// LeakRate is the fraction of completed requests the gate admitted — for
-// an abusive class, the paper's leakage measure under that defence
-// configuration. ok is false when nothing completed.
-func (c ClassResult) LeakRate() (rate float64, ok bool) {
-	done := c.Completed()
-	if done == 0 {
-		return 0, false
-	}
-	return float64(c.Admitted) / float64(done), true
-}
-
 // Result is one load-generation run's outcome, per class.
 type Result struct {
 	// PlanHash digests the schedule that was replayed; two runs of one
@@ -88,13 +68,14 @@ func (r *Result) Completed() uint64 {
 	return done
 }
 
-// AbusiveLeakRate aggregates LeakRate over the abusive classes. ok is
-// false when no abusive request completed.
+// AbusiveLeakRate is the share of the abusive classes' completed requests
+// the gate admitted — the paper's leakage measure under that defence
+// configuration. ok is false when no abusive request completed.
 func (r *Result) AbusiveLeakRate() (rate float64, ok bool) {
 	return r.admitRate(true)
 }
 
-// HonestAdmitRate aggregates LeakRate over the non-abusive classes — the
+// HonestAdmitRate is the same share over the non-abusive classes — the
 // paper's cost-to-honest-users measure. ok is false when no honest
 // request completed.
 func (r *Result) HonestAdmitRate() (rate float64, ok bool) {

@@ -264,16 +264,6 @@ func (sc Scenario) ClassRefs(ci int) []string {
 	return refs
 }
 
-// ClassCounts returns the scheduled request count per class, in class
-// order — the golden numbers CI pins per seed.
-func (p *Plan) ClassCounts() []int {
-	counts := make([]int, len(p.Scenario.Classes))
-	for _, a := range p.Arrivals {
-		counts[a.Class]++
-	}
-	return counts
-}
-
 // Duration is the span from the scenario start to the last arrival.
 func (p *Plan) Duration() time.Duration {
 	if len(p.Arrivals) == 0 {

@@ -145,7 +145,7 @@ func TestGraphFeederObserves(t *testing.T) {
 	}
 	// The feeder spells its keys in scratch space; they must be the keys
 	// the graph's constructors — and so the gate's probes — spell.
-	for _, k := range []string{entitygraph.IPKey("203.0.5.10"), entitygraph.BookingKey("PNR00001")} {
+	for _, k := range []string{entitygraph.IPKey("203.0.5.10"), "bk:PNR00001"} {
 		if _, ok := g.Lookup(k); !ok {
 			t.Fatalf("no node under %q: %+v", k, g.Stats())
 		}

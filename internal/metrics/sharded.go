@@ -148,6 +148,3 @@ func (r *ShardedRunning) Summary() Running {
 	}
 	return out
 }
-
-// N returns the total sample count across stripes.
-func (r *ShardedRunning) N() int { s := r.Summary(); return s.N() }

@@ -18,12 +18,7 @@ type CaptchaGate struct {
 	// solveCostUSD is the price per solving attempt on the grey market.
 	solveCostUSD float64
 
-	challenges  int
-	humanFails  int
 	botSpendUSD float64
-	botSolves   int
-	botFailures int
-	enabled     bool
 	friction    int // humans abandoned due to failed challenge
 }
 
@@ -35,23 +30,17 @@ func WithSolveCost(usd float64) CaptchaOption {
 	return func(g *CaptchaGate) { g.solveCostUSD = usd }
 }
 
-// WithPassRates sets the human and solver success probabilities.
-func WithPassRates(human, solver float64) CaptchaOption {
-	return func(g *CaptchaGate) { g.humanPass, g.solverPass = human, solver }
-}
-
 // DefaultSolveCostUSD reflects public CAPTCHA-farm price lists (fractions
 // of a cent per solve).
 const DefaultSolveCostUSD = 0.002
 
-// NewCaptchaGate returns an enabled gate.
+// NewCaptchaGate returns a gate with the default pass rates.
 func NewCaptchaGate(rng *simrand.RNG, opts ...CaptchaOption) *CaptchaGate {
 	g := &CaptchaGate{
 		rng:          rng,
 		humanPass:    0.97,
 		solverPass:   0.92,
 		solveCostUSD: DefaultSolveCostUSD,
-		enabled:      true,
 	}
 	for _, opt := range opts {
 		opt(g)
@@ -59,22 +48,11 @@ func NewCaptchaGate(rng *simrand.RNG, opts ...CaptchaOption) *CaptchaGate {
 	return g
 }
 
-// SetEnabled toggles the gate.
-func (g *CaptchaGate) SetEnabled(v bool) { g.enabled = v }
-
-// Enabled reports whether the gate challenges traffic.
-func (g *CaptchaGate) Enabled() bool { return g.enabled }
-
 // ChallengeHuman runs the gate for a human client and reports pass/fail.
 func (g *CaptchaGate) ChallengeHuman() bool {
-	if !g.enabled {
-		return true
-	}
-	g.challenges++
 	if g.rng.Bool(g.humanPass) {
 		return true
 	}
-	g.humanFails++
 	g.friction++
 	return false
 }
@@ -83,33 +61,12 @@ func (g *CaptchaGate) ChallengeHuman() bool {
 // service: the attacker pays the solve cost whether or not the solve
 // succeeds.
 func (g *CaptchaGate) ChallengeBot() bool {
-	if !g.enabled {
-		return true
-	}
-	g.challenges++
 	g.botSpendUSD += g.solveCostUSD
-	if g.rng.Bool(g.solverPass) {
-		g.botSolves++
-		return true
-	}
-	g.botFailures++
-	return false
+	return g.rng.Bool(g.solverPass)
 }
-
-// Challenges returns how many challenges were issued.
-func (g *CaptchaGate) Challenges() int { return g.challenges }
 
 // BotSpendUSD returns the attacker's cumulative solver spend.
 func (g *CaptchaGate) BotSpendUSD() float64 { return g.botSpendUSD }
-
-// BotSolveRate returns the solver's observed success rate.
-func (g *CaptchaGate) BotSolveRate() float64 {
-	total := g.botSolves + g.botFailures
-	if total == 0 {
-		return 0
-	}
-	return float64(g.botSolves) / float64(total)
-}
 
 // HumanFriction returns how many legitimate interactions the gate broke —
 // the usability cost Section V weighs against the security benefit.

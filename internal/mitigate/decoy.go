@@ -25,7 +25,6 @@ type DecoySet struct {
 
 	mu   sync.Mutex
 	hits []DecoyHit
-	byFP map[uint64]int
 }
 
 // DecoyHit is one journaled decoy touch.
@@ -42,7 +41,7 @@ type DecoyHit struct {
 // least one when fraction > 0 and refs is non-empty). The choice is a
 // seeded partial Fisher–Yates over the refs in the order given.
 func NewDecoySet(seed uint64, refs []string, fraction float64) *DecoySet {
-	d := &DecoySet{decoys: make(map[string]bool), byFP: make(map[uint64]int)}
+	d := &DecoySet{decoys: make(map[string]bool)}
 	if len(refs) == 0 || fraction <= 0 {
 		return d
 	}
@@ -84,7 +83,6 @@ func (d *DecoySet) Refs() []string {
 func (d *DecoySet) RecordHit(ref string, fp uint64, key string, at time.Time) {
 	d.mu.Lock()
 	d.hits = append(d.hits, DecoyHit{Ref: ref, FP: fp, Key: key, At: at})
-	d.byFP[fp]++
 	d.mu.Unlock()
 }
 
@@ -100,11 +98,4 @@ func (d *DecoySet) HitCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.hits)
-}
-
-// HitsByFP reports how many journaled hits carry fingerprint fp.
-func (d *DecoySet) HitsByFP(fp uint64) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.byFP[fp]
 }

@@ -86,9 +86,6 @@ func TestDecoySetHitJournal(t *testing.T) {
 	if hits[0].Ref != "PNR00003" || hits[1].Ref != "PNR00007" || hits[2].At != t0.Add(2*time.Second) {
 		t.Fatalf("journal out of order: %+v", hits)
 	}
-	if d.HitsByFP(0xabc) != 2 || d.HitsByFP(0xdef) != 1 || d.HitsByFP(0x111) != 0 {
-		t.Fatal("HitsByFP miscounted")
-	}
 	// Hits returns a copy: mutating it must not touch the journal.
 	hits[0].Ref = "mutated"
 	if d.Hits()[0].Ref != "PNR00003" {
@@ -133,23 +130,16 @@ func TestHoneypotFailedDecoyHoldNotCounted(t *testing.T) {
 	}
 }
 
-func TestHoneypotRedirectedKeysSorted(t *testing.T) {
-	h, _ := honeypotFixture(t)
-	for _, k := range []string{"zeta", "alpha", "mid"} {
-		h.Redirect(k)
-	}
-	got := h.RedirectedKeys()
-	want := []string{"alpha", "mid", "zeta"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RedirectedKeys %v, want %v", got, want)
-	}
-}
-
 // --- satellite backfill: captcha edge cases ---
+
+// withPassRates sets the human and solver success probabilities.
+func withPassRates(human, solver float64) CaptchaOption {
+	return func(g *CaptchaGate) { g.humanPass, g.solverPass = human, solver }
+}
 
 func TestCaptchaGateDegeneratePassRates(t *testing.T) {
 	// A zero-pass gate fails everyone; the attacker still pays per attempt.
-	never := NewCaptchaGate(simrand.New(1), WithPassRates(0, 0), WithSolveCost(0.01))
+	never := NewCaptchaGate(simrand.New(1), withPassRates(0, 0), WithSolveCost(0.01))
 	for range 50 {
 		if never.ChallengeHuman() || never.ChallengeBot() {
 			t.Fatal("zero pass rate let a challenge through")
@@ -158,38 +148,30 @@ func TestCaptchaGateDegeneratePassRates(t *testing.T) {
 	if never.HumanFriction() != 50 {
 		t.Fatalf("friction %d, want 50", never.HumanFriction())
 	}
-	if never.BotSolveRate() != 0 {
-		t.Fatalf("solve rate %v with all failures", never.BotSolveRate())
-	}
 	if math.Abs(never.BotSpendUSD()-0.5) > 1e-9 {
 		t.Fatalf("failed solves must still cost: spend %v", never.BotSpendUSD())
 	}
 
 	// A certain-pass gate breaks nothing and solves everything.
-	always := NewCaptchaGate(simrand.New(1), WithPassRates(1, 1))
+	always := NewCaptchaGate(simrand.New(1), withPassRates(1, 1))
 	for range 50 {
 		if !always.ChallengeHuman() || !always.ChallengeBot() {
 			t.Fatal("certain pass rate failed a challenge")
 		}
 	}
-	if always.HumanFriction() != 0 || always.BotSolveRate() != 1 {
-		t.Fatalf("friction %d solve rate %v", always.HumanFriction(), always.BotSolveRate())
+	if always.HumanFriction() != 0 {
+		t.Fatalf("friction %d", always.HumanFriction())
 	}
 }
 
-func TestCaptchaGateSolveRateZeroWhenNeverChallenged(t *testing.T) {
+func TestCaptchaGateHumanChallengesCostNothing(t *testing.T) {
+	// Human-only traffic accrues no solver spend.
 	g := NewCaptchaGate(simrand.New(1))
-	if g.BotSolveRate() != 0 {
-		t.Fatalf("solve rate %v before any bot challenge", g.BotSolveRate())
-	}
-	// Human-only traffic keeps the bot solve rate undefined-as-zero and
-	// accrues no solver spend.
 	for range 20 {
 		g.ChallengeHuman()
 	}
-	if g.BotSolveRate() != 0 || g.BotSpendUSD() != 0 {
-		t.Fatalf("human challenges leaked into bot accounting: rate %v spend %v",
-			g.BotSolveRate(), g.BotSpendUSD())
+	if g.BotSpendUSD() != 0 {
+		t.Fatalf("human challenges leaked into bot accounting: spend %v", g.BotSpendUSD())
 	}
 }
 

@@ -1,8 +1,6 @@
 package mitigate
 
 import (
-	"sort"
-
 	"funabuse/internal/booking"
 )
 
@@ -20,7 +18,7 @@ type Honeypot struct {
 }
 
 // NewHoneypot wraps the real system with a decoy. The decoy must be
-// pre-seeded with mirror flights (MirrorFlights does this).
+// pre-seeded with the real system's flights.
 func NewHoneypot(real, decoy *booking.System) *Honeypot {
 	return &Honeypot{
 		real:       real,
@@ -29,37 +27,14 @@ func NewHoneypot(real, decoy *booking.System) *Honeypot {
 	}
 }
 
-// MirrorFlights copies the real system's flights into the decoy at full
-// capacity. Call after registering flights on the real system.
-func MirrorFlights(real, decoy *booking.System, flights []booking.Flight) {
-	for _, f := range flights {
-		decoy.AddFlight(f)
-	}
-}
-
 // Redirect marks a client key for decoy routing.
 func (h *Honeypot) Redirect(clientKey string) {
 	h.redirected[clientKey] = true
 }
 
-// Unredirect removes the routing mark.
-func (h *Honeypot) Unredirect(clientKey string) {
-	delete(h.redirected, clientKey)
-}
-
 // IsRedirected reports whether a client key routes to the decoy.
 func (h *Honeypot) IsRedirected(clientKey string) bool {
 	return h.redirected[clientKey]
-}
-
-// RedirectedKeys returns the marked client keys, sorted.
-func (h *Honeypot) RedirectedKeys() []string {
-	out := make([]string, 0, len(h.redirected))
-	for k := range h.redirected {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RequestHold routes the request to the decoy when the client key is
@@ -85,41 +60,3 @@ func (h *Honeypot) Real() *booking.System { return h.real }
 
 // Decoy returns the shadow system.
 func (h *Honeypot) Decoy() *booking.System { return h.decoy }
-
-// LoyaltyGate restricts a high-risk feature to trusted users (verified
-// loyalty-programme members), the "feature access restriction" of
-// Section V.
-type LoyaltyGate struct {
-	enabled bool
-	members map[string]bool
-	denied  int
-}
-
-// NewLoyaltyGate returns a gate. When disabled it admits everyone.
-func NewLoyaltyGate(enabled bool) *LoyaltyGate {
-	return &LoyaltyGate{enabled: enabled, members: make(map[string]bool)}
-}
-
-// SetEnabled toggles enforcement.
-func (g *LoyaltyGate) SetEnabled(v bool) { g.enabled = v }
-
-// Enroll marks a client key as a trusted member.
-func (g *LoyaltyGate) Enroll(clientKey string) { g.members[clientKey] = true }
-
-// Allow reports whether clientKey may use the gated feature.
-func (g *LoyaltyGate) Allow(clientKey string) bool {
-	if !g.enabled {
-		return true
-	}
-	if g.members[clientKey] {
-		return true
-	}
-	g.denied++
-	return false
-}
-
-// Denied returns how many requests the gate rejected.
-func (g *LoyaltyGate) Denied() int { return g.denied }
-
-// Members returns the number of enrolled members.
-func (g *LoyaltyGate) Members() int { return len(g.members) }

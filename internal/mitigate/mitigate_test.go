@@ -25,12 +25,8 @@ func TestKeyedLimiterEnforcesPerKey(t *testing.T) {
 	if !l.Allow("b", t0.Add(2*time.Minute)) {
 		t.Fatal("independent key denied")
 	}
-	if l.Denials("a") != 1 || l.TotalDenials() != 1 {
-		t.Fatalf("denials %d/%d", l.Denials("a"), l.TotalDenials())
-	}
-	keys := l.DeniedKeys()
-	if len(keys) != 1 || keys[0] != "a" {
-		t.Fatalf("DeniedKeys %v", keys)
+	if l.Allow("a", t0.Add(3*time.Minute)) || !l.Allow("b", t0.Add(3*time.Minute)) {
+		t.Fatal("a denial on one key leaked into the other")
 	}
 }
 
@@ -129,7 +125,7 @@ func TestBlockListRulesAddedCountsDistinct(t *testing.T) {
 }
 
 func TestCaptchaGateRates(t *testing.T) {
-	g := NewCaptchaGate(simrand.New(1), WithPassRates(0.95, 0.90), WithSolveCost(0.01))
+	g := NewCaptchaGate(simrand.New(1), withPassRates(0.95, 0.90), WithSolveCost(0.01))
 	humanPass, botPass := 0, 0
 	n := 20000
 	for range n {
@@ -149,30 +145,8 @@ func TestCaptchaGateRates(t *testing.T) {
 	if math.Abs(g.BotSpendUSD()-float64(n)*0.01) > 1e-6 {
 		t.Fatalf("bot spend %v", g.BotSpendUSD())
 	}
-	if g.Challenges() != 2*n {
-		t.Fatalf("challenges %d", g.Challenges())
-	}
-	if math.Abs(g.BotSolveRate()-0.90) > 0.01 {
-		t.Fatalf("solve rate %v", g.BotSolveRate())
-	}
 	if g.HumanFriction() == 0 {
 		t.Fatal("no human friction recorded at 95% pass rate")
-	}
-}
-
-func TestCaptchaGateDisabled(t *testing.T) {
-	g := NewCaptchaGate(simrand.New(2))
-	g.SetEnabled(false)
-	if g.Enabled() {
-		t.Fatal("Enabled() after disable")
-	}
-	for range 100 {
-		if !g.ChallengeHuman() || !g.ChallengeBot() {
-			t.Fatal("disabled gate challenged")
-		}
-	}
-	if g.Challenges() != 0 || g.BotSpendUSD() != 0 {
-		t.Fatal("disabled gate accumulated state")
 	}
 }
 
@@ -187,7 +161,9 @@ func honeypotFixture(t *testing.T) (*Honeypot, *simclock.Manual) {
 	for _, f := range flights {
 		real.AddFlight(f)
 	}
-	MirrorFlights(real, decoy, flights)
+	for _, f := range flights {
+		decoy.AddFlight(f)
+	}
 	return NewHoneypot(real, decoy), clock
 }
 
@@ -244,39 +220,6 @@ func TestHoneypotRoutesOthersToReal(t *testing.T) {
 	}
 }
 
-func TestHoneypotUnredirect(t *testing.T) {
-	h, _ := honeypotFixture(t)
-	h.Redirect("k")
-	h.Unredirect("k")
-	if h.IsRedirected("k") {
-		t.Fatal("still redirected after Unredirect")
-	}
-	if got := len(h.RedirectedKeys()); got != 0 {
-		t.Fatalf("RedirectedKeys len %d", got)
-	}
-}
-
-func TestLoyaltyGate(t *testing.T) {
-	g := NewLoyaltyGate(true)
-	g.Enroll("member-1")
-	if !g.Allow("member-1") {
-		t.Fatal("member denied")
-	}
-	if g.Allow("stranger") {
-		t.Fatal("stranger allowed")
-	}
-	if g.Denied() != 1 {
-		t.Fatalf("Denied = %d", g.Denied())
-	}
-	g.SetEnabled(false)
-	if !g.Allow("stranger") {
-		t.Fatal("disabled gate denied")
-	}
-	if g.Members() != 1 {
-		t.Fatalf("Members = %d", g.Members())
-	}
-}
-
 func TestKeyedLimiterSweepEvictsStaleKeys(t *testing.T) {
 	l := NewKeyedLimiter(time.Hour, 1)
 	for i := range 100 {
@@ -287,17 +230,15 @@ func TestKeyedLimiterSweepEvictsStaleKeys(t *testing.T) {
 	if l.TrackedKeys() == 0 {
 		t.Fatal("nothing tracked before sweep")
 	}
-	denialsBefore := l.TotalDenials()
 	l.Sweep(t0.Add(2 * time.Hour))
 	if got := l.TrackedKeys(); got != 0 {
 		t.Fatalf("%d stale keys survived sweep", got)
 	}
-	// Eviction must not lose the aggregate denial count.
-	if got := l.TotalDenials(); got != denialsBefore {
-		t.Fatalf("TotalDenials %d after sweep, want %d", got, denialsBefore)
-	}
-	if keys := l.DeniedKeys(); len(keys) != 0 {
-		t.Fatalf("evicted keys still listed: %v", keys)
+	// An evicted key starts afresh: its next attempt is admitted, and the
+	// one after that is denied again.
+	at := t0.Add(2 * time.Hour)
+	if !l.Allow("kaa", at) || l.Allow("kaa", at.Add(time.Minute)) {
+		t.Fatal("evicted key did not restart at a full allowance")
 	}
 }
 

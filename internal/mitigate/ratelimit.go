@@ -1,13 +1,13 @@
 // Package mitigate implements the countermeasures the paper's Section V
 // recommends: ad-hoc rate limiting (keyed sliding windows, with the key
 // choice — path vs user profile vs booking reference — as a first-class
-// ablation), feature access restriction to trusted users, extra anti-bot
-// friction (a CAPTCHA gate with a solver-cost model), TTL'd block rules, and
-// honeypot decoy inventory that undermines attacker economics.
+// ablation), extra anti-bot friction (a CAPTCHA gate with a solver-cost
+// model), TTL'd block rules, and honeypot decoy inventory that undermines
+// attacker economics. Feature access restriction to trusted users is the
+// gate's account-tier layer (internal/account, internal/httpgate).
 package mitigate
 
 import (
-	"sort"
 	"time"
 )
 
@@ -16,13 +16,10 @@ import (
 // key function decides whether the limit is per path, per user profile, per
 // booking reference or per destination number.
 type KeyedLimiter struct {
-	window  time.Duration
-	limit   int
-	events  map[string][]time.Time
-	denials map[string]int
-	// evictedDenials preserves TotalDenials across stale-key eviction.
-	evictedDenials int
-	ops            int
+	window time.Duration
+	limit  int
+	events map[string][]time.Time
+	ops    int
 }
 
 // keyedSweepEvery is how many Allow calls pass between stale-key sweeps.
@@ -38,10 +35,9 @@ func NewKeyedLimiter(window time.Duration, limit int) *KeyedLimiter {
 		limit = 1
 	}
 	return &KeyedLimiter{
-		window:  window,
-		limit:   limit,
-		events:  make(map[string][]time.Time),
-		denials: make(map[string]int),
+		window: window,
+		limit:  limit,
+		events: make(map[string][]time.Time),
 	}
 }
 
@@ -52,8 +48,8 @@ func (l *KeyedLimiter) Limit() int { return l.limit }
 func (l *KeyedLimiter) Window() time.Duration { return l.window }
 
 // Allow records an attempt for key at now and reports whether it is within
-// the limit. Denied attempts are counted but not recorded as events (a
-// rejected request does not consume allowance). Every keyedSweepEvery
+// the limit. Denied attempts are not recorded as events (a rejected
+// request does not consume allowance). Every keyedSweepEvery
 // calls the limiter sweeps out keys with no in-window events, so memory
 // tracks the recently active key set instead of growing forever.
 func (l *KeyedLimiter) Allow(key string, now time.Time) bool {
@@ -71,7 +67,6 @@ func (l *KeyedLimiter) Allow(key string, now time.Time) bool {
 	evs = evs[start:]
 	if len(evs) >= l.limit {
 		l.events[key] = evs
-		l.denials[key]++
 		return false
 	}
 	l.events[key] = append(evs, now)
@@ -79,9 +74,7 @@ func (l *KeyedLimiter) Allow(key string, now time.Time) bool {
 }
 
 // Sweep drops every key whose event slice is empty once pruned to the
-// trailing window as of now. Evicted keys fold their denial counters into
-// an aggregate so TotalDenials stays exact; per-key Denials and
-// DeniedKeys cover only keys still tracked.
+// trailing window as of now.
 func (l *KeyedLimiter) Sweep(now time.Time) {
 	cutoff := now.Add(-l.window)
 	for k, evs := range l.events {
@@ -91,46 +84,13 @@ func (l *KeyedLimiter) Sweep(now time.Time) {
 		}
 		if start == len(evs) {
 			delete(l.events, k)
-			l.evictedDenials += l.denials[k]
-			delete(l.denials, k)
 			continue
 		}
 		if start > 0 {
 			l.events[k] = evs[start:]
 		}
 	}
-	// A denial-only key never had events this window; it is stale too.
-	for k, n := range l.denials {
-		if _, live := l.events[k]; !live {
-			l.evictedDenials += n
-			delete(l.denials, k)
-		}
-	}
 }
 
 // TrackedKeys returns how many keys currently hold event state.
 func (l *KeyedLimiter) TrackedKeys() int { return len(l.events) }
-
-// Denials returns how many attempts were rejected for key since it was
-// last evicted as stale.
-func (l *KeyedLimiter) Denials(key string) int { return l.denials[key] }
-
-// TotalDenials sums rejections across keys, including evicted ones.
-func (l *KeyedLimiter) TotalDenials() int {
-	total := l.evictedDenials
-	for _, n := range l.denials {
-		total += n
-	}
-	return total
-}
-
-// DeniedKeys returns all currently tracked keys with at least one denial,
-// sorted.
-func (l *KeyedLimiter) DeniedKeys() []string {
-	out := make([]string, 0, len(l.denials))
-	for k := range l.denials {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -169,7 +169,6 @@ type entry struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64
 }
 
 // Registry owns metric handles and gathers external Collectors. Handle
@@ -227,29 +226,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 	e := &entry{name: name, labels: labels, kind: KindHistogram, hist: newHistogram(buckets)}
 	r.addLocked(id, e)
 	return e.hist
-}
-
-// CounterFunc registers a counter whose value is read from fn at scrape
-// time — the adapter for state a package already counts on its own
-// atomics. fn must be safe for concurrent use.
-func (r *Registry) CounterFunc(name string, fn func() float64, labels ...Label) {
-	r.registerFunc(name, KindCounter, fn, labels)
-}
-
-// GaugeFunc registers a gauge whose value is read from fn at scrape time.
-func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	r.registerFunc(name, KindGauge, fn, labels)
-}
-
-func (r *Registry) registerFunc(name string, kind Kind, fn func() float64, labels []Label) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := metricID(name, labels)
-	if _, ok := r.byID[id]; ok {
-		panic(fmt.Sprintf("obs: metric %s already registered", id))
-	}
-	r.checkFamilyLocked(name, kind)
-	r.addLocked(id, &entry{name: name, labels: labels, kind: kind, fn: fn})
 }
 
 // Register adds an external Collector to the scrape. Collector samples
@@ -339,8 +315,6 @@ func (e *entry) collect(dst []Sample) []Sample {
 		return append(dst, Sample{Name: e.name, Labels: e.labels, Value: e.gauge.Value()})
 	case e.hist != nil:
 		return e.hist.collect(e.name, e.labels, dst)
-	case e.fn != nil:
-		return append(dst, Sample{Name: e.name, Labels: e.labels, Value: e.fn()})
 	}
 	return dst
 }
@@ -411,14 +385,16 @@ func ValidLabelName(name string) bool {
 	return true
 }
 
-// escapeLabel escapes a label value for the text format.
+// escapeLabel escapes a label value for the text format. It works byte by
+// byte, so a value that is not valid UTF-8 passes through unchanged rather
+// than having its stray bytes rewritten to U+FFFD.
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
 	var b strings.Builder
-	for _, c := range v {
-		switch c {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
 		case '\\':
 			b.WriteString(`\\`)
 		case '"':
@@ -426,7 +402,7 @@ func escapeLabel(v string) string {
 		case '\n':
 			b.WriteString(`\n`)
 		default:
-			b.WriteRune(c)
+			b.WriteByte(c)
 		}
 	}
 	return b.String()

@@ -70,16 +70,6 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("bad name")
 }
 
-func TestCounterFuncReadsAtGather(t *testing.T) {
-	r := NewRegistry()
-	v := 0.0
-	r.CounterFunc("fn_total", func() float64 { return v })
-	v = 7
-	if got := sampleByID(t, r.Gather(), "fn_total").Value; got != 7 {
-		t.Fatalf("fn counter = %v, want 7", got)
-	}
-}
-
 func TestHistogramBucketsCumulative(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", []float64{0.01, 0.1, 1})

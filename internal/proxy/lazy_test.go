@@ -41,44 +41,6 @@ func (p *eagerPool) contains(ip IP) bool { _, ok := p.index[ip]; return ok }
 
 func (p *eagerPool) draw() IP { return p.exits[p.rng.Intn(len(p.exits))] }
 
-func (p *eagerPool) churn(fraction float64) int {
-	n := int(float64(len(p.exits)) * fraction)
-	for i := 0; i < n; i++ {
-		victim := p.rng.Intn(len(p.exits))
-		old := p.exits[victim]
-		delete(p.index, old)
-		parts := splitIP(old)
-		for {
-			ip := IP(parts[0] + "." + parts[1] + "." +
-				strconv.Itoa(p.rng.Intn(256)) + "." + strconv.Itoa(1+p.rng.Intn(254)))
-			if _, dup := p.index[ip]; dup {
-				continue
-			}
-			p.exits[victim] = ip
-			p.index[ip] = victim
-			break
-		}
-	}
-	return n
-}
-
-func splitIP(ip IP) [4]string {
-	var parts [4]string
-	s := string(ip)
-	idx := 0
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '.' {
-			if idx < 4 {
-				parts[idx] = s[start:i]
-			}
-			idx++
-			start = i + 1
-		}
-	}
-	return parts
-}
-
 func TestPoolLazyMatchesEager(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for _, size := range []int{1, 512, 4096} {
@@ -122,14 +84,9 @@ func TestPoolLazyMatchesEager(t *testing.T) {
 				compareContains("built")
 				compareDraws("built")
 				compareContains("drawn")
-				if got, want := lazy.Churn(0.3), eager.churn(0.3); got != want {
-					t.Fatalf("%s: Churn(0.3) = %d, eager reference = %d", name, got, want)
-				}
-				compareContains("churned")
-				compareDraws("churned")
 				for i, want := range eager.exits {
 					if got := lazy.exit(i); got != want {
-						t.Fatalf("%s: exit %d = %s after churn, eager reference = %s", name, i, got, want)
+						t.Fatalf("%s: exit %d = %s, eager reference = %s", name, i, got, want)
 					}
 				}
 			}
@@ -137,17 +94,13 @@ func TestPoolLazyMatchesEager(t *testing.T) {
 	}
 }
 
-// TestPoolSaturatedSpaceTerminates guards the two loops that used to spin
-// when asked for more distinct addresses than a country's space holds:
-// NewPool past 65,024 exits, and Churn on a pool with no free address.
+// TestPoolSaturatedSpaceTerminates guards the loop that used to spin when
+// asked for more distinct addresses than a country's space holds: NewPool
+// past 65,024 exits.
 func TestPoolSaturatedSpaceTerminates(t *testing.T) {
 	done := make(chan *Pool, 1)
 	go func() {
-		p := NewPool(simrand.New(1), "FR", poolSpace+1000)
-		if n := p.Churn(0.5); n != 0 {
-			t.Errorf("Churn on a saturated pool replaced %d exits, want 0", n)
-		}
-		done <- p
+		done <- NewPool(simrand.New(1), "FR", poolSpace+1000)
 	}()
 	select {
 	case p := <-done:
@@ -158,12 +111,12 @@ func TestPoolSaturatedSpaceTerminates(t *testing.T) {
 			t.Fatal("Draw returned non-member")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("NewPool/Churn on a saturated address space did not return")
+		t.Fatal("NewPool on a saturated address space did not return")
 	}
 
 	s := NewService(simrand.New(2), WithPoolSize(1<<20))
 	s.Exit("UZ")
-	if pool, _ := s.PoolFor("UZ"); pool.Size() != poolSpace {
+	if pool := s.pools["UZ"]; pool.Size() != poolSpace {
 		t.Fatalf("WithPoolSize(1<<20) built %d exits, want %d", pool.Size(), poolSpace)
 	}
 }

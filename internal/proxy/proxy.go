@@ -7,7 +7,6 @@ package proxy
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -76,7 +75,6 @@ type exitSet [1 << 16 / 64]uint64
 
 func (s *exitSet) has(e uint16) bool { return s[e>>6]&(1<<(e&63)) != 0 }
 func (s *exitSet) add(e uint16)      { s[e>>6] |= 1 << (e & 63) }
-func (s *exitSet) remove(e uint16)   { s[e>>6] &^= 1 << (e & 63) }
 
 // NewPool builds a pool of size exits attributed to the given country code.
 // Addresses are synthesized deterministically from the RNG; each country's
@@ -177,29 +175,6 @@ func (p *Pool) exit(i int) IP {
 	return p.rendered[i]
 }
 
-// Churn replaces fraction of the exits with fresh addresses, modelling
-// user-installed proxy nodes joining and leaving. It returns how many exits
-// were replaced; a pool that fills its whole address space has no fresh
-// address to move to and replaces none.
-func (p *Pool) Churn(fraction float64) int {
-	if fraction <= 0 || len(p.exits) == poolSpace {
-		return 0
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	n := int(float64(len(p.exits)) * fraction)
-	for i := 0; i < n; i++ {
-		victim := p.rng.Intn(len(p.exits))
-		p.member.remove(p.exits[victim])
-		p.exits[victim] = p.fresh()
-		if p.rendered != nil {
-			p.rendered[victim] = ""
-		}
-	}
-	return n
-}
-
 // Service is a residential proxy provider with per-country pools and a
 // per-request price. Pricing is what makes honeypot/economic mitigations
 // bite: every wasted request still costs the attacker proxy bandwidth.
@@ -263,22 +238,6 @@ func (s *Service) Requests() int { return s.requests }
 // SpendUSD returns the attacker's cumulative proxy spend.
 func (s *Service) SpendUSD() float64 {
 	return float64(s.requests) * s.costPerReqUSD
-}
-
-// Countries returns the country codes with materialized pools, sorted.
-func (s *Service) Countries() []string {
-	out := make([]string, 0, len(s.pools))
-	for c := range s.pools {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PoolFor returns the pool for a country if it has been materialized.
-func (s *Service) PoolFor(country string) (*Pool, bool) {
-	p, ok := s.pools[country]
-	return p, ok
 }
 
 // Session is a client-side handle applying a rotation policy over the

@@ -67,47 +67,10 @@ func TestPoolDrawIsMember(t *testing.T) {
 	}
 }
 
-func TestChurnReplacesExits(t *testing.T) {
-	p := NewPool(simrand.New(4), "DE", 100)
-	before := make(map[IP]bool, 100)
-	for _, ip := range exitsOf(p) {
-		before[ip] = true
-	}
-	n := p.Churn(0.3)
-	if n != 30 {
-		t.Fatalf("Churn replaced %d, want 30", n)
-	}
-	if p.Size() != 100 {
-		t.Fatalf("pool size changed to %d", p.Size())
-	}
-	fresh := 0
-	for _, ip := range exitsOf(p) {
-		if !before[ip] {
-			fresh++
-		}
-		assertValidIP(t, ip)
-	}
-	// Churn may re-pick the same victim twice, so fresh <= 30, but most
-	// replacements should be new addresses.
-	if fresh == 0 || fresh > 30 {
-		t.Fatalf("fresh exits after churn = %d", fresh)
-	}
-}
-
-func TestChurnBounds(t *testing.T) {
-	p := NewPool(simrand.New(5), "IT", 10)
-	if p.Churn(0) != 0 {
-		t.Fatal("Churn(0) replaced exits")
-	}
-	if got := p.Churn(5.0); got != 10 {
-		t.Fatalf("Churn(>1) replaced %d, want full pool", got)
-	}
-}
-
 func TestServiceExitMatchesCountryPool(t *testing.T) {
 	s := NewService(simrand.New(6), WithPoolSize(64))
 	ip := s.Exit("UZ")
-	pool, ok := s.PoolFor("UZ")
+	pool, ok := s.pools["UZ"]
 	if !ok {
 		t.Fatal("pool not materialized")
 	}
@@ -129,20 +92,6 @@ func TestServiceBilling(t *testing.T) {
 	}
 	if got := s.SpendUSD(); got != 0.25 {
 		t.Fatalf("SpendUSD() = %v, want 0.25", got)
-	}
-}
-
-func TestServiceCountriesSorted(t *testing.T) {
-	s := NewService(simrand.New(8))
-	for _, c := range []string{"UZ", "FR", "GB"} {
-		s.Exit(c)
-	}
-	got := s.Countries()
-	want := []string{"FR", "GB", "UZ"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Countries() = %v", got)
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package resilience
 
 import (
-	"sync/atomic"
-
 	"funabuse/internal/obs"
 )
 
@@ -40,52 +38,6 @@ func (b *Breaker) Collector(name string) obs.Collector {
 			obs.Sample{Name: "breaker_opens_total", Labels: labels, Value: float64(st.Opens)},
 			obs.Sample{Name: "breaker_transitions_total", Labels: labels, Value: float64(st.Transitions)},
 			obs.Sample{Name: "breaker_short_circuits_total", Labels: labels, Value: float64(st.ShortCircuits)},
-		)
-	})
-}
-
-// wrapperCounters tallies the stateless call wrappers (Retry, WithTimeout,
-// Hedge). The wrappers are free functions, so the counters are process-wide
-// atomics rather than per-instance state.
-var wrappers struct {
-	retryAttempts  atomic.Uint64
-	retryExhausted atomic.Uint64
-	timeouts       atomic.Uint64
-	hedgesLaunched atomic.Uint64
-}
-
-// WrapperStats is the process-wide snapshot of the retry/timeout/hedge
-// wrapper activity.
-type WrapperStats struct {
-	// RetryAttempts counts every attempt Retry made, including firsts.
-	RetryAttempts uint64
-	// RetryExhausted counts retry sequences abandoned on the budget.
-	RetryExhausted uint64
-	// Timeouts counts calls WithTimeout abandoned at the deadline.
-	Timeouts uint64
-	// HedgesLaunched counts second calls Hedge actually fired.
-	HedgesLaunched uint64
-}
-
-// Wrappers snapshots the process-wide wrapper counters.
-func Wrappers() WrapperStats {
-	return WrapperStats{
-		RetryAttempts:  wrappers.retryAttempts.Load(),
-		RetryExhausted: wrappers.retryExhausted.Load(),
-		Timeouts:       wrappers.timeouts.Load(),
-		HedgesLaunched: wrappers.hedgesLaunched.Load(),
-	}
-}
-
-// WrapperCollector exposes the wrapper counters on the obs contract.
-func WrapperCollector() obs.Collector {
-	return obs.CollectorFunc(func(dst []obs.Sample) []obs.Sample {
-		st := Wrappers()
-		return append(dst,
-			obs.Sample{Name: "resilience_retry_attempts_total", Value: float64(st.RetryAttempts)},
-			obs.Sample{Name: "resilience_retry_budget_exhausted_total", Value: float64(st.RetryExhausted)},
-			obs.Sample{Name: "resilience_call_timeouts_total", Value: float64(st.Timeouts)},
-			obs.Sample{Name: "resilience_hedges_launched_total", Value: float64(st.HedgesLaunched)},
 		)
 	})
 }

@@ -30,48 +30,6 @@ func TestBreakerStatsSnapshot(t *testing.T) {
 	}
 }
 
-// TestWrapperCountersAccumulate asserts deltas rather than absolutes:
-// the counters are process-wide, so other tests in the package may also
-// have bumped them.
-func TestWrapperCountersAccumulate(t *testing.T) {
-	before := Wrappers()
-
-	boom := errors.New("boom")
-	_ = Retry(RetryConfig{Attempts: 3, ExactDelays: true}, nil,
-		func(time.Duration) {}, nil, func() error { return boom })
-	if err := WithTimeout(time.Millisecond, func() error {
-		time.Sleep(50 * time.Millisecond)
-		return nil
-	}); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("WithTimeout err = %v, want ErrTimeout", err)
-	}
-	_ = Hedge(time.Millisecond, func() error {
-		time.Sleep(10 * time.Millisecond)
-		return nil
-	})
-
-	after := Wrappers()
-	if got := after.RetryAttempts - before.RetryAttempts; got < 3 {
-		t.Fatalf("retry attempts delta = %d, want >= 3", got)
-	}
-	if after.Timeouts <= before.Timeouts {
-		t.Fatal("timeout not counted")
-	}
-	if after.HedgesLaunched <= before.HedgesLaunched {
-		t.Fatal("hedge launch not counted")
-	}
-
-	samples := WrapperCollector().Collect(nil)
-	if len(samples) != 4 {
-		t.Fatalf("wrapper collector samples = %d, want 4", len(samples))
-	}
-	for _, s := range samples {
-		if s.Value < 0 {
-			t.Fatalf("negative sample %s = %v", s.Name, s.Value)
-		}
-	}
-}
-
 func TestBreakerCollectorEncodesState(t *testing.T) {
 	t0 := time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 	b := NewBreaker(BreakerConfig{MinSamples: 1})

@@ -88,7 +88,6 @@ func Retry(cfg RetryConfig, clock simclock.Clock, sleep func(time.Duration), rng
 	delay := cfg.BaseDelay
 	var err error
 	for attempt := 1; ; attempt++ {
-		wrappers.retryAttempts.Add(1)
 		if err = Safe(fn); err == nil {
 			return nil
 		}
@@ -102,7 +101,6 @@ func Retry(cfg RetryConfig, clock simclock.Clock, sleep func(time.Duration), rng
 			d = d - time.Duration(cfg.Jitter*rng.Float64()*float64(d))
 		}
 		if cfg.Budget > 0 && clock.Now().Add(d).Sub(start) > cfg.Budget {
-			wrappers.retryExhausted.Add(1)
 			return fmt.Errorf("%w after %d attempts: %w", ErrBudgetExhausted, attempt, err)
 		}
 		sleep(d)

@@ -113,7 +113,8 @@ func TestSchedulerCancel(t *testing.T) {
 
 func TestSchedulerRunUntilLeavesClockAtDeadline(t *testing.T) {
 	s := NewScheduler(NewManual(epoch))
-	s.ScheduleAfter(10*time.Hour, func(time.Time) {})
+	fired := false
+	s.ScheduleAfter(10*time.Hour, func(time.Time) { fired = true })
 	deadline := epoch.Add(time.Hour)
 	if err := s.RunUntil(deadline); err != nil {
 		t.Fatalf("RunUntil: %v", err)
@@ -121,7 +122,7 @@ func TestSchedulerRunUntilLeavesClockAtDeadline(t *testing.T) {
 	if got := s.Now(); !got.Equal(deadline) {
 		t.Fatalf("clock at %v, want deadline %v", got, deadline)
 	}
-	if s.Fired() != 0 {
+	if fired {
 		t.Fatalf("event past deadline fired")
 	}
 }
@@ -162,9 +163,6 @@ func TestTickerPeriodicAndStop(t *testing.T) {
 			t.Fatalf("tick %d at %v, want %v", i, ts, want)
 		}
 	}
-	if tk.Ticks() != 5 {
-		t.Fatalf("Ticks() = %d, want 5", tk.Ticks())
-	}
 }
 
 func TestTickerSelfStopInsideCallback(t *testing.T) {
@@ -187,14 +185,15 @@ func TestTickerSelfStopInsideCallback(t *testing.T) {
 
 func TestSchedulerDrainBound(t *testing.T) {
 	s := NewScheduler(NewManual(epoch))
+	fired := 0
 	var rearm func(time.Time)
-	rearm = func(time.Time) { s.ScheduleAfter(time.Second, rearm) }
+	rearm = func(time.Time) { fired++; s.ScheduleAfter(time.Second, rearm) }
 	s.ScheduleAfter(time.Second, rearm)
 	if err := s.Drain(50); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if s.Fired() != 50 {
-		t.Fatalf("Fired() = %d, want 50", s.Fired())
+	if fired != 50 {
+		t.Fatalf("fired %d events, want 50", fired)
 	}
 }
 

@@ -46,7 +46,6 @@ type Scheduler struct {
 	queue   eventQueue
 	nextSeq uint64
 	stopped bool
-	fired   uint64
 }
 
 // NewScheduler returns a Scheduler driving the given Manual clock.
@@ -70,9 +69,6 @@ func (s *Scheduler) Len() int {
 	}
 	return n
 }
-
-// Fired returns the number of events that have fired so far.
-func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Schedule registers fn to run at instant at. Events scheduled in the past
 // fire at the current instant instead (time never moves backwards).
@@ -115,7 +111,6 @@ func (s *Scheduler) Step() bool {
 			continue
 		}
 		s.clock.SetAt(e.at)
-		s.fired++
 		e.fn(e.at)
 		return true
 	}
@@ -182,11 +177,7 @@ type Ticker struct {
 	fn       func(now time.Time)
 	ev       *Event
 	stopped  bool
-	ticks    uint64
 }
-
-// Ticks returns how many times the ticker has fired.
-func (t *Ticker) Ticks() uint64 { return t.ticks }
 
 // Stop prevents future ticks.
 func (t *Ticker) Stop() {
@@ -201,7 +192,6 @@ func (t *Ticker) arm() {
 		if t.stopped {
 			return
 		}
-		t.ticks++
 		t.fn(now)
 		if !t.stopped {
 			t.arm()

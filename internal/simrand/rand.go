@@ -128,14 +128,6 @@ func (r *RNG) ShuffleInts(s []int) {
 	}
 }
 
-// Shuffle shuffles n elements using the provided swap function.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // NormFloat64 returns a standard-normal variate (Box–Muller with caching).
 func (r *RNG) NormFloat64() float64 {
 	if r.hasSpare {

@@ -286,7 +286,7 @@ func TestShuffleKeepsElements(t *testing.T) {
 		r := New(seed)
 		s := []int{1, 2, 3, 4, 5, 6, 7, 8}
 		sum := 0
-		r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
+		r.ShuffleInts(s)
 		for _, v := range s {
 			sum += v
 		}

@@ -214,13 +214,6 @@ func kickbackShare(country geo.Country) float64 {
 	return country.RevenueShare / 0.75 // expressed against the termination fee
 }
 
-// Ledger returns a copy of the settlements.
-func (c *Chain) Ledger() []Settlement {
-	out := make([]Settlement, len(c.ledger))
-	copy(out, c.ledger)
-	return out
-}
-
 // KickbackTo sums the kickbacks paid out for an actor's traffic.
 func (c *Chain) KickbackTo(actorID string) float64 {
 	var total float64

@@ -208,16 +208,3 @@ func TestOperatorLookupAndClassString(t *testing.T) {
 		t.Fatal("unknown class string wrong")
 	}
 }
-
-func TestLedgerIsCopy(t *testing.T) {
-	c := chainFixture()
-	c.RegisterTerminator("FR", false, t0)
-	if _, err := c.Settle(msgTo("FR", "x"), t0.Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	l := c.Ledger()
-	l[0].TerminationFeeUSD = 999
-	if c.Ledger()[0].TerminationFeeUSD == 999 {
-		t.Fatal("Ledger exposed internal slice")
-	}
-}

@@ -25,7 +25,6 @@ import (
 var (
 	ErrUnknownDestination = errors.New("sms: destination country unknown")
 	ErrQuotaExceeded      = errors.New("sms: contracted SMS quota exceeded")
-	ErrFeatureDisabled    = errors.New("sms: feature disabled")
 	ErrUnknownLocator     = errors.New("sms: unknown record locator")
 )
 
@@ -75,10 +74,8 @@ type Gateway struct {
 
 	journal []Message
 	// quota is the contracted message budget; 0 means uncapped.
-	quota     int
-	sent      int
-	rejected  int
-	totalCost float64
+	quota int
+	sent  int
 	// fraudRevenue accrues the revenue-share kickback on messages whose
 	// destination has colluding terminating operators.
 	fraudRevenue float64
@@ -109,7 +106,6 @@ func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, 
 		return Message{}, ErrUnknownDestination
 	}
 	if g.quota > 0 && g.sent >= g.quota {
-		g.rejected++
 		return Message{}, ErrQuotaExceeded
 	}
 	premium := geo.PlanFor(country).IsPremium(to)
@@ -129,19 +125,12 @@ func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, 
 	}
 	g.journal = append(g.journal, m)
 	g.sent++
-	g.totalCost += cost
 	g.fraudRevenue += cost * country.RevenueShare
 	return m, nil
 }
 
 // Sent returns the number of delivered messages.
 func (g *Gateway) Sent() int { return g.sent }
-
-// Rejected returns the number of quota-rejected sends.
-func (g *Gateway) Rejected() int { return g.rejected }
-
-// TotalCostUSD returns the application owner's cumulative SMS bill.
-func (g *Gateway) TotalCostUSD() float64 { return g.totalCost }
 
 // FraudRevenueUSD returns the cumulative revenue-share kickback accrued on
 // all traffic. Per-actor revenue is computed from the journal.
@@ -197,22 +186,15 @@ func (g *Gateway) RevenueFor(actorID string) float64 {
 // target.
 type OTPService struct {
 	gateway *Gateway
-	enabled bool
 }
 
-// NewOTPService returns an enabled OTP service on gateway.
+// NewOTPService returns an OTP service on gateway.
 func NewOTPService(gateway *Gateway) *OTPService {
-	return &OTPService{gateway: gateway, enabled: true}
+	return &OTPService{gateway: gateway}
 }
-
-// SetEnabled toggles the feature (kill-switch mitigation).
-func (s *OTPService) SetEnabled(v bool) { s.enabled = v }
 
 // Request sends an OTP to the number for the given login.
 func (s *OTPService) Request(to geo.MSISDN, login, actorID string) (Message, error) {
-	if !s.enabled {
-		return Message{}, ErrFeatureDisabled
-	}
 	return s.gateway.Send(to, KindOTP, login, actorID)
 }
 
@@ -230,26 +212,15 @@ type TicketResolver interface {
 type BoardingPassService struct {
 	gateway *Gateway
 	tickets TicketResolver
-	enabled bool
 }
 
-// NewBoardingPassService returns an enabled boarding-pass service.
+// NewBoardingPassService returns a boarding-pass service.
 func NewBoardingPassService(gateway *Gateway, tickets TicketResolver) *BoardingPassService {
-	return &BoardingPassService{gateway: gateway, tickets: tickets, enabled: true}
+	return &BoardingPassService{gateway: gateway, tickets: tickets}
 }
-
-// SetEnabled toggles the feature. The paper's incident ended when "the SMS
-// option was then temporarily removed".
-func (s *BoardingPassService) SetEnabled(v bool) { s.enabled = v }
-
-// Enabled reports whether the feature is on.
-func (s *BoardingPassService) Enabled() bool { return s.enabled }
 
 // Send delivers the boarding pass for locator to the number.
 func (s *BoardingPassService) Send(locator string, to geo.MSISDN, actorID string) (Message, error) {
-	if !s.enabled {
-		return Message{}, ErrFeatureDisabled
-	}
 	if !s.tickets.TicketExists(locator) {
 		return Message{}, ErrUnknownLocator
 	}

@@ -14,15 +14,6 @@ func CountByCountry(msgs []Message) map[string]int {
 	return out
 }
 
-// CountByKind tallies messages per application feature.
-func CountByKind(msgs []Message) map[Kind]int {
-	out := make(map[Kind]int)
-	for _, m := range msgs {
-		out[m.Kind]++
-	}
-	return out
-}
-
 // Surge is the per-country volume increase between a baseline window and an
 // attack window — one row of the paper's Table I.
 type Surge struct {
@@ -86,18 +77,4 @@ func GlobalIncreasePct(before, after []Message) float64 {
 		return math.Inf(1)
 	}
 	return (float64(len(after)) - float64(len(before))) / float64(len(before)) * 100
-}
-
-// DistinctCountries returns how many destination countries appear.
-func DistinctCountries(msgs []Message) int {
-	return len(CountByCountry(msgs))
-}
-
-// CostByCountry sums billed cost per destination.
-func CostByCountry(msgs []Message) map[string]float64 {
-	out := make(map[string]float64)
-	for _, m := range msgs {
-		out[m.Country] += m.CostUSD
-	}
-	return out
 }

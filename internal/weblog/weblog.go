@@ -97,17 +97,6 @@ func (l *Log) Requests() []Request {
 	return out
 }
 
-// Between returns the requests with from <= Time < to, preserving order.
-func (l *Log) Between(from, to time.Time) []Request {
-	var out []Request
-	for _, r := range l.requests {
-		if !r.Time.Before(from) && r.Time.Before(to) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Session is a sequence of requests attributed to one client.
 type Session struct {
 	Key      string

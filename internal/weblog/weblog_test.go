@@ -228,20 +228,6 @@ func TestActorPredicates(t *testing.T) {
 	}
 }
 
-func TestLogBetween(t *testing.T) {
-	l := NewLog()
-	for i := range 10 {
-		l.Append(req(t0.Add(time.Duration(i)*time.Minute), "1.1.1.1", "c", "GET", "/a", 200))
-	}
-	got := l.Between(t0.Add(2*time.Minute), t0.Add(5*time.Minute))
-	if len(got) != 3 {
-		t.Fatalf("Between returned %d, want 3", len(got))
-	}
-	if l.Len() != 10 {
-		t.Fatalf("Len() = %d", l.Len())
-	}
-}
-
 func TestLogRequestsIsCopy(t *testing.T) {
 	l := NewLog()
 	l.Append(req(t0, "1.1.1.1", "c", "GET", "/a", 200))

@@ -91,9 +91,7 @@ type Population struct {
 
 	userSeq  int
 	holds    int
-	confirms int
 	otps     int
-	bpSends  int
 	friction int // legitimate requests rejected by defences
 }
 
@@ -140,14 +138,8 @@ func NewPopulation(
 // Holds returns successful legitimate holds.
 func (p *Population) Holds() int { return p.holds }
 
-// Confirms returns completed purchases.
-func (p *Population) Confirms() int { return p.confirms }
-
 // OTPs returns delivered OTP messages.
 func (p *Population) OTPs() int { return p.otps }
-
-// BoardingPasses returns delivered boarding-pass messages.
-func (p *Population) BoardingPasses() int { return p.bpSends }
 
 // Friction returns legitimate requests rejected by the defence stack — the
 // usability cost the paper's Section V weighs.
@@ -293,15 +285,12 @@ func (p *Population) journey(now time.Time) {
 				p.friction++
 				return
 			}
-			p.confirms++
 			if p.smsa != nil && p.rng.Bool(p.cfg.BoardingPassProb) {
 				bpAt := confirmAt.Add(time.Duration(1+p.rng.Intn(12)) * time.Hour)
 				p.sched.Schedule(bpAt, func(time.Time) {
 					if err := p.smsa.SendBoardingPass(u.ctx, ticket.RecordLocator, u.phone); err != nil {
 						p.friction++
-						return
 					}
-					p.bpSends++
 				})
 			}
 		})
