@@ -9,7 +9,7 @@
 // The store is the write side of the gate's account layer: feeding
 // observations into it belongs off the serving path (an OnDecision hook —
 // loadgen.AccountFeeder — or a log tail). The read side is TierOf, which
-// the gate probes per request; it is a lock-shared map read returning an
+// the gate probes per request; it is a lock-shared table read returning an
 // int, so the admitted hot path stays allocation-free.
 //
 // Memory is bounded: when an insert takes the store over its budget it
@@ -19,17 +19,16 @@
 // models, since fake account registration is the attacker cost lever the
 // economics scenario charges for.
 //
-// What is exact: the victim set. Records live by value in a slab indexed by
-// a key → slot map; an eviction lists (lastSeen, slot) for every account in
-// a reused scratch and selects — an nth-element partition, not a sort — the
-// len − 3/4·budget oldest, reading keys only to order two accounts last
-// seen at the same instant. The order is on lastSeen.UnixNano(), the wall
-// instant, exact for any clock reading between the years 1678 and 2262.
-// What is amortised: that one pass over the slab, paid once per quarter
-// budget of inserts, so an insert under a saturated budget costs O(1)
-// amortised and, after the first eviction has sized the scratch and the
-// free list, allocates nothing: the record lands in a slot an eviction
-// freed and the store keeps the caller's key string, as it always has. The
+// What is exact: the victim set. Records live by value in a keytab.Table,
+// which holds each key's bytes in the record's slot; an eviction selects —
+// an nth-element partition, not a sort — the len − 3/4·budget accounts with
+// the oldest lastSeen.UnixNano(), reading keys only to order two accounts
+// last seen at the same instant. The order on the wall instant is exact for
+// any clock reading between the years 1678 and 2262. What is amortised:
+// that one pass over the slab, paid once per quarter budget of inserts, so
+// an insert under a saturated budget costs O(1) amortised and, after the
+// first eviction has sized the scratch and the free list, allocates
+// nothing: the record and its key land in a slot an eviction freed. The
 // slab grows by a quarter at a time but never past budget+1 slots — the one
 // account over budget that exists while its own eviction runs. The hit path
 // (Observe of a known key, TierOf) never moves or links anything: recency
@@ -46,12 +45,11 @@ package account
 
 import (
 	"math"
-	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"funabuse/internal/keytab"
 	"funabuse/internal/obs"
 )
 
@@ -137,10 +135,9 @@ func (c *Config) normalize() {
 	}
 }
 
-// record is one account's mutable state, held by value in the store's slab
-// and guarded by the store mutex. A slot whose key is empty is free.
+// record is one account's mutable state, held by value in the store's table
+// and guarded by the store mutex.
 type record struct {
-	key       string
 	createdAt time.Time
 	lastSeen  time.Time
 	requests  uint64
@@ -171,10 +168,7 @@ type Store struct {
 	cfg Config
 
 	mu     sync.RWMutex
-	index  map[string]int32 // key → slot in recs
-	recs   []record         // the slab: never more than MaxAccounts+1 slots
-	free   []int32          // slots an eviction emptied, reused before the slab grows
-	cands  []evictCand      // eviction scratch, sized once
+	recs   *keytab.Table[record] // never more than MaxAccounts+1 slots
 	byTier [NumTiers]int
 
 	created    atomic.Uint64
@@ -185,7 +179,7 @@ type Store struct {
 // NewStore builds a Store.
 func NewStore(cfg Config) *Store {
 	cfg.normalize()
-	return &Store{cfg: cfg, index: make(map[string]int32)}
+	return &Store{cfg: cfg, recs: keytab.New[record](cfg.MaxAccounts + 1)}
 }
 
 // tierFor derives the tier an account with the given age and bookings has
@@ -204,7 +198,7 @@ func (s *Store) tierFor(age time.Duration, bookings uint64) Tier {
 }
 
 // TierOf resolves key's loyalty tier; unknown (or empty) keys are guests.
-// This is the gate's per-request probe: a read-locked map lookup returning
+// This is the gate's per-request probe: a read-locked table lookup returning
 // an int, allocation-free. It satisfies httpgate.AccountLookup.
 func (s *Store) TierOf(key string) int {
 	if key == "" {
@@ -212,8 +206,8 @@ func (s *Store) TierOf(key string) int {
 	}
 	t := Guest
 	s.mu.RLock()
-	if slot, ok := s.index[key]; ok {
-		t = s.recs[slot].tier
+	if slot, ok := s.recs.FindString(key); ok {
+		t = s.recs.At(slot).tier
 	}
 	s.mu.RUnlock()
 	return int(t)
@@ -228,14 +222,14 @@ func (s *Store) Observe(key string, now time.Time, booked, denied bool) {
 		return
 	}
 	s.mu.Lock()
-	slot, ok := s.index[key]
+	slot, ok := s.recs.FindString(key)
 	if !ok {
 		if slot, ok = s.insertLocked(key, now, now); !ok {
 			s.mu.Unlock()
 			return
 		}
 	}
-	rec := &s.recs[slot]
+	rec := s.recs.At(slot)
 	if now.After(rec.lastSeen) {
 		rec.lastSeen = now
 	}
@@ -261,14 +255,14 @@ func (s *Store) Register(key string, createdAt time.Time, bookings uint64, now t
 		return
 	}
 	s.mu.Lock()
-	slot, ok := s.index[key]
+	slot, ok := s.recs.FindString(key)
 	if !ok {
 		if slot, ok = s.insertLocked(key, createdAt, now); !ok {
 			s.mu.Unlock()
 			return
 		}
 	}
-	rec := &s.recs[slot]
+	rec := s.recs.At(slot)
 	if createdAt.Before(rec.createdAt) {
 		rec.createdAt = createdAt
 	}
@@ -290,29 +284,14 @@ func (s *Store) Register(key string, createdAt time.Time, bookings uint64, now t
 // eviction cut is then its own victim: ok is false and the caller must
 // leave the slot alone. Caller holds the write lock.
 func (s *Store) insertLocked(key string, createdAt, now time.Time) (slot int32, ok bool) {
-	if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		if len(s.recs) == cap(s.recs) {
-			// Grow by a quarter, so a store far under its budget carries
-			// little slack, and never past the one slot over budget an
-			// insert can occupy before its eviction runs.
-			grown := make([]record, len(s.recs), min(cap(s.recs)+cap(s.recs)/4+16, s.cfg.MaxAccounts+1))
-			copy(grown, s.recs)
-			s.recs = grown
-		}
-		slot = int32(len(s.recs))
-		s.recs = s.recs[:slot+1]
-	}
-	s.recs[slot] = record{key: key, createdAt: createdAt, lastSeen: now, tier: Guest}
-	s.index[key] = slot
+	slot = s.recs.InsertString(key)
+	*s.recs.At(slot) = record{createdAt: createdAt, lastSeen: now, tier: Guest}
 	s.byTier[Guest]++
 	s.created.Add(1)
-	if len(s.index) > s.cfg.MaxAccounts {
+	if s.recs.Len() > s.cfg.MaxAccounts {
 		s.evictLocked()
 	}
-	return slot, s.recs[slot].key != ""
+	return slot, s.recs.Used(slot)
 }
 
 // promoteLocked raises rec to the tier its history has earned; tiers only
@@ -325,111 +304,25 @@ func (s *Store) promoteLocked(rec *record, t Tier) {
 	s.promotions.Add(1)
 }
 
-// evictCand is one account as the eviction selection sees it: its last-seen
-// instant and its slot, 16 bytes. The key is read through the slot, and
-// only to order two accounts last seen at the same instant.
-type evictCand struct {
-	at   int64 // lastSeen.UnixNano()
-	slot int32
-}
-
 // evictLocked drops the least-recently-seen accounts (ties broken by key
-// order, so eviction is deterministic for any map iteration order) until
-// the store is at 3/4 of its budget. It selects the victims instead of
-// sorting the population, and allocates nothing after its first call: the
-// scratch and the free list are sized exactly then. Caller holds the write
-// lock.
+// order, so eviction is deterministic) until the store is at 3/4 of its
+// budget. Caller holds the write lock.
 func (s *Store) evictLocked() {
-	target := max(s.cfg.MaxAccounts*3/4, 1)
-	k := len(s.index) - target
-	if cap(s.cands) < len(s.index) {
-		s.cands = make([]evictCand, 0, len(s.index))
-		s.free = make([]int32, 0, k)
-	}
-	c := s.cands[:0]
-	for i := range s.recs {
-		if rec := &s.recs[i]; rec.key != "" {
-			c = append(c, evictCand{at: rec.lastSeen.UnixNano(), slot: int32(i)})
-		}
-	}
-	s.selectOldest(c, k)
-	for _, v := range c[:k] {
-		rec := &s.recs[v.slot]
-		s.byTier[rec.tier]--
-		delete(s.index, rec.key)
-		*rec = record{}
-		s.free = append(s.free, v.slot)
-	}
+	k := s.recs.Len() - max(s.cfg.MaxAccounts*3/4, 1)
+	s.recs.EvictOldest(k, func(r *record) (int64, int64) { return r.lastSeen.UnixNano(), 0 },
+		func(_ int32, r *record) { s.byTier[r.tier]-- })
 	s.evicted.Add(uint64(k))
-}
-
-// older is the eviction order: last-seen instant, then key.
-func (s *Store) older(a, b evictCand) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return s.recs[a.slot].key < s.recs[b.slot].key
-}
-
-// selectOldest reorders c so that c[:k] holds its k oldest entries, in no
-// particular order (0 < k < len(c)). Keys are distinct, so older is a
-// strict total order and the selected set is unique whatever the pivots.
-// It is a quickselect on a median-of-three pivot; a run of bad pivots
-// falls back to sorting what is left, which keeps the worst case at
-// n log n for any arrival pattern.
-func (s *Store) selectOldest(c []evictCand, k int) {
-	lo, hi := 0, len(c)
-	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 12 && budget > 0; budget-- {
-		a, b, p := c[lo], c[hi-1], c[lo+(hi-lo)/2]
-		if s.older(b, a) {
-			a, b = b, a
-		}
-		if s.older(p, a) {
-			p = a
-		} else if s.older(b, p) {
-			p = b
-		}
-		i, j := lo, hi-1
-		for i <= j {
-			for s.older(c[i], p) {
-				i++
-			}
-			for s.older(p, c[j]) {
-				j--
-			}
-			if i <= j {
-				c[i], c[j] = c[j], c[i]
-				i++
-				j--
-			}
-		}
-		// c[lo:j+1] ≤ p ≤ c[i:hi], and anything between is p itself.
-		switch {
-		case k <= j:
-			hi = j + 1
-		case k >= i:
-			lo = i
-		default:
-			return
-		}
-	}
-	slices.SortFunc(c[lo:hi], func(a, b evictCand) int {
-		if s.older(a, b) {
-			return -1
-		}
-		return 1
-	})
 }
 
 // Snapshot returns key's state, reporting whether the account exists.
 func (s *Store) Snapshot(key string) (Snapshot, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slot, ok := s.index[key]
+	slot, ok := s.recs.FindString(key)
 	if !ok {
 		return Snapshot{}, false
 	}
-	rec := &s.recs[slot]
+	rec := s.recs.At(slot)
 	return Snapshot{
 		Key:       key,
 		CreatedAt: rec.createdAt,
@@ -445,7 +338,7 @@ func (s *Store) Snapshot(key string) (Snapshot, bool) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.index)
+	return s.recs.Len()
 }
 
 // TierCount reports how many accounts currently hold tier t.

@@ -287,57 +287,11 @@ func TestSelfEvictedInsertLeavesNoGhost(t *testing.T) {
 	}
 }
 
-// TestSelectOldestMatchesSort holds the selection to a full sort on the
-// shapes that defeat careless pivots — all instants equal (every compare
-// falls through to the key), sorted, reversed, organ pipe, two values —
-// at every k that matters around the cut.
-func TestSelectOldestMatchesSort(t *testing.T) {
-	shapes := map[string]func(i, n int) int64{
-		"equal":     func(i, n int) int64 { return 7 },
-		"ascending": func(i, n int) int64 { return int64(i) },
-		"reversed":  func(i, n int) int64 { return int64(n - i) },
-		"organpipe": func(i, n int) int64 { return int64(min(i, n-i)) },
-		"twovalues": func(i, n int) int64 { return int64(i % 2) },
-		"sawtooth":  func(i, n int) int64 { return int64(i % 17) },
-		"scattered": func(i, n int) int64 { return int64(i*7919%n) / 3 },
-	}
-	for name, at := range shapes {
-		for _, n := range []int{2, 3, 12, 13, 64, 1000, 4097} {
-			s := &Store{recs: make([]record, n)}
-			for i := range s.recs {
-				s.recs[i].key = fmt.Sprintf("k%05d", i*31%n) // a permutation for every n used: 31 ∤ n
-			}
-			for _, k := range []int{1, n / 4, n / 2, n - 1} {
-				if k < 1 || k >= n {
-					continue
-				}
-				c := make([]evictCand, n)
-				for i := range c {
-					c[i] = evictCand{at: at(i, n), slot: int32(i)}
-				}
-				want := slices.Clone(c)
-				slices.SortFunc(want, func(a, b evictCand) int {
-					if s.older(a, b) {
-						return -1
-					}
-					return 1
-				})
-				s.selectOldest(c, k)
-				got := slices.Clone(c[:k])
-				slices.SortFunc(got, func(a, b evictCand) int { return int(a.slot - b.slot) })
-				slices.SortFunc(want[:k], func(a, b evictCand) int { return int(a.slot - b.slot) })
-				if !slices.Equal(got, want[:k]) {
-					t.Fatalf("%s n=%d k=%d: selected set differs from the sorted prefix", name, n, k)
-				}
-			}
-		}
-	}
-}
-
 // TestObserveEvictSteadyStateAllocs pins the insert-and-evict path at zero
 // allocations once the store has been through its first eviction: the
-// record lands in a freed slot, the index reuses the slots its deletes
-// emptied, and the selection runs in the scratch sized by that first call.
+// record and its key land in a freed slot, the index reuses the buckets its
+// deletes emptied, and the selection runs in the scratch sized by that
+// first call.
 func TestObserveEvictSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
@@ -363,7 +317,7 @@ func TestObserveEvictSteadyStateAllocs(t *testing.T) {
 	if evictions := (s.Evicted() - before) / (budget/4 + 1); evictions < 10 {
 		t.Fatalf("measured window held %d evictions, want several", evictions)
 	}
-	if s.Len() > budget || cap(s.recs) > budget+1 {
-		t.Fatalf("store holds %d accounts in %d slots, budget %d", s.Len(), cap(s.recs), budget)
+	if s.Len() > budget || s.recs.Slots() > budget+1 {
+		t.Fatalf("store holds %d accounts in %d slots, budget %d", s.Len(), s.recs.Slots(), budget)
 	}
 }

@@ -28,23 +28,23 @@
 // and sticky flags. Two graphs fed the same observation sequence evict
 // identically, which is what the loadgen determinism goldens rely on.
 //
-// What is exact: the victim set (an nth-element selection over (tick, slot)
-// pairs in a reused scratch, keys read only to order the nodes of one
-// observation), every component's size, type span, score and flag after
-// the rebuild, and all of Stats. What is amortised: the rebuild itself —
-// one pass over the node slab and the edge map per quarter budget of new
-// nodes. Nodes live in stable slots: a survivor keeps its slot through any
-// number of evictions and a victim's slot goes on a free list for the next
-// new key, so an eviction removes only the victims' keys from the index,
-// compacts and reallocates nothing, and a saturated graph's inserts
-// allocate the key clone the graph must retain and nothing else. Because
-// slots are stable, an edge is keyed by its two slots packed in a uint64
-// rather than by its two key strings: recording a co-occurrence hashes 8
-// bytes, and the rebuild re-unions by slot without hashing a string. A slot
-// is never reused while an edge still names it — the eviction that frees a
-// slot drops every edge with a dead endpoint in the same step. Only the
-// edge-budget branch (a hub with more edges than MaxEdges) still sorts, by
-// (tick, lower key, higher key), and allocates while it does.
+// What is exact: the victim set (keytab's nth-element selection by tick,
+// keys read only to order the nodes of one observation), every component's
+// size, type span, score and flag after the rebuild, and all of Stats. What
+// is amortised: the rebuild itself — one pass over the node slab and the
+// edge map per quarter budget of new nodes. Nodes live in the stable slots
+// of a keytab.Table, which holds each key's bytes in its node's slot: a
+// survivor keeps its slot through any number of evictions and a victim's
+// slot goes on a free list for the next new key, so an eviction compacts
+// and reallocates nothing, and a saturated graph's inserts allocate
+// nothing at all. Because slots are stable, an edge is keyed by its two
+// slots packed in a uint64 rather than by its two keys: recording a
+// co-occurrence hashes 8 bytes, and the rebuild re-unions by slot without
+// hashing a key. A slot is never reused while an edge still names it — the
+// eviction that frees a slot drops every edge with a dead endpoint in the
+// same step. Only the edge-budget branch (a hub with more edges than
+// MaxEdges) still sorts, by (tick, lower key, higher key), and allocates
+// while it does.
 //
 // The graph is safe for concurrent use: observations take the write
 // lock; lookups — including the gate hot path's FlaggedBytes — take the
@@ -57,8 +57,9 @@ import (
 	"math/bits"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
+
+	"funabuse/internal/keytab"
 )
 
 // Type classifies an entity key.
@@ -103,12 +104,12 @@ func FingerprintKey(hash uint64) string { return "fp:" + strconv.FormatUint(hash
 // IPKey returns the node key for a source address.
 func IPKey(ip string) string { return "ip:" + ip }
 
-// KeyType classifies a node key by its prefix.
-func KeyType(key string) Type {
+// keyType classifies a node key by its prefix.
+func keyType[K string | []byte](key K) Type {
 	if len(key) < 3 || key[2] != ':' {
 		return TypeOther
 	}
-	switch key[:2] {
+	switch string(key[:2]) {
 	case "fp":
 		return TypeFingerprint
 	case "ip":
@@ -162,14 +163,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// node is one entity in a stable slot of the graph's slab; a slot whose key
-// is empty is free. parent/size implement the union-find; size, typeMask,
-// score and flagged are authoritative only at a root (except during
-// eviction, when flags are propagated to members so they survive the
-// rebuild). own is the node's personally accrued weak score — the
+// node is one entity in a stable slot of the graph's table; a free slot
+// holds node{parent: slot}. parent/size implement the union-find; size,
+// typeMask, score and flagged are authoritative only at a root (except
+// during eviction, when flags are propagated to members so they survive
+// the rebuild). own is the node's personally accrued weak score — the
 // quantity that survives eviction and from which root scores are rebuilt.
 type node struct {
-	key   string
 	tick  uint64
 	score float64
 	own   float64
@@ -202,9 +202,7 @@ type Graph struct {
 	cfg Config
 
 	mu    sync.RWMutex
-	idx   map[string]int32  // key → slot in nodes, live nodes only
-	nodes []node            // the slab: live nodes and free slots
-	free  []int32           // slots an eviction emptied, reused before the slab grows
+	nodes *keytab.Table[node]
 	edges map[edgeID]uint64 // last tick the co-occurrence was observed
 
 	tick       uint64
@@ -213,7 +211,6 @@ type Graph struct {
 	evicted    uint64
 
 	scratch []int32
-	cands   []evictCand // eviction scratch, reused
 }
 
 // New returns an empty graph under cfg's budgets.
@@ -221,7 +218,7 @@ func New(cfg Config) *Graph {
 	cfg = cfg.withDefaults()
 	return &Graph{
 		cfg:   cfg,
-		idx:   make(map[string]int32),
+		nodes: keytab.New[node](cfg.MaxNodes),
 		edges: make(map[edgeID]uint64),
 	}
 }
@@ -244,9 +241,10 @@ func (g *Graph) Observe(keys []string, weak float64) {
 		if k == "" {
 			continue
 		}
-		id, ok := g.idx[k]
+		id, ok := g.nodes.FindString(k)
 		if !ok {
-			id = g.add(k)
+			id = g.nodes.InsertString(k)
+			g.add(id, keyType(k))
 		}
 		ids = append(ids, id)
 	}
@@ -255,9 +253,9 @@ func (g *Graph) Observe(keys []string, weak float64) {
 
 // ObserveBytes is Observe for keys assembled in reusable byte buffers —
 // the per-request feed path. Known keys are resolved without materialising
-// a string; a key is cloned only when it is first inserted, the point the
-// graph must retain it, so an observation over a recurring key set
-// allocates nothing. The graph keeps no reference to keys.
+// a string, and a new key is copied into its node's slot, so an
+// observation allocates nothing once the graph has reached its working
+// size. The graph keeps no reference to keys.
 func (g *Graph) ObserveBytes(keys [][]byte, weak float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -267,9 +265,10 @@ func (g *Graph) ObserveBytes(keys [][]byte, weak float64) {
 		if len(k) == 0 {
 			continue
 		}
-		id, ok := g.idx[string(k)]
+		id, ok := g.nodes.Find(k)
 		if !ok {
-			id = g.add(string(k))
+			id = g.nodes.Insert(k)
+			g.add(id, keyType(k))
 		}
 		ids = append(ids, id)
 	}
@@ -285,7 +284,7 @@ func (g *Graph) observe(ids []int32, weak float64) {
 	}
 	g.tick++
 	for _, id := range ids {
-		g.nodes[id].tick = g.tick
+		g.nodes.At(id).tick = g.tick
 	}
 	anchor := ids[0]
 	for _, id := range ids[1:] {
@@ -293,35 +292,21 @@ func (g *Graph) observe(ids []int32, weak float64) {
 	}
 	root := g.find(anchor)
 	if weak > 0 {
-		g.nodes[anchor].own += weak
-		g.nodes[root].score += weak
+		g.nodes.At(anchor).own += weak
+		g.nodes.At(root).score += weak
 	}
 	g.refreshFlag(root)
 
-	if len(g.idx) > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
+	if g.nodes.Len() > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
 		g.evict()
 	}
 }
 
-// add inserts an unseen key as a fresh singleton component, in a freed slot
-// when there is one, and returns its slot. Callers hold the write lock.
-func (g *Graph) add(key string) int32 {
-	var i int32
-	if n := len(g.free); n > 0 {
-		i = g.free[n-1]
-		g.free = g.free[:n-1]
-	} else {
-		i = int32(len(g.nodes))
-		g.nodes = append(g.nodes, node{})
-	}
-	typ := KeyType(key)
-	g.nodes[i] = node{
-		key: key, typ: typ, parent: i,
-		size: 1, typeMask: 1 << typ,
-	}
-	g.idx[key] = i
+// add makes the freshly inserted slot i a singleton component of the given
+// type. Callers hold the write lock.
+func (g *Graph) add(i int32, typ Type) {
+	*g.nodes.At(i) = node{typ: typ, parent: i, size: 1, typeMask: 1 << typ}
 	g.components++
-	return i
 }
 
 // link records the co-occurrence edge between two nodes and unions their
@@ -336,20 +321,17 @@ func (g *Graph) link(a, b int32) {
 
 // find resolves i's root with path compression. Write path only.
 func (g *Graph) find(i int32) int32 {
-	root := i
-	for g.nodes[root].parent != root {
-		root = g.nodes[root].parent
-	}
-	for g.nodes[i].parent != root {
-		g.nodes[i].parent, i = root, g.nodes[i].parent
+	root := g.findRead(i)
+	for n := g.nodes.At(i); n.parent != root; n = g.nodes.At(i) {
+		n.parent, i = root, n.parent
 	}
 	return root
 }
 
 // findRead resolves i's root without mutating, for lock-shared readers.
 func (g *Graph) findRead(i int32) int32 {
-	for g.nodes[i].parent != i {
-		i = g.nodes[i].parent
+	for p := g.nodes.At(i).parent; p != i; p = g.nodes.At(i).parent {
+		i = p
 	}
 	return i
 }
@@ -361,10 +343,10 @@ func (g *Graph) union(a, b int32) {
 	if ra == rb {
 		return
 	}
-	if g.nodes[ra].size < g.nodes[rb].size {
-		ra, rb = rb, ra
+	na, nb := g.nodes.At(ra), g.nodes.At(rb)
+	if na.size < nb.size {
+		ra, na, nb = rb, nb, na
 	}
-	na, nb := &g.nodes[ra], &g.nodes[rb]
 	nb.parent = ra
 	na.size += nb.size
 	na.typeMask |= nb.typeMask
@@ -379,7 +361,7 @@ func (g *Graph) union(a, b int32) {
 // refreshFlag flags root's component once it crosses every gate; flags
 // are sticky. Callers hold the write lock.
 func (g *Graph) refreshFlag(root int32) {
-	n := &g.nodes[root]
+	n := g.nodes.At(root)
 	if n.flagged {
 		return
 	}
@@ -391,14 +373,6 @@ func (g *Graph) refreshFlag(root int32) {
 	}
 }
 
-// evictCand is one node as the eviction selection sees it: the tick it was
-// last observed at and its slot. The key is read through the slot, and only
-// to order two nodes of one observation.
-type evictCand struct {
-	tick uint64
-	slot int32
-}
-
 // evict is the deterministic decay step: drop the least recently
 // observed nodes (ties by key) down to 3/4 of the node budget, drop
 // edges that lost an endpoint (then the oldest edges if still over
@@ -406,46 +380,33 @@ type evictCand struct {
 // accrued score and sticky flags survive; a flagged component that the
 // eviction splits leaves every surviving fragment flagged.
 //
-// Survivors keep their slots: only the victims' keys leave idx, nothing is
+// Survivors keep their slots: only the victims leave the table, nothing is
 // compacted or reallocated, and the rebuild resets and re-unions by slot.
 func (g *Graph) evict() {
+	slots := int32(g.nodes.Slots())
 	// Sticky flags must survive the rebuild at node granularity.
-	for i := range g.nodes {
-		if g.nodes[g.findRead(int32(i))].flagged {
-			g.nodes[i].flagged = true
+	for i := range slots {
+		if g.nodes.At(g.findRead(i)).flagged {
+			g.nodes.At(i).flagged = true
 		}
 	}
 
-	if target := g.cfg.MaxNodes * 3 / 4; len(g.idx) > target {
-		c := slices.Grow(g.cands[:0], len(g.idx))
-		for i := range g.nodes {
-			if n := &g.nodes[i]; n.key != "" {
-				c = append(c, evictCand{tick: n.tick, slot: int32(i)})
-			}
-		}
-		g.cands = c
-		k := len(c) - target
-		if k < len(c) {
-			g.selectOldest(c, k)
-		}
-		for _, v := range c[:k] {
-			delete(g.idx, g.nodes[v.slot].key)
-			// A free slot is its own unflagged root, so the walks over
-			// the whole slab above and below pass through it untouched.
-			g.nodes[v.slot] = node{parent: v.slot}
-			g.free = append(g.free, v.slot)
-		}
+	if k := g.nodes.Len() - g.cfg.MaxNodes*3/4; k > 0 {
+		// A free slot is its own unflagged root, so the walks over the
+		// whole slab above and below pass through it untouched.
+		g.nodes.EvictOldest(k, func(n *node) (int64, int64) { return int64(n.tick), 0 },
+			func(i int32, n *node) { *n = node{parent: i} })
 		g.evicted += uint64(k)
 	}
 
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		n.parent = int32(i)
+	for i := range slots {
+		n := g.nodes.At(i)
+		n.parent = i
 		n.size = 1
 		n.typeMask = 1 << n.typ
 		n.score = n.own
 	}
-	g.components = len(g.idx)
+	g.components = g.nodes.Len()
 
 	// Surviving edges: both endpoints kept. Determinism note: map
 	// iteration order is random, but edge filtering is order-independent
@@ -454,7 +415,7 @@ func (g *Graph) evict() {
 	// runs; only when the edge budget itself overflows is an explicit
 	// sort imposed.
 	for e := range g.edges {
-		if a, b := e.ends(); g.nodes[a].key == "" || g.nodes[b].key == "" {
+		if a, b := e.ends(); !g.nodes.Used(a) || !g.nodes.Used(b) {
 			delete(g.edges, e)
 		}
 	}
@@ -469,74 +430,16 @@ func (g *Graph) evict() {
 	// union counts a flagged-flagged merge as losing one flagged root
 	// starting from flagRoots = 0, so recount from the rebuilt forest.
 	g.flagRoots = 0
-	for i := range g.nodes {
-		if n := &g.nodes[i]; n.key != "" && n.parent == int32(i) && n.flagged {
+	for i := range slots {
+		if n := g.nodes.At(i); g.nodes.Used(i) && n.parent == i && n.flagged {
 			g.flagRoots++
 		}
 	}
-	for i := range g.nodes {
-		if n := &g.nodes[i]; n.key != "" && n.parent == int32(i) {
-			g.refreshFlag(int32(i))
+	for i := range slots {
+		if g.nodes.Used(i) && g.nodes.At(i).parent == i {
+			g.refreshFlag(i)
 		}
 	}
-}
-
-// older is the node eviction order: last-observed tick, then key.
-func (g *Graph) older(a, b evictCand) bool {
-	if a.tick != b.tick {
-		return a.tick < b.tick
-	}
-	return g.nodes[a.slot].key < g.nodes[b.slot].key
-}
-
-// selectOldest reorders c so that c[:k] holds its k oldest entries, in no
-// particular order (0 < k < len(c)). Keys are distinct, so older is a
-// strict total order and the selected set is unique whatever the pivots.
-// It is a quickselect on a median-of-three pivot; a run of bad pivots
-// falls back to sorting what is left, which keeps the worst case at
-// n log n for any observation pattern.
-func (g *Graph) selectOldest(c []evictCand, k int) {
-	lo, hi := 0, len(c)
-	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 12 && budget > 0; budget-- {
-		a, b, p := c[lo], c[hi-1], c[lo+(hi-lo)/2]
-		if g.older(b, a) {
-			a, b = b, a
-		}
-		if g.older(p, a) {
-			p = a
-		} else if g.older(b, p) {
-			p = b
-		}
-		i, j := lo, hi-1
-		for i <= j {
-			for g.older(c[i], p) {
-				i++
-			}
-			for g.older(p, c[j]) {
-				j--
-			}
-			if i <= j {
-				c[i], c[j] = c[j], c[i]
-				i++
-				j--
-			}
-		}
-		// c[lo:j+1] ≤ p ≤ c[i:hi], and anything between is p itself.
-		switch {
-		case k <= j:
-			hi = j + 1
-		case k >= i:
-			lo = i
-		default:
-			return
-		}
-	}
-	slices.SortFunc(c[lo:hi], func(a, b evictCand) int {
-		if g.older(a, b) {
-			return -1
-		}
-		return 1
-	})
 }
 
 // evictEdges drops the n least recently observed edges, ties broken by the
@@ -546,19 +449,18 @@ func (g *Graph) evictEdges(n int) {
 	type aged struct {
 		e    edgeID
 		tick uint64
-		a, b string // endpoint keys, a < b
+		a, b int32 // endpoint slots, key a < key b
 	}
 	all := make([]aged, 0, len(g.edges))
 	for e, t := range g.edges {
 		a, b := e.ends()
-		ka, kb := g.nodes[a].key, g.nodes[b].key
-		if kb < ka {
-			ka, kb = kb, ka
+		if g.nodes.CompareKeys(b, a) < 0 {
+			a, b = b, a
 		}
-		all = append(all, aged{e, t, ka, kb})
+		all = append(all, aged{e, t, a, b})
 	}
 	slices.SortFunc(all, func(x, y aged) int {
-		return cmp.Or(cmp.Compare(x.tick, y.tick), strings.Compare(x.a, y.a), strings.Compare(x.b, y.b))
+		return cmp.Or(cmp.Compare(x.tick, y.tick), g.nodes.CompareKeys(x.a, y.a), g.nodes.CompareKeys(x.b, y.b))
 	})
 	for _, e := range all[:n] {
 		delete(g.edges, e.e)
@@ -570,12 +472,12 @@ func (g *Graph) evictEdges(n int) {
 // string, the root walk does not mutate, and no allocation occurs.
 func (g *Graph) FlaggedBytes(key []byte) bool {
 	g.mu.RLock()
-	i, ok := g.idx[string(key)]
+	i, ok := g.nodes.Find(key)
 	if !ok {
 		g.mu.RUnlock()
 		return false
 	}
-	f := g.nodes[g.findRead(i)].flagged
+	f := g.nodes.At(g.findRead(i)).flagged
 	g.mu.RUnlock()
 	return f
 }
@@ -584,11 +486,11 @@ func (g *Graph) FlaggedBytes(key []byte) bool {
 func (g *Graph) Flagged(key string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	i, ok := g.idx[key]
+	i, ok := g.nodes.FindString(key)
 	if !ok {
 		return false
 	}
-	return g.nodes[g.findRead(i)].flagged
+	return g.nodes.At(g.findRead(i)).flagged
 }
 
 // Component summarises the component a key belongs to.
@@ -606,11 +508,11 @@ type Component struct {
 func (g *Graph) Lookup(key string) (Component, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	i, ok := g.idx[key]
+	i, ok := g.nodes.FindString(key)
 	if !ok {
 		return Component{}, false
 	}
-	n := &g.nodes[g.findRead(i)]
+	n := g.nodes.At(g.findRead(i))
 	return Component{
 		Size:    int(n.size),
 		Types:   bits.OnesCount16(n.typeMask),
@@ -637,7 +539,7 @@ func (g *Graph) Stats() Stats {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return Stats{
-		Nodes:             len(g.idx),
+		Nodes:             g.nodes.Len(),
 		Edges:             len(g.edges),
 		Components:        g.components,
 		FlaggedComponents: g.flagRoots,

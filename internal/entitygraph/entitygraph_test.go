@@ -22,8 +22,8 @@ func TestKeyHelpers(t *testing.T) {
 		{"", TypeOther},
 	}
 	for _, c := range cases {
-		if got := KeyType(c.key); got != c.want {
-			t.Errorf("KeyType(%q) = %v, want %v", c.key, got, c.want)
+		if got := keyType(c.key); got != c.want {
+			t.Errorf("keyType(%q) = %v, want %v", c.key, got, c.want)
 		}
 	}
 }

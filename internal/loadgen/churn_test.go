@@ -17,55 +17,64 @@ import (
 // TestTargetGateChurnAllocAndHeapBound is the memory budget proved under
 // the attack it models: a million identities, each seen once — fresh
 // fingerprint, address and session on every request, the paper's rotating
-// attacker — through the whole NewTargetGate stack with 4,096-slot budgets.
-// The bounded stores must stay inside their budgets, a decision in steady
-// state must allocate no more than the keys the stack has to retain (the
-// graph's two node keys and the limiter keys: under 150 B), and what
-// survives a collection at the end must fit a ceiling that does not depend
-// on how many identities went by.
+// attacker — through the whole NewTargetGate stack with 4,096-slot store
+// budgets and every rate limiter on. The bounded stores must stay inside
+// their budgets, a decision in steady state must allocate next to nothing
+// (each store copies a new key into a slot a sweep or an eviction freed;
+// a sweep that frees more keys than arrived hands a few rings back), and
+// what survives a collection must not grow with the identities that went
+// by: the live heap at the end must equal the live heap after 100k of them,
+// to within what a sweep cycle moves it (1/16).
 func TestTargetGateChurnAllocAndHeapBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	const (
-		budget        = 4096
-		batch         = 8192
-		bytesPerOp    = 150
-		heapCeiling   = 3 << 20 // measured 1.84 MiB at 100k and at 1M: stores, gate and one batch of inputs
-		warmupBatches = 4       // slabs, scratch and maps reach their final size
+		budget     = 4096
+		batch      = 8192
+		bytesPerOp = 1
+		// Slabs, scratch and maps reach their final size; the limiters'
+		// slabs follow their population's peaks for ~80k decisions.
+		warmupBatches = 10
 	)
-	identities := 1_000_000
+	identities, checkpoint := 1_000_000, 100_000
 	if testing.Short() {
-		identities = 100_000
+		identities, checkpoint = 200_000, 100_000
 	}
 
 	clock := simclock.NewManual(t0)
 	graph := entitygraph.New(entitygraph.Config{MaxNodes: budget})
 	accounts := account.NewStore(account.Config{MaxAccounts: budget})
-	// The limiters keyed by path and booking reference are on. The two keyed
-	// by identity (ProfileLimit, AccountBaseLimit) are off: a signal.Limiter
-	// bounds its keys by window, not by budget, and under pure rotation each
-	// would add a ~450 B ring per identity of which its free list recycles a
-	// quarter — signal's budget, not the stores'.
+	// Every limiter is on, the two keyed by identity (profile and account
+	// rate) with windows that hold 10k identities at once: their sweeps free
+	// a shard's worth of expired keys as fast as new ones arrive.
 	gate, _, _ := NewTargetGate(TargetConfig{
 		Clock:               clock,
 		Accounts:            accounts,
 		AccountRestricted:   map[string]int{PathSeatMap: int(account.Member)},
+		AccountBaseLimit:    20,
+		AccountWindow:       10 * time.Second,
 		AccountBookingPaths: []string{PathHold},
 		EntityGraph:         graph,
 		EntityPaths:         []string{PathHold},
 		EntityWeak:          0.5,
 		PathLimit:           1 << 30,
 		PathWindow:          10 * time.Second,
+		ProfileLimit:        30,
+		ProfileWindow:       10 * time.Second,
 		ResourceLimit:       1 << 30,
 		ResourceWindow:      time.Minute,
 	})
 	r := httptest.NewRequest(http.MethodGet, PathHold+"?pnr=PNR00001", nil)
 
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	baseline := before.HeapAlloc
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapAlloc)
+	}
+	baseline := liveHeap()
+	var atCheckpoint int64
 
 	infos := make([]httpgate.ClientInfo, batch)
 	var steadyBytes, steadyOps uint64
@@ -97,6 +106,9 @@ func TestTargetGateChurnAllocAndHeapBound(t *testing.T) {
 		if st := graph.Stats(); st.Nodes > budget {
 			t.Fatalf("after %d identities the graph holds %d nodes, budget %d", done+batch, st.Nodes, budget)
 		}
+		if done < checkpoint && done+batch >= checkpoint {
+			atCheckpoint = liveHeap() - baseline
+		}
 	}
 
 	if perOp := float64(steadyBytes) / float64(steadyOps); perOp > bytesPerOp {
@@ -108,12 +120,11 @@ func TestTargetGateChurnAllocAndHeapBound(t *testing.T) {
 		t.Fatalf("nothing was evicted: accounts %d, graph %+v", accounts.Evicted(), graph.Stats())
 	}
 
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	if live := int64(after.HeapAlloc) - int64(baseline); live > heapCeiling {
-		t.Errorf("%d identities left %d B live, ceiling %d", identities, live, heapCeiling)
+	live := liveHeap() - baseline
+	if d := live - atCheckpoint; d > atCheckpoint/16 || d < -atCheckpoint/16 {
+		t.Errorf("%d identities left %d B live, %d identities left %d B", identities, live, checkpoint, atCheckpoint)
 	} else {
-		t.Logf("%d identities left %.2f MiB live", identities, float64(live)/(1<<20))
+		t.Logf("%d identities left %.2f MiB live, %d left %.2f MiB", identities, float64(live)/(1<<20), checkpoint, float64(atCheckpoint)/(1<<20))
 	}
 	runtime.KeepAlive(gate)
 }

@@ -1,11 +1,17 @@
 package signal
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
+	"funabuse/internal/keytab"
 	"funabuse/internal/simrand"
 )
 
@@ -134,12 +140,9 @@ func TestAllowBytesSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("AllowBatch allocates %v/op on warm keys", avg)
 	}
 
-	// Evict-then-reinsert: the sweep hands the key's ring to the shard's
-	// free list and the reinsert takes it back, so a key returning after
-	// its window emptied costs its string clone and nothing else.
-	if raceEnabled {
-		return // the detector's map instrumentation perturbs the count
-	}
+	// Evict-then-reinsert: the sweep frees the key's slot with its ring
+	// and the reinsert takes both back, so a key returning after its window
+	// emptied costs nothing.
 	l = NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30})
 	now := t0
 	l.AllowBytes(key, now)
@@ -147,8 +150,28 @@ func TestAllowBytesSteadyStateAllocs(t *testing.T) {
 		now = now.Add(2 * time.Minute)
 		l.Sweep(now)
 		l.AllowBytes(key, now)
-	}); avg > 1 {
-		t.Fatalf("AllowBytes allocates %v/op on an evicted key's return, want <= 1", avg)
+	}); avg != 0 {
+		t.Fatalf("AllowBytes allocates %v/op on an evicted key's return, want 0", avg)
+	}
+
+	// Rotation at the key budget: every attempt a key never seen before,
+	// all of them in-window, so each insert past the budget evicts.
+	l = withKeyBudget(NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30, Shards: 1}), 256)
+	fresh := make([]byte, 0, 32)
+	next := 0
+	rotate := func() {
+		fresh = strconv.AppendUint(append(fresh[:0], "pf:"...), uint64(next), 16)
+		next++
+		l.AllowBytes(fresh, t0)
+	}
+	for range 1024 {
+		rotate()
+	}
+	if avg := testing.AllocsPerRun(2048, rotate); avg != 0 {
+		t.Fatalf("AllowBytes allocates %v/op on fresh keys at the key budget, want 0", avg)
+	}
+	if n := l.TrackedKeys(); n > 256 {
+		t.Fatalf("limiter tracks %d keys, budget 256", n)
 	}
 }
 
@@ -162,9 +185,10 @@ func TestLimiterShardFillsCacheLines(t *testing.T) {
 }
 
 // TestLimiterRecycleMatchesFresh is the model test for ring recycling: a
-// limiter that recycles swept rings against a twin whose free lists are
-// emptied before every operation — so every insert takes NewWindow, the
-// behaviour before recycling existed. Seeded random key/time streams run
+// limiter whose freed slots keep their rings for the next key against a
+// twin whose freed slots are emptied before every operation — so every
+// insert takes NewWindow, the behaviour before recycling existed. Seeded
+// random key/time streams run
 // through Allow, AllowBytes and AllowBatch with explicit sweeps (and the
 // automatic ones) interleaved; every verdict, the denial totals and the
 // tracked-key counts must agree throughout.
@@ -184,10 +208,14 @@ func TestLimiterRecycleMatchesFresh(t *testing.T) {
 				now = now.Add(-time.Duration(rng.Intn(30)) * time.Second)
 			}
 			for i := range ref.shards {
-				ref.shards[i].free = nil
+				forFreeRings(ref.shards[i].keys, func(w *Window) { *w = Window{} })
 			}
 			for i := range rec.shards {
-				recycled += len(rec.shards[i].free)
+				forFreeRings(rec.shards[i].keys, func(w *Window) {
+					if w.counts != nil {
+						recycled++
+					}
+				})
 			}
 			switch rng.Intn(10) {
 			case 0:
@@ -225,6 +253,162 @@ func TestLimiterRecycleMatchesFresh(t *testing.T) {
 		if recycled == 0 || ref.Denials() == 0 {
 			t.Fatalf("seed %d: stream exercised nothing (free-list sightings %d, denials %d)", seed, recycled, ref.Denials())
 		}
+	}
+}
+
+// TestLimiterSweepReturnsBurstRings pins what a burst leaves behind: a
+// sweep keeps a spare ring for each key that arrived since the previous
+// sweep, so the sweep right after a burst keeps them all, and the next one,
+// with no arrivals in between, hands back all but maxSpareRings.
+func TestLimiterSweepReturnsBurstRings(t *testing.T) {
+	const burst = 2 * maxSpareRings // fewer than sweepEvery: no automatic sweep in the burst
+	l := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1, Shards: 1})
+	for i := range burst {
+		l.Allow("pf:"+itoa(i), t0)
+	}
+	spare := func() (n int) {
+		forFreeRings(l.shards[0].keys, func(w *Window) {
+			if w.counts != nil {
+				n++
+			}
+		})
+		return n
+	}
+	l.Sweep(t0.Add(2 * time.Minute))
+	if n := spare(); n != burst {
+		t.Fatalf("the sweep after a burst of %d keys kept %d spare rings", burst, n)
+	}
+	l.Sweep(t0.Add(3 * time.Minute))
+	if n := spare(); n != maxSpareRings {
+		t.Fatalf("an idle sweep kept %d spare rings, want %d", n, maxSpareRings)
+	}
+	if !l.Allow("pf:0", t0.Add(3*time.Minute)) || l.TrackedKeys() != 1 {
+		t.Fatal("a key after the sweeps was not admitted afresh")
+	}
+}
+
+// withKeyBudget lowers l's key budget to perShard keys a shard, so the
+// budget binds on streams small enough to model.
+func withKeyBudget(l *Limiter, perShard int) *Limiter {
+	l.perShard = perShard
+	for i := range l.shards {
+		l.shards[i].keys = keytab.New[Window](perShard)
+	}
+	return l
+}
+
+// forFreeRings calls fn on the ring of every free slot of a shard's table.
+func forFreeRings(keys *keytab.Table[Window], fn func(*Window)) {
+	for i := range int32(keys.Slots()) {
+		if !keys.Used(i) {
+			fn(keys.At(i))
+		}
+	}
+}
+
+// referenceBudget is the key budget as a model: one shard's keys in a Go
+// map, and at the budget a sweep of the idle keys, then a full sort by
+// (in-window count, head, key) with the first deleted down to three
+// quarters.
+type referenceBudget struct {
+	keys          map[string]*Window
+	budget, limit int
+	window        time.Duration
+	buckets, ops  int
+}
+
+func (r *referenceBudget) allow(key string, now time.Time) bool {
+	if r.ops++; r.ops >= sweepEvery {
+		r.ops = 0
+		r.sweep(now)
+	}
+	w, ok := r.keys[key]
+	if !ok {
+		if len(r.keys) >= r.budget {
+			r.sweep(now)
+			order := slices.Collect(maps.Keys(r.keys))
+			slices.SortFunc(order, func(a, b string) int {
+				wa, wb := r.keys[a], r.keys[b]
+				return cmp.Or(cmp.Compare(wa.Count(now), wb.Count(now)), cmp.Compare(wa.head, wb.head), strings.Compare(a, b))
+			})
+			for _, k := range order[:max(len(order)-r.budget*3/4, 0)] {
+				delete(r.keys, k)
+			}
+		}
+		w = NewWindow(r.window, r.buckets)
+		r.keys[key] = w
+	}
+	return w.admit(now, r.limit)
+}
+
+func (r *referenceBudget) sweep(now time.Time) {
+	for k, w := range r.keys {
+		if w.Empty(now) {
+			delete(r.keys, k)
+		}
+	}
+}
+
+// TestLimiterBudgetMatchesReference holds the key budget to its model on
+// seeded streams that keep far more keys in-window than the budget, so
+// evictions of live keys decide verdicts, with lulls after which the budget
+// binds on a mix of idle and in-window keys: every verdict and the
+// tracked-key count must agree after every attempt. The stream's keys
+// recur, so a key evicted too early or too late shows up as a wrong
+// verdict. Last, a key at its limit must survive a flood of fresh keys:
+// evicting it would hand the flooder its allowance back.
+func TestLimiterBudgetMatchesReference(t *testing.T) {
+	const budget = 48
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 1}
+	newPair := func() (*Limiter, *referenceBudget) {
+		return withKeyBudget(NewLimiter(cfg), budget),
+			&referenceBudget{keys: map[string]*Window{}, budget: budget, limit: cfg.Limit, window: cfg.Window, buckets: cfg.Buckets}
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		rng := simrand.New(seed)
+		l, ref := newPair()
+		now := t0
+		evictions := 0
+		for op := range 20000 {
+			now = now.Add(time.Duration(rng.Intn(40)) * time.Millisecond)
+			if rng.Intn(400) == 0 {
+				// A lull: most keys go idle, so the next insert at the
+				// budget finds idle and in-window keys side by side.
+				now = now.Add(time.Duration(8+rng.Intn(3)) * time.Second)
+			}
+			k := "pf:" + itoa(rng.Intn(200))
+			before := len(ref.keys)
+			if got, want := l.Allow(k, now), ref.allow(k, now); got != want {
+				t.Fatalf("seed %d op %d: Allow(%q) = %v, reference says %v", seed, op, k, got, want)
+			}
+			if len(ref.keys) < before {
+				evictions++
+			}
+			if l.TrackedKeys() != len(ref.keys) || len(ref.keys) > budget {
+				t.Fatalf("seed %d op %d: tracking %d keys, reference %d, budget %d", seed, op, l.TrackedKeys(), len(ref.keys), budget)
+			}
+		}
+		if evictions == 0 {
+			t.Fatalf("seed %d: the budget never bound", seed)
+		}
+	}
+
+	l, ref := newPair()
+	for i := range cfg.Limit + 1 {
+		if got, want := l.Allow("pnr:victim", t0), ref.allow("pnr:victim", t0); got != want || got != (i < cfg.Limit) {
+			t.Fatalf("attempt %d at the victim key: Allow = %v, reference %v", i, got, want)
+		}
+	}
+	now := t0
+	for i := range 20 * budget {
+		now = now.Add(time.Millisecond)
+		k := "pnr:fresh-" + itoa(i)
+		if got, want := l.Allow(k, now), ref.allow(k, now); got != want {
+			t.Fatalf("flood key %d: Allow = %v, reference %v", i, got, want)
+		}
+	}
+	if l.Allow("pnr:victim", now) || ref.allow("pnr:victim", now) {
+		t.Fatal("a flood of fresh keys gave the key at its limit its allowance back")
 	}
 }
 
