@@ -304,7 +304,7 @@ func BenchmarkApplicationRequestHold(b *testing.B) {
 	rng := simrand.New(1)
 	bookings := booking.NewSystem(clock, rng.Derive("b"), booking.DefaultConfig())
 	bookings.AddFlight(booking.Flight{ID: "F", Capacity: 1 << 30, Departure: core.SimStart.AddDate(1000, 0, 0)})
-	a := core.NewApplication(clock, rng.Derive("app"), core.DefenceConfig{StaticFPChecks: true, Blocklists: true},
+	a := core.NewApplication(clock, rng.Derive("app"), core.DefenceConfig{Blocklists: true},
 		bookings, nil, sms.NewGateway(clock, geo.Default()))
 	ctx := app.ClientContext{
 		IP:          "10.0.0.1",

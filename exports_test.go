@@ -32,9 +32,6 @@ var testOnlyKeep = map[string]string{
 	"mitigate.DecoySet.Refs":       "test oracle for the decoy tests",
 	"workload.Population.OTPs":     "the root BenchmarkWorkloadNewUser reads it",
 	"faultinject.Injector.Calls":   "counter the fault-injection tests read",
-	"faultinject.Injector.Errors":  "counter the fault-injection tests read",
-	"faultinject.Injector.Panics":  "counter the fault-injection tests read",
-	"faultinject.Injector.Stalls":  "counter the fault-injection tests read",
 	"faultinject.Injector.Outages": "counter the fault-injection tests read",
 
 	"cluster.Cluster.FailuresByReason": "fleet health accessor for the planned per-node operator view",

@@ -93,18 +93,17 @@ type Threshold struct {
 // DefaultMaxAccounts bounds the store when Config.MaxAccounts is zero.
 const DefaultMaxAccounts = 1 << 20
 
-// Config tunes a Store. The zero value selects the default thresholds
-// and memory budget.
+// Config tunes a Store. The zero value selects the default memory budget.
 type Config struct {
 	// MaxAccounts is the memory budget; exceeding it evicts the
 	// least-recently-seen accounts down to 3/4 of the budget. Zero
 	// selects DefaultMaxAccounts.
 	MaxAccounts int
-	// MemberT, SilverT and GoldT are the tier entry requirements; a
-	// zero threshold (both fields zero) selects that tier's default.
-	MemberT Threshold
-	SilverT Threshold
-	GoldT   Threshold
+
+	// memberT, silverT and goldT are the tier entry requirements; a zero
+	// threshold selects that tier's default. Only in-package tests set
+	// them, to walk the ladder in hours rather than months.
+	memberT, silverT, goldT Threshold
 }
 
 // Default tier thresholds: membership takes three days and one booking,
@@ -124,14 +123,14 @@ func (c *Config) normalize() {
 	// Slots are int32 and an insert occupies one slot over budget.
 	c.MaxAccounts = min(c.MaxAccounts, math.MaxInt32-1)
 	zero := Threshold{}
-	if c.MemberT == zero {
-		c.MemberT = DefaultMemberT
+	if c.memberT == zero {
+		c.memberT = DefaultMemberT
 	}
-	if c.SilverT == zero {
-		c.SilverT = DefaultSilverT
+	if c.silverT == zero {
+		c.silverT = DefaultSilverT
 	}
-	if c.GoldT == zero {
-		c.GoldT = DefaultGoldT
+	if c.goldT == zero {
+		c.goldT = DefaultGoldT
 	}
 }
 
@@ -186,11 +185,11 @@ func NewStore(cfg Config) *Store {
 // earned. Deterministic: same history, same tier.
 func (s *Store) tierFor(age time.Duration, bookings uint64) Tier {
 	switch {
-	case age >= s.cfg.GoldT.MinAge && bookings >= s.cfg.GoldT.MinBookings:
+	case age >= s.cfg.goldT.MinAge && bookings >= s.cfg.goldT.MinBookings:
 		return Gold
-	case age >= s.cfg.SilverT.MinAge && bookings >= s.cfg.SilverT.MinBookings:
+	case age >= s.cfg.silverT.MinAge && bookings >= s.cfg.silverT.MinBookings:
 		return Silver
-	case age >= s.cfg.MemberT.MinAge && bookings >= s.cfg.MemberT.MinBookings:
+	case age >= s.cfg.memberT.MinAge && bookings >= s.cfg.memberT.MinBookings:
 		return Member
 	default:
 		return Guest

@@ -158,9 +158,9 @@ func (s *referenceStore) Snapshot(key string) (Snapshot, bool) {
 func TestStoreMatchesReference(t *testing.T) {
 	const seeds, ops = 20, 20_000
 	cfg := Config{
-		MemberT: Threshold{MinAge: time.Hour, MinBookings: 1},
-		SilverT: Threshold{MinAge: 6 * time.Hour, MinBookings: 3},
-		GoldT:   Threshold{MinAge: 24 * time.Hour, MinBookings: 6},
+		memberT: Threshold{MinAge: time.Hour, MinBookings: 1},
+		silverT: Threshold{MinAge: 6 * time.Hour, MinBookings: 3},
+		goldT:   Threshold{MinAge: 24 * time.Hour, MinBookings: 6},
 	}
 	var selfEvictions, stalls, golds int
 	for seed := uint64(1); seed <= seeds; seed++ {

@@ -18,8 +18,6 @@ import (
 // the low-volume attacks lack.
 type ScraperConfig struct {
 	ID string
-	// Paths is the URL universe to crawl; defaults to a search/flight tree.
-	Paths []string
 	// Interval is the fixed inter-request delay (robotic cadence).
 	Interval time.Duration
 	// Requests is the total crawl budget.
@@ -27,14 +25,28 @@ type ScraperConfig struct {
 	// HitTrap controls whether the crawler follows invisible links into
 	// the trap file, as exhaustive crawlers do.
 	HitTrap bool
-	// PauseEvery inserts a long pause after this many requests (0 = never):
-	// crawl bursts separated by idle gaps, which splits the web log into
-	// many hot sessions.
+	// PauseEvery inserts a crawlPause after this many requests (0 =
+	// never): crawl bursts separated by idle gaps, which splits the web
+	// log into many hot sessions.
 	PauseEvery int
-	// PauseFor is the burst gap; defaults to 45 minutes, longer than the
-	// classical 30-minute sessionization threshold.
-	PauseFor time.Duration
 }
+
+// crawlPause is the burst gap, longer than the classical 30-minute
+// sessionization threshold.
+const crawlPause = 45 * time.Minute
+
+// crawlPaths is the URL universe every scraper crawls: a search and
+// flight-fare tree. It is only ever read.
+var crawlPaths = func() []string {
+	paths := make([]string, 0, 120)
+	for i := range 60 {
+		paths = append(paths, "/search/results/page"+strconv.Itoa(i))
+	}
+	for i := range 60 {
+		paths = append(paths, "/flight/FL"+strconv.Itoa(100+i)+"/fares")
+	}
+	return paths
+}()
 
 // Scraper is the baseline high-volume bot.
 type Scraper struct {
@@ -64,12 +76,6 @@ func NewScraper(
 	if cfg.Requests < 1 {
 		cfg.Requests = 500
 	}
-	if len(cfg.Paths) == 0 {
-		cfg.Paths = defaultCrawlPaths()
-	}
-	if cfg.PauseFor <= 0 {
-		cfg.PauseFor = 45 * time.Minute
-	}
 	return &Scraper{
 		cfg:     cfg,
 		api:     api,
@@ -78,17 +84,6 @@ func NewScraper(
 		session: session,
 		print:   fingerprint.NewGenerator(rng.Derive("fp")).NaiveHeadless(),
 	}
-}
-
-func defaultCrawlPaths() []string {
-	paths := make([]string, 0, 120)
-	for i := range 60 {
-		paths = append(paths, "/search/results/page"+strconv.Itoa(i))
-	}
-	for i := range 60 {
-		paths = append(paths, "/flight/FL"+strconv.Itoa(100+i)+"/fares")
-	}
-	return paths
 }
 
 // Sent returns how many requests completed.
@@ -107,7 +102,7 @@ func (s *Scraper) step(now time.Time) {
 		s.stopped = true
 		return
 	}
-	path := s.cfg.Paths[(s.sent+s.denied)%len(s.cfg.Paths)]
+	path := crawlPaths[(s.sent+s.denied)%len(crawlPaths)]
 	if s.cfg.HitTrap && (s.sent+s.denied)%97 == 42 {
 		path = weblog.TrapPath
 	}
@@ -125,7 +120,7 @@ func (s *Scraper) step(now time.Time) {
 	}
 	next := s.cfg.Interval
 	if s.cfg.PauseEvery > 0 && (s.sent+s.denied)%s.cfg.PauseEvery == 0 {
-		next = s.cfg.PauseFor
+		next = crawlPause
 	}
 	s.sched.Schedule(now.Add(next), s.step)
 }

@@ -44,7 +44,7 @@ import (
 )
 
 // FleetDegradedHeader is set on responses served by a node whose gossip
-// view of some peer has gone stale past Config.StaleAfter: the node keeps
+// view of some peer has gone stale (see staleRounds): the node keeps
 // serving on its last-known fleet state rather than stalling the request
 // path, and this header is how callers (and the load generator) see that
 // the decision ran degraded.
@@ -82,27 +82,10 @@ type Config struct {
 	ReplicateState bool
 
 	// FetchRetry tunes the jittered-backoff retry wrapped around every
-	// peer fetch. The zero value selects 2 attempts with a 10 ms base
-	// delay; Attempts of 1 disables retry. Under a manual clock backoffs
-	// are no-ops (virtual runs never sleep), so Attempts alone bounds the
-	// loop there.
+	// peer fetch. The zero value selects 2 attempts; Attempts of 1
+	// disables retry. Under a manual clock backoffs are no-ops (virtual
+	// runs never sleep), so Attempts alone bounds the loop there.
 	FetchRetry resilience.RetryConfig
-	// FetchTimeout bounds each fetch attempt with a real timer; zero
-	// disables the wrapper. Leave it zero in virtual-clock runs — it
-	// spends wall time the virtual schedule cannot see.
-	FetchTimeout time.Duration
-	// RoundBudget caps the time one anti-entropy round may spend
-	// fetching, measured on the cluster clock: once spent, the remaining
-	// peers are skipped this round (their last-known states still feed
-	// the view) rather than stalling the piggybacked request. Zero
-	// means no budget.
-	RoundBudget time.Duration
-	// StaleAfter marks a node degraded while its freshest successful
-	// fetch of some peer is older than this: the node keeps serving on
-	// last-known fleet state and stamps FleetDegradedHeader on its
-	// responses. Zero selects 3× Gossip; with gossip disabled nothing is
-	// ever marked degraded.
-	StaleAfter time.Duration
 
 	// RuleThreshold arms per-node detection: when one fingerprint's
 	// fleet-view volume — its local sliding-window rate plus its rate in
@@ -116,39 +99,29 @@ type Config struct {
 	// RulePaths restricts detection counting; empty watches every path.
 	RulePaths []string
 
-	// Per-node gate rate limits; zero disables a layer.
-	PathLimit      int
-	PathWindow     time.Duration
-	ProfileLimit   int
-	ProfileWindow  time.Duration
-	ResourceLimit  int
-	ResourceWindow time.Duration
-
 	// Telemetry, when non-nil, registers every node's gate collector
 	// (labelled node=<i>), the cluster collector, and the
 	// rule-propagation histogram on the registry.
 	Telemetry *obs.Registry
 }
 
+// staleRounds is how many gossip intervals may pass since a node's last
+// good fetch of a peer before the node is marked degraded: it keeps
+// serving on last-known fleet state and stamps FleetDegradedHeader on its
+// responses. With gossip disabled nothing is ever marked degraded.
+const staleRounds = 3
+
 // Gossip fetch failure reasons, indexing Cluster.failures and labelling
 // the MetricGossipFailures family.
 const (
 	failTransport = iota
-	failTimeout
 	failDecode
 	failUnpublished
-	failBudget
 	numFailReasons
 )
 
 // failReasons names the counter indices for the reason label.
-var failReasons = [numFailReasons]string{
-	"transport", "timeout", "decode", "unpublished", "budget",
-}
-
-// errRoundBudget marks a peer fetch skipped because the round's deadline
-// budget was already spent.
-var errRoundBudget = errors.New("cluster: gossip round budget exhausted")
+var failReasons = [numFailReasons]string{"transport", "decode", "unpublished"}
 
 // Cluster is a running in-process gate fleet.
 type Cluster struct {
@@ -203,8 +176,8 @@ type node struct {
 	lastOKAt map[int]time.Time
 
 	// degraded is recomputed after each absorb: some peer's last good
-	// fetch is older than StaleAfter. degradedServed counts responses
-	// this node stamped with FleetDegradedHeader.
+	// fetch is older than staleRounds gossip intervals. degradedServed
+	// counts responses this node stamped with FleetDegradedHeader.
 	degraded       atomic.Bool
 	degradedServed atomic.Uint64
 }
@@ -231,21 +204,12 @@ func New(cfg Config) *Cluster {
 		clock:      cfg.Clock,
 		router:     cfg.Router,
 		transport:  cfg.Transport,
-		staleAfter: cfg.StaleAfter,
+		staleAfter: staleRounds * max(cfg.Gossip, 0),
 		fetchRetry: cfg.FetchRetry,
 		sleep:      time.Sleep,
 	}
-	if c.staleAfter <= 0 && cfg.Gossip > 0 {
-		c.staleAfter = 3 * cfg.Gossip
-	}
-	if cfg.Gossip <= 0 {
-		c.staleAfter = 0
-	}
 	if c.fetchRetry.Attempts == 0 {
 		c.fetchRetry.Attempts = 2
-	}
-	if c.fetchRetry.BaseDelay == 0 {
-		c.fetchRetry.BaseDelay = 10 * time.Millisecond
 	}
 	if _, manual := cfg.Clock.(*simclock.Manual); manual {
 		// Virtual runs must never sleep: the manual clock is driven by
@@ -294,18 +258,7 @@ func New(cfg Config) *Cluster {
 			Blocks:             n.blocks,
 			TrustForwardedFor:  true,
 			RequireFingerprint: true,
-			PathLimit:          cfg.PathLimit,
-			PathWindow:         cfg.PathWindow,
-			ProfileLimit:       cfg.ProfileLimit,
-			ProfileWindow:      cfg.ProfileWindow,
-			ResourceLimit:      cfg.ResourceLimit,
-			ResourceWindow:     cfg.ResourceWindow,
 			OnDecision:         n.onDecision,
-		}
-		if cfg.ResourceLimit > 0 {
-			gcfg.ResourceKey = func(r *http.Request) string {
-				return httpgate.QueryValue(r, "pnr")
-			}
 		}
 		var opts []httpgate.Option
 		if cfg.Telemetry != nil {
@@ -461,10 +414,9 @@ func (n *node) snapshot(includeState bool) Snapshot {
 // the peer's decoded windows replace its slot in n.peers.
 //
 // This is the loop hardened for lossy networks. Each fetch runs behind
-// the configured retry/timeout within the round's deadline budget; a peer
-// that cannot be reached keeps the slot it has, so the fleet view degrades
-// to staleness instead of losing vantage points, and the failure is
-// counted by reason. Nothing needs re-applying for such a peer: its slot
+// the configured retry; a peer that cannot be reached keeps the slot it
+// has, so the fleet view degrades to staleness instead of losing vantage
+// points, and the failure is counted by reason. Nothing needs re-applying for such a peer: its slot
 // already holds its last good state and its rules are already below the
 // high-water mark.
 func (n *node) absorb(now time.Time) {
@@ -473,7 +425,7 @@ func (n *node) absorb(now time.Time) {
 		if peer.id == n.id {
 			continue
 		}
-		snap, err := n.fetchPeer(peer.id, now)
+		snap, err := n.fetchPeer(peer.id)
 		if err != nil {
 			c.countFailure(err)
 			continue
@@ -502,26 +454,15 @@ func (n *node) absorb(now time.Time) {
 }
 
 // fetchPeer fetches one peer's snapshot through the transport, behind the
-// configured jittered-backoff retry and per-attempt timeout, within
-// whatever remains of the round's deadline budget. ErrNotPublished stops
-// the retry loop immediately: an unpublished snapshot is replication
-// state, not a fault.
-func (n *node) fetchPeer(peer int, roundStart time.Time) (Snapshot, error) {
+// configured jittered-backoff retry, which also isolates a panicking
+// transport. ErrNotPublished stops the retry loop immediately: an
+// unpublished snapshot is replication state, not a fault.
+func (n *node) fetchPeer(peer int) (Snapshot, error) {
 	c := n.cluster
-	retryCfg := c.fetchRetry
-	if c.cfg.RoundBudget > 0 {
-		remaining := c.cfg.RoundBudget - c.clock.Now().Sub(roundStart)
-		if remaining <= 0 {
-			return Snapshot{}, errRoundBudget
-		}
-		if retryCfg.Budget <= 0 || retryCfg.Budget > remaining {
-			retryCfg.Budget = remaining
-		}
-	}
 	var snap Snapshot
 	var unpublished bool
-	err := resilience.Retry(retryCfg, c.clock, c.sleep, nil, func() error {
-		s, ferr := c.timedFetch(n.id, peer)
+	err := resilience.Retry(c.fetchRetry, c.sleep, nil, func() error {
+		s, ferr := fetchVia(c.transport, n.id, peer)
 		if errors.Is(ferr, ErrNotPublished) {
 			// Report success to stop the backoff loop; the flag carries
 			// the real outcome past Retry.
@@ -543,43 +484,18 @@ func (n *node) fetchPeer(peer int, roundStart time.Time) (Snapshot, error) {
 	return snap, nil
 }
 
-// timedFetch is one transport fetch bounded by FetchTimeout (when set) on
-// a real timer, with panic isolation either way. Each call fills its own
-// snap, which the caller reads only once WithTimeout has seen the fetch
-// return: an attempt abandoned at the deadline writes to a variable nobody
-// reads again.
-func (c *Cluster) timedFetch(from, to int) (Snapshot, error) {
-	var snap Snapshot
-	err := resilience.WithTimeout(c.cfg.FetchTimeout, func() error {
-		s, ferr := fetchVia(c.transport, from, to)
-		if ferr == nil {
-			snap = s
-		}
-		return ferr
-	})
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return snap, nil
-}
-
 // countFailure buckets one failed peer fetch under its reason counter.
 func (c *Cluster) countFailure(err error) {
-	switch {
-	case errors.Is(err, resilience.ErrTimeout):
-		c.failures[failTimeout].Add(1)
-	case errors.Is(err, ErrNotPublished):
+	if errors.Is(err, ErrNotPublished) {
 		c.failures[failUnpublished].Add(1)
-	case errors.Is(err, errRoundBudget), errors.Is(err, resilience.ErrBudgetExhausted):
-		c.failures[failBudget].Add(1)
-	default:
+	} else {
 		c.failures[failTransport].Add(1)
 	}
 }
 
 // updateDegraded recomputes the node's staleness flag: degraded while any
-// peer's last good fetch is older than StaleAfter (peers never fetched
-// age from the cluster start).
+// peer's last good fetch is older than staleRounds gossip intervals (peers
+// never fetched age from the cluster start).
 func (n *node) updateDegraded(now time.Time) {
 	c := n.cluster
 	if c.staleAfter <= 0 || len(c.nodes) == 1 {

@@ -11,13 +11,14 @@ import (
 
 // decideStream derives the i-th request of a deterministic mixed stream:
 // rotating fingerprints, IPs, paths and sessions, spread across the
-// fleet by the hash router.
+// fleet by the hash router; every seventh request lacks the collector
+// header, which the fleet's gates deny.
 func decideStream(i int) httpgate.Request {
 	fp := uint64(0xbead + i%23)
 	ip := fmt.Sprintf("198.51.0.%d", i%17)
 	r := fleetRequest(fmt.Sprintf("/p/%d?pnr=PNR%d", i%4, i%6), fp, ip)
 	return httpgate.Request{R: r, Info: httpgate.ClientInfo{
-		IP: ip, Fingerprint: fp, HasFingerprint: true,
+		IP: ip, Fingerprint: fp, HasFingerprint: i%7 != 3,
 		ClientKey: fmt.Sprintf("sess-%d", i%19),
 	}}
 }
@@ -27,20 +28,12 @@ func decideStream(i int) httpgate.Request {
 // twin, and requires identical verdicts per request plus identical
 // per-node admitted/denied distribution — proving the batch scatter
 // routes each request to the same node and gathers its verdict back to
-// the right index. Limiter-only defences keep outcomes exact (the
-// rule-deployer decision hook is the documented in-batch divergence).
+// the right index. Without a rule threshold no decision hook deploys
+// anything mid-batch (the documented in-batch divergence), so outcomes
+// are exact.
 func TestClusterDecideBatchMatchesSequential(t *testing.T) {
 	build := func() *Cluster {
-		return New(Config{
-			Nodes:          4,
-			Clock:          simclock.NewManual(epoch),
-			ProfileLimit:   3,
-			ProfileWindow:  time.Hour,
-			PathLimit:      40,
-			PathWindow:     time.Hour,
-			ResourceLimit:  10,
-			ResourceWindow: time.Hour,
-		})
+		return New(Config{Nodes: 4, Clock: simclock.NewManual(epoch)})
 	}
 	seq, bat := build(), build()
 	const total, batch = 300, 32
@@ -66,8 +59,8 @@ func TestClusterDecideBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-	if denied == 0 {
-		t.Fatal("stream produced no denials; the comparison is vacuous")
+	if denied == 0 || denied == total {
+		t.Fatalf("stream produced %d denials of %d; the comparison is vacuous", denied, total)
 	}
 	for i := range 4 {
 		sg, bg := seq.NodeGate(i), bat.NodeGate(i)

@@ -80,13 +80,13 @@ type FaultConfig struct {
 	// a maximally lagged read.
 	StaleRate float64
 
-	// History is how many published snapshots are retained per node for
-	// delayed and stale serves; non-positive selects 32.
-	History int
-
 	// Links are the directed link cuts, evaluated before any draw.
 	Links []LinkCut
 }
+
+// faultHistory is how many published snapshots a FaultTransport retains
+// per node for delayed and stale serves.
+const faultHistory = 32
 
 // FaultStats counts what a FaultTransport actually did.
 type FaultStats struct {
@@ -142,9 +142,6 @@ func NewFaultTransport(inner Transport, cfg FaultConfig) *FaultTransport {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
-	if cfg.History <= 0 {
-		cfg.History = 32
-	}
 	return &FaultTransport{
 		inner:      inner,
 		cfg:        cfg,
@@ -162,8 +159,8 @@ func (t *FaultTransport) Publish(snap Snapshot) {
 	entry := timedSnap{at: t.clock.Now(), snap: snap.Clone()}
 	t.mu.Lock()
 	h := append(t.hist[snap.Node], entry)
-	if len(h) > t.cfg.History {
-		h = h[len(h)-t.cfg.History:]
+	if len(h) > faultHistory {
+		h = h[len(h)-faultHistory:]
 	}
 	t.hist[snap.Node] = h
 	t.mu.Unlock()

@@ -30,10 +30,10 @@ const maxSnapshotBytes = 16 << 20
 // the FGS1 bytes on the wire.
 //
 // The transport is deliberately dumb: no retries, no caching, no fault
-// handling. Resilience lives in the cluster's anti-entropy loop
-// (timeout + backoff retry + round budget) and faults are injected by
-// wrapping the transport in a FaultTransport, so the same hardening is
-// exercised whatever the bottom layer is.
+// handling. Resilience lives in the cluster's anti-entropy loop (backoff
+// retry and fail-static peer slots) and faults are injected by wrapping
+// the transport in a FaultTransport, so the same hardening is exercised
+// whatever the bottom layer is.
 type HTTPTransport struct {
 	client *http.Client
 
@@ -43,8 +43,8 @@ type HTTPTransport struct {
 }
 
 // NewHTTPTransport returns a transport fetching through client; nil
-// selects a pooled default with a 5-second overall request timeout (the
-// cluster's per-fetch timeout, when configured, is tighter).
+// selects a pooled default with a 5-second overall request timeout, which
+// is what bounds a fetch from a hung peer.
 func NewHTTPTransport(client *http.Client) *HTTPTransport {
 	if client == nil {
 		client = &http.Client{

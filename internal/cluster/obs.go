@@ -24,7 +24,7 @@ const (
 	// round durations, registered on the Telemetry registry by New.
 	MetricGossipRoundSeconds = "cluster_gossip_round_seconds"
 	// MetricGossipFailures counts failed peer fetches by reason label
-	// (transport, timeout, decode, unpublished, budget).
+	// (transport, decode, unpublished).
 	MetricGossipFailures = "cluster_gossip_failures_total"
 	// MetricPeerStaleness gauges, per (node, peer) label pair, how long
 	// ago the node last absorbed a good snapshot from the peer.

@@ -180,12 +180,13 @@ func TestSlotViewMatchesMergedReference(t *testing.T) {
 			},
 		}
 		c := New(Config{
-			Nodes:          nodes,
-			Clock:          manual,
-			Router:         NewRandomRouter(seed),
-			Transport:      rec,
-			Gossip:         time.Hour, // only the forced rounds below run
-			StaleAfter:     3 * time.Second,
+			Nodes:     nodes,
+			Clock:     manual,
+			Transport: rec,
+			// One-second gossip makes a peer stale after 3 s; traffic below
+			// goes straight to a random node's gate, past the front that
+			// would piggyback rounds, so only the forced rounds run.
+			Gossip:         time.Second,
 			ReplicateRules: true,
 			ReplicateState: true,
 			RuleThreshold:  25,
@@ -194,7 +195,6 @@ func TestSlotViewMatchesMergedReference(t *testing.T) {
 		})
 		ref := newReferenceView(nodes, epoch, 3*time.Second)
 		rng := simrand.New(seed).Derive("traffic")
-		h := c.Handler()
 		keys := make([]string, fingerprints)
 		for i := range keys {
 			keys[i] = "fp:" + strconv.FormatUint(uint64(0xa000+i), 16)
@@ -203,7 +203,8 @@ func TestSlotViewMatchesMergedReference(t *testing.T) {
 			for range 30 + rng.Intn(60) {
 				manual.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
 				fp := uint64(0xa000 + rng.Zipf(fingerprints, 1.1))
-				h.ServeHTTP(httptest.NewRecorder(), fleetRequest("/booking/hold", fp, "203.0.1."+strconv.Itoa(rng.Intn(50))))
+				r := fleetRequest("/booking/hold", fp, "203.0.1."+strconv.Itoa(rng.Intn(50)))
+				c.nodes[rng.Intn(nodes)].handler.ServeHTTP(httptest.NewRecorder(), r)
 			}
 			now := manual.Now()
 			rec.log = rec.log[:0]

@@ -26,14 +26,9 @@ import (
 // DefenceConfig selects which mitigation layers the application runs.
 // The zero value is the undefended posture of the early case studies.
 type DefenceConfig struct {
-	// StaticFPChecks enables artifact/inconsistency fingerprint rules.
-	StaticFPChecks bool
-	// Blocklists enables the defender-fed fingerprint/IP/client blocklists.
+	// Blocklists enables the defender-fed fingerprint/IP/client blocklists;
+	// a block rule is permanent.
 	Blocklists bool
-	// BlockTTL bounds block-rule lifetime (0 = permanent).
-	BlockTTL time.Duration
-	// CaptchaOnHold challenges reservation attempts.
-	CaptchaOnHold bool
 	// CaptchaOnSMS challenges SMS-feature requests.
 	CaptchaOnSMS bool
 	// CaptchaSolveCostUSD is the attacker's per-solve price.
@@ -111,7 +106,6 @@ type Stats struct {
 	Challenged   int
 	ChallengeRej int
 	RateLimited  int
-	Restricted   int
 	Served       int
 }
 
@@ -124,7 +118,6 @@ type statCounters struct {
 	challenged   atomic.Int64
 	challengeRej atomic.Int64
 	rateLimited  atomic.Int64
-	restricted   atomic.Int64
 	served       atomic.Int64
 }
 
@@ -136,7 +129,6 @@ func (s *statCounters) snapshot() Stats {
 		Challenged:   int(s.challenged.Load()),
 		ChallengeRej: int(s.challengeRej.Load()),
 		RateLimited:  int(s.rateLimited.Load()),
-		Restricted:   int(s.restricted.Load()),
 		Served:       int(s.served.Load()),
 	}
 }
@@ -159,12 +151,15 @@ func NewApplication(
 		otp:      sms.NewOTPService(gateway),
 		log:      weblog.NewLog(),
 		fpRules:  detect.NewFingerprintRules(),
-		blocks:   mitigate.NewBlockList(cfg.BlockTTL),
+		blocks:   mitigate.NewBlockList(0),
 		captcha:  newCaptcha(rng, cfg),
 		fpSeen:   make(map[uint64]fingerprint.Fingerprint),
 	}
-	a.fpRules.CheckArtifacts = cfg.StaticFPChecks
-	a.fpRules.CheckConsistency = cfg.StaticFPChecks
+	// The application judges fingerprints by blocked hash alone; the
+	// static artifact and inconsistency families are scored on their own
+	// by the detection experiment.
+	a.fpRules.CheckArtifacts = false
+	a.fpRules.CheckConsistency = false
 	if cfg.SMSPathLimit > 0 {
 		a.pathLimiter = mitigate.NewKeyedLimiter(cfg.SMSPathWindow, cfg.SMSPathLimit)
 	}
@@ -318,9 +313,6 @@ func (a *Application) RequestHold(ctx app.ClientContext, req booking.HoldRequest
 	const path = "/booking/hold"
 	fp, err := a.screen(ctx, "POST", path)
 	if err != nil {
-		return nil, err
-	}
-	if err := a.challenge(ctx, fp, a.cfg.CaptchaOnHold, "POST", path); err != nil {
 		return nil, err
 	}
 	var hold *booking.Hold

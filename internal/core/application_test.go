@@ -129,19 +129,6 @@ func TestBlocklistRejectsByIPAndClientKey(t *testing.T) {
 	}
 }
 
-func TestStaticFPChecksCatchHeadless(t *testing.T) {
-	f := newFixture(t, DefenceConfig{StaticFPChecks: true})
-	ctx := f.ctx("bot")
-	ctx.Fingerprint = fingerprint.NewGenerator(simrand.New(3)).NaiveHeadless()
-	if _, err := f.app.Get(ctx, "/x"); !errors.Is(err, app.ErrBlocked) {
-		t.Fatalf("err = %v, want ErrBlocked", err)
-	}
-	// Organic print passes.
-	if _, err := f.app.Get(f.ctx("human"), "/x"); err != nil {
-		t.Fatalf("organic print rejected: %v", err)
-	}
-}
-
 func TestSMSPathLimit(t *testing.T) {
 	f := newFixture(t, DefenceConfig{SMSPathLimit: 2, SMSPathWindow: time.Hour})
 	to := geo.PlanFor(geo.Default().MustLookup("FR")).Random(simrand.New(4))
@@ -207,33 +194,6 @@ func TestBoardingPassUnknownLocator(t *testing.T) {
 	err := f.app.SendBoardingPass(f.ctx("u"), "NOPE01", to)
 	if !errors.Is(err, sms.ErrUnknownLocator) {
 		t.Fatalf("err = %v, want ErrUnknownLocator", err)
-	}
-}
-
-func TestCaptchaOnHoldChallengesBots(t *testing.T) {
-	f := newFixture(t, DefenceConfig{CaptchaOnHold: true})
-	botCtx := f.ctx("bot")
-	botCtx.Actor = weblog.ActorSeatSpinner
-	passes, failures := 0, 0
-	for range 200 {
-		_, err := f.app.RequestHold(botCtx, booking.HoldRequest{Flight: "F1", Passengers: party(t, 1)})
-		switch {
-		case err == nil:
-			passes++
-		case errors.Is(err, app.ErrChallengeFailed):
-			failures++
-		case errors.Is(err, booking.ErrInsufficientStock):
-			// Holds accumulate; stock exhaustion is fine for this test.
-			passes++
-		default:
-			t.Fatalf("unexpected error %v", err)
-		}
-	}
-	if failures == 0 {
-		t.Fatal("no challenge failures for bot at solver pass rate < 1")
-	}
-	if f.app.Captcha().BotSpendUSD() <= 0 {
-		t.Fatal("no solver spend accrued")
 	}
 }
 

@@ -30,10 +30,9 @@ type DefenderConfig struct {
 	// RedirectToHoneypot routes flagged clients to the decoy instead of
 	// blocking them.
 	RedirectToHoneypot bool
-	// NamePatterns enables the passenger-detail detector.
+	// NamePatterns enables the passenger-detail detector at its default
+	// thresholds.
 	NamePatterns bool
-	// NamePatternConfig tunes it.
-	NamePatternConfig detect.NamePatternConfig
 }
 
 // DefaultDefenderConfig mirrors the paper's operational posture.
@@ -90,7 +89,7 @@ func NewDefender(
 		cfg:         cfg,
 		application: application,
 		sched:       sched,
-		names:       detect.NewNamePatternDetector(cfg.NamePatternConfig),
+		names:       detect.NewNamePatternDetector(detect.NamePatternConfig{}),
 	}
 	if len(baseline) > 0 {
 		d.drift = detect.NewNiPDrift(baseline, 9)

@@ -15,7 +15,6 @@ func (a *Application) Collector() obs.Collector {
 			obs.Sample{Name: "app_challenged_total", Value: float64(st.Challenged)},
 			obs.Sample{Name: "app_challenge_rejected_total", Value: float64(st.ChallengeRej)},
 			obs.Sample{Name: "app_rate_limited_total", Value: float64(st.RateLimited)},
-			obs.Sample{Name: "app_restricted_total", Value: float64(st.Restricted)},
 			obs.Sample{Name: "app_served_total", Value: float64(st.Served)},
 			obs.Sample{Name: "app_block_rules", Value: float64(a.blocks.Len())},
 			obs.Sample{Name: "app_block_rules_added_total", Value: float64(a.blocks.RulesAdded())},

@@ -36,17 +36,16 @@ type Env struct {
 
 // EnvConfig parameterises scenario setup.
 type EnvConfig struct {
-	Seed       uint64
-	Defence    DefenceConfig
-	Booking    booking.Config
-	SMSQuota   int
-	FleetSize  int           // background flights for legit traffic
-	FleetCap   int           // seats per background flight
-	Horizon    time.Duration // flights depart after this
-	TargetID   booking.FlightID
-	TargetCap  int
-	TargetDep  time.Time // zero means Horizon applies
-	ProxyPrice float64
+	Seed      uint64
+	Defence   DefenceConfig
+	Booking   booking.Config
+	SMSQuota  int
+	FleetSize int           // background flights for legit traffic
+	FleetCap  int           // seats per background flight
+	Horizon   time.Duration // flights depart after this
+	TargetID  booking.FlightID
+	TargetCap int
+	TargetDep time.Time // zero means Horizon applies
 }
 
 // DefaultEnvConfig returns an Airline-A-scale environment.
@@ -105,11 +104,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	}
 	gateway := sms.NewGateway(clock, registry, gwOpts...)
 
-	proxyOpts := []proxy.ServiceOption{}
-	if cfg.ProxyPrice > 0 {
-		proxyOpts = append(proxyOpts, proxy.WithCostPerRequest(cfg.ProxyPrice))
-	}
-
 	return &Env{
 		Seed:     cfg.Seed,
 		Clock:    clock,
@@ -120,7 +114,7 @@ func NewEnv(cfg EnvConfig) *Env {
 		Decoy:    decoy,
 		Gateway:  gateway,
 		App:      NewApplication(clock, rng.Derive("app"), cfg.Defence, bookings, decoy, gateway),
-		Proxies:  proxy.NewService(rng.Derive("proxies"), proxyOpts...),
+		Proxies:  proxy.NewService(rng.Derive("proxies")),
 	}
 }
 

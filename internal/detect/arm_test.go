@@ -149,59 +149,3 @@ func TestWeakSignal(t *testing.T) {
 		t.Fatalf("empty session scored %v", w)
 	}
 }
-
-func TestStreamMonitorJudgesArms(t *testing.T) {
-	arm := VolumeArm{Rules: VolumeRules{MaxRequests: 3}}
-	m := NewStreamMonitor(StreamConfig{
-		Arms: NewRegistry(arm),
-	})
-	var flaggedAt int
-	for i := range 6 {
-		r := weblog.Request{
-			Time: armT0.Add(time.Duration(i) * time.Second),
-			IP:   "203.0.113.2", Fingerprint: 0xbeef,
-			Method: "POST", Path: "/checkin/boardingpass/sms",
-		}
-		if m.Observe(r) && flaggedAt == 0 {
-			flaggedAt = i + 1
-		}
-	}
-	key := IdentityKey(weblog.Request{Fingerprint: 0xbeef})
-	if !m.Flagged(key) {
-		t.Fatal("arm-judged identity not flagged")
-	}
-	if sig := m.FlaggedSignal(key); sig != "arm:volume rules" {
-		t.Fatalf("signal = %q, want arm:volume rules", sig)
-	}
-	if flaggedAt == 0 {
-		t.Fatal("Observe never reported the flag")
-	}
-	// The buffered session is released once the identity flags.
-	if st := m.Stats(); st.ArmSessions != 0 {
-		t.Fatalf("flagged identity still buffered: %+v", st)
-	}
-	alerts := m.Alerts()
-	if len(alerts) != 1 || alerts[0].Signal != "arm:volume rules" {
-		t.Fatalf("alert journal = %+v", alerts)
-	}
-}
-
-func TestStreamMonitorArmSessionCaps(t *testing.T) {
-	m := NewStreamMonitor(StreamConfig{
-		Arms:             NewRegistry(&stubArm{name: "never"}),
-		MaxArmSession:    4,
-		MaxArmIdentities: 2,
-	})
-	for i := range 10 {
-		for fp := uint64(1); fp <= 3; fp++ {
-			m.Observe(weblog.Request{
-				Time: armT0.Add(time.Duration(i) * time.Second),
-				IP:   "1.1.1.1", Fingerprint: fp, Path: "/search",
-			})
-		}
-	}
-	st := m.Stats()
-	if st.ArmSessions != 2 {
-		t.Fatalf("identity cap not applied: %+v", st)
-	}
-}

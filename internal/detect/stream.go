@@ -33,6 +33,11 @@ const (
 
 // StreamConfig tunes a StreamMonitor. Zero thresholds disable the
 // corresponding signal.
+//
+// The alert journal holds at most maxStreamAlerts entries: an attacker
+// rotating identities must not grow it without limit. Past the cap,
+// further alerts still flag their identity (detection is unaffected) but
+// are not journaled, and DroppedAlerts counts them.
 type StreamConfig struct {
 	// RateWindow is the trailing window for the per-identity request
 	// rate; non-positive means one hour.
@@ -44,31 +49,10 @@ type StreamConfig struct {
 	// IPs reach it — the rotation signal: a client whose requests arrive
 	// from ever-changing residential exits is behind a proxy pool.
 	DistinctThreshold float64
-	// Shards is the engine lock-stripe count; zero selects the default.
-	Shards int
-	// MaxAlerts caps the alert journal: once it holds this many entries,
-	// further alerts still flag their identity (detection is unaffected)
-	// but are not journaled, and DroppedAlerts counts them. Non-positive
-	// means unbounded — the pre-cap behaviour, acceptable in simulations
-	// but an abuse surface in production: an attacker rotating identities
-	// grows the journal without limit.
-	MaxAlerts int
-	// Arms, when non-nil, runs every registered detector arm online: the
-	// monitor buffers each identity's requests as a growing session and
-	// judges it with the registry after every event, flagging the
-	// identity (signal "arm:<name>") on the first flagging arm.
-	// RequestObserver arms receive the raw stream too. The registry must
-	// not contain an arm that reads back from this monitor (StreamArm):
-	// judging runs under the monitor's lock.
-	Arms *Registry
-	// MaxArmSession caps the per-identity buffered session the arms
-	// judge; further requests still count toward the built-in signals
-	// but no longer grow the buffer. Non-positive selects 256.
-	MaxArmSession int
-	// MaxArmIdentities caps how many unflagged identities hold a buffered
-	// session at once; beyond it, new identities skip arm judging (the
-	// built-in signals still apply). Non-positive selects 65536.
-	MaxArmIdentities int
+
+	// maxAlerts overrides the alert journal's cap; only in-package tests
+	// set it, to reach the cap in a few requests.
+	maxAlerts int
 }
 
 // StreamMonitor is the online counterpart of the offline session
@@ -88,10 +72,6 @@ type StreamMonitor struct {
 	mu      sync.Mutex
 	flagged map[string]string // identity -> first signal that fired
 	alerts  []StreamAlert
-	// sessions buffers each unflagged identity's requests for the arm
-	// registry; entries are dropped once the identity flags.
-	sessions map[string]*weblog.Session
-	armObs   []RequestObserver
 
 	dropped atomic.Uint64
 }
@@ -101,32 +81,22 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 	if cfg.RateWindow <= 0 {
 		cfg.RateWindow = time.Hour
 	}
-	if cfg.MaxArmSession <= 0 {
-		cfg.MaxArmSession = 256
+	if cfg.maxAlerts <= 0 {
+		cfg.maxAlerts = maxStreamAlerts
 	}
-	if cfg.MaxArmIdentities <= 0 {
-		cfg.MaxArmIdentities = 1 << 16
-	}
-	m := &StreamMonitor{
+	return &StreamMonitor{
 		cfg: cfg,
 		engine: signal.NewEngine(signal.EngineConfig{
 			Window:       cfg.RateWindow,
-			Shards:       cfg.Shards,
 			DisableSurge: true,
 			DisableTopK:  true,
 		}),
 		flagged: make(map[string]string),
 	}
-	if cfg.Arms != nil {
-		m.sessions = make(map[string]*weblog.Session)
-		for _, a := range cfg.Arms.Arms() {
-			if ro, ok := a.(RequestObserver); ok {
-				m.armObs = append(m.armObs, ro)
-			}
-		}
-	}
-	return m
 }
+
+// maxStreamAlerts is the alert journal's cap.
+const maxStreamAlerts = 1 << 16
 
 // IdentityKey is the monitor's client identity for a request.
 func IdentityKey(r weblog.Request) string {
@@ -156,57 +126,23 @@ func (m *StreamMonitor) Observe(r weblog.Request) bool {
 	}
 	if m.cfg.RateThreshold > 0 && rate >= m.cfg.RateThreshold {
 		m.flag(key, SignalRate, float64(rate), r.Time)
-		delete(m.sessions, key)
 		return true
 	}
 	if m.cfg.DistinctThreshold > 0 {
 		if d := m.engine.Distinct(key); d >= m.cfg.DistinctThreshold {
 			m.flag(key, SignalDistinctIPs, d, r.Time)
-			delete(m.sessions, key)
-			return true
-		}
-	}
-	if m.cfg.Arms != nil {
-		if sig, score, hit := m.judgeArms(key, r); hit {
-			m.flag(key, sig, score, r.Time)
-			delete(m.sessions, key)
 			return true
 		}
 	}
 	return false
 }
 
-// judgeArms feeds r to the RequestObserver arms, grows key's buffered
-// session, and judges it with every registered arm. Callers hold m.mu.
-func (m *StreamMonitor) judgeArms(key string, r weblog.Request) (sig string, score float64, hit bool) {
-	for _, ro := range m.armObs {
-		ro.ObserveRequest(r)
-	}
-	s := m.sessions[key]
-	if s == nil {
-		if len(m.sessions) >= m.cfg.MaxArmIdentities {
-			return "", 0, false
-		}
-		s = &weblog.Session{Key: key}
-		m.sessions[key] = s
-	}
-	if len(s.Requests) < m.cfg.MaxArmSession {
-		s.Requests = append(s.Requests, r)
-	}
-	for _, a := range m.cfg.Arms.arms {
-		if v := a.Judge(s); v.Flagged {
-			return "arm:" + a.Name(), v.Score, true
-		}
-	}
-	return "", 0, false
-}
-
 // flag marks key as flagged and journals its first alert, unless the
-// journal is at MaxAlerts — then the alert is counted as dropped instead.
+// journal is at its cap — then the alert is counted as dropped instead.
 // Flagging is never dropped: only the journal record is. Callers hold m.mu.
 func (m *StreamMonitor) flag(key, sig string, value float64, at time.Time) {
 	m.flagged[key] = sig
-	if m.cfg.MaxAlerts > 0 && len(m.alerts) >= m.cfg.MaxAlerts {
+	if len(m.alerts) >= m.cfg.maxAlerts {
 		m.dropped.Add(1)
 		return
 	}
@@ -250,7 +186,7 @@ func (m *StreamMonitor) Alerts() []StreamAlert {
 }
 
 // DroppedAlerts returns how many alerts were not journaled because the
-// journal was at MaxAlerts. The identities behind them are still flagged.
+// journal was at its cap. The identities behind them are still flagged.
 func (m *StreamMonitor) DroppedAlerts() uint64 { return m.dropped.Load() }
 
 // Observed returns how many requests the monitor consumed.
@@ -264,20 +200,17 @@ type StreamStats struct {
 	// Flagged is how many identities have crossed a threshold.
 	Flagged int
 	// Alerts is the journal's current length; Dropped counts alerts the
-	// MaxAlerts cap kept out of it.
+	// journal cap kept out of it.
 	Alerts  int
 	Dropped uint64
 	// TrackedKeys is the engine's live per-identity state count.
 	TrackedKeys int
-	// ArmSessions is the number of identities holding a buffered session
-	// for the arm registry; zero without Arms.
-	ArmSessions int
 }
 
 // Stats snapshots the monitor's counters.
 func (m *StreamMonitor) Stats() StreamStats {
 	m.mu.Lock()
-	flagged, alerts, armSessions := len(m.flagged), len(m.alerts), len(m.sessions)
+	flagged, alerts := len(m.flagged), len(m.alerts)
 	m.mu.Unlock()
 	return StreamStats{
 		Observed:    m.Observed(),
@@ -285,7 +218,6 @@ func (m *StreamMonitor) Stats() StreamStats {
 		Alerts:      alerts,
 		Dropped:     m.DroppedAlerts(),
 		TrackedKeys: m.engine.TrackedKeys(),
-		ArmSessions: armSessions,
 	}
 }
 
@@ -301,7 +233,6 @@ func (m *StreamMonitor) Collector() obs.Collector {
 			obs.Sample{Name: "stream_alerts_journaled", Value: float64(st.Alerts)},
 			obs.Sample{Name: "stream_alerts_dropped_total", Value: float64(st.Dropped)},
 			obs.Sample{Name: "stream_tracked_keys", Value: float64(st.TrackedKeys)},
-			obs.Sample{Name: "stream_arm_sessions", Value: float64(st.ArmSessions)},
 		)
 	})
 }

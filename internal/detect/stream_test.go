@@ -115,12 +115,12 @@ func TestStreamMonitorJournalSurvivesEngineSweep(t *testing.T) {
 
 func TestStreamMonitorAlertJournalCapped(t *testing.T) {
 	// An attacker rotating identities must not grow the journal without
-	// bound: past MaxAlerts, alerts are counted as dropped but the
+	// bound: past the cap, alerts are counted as dropped but the
 	// identities are still flagged — detection is unaffected.
 	m := NewStreamMonitor(StreamConfig{
 		RateWindow:    time.Hour,
 		RateThreshold: 5,
-		MaxAlerts:     10,
+		maxAlerts:     10,
 	})
 	const identities = 25
 	for id := range identities {
@@ -149,7 +149,7 @@ func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
 		RateWindow:        time.Minute,
 		DistinctThreshold: 4,
-		MaxAlerts:         100,
+		maxAlerts:         100,
 	})
 	for i := range 10 {
 		m.Observe(streamReq(st0, "10.0."+strconv.Itoa(i)+".1", 0xdead, ""))
@@ -207,7 +207,7 @@ func TestStreamMonitorStatsAndCollector(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
 		RateWindow:    time.Hour,
 		RateThreshold: 2,
-		MaxAlerts:     1,
+		maxAlerts:     1,
 	})
 	// Two identities cross the rate threshold; the journal cap of 1 drops
 	// the second alert but still flags the identity.

@@ -20,11 +20,11 @@
 // flags are sticky. Honest clients keep private infrastructure, so their
 // components stay small and below every gate.
 //
-// Memory is bounded: the graph holds at most MaxNodes nodes and MaxEdges
-// co-occurrence edges. When a budget is exceeded the graph decays
-// deterministically — the nodes least recently observed (ties broken by
-// key) are evicted down to 3/4 of the budget and the union-find is
-// rebuilt from the surviving edges, preserving per-node accrued score
+// Memory is bounded: the graph holds at most MaxNodes nodes and four
+// times as many co-occurrence edges. When a budget is exceeded the graph
+// decays deterministically — the nodes least recently observed (ties
+// broken by key) are evicted down to 3/4 of the budget and the union-find
+// is rebuilt from the surviving edges, preserving per-node accrued score
 // and sticky flags. Two graphs fed the same observation sequence evict
 // identically, which is what the loadgen determinism goldens rely on.
 //
@@ -42,8 +42,8 @@
 // co-occurrence hashes 8 bytes, and the rebuild re-unions by slot without
 // hashing a key. A slot is never reused while an edge still names it — the
 // eviction that frees a slot drops every edge with a dead endpoint in the
-// same step. Only the edge-budget branch (a hub with more edges than
-// MaxEdges) still sorts, by (tick, lower key, higher key), and allocates
+// same step. Only the edge-budget branch (a hub with more edges than the
+// edge budget) still sorts, by (tick, lower key, higher key), and allocates
 // while it does.
 //
 // The graph is safe for concurrent use: observations take the write
@@ -127,11 +127,10 @@ func keyType[K string | []byte](key K) Type {
 
 // Config tunes a Graph. Zero fields select defaults.
 type Config struct {
-	// MaxNodes and MaxEdges are the hard memory budgets; exceeding either
-	// triggers a deterministic decay eviction down to 3/4 of the budget.
-	// Defaults: 65536 nodes, 4x that many edges.
+	// MaxNodes is the hard node budget, and four times it the edge
+	// budget; exceeding either triggers a deterministic decay eviction
+	// down to 3/4 of the budget. Default 65536 nodes.
 	MaxNodes int
-	MaxEdges int
 	// MinSize is the smallest component (node count) that can be flagged.
 	// Default 3: a lone fingerprint+IP pair — every honest client — can
 	// never be flagged on score alone.
@@ -142,14 +141,18 @@ type Config struct {
 	// FlagScore is the accumulated weak-signal score at which a component
 	// that meets the structural gates is flagged. Default 3.
 	FlagScore float64
+
+	// maxEdges overrides the edge budget; only in-package tests set it,
+	// to make edge eviction fire independently of node eviction.
+	maxEdges int
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 1 << 16
 	}
-	if c.MaxEdges <= 0 {
-		c.MaxEdges = 4 * c.MaxNodes
+	if c.maxEdges <= 0 {
+		c.maxEdges = 4 * c.MaxNodes
 	}
 	if c.MinSize <= 0 {
 		c.MinSize = 3
@@ -297,7 +300,7 @@ func (g *Graph) observe(ids []int32, weak float64) {
 	}
 	g.refreshFlag(root)
 
-	if g.nodes.Len() > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
+	if g.nodes.Len() > g.cfg.MaxNodes || len(g.edges) > g.cfg.maxEdges {
 		g.evict()
 	}
 }
@@ -419,7 +422,7 @@ func (g *Graph) evict() {
 			delete(g.edges, e)
 		}
 	}
-	if target := g.cfg.MaxEdges * 3 / 4; len(g.edges) > target {
+	if target := g.cfg.maxEdges * 3 / 4; len(g.edges) > target {
 		g.evictEdges(len(g.edges) - target)
 	}
 

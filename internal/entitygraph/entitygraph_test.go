@@ -103,7 +103,7 @@ func TestFlagStickyAcrossMerge(t *testing.T) {
 
 func TestEvictionBoundsNodesDeterministically(t *testing.T) {
 	build := func() *Graph {
-		g := New(Config{MaxNodes: 64, MaxEdges: 1024})
+		g := New(Config{MaxNodes: 64, maxEdges: 1024})
 		for i := range 200 {
 			g.Observe([]string{
 				fmt.Sprintf("fp:%03d", i),
@@ -142,7 +142,7 @@ func TestEvictionBoundsNodesDeterministically(t *testing.T) {
 }
 
 func TestEvictionPreservesFlagsAndScore(t *testing.T) {
-	g := New(Config{MaxNodes: 16, MaxEdges: 1024, MinSize: 3, MinTypes: 2, FlagScore: 1.0})
+	g := New(Config{MaxNodes: 16, maxEdges: 1024, MinSize: 3, MinTypes: 2, FlagScore: 1.0})
 	// Flag a syndicate component, then churn enough one-shot entities to
 	// force evictions. The syndicate keys are re-observed throughout, so
 	// they stay recent and must stay flagged.
@@ -166,7 +166,7 @@ func TestEvictionPreservesFlagsAndScore(t *testing.T) {
 }
 
 func TestEvictionRecountsFlaggedComponents(t *testing.T) {
-	g := New(Config{MaxNodes: 16, MaxEdges: 1024, MinSize: 3, MinTypes: 2, FlagScore: 1.0})
+	g := New(Config{MaxNodes: 16, maxEdges: 1024, MinSize: 3, MinTypes: 2, FlagScore: 1.0})
 	// Flag one component, then stop touching it so decay evicts it whole.
 	for range 3 {
 		g.Observe([]string{"fp:old", "ip:old", "bk:old"}, 0.5)
@@ -197,7 +197,7 @@ func TestEvictionRecountsFlaggedComponents(t *testing.T) {
 }
 
 func TestEdgeBudget(t *testing.T) {
-	g := New(Config{MaxNodes: 1 << 10, MaxEdges: 32})
+	g := New(Config{MaxNodes: 1 << 10, maxEdges: 32})
 	for i := range 100 {
 		g.Observe([]string{"fp:hub", fmt.Sprintf("ip:%03d", i)}, 0)
 	}

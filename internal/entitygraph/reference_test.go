@@ -95,7 +95,7 @@ func (g *referenceGraph) Observe(keys []string, weak float64) {
 		g.nodes[root].score += weak
 	}
 	g.refreshFlag(root)
-	if len(g.nodes) > g.cfg.MaxNodes || len(g.edges) > g.cfg.MaxEdges {
+	if len(g.nodes) > g.cfg.MaxNodes || len(g.edges) > g.cfg.maxEdges {
 		g.evict()
 	}
 }
@@ -186,7 +186,7 @@ func (g *referenceGraph) evict() {
 			delete(g.edges, ek)
 		}
 	}
-	if target := g.cfg.MaxEdges * 3 / 4; len(g.edges) > target {
+	if target := g.cfg.maxEdges * 3 / 4; len(g.edges) > target {
 		type aged struct {
 			ek   referenceEdge
 			tick uint64
@@ -316,7 +316,7 @@ func diverges(seed uint64, ref *referenceGraph) (diff string, final Stats, flagg
 // seeded fault — the key tie-break skipped — must be told apart, or the
 // comparison proves nothing.
 func TestGraphMatchesReference(t *testing.T) {
-	cfg := Config{MaxNodes: 48, MaxEdges: 40, MinSize: 3, MinTypes: 2, FlagScore: 2}
+	cfg := Config{MaxNodes: 48, maxEdges: 40, MinSize: 3, MinTypes: 2, FlagScore: 2}
 	caught := 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		ref := newReferenceGraph(cfg)
@@ -344,7 +344,7 @@ func TestGraphMatchesReference(t *testing.T) {
 // own, where every tie-break decides: one observation links a hub to eight
 // addresses at one tick, the budget keeps six.
 func TestEdgeBudgetEvictsOldestByKeyOrder(t *testing.T) {
-	cfg := Config{MaxNodes: 1 << 10, MaxEdges: 8}
+	cfg := Config{MaxNodes: 1 << 10, maxEdges: 8}
 	g, ref := New(cfg), newReferenceGraph(cfg)
 	for _, keys := range [][]string{
 		{"fp:hub", "ip:7", "ip:3"},

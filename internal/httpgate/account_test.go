@@ -1,7 +1,6 @@
 package httpgate
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -9,7 +8,6 @@ import (
 
 	"funabuse/internal/account"
 	"funabuse/internal/obs"
-	"funabuse/internal/resilience"
 	"funabuse/internal/simclock"
 )
 
@@ -50,10 +48,9 @@ func TestAccountLayerRestrictsByTier(t *testing.T) {
 
 func TestAccountLayerTierRateMultipliers(t *testing.T) {
 	g := New(Config{Clock: simclock.NewManual(t0)}, WithAccounts(AccountPolicy{
-		Lookup:      tierMap{"vip": 1},
-		BaseLimit:   2,
-		Window:      time.Hour,
-		Multipliers: []int{1, 4},
+		Lookup:    tierMap{"vip": 1},
+		BaseLimit: 2,
+		Window:    time.Hour,
 	}))
 	r := httptest.NewRequest(http.MethodGet, "/search", nil)
 
@@ -78,38 +75,6 @@ func TestAccountLayerTierRateMultipliers(t *testing.T) {
 	// skipped entirely.
 	if got := decideN(ClientInfo{IP: "198.51.100.3"}, 20); got != 20 {
 		t.Fatalf("anonymous admitted %d of 20, want all", got)
-	}
-}
-
-func TestAccountTierFuncPoliciesAndBreaker(t *testing.T) {
-	r := httptest.NewRequest(http.MethodGet, "/seatmap/bulk", nil)
-	info := ClientInfo{IP: "198.51.100.1", ClientKey: "u1"}
-
-	// A healthy custom tier resolution gates exactly like the lookup.
-	g := New(Config{Clock: simclock.NewManual(t0)}, WithAccounts(AccountPolicy{
-		TierFunc:   func(key string, now time.Time) (int, error) { return 0, nil },
-		Restricted: map[string]int{"/seatmap/bulk": 2},
-	}))
-	if d := g.Decide(r, info); d.Reason != ReasonAccountTier {
-		t.Fatalf("custom tier func: %+v", d)
-	}
-
-	// A failing resolution resolves by policy: fail-open admits degraded...
-	boom := func(string, time.Time) (int, error) { return 0, errors.New("account service down") }
-	open := New(Config{Clock: simclock.NewManual(t0), Resilience: &ResilienceConfig{}},
-		WithAccounts(AccountPolicy{TierFunc: boom, Restricted: map[string]int{"/seatmap/bulk": 2}}))
-	if d := open.Decide(r, info); d.Denied() || d.Degraded&(1<<LayerAccount) == 0 {
-		t.Fatalf("fail-open account layer: %+v", d)
-	}
-	// ...fail-closed denies.
-	closed := New(Config{Clock: simclock.NewManual(t0),
-		Resilience: &ResilienceConfig{Account: resilience.FailClosed}},
-		WithAccounts(AccountPolicy{TierFunc: boom, Restricted: map[string]int{"/seatmap/bulk": 2}}))
-	if d := closed.Decide(r, info); d.Reason != ReasonAccountTier {
-		t.Fatalf("fail-closed account layer: %+v", d)
-	}
-	if closed.Breaker(LayerAccount) == nil {
-		t.Fatal("account layer got no breaker")
 	}
 }
 

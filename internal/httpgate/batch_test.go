@@ -40,15 +40,16 @@ type batchFixture struct {
 	ring    *obs.TraceRing
 	journal []string
 	// The keyed limiters behind the profile, resource and path layers:
-	// the gate's built-ins, or the ones the custom CheckFuncs wrap.
+	// the gate's built-ins, or for resource the one the custom CheckFunc
+	// wraps.
 	limiters [3]*signal.Limiter
 }
 
 // newBatchFixture builds a gate with the given subset of check layers on
 // — plus RequireFingerprint, the decision journal, resilience guards and
 // full telemetry — either over the built-in implementations or, with
-// custom, over the CheckFunc/TierFunc/ChallengeFunc seams wrapping
-// equivalent state.
+// custom, with the blocklist and resource layers on the CheckFunc seams
+// wrapping equivalent state.
 func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 	t.Helper()
 	f := &batchFixture{
@@ -59,9 +60,8 @@ func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 	cfg := Config{
 		Clock:              f.clock,
 		RequireFingerprint: true,
-		OnDecisionFunc: func(r *http.Request, info ClientInfo, deniedBy string) error {
+		OnDecision: func(r *http.Request, info ClientInfo, deniedBy string) {
 			f.journal = append(f.journal, info.ClientKey+"|"+r.URL.Path+"|"+deniedBy)
-			return nil
 		},
 	}
 	if layers&fxBlocklist != 0 {
@@ -77,58 +77,39 @@ func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 	if layers&fxEntity != 0 {
 		graph := entitygraph.New(entitygraph.Config{MinSize: 3, MinTypes: 2, FlagScore: 1})
 		graph.Observe([]string{"fp:6", "ip:10.0.0.4", "ck:user-5"}, 2)
-		if custom {
-			cfg.EntityCheck = func(key string, _ time.Time) (bool, error) { return graph.Flagged(key), nil }
-		} else {
-			cfg.Entities = graph
-		}
+		cfg.Entities = graph
 	}
 	if layers&fxAccount != 0 {
-		tiers := tierMap{"user-1": 1, "user-2": 3}
 		cfg.Accounts = &AccountPolicy{
-			Restricted:  map[string]int{"/p/3": 1},
-			BaseLimit:   4,
-			Window:      time.Minute,
-			Multipliers: []int{1, 2, 4, 8},
-		}
-		if custom {
-			cfg.Accounts.TierFunc = func(key string, _ time.Time) (int, error) { return tiers[key], nil }
-		} else {
-			cfg.Accounts.Lookup = tiers
+			Lookup:     tierMap{"user-1": 1, "user-2": 3},
+			Restricted: map[string]int{"/p/3": 1},
+			BaseLimit:  4,
+			Window:     time.Minute,
 		}
 	}
 	if layers&fxChallenge != 0 {
-		pass := func(r *http.Request, info ClientInfo) bool { return r.Header.Get("X-Challenge") != "deny" }
-		if custom {
-			cfg.ChallengeFunc = func(r *http.Request, info ClientInfo) (bool, error) { return pass(r, info), nil }
-		} else {
-			cfg.Challenge = pass
-		}
-	}
-	// limiter wires one keyed-limiter layer: the built-in via its limit
-	// and window, or a CheckFunc over an identical limiter of the test's.
-	limiter := func(slot, limit int, setLimit *int, window *time.Duration, check *CheckFunc) {
-		if !custom {
-			*setLimit, *window = limit, time.Minute
-			return
-		}
-		lim := signal.NewLimiter(signal.LimiterConfig{Window: time.Minute, Limit: limit})
-		f.limiters[slot] = lim
-		*check = func(key string, now time.Time) (bool, error) { return lim.Allow(key, now), nil }
+		cfg.Challenge = func(r *http.Request, info ClientInfo) bool { return r.Header.Get("X-Challenge") != "deny" }
 	}
 	if layers&fxProfile != 0 {
-		limiter(0, 3, &cfg.ProfileLimit, &cfg.ProfileWindow, &cfg.ProfileCheck)
+		cfg.ProfileLimit, cfg.ProfileWindow = 3, time.Minute
 	}
 	if layers&fxResource != 0 {
 		cfg.ResourceKey = func(r *http.Request) string { return r.URL.Query().Get("pnr") }
-		limiter(1, 20, &cfg.ResourceLimit, &cfg.ResourceWindow, &cfg.ResourceCheck)
+		if custom {
+			lim := signal.NewLimiter(signal.LimiterConfig{Window: time.Minute, Limit: 20})
+			f.limiters[1] = lim
+			cfg.ResourceCheck = func(key string, now time.Time) (bool, error) { return lim.Allow(key, now), nil }
+		} else {
+			cfg.ResourceLimit, cfg.ResourceWindow = 20, time.Minute
+		}
 	}
 	if layers&fxPath != 0 {
-		limiter(2, 40, &cfg.PathLimit, &cfg.PathWindow, &cfg.PathCheck)
+		cfg.PathLimit, cfg.PathWindow = 40, time.Minute
 	}
 	f.g = New(cfg, WithResilience(ResilienceConfig{}), WithTelemetry(f.reg), WithTraces(f.ring))
+	f.limiters[0], f.limiters[2] = f.g.profile, f.g.path
 	if !custom {
-		f.limiters = [3]*signal.Limiter{f.g.profile, f.g.resource, f.g.path}
+		f.limiters[1] = f.g.resource
 	}
 	return f
 }
@@ -199,11 +180,10 @@ func accountBatchFixture(*testing.T) *batchFixture {
 		PathLimit:  1 << 30,
 		PathWindow: time.Hour,
 	}, WithResilience(ResilienceConfig{}), WithAccounts(AccountPolicy{
-		Lookup:      tierMap{"vip": 3},
-		Restricted:  map[string]int{"/seatmap/bulk": 1},
-		BaseLimit:   1,
-		Window:      time.Hour,
-		Multipliers: []int{1, 2, 4, 8},
+		Lookup:     tierMap{"vip": 3},
+		Restricted: map[string]int{"/seatmap/bulk": 1},
+		BaseLimit:  1,
+		Window:     time.Hour,
 	}))}
 }
 
@@ -229,7 +209,8 @@ func accountBatchStream() []Request {
 // at batch sizes 1, 7 and 64; the entity and account rows are those
 // layers' own fixtures; the seam rows repeat the mixed stream over every
 // on/off subset of the seven check layers, once on the built-in
-// implementations and once on the custom CheckFunc seams.
+// implementations and once with the blocklist and resource layers on the
+// custom CheckFunc seams.
 func TestDecideBatchMatchesSequential(t *testing.T) {
 	classic := func(t *testing.T) *batchFixture { return newBatchFixture(t, fxClassic, false) }
 	for _, batch := range []int{1, 7, 64} {
@@ -340,16 +321,17 @@ func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing
 }
 
 // TestDecideBatchDegradedMatchesSequential repeats the equivalence check
-// with a custom profile check whose breaker has been driven open: the
+// with a custom resource check whose breaker has been driven open: the
 // batch path's one-snapshot-per-round degrade handling must produce the
 // same per-request masks and verdicts as sequential decide.
 func TestDecideBatchDegradedMatchesSequential(t *testing.T) {
 	build := func() (*Gate, *simclock.Manual) {
 		clock := simclock.NewManual(t0)
 		g := New(Config{
-			Clock: clock,
-			ProfileCheck: func(key string, now time.Time) (bool, error) {
-				return false, fmt.Errorf("profile store down")
+			Clock:       clock,
+			ResourceKey: func(r *http.Request) string { return QueryValue(r, "pnr") },
+			ResourceCheck: func(key string, now time.Time) (bool, error) {
+				return false, fmt.Errorf("quota store down")
 			},
 			PathLimit:  1 << 30,
 			PathWindow: time.Hour,
@@ -378,8 +360,8 @@ func TestDecideBatchDegradedMatchesSequential(t *testing.T) {
 		seqC.Advance(time.Second)
 		batC.Advance(time.Second)
 	}
-	if seqG.Breaker(LayerProfile).State() != batG.Breaker(LayerProfile).State() {
+	if seqG.Breaker(LayerResource).State() != batG.Breaker(LayerResource).State() {
 		t.Fatalf("breaker states diverge: sequential %v, batch %v",
-			seqG.Breaker(LayerProfile).State(), batG.Breaker(LayerProfile).State())
+			seqG.Breaker(LayerResource).State(), batG.Breaker(LayerResource).State())
 	}
 }

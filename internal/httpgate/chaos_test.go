@@ -3,6 +3,7 @@ package httpgate
 import (
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"funabuse/internal/mitigate"
 	"funabuse/internal/resilience"
 	"funabuse/internal/simclock"
+	"funabuse/internal/simrand"
 )
 
 // chaosGate is the concurrent-test fixture: unlike env its handler is
@@ -54,7 +56,7 @@ func chaosFire(h http.Handler, workers, per int) (admitted, denied int) {
 }
 
 // TestGateChaosFlappingLimiterExactCounts runs concurrent clients through a
-// gate whose profile limiter flaps on a deterministic schedule. Because the
+// gate whose resource limiter flaps on a deterministic schedule. Because the
 // outage is a pure function of the shared virtual clock, every counter is
 // exact regardless of goroutine interleaving, under both fail policies.
 func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
@@ -74,7 +76,7 @@ func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
 			Schedule: faultinject.Schedule{Start: downAt, Period: 1000 * time.Hour, Down: time.Hour},
 		})
 		gate, server, clock := chaosGate(func(c *Config) {
-			c.ProfileCheck = inj.WrapErr(func(key string, now time.Time) (bool, error) { return true, nil })
+			withResourceCheck(c, inj.WrapErr(func(key string, now time.Time) (bool, error) { return true, nil }))
 			c.Resilience = &ResilienceConfig{
 				Breaker: resilience.BreakerConfig{
 					Window:         time.Minute,
@@ -83,10 +85,10 @@ func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
 					OpenFor:        30 * time.Second,
 					HalfOpenProbes: 3,
 				},
-				Profile: tc.policy,
+				Resource: tc.policy,
 			}
 		})
-		br := gate.Breaker(LayerProfile)
+		br := gate.Breaker(LayerResource)
 
 		// Phase 1: healthy concurrent traffic.
 		adm, den := chaosFire(server, workers, per)
@@ -139,21 +141,37 @@ func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
 	}
 }
 
+// seededFaults is a resource check that fails with probability rate,
+// drawn from one seeded stream under a mutex: concurrent callers see a
+// racy interleaving but a fixed multiset of failures.
+type seededFaults struct {
+	mu     sync.Mutex
+	rng    *simrand.RNG
+	rate   float64
+	errors atomic.Uint64
+}
+
+func (f *seededFaults) check(string, time.Time) (bool, error) {
+	f.mu.Lock()
+	hit := f.rng.Bool(f.rate)
+	f.mu.Unlock()
+	if hit {
+		f.errors.Add(1)
+		return false, errLayerDown
+	}
+	return true, nil
+}
+
 // TestGateChaosSeededErrorsExactMultiset injects seed-driven probabilistic
-// faults into the challenge layer under concurrent load. The interleaving is
+// faults into the resource layer under concurrent load. The interleaving is
 // racy but the fault multiset is not: the gate's degraded tally equals the
-// injector's count, which matches a serial run on the same seed.
+// fault source's count, which matches a serial run on the same seed.
 func TestGateChaosSeededErrorsExactMultiset(t *testing.T) {
 	const workers, per, seed = 8, 100, 77
-	build := func() (*faultinject.Injector, *Gate, http.Handler) {
-		inj := faultinject.New(faultinject.Config{Seed: seed, ErrorRate: 0.2})
+	build := func() (*seededFaults, *Gate, http.Handler) {
+		faults := &seededFaults{rng: simrand.New(seed), rate: 0.2}
 		gate, server, _ := chaosGate(func(c *Config) {
-			c.ChallengeFunc = func(r *http.Request, info ClientInfo) (bool, error) {
-				if err := inj.Hit(t0); err != nil {
-					return false, err
-				}
-				return true, nil
-			}
+			withResourceCheck(c, faults.check)
 			// MinSamples above the request volume keeps the breaker closed,
 			// so no call is ever short-circuited and every injected error
 			// surfaces as one degraded decision.
@@ -161,26 +179,27 @@ func TestGateChaosSeededErrorsExactMultiset(t *testing.T) {
 				Breaker: resilience.BreakerConfig{MinSamples: 10 * workers * per},
 			}
 		})
-		return inj, gate, server
+		return faults, gate, server
 	}
 
-	inj, gate, server := build()
+	faults, gate, server := build()
 	adm, den := chaosFire(server, workers, per)
 	if adm != workers*per || den != 0 {
 		t.Fatalf("admitted %d denied %d under fail-open faults", adm, den)
 	}
-	if got := gateStat(t, gate, MetricDegraded); got != inj.Errors() {
-		t.Fatalf("gate degraded %d, injector errors %d", got, inj.Errors())
+	injected := faults.errors.Load()
+	if got := gateStat(t, gate, MetricDegraded); got != injected {
+		t.Fatalf("gate degraded %d, injected errors %d", got, injected)
 	}
-	if got := gateStat(t, gate, MetricLayerErrors, layerLabel(LayerChallenge)); got != inj.Errors() {
-		t.Fatalf("layer errors %d, injector %d", got, inj.Errors())
+	if got := gateStat(t, gate, MetricLayerErrors, layerLabel(LayerResource)); got != injected {
+		t.Fatalf("layer errors %d, injected %d", got, injected)
 	}
 
-	serialInj, _, serialServer := build()
+	serial, _, serialServer := build()
 	for range workers * per {
 		fire(serialServer, "/booking/1", "s", 1)
 	}
-	if serialInj.Errors() != inj.Errors() || serialInj.Errors() == 0 {
-		t.Fatalf("serial injected %d, concurrent %d", serialInj.Errors(), inj.Errors())
+	if got := serial.errors.Load(); got != injected || got == 0 {
+		t.Fatalf("serial injected %d, concurrent %d", got, injected)
 	}
 }

@@ -1,15 +1,12 @@
 package httpgate
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"funabuse/internal/entitygraph"
 	"funabuse/internal/obs"
-	"funabuse/internal/resilience"
 	"funabuse/internal/simclock"
 )
 
@@ -65,45 +62,6 @@ func TestEntityLayerWrapSetsReasonHeader(t *testing.T) {
 	h.ServeHTTP(w, r)
 	if w.Code != http.StatusForbidden || w.Header().Get(ReasonHeader) != ReasonEntity {
 		t.Fatalf("code %d reason %q", w.Code, w.Header().Get(ReasonHeader))
-	}
-}
-
-func TestEntityCheckCustomAndPolicies(t *testing.T) {
-	r := httptest.NewRequest(http.MethodGet, "/booking/hold", nil)
-	info := ClientInfo{IP: "198.51.100.1"}
-
-	// A healthy custom check flags by key.
-	g := New(Config{
-		Clock: simclock.NewManual(t0),
-		EntityCheck: func(key string, now time.Time) (bool, error) {
-			return key == "ip:198.51.100.1", nil
-		},
-	})
-	if d := g.Decide(r, info); d.Reason != ReasonEntity {
-		t.Fatalf("custom check miss: %+v", d)
-	}
-
-	// A failing check resolves by policy: fail-open admits degraded...
-	boom := func(string, time.Time) (bool, error) { return false, errors.New("graph service down") }
-	open := New(Config{
-		Clock:       simclock.NewManual(t0),
-		EntityCheck: boom,
-		Resilience:  &ResilienceConfig{},
-	})
-	if d := open.Decide(r, info); d.Denied() || d.Degraded&(1<<LayerEntity) == 0 {
-		t.Fatalf("fail-open entity layer: %+v", d)
-	}
-	// ...fail-closed denies.
-	closed := New(Config{
-		Clock:       simclock.NewManual(t0),
-		EntityCheck: boom,
-		Resilience:  &ResilienceConfig{Entity: resilience.FailClosed},
-	})
-	if d := closed.Decide(r, info); d.Reason != ReasonEntity {
-		t.Fatalf("fail-closed entity layer: %+v", d)
-	}
-	if closed.Breaker(LayerEntity) == nil {
-		t.Fatal("entity layer got no breaker")
 	}
 }
 

@@ -156,16 +156,15 @@ type ResilienceConfig struct {
 	// Breaker is the per-layer breaker template (every enabled layer gets
 	// its own instance); zero fields select resilience defaults.
 	Breaker resilience.BreakerConfig
-	// Per-layer fail policies. The zero value, FailOpen, skips an
+	// Fail policies of the layers that run caller-supplied code and so can
+	// be unavailable: a BlocklistFunc, the Challenge hook, the ResourceKey
+	// hook or ResourceCheck. The zero value, FailOpen, skips an
 	// unavailable layer; FailClosed denies the request instead. See
-	// DESIGN.md for guidance on choosing per layer.
+	// DESIGN.md for guidance on choosing per layer. The other layers are
+	// in-process built-ins that cannot fail.
 	Blocklist resilience.Policy
-	Entity    resilience.Policy
-	Account   resilience.Policy
 	Challenge resilience.Policy
-	Profile   resilience.Policy
 	Resource  resilience.Policy
-	Path      resilience.Policy
 	// Decision governs the OnDecision journal write: FailClosed turns an
 	// unavailable audit journal into a 503 denial (audit-mandatory
 	// postures); FailOpen serves the request and counts the lost record.
@@ -190,10 +189,6 @@ type Config struct {
 	// serving path (an OnDecision hook, a log tail). entitygraph.Graph
 	// satisfies this.
 	Entities EntityLookup
-	// EntityCheck, when non-nil, replaces Entities as the lookup — the
-	// hook for remote graph services and fault injection. Keys arrive
-	// prefixed ("fp:", "ip:", "ck:") exactly as with Entities.
-	EntityCheck CheckFunc
 	// Accounts, when non-nil, enables the account-lifecycle layer:
 	// per-tier feature access and per-tier rate multipliers resolved
 	// against the client key's loyalty tier. As with the entity layer,
@@ -204,9 +199,6 @@ type Config struct {
 	// request; returning false denies with 403/challenge. Wire it to a
 	// CAPTCHA or proof-of-work verifier.
 	Challenge func(r *http.Request, info ClientInfo) bool
-	// ChallengeFunc is the fallible variant of Challenge and wins when
-	// both are set.
-	ChallengeFunc func(r *http.Request, info ClientInfo) (bool, error)
 	// PathLimit caps requests per path per window; zero disables.
 	PathLimit  int
 	PathWindow time.Duration
@@ -220,11 +212,9 @@ type Config struct {
 	// ResourceLimit caps requests per resource per window; zero disables.
 	ResourceLimit  int
 	ResourceWindow time.Duration
-	// PathCheck, ProfileCheck and ResourceCheck, when non-nil, replace
-	// the corresponding built-in sharded limiter (which is then not
-	// constructed). Keys arrive prefixed ("path:", "pf:", "rs:").
-	PathCheck     CheckFunc
-	ProfileCheck  CheckFunc
+	// ResourceCheck, when non-nil, replaces the built-in per-resource
+	// limiter (which is then not constructed) — the hook for remote
+	// quota services and fault injection. Keys arrive prefixed "rs:".
 	ResourceCheck CheckFunc
 	// TrustForwardedFor reads the client IP from X-Forwarded-For's first
 	// hop. Enable only behind a trusted proxy.
@@ -237,20 +227,11 @@ type Config struct {
 	// the defender's journals). It may run concurrently and must be safe
 	// for concurrent use.
 	OnDecision func(r *http.Request, info ClientInfo, deniedBy string)
-	// OnDecisionFunc is the fallible variant of OnDecision and wins when
-	// both are set.
-	OnDecisionFunc func(r *http.Request, info ClientInfo, deniedBy string) error
 	// Resilience, when non-nil, puts every enabled fallible layer behind
 	// its own circuit breaker with the configured fail policies. When nil
 	// the gate still recovers hook panics and applies (fail-open) layer
 	// policies; it just never short-circuits a flapping layer.
 	Resilience *ResilienceConfig
-	// Shards is the lock-stripe count for each rate-limiting layer,
-	// rounded up to a power of two; zero selects signal.DefaultShards.
-	Shards int
-	// WindowBuckets is the expiry granularity of the limiter bucket
-	// rings; zero selects signal.DefaultWindowBuckets.
-	WindowBuckets int
 
 	// telemetry, telLabels and traces are set only through WithTelemetry,
 	// WithTelemetryLabels and WithTraces: new cross-cutting concerns
@@ -406,22 +387,24 @@ func New(cfg Config, opts ...Option) *Gate {
 	if cfg.BlocklistFunc == nil && cfg.Blocks != nil {
 		g.blockProbe = cfg.Blocks.BlockedBytes
 	}
-	if lookup := cfg.Entities; cfg.EntityCheck == nil && lookup != nil {
+	if lookup := cfg.Entities; lookup != nil {
 		g.entityProbe = func(key []byte, _ time.Time) bool { return lookup.FlaggedBytes(key) }
 	}
-	g.path = g.newLimiter(cfg.PathCheck, cfg.PathLimit, cfg.PathWindow)
-	g.profile = g.newLimiter(cfg.ProfileCheck, cfg.ProfileLimit, cfg.ProfileWindow)
-	g.resource = g.newLimiter(cfg.ResourceCheck, cfg.ResourceLimit, cfg.ResourceWindow)
+	g.path = newLimiter(cfg.PathLimit, cfg.PathWindow)
+	g.profile = newLimiter(cfg.ProfileLimit, cfg.ProfileWindow)
+	if cfg.ResourceCheck == nil {
+		g.resource = newLimiter(cfg.ResourceLimit, cfg.ResourceWindow)
+	}
 	g.buildAccounts()
 
 	// Resolve the step table: one entry per enabled row, in table order,
 	// the trailing journal row held apart because it runs after the
-	// verdict. With a ResilienceConfig every layer takes its fail policy
-	// and every enabled one its own breaker.
+	// verdict. With a ResilienceConfig every layer that has one takes its
+	// fail policy, and every enabled layer its own breaker.
 	rc := cfg.Resilience
 	for i := range layerTable {
 		row := &layerTable[i]
-		if rc != nil {
+		if rc != nil && row.policy != nil {
 			g.guards[row.layer].policy = row.policy(rc)
 		}
 		if !row.enabled(g) {
@@ -441,16 +424,13 @@ func New(cfg Config, opts ...Option) *Gate {
 	return g
 }
 
-// newLimiter builds a layer's built-in sharded limiter; nil when a custom
-// check replaces it or the limit disables the layer.
-func (g *Gate) newLimiter(custom CheckFunc, limit int, window time.Duration) *signal.Limiter {
-	if custom != nil || limit <= 0 {
+// newLimiter builds a layer's built-in sharded limiter; nil when the limit
+// disables the layer.
+func newLimiter(limit int, window time.Duration) *signal.Limiter {
+	if limit <= 0 {
 		return nil
 	}
-	return signal.NewLimiter(signal.LimiterConfig{
-		Window: window, Limit: limit,
-		Buckets: g.cfg.WindowBuckets, Shards: g.cfg.Shards,
-	})
+	return signal.NewLimiter(signal.LimiterConfig{Window: window, Limit: limit})
 }
 
 // Breaker exposes a layer's breaker for tests and dashboards; nil without

@@ -51,7 +51,8 @@ type layerRow struct {
 	// does NOT skip it — an anonymous client is a guest, and guests do not
 	// reach member-only features.
 	needsKey bool
-	// policy selects the layer's fail policy from a ResilienceConfig.
+	// policy selects the layer's fail policy from a ResilienceConfig; nil
+	// for the built-in layers, which cannot fail and so stay FailOpen.
 	policy func(*ResilienceConfig) resilience.Policy
 	// enabled reports whether g's configuration turns the step on.
 	enabled func(*Gate) bool
@@ -69,6 +70,9 @@ type layerRow struct {
 	bulk func(*Gate) (*signal.Limiter, keyFunc)
 }
 
+// always is the builtin predicate of a layer no caller code can replace.
+func always(*Gate) bool { return true }
+
 var layerTable = [...]layerRow{
 	{
 		layer: LayerBlocklist, name: "blocklist",
@@ -83,53 +87,45 @@ var layerTable = [...]layerRow{
 	{
 		layer: LayerEntity, name: "entity",
 		reason: ReasonEntity, status: http.StatusForbidden,
-		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Entity },
-		enabled: func(g *Gate) bool { return g.entityProbe != nil || g.cfg.EntityCheck != nil },
-		builtin: func(g *Gate) bool { return g.entityProbe != nil },
+		enabled: func(g *Gate) bool { return g.entityProbe != nil },
+		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			return screenIdentities(ctx, g.entityProbe, g.cfg.EntityCheck)
+			return screenIdentities(ctx, g.entityProbe, nil)
 		},
 	},
 	// The account layer has two denial reasons, so it is two rows under
-	// one Layer (one breaker, one fail policy): the per-tier feature gate,
-	// then the per-tier rate. A custom TierFunc is the layer's
-	// remote-lookup seam.
+	// one Layer (one breaker): the per-tier feature gate, then the
+	// per-tier rate.
 	{
 		layer: LayerAccount, name: "account",
 		reason: ReasonAccountTier, status: http.StatusForbidden, passVal: true,
-		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Account },
 		enabled: func(g *Gate) bool { return g.accounts != nil && len(g.accounts.Restricted) > 0 },
-		builtin: func(g *Gate) bool { return g.accounts.TierFunc == nil },
+		builtin: always,
 		call:    callAccountGate,
 	},
 	{
 		layer: LayerAccount, name: "account",
 		reason: ReasonAccountLimit, status: http.StatusTooManyRequests, passVal: true, needsKey: true,
-		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Account },
 		enabled: func(g *Gate) bool { return g.accounts != nil && g.accounts.BaseLimit > 0 },
-		builtin: func(g *Gate) bool { return g.accounts.TierFunc == nil },
+		builtin: always,
 		call:    callAccountLimit,
 	},
 	{
 		layer: LayerChallenge, name: "challenge",
 		reason: ReasonChallenge, status: http.StatusForbidden, passVal: true,
 		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Challenge },
-		enabled: func(g *Gate) bool { return g.cfg.Challenge != nil || g.cfg.ChallengeFunc != nil },
+		enabled: func(g *Gate) bool { return g.cfg.Challenge != nil },
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			if fn := g.cfg.ChallengeFunc; fn != nil {
-				return fn(ctx.r, ctx.info)
-			}
 			return g.cfg.Challenge(ctx.r, ctx.info), nil
 		},
 	},
 	{
 		layer: LayerProfile, name: "profile",
 		reason: ReasonProfile, status: http.StatusTooManyRequests, passVal: true, needsKey: true,
-		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Profile },
-		enabled: func(g *Gate) bool { return g.profile != nil || g.cfg.ProfileCheck != nil },
-		builtin: func(g *Gate) bool { return g.profile != nil },
+		enabled: func(g *Gate) bool { return g.profile != nil },
+		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			return allowKeyed(ctx, profileKey(ctx.buf[:0], ctx.r, &ctx.info), g.profile, g.cfg.ProfileCheck)
+			return allowKeyed(ctx, profileKey(ctx.buf[:0], ctx.r, &ctx.info), g.profile, nil)
 		},
 		bulk: func(g *Gate) (*signal.Limiter, keyFunc) { return g.profile, profileKey },
 	},
@@ -148,11 +144,10 @@ var layerTable = [...]layerRow{
 	{
 		layer: LayerPath, name: "path",
 		reason: ReasonPathLimit, status: http.StatusTooManyRequests, passVal: true,
-		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Path },
-		enabled: func(g *Gate) bool { return g.path != nil || g.cfg.PathCheck != nil },
-		builtin: func(g *Gate) bool { return g.path != nil },
+		enabled: func(g *Gate) bool { return g.path != nil },
+		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			return allowKeyed(ctx, pathKey(ctx.buf[:0], ctx.r, &ctx.info), g.path, g.cfg.PathCheck)
+			return allowKeyed(ctx, pathKey(ctx.buf[:0], ctx.r, &ctx.info), g.path, nil)
 		},
 		bulk: func(g *Gate) (*signal.Limiter, keyFunc) { return g.path, pathKey },
 	},
@@ -164,11 +159,8 @@ var layerTable = [...]layerRow{
 		layer: LayerDecision, name: "decision",
 		reason: ReasonDecision, status: http.StatusServiceUnavailable, passVal: true,
 		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Decision },
-		enabled: func(g *Gate) bool { return g.cfg.OnDecision != nil || g.cfg.OnDecisionFunc != nil },
+		enabled: func(g *Gate) bool { return g.cfg.OnDecision != nil },
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			if fn := g.cfg.OnDecisionFunc; fn != nil {
-				return true, fn(ctx.r, ctx.info, ctx.reason)
-			}
 			g.cfg.OnDecision(ctx.r, ctx.info, ctx.reason)
 			return true, nil
 		},

@@ -44,7 +44,7 @@ func WithTraces(ring *obs.TraceRing) Option {
 // WithAccounts enables the account-lifecycle layer under p (overrides
 // Config.Accounts): the client key's loyalty tier gates feature access
 // (Restricted paths, 403/account-tier) and scales the per-key rate
-// allowance (BaseLimit x Multipliers[tier], 429/rate-limit-account).
+// allowance (BaseLimit times the tier multiplier, 429/rate-limit-account).
 func WithAccounts(p AccountPolicy) Option {
 	return func(cfg *Config) { cfg.Accounts = &p }
 }

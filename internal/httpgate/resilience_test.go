@@ -110,8 +110,8 @@ func TestGatePanicInOnDecisionRecovered(t *testing.T) {
 
 func TestGateDecisionFailClosedDenies(t *testing.T) {
 	e := newEnv(t, func(c *Config) {
-		c.OnDecisionFunc = func(r *http.Request, info ClientInfo, deniedBy string) error {
-			return errLayerDown
+		c.OnDecision = func(r *http.Request, info ClientInfo, deniedBy string) {
+			panic("journal exploded")
 		}
 		c.Resilience = &ResilienceConfig{Decision: resilience.FailClosed}
 	})
@@ -155,8 +155,15 @@ func TestGateBlocklistOutagePolicies(t *testing.T) {
 	}
 }
 
+// withResourceCheck makes check the gate's per-resource limiter, keying
+// every request on one booking reference.
+func withResourceCheck(c *Config, check CheckFunc) {
+	c.ResourceCheck = check
+	c.ResourceKey = func(*http.Request) string { return "PNR1" }
+}
+
 func TestGateLimiterOutagePolicies(t *testing.T) {
-	// An unavailable profile limiter admits under FailOpen (availability
+	// An unavailable resource limiter admits under FailOpen (availability
 	// first: the abuse window re-opens) and denies under FailClosed.
 	cases := []struct {
 		policy resilience.Policy
@@ -168,14 +175,14 @@ func TestGateLimiterOutagePolicies(t *testing.T) {
 	for _, c := range cases {
 		fc := &faultyCheck{broken: true}
 		e := newEnv(t, func(cfg *Config) {
-			cfg.ProfileCheck = fc.check
-			cfg.Resilience = &ResilienceConfig{Profile: c.policy}
+			withResourceCheck(cfg, fc.check)
+			cfg.Resilience = &ResilienceConfig{Resource: c.policy}
 		})
 		w := e.do(t, "/booking/1", withCookie("alice"))
 		if w.Code != c.status {
 			t.Fatalf("policy %v: status %d, want %d", c.policy, w.Code, c.status)
 		}
-		if got := w.Header().Get(DegradedHeader); got != "profile" {
+		if got := w.Header().Get(DegradedHeader); got != "resource" {
 			t.Fatalf("policy %v: degraded header %q", c.policy, got)
 		}
 	}
@@ -186,7 +193,7 @@ func TestGateDegradedHeaderListsAllLayers(t *testing.T) {
 	// in pipeline order.
 	e := newEnv(t, func(c *Config) {
 		c.BlocklistFunc = (&faultyCheck{broken: true}).check
-		c.ProfileCheck = (&faultyCheck{broken: true}).check
+		withResourceCheck(c, (&faultyCheck{broken: true}).check)
 		c.Blocks = nil
 		c.Resilience = &ResilienceConfig{}
 	})
@@ -194,7 +201,7 @@ func TestGateDegradedHeaderListsAllLayers(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
-	if got := w.Header().Get(DegradedHeader); got != "blocklist,profile" {
+	if got := w.Header().Get(DegradedHeader); got != "blocklist,resource" {
 		t.Fatalf("degraded header %q", got)
 	}
 	if got := gateStat(t, e.gate, MetricDegraded); got != 1 {
@@ -220,12 +227,12 @@ func TestGateHealthyDecisionHasNoDegradedHeader(t *testing.T) {
 }
 
 func TestGateBreakerTripsAndRecovers(t *testing.T) {
-	// Drive the profile layer through the full breaker lifecycle from the
+	// Drive the resource layer through the full breaker lifecycle from the
 	// HTTP surface: errors trip it open, the cooldown admits probes, and
 	// probe successes close it again.
 	fc := &faultyCheck{broken: true, verdict: true}
 	e := newEnv(t, func(c *Config) {
-		c.ProfileCheck = fc.check
+		withResourceCheck(c, fc.check)
 		c.Resilience = &ResilienceConfig{
 			Breaker: resilience.BreakerConfig{
 				Window:         time.Minute,
@@ -236,7 +243,7 @@ func TestGateBreakerTripsAndRecovers(t *testing.T) {
 			},
 		}
 	})
-	br := e.gate.Breaker(LayerProfile)
+	br := e.gate.Breaker(LayerResource)
 
 	for range 4 {
 		if w := e.do(t, "/booking/1", withCookie("alice")); w.Code != http.StatusOK {
@@ -249,9 +256,9 @@ func TestGateBreakerTripsAndRecovers(t *testing.T) {
 
 	// Open: calls short-circuit without touching the (still broken) layer.
 	fc.broken = false
-	before := gateStat(t, e.gate, MetricLayerErrors, layerLabel(LayerProfile))
+	before := gateStat(t, e.gate, MetricLayerErrors, layerLabel(LayerResource))
 	e.do(t, "/booking/1", withCookie("alice"))
-	if got := gateStat(t, e.gate, MetricLayerErrors, layerLabel(LayerProfile)); got != before {
+	if got := gateStat(t, e.gate, MetricLayerErrors, layerLabel(LayerResource)); got != before {
 		t.Fatalf("layer called while breaker open: errors %d -> %d", before, got)
 	}
 

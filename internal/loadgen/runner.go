@@ -56,8 +56,6 @@ type RunnerConfig struct {
 	// time: workers sleep until each arrival's intended start and fire,
 	// falling behind only in measured latency, never in the schedule.
 	Virtual *simclock.Manual
-	// Client issues the requests; nil selects a pooled default.
-	Client *http.Client
 	// Telemetry, when non-nil, exposes live counters and the
 	// intended-start latency histogram per class for /metrics scrapes.
 	Telemetry *obs.Registry
@@ -139,10 +137,9 @@ func NewRunner(cfg RunnerConfig) (*Runner, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	httpClient := cfg.Client
-	if httpClient == nil {
-		transport := &http.Transport{MaxIdleConnsPerHost: cfg.Workers * 2}
-		httpClient = &http.Client{Timeout: 30 * time.Second, Transport: transport}
+	httpClient := &http.Client{
+		Timeout:   30 * time.Second,
+		Transport: &http.Transport{MaxIdleConnsPerHost: cfg.Workers * 2},
 	}
 	sc := cfg.Plan.Scenario
 	root := simrand.New(sc.Seed)

@@ -35,15 +35,15 @@ type TargetConfig struct {
 	// ways: the gate's account layer resolves each client key's loyalty
 	// tier from the store — denying AccountRestricted paths below their
 	// minimum tier and rate-limiting per tier at AccountBaseLimit scaled
-	// by AccountMultipliers over AccountWindow — and an AccountFeeder
-	// creates accounts on first sight and accrues every identified
-	// request (admitted AccountBookingPaths hits count as bookings). The
-	// caller owns the store and may pre-register established members.
+	// by the gate's tier multipliers over AccountWindow — and an
+	// AccountFeeder creates accounts on first sight and accrues every
+	// identified request (admitted AccountBookingPaths hits count as
+	// bookings). The caller owns the store and may pre-register
+	// established members.
 	Accounts            *account.Store
 	AccountRestricted   map[string]int
 	AccountBaseLimit    int
 	AccountWindow       time.Duration
-	AccountMultipliers  []int
 	AccountBookingPaths []string
 
 	// Decoys, when non-nil, seeds the rule deployer's honeypot check: an
@@ -131,11 +131,10 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 	var opts []httpgate.Option
 	if cfg.Accounts != nil {
 		opts = append(opts, httpgate.WithAccounts(httpgate.AccountPolicy{
-			Lookup:      cfg.Accounts,
-			Restricted:  cfg.AccountRestricted,
-			BaseLimit:   cfg.AccountBaseLimit,
-			Window:      cfg.AccountWindow,
-			Multipliers: cfg.AccountMultipliers,
+			Lookup:     cfg.Accounts,
+			Restricted: cfg.AccountRestricted,
+			BaseLimit:  cfg.AccountBaseLimit,
+			Window:     cfg.AccountWindow,
 		}))
 		sinks = append(sinks, NewAccountFeeder(AccountFeederConfig{
 			Store:        cfg.Accounts,

@@ -75,10 +75,7 @@ func TestCollectorConformance(t *testing.T) {
 		{
 			name: "detect.StreamMonitor",
 			build: func(t *testing.T) obs.Collector {
-				m := detect.NewStreamMonitor(detect.StreamConfig{
-					RateThreshold: 2,
-					MaxAlerts:     1,
-				})
+				m := detect.NewStreamMonitor(detect.StreamConfig{RateThreshold: 2})
 				for i := 0; i < 3; i++ {
 					m.Observe(weblog.Request{
 						Time: confT0.Add(time.Duration(i) * time.Second),

@@ -179,11 +179,10 @@ func (p *Pool) exit(i int) IP {
 // per-request price. Pricing is what makes honeypot/economic mitigations
 // bite: every wasted request still costs the attacker proxy bandwidth.
 type Service struct {
-	rng           *simrand.RNG
-	pools         map[string]*Pool
-	poolSize      int
-	requests      int
-	costPerReqUSD float64
+	rng      *simrand.RNG
+	pools    map[string]*Pool
+	poolSize int
+	requests int
 }
 
 // ServiceOption configures a Service.
@@ -195,23 +194,18 @@ func WithPoolSize(n int) ServiceOption {
 	return func(s *Service) { s.poolSize = n }
 }
 
-// WithCostPerRequest sets the price the attacker pays per proxied request.
-// Residential bandwidth retails around $3-8/GB; at a few KB per API call
-// the effective per-request price is a fraction of a tenth of a cent.
-func WithCostPerRequest(usd float64) ServiceOption {
-	return func(s *Service) { s.costPerReqUSD = usd }
-}
-
-// DefaultCostPerRequestUSD is the default effective per-request price.
+// DefaultCostPerRequestUSD is the price the attacker pays per proxied
+// request. Residential bandwidth retails around $3-8/GB; at a few KB per
+// API call the effective per-request price is a fraction of a tenth of a
+// cent.
 const DefaultCostPerRequestUSD = 0.0004
 
 // NewService returns a Service drawing from r.
 func NewService(r *simrand.RNG, opts ...ServiceOption) *Service {
 	s := &Service{
-		rng:           r,
-		pools:         make(map[string]*Pool),
-		poolSize:      512,
-		costPerReqUSD: DefaultCostPerRequestUSD,
+		rng:      r,
+		pools:    make(map[string]*Pool),
+		poolSize: 512,
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -237,7 +231,7 @@ func (s *Service) Requests() int { return s.requests }
 
 // SpendUSD returns the attacker's cumulative proxy spend.
 func (s *Service) SpendUSD() float64 {
-	return float64(s.requests) * s.costPerReqUSD
+	return float64(s.requests) * DefaultCostPerRequestUSD
 }
 
 // Session is a client-side handle applying a rotation policy over the

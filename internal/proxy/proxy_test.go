@@ -83,15 +83,15 @@ func TestServiceExitMatchesCountryPool(t *testing.T) {
 }
 
 func TestServiceBilling(t *testing.T) {
-	s := NewService(simrand.New(7), WithCostPerRequest(0.001))
+	s := NewService(simrand.New(7))
 	for range 250 {
 		s.Exit("FR")
 	}
 	if s.Requests() != 250 {
 		t.Fatalf("Requests() = %d", s.Requests())
 	}
-	if got := s.SpendUSD(); got != 0.25 {
-		t.Fatalf("SpendUSD() = %v, want 0.25", got)
+	if got, want := s.SpendUSD(), 250*DefaultCostPerRequestUSD; got != want {
+		t.Fatalf("SpendUSD() = %v, want %v", got, want)
 	}
 }
 

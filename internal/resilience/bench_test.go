@@ -50,22 +50,20 @@ func BenchmarkBreakerClosedParallel(b *testing.B) {
 }
 
 func BenchmarkRetryFirstAttemptSucceeds(b *testing.B) {
-	clock := simclock.NewManual(time.Date(2022, 12, 1, 0, 0, 0, 0, time.UTC))
 	rng := simrand.New(1)
 	sleep := func(time.Duration) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Retry(RetryConfig{}, clock, sleep, rng, func() error { return nil })
+		_ = Retry(RetryConfig{}, sleep, rng, func() error { return nil })
 	}
 }
 
 func BenchmarkRetryAllAttemptsFail(b *testing.B) {
-	clock := simclock.NewManual(time.Date(2022, 12, 1, 0, 0, 0, 0, time.UTC))
 	rng := simrand.New(1)
 	sleep := func(time.Duration) {}
 	boom := errors.New("down")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Retry(RetryConfig{Attempts: 3}, clock, sleep, rng, func() error { return boom })
+		_ = Retry(RetryConfig{Attempts: 3}, sleep, rng, func() error { return boom })
 	}
 }

@@ -40,10 +40,9 @@ var ErrOpen = errors.New("resilience: breaker open")
 // BreakerConfig tunes a Breaker; the zero value of every field selects a
 // sensible default.
 type BreakerConfig struct {
-	// Window is the sliding failure-rate window; non-positive means 30s.
+	// Window is the sliding failure-rate window, counted on a ring of
+	// breakerBuckets buckets; non-positive means 30s.
 	Window time.Duration
-	// Buckets is the window's ring granularity; non-positive means 8.
-	Buckets int
 	// MinSamples is how many in-window outcomes must exist before the
 	// failure rate can trip the breaker; non-positive means 10. It keeps a
 	// single failure on an idle layer from opening the circuit.
@@ -60,12 +59,12 @@ type BreakerConfig struct {
 	HalfOpenProbes int
 }
 
+// breakerBuckets is the failure-rate ring's granularity.
+const breakerBuckets = 8
+
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
 		c.Window = 30 * time.Second
-	}
-	if c.Buckets <= 0 {
-		c.Buckets = 8
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 10
@@ -119,7 +118,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
 	return &Breaker{
 		cfg:  cfg,
-		rate: signal.NewRateWindow(cfg.Window, cfg.Buckets),
+		rate: signal.NewRateWindow(cfg.Window, breakerBuckets),
 	}
 }
 

@@ -14,7 +14,6 @@ var t0 = time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 func testBreaker() *Breaker {
 	return NewBreaker(BreakerConfig{
 		Window:         time.Minute,
-		Buckets:        6,
 		MinSamples:     4,
 		FailureRate:    0.5,
 		OpenFor:        30 * time.Second,

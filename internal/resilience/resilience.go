@@ -1,8 +1,7 @@
 // Package resilience supplies the availability patterns the defence
 // pipeline runs behind: a three-state circuit breaker over sliding
-// failure-rate rings, retry with jittered exponential backoff under a
-// deadline budget, a timeout wrapper for slow calls, and panic isolation
-// for operator-supplied hooks.
+// failure-rate rings, retry with jittered exponential backoff, and panic
+// isolation for operator-supplied hooks.
 //
 // The paper's operational lesson is that each defence layer's availability
 // is itself a fraud surface: a rate limit that silently fails re-opens the
@@ -16,8 +15,6 @@
 // Determinism: the breaker reads time through simclock.Clock and the retry
 // jitter draws from a caller-seeded simrand stream, so every state
 // transition and backoff sequence replays bit-identically in simulation.
-// Only the timeout wrapper uses a real goroutine and a wall-clock timer;
-// it is for I/O-bound calls and real-time tests.
 package resilience
 
 import "fmt"

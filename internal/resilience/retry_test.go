@@ -5,108 +5,82 @@ import (
 	"testing"
 	"time"
 
-	"funabuse/internal/simclock"
 	"funabuse/internal/simrand"
 )
 
-// manualSleeper advances a Manual clock instead of blocking, recording the
-// requested delays.
-type manualSleeper struct {
-	clock *simclock.Manual
-	slept []time.Duration
-}
+// recorder collects the requested backoffs instead of sleeping.
+type recorder struct{ slept []time.Duration }
 
-func (s *manualSleeper) sleep(d time.Duration) {
-	s.slept = append(s.slept, d)
-	s.clock.Advance(d)
+func (r *recorder) sleep(d time.Duration) { r.slept = append(r.slept, d) }
+
+// checkSchedule fails unless every wait lies in the jitter band of the
+// doubling schedule [d*(1-retryJitter), d], with d capped at retryMaxDelay.
+func checkSchedule(t *testing.T, slept []time.Duration) {
+	t.Helper()
+	d := retryBaseDelay
+	for i, got := range slept {
+		if lo := d - time.Duration(retryJitter*float64(d)); got < lo || got > d {
+			t.Fatalf("sleep %d = %v outside [%v, %v]", i, got, lo, d)
+		}
+		d = min(2*d, retryMaxDelay)
+	}
 }
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sl := &manualSleeper{clock: clock}
+	rec := &recorder{}
 	calls := 0
-	err := Retry(RetryConfig{Attempts: 5, BaseDelay: 10 * time.Millisecond, ExactDelays: true},
-		clock, sl.sleep, simrand.New(1), func() error {
-			calls++
-			if calls < 3 {
-				return errors.New("transient")
-			}
-			return nil
-		})
+	err := Retry(RetryConfig{Attempts: 5}, rec.sleep, simrand.New(1), func() error {
+		calls++
+		if calls < 3 {
+			return errors.New("transient")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 3 {
-		t.Fatalf("calls %d", calls)
+	if calls != 3 || len(rec.slept) != 2 {
+		t.Fatalf("calls %d slept %v", calls, rec.slept)
 	}
-	// Exact exponential schedule: 10ms then 20ms.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}
-	if len(sl.slept) != len(want) || sl.slept[0] != want[0] || sl.slept[1] != want[1] {
-		t.Fatalf("slept %v, want %v", sl.slept, want)
-	}
+	checkSchedule(t, rec.slept)
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sl := &manualSleeper{clock: clock}
+	rec := &recorder{}
 	boom := errors.New("boom")
 	calls := 0
-	err := Retry(RetryConfig{Attempts: 3, ExactDelays: true}, clock, sl.sleep, nil, func() error {
+	err := Retry(RetryConfig{Attempts: 3}, rec.sleep, nil, func() error {
 		calls++
 		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err %v", err)
 	}
-	if calls != 3 || len(sl.slept) != 2 {
-		t.Fatalf("calls %d slept %d", calls, len(sl.slept))
+	if calls != 3 || len(rec.slept) != 2 {
+		t.Fatalf("calls %d slept %d", calls, len(rec.slept))
 	}
 }
 
 func TestRetryDelayCappedAtMax(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sl := &manualSleeper{clock: clock}
-	_ = Retry(RetryConfig{
-		Attempts: 6, BaseDelay: 10 * time.Millisecond,
-		MaxDelay: 25 * time.Millisecond, ExactDelays: true,
-	}, clock, sl.sleep, nil, func() error { return errors.New("x") })
-	for i, d := range sl.slept {
-		if d > 25*time.Millisecond {
-			t.Fatalf("sleep %d = %v exceeds MaxDelay", i, d)
+	rec := &recorder{}
+	_ = Retry(RetryConfig{Attempts: 12}, rec.sleep, simrand.New(3), func() error { return errors.New("x") })
+	if len(rec.slept) != 11 {
+		t.Fatalf("slept %d times, want 11", len(rec.slept))
+	}
+	checkSchedule(t, rec.slept)
+	// 10ms doubles past the 1s cap after seven waits; the rest hold there.
+	for i, d := range rec.slept[7:] {
+		if d < retryMaxDelay/2 {
+			t.Fatalf("sleep %d = %v: the backoff fell below the capped band", 7+i, d)
 		}
-	}
-	if last := sl.slept[len(sl.slept)-1]; last != 25*time.Millisecond {
-		t.Fatalf("last sleep %v, want the cap", last)
-	}
-}
-
-func TestRetryBudgetAbandons(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sl := &manualSleeper{clock: clock}
-	calls := 0
-	err := Retry(RetryConfig{
-		Attempts: 10, BaseDelay: 40 * time.Millisecond,
-		Budget: 100 * time.Millisecond, ExactDelays: true,
-	}, clock, sl.sleep, nil, func() error {
-		calls++
-		return errors.New("down")
-	})
-	if !errors.Is(err, ErrBudgetExhausted) {
-		t.Fatalf("err %v, want budget exhaustion", err)
-	}
-	// 40ms + 80ms would cross the 100ms budget: two calls, one sleep.
-	if calls != 2 || len(sl.slept) != 1 {
-		t.Fatalf("calls %d slept %d", calls, len(sl.slept))
 	}
 }
 
 func TestRetryJitterDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) []time.Duration {
-		clock := simclock.NewManual(t0)
-		sl := &manualSleeper{clock: clock}
-		_ = Retry(RetryConfig{Attempts: 4, BaseDelay: 100 * time.Millisecond, Jitter: 0.5},
-			clock, sl.sleep, simrand.New(seed), func() error { return errors.New("x") })
-		return sl.slept
+		rec := &recorder{}
+		_ = Retry(RetryConfig{Attempts: 4}, rec.sleep, simrand.New(seed), func() error { return errors.New("x") })
+		return rec.slept
 	}
 	a, b := run(7), run(7)
 	if len(a) != 3 {
@@ -117,24 +91,16 @@ func TestRetryJitterDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("sleep %d: %v vs %v — jitter not seed-deterministic", i, a[i], b[i])
 		}
 	}
-	// Jitter only shortens: every delay within [d/2, d].
-	base := 100 * time.Millisecond
-	for i, d := range a {
-		if d > base || d < base/2 {
-			t.Fatalf("sleep %d = %v outside [%v, %v]", i, d, base/2, base)
-		}
-		base *= 2
-	}
+	checkSchedule(t, a)
 	if c := run(8); c[0] == a[0] && c[1] == a[1] && c[2] == a[2] {
 		t.Fatal("different seeds produced an identical jitter sequence")
 	}
 }
 
 func TestRetryRecoversPanics(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sl := &manualSleeper{clock: clock}
+	rec := &recorder{}
 	calls := 0
-	err := Retry(RetryConfig{Attempts: 2, ExactDelays: true}, clock, sl.sleep, nil, func() error {
+	err := Retry(RetryConfig{Attempts: 2}, rec.sleep, nil, func() error {
 		calls++
 		panic("flaky hook")
 	})

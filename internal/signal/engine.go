@@ -14,11 +14,9 @@ type EngineConfig struct {
 	// Shards is the lock-stripe count, rounded up to a power of two;
 	// defaults to DefaultShards.
 	Shards int
-	// Window is the sliding window for per-key rates; defaults to 1 h.
+	// Window is the sliding window for per-key rates, on rings of
+	// DefaultWindowBuckets buckets; defaults to 1 h.
 	Window time.Duration
-	// WindowBuckets is the rate-window ring size; defaults to
-	// DefaultWindowBuckets.
-	WindowBuckets int
 	// TopK is how many heavy hitters each shard tracks; defaults to 16.
 	TopK int
 	// SketchWidth and SketchDepth size each shard's count-min sketch;
@@ -82,9 +80,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Hour
 	}
-	if cfg.WindowBuckets <= 0 {
-		cfg.WindowBuckets = DefaultWindowBuckets
-	}
 	if cfg.TopK <= 0 {
 		cfg.TopK = 16
 	}
@@ -146,7 +141,7 @@ func (e *Engine) observe(key, attr string, now time.Time) int {
 	}
 	w, ok := s.windows[key]
 	if !ok {
-		w = NewWindow(e.cfg.Window, e.cfg.WindowBuckets)
+		w = NewWindow(e.cfg.Window, DefaultWindowBuckets)
 		s.windows[key] = w
 	}
 	rate := w.addCount(now)

@@ -60,12 +60,12 @@ type LimiterConfig struct {
 	Window time.Duration
 	// Limit is the per-key allowance per window; values < 1 are clamped.
 	Limit int
-	// Buckets is the expiry granularity (ring size per key); defaults to
-	// DefaultWindowBuckets.
-	Buckets int
-	// Shards is the lock-stripe count, rounded up to a power of two;
-	// defaults to DefaultShards.
-	Shards int
+
+	// buckets (the ring size per key, default DefaultWindowBuckets) and
+	// shards (the lock-stripe count, rounded up to a power of two, default
+	// DefaultShards) are set only by in-package tests, to reach ring
+	// expiry and per-shard budgets in a few operations.
+	buckets, shards int
 }
 
 // limiterKeys is the key budget of one Limiter, split evenly over its
@@ -94,14 +94,14 @@ func NewLimiter(cfg LimiterConfig) *Limiter {
 	if cfg.Limit < 1 {
 		cfg.Limit = 1
 	}
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = DefaultWindowBuckets
+	if cfg.buckets <= 0 {
+		cfg.buckets = DefaultWindowBuckets
 	}
-	n := shardCount(cfg.Shards, DefaultShards)
+	n := shardCount(cfg.shards, DefaultShards)
 	l := &Limiter{
 		window:   cfg.Window,
 		limit:    cfg.Limit,
-		buckets:  cfg.Buckets,
+		buckets:  cfg.buckets,
 		perShard: max(limiterKeys/n, 1),
 		shards:   make([]limiterShard, n),
 		mask:     uint64(n - 1),

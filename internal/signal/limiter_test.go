@@ -20,8 +20,8 @@ import (
 // verdicts, denial totals and tracked-key counts — the contract that lets
 // the gate's hot path build keys in scratch space.
 func TestAllowBytesMatchesAllow(t *testing.T) {
-	a := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 3, Shards: 4})
-	b := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 3, Shards: 4})
+	a := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 3, shards: 4})
+	b := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 3, shards: 4})
 	buf := make([]byte, 0, 32)
 	for i := 0; i < 400; i++ {
 		key := fmt.Sprintf("pf:user-%d", i%17)
@@ -46,8 +46,8 @@ func TestAllowBytesMatchesAllow(t *testing.T) {
 // httpgate.DecideBatch builds on.
 func TestAllowBatchMatchesSequential(t *testing.T) {
 	for _, batch := range []int{1, 7, 64} {
-		seq := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 4, Shards: 8})
-		bat := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 4, Shards: 8})
+		seq := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 4, shards: 8})
+		bat := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 4, shards: 8})
 		const total = 512
 		keys := make([][]byte, total)
 		for i := range keys {
@@ -83,7 +83,7 @@ func TestAllowBatchMatchesSequential(t *testing.T) {
 	// repeats within and across batches, a clock that advances, stalls,
 	// steps back and jumps past the window, and the automatic sweeps firing
 	// on both twins.
-	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 4}
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, buckets: 8, shards: 4}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := simrand.New(seed)
 		seq, bat := NewLimiter(cfg), NewLimiter(cfg)
@@ -156,7 +156,7 @@ func TestAllowBytesSteadyStateAllocs(t *testing.T) {
 
 	// Rotation at the key budget: every attempt a key never seen before,
 	// all of them in-window, so each insert past the budget evicts.
-	l = withKeyBudget(NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30, Shards: 1}), 256)
+	l = withKeyBudget(NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1 << 30, shards: 1}), 256)
 	fresh := make([]byte, 0, 32)
 	next := 0
 	rotate := func() {
@@ -193,7 +193,7 @@ func TestLimiterShardFillsCacheLines(t *testing.T) {
 // automatic ones) interleaved; every verdict, the denial totals and the
 // tracked-key counts must agree throughout.
 func TestLimiterRecycleMatchesFresh(t *testing.T) {
-	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 2}
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, buckets: 8, shards: 2}
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := simrand.New(seed)
 		rec, ref := NewLimiter(cfg), NewLimiter(cfg)
@@ -262,7 +262,7 @@ func TestLimiterRecycleMatchesFresh(t *testing.T) {
 // with no arrivals in between, hands back all but maxSpareRings.
 func TestLimiterSweepReturnsBurstRings(t *testing.T) {
 	const burst = 2 * maxSpareRings // fewer than sweepEvery: no automatic sweep in the burst
-	l := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1, Shards: 1})
+	l := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 1, shards: 1})
 	for i := range burst {
 		l.Allow("pf:"+itoa(i), t0)
 	}
@@ -359,10 +359,10 @@ func (r *referenceBudget) sweep(now time.Time) {
 // evicting it would hand the flooder its allowance back.
 func TestLimiterBudgetMatchesReference(t *testing.T) {
 	const budget = 48
-	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, Buckets: 8, Shards: 1}
+	cfg := LimiterConfig{Window: 10 * time.Second, Limit: 3, buckets: 8, shards: 1}
 	newPair := func() (*Limiter, *referenceBudget) {
 		return withKeyBudget(NewLimiter(cfg), budget),
-			&referenceBudget{keys: map[string]*Window{}, budget: budget, limit: cfg.Limit, window: cfg.Window, buckets: cfg.Buckets}
+			&referenceBudget{keys: map[string]*Window{}, budget: budget, limit: cfg.Limit, window: cfg.Window, buckets: cfg.buckets}
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		rng := simrand.New(seed)

@@ -61,11 +61,11 @@ func (e *Engine) State() *State {
 	}
 	st := &State{
 		window:   e.cfg.Window,
-		buckets:  e.cfg.WindowBuckets,
+		buckets:  DefaultWindowBuckets,
 		observed: e.observed.Load(),
 		windows:  make(map[string]*Window, nWindows),
 	}
-	rings := windowSlab{width: bucketWidth(e.cfg.Window, e.cfg.WindowBuckets), buckets: e.cfg.WindowBuckets}
+	rings := windowSlab{width: bucketWidth(e.cfg.Window, DefaultWindowBuckets), buckets: DefaultWindowBuckets}
 	rings.reserve(nWindows)
 	var counters distinctSlab
 	if !e.cfg.DisableDistinct {

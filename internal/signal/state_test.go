@@ -52,7 +52,6 @@ func stateTestConfig() EngineConfig {
 	return EngineConfig{
 		Shards:            4,
 		Window:            time.Minute,
-		WindowBuckets:     12,
 		TopK:              32,
 		SketchWidth:       256,
 		SketchDepth:       3,
@@ -109,7 +108,6 @@ func TestStateMergeRejectsMismatch(t *testing.T) {
 	want := view.Encode()
 	mutations := map[string]func(*EngineConfig){
 		"window":     func(c *EngineConfig) { c.Window = 2 * time.Minute },
-		"buckets":    func(c *EngineConfig) { c.WindowBuckets = 6 },
 		"topk":       func(c *EngineConfig) { c.TopK = 16 },
 		"width":      func(c *EngineConfig) { c.SketchWidth = 512 },
 		"depth":      func(c *EngineConfig) { c.SketchDepth = 4 },
@@ -121,12 +119,22 @@ func TestStateMergeRejectsMismatch(t *testing.T) {
 		"nodistinct": func(c *EngineConfig) { c.DisableDistinct = true },
 		"nosurge":    func(c *EngineConfig) { c.DisableSurge = true },
 	}
+	others := map[string]*State{}
 	for name, mutate := range mutations {
 		cfg := stateTestConfig()
 		mutate(&cfg)
 		other := NewEngine(cfg)
 		feedEngine(other, -1)
-		if view.Merge(other.State()) {
+		others[name] = other.State()
+	}
+	// Every engine rings DefaultWindowBuckets; another ring size can only
+	// arrive on the wire, from a peer built differently.
+	odd := NewEngine(stateTestConfig())
+	feedEngine(odd, -1)
+	others["buckets"] = odd.State()
+	others["buckets"].buckets = DefaultWindowBuckets / 2
+	for name, other := range others {
+		if view.Merge(other) {
 			t.Fatalf("%s: merge of mismatched configs accepted", name)
 		}
 		if !bytes.Equal(view.Encode(), want) {

@@ -82,7 +82,7 @@ func TestWindowConstantMemory(t *testing.T) {
 }
 
 func TestLimiterMatchesKeyedLimiterSemantics(t *testing.T) {
-	l := NewLimiter(LimiterConfig{Window: time.Hour, Limit: 2, Buckets: 60})
+	l := NewLimiter(LimiterConfig{Window: time.Hour, Limit: 2, buckets: 60})
 	for i := range 2 {
 		if !l.Allow("k", t0) {
 			t.Fatalf("attempt %d denied", i)
