@@ -25,7 +25,7 @@ cluster:
 # wire codec, and the E16 partition-scenario behaviour tests (drop curve,
 # heal convergence).
 partition:
-	$(GO) test -race -count=1 -timeout 300s -run 'Partition|HTTPTransport|FaultTransport|SnapshotWire|FetchRetry|FetchTimeout|RoundBudget|Degraded' ./cmd/fraudsim ./internal/cluster
+	$(GO) test -race -count=1 -timeout 300s -run 'Partition|HTTPTransport|FaultTransport|SnapshotWire|FetchRetry|FetchTimeout|Degraded' ./cmd/fraudsim ./internal/cluster
 
 # syndicate runs the E17 entity-linkage suites under the race detector:
 # the entitygraph package, the gate's entity layer, the detect arm

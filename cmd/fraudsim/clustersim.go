@@ -16,9 +16,9 @@ import (
 // whole fleet — against gate clusters of varying node count, routing
 // policy and gossip interval. The headline curve is attacker leak rate
 // vs. replication: a surge invisible to every single node is caught once
-// sketch state merges, and a shorter gossip interval shortens both the
-// detection lag and the window in which a deployed rule only guards its
-// origin node.
+// the nodes share their per-key windows, and a shorter gossip interval
+// shortens both the detection lag and the window in which a deployed rule
+// only guards its origin node.
 var clustersim = scenario[clusterArm, cluster.Stats]{
 	name: "clustersim",
 	plan: loadgen.LowAndSlowScenario,
@@ -30,14 +30,11 @@ var clustersim = scenario[clusterArm, cluster.Stats]{
 		{name: "per-node n=4", nodes: 4},
 		{name: "merged n=4 g=8s", nodes: 4, gossip: 8 * time.Second, replicate: true},
 		{name: "merged n=4 g=4s", nodes: 4, gossip: 4 * time.Second, replicate: true},
-		clustersimDirectArm,
+		{name: "merged n=4 g=2s", nodes: 4, gossip: 2 * time.Second, replicate: true},
 		{name: "merged n=8 g=2s", nodes: 8, gossip: 2 * time.Second, replicate: true},
 	},
 	boot:   bootClustersimArm,
 	report: clustersimReport,
-	direct: func(run loadRun, clock simclock.Clock) loadgen.DirectTarget {
-		return cluster.New(clustersimDirectArm.fleetConfig(run.opts.seed, clock))
-	},
 }
 
 // clustersimRuleThreshold is the fleet-view detection threshold: well
@@ -60,12 +57,6 @@ func (a clusterArm) armName() string { return a.name }
 
 // clusterOutcome is one arm's result plus its fleet's counters.
 type clusterOutcome = outcome[clusterArm, cluster.Stats]
-
-// clustersimDirectArm is the arm -loaddirect measures in-process: the
-// batch scatters across four nodes per router verdict and gathers per-node
-// DecideBatch results, so the speedup reflects the fleet front, not one
-// gate.
-var clustersimDirectArm = clusterArm{name: "merged n=4 g=2s", nodes: 4, gossip: 2 * time.Second, replicate: true}
 
 // fleetConfig is the arm's fleet on the given clock. Multi-node arms use
 // the seeded random router — the dumb-LB topology the low-and-slow shape

@@ -73,10 +73,6 @@ type scenario[A armConfig, R any] struct {
 	boot func(run loadRun, clock simclock.Clock, arm A) (target[R], error)
 	// report renders the scenario's tables from the arm outcomes.
 	report func(w io.Writer, run loadRun, outs []outcome[A, R])
-	// direct, when set, gives the scenario a -loaddirect section: it builds
-	// the in-process twin of one of the arms, from the same arm
-	// configuration boot serves over a socket.
-	direct func(run loadRun, clock simclock.Clock) loadgen.DirectTarget
 }
 
 func (s scenario[A, R]) scenarioName() string { return s.name }
@@ -91,14 +87,11 @@ func (s scenario[A, R]) buildPlan(opts options) (*loadgen.Plan, error) {
 	return loadgen.BuildPlan(s.plan(opts.seed, start))
 }
 
-// run replays the scenario's plan against every arm and prints the report,
-// then the -loaddirect section when asked for. Virtual pacing (the
-// default) makes the whole run bit-deterministic per seed; -loadreal paces
-// the same plan open-loop in wall time.
+// run replays the scenario's plan against every arm and prints the
+// report. Virtual pacing (the default) makes the whole run
+// bit-deterministic per seed; -loadreal paces the same plan open-loop in
+// wall time.
 func (s scenario[A, R]) run(opts options, stdout, stderr io.Writer) error {
-	if opts.loadDirect && s.direct == nil {
-		fmt.Fprintf(stderr, "fraudsim: -loaddirect has no section for scenario %s; ignored\n", s.name)
-	}
 	reg, stop, err := startTelemetry(opts, stderr)
 	if err != nil {
 		return err
@@ -110,11 +103,6 @@ func (s scenario[A, R]) run(opts options, stdout, stderr io.Writer) error {
 		return err
 	}
 	s.report(stdout, run, outs)
-	if opts.loadDirect && s.direct != nil {
-		if err := s.directSection(run, stdout); err != nil {
-			return fmt.Errorf("direct section: %w", err)
-		}
-	}
 	if opts.stayUp && opts.serve != "" {
 		waitForInterrupt(stderr)
 	}

@@ -22,10 +22,6 @@ var loadsim = scenario[loadsimArm, []loadgen.Rule]{
 	arms:   []loadsimArm{{name: "blocklist"}, loadsimPathLimitArm},
 	boot:   bootLoadsimArm,
 	report: loadsimReport,
-	direct: func(_ loadRun, clock simclock.Clock) loadgen.DirectTarget {
-		gate, _, _ := loadgen.NewTargetGate(loadsimPathLimitArm.targetConfig(clock))
-		return gate
-	},
 }
 
 // loadsimScenario is the fixed scenario shape; only the seed and start
@@ -84,8 +80,6 @@ type loadsimOutcome = outcome[loadsimArm, []loadgen.Rule]
 // The arms are the two ends of the paper's comparison: reactive
 // fingerprint rules alone, then the same rules backed by per-path and
 // per-booking-reference rate limits that cap what rotation can recover.
-// The path-limit arm — the full instrumented pipeline — is also the one
-// -loaddirect measures minus the socket.
 var loadsimPathLimitArm = loadsimArm{name: "blocklist+path-limit", pathLimit: true}
 
 // targetConfig is the arm's defended target on the given clock. The gate

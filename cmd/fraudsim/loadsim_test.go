@@ -6,33 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"funabuse/internal/metrics"
 	"funabuse/internal/obs"
 )
-
-// TestLoadsimDirectSection renders the -loaddirect throughput comparison
-// on the loadsim plan and checks both batch columns replayed the full
-// plan. Timing cells are wall-clock, so only structure is asserted.
-func TestLoadsimDirectSection(t *testing.T) {
-	opts := options{seed: 7, loadBatch: 16}
-	plan, err := loadsim.buildPlan(opts)
-	if err != nil {
-		t.Fatalf("build plan: %v", err)
-	}
-	var out bytes.Buffer
-	if err := loadsim.directSection(loadRun{opts: opts, plan: plan}, &out); err != nil {
-		t.Fatalf("directSection: %v", err)
-	}
-	report := out.String()
-	for _, want := range []string{
-		"loadsim direct decision throughput", "batch=1", "batch=16",
-		metrics.FormatInt(int64(len(plan.Arrivals))), "batch speedup",
-	} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("direct section missing %q:\n%s", want, report)
-		}
-	}
-}
 
 // TestLoadsimTelemetry scrapes a finished loadsim run in-process and
 // requires the arm-labelled loadgen families plus the run-identity gauges

@@ -26,8 +26,8 @@
 // The clustersim scenario scales that to a fleet: a distributed
 // low-and-slow attack replayed against gate clusters of varying node
 // count and gossip interval, measuring the attacker leak rate a per-node
-// defence concedes versus one that replicates rules and merged sketch
-// state; see internal/cluster.
+// defence concedes versus one that replicates rules and per-key rate
+// windows; see internal/cluster.
 //
 // The partition scenario moves that fleet's gossip onto real loopback
 // sockets and injects faults — drop-probability and propagation-delay
@@ -95,12 +95,6 @@ type options struct {
 	// from virtual (deterministic) to wall-clock (open-loop) pacing.
 	loadWorkers int
 	loadReal    bool
-	// loadDirect appends the in-process batch-vs-sequential decision
-	// throughput section to the loadsim/clustersim reports; loadBatch is
-	// its DecideBatch chunk size. Off by default: the section's timing
-	// columns are wall-clock and would break report determinism.
-	loadDirect bool
-	loadBatch  int
 
 	// serve exposes the telemetry mux on this address ("" disables).
 	serve string
@@ -144,8 +138,6 @@ func main() {
 	serve := flag.String("serve", "", "address for /metrics, /healthz and /debug endpoints (e.g. :9090); stays up after the report")
 	loadWorkers := flag.Int("loadworkers", 4, "loadsim worker fleet size")
 	loadReal := flag.Bool("loadreal", false, "pace loadsim on the wall clock (open-loop) instead of the deterministic virtual clock")
-	loadDirect := flag.Bool("loaddirect", false, "append the in-process batch-vs-sequential decision throughput section to loadsim/clustersim reports")
-	loadBatch := flag.Int("loadbatch", 64, "DecideBatch chunk size for -loaddirect")
 	flag.Parse()
 
 	opts := options{
@@ -158,8 +150,6 @@ func main() {
 		stayUp:      *serve != "",
 		loadWorkers: *loadWorkers,
 		loadReal:    *loadReal,
-		loadDirect:  *loadDirect,
-		loadBatch:   *loadBatch,
 	}
 	if err := run(opts, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "fraudsim:", err)

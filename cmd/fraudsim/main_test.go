@@ -63,29 +63,6 @@ func TestRunClampWarnsOnStderr(t *testing.T) {
 	}
 }
 
-// TestLoadDirectWarnsWhenIgnored pins the fix for the silently dropped
-// flag: a scenario without a direct section says so on stderr, one that
-// has a section does not.
-func TestLoadDirectWarnsWhenIgnored(t *testing.T) {
-	var errBuf bytes.Buffer
-	opts := options{scenario: "syndicate", days: 1, seed: 1, loadWorkers: 2, loadDirect: true}
-	if err := run(opts, io.Discard, &errBuf); err != nil {
-		t.Fatalf("run(syndicate): %v", err)
-	}
-	if !strings.Contains(errBuf.String(), "-loaddirect has no section for scenario syndicate; ignored") {
-		t.Fatalf("stderr missing the ignored-flag warning: %q", errBuf.String())
-	}
-
-	errBuf.Reset()
-	opts = options{scenario: "loadsim", days: 1, seed: 1, loadWorkers: 2, loadDirect: true, loadBatch: 16}
-	if err := run(opts, io.Discard, &errBuf); err != nil {
-		t.Fatalf("run(loadsim): %v", err)
-	}
-	if strings.Contains(errBuf.String(), "-loaddirect") {
-		t.Fatalf("scenario with a direct section warned: %q", errBuf.String())
-	}
-}
-
 // TestMetricsGolden runs the deterministic seed-1 manual scenario and
 // requires the /metrics exposition to (a) parse line by line under the
 // strict parser and (b) be byte-identical across two scrapes of the

@@ -14,11 +14,9 @@ var accountTierNames = [numAccountTiers]string{"guest", "member", "silver", "gol
 
 // AccountLookup resolves a client key's loyalty tier (0 = guest). The
 // gate probes it once per Decide on the admitted hot path — the feature
-// gate and the per-tier rate share the answer; DecideBatch, which runs a
-// step for the whole round before the next, probes once per step — so
-// implementations must be allocation-free and safe for concurrent use;
-// account.Store's TierOf is the canonical implementation. Unknown and
-// empty keys are guests.
+// gate and the per-tier rate share the answer — so implementations must
+// be allocation-free and safe for concurrent use; account.Store's TierOf
+// is the canonical implementation. Unknown and empty keys are guests.
 type AccountLookup interface {
 	TierOf(key string) int
 }

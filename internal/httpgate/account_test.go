@@ -147,8 +147,8 @@ func (c *countingTiers) TierOf(key string) int {
 
 // TestAccountTierLookedUpOncePerDecision pins the shared tier: with both
 // account steps enabled, Decide asks the built-in lookup once and both
-// steps act on that answer, while a DecideBatch round resolves each
-// request's tier for itself.
+// steps act on that answer, while consecutive decisions — here a
+// DecideBatch — each resolve their own request's tier.
 func TestAccountTierLookedUpOncePerDecision(t *testing.T) {
 	tiers := &countingTiers{tierMap: tierMap{"vip": 1}}
 	g := New(Config{Clock: simclock.NewManual(t0)}, WithAccounts(AccountPolicy{
@@ -168,9 +168,8 @@ func TestAccountTierLookedUpOncePerDecision(t *testing.T) {
 		t.Fatalf("5 decisions made %d tier lookups, want 5", tiers.calls)
 	}
 
-	// The feature-gate step runs over the whole round before the rate
-	// step, so a tier carried over from the round's last request would
-	// give the two member requests the guest allowance of 1.
+	// Decisions reuse pooled contexts, so a member tier carried over to
+	// the guest requests would give them the member allowance of 4.
 	tiers.tierMap["vip2"] = 1
 	member := ClientInfo{IP: "198.51.100.3", ClientKey: "vip2"}
 	guest := ClientInfo{IP: "198.51.100.2", ClientKey: "guest"}

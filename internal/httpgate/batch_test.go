@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +50,9 @@ type batchFixture struct {
 // — plus RequireFingerprint, the decision journal, resilience guards and
 // full telemetry — either over the built-in implementations or, with
 // custom, with the blocklist and resource layers on the CheckFunc seams
-// wrapping equivalent state.
+// wrapping equivalent state. The custom resource check advances the clock
+// 1 ms per call, as a remote quota service would, so decision latencies
+// differ per request.
 func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 	t.Helper()
 	f := &batchFixture{
@@ -98,7 +101,10 @@ func newBatchFixture(t *testing.T, layers int, custom bool) *batchFixture {
 		if custom {
 			lim := signal.NewLimiter(signal.LimiterConfig{Window: time.Minute, Limit: 20})
 			f.limiters[1] = lim
-			cfg.ResourceCheck = func(key string, now time.Time) (bool, error) { return lim.Allow(key, now), nil }
+			cfg.ResourceCheck = func(key string, now time.Time) (bool, error) {
+				f.clock.Advance(time.Millisecond)
+				return lim.Allow(key, now), nil
+			}
 		} else {
 			cfg.ResourceLimit, cfg.ResourceWindow = 20, time.Minute
 		}
@@ -243,7 +249,8 @@ func TestDecideBatchMatchesSequential(t *testing.T) {
 // Decide on one fixture and DecideBatch on its twin. Verdicts must match
 // request for request, and the gates' counters, limiter denial totals,
 // per-reason and per-tier telemetry, trace journals and decision journals
-// must agree. what prefixes failure messages.
+// must agree, down to the latency histogram's sum and buckets and each
+// span's duration. what prefixes failure messages.
 func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing.T) *batchFixture, reqs []Request, batch int) {
 	t.Helper()
 	seq, bat := build(t), build(t)
@@ -283,11 +290,11 @@ func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing
 	}
 
 	// Per-reason denial counters, per-tier account counters and the
-	// latency sample count.
+	// latency histogram: count, sum and every bucket.
 	if seq.reg != nil {
 		sg, bg := seq.reg.Gather(), bat.reg.Gather()
 		for _, s := range sg {
-			if s.Name != MetricDenials && s.Name != MetricAccountTier && s.Name != MetricLatency+"_count" {
+			if s.Name != MetricDenials && s.Name != MetricAccountTier && !strings.HasPrefix(s.Name, MetricLatency+"_") {
 				continue
 			}
 			if b := findSample(t, bg, s.Name, s.Labels...); s.Value != b {
@@ -305,16 +312,16 @@ func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing
 			t.Fatalf("%sjournal[%d] diverges: sequential %q, batch %q", what, i, seq.journal[i], bat.journal[i])
 		}
 	}
-	// Trace journals: same verdict sequence.
+	// Trace journals: same verdicts, paths and durations.
 	if seq.ring != nil {
 		ss, bs := seq.ring.Snapshot(), bat.ring.Snapshot()
 		if len(ss) != len(bs) {
 			t.Fatalf("%strace lengths diverge: %d vs %d", what, len(ss), len(bs))
 		}
 		for i := range ss {
-			if ss[i].Verdict != bs[i].Verdict || ss[i].Path != bs[i].Path {
-				t.Fatalf("%sspan %d diverges: sequential %s@%s, batch %s@%s",
-					what, i, ss[i].Verdict, ss[i].Path, bs[i].Verdict, bs[i].Path)
+			if ss[i].Verdict != bs[i].Verdict || ss[i].Path != bs[i].Path || ss[i].Dur != bs[i].Dur {
+				t.Fatalf("%sspan %d diverges: sequential %s@%s in %v, batch %s@%s in %v",
+					what, i, ss[i].Verdict, ss[i].Path, ss[i].Dur, bs[i].Verdict, bs[i].Path, bs[i].Dur)
 			}
 		}
 	}
@@ -322,8 +329,8 @@ func assertBatchMatchesSequential(t *testing.T, what string, build func(*testing
 
 // TestDecideBatchDegradedMatchesSequential repeats the equivalence check
 // with a custom resource check whose breaker has been driven open: the
-// batch path's one-snapshot-per-round degrade handling must produce the
-// same per-request masks and verdicts as sequential decide.
+// batch entry point must produce the same per-request masks, verdicts and
+// breaker state as sequential decide.
 func TestDecideBatchDegradedMatchesSequential(t *testing.T) {
 	build := func() (*Gate, *simclock.Manual) {
 		clock := simclock.NewManual(t0)

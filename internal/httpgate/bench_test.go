@@ -128,55 +128,6 @@ func BenchmarkGateDecideInstrumented(b *testing.B) {
 	})
 }
 
-// benchBatchGate builds the instrumented gate plus one 64-request batch
-// with the same path/client rotation the per-request benchmarks use.
-func benchBatchGate() (*Gate, []Request) {
-	g := New(Config{
-		Clock:         simclock.NewManual(t0),
-		ProfileLimit:  1 << 30,
-		ProfileWindow: time.Hour,
-		PathLimit:     1 << 30,
-		PathWindow:    time.Hour,
-	}, WithResilience(ResilienceConfig{}),
-		WithTelemetry(obs.NewRegistry()),
-		WithTraces(obs.NewTraceRing(4096)))
-	reqs, infos := benchInputs()
-	batch := make([]Request, 64)
-	for i := range batch {
-		batch[i] = Request{R: reqs[i%8], Info: infos[i%512]}
-	}
-	return g, batch
-}
-
-// BenchmarkGateDecideBatch64 evaluates one 64-request batch per op on the
-// fully instrumented gate. Compare against BenchmarkGateDecideSequential64
-// (the same 64 requests through per-request Decide): the batch path's
-// shared clock read, per-round breaker snapshot and bulk limiter probes
-// must keep it ≥25% faster.
-func BenchmarkGateDecideBatch64(b *testing.B) {
-	g, batch := benchBatchGate()
-	out := make([]Decision, len(batch))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = g.DecideBatch(batch, out)
-	}
-}
-
-// BenchmarkGateDecideSequential64 is the batch benchmark's control: the
-// identical 64 requests through per-request Decide calls, one op per
-// 64-request sweep so the two benchmarks' ns/op are directly comparable.
-func BenchmarkGateDecideSequential64(b *testing.B) {
-	g, batch := benchBatchGate()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range batch {
-			g.Decide(batch[j].R, batch[j].Info)
-		}
-	}
-}
-
 // TestDecideResilientAddsNoAllocs pins the acceptance criterion in a test:
 // with all breakers closed, the guarded decide path allocates exactly as
 // much as the unguarded one.

@@ -28,10 +28,7 @@
 // shared clock reading), the enabled rows of the package's layer table
 // (layers.go: order, call adapters, fail policies, denial reasons) are
 // resolved once at construction into a step table, and built-in layers
-// are probed with byte keys assembled in scratch space. Callers holding
-// many requests use DecideBatch, which additionally shares one clock read
-// and one breaker-state snapshot per round and probes the built-in
-// limiters in bulk.
+// are probed with byte keys assembled in scratch space.
 //
 // # Resilience
 //
@@ -251,18 +248,6 @@ type layerGuard struct {
 	degraded atomic.Uint64
 }
 
-// layerStep is one enabled pipeline stage: its layerTable row, copied so
-// the hot path reads the call adapter, continue verdict and denial
-// reason/status without a further indirection, plus what New resolved
-// against this gate's configuration.
-type layerStep struct {
-	layerRow
-	// infallible is the row's builtin predicate evaluated for this gate:
-	// DecideBatch shares one breaker snapshot per round across such a
-	// step, and probes it in bulk when the row names a bulk limiter.
-	infallible bool
-}
-
 // decisionCtx is the pooled per-decision scratch: the request under
 // evaluation, its attribution, the decision's shared clock reading, a
 // key-assembly buffer, what more than one row derives from the request
@@ -355,11 +340,13 @@ type Gate struct {
 
 	// journalStep is the journal row, resolved like a step; nil without
 	// a decision hook.
-	journalStep *layerStep
+	journalStep *layerRow
 
-	// steps is the pre-resolved pipeline: the enabled layerTable rows, in
-	// table order.
-	steps []layerStep
+	// steps is the pre-resolved pipeline: the enabled layerTable rows,
+	// copied in table order so the hot path reads the call adapter,
+	// continue verdict and denial reason/status without a further
+	// indirection.
+	steps []layerRow
 
 	guards [numLayers]layerGuard
 
@@ -413,11 +400,10 @@ func New(cfg Config, opts ...Option) *Gate {
 		if rc != nil {
 			g.guards[row.layer].breaker = resilience.NewBreaker(rc.Breaker)
 		}
-		step := layerStep{layerRow: *row, infallible: row.builtin != nil && row.builtin(g)}
 		if row.layer == LayerDecision {
-			g.journalStep = &step
+			g.journalStep = row
 		} else {
-			g.steps = append(g.steps, step)
+			g.steps = append(g.steps, *row)
 		}
 	}
 	g.initTelemetry(cfg.telemetry, cfg.traces)
@@ -456,9 +442,8 @@ func (g *Gate) Wrap(next http.Handler) http.Handler {
 // Decide evaluates the full pipeline for one request — layers, the
 // decision journal, counters and telemetry — and returns the verdict. It
 // is everything Wrap does short of writing the HTTP response, exported so
-// in-process callers (load generators, batch fronts) can drive the gate
-// without a socket. Callers that already hold many requests should prefer
-// DecideBatch, which amortizes the per-request overhead.
+// in-process callers (load generators, fleet fronts) can drive the gate
+// without a socket.
 func (g *Gate) Decide(r *http.Request, info ClientInfo) Decision {
 	now := g.clock.Now()
 	reason, status, mask := g.decideAt(r, info, now)
@@ -525,7 +510,7 @@ func (g *Gate) run(ctx *decisionCtx) (string, int, uint8) {
 // open, error, or panic — is resolved by its policy: FailOpen yields the
 // step's continue verdict, FailClosed its negation. The returned deg is
 // the layer's degraded-mask bit, 0 on a healthy call.
-func (g *Gate) runCheck(st *layerStep, ctx *decisionCtx) (verdict bool, deg uint8) {
+func (g *Gate) runCheck(st *layerRow, ctx *decisionCtx) (verdict bool, deg uint8) {
 	gd := &g.guards[st.layer]
 	if gd.breaker != nil && !gd.breaker.Allow(ctx.now) {
 		return gd.degrade(st.layer, st.passVal)
@@ -552,7 +537,7 @@ func (gd *layerGuard) degrade(l Layer, failOpen bool) (bool, uint8) {
 }
 
 // safeCall invokes a layer's call adapter with panic isolation.
-func (g *Gate) safeCall(gd *layerGuard, st *layerStep, ctx *decisionCtx) (v bool, err error) {
+func (g *Gate) safeCall(gd *layerGuard, st *layerRow, ctx *decisionCtx) (v bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			gd.panics.Add(1)

@@ -25,13 +25,10 @@ const (
 	numLayers
 )
 
-// keyFunc appends a keyed limiter's prefixed key for one request to dst.
-type keyFunc func(dst []byte, r *http.Request, info *ClientInfo) []byte
-
 // layerRow describes one guarded step of the pipeline. layerTable is the
 // only place a step is enumerated: the per-gate step table, Layer.String,
-// the denial-reason slots behind Reasons and the telemetry counters, the
-// fail-policy wiring and DecideBatch's strategy are all derived from it.
+// the denial-reason slots behind Reasons and the telemetry counters, and
+// the fail-policy wiring are all derived from it.
 type layerRow struct {
 	layer Layer
 	// name is the Layer.String value (DegradedHeader entry, layer label
@@ -56,22 +53,9 @@ type layerRow struct {
 	policy func(*ResilienceConfig) resilience.Policy
 	// enabled reports whether g's configuration turns the step on.
 	enabled func(*Gate) bool
-	// builtin reports whether the step is served by an infallible
-	// in-process implementation (the shared BlockList, the entity graph,
-	// the account store, a built-in sharded limiter). DecideBatch
-	// snapshots such a step's breaker once per round; custom checks — the
-	// remote-lookup and fault-injection seam — and hook-backed steps
-	// (nil builtin) keep per-request guard semantics.
-	builtin func(*Gate) bool
 	// call evaluates the step for one request.
 	call func(*Gate, *decisionCtx) (bool, error)
-	// bulk, when non-nil, names the built-in limiter and key of a step
-	// DecideBatch may probe for a whole round at once.
-	bulk func(*Gate) (*signal.Limiter, keyFunc)
 }
-
-// always is the builtin predicate of a layer no caller code can replace.
-func always(*Gate) bool { return true }
 
 var layerTable = [...]layerRow{
 	{
@@ -79,7 +63,6 @@ var layerTable = [...]layerRow{
 		reason: ReasonBlocklist, status: http.StatusForbidden,
 		policy:  func(rc *ResilienceConfig) resilience.Policy { return rc.Blocklist },
 		enabled: func(g *Gate) bool { return g.blockProbe != nil || g.cfg.BlocklistFunc != nil },
-		builtin: func(g *Gate) bool { return g.blockProbe != nil },
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
 			return screenIdentities(ctx, g.blockProbe, g.cfg.BlocklistFunc)
 		},
@@ -88,7 +71,6 @@ var layerTable = [...]layerRow{
 		layer: LayerEntity, name: "entity",
 		reason: ReasonEntity, status: http.StatusForbidden,
 		enabled: func(g *Gate) bool { return g.entityProbe != nil },
-		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
 			return screenIdentities(ctx, g.entityProbe, nil)
 		},
@@ -100,14 +82,12 @@ var layerTable = [...]layerRow{
 		layer: LayerAccount, name: "account",
 		reason: ReasonAccountTier, status: http.StatusForbidden, passVal: true,
 		enabled: func(g *Gate) bool { return g.accounts != nil && len(g.accounts.Restricted) > 0 },
-		builtin: always,
 		call:    callAccountGate,
 	},
 	{
 		layer: LayerAccount, name: "account",
 		reason: ReasonAccountLimit, status: http.StatusTooManyRequests, passVal: true, needsKey: true,
 		enabled: func(g *Gate) bool { return g.accounts != nil && g.accounts.BaseLimit > 0 },
-		builtin: always,
 		call:    callAccountLimit,
 	},
 	{
@@ -123,15 +103,10 @@ var layerTable = [...]layerRow{
 		layer: LayerProfile, name: "profile",
 		reason: ReasonProfile, status: http.StatusTooManyRequests, passVal: true, needsKey: true,
 		enabled: func(g *Gate) bool { return g.profile != nil },
-		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			return allowKeyed(ctx, profileKey(ctx.buf[:0], ctx.r, &ctx.info), g.profile, nil)
+			return allowKeyed(ctx, append(append(ctx.buf[:0], "pf:"...), ctx.info.ClientKey...), g.profile, nil)
 		},
-		bulk: func(g *Gate) (*signal.Limiter, keyFunc) { return g.profile, profileKey },
 	},
-	// The resource step has no builtin predicate even over the built-in
-	// limiter: its key extractor is an operator hook, so batch rounds keep
-	// per-request guard semantics around it.
 	{
 		layer: LayerResource, name: "resource",
 		reason: ReasonResource, status: http.StatusTooManyRequests, passVal: true,
@@ -145,11 +120,9 @@ var layerTable = [...]layerRow{
 		layer: LayerPath, name: "path",
 		reason: ReasonPathLimit, status: http.StatusTooManyRequests, passVal: true,
 		enabled: func(g *Gate) bool { return g.path != nil },
-		builtin: always,
 		call: func(g *Gate, ctx *decisionCtx) (bool, error) {
-			return allowKeyed(ctx, pathKey(ctx.buf[:0], ctx.r, &ctx.info), g.path, nil)
+			return allowKeyed(ctx, append(append(ctx.buf[:0], "path:"...), ctx.r.URL.Path...), g.path, nil)
 		},
-		bulk: func(g *Gate) (*signal.Limiter, keyFunc) { return g.path, pathKey },
 	},
 	// The decision journal is the trailing row. It is not a check — it
 	// runs after the verdict, records it, and always passes — but it is
@@ -263,14 +236,6 @@ func allowKeyed(ctx *decisionCtx, key []byte, lim *signal.Limiter, check CheckFu
 		return lim.AllowBytes(key, ctx.now), nil
 	}
 	return check(string(key), ctx.now)
-}
-
-func profileKey(dst []byte, _ *http.Request, info *ClientInfo) []byte {
-	return append(append(dst, "pf:"...), info.ClientKey...)
-}
-
-func pathKey(dst []byte, r *http.Request, _ *ClientInfo) []byte {
-	return append(append(dst, "path:"...), r.URL.Path...)
 }
 
 // callResource probes the per-resource limiter. Key extraction is an

@@ -85,22 +85,15 @@ func (g *Gate) observeDecision(start time.Time, path, reason string, mask uint8)
 	if tel.latency != nil {
 		tel.latency.Observe(dur.Seconds())
 	}
+	verdict := obs.VerdictAdmit
 	if reason != "" {
+		verdict = reason
 		if i := reasonIndex(reason); i >= 0 && tel.denials[i] != nil {
 			tel.denials[i].Inc()
 		}
 	}
-	tel.span(start, dur, path, reason, mask)
-}
-
-// span journals one decision into the trace ring, when tracing is on.
-func (tel *gateTelemetry) span(start time.Time, dur time.Duration, path, reason string, mask uint8) {
 	if tel.traces == nil {
 		return
-	}
-	verdict := obs.VerdictAdmit
-	if reason != "" {
-		verdict = reason
 	}
 	tel.traces.Record(obs.Span{
 		Start:    start,
@@ -109,37 +102,6 @@ func (tel *gateTelemetry) span(start time.Time, dur time.Duration, path, reason 
 		Verdict:  verdict,
 		Degraded: degradedNames[mask],
 	})
-}
-
-// observeBatch is observeDecision for one DecideBatch round: the shared
-// latency (one clock read for the whole round) is folded into the
-// histogram with a single weighted observation, denial counters are
-// aggregated per reason into one atomic add each, and each decision still
-// gets its own trace span. The totals a scrape sees are identical to per
-// request observeDecision calls.
-func (g *Gate) observeBatch(start time.Time, reqs []Request, out []Decision) {
-	tel := g.tel
-	if tel == nil {
-		return
-	}
-	dur := g.clock.Now().Sub(start)
-	if tel.latency != nil {
-		tel.latency.ObserveN(dur.Seconds(), uint64(len(out)))
-	}
-	var denials [len(reasons)]uint64
-	for i := range out {
-		if reason := out[i].Reason; reason != "" {
-			if j := reasonIndex(reason); j >= 0 {
-				denials[j]++
-			}
-		}
-		tel.span(start, dur, reqs[i].R.URL.Path, out[i].Reason, out[i].Degraded)
-	}
-	for j, n := range denials {
-		if n > 0 && tel.denials[j] != nil {
-			tel.denials[j].Add(n)
-		}
-	}
 }
 
 // Collector exposes the gate's decision and per-layer resilience counters

@@ -221,9 +221,8 @@ func TestDecideZeroAllocs(t *testing.T) {
 }
 
 // TestDecideBatchZeroAllocs extends the zero-alloc contract to the batch
-// entry point: once the pooled scratch and limiter keys are warm, a
-// 64-request DecideBatch round on the instrumented gate allocates
-// nothing.
+// entry point: once the pooled contexts and limiter keys are warm, a
+// 64-request DecideBatch on the instrumented gate allocates nothing.
 func TestDecideBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")

@@ -1,15 +1,13 @@
 // Package metrics provides the small measurement toolkit the experiment
-// harness reports with: running moments, sharded keyed counters and
-// fixed-width text tables. Live counters and histograms are internal/obs.
+// harness reports with: running moments and fixed-width text tables. Live
+// counters and histograms are internal/obs.
 //
-// Concurrency contract: unless a type documents otherwise, the types in
-// this package are NOT safe for concurrent use. Running is a
-// single-goroutine accumulator — the deterministic simulation model is
-// single-threaded virtual time, and the hot loops that feed it must not
-// pay for synchronisation they do not need. Code that accumulates from
-// several goroutines (the replicate runner's worker pool) uses the types
-// in sharded.go (ShardedKeyedCounter, ShardedRunning), which are safe for
-// concurrent use; ShardedRunning merges into a Running for reporting.
+// Concurrency contract: the types in this package are NOT safe for
+// concurrent use. Running is a single-goroutine accumulator — the
+// deterministic simulation model is single-threaded virtual time, and the
+// hot loops that feed it must not pay for synchronisation they do not
+// need. Code that runs on several goroutines (the replicate runner's
+// worker pool) records per-seed values and folds them in seed order.
 package metrics
 
 import (
@@ -19,8 +17,6 @@ import (
 )
 
 // Running accumulates mean and variance online (Welford's algorithm).
-// It is single-goroutine like the rest of the package; concurrent
-// accumulation goes through ShardedRunning and merges back with Merge.
 type Running struct {
 	n    int
 	mean float64
@@ -63,31 +59,6 @@ func (r *Running) Variance() float64 {
 
 // Std returns the population standard deviation.
 func (r *Running) Std() float64 { return math.Sqrt(r.Variance()) }
-
-// Merge folds another accumulator into r as if every sample observed by
-// other had been observed by r (Chan et al.'s parallel variance update).
-// The result is independent of merge order up to floating-point rounding.
-func (r *Running) Merge(other Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = other
-		return
-	}
-	n1, n2 := float64(r.n), float64(other.n)
-	d := other.mean - r.mean
-	n := n1 + n2
-	r.mean += d * n2 / n
-	r.m2 += other.m2 + d*d*n1*n2/n
-	r.n += other.n
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-}
 
 // Min returns the smallest sample (0 with no samples).
 func (r *Running) Min() float64 { return r.min }

@@ -55,33 +55,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return h
 }
 
-// ObserveN folds n identical observations into the histogram with one
-// bucket add and one sum CAS — the batch-decision path records a shared
-// latency once per round instead of once per request.
-func (h *Histogram) ObserveN(v float64, n uint64) {
-	if n == 0 {
-		return
-	}
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(n)
-	add := v * float64(n)
-	for {
-		old := h.sum.Load()
-		next := math.Float64bits(math.Float64frombits(old) + add)
-		if h.sum.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Observe folds one value into the histogram.
 func (h *Histogram) Observe(v float64) {
 	// Smallest bound >= v; all values above the last bound land in +Inf.

@@ -124,8 +124,8 @@ type Summary struct {
 	// Samples holds each replicate's metrics in seed order.
 	Samples []Sample
 	// ReplicateSeconds is the wall-clock distribution of individual
-	// replicates, accumulated concurrently by the workers (this is the
-	// one statistic that legitimately varies run to run).
+	// replicates, folded in seed order (the one statistic that
+	// legitimately varies run to run).
 	ReplicateSeconds metrics.Running
 	// Elapsed is the whole run's wall time.
 	Elapsed time.Duration
@@ -140,31 +140,23 @@ func Run(name string, cfg Config, fn Func) (*Summary, error) {
 
 	samples := make([]Sample, cfg.Replicates)
 	errs := make([]error, cfg.Replicates)
-	wall := metrics.NewShardedRunning()
-	outcomes := metrics.NewShardedKeyedCounter()
+	wall := make([]float64, cfg.Replicates)
 	tel := newRunTelemetry(cfg.Telemetry, name)
 
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for i := range jobs {
 				t0 := time.Now()
-				s, err := fn(cfg.BaseSeed + uint64(i))
+				samples[i], errs[i] = fn(cfg.BaseSeed + uint64(i))
 				elapsed := time.Since(t0)
-				wall.ObserveAt(worker, elapsed.Seconds())
-				tel.record(elapsed, err)
-				if err != nil {
-					outcomes.Inc("err")
-					errs[i] = err
-					continue
-				}
-				outcomes.Inc("ok")
-				samples[i] = s
+				wall[i] = elapsed.Seconds()
+				tel.record(elapsed, errs[i])
 			}
-		}(w)
+		}()
 	}
 	for i := 0; i < cfg.Replicates; i++ {
 		jobs <- i
@@ -177,19 +169,18 @@ func Run(name string, cfg Config, fn Func) (*Summary, error) {
 			return nil, fmt.Errorf("runner: %s seed %d: %w", name, cfg.BaseSeed+uint64(i), err)
 		}
 	}
-	if got := outcomes.Get("ok"); got != uint64(cfg.Replicates) {
-		return nil, fmt.Errorf("runner: %s: %d/%d replicates completed", name, got, cfg.Replicates)
-	}
 
 	compact(samples)
 	sum := &Summary{
-		Name:             name,
-		Replicates:       cfg.Replicates,
-		Workers:          cfg.Workers,
-		BaseSeed:         cfg.BaseSeed,
-		Samples:          samples,
-		ReplicateSeconds: wall.Summary(),
-		Elapsed:          time.Since(start),
+		Name:       name,
+		Replicates: cfg.Replicates,
+		Workers:    cfg.Workers,
+		BaseSeed:   cfg.BaseSeed,
+		Samples:    samples,
+		Elapsed:    time.Since(start),
+	}
+	for _, s := range wall {
+		sum.ReplicateSeconds.Observe(s)
 	}
 	return sum, nil
 }

@@ -42,8 +42,7 @@ func TestAllowBytesMatchesAllow(t *testing.T) {
 
 // TestAllowBatchMatchesSequential replays the same key stream through
 // AllowBatch (several batch sizes) and through per-key AllowBytes calls in
-// index order, and requires bit-identical verdicts — the equivalence
-// httpgate.DecideBatch builds on.
+// index order, and requires bit-identical verdicts.
 func TestAllowBatchMatchesSequential(t *testing.T) {
 	for _, batch := range []int{1, 7, 64} {
 		seq := NewLimiter(LimiterConfig{Window: time.Minute, Limit: 4, shards: 8})
