@@ -29,7 +29,7 @@ import (
 func BenchmarkFig1NiPDistribution(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		res, err := core.RunFig1(core.DefaultFig1Config(uint64(i + 1)))
+		res, err := core.RunFig1(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func BenchmarkFig1NiPDistribution(b *testing.B) {
 func BenchmarkTable1SMSSurge(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		res, err := core.RunTable1(core.DefaultTable1Config(uint64(i + 1)))
+		res, err := core.RunTable1(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkTable1SMSSurge(b *testing.B) {
 func BenchmarkCaseARotationWar(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; b.Loop(); i++ {
-		res, err := core.RunCaseA(core.DefaultCaseAConfig(uint64(i + 1)))
+		res, err := core.RunCaseA(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}

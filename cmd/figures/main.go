@@ -168,7 +168,7 @@ func emit(w io.Writer, t *metrics.Table, csv bool) {
 }
 
 func runFig1(w io.Writer, seed uint64, csv bool) error {
-	res, err := core.RunFig1(core.DefaultFig1Config(seed))
+	res, err := core.RunFig1(seed)
 	if err != nil {
 		return err
 	}
@@ -179,7 +179,7 @@ func runFig1(w io.Writer, seed uint64, csv bool) error {
 }
 
 func runTable1(w io.Writer, seed uint64, csv bool) error {
-	res, err := core.RunTable1(core.DefaultTable1Config(seed))
+	res, err := core.RunTable1(seed)
 	if err != nil {
 		return err
 	}
@@ -192,7 +192,7 @@ func runTable1(w io.Writer, seed uint64, csv bool) error {
 }
 
 func runCaseA(w io.Writer, seed uint64, csv bool) error {
-	res, err := core.RunCaseA(core.DefaultCaseAConfig(seed))
+	res, err := core.RunCaseA(seed)
 	if err != nil {
 		return err
 	}

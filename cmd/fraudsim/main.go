@@ -293,7 +293,6 @@ func run(opts options, stdout, stderr io.Writer) error {
 			TargetNiP:      6,
 			ReholdInterval: envCfg.Booking.HoldTTL,
 			Departure:      envCfg.TargetDep,
-			Identity:       attack.IdentityStructured,
 			Parallel:       10,
 		}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 			env.Proxies.NewSession("SG", proxy.RotatePerRequest))
@@ -315,7 +314,6 @@ func run(opts options, stdout, stderr io.Writer) error {
 		manual = attack.NewManualSpinner(attack.ManualSpinnerConfig{
 			ID:        "manc-1",
 			Flight:    envCfg.TargetID,
-			PoolSize:  6,
 			PartySize: 3,
 			MeanGap:   10 * time.Minute,
 			TypoRate:  0.1,

@@ -1,8 +1,10 @@
 package funabuse_test
 
 import (
+	"errors"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -52,47 +55,15 @@ const module = "funabuse"
 // filling in defaults on the config it was passed is not a caller
 // choosing a value.
 func TestNoTestOnlyConfigFields(t *testing.T) {
-	// Type-check the standard library's pure-Go variants: they declare the
-	// same API and need no C toolchain.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	l := &configLoader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
-		info: &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		},
-	}
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || !d.IsDir() {
-				return err
-			}
-			if d.Name() == "testdata" || d.Name() == "out" {
-				return filepath.SkipDir
-			}
-			_, err = l.Import(module + "/" + filepath.ToSlash(path))
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, err := range l.errs {
-		t.Error(err)
-	}
-	if t.Failed() {
-		t.FailNow()
-	}
-
+	l := loadRepo(t)
 	fields := configFields(l.pkgs)
 	set := map[*types.Var]bool{}
 	for _, f := range l.files {
-		markSetFields(f, l.info, set)
+		walkFieldWrites(f, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) {
+			if !viaParam {
+				set[v] = true
+			}
+		}, nil)
 	}
 
 	var unset []string
@@ -104,7 +75,7 @@ func TestNoTestOnlyConfigFields(t *testing.T) {
 			continue
 		}
 		if _, ok := testOnlyConfigKeep[key]; !ok {
-			unset = append(unset, key+" ("+fset.Position(v.Pos()).String()+")")
+			unset = append(unset, key+" ("+l.fset.Position(v.Pos()).String()+")")
 		}
 	}
 	sort.Strings(unset)
@@ -120,6 +91,135 @@ func TestNoTestOnlyConfigFields(t *testing.T) {
 			t.Errorf("testOnlyConfigKeep names %s, which is no longer a config field", key)
 		}
 	}
+}
+
+// singleValueKeep lists the exported config fields that every non-test
+// write sets to one constant but that stay fields anyway, each with the
+// reason. Keys are "pkg.Type.Field".
+var singleValueKeep = map[string]string{
+	"loadgen.EconModel.RegistrationUSD": "E18 cost sheet: data the ROI ledger prices, not an option",
+	"loadgen.EconModel.RequestUSD":      "E18 cost sheet: data the ROI ledger prices, not an option",
+	"loadgen.EconModel.BurnUSD":         "E18 cost sheet: data the ROI ledger prices, not an option",
+	"loadgen.EconModel.RevenueUSD":      "E18 cost sheet: data the ROI ledger prices, not an option",
+	"loadgen.EconModel.BudgetUSD":       "E18 cost sheet: data the ROI ledger prices, not an option",
+
+	"attack.ManualSpinnerConfig.ID": "actor label reports and gateway ledgers look up; SeatSpinnerConfig.ID takes three values",
+	"attack.ScraperConfig.ID":       "actor label reports and gateway ledgers look up; SeatSpinnerConfig.ID takes three values",
+	"attack.SMSPumperConfig.ID":     "actor label reports and gateway ledgers look up; SeatSpinnerConfig.ID takes three values",
+}
+
+// TestNoSingleValueConfigFields fails when every non-test write to an
+// exported config field (see TestNoTestOnlyConfigFields for the fields and
+// the writes) gives it the same constant, compared as a go/constant value,
+// and no non-test composite literal of its struct leaves it out. Such a
+// field is an option every caller sets the same way: make it a constant
+// and delete the branches only other values reach (an in-package test may
+// still set an unexported field), or add it to singleValueKeep with the
+// reason it stays.
+//
+// Unlike there, a constructor's default — a write through a parameter or
+// receiver of the enclosing function — is one of the values: a default
+// that differs from what the callers pass is a second behaviour the field
+// selects. The rule cannot see a field that one literal omits while the
+// constructor fills in the callers' constant.
+func TestNoSingleValueConfigFields(t *testing.T) {
+	l := loadRepo(t)
+	fields := configFields(l.pkgs)
+	values := map[*types.Var][]constant.Value{}
+	varied := map[*types.Var]bool{}
+	for _, f := range l.files {
+		walkFieldWrites(f, l.info, func(v *types.Var, val ast.Expr, _ bool) {
+			if val == nil || l.info.Types[val].Value == nil {
+				varied[v] = true
+				return
+			}
+			values[v] = append(values[v], l.info.Types[val].Value)
+		}, func(v *types.Var) { varied[v] = true })
+	}
+
+	var single []string
+	for v, key := range fields {
+		vals := values[v]
+		one := !varied[v] && len(vals) > 0
+		for _, x := range vals {
+			one = one && constant.Compare(x, token.EQL, vals[0])
+		}
+		_, keep := singleValueKeep[key]
+		switch {
+		case one && !keep:
+			single = append(single, key+" = "+vals[0].ExactString()+" ("+l.fset.Position(v.Pos()).String()+")")
+		case !one && keep:
+			t.Errorf("singleValueKeep names %s, which non-test code sets to more than one value", key)
+		}
+	}
+	sort.Strings(single)
+	for _, s := range single {
+		t.Errorf("config field every caller sets to one constant: %s", s)
+	}
+	declared := map[string]bool{}
+	for _, key := range fields {
+		declared[key] = true
+	}
+	for key := range singleValueKeep {
+		if !declared[key] {
+			t.Errorf("singleValueKeep names %s, which is no longer a config field", key)
+		}
+	}
+}
+
+var (
+	repoOnce sync.Once
+	repo     *configLoader
+	repoErr  error
+)
+
+// loadRepo type-checks the non-test files of every package under
+// internal/, cmd/, examples/ and bench/ once per test binary; the root
+// guards share the result.
+func loadRepo(t *testing.T) *configLoader {
+	t.Helper()
+	repoOnce.Do(func() {
+		// Type-check the standard library's pure-Go variants: they
+		// declare the same API and need no C toolchain.
+		build.Default.CgoEnabled = false
+		fset := token.NewFileSet()
+		l := &configLoader{
+			fset: fset,
+			std:  importer.ForCompiler(fset, "source", nil),
+			pkgs: map[string]*types.Package{},
+			info: &types.Info{
+				Types:      map[ast.Expr]types.TypeAndValue{},
+				Defs:       map[*ast.Ident]types.Object{},
+				Uses:       map[*ast.Ident]types.Object{},
+				Selections: map[*ast.SelectorExpr]*types.Selection{},
+			},
+		}
+		for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+				if err != nil || !d.IsDir() {
+					return err
+				}
+				if d.Name() == "testdata" || d.Name() == "out" {
+					return filepath.SkipDir
+				}
+				_, err = l.Import(module + "/" + filepath.ToSlash(path))
+				return err
+			})
+			if err != nil {
+				repoErr = err
+				return
+			}
+		}
+		if len(l.errs) > 0 {
+			repoErr = errors.Join(l.errs...)
+			return
+		}
+		repo = l
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repo
 }
 
 // configLoader type-checks the non-test files of this repository's
@@ -233,13 +333,18 @@ func configFields(pkgs map[string]*types.Package) map[*types.Var]string {
 	return out
 }
 
-// markSetFields records in set every struct field f gives a value (see
-// TestNoTestOnlyConfigFields for what counts).
-func markSetFields(f *ast.File, info *types.Info, set map[*types.Var]bool) {
+// walkFieldWrites calls write for every struct field f gives a value (see
+// TestNoTestOnlyConfigFields for what counts), with the expression it is
+// given, or nil where there is none (an increment, an address-of, an
+// assignment from a multi-valued call or through an operator), and
+// whether the write goes through a parameter or receiver of the enclosing
+// function. When omit is not nil it is called for every exported field a
+// keyed composite literal of its struct leaves at the zero value.
+func walkFieldWrites(f *ast.File, info *types.Info, write func(v *types.Var, val ast.Expr, viaParam bool), omit func(v *types.Var)) {
 	var walk func(n ast.Node, params map[types.Object]bool)
-	// target marks the field an assignment or address-of names, unless
-	// the selector chain starts at one of params.
-	target := func(e ast.Expr, params map[types.Object]bool) {
+	// target reports the field an assignment or address-of names, and
+	// whether the selector chain starts at one of params.
+	target := func(e, val ast.Expr, params map[types.Object]bool) {
 		sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 		if !ok {
 			return
@@ -266,10 +371,8 @@ func markSetFields(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 			}
 			break
 		}
-		if id, ok := base.(*ast.Ident); ok && params[info.Uses[id]] {
-			return
-		}
-		set[s.Obj().(*types.Var)] = true
+		id, ok := base.(*ast.Ident)
+		write(s.Obj().(*types.Var), val, ok && params[info.Uses[id]])
 	}
 	walk = func(n ast.Node, params map[types.Object]bool) {
 		ast.Inspect(n, func(n ast.Node) bool {
@@ -291,14 +394,18 @@ func markSetFields(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 				}
 				return false
 			case *ast.AssignStmt:
-				for _, lhs := range x.Lhs {
-					target(lhs, params)
+				for i, lhs := range x.Lhs {
+					var val ast.Expr
+					if (x.Tok == token.ASSIGN || x.Tok == token.DEFINE) && len(x.Lhs) == len(x.Rhs) {
+						val = x.Rhs[i]
+					}
+					target(lhs, val, params)
 				}
 			case *ast.IncDecStmt:
-				target(x.X, params)
+				target(x.X, nil, params)
 			case *ast.UnaryExpr:
 				if x.Op == token.AND {
-					target(x.X, params)
+					target(x.X, nil, params)
 				}
 			case *ast.CompositeLit:
 				tv, ok := info.Types[x]
@@ -309,15 +416,25 @@ func markSetFields(f *ast.File, info *types.Info, set map[*types.Var]bool) {
 				if !ok {
 					return true
 				}
+				named := map[*types.Var]bool{}
 				for i, el := range x.Elts {
 					if kv, ok := el.(*ast.KeyValueExpr); ok {
 						if id, ok := kv.Key.(*ast.Ident); ok {
 							if v, ok := info.Uses[id].(*types.Var); ok {
-								set[v] = true
+								named[v] = true
+								write(v, kv.Value, false)
 							}
 						}
 					} else if i < st.NumFields() {
-						set[st.Field(i)] = true
+						named[st.Field(i)] = true
+						write(st.Field(i), el, false)
+					}
+				}
+				if omit != nil {
+					for i := range st.NumFields() {
+						if v := st.Field(i); v.Exported() && !named[v] {
+							omit(v)
+						}
 					}
 				}
 			}

@@ -62,7 +62,6 @@ func run() error {
 		TargetNiP:      6,
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
-		Identity:       attack.IdentityStructured,
 		Parallel:       8,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))

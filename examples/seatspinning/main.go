@@ -27,7 +27,7 @@ func run() error {
 	const seed = 7
 
 	fmt.Println("=== Fig. 1 — NiP distribution across three weeks ===")
-	fig1, err := core.RunFig1(core.DefaultFig1Config(seed))
+	fig1, err := core.RunFig1(seed)
 	if err != nil {
 		return err
 	}
@@ -36,7 +36,7 @@ func run() error {
 		fig1.AttackerFinalNiP, fig1.AttackerHolds)
 
 	fmt.Println("=== Case A — the fingerprint rotation war ===")
-	caseA, err := core.RunCaseA(core.DefaultCaseAConfig(seed))
+	caseA, err := core.RunCaseA(seed)
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func run() error {
 	const seed = 7
 
 	fmt.Println("=== Table I — per-country SMS surge ===")
-	t1, err := core.RunTable1(core.DefaultTable1Config(seed))
+	t1, err := core.RunTable1(seed)
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,8 @@ package funabuse_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,15 +16,23 @@ import (
 var testOnlyKeep = map[string]string{
 	"simclock.eventQueue.Less": "heap.Interface method, called through container/heap",
 	"simclock.eventQueue.Swap": "heap.Interface method, called through container/heap",
+	"simclock.eventQueue.Push": "heap.Interface method, called through container/heap",
+	"simclock.eventQueue.Pop":  "heap.Interface method, called through container/heap",
 
 	"obs.ParseText":                "test oracle: every exposition test and FuzzParseText parse /metrics output with it",
 	"names.Levenshtein":            "test oracle for DamerauLevenshtein",
 	"metrics.Running.N":            "test oracle: the runner tests count timed replicates with it",
 	"weblog.FeatureNames":          "test oracle naming the Features vector's columns",
-	"weblog.GraphFeatureNames":     "test oracle naming the GraphFeatures vector's columns",
 	"simclock.Scheduler.RunFor":    "test helper used by tests of the packages built on the scheduler",
 	"simclock.Scheduler.Drain":     "test helper used by tests of the packages built on the scheduler",
+	"simclock.Scheduler.Stop":      "ends the Run in progress from inside an event; TestSchedulerStop pins its ErrStopped contract",
+	"simclock.Scheduler.Len":       "test oracle: the cancellation tests count live events with it",
+	"simclock.Event.At":            "test oracle: TestEventAt reads a scheduled event's instant",
+	"simrand.NewZipf":              "test workload: the signal sketch tests and the cluster view model test draw skewed key streams from it",
+	"simrand.Zipf.Draw":            "test workload: the signal sketch tests and the cluster view model test draw skewed key streams from it",
+	"proxy.Pool.Contains":          "membership oracle: TestPoolLazyMatchesEager holds the lazy pool equal to the eager reference through it",
 	"mitigate.BlockList.Unblock":   "test helper: the blocklist tests lift rules by hand",
+	"mitigate.BlockList.Blocked":   "string form of BlockedBytes: the blocklist, gate, cluster and loadgen tests probe rules with it",
 	"proxy.WithPoolSize":           "TestPoolLazyMatchesEager builds an eager pool with it",
 	"booking.System.LiveHolds":     "test oracle for the hold-expiry tests",
 	"booking.System.HoldInfo":      "test oracle for the hold-expiry tests",
@@ -33,6 +40,8 @@ var testOnlyKeep = map[string]string{
 	"workload.Population.OTPs":     "the root BenchmarkWorkloadNewUser reads it",
 	"faultinject.Injector.Calls":   "counter the fault-injection tests read",
 	"faultinject.Injector.Outages": "counter the fault-injection tests read",
+	"metrics.Table.Rows":           "test oracle: TestFig1Shape counts the rendered figure's rows with it",
+	"entitygraph.Graph.Lookup":     "test oracle: the reference-twin and syndicate tests compare components key by key through it",
 
 	"cluster.Cluster.FailuresByReason": "fleet health accessor for the planned per-node operator view",
 	"cluster.Cluster.NodeDegraded":     "fleet health accessor for the planned per-node operator view",
@@ -42,6 +51,12 @@ var testOnlyKeep = map[string]string{
 	"account.Store.Promotions":         "account accessor for the planned per-tier operator view",
 
 	"sms.Chain.TerminatorReports": "EXPERIMENTS.md cites it as E10's audit signal",
+
+	"account.Store.Collector":        "obs.Collector adapter: TestCollectorConformance scrapes it, and the operator surface of ROADMAP item 6 registers it",
+	"detect.StreamMonitor.Collector": "obs.Collector adapter: TestCollectorConformance scrapes it, and the operator surface of ROADMAP item 6 registers it",
+	"entitygraph.Graph.Collector":    "obs.Collector adapter: TestCollectorConformance scrapes it, and the operator surface of ROADMAP item 6 registers it",
+	"obs.TraceRing.Collector":        "obs.Collector adapter: TestCollectorConformance scrapes it, and the operator surface of ROADMAP item 6 registers it",
+	"resilience.Breaker.Collector":   "obs.Collector adapter: TestCollectorConformance scrapes it, and the operator surface of ROADMAP item 6 registers it",
 }
 
 // testOnlyKeepPkgs lists whole packages whose exported surface is exempt.
@@ -50,71 +65,60 @@ var testOnlyKeepPkgs = map[string]string{
 }
 
 // TestNoTestOnlyExports fails when an exported top-level function or method
-// in internal/ has no reference by name anywhere in the non-test code of
+// in internal/ has no reference anywhere in the non-test code of
 // internal/, cmd/, examples/ or bench/ outside its own declaration. Such a
 // function is surface only its own tests keep alive: delete it with them,
-// or add it to testOnlyKeep with the reason it stays. The scan is by name,
-// so a method counts as used when any call site uses that method name.
+// or add it to testOnlyKeep with the reason it stays.
+//
+// References are resolved with go/types, so a same-named identifier
+// elsewhere does not hide an unused method. A method counts as used when
+// a selection resolves to it (to its generic origin, for a method of an
+// instantiated type), or when a method of that name is called through an
+// interface: dynamic dispatch may reach any implementation.
 func TestNoTestOnlyExports(t *testing.T) {
+	l := loadRepo(t)
 	type decl struct {
 		key        string
 		pkg        string
 		file       string
 		start, end token.Pos
 	}
-	fset := token.NewFileSet()
-	var decls []decl
-	refs := map[string][]token.Pos{}
-	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+	decls := map[*types.Func]decl{}
+	for _, f := range l.files {
+		file := l.fset.Position(f.Pos()).Filename
+		if !strings.HasPrefix(filepath.ToSlash(file), "internal/") {
+			continue
+		}
+		for _, dl := range f.Decls {
+			fd, ok := dl.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
 			}
-			if d.IsDir() {
-				if d.Name() == "testdata" || d.Name() == "out" {
-					return filepath.SkipDir
-				}
-				return nil
+			key := f.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
 			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			declNames := map[*ast.Ident]bool{}
-			for _, dl := range f.Decls {
-				fd, ok := dl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				declNames[fd.Name] = true
-				if root != "internal" || !fd.Name.IsExported() {
-					continue
-				}
-				key := f.Name.Name + "." + fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					key = f.Name.Name + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
-				}
-				decls = append(decls, decl{key: key, pkg: f.Name.Name, file: path, start: fd.Pos(), end: fd.End()})
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-					refs[id.Name] = append(refs[id.Name], id.Pos())
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+			decls[l.info.Defs[fd.Name].(*types.Func)] = decl{key: key, pkg: f.Name.Name, file: file, start: fd.Pos(), end: fd.End()}
+		}
+	}
+
+	refs := map[*types.Func][]token.Pos{}
+	viaInterface := map[string]bool{}
+	for id, obj := range l.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		refs[fn] = append(refs[fn], id.Pos())
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			viaInterface[fn.Name()] = true
 		}
 	}
 
 	seen := map[string]bool{}
 	var unused []string
-	for _, d := range decls {
+	for fn, d := range decls {
 		seen[d.key] = true
 		if _, ok := testOnlyKeep[d.key]; ok {
 			continue
@@ -122,9 +126,8 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if _, ok := testOnlyKeepPkgs[d.pkg]; ok {
 			continue
 		}
-		name := d.key[strings.LastIndexByte(d.key, '.')+1:]
-		used := false
-		for _, p := range refs[name] {
+		used := fn.Type().(*types.Signature).Recv() != nil && viaInterface[fn.Name()]
+		for _, p := range refs[fn] {
 			if p < d.start || p >= d.end {
 				used = true
 				break

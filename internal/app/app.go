@@ -58,8 +58,6 @@ type ReservationAPI interface {
 	RequestHold(ctx ClientContext, req booking.HoldRequest) (*booking.Hold, error)
 	// Confirm completes payment on a hold, issuing a ticket.
 	Confirm(ctx ClientContext, id booking.HoldID) (booking.Ticket, error)
-	// Availability reports seats open for sale on a flight.
-	Availability(ctx ClientContext, id booking.FlightID) (booking.Availability, error)
 }
 
 // SMSAPI is the SMS feature surface (OTP and boarding-pass delivery).

@@ -75,10 +75,6 @@ func (f *fakeAPI) Confirm(app.ClientContext, booking.HoldID) (booking.Ticket, er
 	return booking.Ticket{RecordLocator: "LOC" + string(rune('A'+f.confirms%26)) + "00"}, nil
 }
 
-func (f *fakeAPI) Availability(app.ClientContext, booking.FlightID) (booking.Availability, error) {
-	return booking.Availability{}, nil
-}
-
 func (f *fakeAPI) RequestOTP(ctx app.ClientContext, to geo.MSISDN, login string) error {
 	return f.sendSMS(ctx, to)
 }
@@ -233,9 +229,8 @@ func TestSeatSpinnerStopsBeforeDeparture(t *testing.T) {
 	departure := t0.Add(5 * 24 * time.Hour)
 	s := spinnerWith(sched, api, rng, svc, SeatSpinnerConfig{
 		ID: "s1", Flight: "F1", TargetNiP: 2,
-		ReholdInterval:      30 * time.Minute,
-		StopBeforeDeparture: 48 * time.Hour,
-		Departure:           departure,
+		ReholdInterval: 30 * time.Minute,
+		Departure:      departure,
 	})
 	s.Start()
 	if err := sched.RunFor(6 * 24 * time.Hour); err != nil {
@@ -267,7 +262,6 @@ func TestSeatSpinnerStructuredIdentities(t *testing.T) {
 		ID: "s1", Flight: "F1", TargetNiP: 3,
 		ReholdInterval: 30 * time.Minute,
 		Departure:      t0.Add(10 * 24 * time.Hour),
-		Identity:       IdentityStructured,
 	}, capturing, sched, rng.Derive("spin"), rot, svc.NewSession("SG", proxy.RotatePerRequest))
 	s.Start()
 	if err := sched.RunFor(5 * time.Hour); err != nil {
@@ -311,8 +305,8 @@ func TestManualSpinnerUsesFixedPoolWithTypos(t *testing.T) {
 	var captured [][]names.Identity
 	capturing := &captureAPI{fakeAPI: api, captured: &captured}
 	m := NewManualSpinner(ManualSpinnerConfig{
-		ID: "m1", Flight: "F1", PoolSize: 5, PartySize: 3,
-		MeanGap: 10 * time.Minute, TypoRate: 0.3, Devices: 2,
+		ID: "m1", Flight: "F1", PartySize: 3,
+		MeanGap: 10 * time.Minute, TypoRate: 0.3,
 		Until: t0.Add(48 * time.Hour),
 	}, capturing, sched, rng.Derive("m"), svc.NewSession("TH", proxy.RotatePerRequest))
 	m.Start()
@@ -322,7 +316,7 @@ func TestManualSpinnerUsesFixedPoolWithTypos(t *testing.T) {
 	if m.Holds() < 50 {
 		t.Fatalf("manual spinner held %d times", m.Holds())
 	}
-	// Occurrences concentrate on the 5-name base pool; typo variants are
+	// Occurrences concentrate on the base pool; typo variants are
 	// each distinct but individually rare.
 	counts := map[string]int{}
 	entries := 0
@@ -340,7 +334,7 @@ func TestManualSpinnerUsesFixedPoolWithTypos(t *testing.T) {
 	for name, n := range counts {
 		top = append(top, kv{name, n})
 	}
-	// Select the 5 most frequent names.
+	// Select the manualPoolSize most frequent names.
 	for i := range top {
 		for j := i + 1; j < len(top); j++ {
 			if top[j].n > top[i].n {
@@ -349,13 +343,13 @@ func TestManualSpinnerUsesFixedPoolWithTypos(t *testing.T) {
 		}
 	}
 	baseShare := 0
-	for i := 0; i < 5 && i < len(top); i++ {
+	for i := 0; i < manualPoolSize && i < len(top); i++ {
 		baseShare += top[i].n
 	}
 	if float64(baseShare)/float64(entries) < 0.6 {
 		t.Fatalf("base pool covers %d/%d entries, want dominant reuse", baseShare, entries)
 	}
-	if len(counts) <= 5 {
+	if len(counts) <= manualPoolSize {
 		t.Fatal("no typo variants observed at 30% typo rate")
 	}
 	// Broad IP range: per-request rotation.
@@ -486,10 +480,10 @@ func TestSMSPumperRotatesOnBlock(t *testing.T) {
 	if err := sched.RunFor(7 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if p.Rotations() == 0 {
+	if p.rotations == 0 {
 		t.Fatal("pumper never rotated after block")
 	}
-	if p.Blocked() == 0 {
+	if p.blocked == 0 {
 		t.Fatal("block not observed")
 	}
 	// Pumping resumed under the new print.
@@ -521,8 +515,8 @@ func TestSMSPumperBacksOffWhenRestricted(t *testing.T) {
 		t.Fatalf("sent %d through a removed feature", p.Sent())
 	}
 	// Probes every ~6h, not every minute.
-	if p.Attempts() > 10 {
-		t.Fatalf("attempts = %d, want occasional probes only", p.Attempts())
+	if p.attempts > 10 {
+		t.Fatalf("attempts = %d, want occasional probes only", p.attempts)
 	}
 }
 
@@ -534,14 +528,14 @@ func TestScraperCrawlsAndHitsTrap(t *testing.T) {
 	svc := proxy.NewService(rng.Derive("p"))
 
 	s := NewScraper(ScraperConfig{
-		ID: "sc", Interval: time.Second, Requests: 300, HitTrap: true,
+		ID: "sc", Interval: time.Second, Requests: 300,
 	}, api, sched, rng.Derive("s"), svc.NewSession("US", proxy.RotatePerSession))
 	s.Start()
 	if err := sched.RunFor(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if s.Sent() != 300 {
-		t.Fatalf("sent = %d, want 300", s.Sent())
+	if s.sent != 300 {
+		t.Fatalf("sent = %d, want 300", s.sent)
 	}
 	if api.gets != 300 {
 		t.Fatalf("gets = %d", api.gets)
@@ -556,21 +550,22 @@ func TestScraperPausesSplitBursts(t *testing.T) {
 	svc := proxy.NewService(rng.Derive("p"))
 
 	s := NewScraper(ScraperConfig{
-		ID: "sc", Interval: time.Second, Requests: 100, PauseEvery: 40,
+		ID: "sc", Interval: time.Second, Requests: 400,
 	}, api, sched, rng.Derive("s"), svc.NewSession("US", proxy.RotatePerSession))
 	s.Start()
-	// 100 requests with two 45-minute pauses: needs > 90 minutes.
+	// 400 requests with a 45-minute pause after every crawlBurst (150):
+	// two pauses, so it needs > 90 minutes.
 	if err := sched.RunFor(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if s.Sent() >= 100 {
+	if s.sent >= 400 {
 		t.Fatal("pauses not applied")
 	}
 	if err := sched.RunFor(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if s.Sent() != 100 {
-		t.Fatalf("sent = %d after pauses", s.Sent())
+	if s.sent != 400 {
+		t.Fatalf("sent = %d after pauses", s.sent)
 	}
 }
 

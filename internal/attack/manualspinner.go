@@ -23,8 +23,6 @@ import (
 type ManualSpinnerConfig struct {
 	ID     string
 	Flight booking.FlightID
-	// PoolSize is the fixed passenger-name set size.
-	PoolSize int
 	// PartySize is how many passengers per booking.
 	PartySize int
 	// MeanGap is the mean time between booking attempts; manual operators
@@ -32,12 +30,17 @@ type ManualSpinnerConfig struct {
 	MeanGap time.Duration
 	// TypoRate is the probability a name is hand-mistyped on entry.
 	TypoRate float64
-	// Devices is how many distinct (organic) browser fingerprints the
-	// operation uses.
-	Devices int
 	// Until stops the activity at this instant.
 	Until time.Time
 }
+
+const (
+	// manualPoolSize is the fixed passenger-name set size.
+	manualPoolSize = 6
+	// manualDevices is how many distinct (organic) browser fingerprints
+	// the operation uses.
+	manualDevices = 2
+)
 
 // ManualSpinner is the human DoI attacker.
 type ManualSpinner struct {
@@ -49,10 +52,9 @@ type ManualSpinner struct {
 	pool    *names.Pool
 	devices []fingerprint.Fingerprint
 
-	attempts int
-	holds    int
-	rejects  int
-	stopped  bool
+	holds   int
+	rejects int
+	stopped bool
 }
 
 // NewManualSpinner builds the attacker. Fingerprints are drawn from the
@@ -64,20 +66,14 @@ func NewManualSpinner(
 	rng *simrand.RNG,
 	session *proxy.Session,
 ) *ManualSpinner {
-	if cfg.PoolSize < 2 {
-		cfg.PoolSize = 6
-	}
 	if cfg.PartySize < 1 {
 		cfg.PartySize = 2
 	}
 	if cfg.MeanGap <= 0 {
 		cfg.MeanGap = 12 * time.Minute
 	}
-	if cfg.Devices < 1 {
-		cfg.Devices = 2
-	}
 	gen := fingerprint.NewGenerator(rng.Derive("devices"))
-	devices := make([]fingerprint.Fingerprint, cfg.Devices)
+	devices := make([]fingerprint.Fingerprint, manualDevices)
 	for i := range devices {
 		devices[i] = gen.Organic()
 	}
@@ -87,13 +83,10 @@ func NewManualSpinner(
 		sched:   sched,
 		rng:     rng,
 		session: session,
-		pool:    names.NewPool(rng.Derive("pool"), cfg.PoolSize),
+		pool:    names.NewPool(rng.Derive("pool"), manualPoolSize),
 		devices: devices,
 	}
 }
-
-// Attempts returns how many bookings were tried.
-func (m *ManualSpinner) Attempts() int { return m.attempts }
 
 // Holds returns how many holds succeeded.
 func (m *ManualSpinner) Holds() int { return m.holds }
@@ -115,7 +108,6 @@ func (m *ManualSpinner) attempt(now time.Time) {
 		m.stopped = true
 		return
 	}
-	m.attempts++
 	party := m.pool.Permuted(m.cfg.PartySize)
 	for i := range party {
 		if m.rng.Bool(m.cfg.TypoRate) {

@@ -22,18 +22,17 @@ type ScraperConfig struct {
 	Interval time.Duration
 	// Requests is the total crawl budget.
 	Requests int
-	// HitTrap controls whether the crawler follows invisible links into
-	// the trap file, as exhaustive crawlers do.
-	HitTrap bool
-	// PauseEvery inserts a crawlPause after this many requests (0 =
-	// never): crawl bursts separated by idle gaps, which splits the web
-	// log into many hot sessions.
-	PauseEvery int
 }
 
-// crawlPause is the burst gap, longer than the classical 30-minute
-// sessionization threshold.
-const crawlPause = 45 * time.Minute
+const (
+	// crawlBurst is how many requests the crawler sends before each
+	// crawlPause: crawl bursts separated by idle gaps split the web log
+	// into many hot sessions.
+	crawlBurst = 150
+	// crawlPause is the burst gap, longer than the classical 30-minute
+	// sessionization threshold.
+	crawlPause = 45 * time.Minute
+)
 
 // crawlPaths is the URL universe every scraper crawls: a search and
 // flight-fare tree. It is only ever read.
@@ -86,12 +85,6 @@ func NewScraper(
 	}
 }
 
-// Sent returns how many requests completed.
-func (s *Scraper) Sent() int { return s.sent }
-
-// Denied returns how many requests the defence rejected.
-func (s *Scraper) Denied() int { return s.denied }
-
 // Start schedules the crawl.
 func (s *Scraper) Start() {
 	s.sched.ScheduleAfter(s.cfg.Interval, s.step)
@@ -103,7 +96,8 @@ func (s *Scraper) step(now time.Time) {
 		return
 	}
 	path := crawlPaths[(s.sent+s.denied)%len(crawlPaths)]
-	if s.cfg.HitTrap && (s.sent+s.denied)%97 == 42 {
+	// Like exhaustive crawlers, it follows invisible links into the trap.
+	if (s.sent+s.denied)%97 == 42 {
 		path = weblog.TrapPath
 	}
 	ctx := app.ClientContext{
@@ -119,7 +113,7 @@ func (s *Scraper) step(now time.Time) {
 		s.sent++
 	}
 	next := s.cfg.Interval
-	if s.cfg.PauseEvery > 0 && (s.sent+s.denied)%s.cfg.PauseEvery == 0 {
+	if (s.sent+s.denied)%crawlBurst == 0 {
 		next = crawlPause
 	}
 	s.sched.Schedule(now.Add(next), s.step)

@@ -62,18 +62,6 @@ func (s SpinnerStats) MeanRotationInterval() time.Duration {
 	return total / time.Duration(len(s.Rotations))
 }
 
-// IdentityStyle selects how a spinner fills passenger details.
-type IdentityStyle int
-
-// Identity styles observed in the case studies.
-const (
-	// IdentityGarbage uses random keyboard-mash names (early automation).
-	IdentityGarbage IdentityStyle = iota + 1
-	// IdentityStructured uses a fixed lead name with rotating birthdate
-	// plus overlapping pool members (Airline B).
-	IdentityStructured
-)
-
 // SeatSpinnerConfig parameterises an automated spinner.
 type SeatSpinnerConfig struct {
 	// ID is the attacker's stable evaluation identity.
@@ -87,18 +75,20 @@ type SeatSpinnerConfig struct {
 	// ReholdInterval is how often the spinner re-issues holds, learned in
 	// reconnaissance to equal the hold TTL.
 	ReholdInterval time.Duration
-	// StopBeforeDeparture ends the attack this long before departure (the
-	// paper observed holding cease two days out).
-	StopBeforeDeparture time.Duration
-	// Departure is the flight's departure instant.
+	// Departure is the flight's departure instant; the attack ends
+	// stopBeforeDeparture earlier.
 	Departure time.Time
-	// Identity selects the passenger-detail style.
-	Identity IdentityStyle
 	// Parallel is how many concurrent holds the spinner maintains.
 	Parallel int
 }
 
-// SeatSpinner is the automated DoI bot.
+// stopBeforeDeparture is how long before departure the attack ends: the
+// paper observed holding cease two days out.
+const stopBeforeDeparture = 48 * time.Hour
+
+// SeatSpinner is the automated DoI bot. Its parties are structured: a fixed
+// lead name with a rotating birthdate plus overlapping pool members, the
+// Airline B pattern.
 type SeatSpinner struct {
 	cfg     SeatSpinnerConfig
 	api     app.ReservationAPI
@@ -107,7 +97,6 @@ type SeatSpinner struct {
 	rotator *fingerprint.Rotator
 	session *proxy.Session
 	pool    *names.Pool
-	gen     *names.Generator
 
 	nip       int
 	clientSeq int
@@ -141,9 +130,6 @@ func NewSeatSpinner(
 	if cfg.ReholdInterval <= 0 {
 		cfg.ReholdInterval = 30 * time.Minute
 	}
-	if cfg.StopBeforeDeparture <= 0 {
-		cfg.StopBeforeDeparture = 48 * time.Hour
-	}
 	return &SeatSpinner{
 		cfg:     cfg,
 		api:     api,
@@ -152,7 +138,6 @@ func NewSeatSpinner(
 		rotator: rotator,
 		session: session,
 		pool:    names.NewPool(rng.Derive("pool"), 8),
-		gen:     names.NewGenerator(rng.Derive("gen")),
 		nip:     cfg.TargetNiP,
 	}
 }
@@ -182,7 +167,7 @@ func (s *SeatSpinner) launchWave(at time.Time) {
 }
 
 func (s *SeatSpinner) deadline() time.Time {
-	return s.cfg.Departure.Add(-s.cfg.StopBeforeDeparture)
+	return s.cfg.Departure.Add(-stopBeforeDeparture)
 }
 
 func (s *SeatSpinner) attempt(now time.Time, gen int) {
@@ -200,7 +185,7 @@ func (s *SeatSpinner) attempt(now time.Time, gen int) {
 	s.stats.Attempts++
 	hold, err := s.api.RequestHold(ctx, booking.HoldRequest{
 		Flight:     s.cfg.Flight,
-		Passengers: s.passengers(),
+		Passengers: s.pool.OverlappingParty(s.nip),
 		ActorID:    ctx.ClientKey,
 	})
 	switch {
@@ -279,18 +264,5 @@ func (s *SeatSpinner) clientContext() app.ClientContext {
 		ClientKey:   s.cfg.ID + "-c" + strconv.Itoa(s.clientSeq),
 		Actor:       weblog.ActorSeatSpinner,
 		ActorID:     s.cfg.ID,
-	}
-}
-
-func (s *SeatSpinner) passengers() []names.Identity {
-	switch s.cfg.Identity {
-	case IdentityStructured:
-		return s.pool.OverlappingParty(s.nip)
-	default:
-		out := make([]names.Identity, s.nip)
-		for i := range out {
-			out[i] = s.gen.Garbage()
-		}
-		return out
 	}
 }

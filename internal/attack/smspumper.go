@@ -92,13 +92,12 @@ type SMSPumper struct {
 	chooser   *simrand.Categorical
 	sessions  map[string]*proxy.Session
 
-	sent        int
-	attempts    int
-	blocked     int
-	rateLimited int
-	rotations   int
-	stopped     bool
-	clientSeq   int
+	sent      int
+	attempts  int
+	blocked   int
+	rotations int
+	stopped   bool
+	clientSeq int
 }
 
 // NewSMSPumper builds the attacker. The rotator should be configured with
@@ -146,21 +145,6 @@ func NewSMSPumper(
 
 // Sent returns delivered pump messages.
 func (p *SMSPumper) Sent() int { return p.sent }
-
-// Attempts returns total send attempts.
-func (p *SMSPumper) Attempts() int { return p.attempts }
-
-// Blocked returns attempts denied by block rules.
-func (p *SMSPumper) Blocked() int { return p.blocked }
-
-// RateLimited returns attempts denied by rate limits.
-func (p *SMSPumper) RateLimited() int { return p.rateLimited }
-
-// Rotations returns how many fingerprint rotations the campaign performed.
-func (p *SMSPumper) Rotations() int { return p.rotations }
-
-// Stopped reports whether the campaign has ended.
-func (p *SMSPumper) Stopped() bool { return p.stopped }
 
 // Start runs the purchase phase immediately and schedules the pump loop.
 func (p *SMSPumper) Start() {
@@ -229,7 +213,6 @@ func (p *SMSPumper) pump(now time.Time) {
 		p.rotations++
 		p.clientSeq++
 	case errors.Is(err, app.ErrRateLimited):
-		p.rateLimited++
 		// Back off for a while, then probe again.
 		p.sched.Schedule(now.Add(30*time.Minute), p.pump)
 		return

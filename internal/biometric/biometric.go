@@ -92,14 +92,6 @@ func Extract(tr Trace) Features {
 	return f
 }
 
-// Vector flattens features for the numeric classifiers.
-func (f Features) Vector() []float64 {
-	return []float64{
-		f.MeanKeyIntervalMs, f.KeyIntervalCV, f.BackspaceRate,
-		f.DwellVarianceMs, f.PointerCurve, f.FillTimeMs, float64(f.Keystrokes),
-	}
-}
-
 // Verdict is the detector's decision with the triggering signal.
 type Verdict struct {
 	Flagged bool

@@ -120,9 +120,6 @@ func TestExtractFeatures(t *testing.T) {
 	if f.DwellVarianceMs != 1000*1000 {
 		t.Fatalf("DwellVarianceMs = %v", f.DwellVarianceMs)
 	}
-	if len(f.Vector()) != 7 {
-		t.Fatalf("vector length %d", len(f.Vector()))
-	}
 }
 
 func TestExtractEmptyTrace(t *testing.T) {

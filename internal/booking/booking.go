@@ -166,9 +166,6 @@ func NewSystem(clock simclock.Clock, rng *simrand.RNG, cfg Config) *System {
 	}
 }
 
-// Config returns the current configuration.
-func (s *System) Config() Config { return s.cfg }
-
 // SetMaxNiP applies the party-size cap mitigation at runtime.
 func (s *System) SetMaxNiP(n int) {
 	if n >= 1 {
@@ -179,16 +176,6 @@ func (s *System) SetMaxNiP(n int) {
 // AddFlight registers a flight. Re-adding an existing ID resets its state.
 func (s *System) AddFlight(f Flight) {
 	s.flights[f.ID] = &flightState{flight: f}
-}
-
-// Flights returns all flight IDs in sorted order.
-func (s *System) Flights() []FlightID {
-	out := make([]FlightID, 0, len(s.flights))
-	for id := range s.flights {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // HoldRequest asks to block nip seats on a flight.
@@ -338,9 +325,6 @@ func (s *System) TicketExists(loc string) bool {
 	_, ok := s.tickets[loc]
 	return ok
 }
-
-// Tickets returns the number of issued tickets.
-func (s *System) Tickets() int { return len(s.tickets) }
 
 // Journal returns a copy of the hold-attempt journal.
 func (s *System) Journal() []Record {

@@ -94,7 +94,7 @@ func TestSetMaxNiPMitigation(t *testing.T) {
 		t.Fatalf("post-mitigation NiP 6 err = %v", err)
 	}
 	sys.SetMaxNiP(0) // invalid, ignored
-	if sys.Config().MaxNiP != 4 {
+	if sys.cfg.MaxNiP != 4 {
 		t.Fatal("SetMaxNiP(0) changed the cap")
 	}
 }
@@ -189,8 +189,8 @@ func TestRecordLocatorsUnique(t *testing.T) {
 		}
 		seen[tk.RecordLocator] = true
 	}
-	if sys.Tickets() != 100 {
-		t.Fatalf("Tickets() = %d", sys.Tickets())
+	if len(sys.tickets) != 100 {
+		t.Fatalf("tickets = %d", len(sys.tickets))
 	}
 }
 

@@ -43,15 +43,6 @@ func DefaultFareSchedule(capacity int) FareSchedule {
 	)
 }
 
-// Capacity returns the total seats across buckets.
-func (fs FareSchedule) Capacity() int {
-	total := 0
-	for _, b := range fs {
-		total += b.Seats
-	}
-	return total
-}
-
 // Quote returns the displayed fare when occupied seats (sold plus held)
 // are unavailable: the price of the cheapest bucket with space.
 func (fs FareSchedule) Quote(occupied int) (float64, error) {

@@ -51,8 +51,12 @@ func TestNewFareScheduleSortsByPrice(t *testing.T) {
 
 func TestDefaultFareSchedule(t *testing.T) {
 	fs := DefaultFareSchedule(180)
-	if fs.Capacity() != 180 {
-		t.Fatalf("capacity %d", fs.Capacity())
+	seats := 0
+	for _, b := range fs {
+		seats += b.Seats
+	}
+	if seats != 180 {
+		t.Fatalf("capacity %d", seats)
 	}
 	if got, _ := fs.Quote(0); got != 79 {
 		t.Fatalf("base fare %v", got)

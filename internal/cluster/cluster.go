@@ -549,9 +549,6 @@ func (c *Cluster) observePropagation(d time.Duration) {
 	}
 }
 
-// Nodes returns the fleet size.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // GossipRounds returns how many exchange rounds have run.
 func (c *Cluster) GossipRounds() uint64 { return c.rounds.Load() }
 

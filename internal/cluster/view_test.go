@@ -195,6 +195,7 @@ func TestSlotViewMatchesMergedReference(t *testing.T) {
 		})
 		ref := newReferenceView(nodes, epoch, 3*time.Second)
 		rng := simrand.New(seed).Derive("traffic")
+		zipf := simrand.NewZipf(fingerprints, 1.1)
 		keys := make([]string, fingerprints)
 		for i := range keys {
 			keys[i] = "fp:" + strconv.FormatUint(uint64(0xa000+i), 16)
@@ -202,7 +203,7 @@ func TestSlotViewMatchesMergedReference(t *testing.T) {
 		for round = 0; round < rounds; round++ {
 			for range 30 + rng.Intn(60) {
 				manual.Advance(time.Duration(rng.Intn(40)) * time.Millisecond)
-				fp := uint64(0xa000 + rng.Zipf(fingerprints, 1.1))
+				fp := uint64(0xa000 + zipf.Draw(rng))
 				r := fleetRequest("/booking/hold", fp, "203.0.1."+strconv.Itoa(rng.Intn(50)))
 				c.nodes[rng.Intn(nodes)].handler.ServeHTTP(httptest.NewRecorder(), r)
 			}

@@ -12,7 +12,6 @@ import (
 
 	"funabuse/internal/app"
 	"funabuse/internal/booking"
-	"funabuse/internal/detect"
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/geo"
 	"funabuse/internal/mitigate"
@@ -63,7 +62,6 @@ type Application struct {
 	otp      *sms.OTPService
 
 	log     *weblog.Log
-	fpRules *detect.FingerprintRules
 	blocks  *mitigate.BlockList
 	captcha *mitigate.CaptchaGate
 
@@ -150,16 +148,10 @@ func NewApplication(
 		boarding: sms.NewBoardingPassService(gateway, bookings),
 		otp:      sms.NewOTPService(gateway),
 		log:      weblog.NewLog(),
-		fpRules:  detect.NewFingerprintRules(),
 		blocks:   mitigate.NewBlockList(0),
 		captcha:  newCaptcha(rng, cfg),
 		fpSeen:   make(map[uint64]fingerprint.Fingerprint),
 	}
-	// The application judges fingerprints by blocked hash alone; the
-	// static artifact and inconsistency families are scored on their own
-	// by the detection experiment.
-	a.fpRules.CheckArtifacts = false
-	a.fpRules.CheckConsistency = false
 	if cfg.SMSPathLimit > 0 {
 		a.pathLimiter = mitigate.NewKeyedLimiter(cfg.SMSPathWindow, cfg.SMSPathLimit)
 	}
@@ -188,10 +180,6 @@ func (a *Application) Log() *weblog.Log { return a.log }
 
 // Bookings returns the protected reservation system.
 func (a *Application) Bookings() *booking.System { return a.bookings }
-
-// FingerprintRules returns the knowledge-based rules engine (the defender
-// installs hash rules through it).
-func (a *Application) FingerprintRules() *detect.FingerprintRules { return a.fpRules }
 
 // Blocks returns the IP/client blocklist.
 func (a *Application) Blocks() *mitigate.BlockList { return a.blocks }
@@ -244,8 +232,8 @@ func (a *Application) record(ctx app.ClientContext, fp uint64, method, path stri
 	})
 }
 
-// screen runs the layers common to every surface: blocklists and static
-// fingerprint rules. It returns the request's fingerprint digest for the
+// screen runs the layer common to every surface: the blocklists, whose
+// fp:<hex> keys are the defender's fingerprint-hash rules. It returns the request's fingerprint digest for the
 // later layers, and a non-nil error when the request must be rejected.
 func (a *Application) screen(ctx app.ClientContext, method, path string) (fp uint64, err error) {
 	a.stats.requests.Add(1)
@@ -276,11 +264,6 @@ func (a *Application) screen(ctx app.ClientContext, method, path string) (fp uin
 			a.record(ctx, fp, method, path, 403)
 			return fp, app.ErrBlocked
 		}
-	}
-	if v := a.fpRules.Judge(ctx.Fingerprint, fp); v.Flagged {
-		a.stats.blocked.Add(1)
-		a.record(ctx, fp, method, path, 403)
-		return fp, app.ErrBlocked
 	}
 	return fp, nil
 }
@@ -361,21 +344,6 @@ func (a *Application) Confirm(ctx app.ClientContext, id booking.HoldID) (booking
 		a.stats.served.Add(1)
 	}
 	return t, err
-}
-
-// Availability implements app.ReservationAPI.
-func (a *Application) Availability(ctx app.ClientContext, id booking.FlightID) (booking.Availability, error) {
-	const path = "/booking/availability"
-	fp, err := a.screen(ctx, "GET", path)
-	if err != nil {
-		return booking.Availability{}, err
-	}
-	av, err := a.bookings.AvailabilityOf(id)
-	a.record(ctx, fp, "GET", path, statusOf(err))
-	if err == nil {
-		a.stats.served.Add(1)
-	}
-	return av, err
 }
 
 // smsGates runs the SMS-surface defence layers shared by OTP and boarding

@@ -12,41 +12,29 @@ import (
 
 // DefenderConfig tunes the adaptive countermeasure loop.
 type DefenderConfig struct {
-	// Tick is how often the defender reviews the journals.
-	Tick time.Duration
-	// ReviewWindow is how far back each review looks.
-	ReviewWindow time.Duration
-	// HoldThreshold is the accepted-hold count per client key within the
-	// review window above which the client is treated as a spinner. A
-	// legitimate customer holds a seat once, maybe twice.
-	HoldThreshold int
 	// NiPCapOnDrift applies this party-size cap when NiP drift is
 	// anomalous (0 = never cap). The paper's team capped at 4.
 	NiPCapOnDrift int
-	// BlockFingerprints installs fingerprint-hash rules for abusive keys.
-	BlockFingerprints bool
-	// BlockIPs also blocks the offending exit IPs.
-	BlockIPs bool
 	// RedirectToHoneypot routes flagged clients to the decoy instead of
 	// blocking them.
 	RedirectToHoneypot bool
-	// NamePatterns enables the passenger-detail detector at its default
-	// thresholds.
-	NamePatterns bool
 }
 
 // DefaultDefenderConfig mirrors the paper's operational posture.
 func DefaultDefenderConfig() DefenderConfig {
-	return DefenderConfig{
-		Tick:              time.Hour,
-		ReviewWindow:      6 * time.Hour,
-		HoldThreshold:     4,
-		NiPCapOnDrift:     4,
-		BlockFingerprints: true,
-		BlockIPs:          true,
-		NamePatterns:      true,
-	}
+	return DefenderConfig{NiPCapOnDrift: 4}
 }
+
+const (
+	// reviewTick is how often the defender reviews the journals.
+	reviewTick = time.Hour
+	// reviewWindow is how far back each review looks.
+	reviewWindow = 6 * time.Hour
+	// holdThreshold is the accepted-hold count per client key within the
+	// review window at which the client is treated as a spinner. A
+	// legitimate customer holds a seat once, maybe twice.
+	holdThreshold = 4
+)
 
 // Defender is the adaptive security team: it periodically reviews the
 // reservation journal and hold audit, detects drift and abusive clients,
@@ -62,9 +50,6 @@ type Defender struct {
 	capAppliedAt time.Time
 	rulesAdded   int
 	redirects    int
-	lastReview   time.Time
-	findings     []detect.NameFinding
-	ticker       *simclock.Ticker
 }
 
 // NewDefender builds a defender reviewing the given application. baseline
@@ -76,15 +61,6 @@ func NewDefender(
 	sched *simclock.Scheduler,
 	baseline []booking.Record,
 ) *Defender {
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Hour
-	}
-	if cfg.ReviewWindow <= 0 {
-		cfg.ReviewWindow = 6 * time.Hour
-	}
-	if cfg.HoldThreshold <= 0 {
-		cfg.HoldThreshold = 4
-	}
 	d := &Defender{
 		cfg:         cfg,
 		application: application,
@@ -99,14 +75,7 @@ func NewDefender(
 
 // Start schedules the periodic review.
 func (d *Defender) Start() {
-	d.ticker = d.sched.ScheduleEvery(d.cfg.Tick, d.review)
-}
-
-// Stop halts the review loop.
-func (d *Defender) Stop() {
-	if d.ticker != nil {
-		d.ticker.Stop()
-	}
+	d.sched.ScheduleEvery(reviewTick, d.review)
 }
 
 // RulesAdded returns how many block rules the defender installed.
@@ -118,16 +87,9 @@ func (d *Defender) Redirects() int { return d.redirects }
 // CapApplied reports whether and when the NiP cap mitigation fired.
 func (d *Defender) CapApplied() (time.Time, bool) { return d.capAppliedAt, d.capApplied }
 
-// Findings returns the latest name-pattern findings.
-func (d *Defender) Findings() []detect.NameFinding {
-	out := make([]detect.NameFinding, len(d.findings))
-	copy(out, d.findings)
-	return out
-}
-
 // review is one defender pass over the recent journals.
 func (d *Defender) review(now time.Time) {
-	from := now.Add(-d.cfg.ReviewWindow)
+	from := now.Add(-reviewWindow)
 	records := d.application.Bookings().JournalBetween(from, now)
 	if d.drift == nil {
 		// Learn the baseline from the first window and start enforcing on
@@ -150,15 +112,11 @@ func (d *Defender) review(now time.Time) {
 	suspects := d.suspectKeys(from, now)
 
 	// 3. Passenger-detail patterns (case B) widen the suspect set.
-	if d.cfg.NamePatterns {
-		d.findings = d.names.Analyze(records)
-		for _, key := range detect.SuspectActors(records, d.findings) {
-			suspects[key] = true
-		}
+	for _, key := range detect.SuspectActors(records, d.names.Analyze(records)) {
+		suspects[key] = true
 	}
 
 	d.act(suspects, from, now)
-	d.lastReview = now
 }
 
 // suspectKeys returns client keys whose accepted-hold velocity in the
@@ -172,7 +130,7 @@ func (d *Defender) suspectKeys(from, to time.Time) map[string]bool {
 	}
 	out := make(map[string]bool)
 	for key, n := range counts {
-		if n >= d.cfg.HoldThreshold {
+		if n >= holdThreshold {
 			out[key] = true
 		}
 	}
@@ -204,15 +162,9 @@ func (d *Defender) act(suspects map[string]bool, from, now time.Time) {
 			if h.ClientKey != key || h.Time.After(now) {
 				continue
 			}
-			if d.cfg.BlockFingerprints {
-				d.application.FingerprintRules().Block(h.FPHash)
-				d.application.Blocks().Block("fp:"+strconv.FormatUint(h.FPHash, 16), now)
-				d.rulesAdded++
-			}
-			if d.cfg.BlockIPs {
-				d.application.Blocks().Block("ip:"+string(h.IP), now)
-				d.rulesAdded++
-			}
+			d.application.Blocks().Block("fp:"+strconv.FormatUint(h.FPHash, 16), now)
+			d.application.Blocks().Block("ip:"+string(h.IP), now)
+			d.rulesAdded += 2
 		}
 		// The key itself is burned either way.
 		d.application.Blocks().Block("ck:"+key, now)

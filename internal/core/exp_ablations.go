@@ -126,7 +126,6 @@ func ablateTTL(seed uint64) ([]TTLRow, error) {
 			TargetNiP:      6,
 			ReholdInterval: ttl,
 			Departure:      envCfg.TargetDep,
-			Identity:       attack.IdentityStructured,
 			Parallel:       10,
 		}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 			env.Proxies.NewSession("SG", proxy.RotatePerRequest))
@@ -253,7 +252,6 @@ func ablateSessionGap(seed uint64) ([]GapRow, error) {
 		TargetNiP:      2,
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
-		Identity:       attack.IdentityStructured,
 		Parallel:       8,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
@@ -261,7 +259,6 @@ func ablateSessionGap(seed uint64) ([]GapRow, error) {
 
 	scraper := attack.NewScraper(attack.ScraperConfig{
 		ID: "scrape-1", Interval: 3 * time.Second, Requests: 8000,
-		HitTrap: true, PauseEvery: 150,
 	}, env.App, env.Sched, env.RNG.Derive("scraper"),
 		env.Proxies.NewSession("US", proxy.RotatePerSession))
 	scraper.Start()

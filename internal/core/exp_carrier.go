@@ -58,7 +58,7 @@ func (r CarrierResult) Table() *metrics.Table {
 // (48 h into the attack, reflecting operational dispute latency).
 func RunCarrier(seed uint64) (CarrierResult, error) {
 	// One pump campaign in the vulnerable posture supplies the traffic.
-	env, _, err := runPumpScenario(seed, DefenceConfig{}, 100, 11*time.Minute+30*time.Second)
+	env, _, err := runPumpScenario(seed, DefenceConfig{}, 11*time.Minute+30*time.Second)
 	if err != nil {
 		return CarrierResult{}, err
 	}

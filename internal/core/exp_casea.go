@@ -67,31 +67,14 @@ func (r CaseAResult) Table() *metrics.Table {
 	return t
 }
 
-// CaseAConfig tunes the experiment.
-type CaseAConfig struct {
-	Seed uint64
-	// ReactionMean is the attacker's mean block→rotation delay; the
-	// default matches the paper's measured 5.3 h.
-	ReactionMean time.Duration
-	// Parallel hold streams for the attacker.
-	Parallel int
-}
-
-// DefaultCaseAConfig matches the paper's measured behaviour.
-func DefaultCaseAConfig(seed uint64) CaseAConfig {
-	return CaseAConfig{
-		Seed:         seed,
-		ReactionMean: fingerprint.DefaultReactionMean,
-		Parallel:     10,
-	}
-}
-
 // RunCaseA replays the Airline A incident: one baseline week, then an
 // adaptive spinner against a defender that reviews hourly, blocks
-// fingerprints and IPs of fast-holding clients, and caps NiP on drift.
-func RunCaseA(cfg CaseAConfig) (CaseAResult, error) {
+// fingerprints and IPs of fast-holding clients, and caps NiP on drift. The
+// attacker runs 10 hold streams and rotates after the paper's measured
+// 5.3 h mean reaction delay.
+func RunCaseA(seed uint64) (CaseAResult, error) {
 	const week = 7 * 24 * time.Hour
-	envCfg := DefaultEnvConfig(cfg.Seed)
+	envCfg := DefaultEnvConfig(seed)
 	envCfg.Defence = DefenceConfig{Blocklists: true}
 	// Departure 17 days in: attack starts day 7, must cease day 15.
 	envCfg.TargetDep = SimStart.Add(17 * 24 * time.Hour)
@@ -116,17 +99,14 @@ func RunCaseA(cfg CaseAConfig) (CaseAResult, error) {
 		env.RNG.Derive("rot"),
 		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
 		fingerprint.WithSpoofing(),
-		fingerprint.WithReactionMean(cfg.ReactionMean),
 	)
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:                  "spin-1",
-		Flight:              envCfg.TargetID,
-		TargetNiP:           6,
-		ReholdInterval:      envCfg.Booking.HoldTTL,
-		StopBeforeDeparture: 48 * time.Hour,
-		Departure:           envCfg.TargetDep,
-		Identity:            attack.IdentityStructured,
-		Parallel:            cfg.Parallel,
+		ID:             "spin-1",
+		Flight:         envCfg.TargetID,
+		TargetNiP:      6,
+		ReholdInterval: envCfg.Booking.HoldTTL,
+		Departure:      envCfg.TargetDep,
+		Parallel:       10,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	attackStart := env.Sched.Now()
@@ -161,10 +141,7 @@ func RunCaseA(cfg CaseAConfig) (CaseAResult, error) {
 	// arrives through a rotating residential exit, so each burned
 	// fingerprint crosses the distinct-IP threshold within a handful of
 	// requests — the live tell the incident's defender lacked.
-	monitor := detect.NewStreamMonitor(detect.StreamConfig{
-		RateWindow:        time.Hour,
-		DistinctThreshold: 8,
-	})
+	monitor := detect.NewStreamMonitor(detect.StreamConfig{})
 	actorOf := make(map[string]string)
 	for _, r := range env.App.Log().Requests() {
 		key := detect.IdentityKey(r)

@@ -84,14 +84,12 @@ func RunCaseB(seed uint64) (CaseBResult, error) {
 		fingerprint.WithSpoofing(),
 	)
 	auto := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:                  "autob-1",
-		Flight:              envCfg.TargetID,
-		TargetNiP:           2,
-		ReholdInterval:      envCfg.Booking.HoldTTL,
-		StopBeforeDeparture: 48 * time.Hour,
-		Departure:           envCfg.TargetDep,
-		Identity:            attack.IdentityStructured,
-		Parallel:            6,
+		ID:             "autob-1",
+		Flight:         envCfg.TargetID,
+		TargetNiP:      2,
+		ReholdInterval: envCfg.Booking.HoldTTL,
+		Departure:      envCfg.TargetDep,
+		Parallel:       6,
 	}, env.App, env.Sched, env.RNG.Derive("auto"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	auto.Start()
@@ -101,11 +99,9 @@ func RunCaseB(seed uint64) (CaseBResult, error) {
 	manual := attack.NewManualSpinner(attack.ManualSpinnerConfig{
 		ID:        "manc-1",
 		Flight:    envCfg.TargetID,
-		PoolSize:  6,
 		PartySize: 3,
 		MeanGap:   10 * time.Minute,
 		TypoRate:  0.12,
-		Devices:   2,
 		Until:     SimStart.Add(horizon),
 	}, env.App, env.Sched, env.RNG.Derive("manual"),
 		env.Proxies.NewSession("TH", proxy.RotatePerRequest))

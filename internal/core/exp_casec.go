@@ -84,7 +84,7 @@ func caseCDefences() []struct {
 func RunCaseC(seed uint64) (CaseCResult, error) {
 	var res CaseCResult
 	for _, variant := range caseCDefences() {
-		env, pumper, err := runPumpScenario(seed, variant.Defence, 100, 2*time.Minute)
+		env, pumper, err := runPumpScenario(seed, variant.Defence, 2*time.Minute)
 		if err != nil {
 			return CaseCResult{}, err
 		}

@@ -112,7 +112,6 @@ func chaosBreaker() resilience.BreakerConfig {
 	return resilience.BreakerConfig{
 		Window:         10 * time.Minute,
 		MinSamples:     5,
-		FailureRate:    0.5,
 		OpenFor:        5 * time.Minute,
 		HalfOpenProbes: 2,
 	}

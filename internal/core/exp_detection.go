@@ -87,11 +87,9 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 	// Scraper: the high-volume baseline. Keeps one exit and a naive
 	// headless print, crawls fast and wide, eventually hits the trap.
 	scraper := attack.NewScraper(attack.ScraperConfig{
-		ID:         "scrape-1",
-		Interval:   3 * time.Second,
-		Requests:   20000,
-		HitTrap:    true,
-		PauseEvery: 150,
+		ID:       "scrape-1",
+		Interval: 3 * time.Second,
+		Requests: 20000,
 	}, env.App, env.Sched, env.RNG.Derive("scraper"),
 		env.Proxies.NewSession("US", proxy.RotatePerSession))
 	scraper.Start()
@@ -102,14 +100,12 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 	// low volume with per-request exits.
 	mkSpinner := func(id string, rot *fingerprint.Rotator) *attack.SeatSpinner {
 		return attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-			ID:                  id,
-			Flight:              envCfg.TargetID,
-			TargetNiP:           2,
-			ReholdInterval:      envCfg.Booking.HoldTTL,
-			StopBeforeDeparture: 48 * time.Hour,
-			Departure:           envCfg.TargetDep,
-			Identity:            attack.IdentityStructured,
-			Parallel:            6,
+			ID:             id,
+			Flight:         envCfg.TargetID,
+			TargetNiP:      2,
+			ReholdInterval: envCfg.Booking.HoldTTL,
+			Departure:      envCfg.TargetDep,
+			Parallel:       6,
 		}, env.App, env.Sched, env.RNG.Derive(id), rot,
 			env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	}
@@ -210,12 +206,9 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 		registry.MustRegister(detect.ClassifierArm{ArmName: "naive bayes", Model: nb})
 	}
 
-	// 3. Knowledge-based static fingerprint checks: consistency only, the
-	// historical semantics of this row (artifact checks are a different
-	// detector).
-	fpRules := detect.NewFingerprintRules()
-	fpRules.CheckArtifacts = false
-	fpArm := detect.FingerprintArm{Rules: fpRules, Lookup: env.App.FingerprintByHash}
+	// 3. Knowledge-based static fingerprint checks: cross-attribute
+	// consistency.
+	fpArm := detect.FingerprintArm{Lookup: env.App.FingerprintByHash}
 	registry.MustRegister(fpArm)
 
 	// 4. Combined: volume OR fingerprint.
@@ -231,9 +224,7 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 	// single-request sessions the offline detectors cannot see). A session
 	// is judged by whether any of its identities was ever flagged.
 	monitor := detect.NewStreamMonitor(detect.StreamConfig{
-		RateWindow:        time.Hour,
-		RateThreshold:     120,
-		DistinctThreshold: 8,
+		RateThreshold: 120,
 	})
 	registry.MustRegister(detect.StreamArm{Monitor: monitor})
 

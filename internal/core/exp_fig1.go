@@ -50,27 +50,15 @@ func (r Fig1Result) Table() *metrics.Table {
 	return t
 }
 
-// Fig1Config tunes the experiment scale.
-type Fig1Config struct {
-	Seed uint64
-	// HoldsPerHour is the legitimate booking rate at daytime peak.
-	HoldsPerHour float64
-	// Parallel is how many concurrent hold streams the attacker runs.
-	Parallel int
-}
-
-// DefaultFig1Config matches the calibration described in DESIGN.md.
-func DefaultFig1Config(seed uint64) Fig1Config {
-	return Fig1Config{Seed: seed, HoldsPerHour: 60, Parallel: 10}
-}
-
 // RunFig1 regenerates Fig. 1. Timeline: week 1 is the average week; the
 // attack (NiP=6 holds continuously re-issued on one flight) starts with
 // week 2; the NiP<=4 cap is applied at the end of week 2, as the paper's
 // team did; week 3 shows both attacker and legitimate groups adapting.
-func RunFig1(cfg Fig1Config) (Fig1Result, error) {
+// Legitimate bookings peak at 60 holds an hour; the attacker runs 10 hold
+// streams.
+func RunFig1(seed uint64) (Fig1Result, error) {
 	const week = 7 * 24 * time.Hour
-	envCfg := DefaultEnvConfig(cfg.Seed)
+	envCfg := DefaultEnvConfig(seed)
 	// The target departs two days after week 3 ends so the attacker's
 	// stop-48h-before-departure logic keeps it active through week 3.
 	envCfg.TargetDep = SimStart.Add(3*week + 48*time.Hour)
@@ -78,7 +66,7 @@ func RunFig1(cfg Fig1Config) (Fig1Result, error) {
 
 	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
 	wl := workload.DefaultConfig(flights, SimStart.Add(3*week))
-	wl.HoldsPerHour = cfg.HoldsPerHour
+	wl.HoldsPerHour = 60
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
 
@@ -95,14 +83,12 @@ func RunFig1(cfg Fig1Config) (Fig1Result, error) {
 		fingerprint.WithSpoofing(),
 	)
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:                  "spin-1",
-		Flight:              envCfg.TargetID,
-		TargetNiP:           6,
-		ReholdInterval:      envCfg.Booking.HoldTTL,
-		StopBeforeDeparture: 48 * time.Hour,
-		Departure:           envCfg.TargetDep,
-		Identity:            attack.IdentityStructured,
-		Parallel:            cfg.Parallel,
+		ID:             "spin-1",
+		Flight:         envCfg.TargetID,
+		TargetNiP:      6,
+		ReholdInterval: envCfg.Booking.HoldTTL,
+		Departure:      envCfg.TargetDep,
+		Parallel:       10,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	spinner.Start()

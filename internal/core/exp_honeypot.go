@@ -79,7 +79,6 @@ func RunHoneypot(seed uint64) (HoneypotResult, error) {
 }
 
 func runHoneypotArm(seed uint64, name string, honeypot bool) (HoneypotArm, error) {
-	const week = 7 * 24 * time.Hour
 	envCfg := DefaultEnvConfig(seed)
 	envCfg.Defence = DefenceConfig{Blocklists: true, Honeypot: honeypot}
 	envCfg.TargetDep = SimStart.Add(12 * 24 * time.Hour)
@@ -110,14 +109,12 @@ func runHoneypotArm(seed uint64, name string, honeypot bool) (HoneypotArm, error
 		fingerprint.WithSpoofing(),
 	)
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:                  "spin-1",
-		Flight:              envCfg.TargetID,
-		TargetNiP:           6,
-		ReholdInterval:      envCfg.Booking.HoldTTL,
-		StopBeforeDeparture: 48 * time.Hour,
-		Departure:           envCfg.TargetDep,
-		Identity:            attack.IdentityStructured,
-		Parallel:            10,
+		ID:             "spin-1",
+		Flight:         envCfg.TargetID,
+		TargetNiP:      6,
+		ReholdInterval: envCfg.Booking.HoldTTL,
+		Departure:      envCfg.TargetDep,
+		Parallel:       10,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	spinner.Start()

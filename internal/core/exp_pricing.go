@@ -58,7 +58,7 @@ func RunPricing(seed uint64) (PricingResult, error) {
 	envCfg := DefaultEnvConfig(seed)
 	envCfg.TargetDep = SimStart.Add(3 * 7 * 24 * time.Hour)
 	env := NewEnv(envCfg)
-	schedule := booking.DefaultFareSchedule(envCfg.TargetCap)
+	schedule := booking.DefaultFareSchedule(targetCap)
 
 	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
 	wl := workload.DefaultConfig(flights, SimStart.Add(2*week))
@@ -129,7 +129,6 @@ func RunPricing(seed uint64) (PricingResult, error) {
 		TargetNiP:      6,
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
-		Identity:       attack.IdentityStructured,
 		Parallel:       10,
 	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))

@@ -90,32 +90,13 @@ func table1PumpMix() []attack.WeightedCountry {
 	return out
 }
 
-// Table1Config tunes the experiment.
-type Table1Config struct {
-	Seed uint64
-	// HoldsPerHour drives the legitimate booking (and thus boarding-pass)
-	// baseline.
-	HoldsPerHour float64
-	// PumpInterval is the attacker's mean time between SMS requests,
-	// calibrated so the pump volume lands near +25% of the weekly
-	// boarding-pass baseline.
-	PumpInterval time.Duration
-}
-
-// DefaultTable1Config matches the calibration in DESIGN.md.
-func DefaultTable1Config(seed uint64) Table1Config {
-	return Table1Config{
-		Seed:         seed,
-		HoldsPerHour: 100,
-		PumpInterval: 11*time.Minute + 30*time.Second,
-	}
-}
-
 // RunTable1 regenerates Table I: one baseline week of organic traffic, one
 // attack week with the boarding-pass pumper running in the vulnerable
-// posture (no SMS rate limits of any kind).
-func RunTable1(cfg Table1Config) (Table1Result, error) {
-	env, pumper, err := runPumpScenario(cfg.Seed, DefenceConfig{}, cfg.HoldsPerHour, cfg.PumpInterval)
+// posture (no SMS rate limits of any kind). The pumper's mean gap of
+// 11 m 30 s lands its volume near +25% of the weekly boarding-pass
+// baseline.
+func RunTable1(seed uint64) (Table1Result, error) {
+	env, _, err := runPumpScenario(seed, DefenceConfig{}, 11*time.Minute+30*time.Second)
 	if err != nil {
 		return Table1Result{}, err
 	}
@@ -140,7 +121,6 @@ func RunTable1(cfg Table1Config) (Table1Result, error) {
 			attackCountries[m.Country] = true
 		}
 	}
-	_ = pumper
 	streamTop, streamGlobal := streamSurges(before, after, 10)
 	return Table1Result{
 		Top10:                      sms.TopSurges(before, after, 10),
@@ -185,13 +165,9 @@ const pumpActorID = "pump-1"
 
 // runPumpScenario builds the Airline D environment: one baseline week of
 // organic traffic, then a pumping campaign during week two, under the given
-// defence posture. It returns after two full weeks of virtual time.
-func runPumpScenario(
-	seed uint64,
-	defence DefenceConfig,
-	holdsPerHour float64,
-	pumpInterval time.Duration,
-) (*Env, *attack.SMSPumper, error) {
+// defence posture. 100 legitimate holds an hour drive the boarding-pass
+// baseline. It returns after two full weeks of virtual time.
+func runPumpScenario(seed uint64, defence DefenceConfig, pumpInterval time.Duration) (*Env, *attack.SMSPumper, error) {
 	const week = 7 * 24 * time.Hour
 	envCfg := DefaultEnvConfig(seed)
 	envCfg.Defence = defence
@@ -201,7 +177,7 @@ func runPumpScenario(
 
 	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
 	wl := workload.DefaultConfig(flights, SimStart.Add(2*week))
-	wl.HoldsPerHour = holdsPerHour
+	wl.HoldsPerHour = 100
 	wl.ConfirmProb = 0.60
 	wl.BoardingPassProb = 0.60
 	wl.TailMarketShare = 0.22

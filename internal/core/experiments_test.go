@@ -11,7 +11,7 @@ import (
 // asserted as bands, per EXPERIMENTS.md.
 
 func TestFig1Shape(t *testing.T) {
-	res, err := RunFig1(DefaultFig1Config(1))
+	res, err := RunFig1(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	res, err := RunTable1(DefaultTable1Config(1))
+	res, err := RunTable1(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestCaseAShape(t *testing.T) {
-	res, err := RunCaseA(DefaultCaseAConfig(1))
+	res, err := RunCaseA(1)
 	if err != nil {
 		t.Fatal(err)
 	}

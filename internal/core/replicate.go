@@ -64,7 +64,7 @@ func b2f(v bool) float64 {
 
 // ReplicateFig1 runs Fig. 1 for one seed and reports its headline scalars.
 func ReplicateFig1(seed uint64) (runner.Sample, error) {
-	res, err := RunFig1(DefaultFig1Config(seed))
+	res, err := RunFig1(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func ReplicateFig1(seed uint64) (runner.Sample, error) {
 
 // ReplicateTable1 runs Table I for one seed.
 func ReplicateTable1(seed uint64) (runner.Sample, error) {
-	res, err := RunTable1(DefaultTable1Config(seed))
+	res, err := RunTable1(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -101,7 +101,7 @@ func ReplicateTable1(seed uint64) (runner.Sample, error) {
 
 // ReplicateCaseA runs case study A for one seed.
 func ReplicateCaseA(seed uint64) (runner.Sample, error) {
-	res, err := RunCaseA(DefaultCaseAConfig(seed))
+	res, err := RunCaseA(seed)
 	if err != nil {
 		return nil, err
 	}

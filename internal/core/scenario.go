@@ -40,13 +40,19 @@ type EnvConfig struct {
 	Defence   DefenceConfig
 	Booking   booking.Config
 	SMSQuota  int
-	FleetSize int           // background flights for legit traffic
-	FleetCap  int           // seats per background flight
-	Horizon   time.Duration // flights depart after this
+	FleetSize int // background flights for legit traffic
 	TargetID  booking.FlightID
-	TargetCap int
-	TargetDep time.Time // zero means Horizon applies
+	TargetDep time.Time // zero means fleetHorizon applies
 }
+
+const (
+	// fleetCap is the seat count of every background flight.
+	fleetCap = 220
+	// fleetHorizon is how long after SimStart flights depart.
+	fleetHorizon = 60 * 24 * time.Hour
+	// targetCap is the target flight's seat count.
+	targetCap = 180
+)
 
 // DefaultEnvConfig returns an Airline-A-scale environment.
 func DefaultEnvConfig(seed uint64) EnvConfig {
@@ -54,10 +60,7 @@ func DefaultEnvConfig(seed uint64) EnvConfig {
 		Seed:      seed,
 		Booking:   booking.DefaultConfig(),
 		FleetSize: 150,
-		FleetCap:  220,
-		Horizon:   60 * 24 * time.Hour,
 		TargetID:  "FA100",
-		TargetCap: 180,
 	}
 }
 
@@ -77,19 +80,19 @@ func NewEnv(cfg EnvConfig) *Env {
 		flights = append(flights, booking.Flight{
 			ID:        booking.FlightID("FL" + strconv.Itoa(100+i)),
 			Airline:   "A",
-			Capacity:  cfg.FleetCap,
-			Departure: SimStart.Add(cfg.Horizon),
+			Capacity:  fleetCap,
+			Departure: SimStart.Add(fleetHorizon),
 		})
 	}
 	targetDep := cfg.TargetDep
 	if targetDep.IsZero() {
-		targetDep = SimStart.Add(cfg.Horizon)
+		targetDep = SimStart.Add(fleetHorizon)
 	}
 	if cfg.TargetID != "" {
 		flights = append(flights, booking.Flight{
 			ID:        cfg.TargetID,
 			Airline:   "A",
-			Capacity:  cfg.TargetCap,
+			Capacity:  targetCap,
 			Departure: targetDep,
 		})
 	}

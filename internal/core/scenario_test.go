@@ -18,24 +18,25 @@ import (
 func TestNewEnvRegistersFleetAndTarget(t *testing.T) {
 	cfg := DefaultEnvConfig(1)
 	env := NewEnv(cfg)
-	flights := env.Bookings.Flights()
-	if len(flights) != cfg.FleetSize+1 {
-		t.Fatalf("flights = %d, want %d", len(flights), cfg.FleetSize+1)
+	ids := env.FleetIDs(cfg)
+	if len(ids) != cfg.FleetSize {
+		t.Fatalf("FleetIDs = %d", len(ids))
+	}
+	for _, id := range ids {
+		if _, err := env.Bookings.AvailabilityOf(id); err != nil {
+			t.Fatalf("fleet flight %s not registered: %v", id, err)
+		}
 	}
 	av, err := env.Bookings.AvailabilityOf(cfg.TargetID)
 	if err != nil {
 		t.Fatalf("target not registered: %v", err)
 	}
-	if av.Capacity != cfg.TargetCap {
+	if av.Capacity != targetCap {
 		t.Fatalf("target capacity %d", av.Capacity)
 	}
 	// The decoy mirrors the fleet.
 	if _, err := env.Decoy.AvailabilityOf(cfg.TargetID); err != nil {
 		t.Fatalf("decoy missing target: %v", err)
-	}
-	ids := env.FleetIDs(cfg)
-	if len(ids) != cfg.FleetSize {
-		t.Fatalf("FleetIDs = %d", len(ids))
 	}
 }
 
@@ -100,8 +101,8 @@ func TestQuotaExhaustionLocksOutLegitimateUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if env.Gateway.Sent() != 600 {
-		t.Fatalf("gateway sent %d, want quota-bounded 600", env.Gateway.Sent())
+	if sent := len(env.Gateway.Journal()); sent != 600 {
+		t.Fatalf("gateway sent %d, want quota-bounded 600", sent)
 	}
 	// Legitimate users were locked out once the pump burned the quota.
 	if pop.Friction() == 0 {

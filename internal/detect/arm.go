@@ -16,7 +16,7 @@ import (
 // before judging.
 //
 // Each arm wraps one detector's own entry point (VolumeRules.Judge,
-// GraphRules.JudgeSession, FingerprintRules.Judge, ...). The
+// GraphRules.JudgeSession, ...). The
 // application's request path and the case-B and ablation experiments call
 // those directly; the detection comparison and the StreamMonitor judge
 // through arms.
@@ -86,9 +86,6 @@ func (r *Registry) Arms() []Arm {
 	return out
 }
 
-// Len returns the arm count.
-func (r *Registry) Len() int { return len(r.arms) }
-
 // Observe feeds the traffic to every stateful arm: each request to the
 // RequestObservers (in stream order), then each session to the
 // SessionObservers. Call it once before judging; stateless arms ignore
@@ -156,11 +153,12 @@ func (a ClassifierArm) Judge(s *weblog.Session) Verdict {
 	return a.Model.Judge(weblog.Extract(s).Vector())
 }
 
-// FingerprintArm adapts FingerprintRules: each request's fingerprint
-// hash is resolved to its full print through Lookup (the application's
-// collector-side store) and run through the knowledge-based checks.
+// FingerprintArm is the knowledge-based static fingerprint check: each
+// request's fingerprint hash is resolved to its full print through Lookup
+// (the application's collector-side store), and a print whose attributes
+// contradict each other (fingerprint.Validate) flags the session. It needs
+// no prior sighting of the print.
 type FingerprintArm struct {
-	Rules *FingerprintRules
 	// Lookup resolves a hash to the full fingerprint; ok=false skips the
 	// request.
 	Lookup func(hash uint64) (fingerprint.Fingerprint, bool)
@@ -176,8 +174,8 @@ func (a FingerprintArm) Judge(s *weblog.Session) Verdict {
 		if !ok {
 			continue
 		}
-		if v := a.Rules.Judge(f, r.Fingerprint); v.Flagged {
-			return v
+		if inc := fingerprint.Validate(f); len(inc) > 0 {
+			return Verdict{Flagged: true, Score: 0.8, Reason: "fp-inconsistent:" + inc[0].Check}
 		}
 	}
 	return Verdict{}

@@ -1,11 +1,13 @@
 package detect
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/proxy"
+	"funabuse/internal/simrand"
 	"funabuse/internal/weblog"
 )
 
@@ -57,7 +59,7 @@ func TestRegistryOrderAndDuplicates(t *testing.T) {
 	for _, a := range r.Arms() {
 		got = append(got, a.Name())
 	}
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" || r.Len() != 3 {
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" || len(r.arms) != 3 {
 		t.Fatalf("registration order lost: %v", got)
 	}
 	if err := r.Register(&stubArm{name: "b"}); err == nil {
@@ -98,21 +100,23 @@ func TestVolumeAndNavGraphArmsMatchAdapters(t *testing.T) {
 }
 
 func TestFingerprintArm(t *testing.T) {
-	rules := NewFingerprintRules()
-	rules.CheckConsistency = false
+	g := fingerprint.NewGenerator(simrand.New(1))
 	prints := map[uint64]fingerprint.Fingerprint{
-		7: {Webdriver: true},
+		7: g.NaiveHeadless(),
+		9: g.Organic(),
 	}
 	arm := FingerprintArm{
-		Rules: rules,
 		Lookup: func(hash uint64) (fingerprint.Fingerprint, bool) {
 			f, ok := prints[hash]
 			return f, ok
 		},
 	}
 	bot := pumpSession(7, "203.0.113.1")
-	if v := arm.Judge(bot); !v.Flagged || v.Reason != "fp-artifact" {
-		t.Fatalf("webdriver fingerprint not flagged: %+v", v)
+	if v := arm.Judge(bot); !v.Flagged || !strings.HasPrefix(v.Reason, "fp-inconsistent:") {
+		t.Fatalf("headless fingerprint not flagged: %+v", v)
+	}
+	if v := arm.Judge(pumpSession(9, "203.0.113.1")); v.Flagged {
+		t.Fatalf("clean organic print flagged: %+v", v)
 	}
 	// Unknown hashes are skipped, not flagged.
 	if v := arm.Judge(pumpSession(8, "203.0.113.1")); v.Flagged {

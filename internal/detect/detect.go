@@ -3,8 +3,9 @@
 //   - Behaviour-based approaches (Section III-A): classical session-volume
 //     rules plus from-scratch classifiers (logistic regression, Gaussian
 //     naive Bayes) over web-session features.
-//   - Knowledge-based approaches (Section III-B): a fingerprint rules engine
-//     with hash blocklists and artifact/inconsistency checks.
+//   - Knowledge-based approaches (Section III-B): the static fingerprint
+//     consistency checks of FingerprintArm. The hash rules live in the
+//     defended application's blocklist.
 //   - The ad-hoc signals that actually caught the paper's attacks: passenger
 //     name-pattern analysis (case B) and NiP distribution drift (case A /
 //     Fig. 1). Case C's per-key velocity is the StreamMonitor's rate
@@ -29,20 +30,6 @@ type Verdict struct {
 // Confusion is a binary confusion matrix.
 type Confusion struct {
 	TP, FP, TN, FN int
-}
-
-// Observe records one (predicted, actual) pair.
-func (c *Confusion) Observe(predicted, actual bool) {
-	switch {
-	case predicted && actual:
-		c.TP++
-	case predicted && !actual:
-		c.FP++
-	case !predicted && actual:
-		c.FN++
-	default:
-		c.TN++
-	}
 }
 
 // Precision returns TP/(TP+FP), 0 when undefined.

@@ -25,17 +25,20 @@ type LogReg struct {
 	scaler  scaler
 }
 
-// LogRegConfig tunes training.
+// LogRegConfig tunes training. Every weight decays under an L2 penalty of
+// logRegL2.
 type LogRegConfig struct {
 	Epochs       int
 	LearningRate float64
-	L2           float64
 }
+
+// logRegL2 is the L2 regularisation strength.
+const logRegL2 = 1e-4
 
 // DefaultLogRegConfig returns settings adequate for session-feature scale
 // problems.
 func DefaultLogRegConfig() LogRegConfig {
-	return LogRegConfig{Epochs: 200, LearningRate: 0.1, L2: 1e-4}
+	return LogRegConfig{Epochs: 200, LearningRate: 0.1}
 }
 
 // TrainLogReg fits a model on samples. The RNG drives shuffling only, so
@@ -72,7 +75,7 @@ func TrainLogReg(rng *simrand.RNG, samples []Sample, cfg LogRegConfig) (*LogReg,
 			p := m.prob(x)
 			g := p - samples[i].Y
 			for j := range m.weights {
-				m.weights[j] -= lr * (g*x[j] + cfg.L2*m.weights[j])
+				m.weights[j] -= lr * (g*x[j] + logRegL2*m.weights[j])
 			}
 			m.bias -= lr * g
 		}

@@ -72,42 +72,16 @@ func TestLowNiPAttackIsSubtler(t *testing.T) {
 	}
 }
 
-func TestFingerprintRulesBlocklist(t *testing.T) {
-	rules := NewFingerprintRules()
-	g := fingerprint.NewGenerator(simrand.New(1))
-	f := g.Organic()
-
-	if v := rules.Judge(f, f.Hash()); v.Flagged {
-		t.Fatalf("clean organic print flagged: %+v", v)
-	}
-	rules.Block(f.Hash())
-	rules.Block(f.Hash())
-	if rules.Rules() != 1 {
-		t.Fatalf("Rules() = %d after blocking one hash twice", rules.Rules())
-	}
-	v := rules.Judge(f, f.Hash())
-	if !v.Flagged || v.Reason != "fp-blocklist" {
-		t.Fatalf("verdict %+v", v)
-	}
-}
-
-func TestFingerprintRulesArtifacts(t *testing.T) {
-	rules := NewFingerprintRules()
+func TestFingerprintArmConsistency(t *testing.T) {
 	g := fingerprint.NewGenerator(simrand.New(2))
-	judge := func(f fingerprint.Fingerprint) Verdict { return rules.Judge(f, f.Hash()) }
-	v := judge(g.NaiveHeadless())
-	if !v.Flagged || v.Reason != "fp-artifact" {
-		t.Fatalf("verdict %+v", v)
+	f := g.NaiveHeadless()
+	inc := fingerprint.Validate(f)
+	if len(inc) == 0 {
+		t.Fatal("headless print validates clean")
 	}
-	// With artifact checks off, the inconsistency family still fires.
-	rules.CheckArtifacts = false
-	v = judge(g.NaiveHeadless())
-	if !v.Flagged {
-		t.Fatal("headless print passed with artifacts off but consistency on")
-	}
-	rules.CheckConsistency = false
-	v = judge(g.NaiveHeadless())
-	if v.Flagged {
-		t.Fatalf("all static checks off but still flagged: %+v", v)
+	arm := FingerprintArm{Lookup: func(uint64) (fingerprint.Fingerprint, bool) { return f, true }}
+	want := Verdict{Flagged: true, Score: 0.8, Reason: "fp-inconsistent:" + inc[0].Check}
+	if v := arm.Judge(pumpSession(f.Hash(), "203.0.113.1")); v != want {
+		t.Fatalf("verdict %+v, want %+v", v, want)
 	}
 }

@@ -31,29 +31,40 @@ const (
 	SignalDistinctIPs = "distinct-ips"
 )
 
-// StreamConfig tunes a StreamMonitor. Zero thresholds disable the
-// corresponding signal.
+// StreamConfig tunes a StreamMonitor.
+//
+// Besides the rate signal the monitor always runs the rotation signal: an
+// identity whose estimated distinct source IPs reach
+// streamDistinctThreshold is flagged, since a client whose requests arrive
+// from ever-changing residential exits is behind a proxy pool. Both
+// signals read a trailing window of streamRateWindow.
 //
 // The alert journal holds at most maxStreamAlerts entries: an attacker
 // rotating identities must not grow it without limit. Past the cap,
 // further alerts still flag their identity (detection is unaffected) but
 // are not journaled, and DroppedAlerts counts them.
 type StreamConfig struct {
-	// RateWindow is the trailing window for the per-identity request
-	// rate; non-positive means one hour.
-	RateWindow time.Duration
 	// RateThreshold flags an identity whose in-window request count
-	// reaches it — the classical velocity signal, evaluated online.
+	// reaches it — the classical velocity signal, evaluated online. Zero
+	// disables it.
 	RateThreshold int
-	// DistinctThreshold flags an identity whose estimated distinct source
-	// IPs reach it — the rotation signal: a client whose requests arrive
-	// from ever-changing residential exits is behind a proxy pool.
-	DistinctThreshold float64
 
-	// maxAlerts overrides the alert journal's cap; only in-package tests
-	// set it, to reach the cap in a few requests.
-	maxAlerts int
+	// rateWindow, distinctThreshold and maxAlerts override
+	// streamRateWindow, streamDistinctThreshold and maxStreamAlerts; only
+	// in-package tests set them, to age state out or reach a threshold or
+	// the journal cap in a few requests.
+	rateWindow        time.Duration
+	distinctThreshold float64
+	maxAlerts         int
 }
+
+const (
+	// streamRateWindow is the trailing window of both signals.
+	streamRateWindow = time.Hour
+	// streamDistinctThreshold is the distinct-exit count that flags an
+	// identity as rotating.
+	streamDistinctThreshold = 8
+)
 
 // StreamMonitor is the online counterpart of the offline session
 // detectors: it consumes the request stream one event at a time through a
@@ -78,8 +89,11 @@ type StreamMonitor struct {
 
 // NewStreamMonitor returns a monitor with the given thresholds.
 func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
-	if cfg.RateWindow <= 0 {
-		cfg.RateWindow = time.Hour
+	if cfg.rateWindow <= 0 {
+		cfg.rateWindow = streamRateWindow
+	}
+	if cfg.distinctThreshold <= 0 {
+		cfg.distinctThreshold = streamDistinctThreshold
 	}
 	if cfg.maxAlerts <= 0 {
 		cfg.maxAlerts = maxStreamAlerts
@@ -87,7 +101,7 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 	return &StreamMonitor{
 		cfg: cfg,
 		engine: signal.NewEngine(signal.EngineConfig{
-			Window:       cfg.RateWindow,
+			Window:       cfg.rateWindow,
 			DisableSurge: true,
 			DisableTopK:  true,
 		}),
@@ -128,11 +142,9 @@ func (m *StreamMonitor) Observe(r weblog.Request) bool {
 		m.flag(key, SignalRate, float64(rate), r.Time)
 		return true
 	}
-	if m.cfg.DistinctThreshold > 0 {
-		if d := m.engine.Distinct(key); d >= m.cfg.DistinctThreshold {
-			m.flag(key, SignalDistinctIPs, d, r.Time)
-			return true
-		}
+	if d := m.engine.Distinct(key); d >= m.cfg.distinctThreshold {
+		m.flag(key, SignalDistinctIPs, d, r.Time)
+		return true
 	}
 	return false
 }
@@ -173,15 +185,6 @@ func (m *StreamMonitor) FlaggedKeys() []string {
 		out = append(out, k)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// Alerts returns the journal in firing order.
-func (m *StreamMonitor) Alerts() []StreamAlert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]StreamAlert, len(m.alerts))
-	copy(out, m.alerts)
 	return out
 }
 

@@ -21,9 +21,7 @@ func streamReq(at time.Time, ip string, fp uint64, cookie string) weblog.Request
 
 func TestStreamMonitorFlagsIPRotation(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Hour,
-		RateThreshold:     100,
-		DistinctThreshold: 8,
+		RateThreshold: 100,
 	})
 	// A seat spinner: one fingerprint, no cookie, every request from a
 	// fresh residential exit, far too slow to trip the rate threshold.
@@ -45,7 +43,7 @@ func TestStreamMonitorFlagsIPRotation(t *testing.T) {
 	if flaggedAt == 0 || flaggedAt > 10 {
 		t.Fatalf("flagged at request %d, want within the first ~8 exits", flaggedAt)
 	}
-	alerts := m.Alerts()
+	alerts := m.alerts
 	if len(alerts) != 1 || alerts[0].Key != key || alerts[0].Value < 8 {
 		t.Fatalf("alerts = %+v", alerts)
 	}
@@ -53,9 +51,7 @@ func TestStreamMonitorFlagsIPRotation(t *testing.T) {
 
 func TestStreamMonitorFlagsHighRate(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Hour,
-		RateThreshold:     50,
-		DistinctThreshold: 8,
+		RateThreshold: 50,
 	})
 	// A scraper: one exit, no cookie, hammering.
 	for i := range 60 {
@@ -72,9 +68,7 @@ func TestStreamMonitorSharedFingerprintStaysQuiet(t *testing.T) {
 	// humans the same fingerprint hash, collectively spanning many IPs.
 	// Their cookies split the identity keyspace, so nobody is flagged.
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Hour,
-		RateThreshold:     100,
-		DistinctThreshold: 8,
+		RateThreshold: 100,
 	})
 	for u := range 200 {
 		for i := range 5 {
@@ -92,8 +86,8 @@ func TestStreamMonitorSharedFingerprintStaysQuiet(t *testing.T) {
 
 func TestStreamMonitorJournalSurvivesEngineSweep(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Minute,
-		DistinctThreshold: 4,
+		rateWindow:        time.Minute,
+		distinctThreshold: 4,
 	})
 	for i := range 10 {
 		m.Observe(streamReq(st0, "10.0."+strconv.Itoa(i)+".1", 0xdead, ""))
@@ -118,7 +112,6 @@ func TestStreamMonitorAlertJournalCapped(t *testing.T) {
 	// bound: past the cap, alerts are counted as dropped but the
 	// identities are still flagged — detection is unaffected.
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:    time.Hour,
 		RateThreshold: 5,
 		maxAlerts:     10,
 	})
@@ -129,7 +122,7 @@ func TestStreamMonitorAlertJournalCapped(t *testing.T) {
 				"198.51.100.7", uint64(0x1000+id), ""))
 		}
 	}
-	if got := len(m.Alerts()); got != 10 {
+	if got := len(m.alerts); got != 10 {
 		t.Fatalf("journal holds %d alerts, want the cap of 10", got)
 	}
 	if got := m.DroppedAlerts(); got != identities-10 {
@@ -147,8 +140,8 @@ func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
 	// The durability guarantee holds with a cap configured, as long as the
 	// journal is below it.
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Minute,
-		DistinctThreshold: 4,
+		rateWindow:        time.Minute,
+		distinctThreshold: 4,
 		maxAlerts:         100,
 	})
 	for i := range 10 {
@@ -162,8 +155,8 @@ func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
 	if !m.Flagged(key) {
 		t.Fatal("flag lost after engine sweep")
 	}
-	if len(m.Alerts()) == 0 || m.Alerts()[0].Key != key {
-		t.Fatalf("journal %+v lost the pre-sweep alert", m.Alerts())
+	if len(m.alerts) == 0 || m.alerts[0].Key != key {
+		t.Fatalf("journal %+v lost the pre-sweep alert", m.alerts)
 	}
 	if m.DroppedAlerts() != 0 {
 		t.Fatalf("dropped %d alerts below the cap", m.DroppedAlerts())
@@ -172,9 +165,7 @@ func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
 
 func TestStreamMonitorConcurrentObserve(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:        time.Hour,
-		RateThreshold:     40,
-		DistinctThreshold: 8,
+		RateThreshold: 40,
 	})
 	var wg sync.WaitGroup
 	for w := range 8 {
@@ -198,14 +189,13 @@ func TestStreamMonitorConcurrentObserve(t *testing.T) {
 	if got := len(m.FlaggedKeys()); got != 8 {
 		t.Fatalf("%d identities flagged, want 8", got)
 	}
-	if got := len(m.Alerts()); got != 8 {
+	if got := len(m.alerts); got != 8 {
 		t.Fatalf("%d alerts, want 8", got)
 	}
 }
 
 func TestStreamMonitorStatsAndCollector(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
-		RateWindow:    time.Hour,
 		RateThreshold: 2,
 		maxAlerts:     1,
 	})

@@ -73,7 +73,6 @@ const (
 	TypeBooking
 	TypePhone
 	TypeOther
-	numTypes
 )
 
 // String names the type.
@@ -225,9 +224,6 @@ func New(cfg Config) *Graph {
 		edges: make(map[edgeID]uint64),
 	}
 }
-
-// Config returns the graph's resolved configuration.
-func (g *Graph) Config() Config { return g.cfg }
 
 // Observe records one co-occurrence: every key becomes (or refreshes) a
 // node, all keys are linked into one component, and weak — a

@@ -132,7 +132,8 @@ func TestReactionDelayMeanMatchesPaper(t *testing.T) {
 
 func TestReactionDelayFloor(t *testing.T) {
 	r := simrand.New(9)
-	ro := NewRotator(r, NewGenerator(r.Derive("gen")), WithReactionMean(time.Minute))
+	ro := NewRotator(r, NewGenerator(r.Derive("gen")))
+	ro.reactionMean = time.Minute
 	for range 1000 {
 		if d := ro.ReactionDelay(); d < 15*time.Minute {
 			t.Fatalf("reaction delay %v below floor", d)

@@ -25,11 +25,6 @@ type Rotator struct {
 // RotatorOption configures a Rotator.
 type RotatorOption func(*Rotator)
 
-// WithReactionMean sets the mean block-to-rotation delay.
-func WithReactionMean(d time.Duration) RotatorOption {
-	return func(ro *Rotator) { ro.reactionMean = d }
-}
-
 // WithSpoofing makes rotations draw from the organic population (mimicking
 // real users) instead of perturbing attributes, and strips automation
 // artifacts. Spoofed prints blend into common configurations but risk

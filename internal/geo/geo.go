@@ -155,9 +155,6 @@ func (r *Registry) Codes() []string {
 	return out
 }
 
-// Len returns the number of countries.
-func (r *Registry) Len() int { return len(r.codes) }
-
 // All returns the countries in sorted code order.
 func (r *Registry) All() []Country {
 	out := make([]Country, 0, len(r.codes))

@@ -24,9 +24,6 @@ type NumberPlan struct {
 // PlanFor returns the numbering plan for a country.
 func PlanFor(c Country) NumberPlan { return NumberPlan{country: c} }
 
-// Country returns the plan's country.
-func (p NumberPlan) Country() Country { return p.country }
-
 // Random returns a random ordinary mobile number in this plan.
 func (p NumberPlan) Random(r *simrand.RNG) MSISDN {
 	return p.generate(r, false)

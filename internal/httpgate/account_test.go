@@ -40,7 +40,7 @@ func TestAccountLayerRestrictsByTier(t *testing.T) {
 		if tc.deny && (d.Reason != ReasonAccountTier || d.Status != http.StatusForbidden) {
 			t.Errorf("%s: got %+v, want account-tier 403", tc.name, d)
 		}
-		if !tc.deny && d.Denied() {
+		if !tc.deny && d.Reason != "" {
 			t.Errorf("%s: denied %+v", tc.name, d)
 		}
 	}
@@ -56,7 +56,7 @@ func TestAccountLayerTierRateMultipliers(t *testing.T) {
 
 	decideN := func(info ClientInfo, n int) (admitted int) {
 		for i := 0; i < n; i++ {
-			if !g.Decide(r, info).Denied() {
+			if g.Decide(r, info).Reason == "" {
 				admitted++
 			}
 		}
@@ -96,7 +96,7 @@ func TestAccountStoreBackedGate(t *testing.T) {
 	}
 	clock.Advance(account.DefaultMemberT.MinAge)
 	store.Observe("u1", clock.Now(), false, false)
-	if d := g.Decide(r, info); d.Denied() {
+	if d := g.Decide(r, info); d.Reason != "" {
 		t.Fatalf("aged member denied: %+v", d)
 	}
 }

@@ -367,8 +367,8 @@ func TestDecideBatchDegradedMatchesSequential(t *testing.T) {
 		seqC.Advance(time.Second)
 		batC.Advance(time.Second)
 	}
-	if seqG.Breaker(LayerResource).State() != batG.Breaker(LayerResource).State() {
+	if seqG.guards[LayerResource].breaker.State() != batG.guards[LayerResource].breaker.State() {
 		t.Fatalf("breaker states diverge: sequential %v, batch %v",
-			seqG.Breaker(LayerResource).State(), batG.Breaker(LayerResource).State())
+			seqG.guards[LayerResource].breaker.State(), batG.guards[LayerResource].breaker.State())
 	}
 }

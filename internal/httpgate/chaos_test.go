@@ -81,14 +81,13 @@ func TestGateChaosFlappingLimiterExactCounts(t *testing.T) {
 				Breaker: resilience.BreakerConfig{
 					Window:         time.Minute,
 					MinSamples:     8,
-					FailureRate:    0.5,
 					OpenFor:        30 * time.Second,
 					HalfOpenProbes: 3,
 				},
 				Resource: tc.policy,
 			}
 		})
-		br := gate.Breaker(LayerResource)
+		br := gate.guards[LayerResource].breaker
 
 		// Phase 1: healthy concurrent traffic.
 		adm, den := chaosFire(server, workers, per)

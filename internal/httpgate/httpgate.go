@@ -121,9 +121,6 @@ type Decision struct {
 	Degraded uint8
 }
 
-// Denied reports whether the request was denied.
-func (d Decision) Denied() bool { return d.Reason != "" }
-
 // Request is one decision input for DecideBatch: the HTTP request (seen
 // by the challenge, resource-key and decision hooks) and the client
 // attribution, extracted by the caller — typically via Gate.Client.
@@ -418,10 +415,6 @@ func newLimiter(limit int, window time.Duration) *signal.Limiter {
 	}
 	return signal.NewLimiter(signal.LimiterConfig{Window: window, Limit: limit})
 }
-
-// Breaker exposes a layer's breaker for tests and dashboards; nil without
-// a ResilienceConfig or for a disabled layer.
-func (g *Gate) Breaker(l Layer) *resilience.Breaker { return g.guards[l].breaker }
 
 // Wrap returns next guarded by the gate.
 func (g *Gate) Wrap(next http.Handler) http.Handler {

@@ -237,13 +237,12 @@ func TestGateBreakerTripsAndRecovers(t *testing.T) {
 			Breaker: resilience.BreakerConfig{
 				Window:         time.Minute,
 				MinSamples:     4,
-				FailureRate:    0.5,
 				OpenFor:        30 * time.Second,
 				HalfOpenProbes: 2,
 			},
 		}
 	})
-	br := e.gate.Breaker(LayerResource)
+	br := e.gate.guards[LayerResource].breaker
 
 	for range 4 {
 		if w := e.do(t, "/booking/1", withCookie("alice")); w.Code != http.StatusOK {

@@ -176,10 +176,10 @@ func TestWithResilienceOption(t *testing.T) {
 		PathLimit:  1,
 		PathWindow: time.Hour,
 	}, WithResilience(ResilienceConfig{}))
-	if g.Breaker(LayerBlocklist) == nil || g.Breaker(LayerPath) == nil {
+	if g.guards[LayerBlocklist].breaker == nil || g.guards[LayerPath].breaker == nil {
 		t.Fatal("option-configured resilience did not build breakers")
 	}
-	if g.Breaker(LayerChallenge) != nil {
+	if g.guards[LayerChallenge].breaker != nil {
 		t.Fatal("disabled layer got a breaker")
 	}
 }

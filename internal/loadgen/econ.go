@@ -111,7 +111,6 @@ type ROILedger struct {
 	spend    []float64
 	believed []float64
 	actual   []float64
-	skipped  uint64
 }
 
 // NewROILedger builds a ledger for cfg.Class.
@@ -145,7 +144,6 @@ func (l *ROILedger) Observe(o Observation) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if o.Verdict == verdictBudgetExhausted {
-		l.skipped++
 		return
 	}
 	b := l.bucketOf(o.Arrival.At)
@@ -235,14 +233,6 @@ func (l *ROILedger) ROI() (roi float64, ok bool) {
 		return 0, false
 	}
 	return actual / spend, true
-}
-
-// BudgetSkipped counts the tracked class's arrivals dropped because the
-// issuing client's budget was spent.
-func (l *ROILedger) BudgetSkipped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.skipped
 }
 
 // EconomicsScenario is the E18 attacker-economics shape: honest browsing

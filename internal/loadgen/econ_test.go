@@ -35,12 +35,12 @@ func obsAt(at time.Time, class int, verdict string, status int) Observation {
 func TestROILedgerPricesObservations(t *testing.T) {
 	l := NewROILedger(ROILedgerConfig{Econ: econFixture(), Class: 1, Start: econT0, Bucket: 10 * time.Second})
 
-	l.Observe(obsAt(econT0, 1, "", 200))                     // admitted: spend + revenue
-	l.Observe(obsAt(econT0.Add(time.Second), 1, "rl", 429))  // denied: spend only
-	l.Observe(obsAt(econT0.Add(2*time.Second), 1, "", 0))    // transport failure: spend only
-	l.Observe(obsAt(econT0.Add(15*time.Second), 1, "", 200)) // admitted, second bucket
-	l.Observe(obsAt(econT0.Add(3*time.Second), 0, "", 200))  // other class: ignored
-	l.Observe(obsAt(econT0.Add(4*time.Second), 1, "budget-exhausted", 0))
+	l.Observe(obsAt(econT0, 1, "", 200))                                  // admitted: spend + revenue
+	l.Observe(obsAt(econT0.Add(time.Second), 1, "rl", 429))               // denied: spend only
+	l.Observe(obsAt(econT0.Add(2*time.Second), 1, "", 0))                 // transport failure: spend only
+	l.Observe(obsAt(econT0.Add(15*time.Second), 1, "", 200))              // admitted, second bucket
+	l.Observe(obsAt(econT0.Add(3*time.Second), 0, "", 200))               // other class: ignored
+	l.Observe(obsAt(econT0.Add(4*time.Second), 1, "budget-exhausted", 0)) // never sent: no spend
 
 	spend, believed, actual := l.Totals()
 	if want := 0.04; spend != want {
@@ -48,9 +48,6 @@ func TestROILedgerPricesObservations(t *testing.T) {
 	}
 	if believed != 1.0 || actual != 1.0 {
 		t.Fatalf("revenue = %v/%v, want 1.0/1.0", believed, actual)
-	}
-	if n := l.BudgetSkipped(); n != 1 {
-		t.Fatalf("BudgetSkipped = %d, want 1", n)
 	}
 
 	if got := l.At(econT0.Add(10 * time.Second)); got.BelievedUSD != 0.5 {

@@ -264,14 +264,6 @@ func (sc Scenario) ClassRefs(ci int) []string {
 	return refs
 }
 
-// Duration is the span from the scenario start to the last arrival.
-func (p *Plan) Duration() time.Duration {
-	if len(p.Arrivals) == 0 {
-		return 0
-	}
-	return p.Arrivals[len(p.Arrivals)-1].At.Sub(p.Scenario.Start)
-}
-
 // Hash digests the full schedule — every arrival's time, class, client,
 // path and resource — into one value. Two plans with the same hash carry
 // the bit-identical schedule the determinism golden test asserts.

@@ -181,7 +181,7 @@ func TestTargetEntityWiring(t *testing.T) {
 	var denied int
 	for i := range 12 {
 		d := gate.Decide(r, ring[i%len(ring)])
-		if d.Denied() {
+		if d.Reason != "" {
 			if d.Reason != httpgate.ReasonEntity {
 				t.Fatalf("request %d denied by %q, want %q", i, d.Reason, httpgate.ReasonEntity)
 			}
@@ -195,7 +195,7 @@ func TestTargetEntityWiring(t *testing.T) {
 		t.Fatalf("flagged ring member admitted: %+v", d)
 	}
 	clean := httpgate.ClientInfo{IP: "198.51.0.9", Fingerprint: 0xc1ea4, HasFingerprint: true, ClientKey: "user-9"}
-	if d := gate.Decide(r, clean); d.Denied() {
+	if d := gate.Decide(r, clean); d.Reason != "" {
 		t.Fatalf("clean client denied: %+v", d)
 	}
 	if rules := deployer.Rules(); len(rules) != 0 {

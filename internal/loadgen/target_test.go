@@ -55,7 +55,7 @@ func TestTargetGateDecideZeroAllocs(t *testing.T) {
 	info := httpgate.ClientInfo{IP: "198.51.100.7", Fingerprint: 0xfeed, HasFingerprint: true, ClientKey: "member-7"}
 	gate.Decide(r, info) // first sight: limiter keys, account, graph nodes
 	if avg := testing.AllocsPerRun(512, func() {
-		if d := gate.Decide(r, info); d.Denied() || d.Degraded != 0 {
+		if d := gate.Decide(r, info); d.Reason != "" || d.Degraded != 0 {
 			t.Fatalf("decision %+v, want a healthy admit", d)
 		}
 	}); avg != 0 {

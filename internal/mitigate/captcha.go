@@ -67,7 +67,3 @@ func (g *CaptchaGate) ChallengeBot() bool {
 
 // BotSpendUSD returns the attacker's cumulative solver spend.
 func (g *CaptchaGate) BotSpendUSD() float64 { return g.botSpendUSD }
-
-// HumanFriction returns how many legitimate interactions the gate broke —
-// the usability cost Section V weighs against the security benefit.
-func (g *CaptchaGate) HumanFriction() int { return g.friction }

@@ -66,9 +66,6 @@ func NewDecoySet(seed uint64, refs []string, fraction float64) *DecoySet {
 // is immutable after construction, so this is safe on the serving path.
 func (d *DecoySet) IsDecoy(ref string) bool { return d.decoys[ref] }
 
-// Size reports how many refs are decoys.
-func (d *DecoySet) Size() int { return len(d.decoys) }
-
 // Refs returns the decoy references in sorted order.
 func (d *DecoySet) Refs() []string {
 	out := make([]string, 0, len(d.decoys))
@@ -84,13 +81,6 @@ func (d *DecoySet) RecordHit(ref string, fp uint64, key string, at time.Time) {
 	d.mu.Lock()
 	d.hits = append(d.hits, DecoyHit{Ref: ref, FP: fp, Key: key, At: at})
 	d.mu.Unlock()
-}
-
-// Hits returns a copy of the journal in recording order.
-func (d *DecoySet) Hits() []DecoyHit {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]DecoyHit(nil), d.hits...)
 }
 
 // HitCount reports how many hits were journaled.

@@ -55,8 +55,5 @@ func (h *Honeypot) RequestHold(clientKey string, req booking.HoldRequest) (*book
 // the attack believed it blocked but which stayed sellable.
 func (h *Honeypot) DecoyHolds() int { return h.decoyHolds }
 
-// Real returns the protected system.
-func (h *Honeypot) Real() *booking.System { return h.real }
-
 // Decoy returns the shadow system.
 func (h *Honeypot) Decoy() *booking.System { return h.decoy }

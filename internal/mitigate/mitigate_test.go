@@ -145,7 +145,7 @@ func TestCaptchaGateRates(t *testing.T) {
 	if math.Abs(g.BotSpendUSD()-float64(n)*0.01) > 1e-6 {
 		t.Fatalf("bot spend %v", g.BotSpendUSD())
 	}
-	if g.HumanFriction() == 0 {
+	if g.friction == 0 {
 		t.Fatal("no human friction recorded at 95% pass rate")
 	}
 }
@@ -190,7 +190,7 @@ func TestHoneypotRoutesRedirectedToDecoy(t *testing.T) {
 		t.Fatalf("decoy hold %+v", hold)
 	}
 	// Real inventory untouched.
-	av, err := h.Real().AvailabilityOf("F1")
+	av, err := h.real.AvailabilityOf("F1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestHoneypotRoutesOthersToReal(t *testing.T) {
 	if _, err := h.RequestHold("legit", holdReq(2)); err != nil {
 		t.Fatal(err)
 	}
-	av, _ := h.Real().AvailabilityOf("F1")
+	av, _ := h.real.AvailabilityOf("F1")
 	if av.Held != 2 {
 		t.Fatalf("real availability %+v", av)
 	}
@@ -227,11 +227,11 @@ func TestKeyedLimiterSweepEvictsStaleKeys(t *testing.T) {
 		l.Allow(key, t0)
 		l.Allow(key, t0.Add(time.Minute)) // one denial per key
 	}
-	if l.TrackedKeys() == 0 {
+	if len(l.events) == 0 {
 		t.Fatal("nothing tracked before sweep")
 	}
 	l.Sweep(t0.Add(2 * time.Hour))
-	if got := l.TrackedKeys(); got != 0 {
+	if got := len(l.events); got != 0 {
 		t.Fatalf("%d stale keys survived sweep", got)
 	}
 	// An evicted key starts afresh: its next attempt is admitted, and the
@@ -250,7 +250,7 @@ func TestKeyedLimiterAutoSweepBoundsMemory(t *testing.T) {
 		at := t0.Add(time.Duration(i) * time.Second)
 		l.Allow("churn-"+string(rune('a'+i%26))+"-"+time.Duration(i).String(), at)
 	}
-	if got := l.TrackedKeys(); got > 2*keyedSweepEvery {
+	if got := len(l.events); got > 2*keyedSweepEvery {
 		t.Fatalf("%d keys tracked, want bounded near the live window", got)
 	}
 }
@@ -260,8 +260,8 @@ func TestKeyedLimiterSweepKeepsLiveEvents(t *testing.T) {
 	l.Allow("live", t0)
 	l.Allow("live", t0.Add(30*time.Minute))
 	l.Sweep(t0.Add(45 * time.Minute))
-	if l.TrackedKeys() != 1 {
-		t.Fatalf("live key evicted, tracked=%d", l.TrackedKeys())
+	if len(l.events) != 1 {
+		t.Fatalf("live key evicted, tracked=%d", len(l.events))
 	}
 	// Both events are still inside the window, so the next attempt denies.
 	if l.Allow("live", t0.Add(46*time.Minute)) {

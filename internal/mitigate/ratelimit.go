@@ -41,12 +41,6 @@ func NewKeyedLimiter(window time.Duration, limit int) *KeyedLimiter {
 	}
 }
 
-// Limit returns the per-window allowance.
-func (l *KeyedLimiter) Limit() int { return l.limit }
-
-// Window returns the trailing window.
-func (l *KeyedLimiter) Window() time.Duration { return l.window }
-
 // Allow records an attempt for key at now and reports whether it is within
 // the limit. Denied attempts are not recorded as events (a rejected
 // request does not consume allowance). Every keyedSweepEvery
@@ -91,6 +85,3 @@ func (l *KeyedLimiter) Sweep(now time.Time) {
 		}
 	}
 }
-
-// TrackedKeys returns how many keys currently hold event state.
-func (l *KeyedLimiter) TrackedKeys() int { return len(l.events) }

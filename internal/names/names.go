@@ -253,9 +253,6 @@ func NewPool(r *simrand.RNG, n int) *Pool {
 	}
 }
 
-// Size returns the number of distinct identities in the pool.
-func (p *Pool) Size() int { return len(p.base) }
-
 // Permuted returns k identities drawn without replacement in a fresh random
 // order — the manual Seat Spinning signature.
 func (p *Pool) Permuted(k int) []Identity {

@@ -80,15 +80,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var total uint64
-	for i := range h.counts {
-		total += h.counts[i].Load()
-	}
-	return total
-}
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

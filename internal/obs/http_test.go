@@ -26,7 +26,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 
 func TestMuxMetricsAndHealth(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("mux_total").Add(9)
+	reg.Counter("mux_total").v.Add(9)
 	srv := httptest.NewServer(NewMux(ServeConfig{Registry: reg}))
 	defer srv.Close()
 

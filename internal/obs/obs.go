@@ -130,9 +130,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -144,17 +141,6 @@ type Gauge struct {
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add moves the gauge by delta (lock-free CAS loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		val := math.Float64frombits(old) + delta
-		if g.bits.CompareAndSwap(old, math.Float64bits(val)) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge reading.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -11,7 +11,7 @@ import (
 // WritePrometheus, parses again to the same samples in the same order.
 func FuzzParseText(f *testing.F) {
 	r := NewRegistry()
-	r.Counter("requests_total", Label{Name: "path", Value: `/a"b\c` + "\n"}).Add(3)
+	r.Counter("requests_total", Label{Name: "path", Value: `/a"b\c` + "\n"}).v.Add(3)
 	r.Gauge("queue_depth").Set(-0.5)
 	r.Histogram("lat_seconds", []float64{0.01, 0.1}, Label{Name: "layer", Value: "path"}).Observe(0.05)
 	r.Help("requests_total", "Requests seen.\nSecond line.")

@@ -78,8 +78,8 @@ func TestPoolLazyMatchesEager(t *testing.T) {
 					}
 				}
 
-				if lazy.Size() != len(eager.exits) {
-					t.Fatalf("%s: Size() = %d, want %d", name, lazy.Size(), len(eager.exits))
+				if len(lazy.exits) != len(eager.exits) {
+					t.Fatalf("%s: Size() = %d, want %d", name, len(lazy.exits), len(eager.exits))
 				}
 				compareContains("built")
 				compareDraws("built")
@@ -104,8 +104,8 @@ func TestPoolSaturatedSpaceTerminates(t *testing.T) {
 	}()
 	select {
 	case p := <-done:
-		if p.Size() != poolSpace {
-			t.Fatalf("Size() = %d, want the whole space (%d)", p.Size(), poolSpace)
+		if len(p.exits) != poolSpace {
+			t.Fatalf("Size() = %d, want the whole space (%d)", len(p.exits), poolSpace)
 		}
 		if !p.Contains(p.Draw()) {
 			t.Fatal("Draw returned non-member")
@@ -116,7 +116,7 @@ func TestPoolSaturatedSpaceTerminates(t *testing.T) {
 
 	s := NewService(simrand.New(2), WithPoolSize(1<<20))
 	s.Exit("UZ")
-	if pool := s.pools["UZ"]; pool.Size() != poolSpace {
-		t.Fatalf("WithPoolSize(1<<20) built %d exits, want %d", pool.Size(), poolSpace)
+	if pool := s.pools["UZ"]; len(pool.exits) != poolSpace {
+		t.Fatalf("WithPoolSize(1<<20) built %d exits, want %d", len(pool.exits), poolSpace)
 	}
 }

@@ -116,12 +116,6 @@ func (p *Pool) fresh() uint16 {
 	}
 }
 
-// Country returns the pool's country code.
-func (p *Pool) Country() string { return p.country }
-
-// Size returns the number of exits.
-func (p *Pool) Size() int { return len(p.exits) }
-
 // Contains reports whether ip belongs to this pool.
 func (p *Pool) Contains(ip IP) bool {
 	rest, ok := strings.CutPrefix(string(ip), p.prefix)
@@ -226,9 +220,6 @@ func (s *Service) Exit(country string) IP {
 	return p.Draw()
 }
 
-// Requests returns how many proxied requests the service has served.
-func (s *Service) Requests() int { return s.requests }
-
 // SpendUSD returns the attacker's cumulative proxy spend.
 func (s *Service) SpendUSD() float64 {
 	return float64(s.requests) * DefaultCostPerRequestUSD
@@ -270,6 +261,3 @@ func (ps *Session) Addr() IP {
 func (ps *Session) Blocked() {
 	ps.has = false
 }
-
-// Policy returns the session's rotation policy.
-func (ps *Session) Policy() RotationPolicy { return ps.policy }

@@ -11,8 +11,8 @@ import (
 
 func TestPoolGeneratesDistinctValidIPs(t *testing.T) {
 	p := NewPool(simrand.New(1), "FR", 300)
-	if p.Size() != 300 {
-		t.Fatalf("Size() = %d", p.Size())
+	if len(p.exits) != 300 {
+		t.Fatalf("Size() = %d", len(p.exits))
 	}
 	seen := map[IP]bool{}
 	for _, ip := range exitsOf(p) {
@@ -26,7 +26,7 @@ func TestPoolGeneratesDistinctValidIPs(t *testing.T) {
 
 // exitsOf renders every exit of p, in pool order.
 func exitsOf(p *Pool) []IP {
-	out := make([]IP, p.Size())
+	out := make([]IP, len(p.exits))
 	for i := range out {
 		out[i] = p.exit(i)
 	}
@@ -77,8 +77,8 @@ func TestServiceExitMatchesCountryPool(t *testing.T) {
 	if !pool.Contains(ip) {
 		t.Fatalf("exit %s not in UZ pool", ip)
 	}
-	if pool.Size() != 64 {
-		t.Fatalf("pool size %d, want 64", pool.Size())
+	if len(pool.exits) != 64 {
+		t.Fatalf("pool size %d, want 64", len(pool.exits))
 	}
 }
 
@@ -87,8 +87,8 @@ func TestServiceBilling(t *testing.T) {
 	for range 250 {
 		s.Exit("FR")
 	}
-	if s.Requests() != 250 {
-		t.Fatalf("Requests() = %d", s.Requests())
+	if s.requests != 250 {
+		t.Fatalf("Requests() = %d", s.requests)
 	}
 	if got, want := s.SpendUSD(), 250*DefaultCostPerRequestUSD; got != want {
 		t.Fatalf("SpendUSD() = %v, want %v", got, want)
@@ -116,8 +116,8 @@ func TestSessionStickyHoldsExit(t *testing.T) {
 			t.Fatal("sticky session rotated without a block")
 		}
 	}
-	if s.Requests() != 1 {
-		t.Fatalf("sticky session billed %d requests, want 1", s.Requests())
+	if s.requests != 1 {
+		t.Fatalf("sticky session billed %d requests, want 1", s.requests)
 	}
 }
 
@@ -166,7 +166,7 @@ func TestPoolDeterminism(t *testing.T) {
 }
 
 func TestNewPoolMinimumSize(t *testing.T) {
-	if got := NewPool(simrand.New(12), "SG", 0).Size(); got != 1 {
+	if got := len(NewPool(simrand.New(12), "SG", 0).exits); got != 1 {
 		t.Fatalf("zero-size pool has %d exits, want 1", got)
 	}
 }

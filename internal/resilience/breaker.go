@@ -47,9 +47,6 @@ type BreakerConfig struct {
 	// failure rate can trip the breaker; non-positive means 10. It keeps a
 	// single failure on an idle layer from opening the circuit.
 	MinSamples int
-	// FailureRate is the in-window failure fraction that trips the
-	// breaker; non-positive means 0.5. Values above 1 never trip.
-	FailureRate float64
 	// OpenFor is the cooldown before an open breaker admits probes;
 	// non-positive means Window.
 	OpenFor time.Duration
@@ -62,15 +59,16 @@ type BreakerConfig struct {
 // breakerBuckets is the failure-rate ring's granularity.
 const breakerBuckets = 8
 
+// tripRate is the in-window failure fraction that trips the breaker: half
+// the outcomes.
+const tripRate = 0.5
+
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Window <= 0 {
 		c.Window = 30 * time.Second
 	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 10
-	}
-	if c.FailureRate <= 0 {
-		c.FailureRate = 0.5
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = c.Window
@@ -82,7 +80,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // Breaker is a three-state circuit breaker: Closed while the guarded
-// layer's in-window failure rate stays under the threshold, Open for a
+// layer's in-window failure rate stays under one half, Open for a
 // cooldown once it trips, then HalfOpen to probe recovery. Outcomes are
 // counted on signal bucket rings, so observation is constant-memory and
 // allocation-free, and time arrives as an argument, so a simclock-driven
@@ -152,7 +150,7 @@ func (b *Breaker) Allow(now time.Time) bool {
 }
 
 // Record folds one call outcome at now into the breaker. In the closed
-// state a failure that pushes the in-window rate over the threshold (with
+// state a failure that brings the in-window rate to one half (with
 // at least MinSamples outcomes) opens the circuit; in the half-open state
 // any failure re-opens it and HalfOpenProbes successes close it.
 func (b *Breaker) Record(now time.Time, ok bool) {
@@ -162,7 +160,7 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 	case Closed:
 		b.rate.Observe(now, ok)
 		if !ok && b.rate.Total(now) >= b.cfg.MinSamples &&
-			b.rate.FailureRate(now) >= b.cfg.FailureRate {
+			b.rate.FailureRate(now) >= tripRate {
 			b.toOpenLocked(now)
 		}
 	case HalfOpen:
@@ -178,18 +176,6 @@ func (b *Breaker) Record(now time.Time, ok bool) {
 		// A straggler from before the trip; the window absorbs it.
 		b.rate.Observe(now, ok)
 	}
-}
-
-// Do combines Allow and Record around fn, returning ErrOpen on a
-// short-circuit and fn's error otherwise. Panics in fn are recovered into
-// a *PanicError and recorded as failures.
-func (b *Breaker) Do(now time.Time, fn func() error) error {
-	if !b.Allow(now) {
-		return ErrOpen
-	}
-	err := Safe(fn)
-	b.Record(now, err == nil)
-	return err
 }
 
 func (b *Breaker) toOpenLocked(now time.Time) {

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +14,6 @@ func testBreaker() *Breaker {
 	return NewBreaker(BreakerConfig{
 		Window:         time.Minute,
 		MinSamples:     4,
-		FailureRate:    0.5,
 		OpenFor:        30 * time.Second,
 		HalfOpenProbes: 2,
 	})
@@ -135,30 +133,6 @@ func TestBreakerFailuresAgeOut(t *testing.T) {
 	b.Record(clock.Now(), false)
 	if b.State() != Closed {
 		t.Fatalf("state %v: expired failures still count", b.State())
-	}
-}
-
-func TestBreakerDo(t *testing.T) {
-	b := testBreaker()
-	clock := simclock.NewManual(t0)
-	boom := errors.New("boom")
-	for range 4 {
-		if err := b.Do(clock.Now(), func() error { return boom }); !errors.Is(err, boom) {
-			t.Fatalf("err %v", err)
-		}
-	}
-	if err := b.Do(clock.Now(), func() error { return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("err %v, want ErrOpen", err)
-	}
-	// Panics count as failures and do not unwind.
-	clock.Advance(30 * time.Second)
-	err := b.Do(clock.Now(), func() error { panic("hook bug") })
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err %v, want PanicError", err)
-	}
-	if b.State() != Open {
-		t.Fatal("half-open panic did not re-open")
 	}
 }
 

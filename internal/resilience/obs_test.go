@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -33,7 +32,8 @@ func TestBreakerStatsSnapshot(t *testing.T) {
 func TestBreakerCollectorEncodesState(t *testing.T) {
 	t0 := time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 	b := NewBreaker(BreakerConfig{MinSamples: 1})
-	_ = b.Do(t0, func() error { return errors.New("boom") })
+	b.Allow(t0)
+	b.Record(t0, false)
 
 	samples := b.Collector("challenge").Collect(nil)
 	byName := map[string]float64{}

@@ -53,9 +53,6 @@ func NewScheduler(clock *Manual) *Scheduler {
 	return &Scheduler{clock: clock}
 }
 
-// Clock returns the Manual clock the scheduler drives.
-func (s *Scheduler) Clock() *Manual { return s.clock }
-
 // Now returns the current virtual time.
 func (s *Scheduler) Now() time.Time { return s.clock.Now() }
 

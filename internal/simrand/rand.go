@@ -204,13 +204,6 @@ func (r *RNG) Poisson(mean float64) int {
 	}
 }
 
-// Zipf returns a Zipf-distributed rank in [0, n) with exponent s >= 0 via
-// inverse-CDF over precomputed weights; use NewZipf for repeated draws.
-func (r *RNG) Zipf(n int, s float64) int {
-	z := NewZipf(n, s)
-	return z.Draw(r)
-}
-
 // Zipf draws ranks with probability proportional to 1/(rank+1)^s.
 type Zipf struct {
 	cdf []float64

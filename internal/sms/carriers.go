@@ -148,12 +148,6 @@ func (c *Chain) RegisterTerminator(country string, colluding bool, at time.Time)
 	return op
 }
 
-// Operator resolves an operator by ID.
-func (c *Chain) Operator(id string) (*Operator, bool) {
-	op, ok := c.operators[id]
-	return op, ok
-}
-
 // Settle routes one delivered message through the chain at the given
 // instant and records the money split. Colluding terminators win the route
 // when present and eligible: the attacker steers traffic toward them.

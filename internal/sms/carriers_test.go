@@ -196,7 +196,7 @@ func TestTerminatorReportsExposeShortStopping(t *testing.T) {
 func TestOperatorLookupAndClassString(t *testing.T) {
 	c := chainFixture()
 	op := c.RegisterTerminator("FR", false, t0)
-	got, ok := c.Operator(op.ID)
+	got, ok := c.operators[op.ID]
 	if !ok || got.Country != "FR" {
 		t.Fatal("operator lookup failed")
 	}

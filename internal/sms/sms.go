@@ -129,13 +129,6 @@ func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, 
 	return m, nil
 }
 
-// Sent returns the number of delivered messages.
-func (g *Gateway) Sent() int { return g.sent }
-
-// FraudRevenueUSD returns the cumulative revenue-share kickback accrued on
-// all traffic. Per-actor revenue is computed from the journal.
-func (g *Gateway) FraudRevenueUSD() float64 { return g.fraudRevenue }
-
 // Journal returns a copy of the delivery journal.
 func (g *Gateway) Journal() []Message {
 	out := make([]Message, len(g.journal))

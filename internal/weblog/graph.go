@@ -68,19 +68,3 @@ func ExtractGraph(s *Session) GraphFeatures {
 	f.SelfLoopShare = float64(selfLoops) / total
 	return f
 }
-
-// Vector flattens the graph features for the numeric classifiers.
-func (f GraphFeatures) Vector() []float64 {
-	return []float64{
-		float64(f.Nodes), float64(f.Edges), float64(f.Transitions),
-		f.TransitionEntropy, f.DominantEdgeShare, f.SelfLoopShare,
-	}
-}
-
-// GraphFeatureNames returns labels matching Vector order.
-func GraphFeatureNames() []string {
-	return []string{
-		"graph_nodes", "graph_edges", "graph_transitions",
-		"transition_entropy", "dominant_edge_share", "self_loop_share",
-	}
-}

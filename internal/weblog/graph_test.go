@@ -102,10 +102,3 @@ func TestExtractGraphAlternation(t *testing.T) {
 		t.Fatalf("dominant share %v", f.DominantEdgeShare)
 	}
 }
-
-func TestGraphVectorMatchesNames(t *testing.T) {
-	f := ExtractGraph(sessionOf("/a", "/b"))
-	if len(f.Vector()) != len(GraphFeatureNames()) {
-		t.Fatal("vector/name length mismatch")
-	}
-}

@@ -55,10 +55,6 @@ func (a Actor) Automated() bool {
 	return a == ActorScraper || a == ActorSeatSpinner || a == ActorSMSPumper
 }
 
-// Abusive reports whether the actor performs functional abuse (manual or
-// automated).
-func (a Actor) Abusive() bool { return a != ActorHuman && a != 0 }
-
 // Request is one log line.
 type Request struct {
 	Time        time.Time
@@ -86,9 +82,6 @@ func NewLog() *Log { return &Log{} }
 
 // Append adds a request.
 func (l *Log) Append(r Request) { l.requests = append(l.requests, r) }
-
-// Len returns the number of requests.
-func (l *Log) Len() int { return len(l.requests) }
 
 // Requests returns a copy of the log lines.
 func (l *Log) Requests() []Request {

@@ -220,12 +220,6 @@ func TestActorPredicates(t *testing.T) {
 	if ActorHuman.Automated() || ActorManualSpinner.Automated() {
 		t.Fatal("non-bot actors marked automated")
 	}
-	if ActorHuman.Abusive() {
-		t.Fatal("human marked abusive")
-	}
-	if !ActorManualSpinner.Abusive() {
-		t.Fatal("manual spinner not abusive")
-	}
 }
 
 func TestLogRequestsIsCopy(t *testing.T) {

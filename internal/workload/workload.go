@@ -24,6 +24,7 @@ import (
 // DefaultNiPWeights is the Fig. 1 "average week" party-size mix: bookings
 // are dominated by singles and couples, with a thin tail of groups.
 // Index i is the weight of party size i+1; sizes 7..9 share the last mass.
+// Every population draws its party sizes from it.
 var DefaultNiPWeights = []float64{0.52, 0.30, 0.08, 0.05, 0.02, 0.015, 0.008, 0.004, 0.003}
 
 // Market weights approximate where the simulated airline's customers live,
@@ -35,8 +36,6 @@ var defaultMarketWeights = []float64{0.16, 0.14, 0.12, 0.09, 0.08, 0.09, 0.10, 0
 type Config struct {
 	// HoldsPerHour is the mean rate of booking journeys at daytime peak.
 	HoldsPerHour float64
-	// NiPWeights overrides the party-size mix (index i = size i+1).
-	NiPWeights []float64
 	// ConfirmProb is the share of holds that complete payment.
 	ConfirmProb float64
 	// BoardingPassProb is the share of confirmed tickets whose holder
@@ -62,7 +61,6 @@ type Config struct {
 func DefaultConfig(flights []booking.FlightID, until time.Time) Config {
 	return Config{
 		HoldsPerHour:     80,
-		NiPWeights:       DefaultNiPWeights,
 		ConfirmProb:      0.55,
 		BoardingPassProb: 0.35,
 		OTPPerHour:       40,
@@ -106,9 +104,6 @@ func NewPopulation(
 	rng *simrand.RNG,
 	registry *geo.Registry,
 ) *Population {
-	if len(cfg.NiPWeights) == 0 {
-		cfg.NiPWeights = DefaultNiPWeights
-	}
 	if cfg.HoldsPerHour <= 0 {
 		cfg.HoldsPerHour = 80
 	}
@@ -128,7 +123,7 @@ func NewPopulation(
 		registry:  registry,
 		fpGen:     fingerprint.NewGenerator(rng.Derive("fp")),
 		idGen:     names.NewGenerator(rng.Derive("id")),
-		nipChoice: simrand.NewCategorical(cfg.NiPWeights),
+		nipChoice: simrand.NewCategorical(DefaultNiPWeights),
 		market:    simrand.NewCategorical(defaultMarketWeights),
 		tailCodes: tailCodes,
 		pools:     make(map[string]*proxy.Pool),

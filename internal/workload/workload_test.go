@@ -45,10 +45,6 @@ func (r *recordingAPI) Confirm(app.ClientContext, booking.HoldID) (booking.Ticke
 	return booking.Ticket{RecordLocator: "LOCAT" + string(rune('A'+r.confirm%26))}, nil
 }
 
-func (r *recordingAPI) Availability(app.ClientContext, booking.FlightID) (booking.Availability, error) {
-	return booking.Availability{}, nil
-}
-
 func (r *recordingAPI) RequestOTP(ctx app.ClientContext, to geo.MSISDN, login string) error {
 	r.otps++
 	return nil
@@ -249,10 +245,6 @@ func (rejectingAPI) RequestHold(app.ClientContext, booking.HoldRequest) (*bookin
 
 func (rejectingAPI) Confirm(app.ClientContext, booking.HoldID) (booking.Ticket, error) {
 	return booking.Ticket{}, errors.New("rejected")
-}
-
-func (rejectingAPI) Availability(app.ClientContext, booking.FlightID) (booking.Availability, error) {
-	return booking.Availability{}, errors.New("rejected")
 }
 
 func TestPopulationDistinctUsersPresentCookies(t *testing.T) {
