@@ -285,18 +285,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	until := core.SimStart.Add(warmup + horizon)
 
 	if opts.scenario == "seatspin" || opts.scenario == "mixed" {
-		rot := fingerprint.NewRotator(env.RNG.Derive("rot"),
-			fingerprint.NewGenerator(env.RNG.Derive("fpgen")), fingerprint.WithSpoofing())
-		spinner = attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-			ID:             "spin-1",
-			Flight:         envCfg.TargetID,
-			TargetNiP:      6,
-			ReholdInterval: envCfg.Booking.HoldTTL,
-			Departure:      envCfg.TargetDep,
-			Parallel:       10,
-		}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-			env.Proxies.NewSession("SG", proxy.RotatePerRequest))
-		spinner.Start()
+		spinner = env.StartSpinner(envCfg)
 	}
 	if opts.scenario == "smspump" || opts.scenario == "mixed" {
 		rot := fingerprint.NewRotator(env.RNG.Derive("prot"),

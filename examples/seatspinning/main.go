@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"funabuse/internal/core"
 )
@@ -58,6 +57,5 @@ func run() error {
 		fmt.Printf("  %-20s %-28s reservations=%d %s\n",
 			f.Pattern.String(), f.Key, f.Reservations, f.Detail)
 	}
-	_ = time.Second
 	return nil
 }

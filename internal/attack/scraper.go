@@ -52,7 +52,6 @@ type Scraper struct {
 	cfg     ScraperConfig
 	api     app.BrowseAPI
 	sched   *simclock.Scheduler
-	rng     *simrand.RNG
 	session *proxy.Session
 	print   fingerprint.Fingerprint
 
@@ -79,7 +78,6 @@ func NewScraper(
 		cfg:     cfg,
 		api:     api,
 		sched:   sched,
-		rng:     rng,
 		session: session,
 		print:   fingerprint.NewGenerator(rng.Derive("fp")).NaiveHeadless(),
 	}

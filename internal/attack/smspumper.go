@@ -93,9 +93,6 @@ type SMSPumper struct {
 	sessions  map[string]*proxy.Session
 
 	sent      int
-	attempts  int
-	blocked   int
-	rotations int
 	stopped   bool
 	clientSeq int
 }
@@ -200,17 +197,14 @@ func (p *SMSPumper) pump(now time.Time) {
 	locator := p.locators[p.rng.Intn(len(p.locators))]
 	ctx := p.clientContext(code)
 
-	p.attempts++
 	err := p.smst.SendBoardingPass(ctx, locator, to)
 	switch {
 	case err == nil:
 		p.sent++
 	case errors.Is(err, app.ErrBlocked):
-		p.blocked++
 		// Fingerprint rotation is cheap for this crew; they rotate fast and
 		// keep pumping.
 		p.rotator.Rotate()
-		p.rotations++
 		p.clientSeq++
 	case errors.Is(err, app.ErrRateLimited):
 		// Back off for a while, then probe again.

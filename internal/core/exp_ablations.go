@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/simrand"
 	"funabuse/internal/weblog"
 	"funabuse/internal/workload"
@@ -59,8 +61,8 @@ type AblationResult struct {
 	Gaps        []GapRow
 }
 
-// Tables renders the three studies.
-func (r AblationResult) Tables() []*metrics.Table {
+// report writes the three studies, each followed by a blank line.
+func (r AblationResult) report(w io.Writer, csv bool) {
 	ttl := metrics.NewTable("Ablation — hold TTL vs DoI leverage (3-day attack, 10 streams)",
 		"Hold TTL", "Attacker requests", "Seat-hours lost", "Seat-hours per request")
 	for _, row := range r.TTL {
@@ -84,7 +86,29 @@ func (r AblationResult) Tables() []*metrics.Table {
 			fmt.Sprintf("%.2f", row.SpinnerRecall),
 			fmt.Sprintf("%.2f", row.ScraperRecall))
 	}
-	return []*metrics.Table{ttl, gran, gaps}
+	for _, t := range []*metrics.Table{ttl, gran, gaps} {
+		emit(w, t, csv)
+		fmt.Fprintln(w)
+	}
+}
+
+// sample flattens the three studies for a replicate sweep.
+func (r AblationResult) sample() runner.Sample {
+	var b sample
+	for _, row := range r.TTL {
+		b.add("ttl:"+row.TTL.String()+"/seat_hours_lost", row.SeatHoursLost)
+		b.add("ttl:"+row.TTL.String()+"/leverage", row.LeverageSeatHoursPerRequest)
+	}
+	for _, row := range r.Granularity {
+		b.add("rule:"+row.Rule+"/rotations_survived", row.RotationsSurvived)
+		b.add("rule:"+row.Rule+"/legit_match_rate", row.LegitMatchRate)
+	}
+	for _, row := range r.Gaps {
+		b.addInt("gap:"+row.Gap.String()+"/spinner_sessions", row.SpinnerSessions)
+		b.add("gap:"+row.Gap.String()+"/spinner_recall", row.SpinnerRecall)
+		b.add("gap:"+row.Gap.String()+"/scraper_recall", row.ScraperRecall)
+	}
+	return b.s
 }
 
 // RunAblations runs the three design-choice studies.
@@ -115,21 +139,7 @@ func ablateTTL(seed uint64) ([]TTLRow, error) {
 		envCfg.TargetDep = SimStart.Add(10 * 24 * time.Hour)
 		env := NewEnv(envCfg)
 
-		rot := fingerprint.NewRotator(
-			env.RNG.Derive("rot"),
-			fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-			fingerprint.WithSpoofing(),
-		)
-		spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-			ID:             "spin-1",
-			Flight:         envCfg.TargetID,
-			TargetNiP:      6,
-			ReholdInterval: ttl,
-			Departure:      envCfg.TargetDep,
-			Parallel:       10,
-		}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-			env.Proxies.NewSession("SG", proxy.RotatePerRequest))
-		spinner.Start()
+		spinner := env.StartSpinner(envCfg)
 		if err := env.Run(3 * 24 * time.Hour); err != nil {
 			return nil, err
 		}

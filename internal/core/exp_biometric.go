@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"funabuse/internal/biometric"
 	"funabuse/internal/metrics"
+	"funabuse/internal/runner"
 	"funabuse/internal/simrand"
 )
 
@@ -52,6 +54,24 @@ func (r BiometricResult) Table() *metrics.Table {
 		fmt.Sprintf("%.3f", r.HumanFPRThreshold),
 		fmt.Sprintf("%.3f", r.HumanFPRCombined), "")
 	return t
+}
+
+// report writes the table.
+func (r BiometricResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r BiometricResult) sample() runner.Sample {
+	var b sample
+	b.add("human_fpr_threshold", r.HumanFPRThreshold)
+	b.add("human_fpr_combined", r.HumanFPRCombined)
+	for _, s := range r.Scores {
+		b.addInt(s.Class+"/reservations", s.Reservations)
+		b.add(s.Class+"/threshold_recall", s.ThresholdRecall)
+		b.add(s.Class+"/combined_recall", s.CombinedRecall)
+	}
+	return b.s
 }
 
 // RunBiometric simulates one week of reservation form submissions: a

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"funabuse/internal/metrics"
+	"funabuse/internal/runner"
 	"funabuse/internal/sms"
 )
 
@@ -49,6 +51,25 @@ func (r CarrierResult) Table() *metrics.Table {
 			fmt.Sprintf("%d", a.Unroutable))
 	}
 	return t
+}
+
+// report writes the table.
+func (r CarrierResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r CarrierResult) sample() runner.Sample {
+	var b sample
+	b.addInt("pump_messages", r.PumpMessages)
+	for _, a := range r.Arms {
+		b.add(a.Name+"/attacker_kickback_usd", a.AttackerKickbackUSD)
+		b.add(a.Name+"/withheld_usd", a.WithheldUSD)
+		b.add(a.Name+"/delivery_rate", a.DeliveryRate)
+		b.addInt(a.Name+"/settled", a.Settled)
+		b.addInt(a.Name+"/unroutable", a.Unroutable)
+	}
+	return b.s
 }
 
 // RunCarrier settles one pump campaign's traffic under (a) no carrier

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
-	"funabuse/internal/attack"
 	"funabuse/internal/booking"
 	"funabuse/internal/detect"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
-	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/workload"
 )
 
@@ -67,6 +66,32 @@ func (r CaseAResult) Table() *metrics.Table {
 	return t
 }
 
+// report writes the table and its note lines.
+func (r CaseAResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "paper reference: mean rotation 5.3h; attack ceased 2 days before departure\n")
+	fmt.Fprintf(w, "measured: mean rotation %v; ceased %v before departure\n",
+		r.MeanRotationInterval.Round(time.Minute),
+		r.Departure.Sub(r.LastAttackHold).Round(time.Hour))
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r CaseAResult) sample() runner.Sample {
+	var b sample
+	b.add("mean_rotation_hours", r.MeanRotationInterval.Hours())
+	b.addInt("rotations", r.Rotations)
+	b.addInt("rules_added", r.RulesAdded)
+	b.addBool("cap_applied", r.CapApplied)
+	b.add("cap_delay_hours", r.CapDelay.Hours())
+	b.addInt("attacker_final_nip", r.AttackerFinalNiP)
+	b.addInt("attacker_holds", r.AttackerHolds)
+	b.add("ceased_hours_before_departure", r.Departure.Sub(r.LastAttackHold).Hours())
+	b.add("seat_hours_lost", r.SeatHoursLost)
+	b.addInt("prints_flagged_online", r.PrintsFlaggedOnline)
+	b.addInt("humans_flagged_online", r.HumansFlaggedOnline)
+	return b.s
+}
+
 // RunCaseA replays the Airline A incident: one baseline week, then an
 // adaptive spinner against a defender that reviews hourly, blocks
 // fingerprints and IPs of fast-holding clients, and caps NiP on drift. The
@@ -95,22 +120,8 @@ func RunCaseA(seed uint64) (CaseAResult, error) {
 	defender := NewDefender(DefaultDefenderConfig(), env.App, env.Sched, baseline)
 	defender.Start()
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
-	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:             "spin-1",
-		Flight:         envCfg.TargetID,
-		TargetNiP:      6,
-		ReholdInterval: envCfg.Booking.HoldTTL,
-		Departure:      envCfg.TargetDep,
-		Parallel:       10,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	attackStart := env.Sched.Now()
-	spinner.Start()
+	spinner := env.StartSpinner(envCfg)
 
 	if err := env.Run(17 * 24 * time.Hour); err != nil {
 		return CaseAResult{}, err

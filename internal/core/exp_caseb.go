@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/weblog"
 	"funabuse/internal/workload"
 )
@@ -59,6 +61,24 @@ func (r CaseBResult) Table() *metrics.Table {
 		fmt.Sprintf("%.2f", r.GraphManualRecall))
 	t.AddRow("legitimate keys falsely flagged", fmt.Sprintf("%d", r.HumanKeysFlagged), "", "", "")
 	return t
+}
+
+// report writes the table.
+func (r CaseBResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r CaseBResult) sample() runner.Sample {
+	var b sample
+	b.addBool("auto_flagged", r.AutoFlagged)
+	b.addBool("manual_flagged", r.ManualFlagged)
+	b.addInt("human_keys_flagged", r.HumanKeysFlagged)
+	b.add("volume_rules_auto_recall", r.VolumeRulesAutoRecall)
+	b.add("volume_rules_manual_recall", r.VolumeRulesManualRecall)
+	b.add("graph_auto_recall", r.GraphAutoRecall)
+	b.add("graph_manual_recall", r.GraphManualRecall)
+	return b.s
 }
 
 // RunCaseB builds three days of mixed traffic — legitimate bookings, an

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"funabuse/internal/metrics"
+	"funabuse/internal/runner"
 	"funabuse/internal/weblog"
 )
 
@@ -46,6 +48,24 @@ func (r CaseCResult) Table() *metrics.Table {
 			fmt.Sprintf("%d", v.LegitFriction))
 	}
 	return t
+}
+
+// report writes the table.
+func (r CaseCResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r CaseCResult) sample() runner.Sample {
+	var b sample
+	for _, v := range r.Variants {
+		b.addBool(v.Name+"/detected", v.Detected)
+		b.add(v.Name+"/detection_delay_hours", v.DetectionDelay.Hours())
+		b.addInt(v.Name+"/pump_delivered", v.PumpDelivered)
+		b.add(v.Name+"/owner_cost_usd", v.PumpCostUSD)
+		b.addInt(v.Name+"/legit_friction", v.LegitFriction)
+	}
+	return b.s
 }
 
 // caseCDefences returns the ablation postures. The path limit is set just

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -12,6 +14,7 @@ import (
 	"funabuse/internal/metrics"
 	"funabuse/internal/obs"
 	"funabuse/internal/resilience"
+	"funabuse/internal/runner"
 	"funabuse/internal/signal"
 	"funabuse/internal/simclock"
 	"funabuse/internal/simrand"
@@ -86,6 +89,26 @@ func (r ChaosResult) Table() *metrics.Table {
 			strconv.FormatUint(a.BreakerOpens, 10))
 	}
 	return t
+}
+
+// report writes the table and its note lines.
+func (r ChaosResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "fail-open forfeits the layer's catches while it flaps; fail-closed charges honest traffic instead\n")
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r ChaosResult) sample() runner.Sample {
+	var b sample
+	for _, a := range r.Arms {
+		prefix := a.Workload + ":" + a.Policy.String()
+		b.addInt(prefix+"/abuse_denied_healthy", a.AbuseDeniedHealthy)
+		b.addInt(prefix+"/leaked", a.Leaked)
+		b.addInt(prefix+"/false_denials", a.FalseDenials)
+		b.add(prefix+"/degraded", float64(a.Degraded))
+		b.add(prefix+"/breaker_opens", float64(a.BreakerOpens))
+	}
+	return b.s
 }
 
 const (

@@ -74,10 +74,11 @@ func TestRunChaosDeterministicPerSeed(t *testing.T) {
 // experiment replicated over seeds 1..4 must render byte-identical
 // statistics whether the runner used one worker or four.
 func TestReplicateChaosWorkersGolden(t *testing.T) {
+	chaos, _ := ExperimentByID("chaos")
 	run := func(workers int) *runner.Summary {
 		sum, err := runner.Run("chaos", runner.Config{
 			Replicates: 4, Workers: workers, BaseSeed: 1,
-		}, ReplicateChaos)
+		}, chaos)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

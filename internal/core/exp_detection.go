@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/weblog"
 	"funabuse/internal/workload"
 )
@@ -66,6 +68,30 @@ func (r DetectionResult) Table() *metrics.Table {
 			fmt.Sprintf("%.3f", s.HumanFPR))
 	}
 	return t
+}
+
+// report writes the table and its note lines.
+func (r DetectionResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "sessions: human=%d scraper=%d spinner=%d pumper=%d\n",
+		r.HumanSessions, r.ScraperSessions, r.SpinnerSessions, r.PumperSessions)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r DetectionResult) sample() runner.Sample {
+	var b sample
+	b.addInt("human_sessions", r.HumanSessions)
+	b.addInt("scraper_sessions", r.ScraperSessions)
+	b.addInt("spinner_sessions", r.SpinnerSessions)
+	b.addInt("pumper_sessions", r.PumperSessions)
+	for _, s := range r.Scores {
+		b.add(s.Detector+"/scraper_recall", s.ScraperRecall)
+		b.add(s.Detector+"/naive_spinner_recall", s.NaiveSpinnerRecall)
+		b.add(s.Detector+"/spoofed_spinner_recall", s.SpoofedSpinnerRecall)
+		b.add(s.Detector+"/pumper_recall", s.PumperRecall)
+		b.add(s.Detector+"/human_fpr", s.HumanFPR)
+	}
+	return b.s
 }
 
 // RunDetectionComparison builds three days of mixed traffic with all four

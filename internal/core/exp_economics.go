@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"funabuse/internal/attack"
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
+	"funabuse/internal/runner"
 	"funabuse/internal/workload"
 )
 
@@ -62,6 +64,29 @@ func (r EconResult) Table() *metrics.Table {
 		row(e)
 	}
 	return t
+}
+
+// report writes the table and its note lines.
+func (r EconResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "analytic break-even CAPTCHA solve cost: $%.4f/solve (market prices are ~$0.002)\n",
+		r.BreakEvenSolveCostUSD)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r EconResult) sample() runner.Sample {
+	var b sample
+	b.add("break_even_solve_cost_usd", r.BreakEvenSolveCostUSD)
+	rows := func(prefix string, sweep []EconRow) {
+		for _, e := range sweep {
+			b.addInt(prefix+e.Label+"/delivered", e.MessagesDelivered)
+			b.add(prefix+e.Label+"/attacker_profit_usd", e.ProfitUSD)
+			b.add(prefix+e.Label+"/owner_cost_usd", e.OwnerCostUSD)
+		}
+	}
+	rows("captcha:", r.CaptchaSweep)
+	rows("cap:", r.CapSweep)
+	return b.s
 }
 
 // RunEconomics sweeps CAPTCHA solve prices and per-locator caps against the

@@ -2,13 +2,12 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
-	"funabuse/internal/attack"
 	"funabuse/internal/booking"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
-	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/workload"
 )
 
@@ -50,6 +49,28 @@ func (r Fig1Result) Table() *metrics.Table {
 	return t
 }
 
+// report writes the table and its note lines.
+func (r Fig1Result) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "attacker: final NiP %d after cap, %d holds total\n",
+		r.AttackerFinalNiP, r.AttackerHolds)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r Fig1Result) sample() runner.Sample {
+	var b sample
+	b.addInt("attacker_final_nip", r.AttackerFinalNiP)
+	b.addInt("attacker_holds", r.AttackerHolds)
+	for _, w := range r.Weeks {
+		b.addInt(w.Label+"/holds", w.Holds)
+		// The attack signature the figure exists to show: the NiP=6 and
+		// NiP=4 shares before and after the cap.
+		b.add(w.Label+"/share_nip4", w.Shares[3])
+		b.add(w.Label+"/share_nip6", w.Shares[5])
+	}
+	return b.s
+}
+
 // RunFig1 regenerates Fig. 1. Timeline: week 1 is the average week; the
 // attack (NiP=6 holds continuously re-issued on one flight) starts with
 // week 2; the NiP<=4 cap is applied at the end of week 2, as the paper's
@@ -77,21 +98,7 @@ func RunFig1(seed uint64) (Fig1Result, error) {
 
 	// Week 2: the attack begins. The operator spoofs organic fingerprints
 	// and exits through residential proxies.
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
-	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:             "spin-1",
-		Flight:         envCfg.TargetID,
-		TargetNiP:      6,
-		ReholdInterval: envCfg.Booking.HoldTTL,
-		Departure:      envCfg.TargetDep,
-		Parallel:       10,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
-	spinner.Start()
+	spinner := env.StartSpinner(envCfg)
 	if err := env.Run(2 * week); err != nil {
 		return Fig1Result{}, err
 	}

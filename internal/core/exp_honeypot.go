@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
-	"funabuse/internal/attack"
 	"funabuse/internal/booking"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
-	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/workload"
 )
 
@@ -55,6 +54,26 @@ func (r HoneypotResult) Table() *metrics.Table {
 			fmt.Sprintf("$%.2f", a.AttackerProxySpendUSD))
 	}
 	return t
+}
+
+// report writes the table.
+func (r HoneypotResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r HoneypotResult) sample() runner.Sample {
+	var b sample
+	for _, a := range r.Arms {
+		b.add(a.Name+"/real_seat_hours", a.RealSeatHours)
+		b.add(a.Name+"/decoy_seat_hours", a.DecoySeatHours)
+		b.addInt(a.Name+"/rotations", a.Rotations)
+		b.addInt(a.Name+"/rules_added", a.RulesAdded)
+		b.addInt(a.Name+"/attacker_holds", a.AttackerHolds)
+		b.add(a.Name+"/attacker_proxy_spend_usd", a.AttackerProxySpendUSD)
+		b.addInt(a.Name+"/legit_holds", a.LegitHolds)
+	}
+	return b.s
 }
 
 // RunHoneypot runs the same one-week spinning campaign under (a) a blocking
@@ -103,21 +122,7 @@ func runHoneypotArm(seed uint64, name string, honeypot bool) (HoneypotArm, error
 	defender := NewDefender(dcfg, env.App, env.Sched, baseline)
 	defender.Start()
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
-	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:             "spin-1",
-		Flight:         envCfg.TargetID,
-		TargetNiP:      6,
-		ReholdInterval: envCfg.Booking.HoldTTL,
-		Departure:      envCfg.TargetDep,
-		Parallel:       10,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
-	spinner.Start()
+	spinner := env.StartSpinner(envCfg)
 
 	if err := env.Run(9 * 24 * time.Hour); err != nil {
 		return HoneypotArm{}, err

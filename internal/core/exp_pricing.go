@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
-	"funabuse/internal/attack"
 	"funabuse/internal/booking"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
-	"funabuse/internal/proxy"
+	"funabuse/internal/runner"
 	"funabuse/internal/workload"
 )
 
@@ -48,6 +47,24 @@ func (r PricingResult) Table() *metrics.Table {
 	t.AddRow("share of quotes inflated", fmt.Sprintf("%.2f", r.InflatedShare))
 	t.AddRow("fare-class upgrades forced", fmt.Sprintf("%d of %d samples", r.BucketUpgrades, r.Samples))
 	return t
+}
+
+// report writes the table.
+func (r PricingResult) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r PricingResult) sample() runner.Sample {
+	var b sample
+	b.add("baseline_mean_fare_usd", r.BaselineMeanFareUSD)
+	b.add("attack_mean_fare_usd", r.AttackMeanFareUSD)
+	b.add("counterfactual_mean_fare_usd", r.CounterfactualMeanFareUSD)
+	b.add("distortion_usd", r.DistortionUSD)
+	b.add("inflated_share", r.InflatedShare)
+	b.addInt("bucket_upgrades", r.BucketUpgrades)
+	b.addInt("samples", r.Samples)
+	return b.s
 }
 
 // RunPricing runs one quiet week and one attack week against a target
@@ -118,21 +135,7 @@ func RunPricing(seed uint64) (PricingResult, error) {
 		return PricingResult{}, err
 	}
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
-	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
-		ID:             "spin-1",
-		Flight:         envCfg.TargetID,
-		TargetNiP:      6,
-		ReholdInterval: envCfg.Booking.HoldTTL,
-		Departure:      envCfg.TargetDep,
-		Parallel:       10,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
-		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
-	spinner.Start()
+	env.StartSpinner(envCfg)
 
 	if err := env.Run(2 * week); err != nil {
 		return PricingResult{}, err

@@ -2,12 +2,13 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"time"
 
 	"funabuse/internal/attack"
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
-	"funabuse/internal/signal"
+	"funabuse/internal/runner"
 	"funabuse/internal/sms"
 	"funabuse/internal/workload"
 )
@@ -19,14 +20,8 @@ type Table1Result struct {
 	// Top10 is the ten largest per-country surges, computed offline from
 	// the message journal.
 	Top10 []sms.Surge
-	// Top10Streaming is the same ranking recomputed online by feeding the
-	// message stream through a signal.SurgeDetector one event at a time;
-	// the offline and streaming paths must agree row for row.
-	Top10Streaming []sms.Surge
 	// GlobalIncreasePct is the overall boarding-pass volume increase.
 	GlobalIncreasePct float64
-	// GlobalIncreasePctStreaming is the online counterpart.
-	GlobalIncreasePctStreaming float64
 	// AttackCountries is how many countries the pump traffic reached.
 	AttackCountries int
 	// PumpMessages is the attacker's delivered message count.
@@ -49,6 +44,29 @@ func (r Table1Result) Table() *metrics.Table {
 			metrics.FormatPct(s.IncreasePct))
 	}
 	return t
+}
+
+// report writes the table and its note lines.
+func (r Table1Result) report(w io.Writer, csv bool) {
+	emit(w, r.Table(), csv)
+	fmt.Fprintf(w, "global boarding-pass increase: %+.1f%%; countries targeted: %d; pump volume: %d\n",
+		r.GlobalIncreasePct, r.AttackCountries, r.PumpMessages)
+	fmt.Fprintf(w, "owner SMS bill for pump traffic: $%.0f; attacker revenue share: $%.0f\n",
+		r.AppCostUSD, r.FraudRevenueUSD)
+}
+
+// sample flattens the headline scalars for a replicate sweep.
+func (r Table1Result) sample() runner.Sample {
+	var b sample
+	b.add("global_increase_pct", r.GlobalIncreasePct)
+	b.addInt("attack_countries", r.AttackCountries)
+	b.addInt("pump_messages", r.PumpMessages)
+	b.add("app_cost_usd", r.AppCostUSD)
+	b.add("fraud_revenue_usd", r.FraudRevenueUSD)
+	if len(r.Top10) > 0 {
+		b.add("top_surge_pct", r.Top10[0].IncreasePct)
+	}
+	return b.s
 }
 
 // table1PumpMix is the destination mix calibrated so the surge table takes
@@ -90,16 +108,46 @@ func table1PumpMix() []attack.WeightedCountry {
 	return out
 }
 
-// RunTable1 regenerates Table I: one baseline week of organic traffic, one
-// attack week with the boarding-pass pumper running in the vulnerable
-// posture (no SMS rate limits of any kind). The pumper's mean gap of
+// table1PumpInterval is the pumper's mean gap in the Table I scenario:
 // 11 m 30 s lands its volume near +25% of the weekly boarding-pass
 // baseline.
+const table1PumpInterval = 11*time.Minute + 30*time.Second
+
+// RunTable1 regenerates Table I: one baseline week of organic traffic, one
+// attack week with the boarding-pass pumper running in the vulnerable
+// posture (no SMS rate limits of any kind).
 func RunTable1(seed uint64) (Table1Result, error) {
-	env, _, err := runPumpScenario(seed, DefenceConfig{}, 11*time.Minute+30*time.Second)
+	env, _, err := runPumpScenario(seed, DefenceConfig{}, table1PumpInterval)
 	if err != nil {
 		return Table1Result{}, err
 	}
+	return table1(env), nil
+}
+
+// table1 ranks the boarding-pass journal of a finished pump scenario.
+func table1(env *Env) Table1Result {
+	before, after := boardingPasses(env)
+	pumpMsgs := 0
+	attackCountries := make(map[string]bool)
+	for _, m := range after {
+		if m.ActorID == pumpActorID {
+			pumpMsgs++
+			attackCountries[m.Country] = true
+		}
+	}
+	return Table1Result{
+		Top10:             sms.TopSurges(before, after, 10),
+		GlobalIncreasePct: sms.GlobalIncreasePct(before, after),
+		AttackCountries:   len(attackCountries),
+		PumpMessages:      pumpMsgs,
+		AppCostUSD:        env.Gateway.CostFor(pumpActorID),
+		FraudRevenueUSD:   env.Gateway.RevenueFor(pumpActorID),
+	}
+}
+
+// boardingPasses returns the boarding-pass messages of the baseline week
+// and of the attack week.
+func boardingPasses(env *Env) (before, after []sms.Message) {
 	const week = 7 * 24 * time.Hour
 	boardingOnly := func(msgs []sms.Message) []sms.Message {
 		var out []sms.Message
@@ -110,54 +158,8 @@ func RunTable1(seed uint64) (Table1Result, error) {
 		}
 		return out
 	}
-	before := boardingOnly(env.Gateway.JournalBetween(SimStart, SimStart.Add(week)))
-	after := boardingOnly(env.Gateway.JournalBetween(SimStart.Add(week), SimStart.Add(2*week)))
-
-	pumpMsgs := 0
-	attackCountries := make(map[string]bool)
-	for _, m := range after {
-		if m.ActorID == pumpActorID {
-			pumpMsgs++
-			attackCountries[m.Country] = true
-		}
-	}
-	streamTop, streamGlobal := streamSurges(before, after, 10)
-	return Table1Result{
-		Top10:                      sms.TopSurges(before, after, 10),
-		Top10Streaming:             streamTop,
-		GlobalIncreasePctStreaming: streamGlobal,
-		GlobalIncreasePct:          sms.GlobalIncreasePct(before, after),
-		AttackCountries:            len(attackCountries),
-		PumpMessages:               pumpMsgs,
-		AppCostUSD:                 env.Gateway.CostFor(pumpActorID),
-		FraudRevenueUSD:            env.Gateway.RevenueFor(pumpActorID),
-	}, nil
-}
-
-// streamSurges recomputes the Table I ranking online: the journal slices
-// are replayed as a single time-ordered stream through a week-period
-// signal.SurgeDetector, the way a live deployment would consume gateway
-// events. The detector's floor-of-one convention and ordering match
-// sms.SurgeByCountry, so the result is bit-identical to the offline path.
-func streamSurges(before, after []sms.Message, n int) ([]sms.Surge, float64) {
-	det := signal.NewSurgeDetector(SimStart, 7*24*time.Hour)
-	for _, m := range before {
-		det.Observe(m.Country, m.SentAt)
-	}
-	for _, m := range after {
-		det.Observe(m.Country, m.SentAt)
-	}
-	top := det.Top(n)
-	out := make([]sms.Surge, len(top))
-	for i, ks := range top {
-		out[i] = sms.Surge{
-			Country:     ks.Key,
-			Before:      ks.Before,
-			After:       ks.After,
-			IncreasePct: ks.IncreasePct,
-		}
-	}
-	return out, det.GlobalIncreasePct()
+	return boardingOnly(env.Gateway.JournalBetween(SimStart, SimStart.Add(week))),
+		boardingOnly(env.Gateway.JournalBetween(SimStart.Add(week), SimStart.Add(2*week)))
 }
 
 // pumpActorID is the stable evaluation identity of the pumping campaign.

@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"funabuse/internal/signal"
+	"funabuse/internal/sms"
 )
 
 // These tests are the repository's headline reproduction assertions: each
@@ -64,10 +67,11 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	res, err := RunTable1(1)
+	env, _, err := runPumpScenario(1, DefenceConfig{}, table1PumpInterval)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := table1(env)
 	if len(res.Top10) != 10 {
 		t.Fatalf("top10 has %d rows", len(res.Top10))
 	}
@@ -104,22 +108,27 @@ func TestTable1Shape(t *testing.T) {
 	if res.FraudRevenueUSD <= 0 || res.AppCostUSD <= res.FraudRevenueUSD {
 		t.Fatalf("economics inverted: revenue %v cost %v", res.FraudRevenueUSD, res.AppCostUSD)
 	}
-	// Golden check: the streaming surge detector consuming the message
-	// stream one event at a time must reproduce the offline ranking
-	// row for row, counts and percentages included.
-	if len(res.Top10Streaming) != len(res.Top10) {
-		t.Fatalf("streaming top10 has %d rows, offline %d",
-			len(res.Top10Streaming), len(res.Top10))
+	// Golden check: a week-period signal.SurgeDetector consuming the same
+	// journal slices one event at a time, the way a live deployment reads
+	// gateway events, must reproduce the offline ranking row for row,
+	// counts and percentages included.
+	before, after := boardingPasses(env)
+	det := signal.NewSurgeDetector(SimStart, 7*24*time.Hour)
+	for _, m := range append(before, after...) {
+		det.Observe(m.Country, m.SentAt)
 	}
-	for i := range res.Top10 {
-		if res.Top10Streaming[i] != res.Top10[i] {
-			t.Fatalf("row %d diverged: offline %+v streaming %+v",
-				i+1, res.Top10[i], res.Top10Streaming[i])
+	streaming := det.Top(10)
+	if len(streaming) != len(res.Top10) {
+		t.Fatalf("streaming top10 has %d rows, offline %d", len(streaming), len(res.Top10))
+	}
+	for i, s := range streaming {
+		got := sms.Surge{Country: s.Key, Before: s.Before, After: s.After, IncreasePct: s.IncreasePct}
+		if got != res.Top10[i] {
+			t.Fatalf("row %d diverged: offline %+v streaming %+v", i+1, res.Top10[i], got)
 		}
 	}
-	if res.GlobalIncreasePctStreaming != res.GlobalIncreasePct {
-		t.Fatalf("global increase diverged: offline %v streaming %v",
-			res.GlobalIncreasePct, res.GlobalIncreasePctStreaming)
+	if g := det.GlobalIncreasePct(); g != res.GlobalIncreasePct {
+		t.Fatalf("global increase diverged: offline %v streaming %v", res.GlobalIncreasePct, g)
 	}
 }
 

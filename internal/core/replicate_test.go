@@ -15,8 +15,8 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, e := range exps {
-		if e.Run == nil {
-			t.Fatalf("%s: nil replicate func", e.ID)
+		if e.Run == nil || e.Report == nil {
+			t.Fatalf("%s: nil replicate or report func", e.ID)
 		}
 		if seen[e.ID] {
 			t.Fatalf("duplicate experiment id %q", e.ID)
@@ -42,11 +42,12 @@ func TestReplicateMetricNamesStable(t *testing.T) {
 		}
 		return out
 	}
-	a, err := ReplicateBiometric(1)
+	biometric, _ := ExperimentByID("biometric")
+	a, err := biometric(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ReplicateBiometric(2)
+	b, err := biometric(2)
 	if err != nil {
 		t.Fatal(err)
 	}

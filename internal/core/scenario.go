@@ -4,7 +4,9 @@ import (
 	"strconv"
 	"time"
 
+	"funabuse/internal/attack"
 	"funabuse/internal/booking"
+	"funabuse/internal/fingerprint"
 	"funabuse/internal/geo"
 	"funabuse/internal/proxy"
 	"funabuse/internal/simclock"
@@ -128,6 +130,29 @@ func (e *Env) FleetIDs(cfg EnvConfig) []booking.FlightID {
 		out = append(out, booking.FlightID("FL"+strconv.Itoa(100+i)))
 	}
 	return out
+}
+
+// StartSpinner starts the Case A attacker against cfg's target flight: the
+// spin-1 seat spinner holding parties of six on ten parallel streams and
+// re-holding every hold TTL until departure, behind spoofed organic
+// fingerprints and per-request Singapore residential exits.
+func (e *Env) StartSpinner(cfg EnvConfig) *attack.SeatSpinner {
+	rot := fingerprint.NewRotator(
+		e.RNG.Derive("rot"),
+		fingerprint.NewGenerator(e.RNG.Derive("fpgen")),
+		fingerprint.WithSpoofing(),
+	)
+	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
+		ID:             "spin-1",
+		Flight:         cfg.TargetID,
+		TargetNiP:      6,
+		ReholdInterval: cfg.Booking.HoldTTL,
+		Departure:      cfg.TargetDep,
+		Parallel:       10,
+	}, e.App, e.Sched, e.RNG.Derive("spinner"), rot,
+		e.Proxies.NewSession("SG", proxy.RotatePerRequest))
+	spinner.Start()
+	return spinner
 }
 
 // Run advances the simulation to the given offset from SimStart.

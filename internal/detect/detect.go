@@ -15,8 +15,6 @@
 // by the evaluation helpers, never by detectors.
 package detect
 
-import "fmt"
-
 // Verdict is a binary detection decision for one unit (session,
 // reservation, request).
 type Verdict struct {
@@ -25,40 +23,4 @@ type Verdict struct {
 	Score float64
 	// Reason names the rule or signal that fired.
 	Reason string
-}
-
-// Confusion is a binary confusion matrix.
-type Confusion struct {
-	TP, FP, TN, FN int
-}
-
-// Precision returns TP/(TP+FP), 0 when undefined.
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
-// Recall returns TP/(TP+FN), 0 when undefined.
-func (c Confusion) Recall() float64 {
-	if c.TP+c.FN == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FN)
-}
-
-// F1 returns the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// String summarises the matrix.
-func (c Confusion) String() string {
-	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d P=%.3f R=%.3f F1=%.3f",
-		c.TP, c.FP, c.TN, c.FN, c.Precision(), c.Recall(), c.F1())
 }

@@ -7,29 +7,6 @@ import (
 	"funabuse/internal/weblog"
 )
 
-func TestConfusionMetrics(t *testing.T) {
-	c := Confusion{TP: 8, FP: 2, TN: 85, FN: 5}
-	if got := c.Precision(); got != 0.8 {
-		t.Fatalf("Precision = %v", got)
-	}
-	if got := c.Recall(); got != 8.0/13.0 {
-		t.Fatalf("Recall = %v", got)
-	}
-	if c.F1() <= 0 || c.F1() >= 1 {
-		t.Fatalf("F1 = %v", c.F1())
-	}
-}
-
-func TestConfusionEmpty(t *testing.T) {
-	var c Confusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
-		t.Fatal("empty confusion should report zeros")
-	}
-	if c.String() == "" {
-		t.Fatal("String empty")
-	}
-}
-
 func TestVolumeRulesFlagHighVolume(t *testing.T) {
 	rules := DefaultVolumeRules()
 	f := weblog.Features{RequestCount: 500, ReqPerMinute: 100, DurationSec: 300}

@@ -3,7 +3,6 @@ package detect
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"funabuse/internal/obs"
@@ -11,21 +10,7 @@ import (
 	"funabuse/internal/weblog"
 )
 
-// StreamAlert is one online detection decision, journaled at the moment
-// the stream crossed a threshold. Alerts are durable: the signal engine's
-// working memory is swept as traffic ages out, but the journal survives,
-// so post-hoc evaluation can ask "was this client ever flagged?".
-type StreamAlert struct {
-	// Key is the client identity (see IdentityKey).
-	Key  string
-	Time time.Time
-	// Signal names the threshold that fired.
-	Signal string
-	// Value is the signal reading at firing time.
-	Value float64
-}
-
-// Signal names used in StreamAlert.
+// Signal names FlaggedSignal reports.
 const (
 	SignalRate        = "rate"
 	SignalDistinctIPs = "distinct-ips"
@@ -38,24 +23,17 @@ const (
 // streamDistinctThreshold is flagged, since a client whose requests arrive
 // from ever-changing residential exits is behind a proxy pool. Both
 // signals read a trailing window of streamRateWindow.
-//
-// The alert journal holds at most maxStreamAlerts entries: an attacker
-// rotating identities must not grow it without limit. Past the cap,
-// further alerts still flag their identity (detection is unaffected) but
-// are not journaled, and DroppedAlerts counts them.
 type StreamConfig struct {
 	// RateThreshold flags an identity whose in-window request count
 	// reaches it — the classical velocity signal, evaluated online. Zero
 	// disables it.
 	RateThreshold int
 
-	// rateWindow, distinctThreshold and maxAlerts override
-	// streamRateWindow, streamDistinctThreshold and maxStreamAlerts; only
-	// in-package tests set them, to age state out or reach a threshold or
-	// the journal cap in a few requests.
+	// rateWindow and distinctThreshold override streamRateWindow and
+	// streamDistinctThreshold; only in-package tests set them, to age
+	// state out or reach a threshold in a few requests.
 	rateWindow        time.Duration
 	distinctThreshold float64
-	maxAlerts         int
 }
 
 const (
@@ -68,8 +46,10 @@ const (
 
 // StreamMonitor is the online counterpart of the offline session
 // detectors: it consumes the request stream one event at a time through a
-// signal.Engine and journals an alert the first time an identity crosses a
-// threshold. It is safe for concurrent use.
+// signal.Engine and flags an identity the first time it crosses a
+// threshold. Flags are durable: the engine's working memory is swept as
+// traffic ages out, but the flagged set survives, so post-hoc evaluation
+// can ask "was this client ever flagged?". It is safe for concurrent use.
 //
 // Identities are keyed by (fingerprint, cookie). Cookie-holding humans
 // each get a private key, so a popular device fingerprint shared by many
@@ -82,9 +62,6 @@ type StreamMonitor struct {
 
 	mu      sync.Mutex
 	flagged map[string]string // identity -> first signal that fired
-	alerts  []StreamAlert
-
-	dropped atomic.Uint64
 }
 
 // NewStreamMonitor returns a monitor with the given thresholds.
@@ -94,9 +71,6 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 	}
 	if cfg.distinctThreshold <= 0 {
 		cfg.distinctThreshold = streamDistinctThreshold
-	}
-	if cfg.maxAlerts <= 0 {
-		cfg.maxAlerts = maxStreamAlerts
 	}
 	return &StreamMonitor{
 		cfg: cfg,
@@ -108,9 +82,6 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 		flagged: make(map[string]string),
 	}
 }
-
-// maxStreamAlerts is the alert journal's cap.
-const maxStreamAlerts = 1 << 16
 
 // IdentityKey is the monitor's client identity for a request.
 func IdentityKey(r weblog.Request) string {
@@ -139,26 +110,14 @@ func (m *StreamMonitor) Observe(r weblog.Request) bool {
 		return true
 	}
 	if m.cfg.RateThreshold > 0 && rate >= m.cfg.RateThreshold {
-		m.flag(key, SignalRate, float64(rate), r.Time)
+		m.flagged[key] = SignalRate
 		return true
 	}
 	if d := m.engine.Distinct(key); d >= m.cfg.distinctThreshold {
-		m.flag(key, SignalDistinctIPs, d, r.Time)
+		m.flagged[key] = SignalDistinctIPs
 		return true
 	}
 	return false
-}
-
-// flag marks key as flagged and journals its first alert, unless the
-// journal is at its cap — then the alert is counted as dropped instead.
-// Flagging is never dropped: only the journal record is. Callers hold m.mu.
-func (m *StreamMonitor) flag(key, sig string, value float64, at time.Time) {
-	m.flagged[key] = sig
-	if len(m.alerts) >= m.cfg.maxAlerts {
-		m.dropped.Add(1)
-		return
-	}
-	m.alerts = append(m.alerts, StreamAlert{Key: key, Time: at, Signal: sig, Value: value})
 }
 
 // Flagged reports whether the identity was ever flagged.
@@ -188,10 +147,6 @@ func (m *StreamMonitor) FlaggedKeys() []string {
 	return out
 }
 
-// DroppedAlerts returns how many alerts were not journaled because the
-// journal was at its cap. The identities behind them are still flagged.
-func (m *StreamMonitor) DroppedAlerts() uint64 { return m.dropped.Load() }
-
 // Observed returns how many requests the monitor consumed.
 func (m *StreamMonitor) Observed() uint64 { return m.engine.Observed() }
 
@@ -202,10 +157,6 @@ type StreamStats struct {
 	Observed uint64
 	// Flagged is how many identities have crossed a threshold.
 	Flagged int
-	// Alerts is the journal's current length; Dropped counts alerts the
-	// journal cap kept out of it.
-	Alerts  int
-	Dropped uint64
 	// TrackedKeys is the engine's live per-identity state count.
 	TrackedKeys int
 }
@@ -213,28 +164,24 @@ type StreamStats struct {
 // Stats snapshots the monitor's counters.
 func (m *StreamMonitor) Stats() StreamStats {
 	m.mu.Lock()
-	flagged, alerts := len(m.flagged), len(m.alerts)
+	flagged := len(m.flagged)
 	m.mu.Unlock()
 	return StreamStats{
 		Observed:    m.Observed(),
 		Flagged:     flagged,
-		Alerts:      alerts,
-		Dropped:     m.DroppedAlerts(),
 		TrackedKeys: m.engine.TrackedKeys(),
 	}
 }
 
 // Collector exposes the monitor on the obs snapshot contract. This
-// supersedes polling Observed/DroppedAlerts and counting FlaggedKeys by
-// hand; those accessors remain as thin adapters.
+// supersedes polling Observed and counting FlaggedKeys by hand; those
+// accessors remain as thin adapters.
 func (m *StreamMonitor) Collector() obs.Collector {
 	return obs.CollectorFunc(func(dst []obs.Sample) []obs.Sample {
 		st := m.Stats()
 		return append(dst,
 			obs.Sample{Name: "stream_observed_total", Value: float64(st.Observed)},
 			obs.Sample{Name: "stream_flagged_identities", Value: float64(st.Flagged)},
-			obs.Sample{Name: "stream_alerts_journaled", Value: float64(st.Alerts)},
-			obs.Sample{Name: "stream_alerts_dropped_total", Value: float64(st.Dropped)},
 			obs.Sample{Name: "stream_tracked_keys", Value: float64(st.TrackedKeys)},
 		)
 	})

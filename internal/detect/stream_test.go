@@ -43,9 +43,8 @@ func TestStreamMonitorFlagsIPRotation(t *testing.T) {
 	if flaggedAt == 0 || flaggedAt > 10 {
 		t.Fatalf("flagged at request %d, want within the first ~8 exits", flaggedAt)
 	}
-	alerts := m.alerts
-	if len(alerts) != 1 || alerts[0].Key != key || alerts[0].Value < 8 {
-		t.Fatalf("alerts = %+v", alerts)
+	if keys := m.FlaggedKeys(); len(keys) != 1 || keys[0] != key {
+		t.Fatalf("flagged keys = %v, want only %s", keys, key)
 	}
 }
 
@@ -108,12 +107,10 @@ func TestStreamMonitorJournalSurvivesEngineSweep(t *testing.T) {
 }
 
 func TestStreamMonitorAlertJournalCapped(t *testing.T) {
-	// An attacker rotating identities must not grow the journal without
-	// bound: past the cap, alerts are counted as dropped but the
-	// identities are still flagged — detection is unaffected.
+	// An attacker rotating identities gets every identity flagged, each
+	// exactly once: the flagged set is the monitor's only record.
 	m := NewStreamMonitor(StreamConfig{
 		RateThreshold: 5,
-		maxAlerts:     10,
 	})
 	const identities = 25
 	for id := range identities {
@@ -122,27 +119,23 @@ func TestStreamMonitorAlertJournalCapped(t *testing.T) {
 				"198.51.100.7", uint64(0x1000+id), ""))
 		}
 	}
-	if got := len(m.alerts); got != 10 {
-		t.Fatalf("journal holds %d alerts, want the cap of 10", got)
-	}
-	if got := m.DroppedAlerts(); got != identities-10 {
-		t.Fatalf("dropped %d alerts, want %d", got, identities-10)
+	if got := len(m.FlaggedKeys()); got != identities {
+		t.Fatalf("%d identities flagged, want %d", got, identities)
 	}
 	for id := range identities {
 		key := IdentityKey(streamReq(st0, "x", uint64(0x1000+id), ""))
-		if !m.Flagged(key) {
-			t.Fatalf("identity %d lost its flag under journal pressure", id)
+		if m.FlaggedSignal(key) != SignalRate {
+			t.Fatalf("identity %d flagged by %q, want %q", id, m.FlaggedSignal(key), SignalRate)
 		}
 	}
 }
 
 func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
-	// The durability guarantee holds with a cap configured, as long as the
-	// journal is below it.
+	// The durable flag is the only one: the unrelated traffic after the
+	// sweep flags nobody else.
 	m := NewStreamMonitor(StreamConfig{
 		rateWindow:        time.Minute,
 		distinctThreshold: 4,
-		maxAlerts:         100,
 	})
 	for i := range 10 {
 		m.Observe(streamReq(st0, "10.0."+strconv.Itoa(i)+".1", 0xdead, ""))
@@ -155,11 +148,8 @@ func TestStreamMonitorJournalSurvivesSweepUnderCap(t *testing.T) {
 	if !m.Flagged(key) {
 		t.Fatal("flag lost after engine sweep")
 	}
-	if len(m.alerts) == 0 || m.alerts[0].Key != key {
-		t.Fatalf("journal %+v lost the pre-sweep alert", m.alerts)
-	}
-	if m.DroppedAlerts() != 0 {
-		t.Fatalf("dropped %d alerts below the cap", m.DroppedAlerts())
+	if keys := m.FlaggedKeys(); len(keys) != 1 || keys[0] != key {
+		t.Fatalf("flagged keys %v, want only the pre-sweep %s", keys, key)
 	}
 }
 
@@ -189,18 +179,13 @@ func TestStreamMonitorConcurrentObserve(t *testing.T) {
 	if got := len(m.FlaggedKeys()); got != 8 {
 		t.Fatalf("%d identities flagged, want 8", got)
 	}
-	if got := len(m.alerts); got != 8 {
-		t.Fatalf("%d alerts, want 8", got)
-	}
 }
 
 func TestStreamMonitorStatsAndCollector(t *testing.T) {
 	m := NewStreamMonitor(StreamConfig{
 		RateThreshold: 2,
-		maxAlerts:     1,
 	})
-	// Two identities cross the rate threshold; the journal cap of 1 drops
-	// the second alert but still flags the identity.
+	// Two identities cross the rate threshold.
 	for i := range 3 {
 		m.Observe(streamReq(st0.Add(time.Duration(i)*time.Second), "1.1.1.1", 0xa, "c1"))
 	}
@@ -209,7 +194,7 @@ func TestStreamMonitorStatsAndCollector(t *testing.T) {
 	}
 
 	st := m.Stats()
-	if st.Observed != 6 || st.Flagged != 2 || st.Alerts != 1 || st.Dropped != 1 {
+	if st.Observed != 6 || st.Flagged != 2 {
 		t.Fatalf("Stats = %+v", st)
 	}
 	if st.TrackedKeys != 2 {
@@ -221,7 +206,6 @@ func TestStreamMonitorStatsAndCollector(t *testing.T) {
 		byName[s.Name] = s.Value
 	}
 	if byName["stream_flagged_identities"] != 2 ||
-		byName["stream_alerts_dropped_total"] != 1 ||
 		byName["stream_observed_total"] != 6 {
 		t.Fatalf("collector samples = %v", byName)
 	}

@@ -91,7 +91,7 @@ func (d *RuleDeployer) feed(watched bool, ref string, info httpgate.ClientInfo, 
 	}
 	now := d.clock.Now()
 	if d.decoys != nil && deniedBy == "" && ref != "" && d.decoys.IsDecoy(ref) {
-		d.decoys.RecordHit(ref, info.Fingerprint, info.ClientKey, now)
+		d.decoys.RecordHit()
 		d.mu.Lock()
 		d.deployLocked(info.Fingerprint, now)
 		d.mu.Unlock()

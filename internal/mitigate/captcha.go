@@ -19,7 +19,6 @@ type CaptchaGate struct {
 	solveCostUSD float64
 
 	botSpendUSD float64
-	friction    int // humans abandoned due to failed challenge
 }
 
 // CaptchaOption configures the gate.
@@ -50,11 +49,7 @@ func NewCaptchaGate(rng *simrand.RNG, opts ...CaptchaOption) *CaptchaGate {
 
 // ChallengeHuman runs the gate for a human client and reports pass/fail.
 func (g *CaptchaGate) ChallengeHuman() bool {
-	if g.rng.Bool(g.humanPass) {
-		return true
-	}
-	g.friction++
-	return false
+	return g.rng.Bool(g.humanPass)
 }
 
 // ChallengeBot runs the gate for an automated client using a solving

@@ -2,8 +2,7 @@ package mitigate
 
 import (
 	"sort"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"funabuse/internal/simrand"
 )
@@ -14,27 +13,15 @@ import (
 // and hands the defender hard evidence of enumeration (honest clients
 // book the references they were issued; only enumeration walks into a
 // decoy). This moves the offline Honeypot experiment's economics into
-// the live serving path: hits are journaled and feed the rule deployer.
+// the live serving path: hits are counted and feed the rule deployer.
 //
 // Selection is deterministic for a given (seed, refs, fraction), so a
 // scenario's decoy layout is identical across reruns and worker counts.
 // Membership is immutable after construction and read lock-free; the hit
-// journal is mutex-guarded, ordered by recording order.
+// count is atomic.
 type DecoySet struct {
 	decoys map[string]bool
-
-	mu   sync.Mutex
-	hits []DecoyHit
-}
-
-// DecoyHit is one journaled decoy touch.
-type DecoyHit struct {
-	// Ref is the decoy resource reference.
-	Ref string
-	// FP and Key attribute the hit (fingerprint hash, client key).
-	FP  uint64
-	Key string
-	At  time.Time
+	hits   atomic.Int64
 }
 
 // NewDecoySet seeds fraction of refs as decoys (rounded to nearest, at
@@ -76,16 +63,8 @@ func (d *DecoySet) Refs() []string {
 	return out
 }
 
-// RecordHit journals one decoy touch.
-func (d *DecoySet) RecordHit(ref string, fp uint64, key string, at time.Time) {
-	d.mu.Lock()
-	d.hits = append(d.hits, DecoyHit{Ref: ref, FP: fp, Key: key, At: at})
-	d.mu.Unlock()
-}
+// RecordHit counts one decoy touch.
+func (d *DecoySet) RecordHit() { d.hits.Add(1) }
 
-// HitCount reports how many hits were journaled.
-func (d *DecoySet) HitCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.hits)
-}
+// HitCount reports how many hits were recorded.
+func (d *DecoySet) HitCount() int { return int(d.hits.Load()) }

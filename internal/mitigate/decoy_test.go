@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"funabuse/internal/simrand"
 )
@@ -74,31 +73,28 @@ func TestDecoySetMembership(t *testing.T) {
 
 func TestDecoySetHitJournal(t *testing.T) {
 	d := NewDecoySet(1, decoyRefs(10), 0.5)
-	d.RecordHit("PNR00003", 0xabc, "bot-1", t0)
-	d.RecordHit("PNR00007", 0xdef, "bot-2", t0.Add(time.Second))
-	d.RecordHit("PNR00003", 0xabc, "bot-1", t0.Add(2*time.Second))
-
-	hits := d.hits
-	if len(hits) != 3 || d.HitCount() != 3 {
-		t.Fatalf("journal %d entries, HitCount %d", len(hits), d.HitCount())
+	if d.HitCount() != 0 {
+		t.Fatalf("fresh set HitCount %d", d.HitCount())
 	}
-	// Recording order preserved.
-	if hits[0].Ref != "PNR00003" || hits[1].Ref != "PNR00007" || hits[2].At != t0.Add(2*time.Second) {
-		t.Fatalf("journal out of order: %+v", hits)
+	for range 3 {
+		d.RecordHit()
+	}
+	if d.HitCount() != 3 {
+		t.Fatalf("HitCount %d after 3 hits", d.HitCount())
 	}
 }
 
 func TestDecoySetConcurrentRecord(t *testing.T) {
 	d := NewDecoySet(1, decoyRefs(10), 0.5)
 	done := make(chan struct{}, 4)
-	for w := range 4 {
-		go func(w int) {
+	for range 4 {
+		go func() {
 			defer func() { done <- struct{}{} }()
-			for i := range 500 {
+			for range 500 {
 				d.IsDecoy("PNR00001")
-				d.RecordHit("PNR00001", uint64(w), "k", t0.Add(time.Duration(i)))
+				d.RecordHit()
 			}
-		}(w)
+		}()
 	}
 	for range 4 {
 		<-done
@@ -140,9 +136,6 @@ func TestCaptchaGateDegeneratePassRates(t *testing.T) {
 			t.Fatal("zero pass rate let a challenge through")
 		}
 	}
-	if never.friction != 50 {
-		t.Fatalf("friction %d, want 50", never.friction)
-	}
 	if math.Abs(never.BotSpendUSD()-0.5) > 1e-9 {
 		t.Fatalf("failed solves must still cost: spend %v", never.BotSpendUSD())
 	}
@@ -153,9 +146,6 @@ func TestCaptchaGateDegeneratePassRates(t *testing.T) {
 		if !always.ChallengeHuman() || !always.ChallengeBot() {
 			t.Fatal("certain pass rate failed a challenge")
 		}
-	}
-	if always.friction != 0 {
-		t.Fatalf("friction %d", always.friction)
 	}
 }
 

@@ -145,9 +145,6 @@ func TestCaptchaGateRates(t *testing.T) {
 	if math.Abs(g.BotSpendUSD()-float64(n)*0.01) > 1e-6 {
 		t.Fatalf("bot spend %v", g.BotSpendUSD())
 	}
-	if g.friction == 0 {
-		t.Fatal("no human friction recorded at 95% pass rate")
-	}
 }
 
 func honeypotFixture(t *testing.T) (*Honeypot, *simclock.Manual) {

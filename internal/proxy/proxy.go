@@ -58,8 +58,7 @@ const poolSpace = 256 * 254
 // the contract that keeps every Draw byte-identical across representations
 // (TestPoolLazyMatchesEager).
 type Pool struct {
-	country string
-	rng     *simrand.RNG
+	rng *simrand.RNG
 	// prefix is the shared "a.b." leading octet pair.
 	prefix string
 	exits  []uint16
@@ -91,10 +90,9 @@ func NewPool(r *simrand.RNG, country string, size int) *Pool {
 	a := 11 + (lead % 80) // avoid 0/10/127 specials well enough for a simulation
 	b := (lead / 80) % 256
 	p := &Pool{
-		country: country,
-		rng:     r,
-		prefix:  strconv.Itoa(a) + "." + strconv.Itoa(b) + ".",
-		exits:   make([]uint16, 0, size),
+		rng:    r,
+		prefix: strconv.Itoa(a) + "." + strconv.Itoa(b) + ".",
+		exits:  make([]uint16, 0, size),
 	}
 	for len(p.exits) < size {
 		p.exits = append(p.exits, p.fresh())

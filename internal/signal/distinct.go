@@ -64,9 +64,6 @@ func (s *distinctSlab) clone(o *Distinct) *Distinct {
 	return d
 }
 
-// Precision returns the register-count exponent.
-func (d *Distinct) Precision() uint8 { return d.p }
-
 // Add folds key into the counter.
 func (d *Distinct) Add(key string) { d.AddHash(hash64(key)) }
 

@@ -25,9 +25,6 @@ func NewRateWindow(window time.Duration, buckets int) *RateWindow {
 	}
 }
 
-// Span returns the nominal trailing window.
-func (r *RateWindow) Span() time.Duration { return r.ok.Span() }
-
 // Observe folds one outcome at the given instant into the rings.
 func (r *RateWindow) Observe(now time.Time, ok bool) {
 	if ok {
@@ -40,11 +37,6 @@ func (r *RateWindow) Observe(now time.Time, ok bool) {
 // Total returns how many outcomes are within the window as of now.
 func (r *RateWindow) Total(now time.Time) int {
 	return r.ok.Count(now) + r.fail.Count(now)
-}
-
-// Failures returns the in-window failure count as of now.
-func (r *RateWindow) Failures(now time.Time) int {
-	return r.fail.Count(now)
 }
 
 // FailureRate returns the in-window failure fraction as of now, or 0 when

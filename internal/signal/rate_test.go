@@ -18,9 +18,6 @@ func TestRateWindowCountsAndRate(t *testing.T) {
 	if got := r.Total(now); got != 4 {
 		t.Fatalf("total %d", got)
 	}
-	if got := r.Failures(now); got != 2 {
-		t.Fatalf("failures %d", got)
-	}
 	if got := r.FailureRate(now); got != 0.5 {
 		t.Fatalf("rate %v", got)
 	}

@@ -177,9 +177,6 @@ func (s *State) Observed() uint64 { return s.observed }
 // Keys returns how many keys hold per-key window state.
 func (s *State) Keys() int { return len(s.windows) }
 
-// Window returns the nominal sliding-window span.
-func (s *State) Window() time.Duration { return s.window }
-
 // Rate returns key's in-window event count as of now (0 for unseen keys).
 func (s *State) Rate(key string, now time.Time) int {
 	w, ok := s.windows[key]

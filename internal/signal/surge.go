@@ -56,9 +56,6 @@ func NewSurgeDetector(start time.Time, period time.Duration) *SurgeDetector {
 	}
 }
 
-// Period returns the tumbling-period length.
-func (s *SurgeDetector) Period() time.Duration { return s.period }
-
 // Observe records one event for key at the given instant.
 func (s *SurgeDetector) Observe(key string, at time.Time) { s.ObserveN(key, at, 1) }
 
@@ -174,18 +171,6 @@ func (s *SurgeDetector) Top(n int) []KeySurge {
 		all = all[:n]
 	}
 	return all
-}
-
-// Hot returns the keys surging at least minPct percent with at least
-// minAfter current-period events — the alert predicate.
-func (s *SurgeDetector) Hot(minPct float64, minAfter int) []KeySurge {
-	var out []KeySurge
-	for _, ks := range s.Surges() {
-		if ks.IncreasePct >= minPct && ks.After >= minAfter {
-			out = append(out, ks)
-		}
-	}
-	return out
 }
 
 // Totals returns the summed event counts of the baseline and current

@@ -62,14 +62,14 @@ func TestSurgeDetectorHotAndAdvance(t *testing.T) {
 	s.ObserveN("quiet", t0.Add(time.Minute), 100)
 	s.ObserveN("quiet", t0.Add(61*time.Minute), 105)
 	s.ObserveN("spike", t0.Add(61*time.Minute), 80)
-	hot := s.Hot(500, 10)
-	if len(hot) != 1 || hot[0].Key != "spike" {
-		t.Fatalf("hot = %+v", hot)
+	hot := s.Surges()
+	if len(hot) != 2 || hot[0].Key != "spike" || hot[1].IncreasePct >= 500 {
+		t.Fatalf("surges = %+v, want spike alone above +500%%", hot)
 	}
-	// Two quiet hours later the spike must have aged out entirely.
+	// Two quiet hours later both keys must have aged out entirely.
 	s.Advance(t0.Add(4 * time.Hour))
-	if hot := s.Hot(500, 10); len(hot) != 0 {
-		t.Fatalf("stale hot keys %+v after advance", hot)
+	if hot := s.Surges(); len(hot) != 0 {
+		t.Fatalf("stale surges %+v after advance", hot)
 	}
 }
 

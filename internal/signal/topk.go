@@ -44,9 +44,6 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, items: make(map[string]*tkItem, k)}
 }
 
-// K returns the table capacity.
-func (t *TopK) K() int { return t.k }
-
 // Offer folds n occurrences of key into the tracker.
 func (t *TopK) Offer(key string, n uint64) {
 	if n == 0 {

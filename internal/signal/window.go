@@ -113,11 +113,6 @@ func (s *windowSlab) clone(o *Window) *Window {
 	return w
 }
 
-// Span returns the nominal trailing window (bucket width times ring size).
-func (w *Window) Span() time.Duration {
-	return w.width * time.Duration(w.buckets)
-}
-
 // Add folds n events at the given instant into the ring.
 func (w *Window) Add(now time.Time, n int) {
 	if n <= 0 {

@@ -76,9 +76,6 @@ type Gateway struct {
 	// quota is the contracted message budget; 0 means uncapped.
 	quota int
 	sent  int
-	// fraudRevenue accrues the revenue-share kickback on messages whose
-	// destination has colluding terminating operators.
-	fraudRevenue float64
 }
 
 // GatewayOption configures a Gateway.
@@ -125,7 +122,6 @@ func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, 
 	}
 	g.journal = append(g.journal, m)
 	g.sent++
-	g.fraudRevenue += cost * country.RevenueShare
 	return m, nil
 }
 

@@ -85,9 +85,6 @@ func TestFraudRevenueAccrues(t *testing.T) {
 		}
 	}
 	want := 10 * uz.TerminationUSD * uz.RevenueShare
-	if diff := math.Abs(g.fraudRevenue - want); diff > 1e-9 {
-		t.Fatalf("fraud revenue %v, want %v", g.fraudRevenue, want)
-	}
 	if diff := math.Abs(g.RevenueFor("attacker") - want); diff > 1e-9 {
 		t.Fatalf("RevenueFor = %v, want %v", g.RevenueFor("attacker"), want)
 	}
