@@ -28,9 +28,9 @@ partition:
 	$(GO) test -race -count=1 -timeout 300s -run 'Partition|HTTPTransport|FaultTransport|SnapshotWire|FetchRetry|FetchTimeout|Degraded' ./cmd/fraudsim ./internal/cluster
 
 # syndicate runs the E17 entity-linkage suites under the race detector:
-# the entitygraph package, the gate's entity layer, the detect arm
-# registry, and the coordinated-ring scenario behaviour test (leak
-# contrast, honest admit).
+# the entitygraph package, the gate's entity layer, the detect arms,
+# and the coordinated-ring scenario behaviour test (leak contrast,
+# honest admit).
 syndicate:
 	$(GO) test -race -count=1 ./internal/entitygraph
 	$(GO) test -race -count=1 -run 'Syndicate|Entity|Arm|GraphFeeder' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect

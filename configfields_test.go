@@ -12,6 +12,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -164,6 +165,79 @@ func TestNoSingleValueConfigFields(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("singleValueKeep names %s, which is no longer a config field", key)
 		}
+	}
+}
+
+// TestNoDefaultOnlyConfigs fails when an exported Default* function in
+// internal/ returns a struct (or a pointer to one) whose exported fields no
+// non-test code writes, apart from that function itself and a function
+// writing through its own parameter or receiver (a constructor filling in
+// defaults). Such a struct is a set of constants dressed as options: every
+// caller takes the defaults, so make them constants and delete the
+// function, as TestNoSingleValueConfigFields cannot see a field that one
+// literal omits while its constructor fills in the callers' constant.
+func TestNoDefaultOnlyConfigs(t *testing.T) {
+	l := loadRepo(t)
+	defaults := map[types.Object]bool{}  // the Default functions
+	structs := map[string][]*types.Var{} // "pkg.DefaultX returns pkg.T" -> its exported fields
+	for _, f := range l.files {
+		if !strings.HasPrefix(filepath.ToSlash(l.fset.Position(f.Pos()).Filename), "internal/") {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !fd.Name.IsExported() || !strings.HasPrefix(fd.Name.Name, "Default") {
+				continue
+			}
+			fn := l.info.Defs[fd.Name]
+			defaults[fn] = true
+			results := fn.Type().(*types.Signature).Results()
+			for i := range results.Len() {
+				typ := results.At(i).Type()
+				if p, ok := typ.(*types.Pointer); ok {
+					typ = p.Elem()
+				}
+				named, ok := typ.(*types.Named)
+				if !ok {
+					continue
+				}
+				st, ok := named.Underlying().(*types.Struct)
+				if !ok {
+					continue
+				}
+				key := f.Name.Name + "." + fd.Name.Name + " returns " + named.Obj().Pkg().Name() + "." + named.Obj().Name()
+				for j := range st.NumFields() {
+					if v := st.Field(j); v.Exported() {
+						structs[key] = append(structs[key], v)
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, f := range l.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && defaults[l.info.Defs[fd.Name]] {
+				continue
+			}
+			walkFieldWrites(d, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) {
+				if !viaParam {
+					written[v] = true
+				}
+			}, nil)
+		}
+	}
+
+	var flagged []string
+	for key, fields := range structs {
+		if !slices.ContainsFunc(fields, func(v *types.Var) bool { return written[v] }) {
+			flagged = append(flagged, key)
+		}
+	}
+	sort.Strings(flagged)
+	for _, k := range flagged {
+		t.Errorf("no caller writes a field of the struct a Default function returns, so its fields are constants: %s", k)
 	}
 }
 
@@ -333,14 +407,14 @@ func configFields(pkgs map[string]*types.Package) map[*types.Var]string {
 	return out
 }
 
-// walkFieldWrites calls write for every struct field f gives a value (see
+// walkFieldWrites calls write for every struct field n gives a value (see
 // TestNoTestOnlyConfigFields for what counts), with the expression it is
 // given, or nil where there is none (an increment, an address-of, an
 // assignment from a multi-valued call or through an operator), and
 // whether the write goes through a parameter or receiver of the enclosing
 // function. When omit is not nil it is called for every exported field a
 // keyed composite literal of its struct leaves at the zero value.
-func walkFieldWrites(f *ast.File, info *types.Info, write func(v *types.Var, val ast.Expr, viaParam bool), omit func(v *types.Var)) {
+func walkFieldWrites(n ast.Node, info *types.Info, write func(v *types.Var, val ast.Expr, viaParam bool), omit func(v *types.Var)) {
 	var walk func(n ast.Node, params map[types.Object]bool)
 	// target reports the field an assignment or address-of names, and
 	// whether the selector chain starts at one of params.
@@ -441,5 +515,5 @@ func walkFieldWrites(f *ast.File, info *types.Info, write func(v *types.Var, val
 			return true
 		})
 	}
-	walk(f, nil)
+	walk(n, nil)
 }

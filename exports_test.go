@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// testOnlyKeep lists the exported functions and methods in internal/ that
-// no non-test code calls but that stay anyway, each with the reason. Keys
-// are "pkg.Func" or "pkg.Type.Method".
+// testOnlyKeep lists the exported functions, methods and types in
+// internal/ that no non-test code references but that stay anyway, each
+// with the reason. Keys are "pkg.Func", "pkg.Type.Method" or "pkg.Type".
 var testOnlyKeep = map[string]string{
 	"simclock.eventQueue.Less": "heap.Interface method, called through container/heap",
 	"simclock.eventQueue.Swap": "heap.Interface method, called through container/heap",
@@ -90,11 +90,12 @@ var testOnlyKeep = map[string]string{
 // still pins (ROADMAP item 2).
 const sketchReadAPI = "sketch read API the sketch, surge and merge-law tests read; goes with the engine's sketch fields (ROADMAP item 2)"
 
-// TestNoTestOnlyExports fails when an exported top-level function or method
-// in internal/ has no reference anywhere in the non-test code of
-// internal/, cmd/, examples/ or bench/ outside its own declaration. Such a
-// function is surface only its own tests keep alive: delete it with them,
-// or add it to testOnlyKeep with the reason it stays.
+// TestNoTestOnlyExports fails when an exported top-level function, method
+// or type in internal/ has no reference anywhere in the non-test code of
+// internal/, cmd/, examples/ or bench/ outside its own declaration (for a
+// type, also outside the receivers of its methods). Such a declaration is
+// surface only its own tests keep alive: delete it with them, or add it to
+// testOnlyKeep with the reason it stays.
 //
 // References are resolved with go/types, so a same-named identifier
 // elsewhere does not hide an unused method. A method counts as used when
@@ -110,14 +111,34 @@ func TestNoTestOnlyExports(t *testing.T) {
 		start, end token.Pos
 	}
 	decls := map[*types.Func]decl{}
+	typeDecls := map[types.Object]decl{}
+	receivers := map[token.Pos]bool{} // receiver type identifiers
 	for _, f := range l.files {
 		file := l.fset.Position(f.Pos()).Filename
 		if !strings.HasPrefix(filepath.ToSlash(file), "internal/") {
 			continue
 		}
 		for _, dl := range f.Decls {
+			if gd, ok := dl.(*ast.GenDecl); ok && gd.Tok == token.TYPE {
+				for _, sp := range gd.Specs {
+					if ts := sp.(*ast.TypeSpec); ts.Name.IsExported() {
+						typeDecls[l.info.Defs[ts.Name]] = decl{key: f.Name.Name + "." + ts.Name.Name, file: file, start: ts.Pos(), end: ts.End()}
+					}
+				}
+			}
 			fd, ok := dl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok {
+				continue
+			}
+			if fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						receivers[id.Pos()] = true
+					}
+					return true
+				})
+			}
+			if !fd.Name.IsExported() {
 				continue
 			}
 			key := f.Name.Name + "." + fd.Name.Name
@@ -130,7 +151,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 
 	refs := map[*types.Func][]token.Pos{}
 	viaInterface := map[string]bool{}
+	typeUsed := map[types.Object]bool{}
 	for id, obj := range l.info.Uses {
+		if d, ok := typeDecls[obj]; ok && !receivers[id.Pos()] && (id.Pos() < d.start || id.Pos() >= d.end) {
+			typeUsed[obj] = true
+		}
 		fn, ok := obj.(*types.Func)
 		if !ok {
 			continue
@@ -157,6 +182,12 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 		}
 		if !used {
+			unused = append(unused, d.key+" ("+d.file+")")
+		}
+	}
+	for obj, d := range typeDecls {
+		seen[d.key] = true
+		if _, ok := testOnlyKeep[d.key]; !ok && !typeUsed[obj] {
 			unused = append(unused, d.key+" ("+d.file+")")
 		}
 	}

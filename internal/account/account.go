@@ -7,8 +7,8 @@
 // (guest → member → silver → gold).
 //
 // The store is the write side of the gate's account layer: feeding
-// observations into it belongs off the serving path (an OnDecision hook —
-// loadgen.AccountFeeder — or a log tail). The read side is TierOf, which
+// observations into it belongs off the serving path (an OnDecision hook,
+// as loadgen's target gate installs, or a log tail). The read side is TierOf, which
 // the gate probes per request; it is a lock-shared table read returning an
 // int, so the admitted hot path stays allocation-free.
 //

@@ -28,8 +28,6 @@ var (
 	ErrRateLimited = errors.New("app: rate limited")
 	// ErrChallengeFailed means the anti-bot challenge was not solved.
 	ErrChallengeFailed = errors.New("app: challenge failed")
-	// ErrRestricted means the feature is limited to trusted users.
-	ErrRestricted = errors.New("app: feature restricted")
 )
 
 // ClientContext is what the application can observe about a request's

@@ -495,38 +495,6 @@ func TestSMSPumperRotatesOnBlock(t *testing.T) {
 	}
 }
 
-func TestSMSPumperBacksOffWhenRestricted(t *testing.T) {
-	clock := simclock.NewManual(t0)
-	sched := simclock.NewScheduler(clock)
-	api := newFakeAPI(clock)
-	rng := simrand.New(8)
-	svc := proxy.NewService(rng.Derive("p"))
-	reg := geo.Default()
-	rot := fingerprint.NewRotator(rng.Derive("rot"), fingerprint.NewGenerator(rng.Derive("fp")), fingerprint.WithSpoofing())
-
-	attempts := 0
-	api.failSMS = func(app.ClientContext) error {
-		attempts++
-		return app.ErrRestricted
-	}
-	p := NewSMSPumper(SMSPumperConfig{
-		ID: "pump", Flight: "F1", Tickets: 1,
-		SendInterval: time.Minute,
-		Until:        t0.Add(24 * time.Hour),
-	}, api, api, sched, rng.Derive("pump"), svc, rot, reg)
-	p.Start()
-	if err := sched.RunFor(24 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if p.Sent() != 0 {
-		t.Fatalf("sent %d through a removed feature", p.Sent())
-	}
-	// Probes every ~6h, not every minute.
-	if attempts > 10 {
-		t.Fatalf("attempts = %d, want occasional probes only", attempts)
-	}
-}
-
 func TestScraperCrawlsAndHitsTrap(t *testing.T) {
 	clock := simclock.NewManual(t0)
 	sched := simclock.NewScheduler(clock)

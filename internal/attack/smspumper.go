@@ -214,11 +214,6 @@ func (p *SMSPumper) pump(now time.Time) {
 		// Failed solve: buy another one shortly.
 		p.sched.Schedule(now.Add(time.Duration(20+p.rng.Intn(40))*time.Second), p.pump)
 		return
-	case errors.Is(err, app.ErrRestricted):
-		// Feature removed: the paper's campaign ended when the SMS option
-		// was pulled. Probe occasionally in case it returns.
-		p.sched.Schedule(now.Add(6*time.Hour), p.pump)
-		return
 	}
 	p.sched.Schedule(now.Add(p.nextGap()), p.pump)
 }

@@ -245,14 +245,7 @@ func New(cfg Config) *Cluster {
 		}
 		// Per-key windows only: the fleet reads nothing but Rate, so the
 		// sketches stay off — neither updated per request nor shipped.
-		n.engine = signal.NewEngine(signal.EngineConfig{
-			Shards:          4,
-			Window:          cfg.RuleWindow,
-			DisableSketch:   true,
-			DisableTopK:     true,
-			DisableDistinct: true,
-			DisableSurge:    true,
-		})
+		n.engine = signal.NewEngine(signal.EngineConfig{Shards: 4, Window: cfg.RuleWindow})
 		gcfg := httpgate.Config{
 			Clock:              cfg.Clock,
 			Blocks:             n.blocks,

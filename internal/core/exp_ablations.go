@@ -277,7 +277,7 @@ func ablateSessionGap(seed uint64) ([]GapRow, error) {
 		return nil, err
 	}
 
-	rules := detect.DefaultVolumeRules()
+	rules := detect.VolumeRules{}
 	gaps := []time.Duration{5 * time.Minute, 30 * time.Minute, 2 * time.Hour}
 	out := make([]GapRow, 0, len(gaps))
 	for _, gap := range gaps {

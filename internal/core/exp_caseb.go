@@ -185,8 +185,8 @@ func RunCaseB(seed uint64) (CaseBResult, error) {
 	// Classical volume rules and the navigation-graph heuristic over the
 	// web log.
 	sessions := weblog.Sessionize(env.App.Log().Requests(), weblog.DefaultSessionGap)
-	rules := detect.DefaultVolumeRules()
-	graph := detect.DefaultGraphRules()
+	rules := detect.VolumeRules{}
+	graph := detect.GraphRules{}
 	var autoTotal, autoHit, manTotal, manHit int
 	var autoGraphHit, manGraphHit int
 	for _, s := range sessions {

@@ -199,15 +199,14 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 		}
 	}
 
-	// The detector families all sit behind the unified detect.Arm contract
-	// now; the experiment builds a registry in report order, feeds the
-	// traffic to the stateful arms once, then scores every arm with the
-	// same loop. Adding a detector family is one MustRegister call.
-	registry := detect.NewRegistry()
+	// The detector families all sit behind the unified detect.Arm contract;
+	// the experiment lists its arms in report order, feeds the traffic to
+	// the stateful arms once, then scores every arm with the same loop.
+	// Adding a detector family is one append.
 
 	// 1. Classical volume rules.
-	volume := detect.VolumeArm{Rules: detect.DefaultVolumeRules()}
-	registry.MustRegister(volume)
+	volume := detect.VolumeArm{}
+	arms := []detect.Arm{volume}
 
 	// 2. Supervised classifiers trained the way the literature trains them:
 	// on human-vs-scraper session labels (the labelled data an operator
@@ -225,20 +224,19 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 		}
 		trainSet = append(trainSet, detect.Sample{X: weblog.Extract(s).Vector(), Y: y})
 	}
-	if lr, err := detect.TrainLogReg(env.RNG.Derive("lr"), trainSet, detect.DefaultLogRegConfig()); err == nil {
-		registry.MustRegister(detect.ClassifierArm{ArmName: "logistic regression", Model: lr})
+	if lr, err := detect.TrainLogReg(env.RNG.Derive("lr"), trainSet); err == nil {
+		arms = append(arms, detect.ClassifierArm{ArmName: "logistic regression", Model: lr})
 	}
 	if nb, err := detect.TrainNaiveBayes(trainSet); err == nil {
-		registry.MustRegister(detect.ClassifierArm{ArmName: "naive bayes", Model: nb})
+		arms = append(arms, detect.ClassifierArm{ArmName: "naive bayes", Model: nb})
 	}
 
 	// 3. Knowledge-based static fingerprint checks: cross-attribute
 	// consistency.
 	fpArm := detect.FingerprintArm{Lookup: env.App.FingerprintByHash}
-	registry.MustRegister(fpArm)
 
 	// 4. Combined: volume OR fingerprint.
-	registry.MustRegister(detect.AnyArm{
+	arms = append(arms, fpArm, detect.AnyArm{
 		ArmName: "volume + fingerprint",
 		Members: []detect.Arm{volume, fpArm},
 	})
@@ -252,7 +250,7 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 	monitor := detect.NewStreamMonitor(detect.StreamConfig{
 		RateThreshold: 120,
 	})
-	registry.MustRegister(detect.StreamArm{Monitor: monitor})
+	arms = append(arms, detect.StreamArm{Monitor: monitor})
 
 	// 6. The entity-linkage graph: sessions carrying weak evidence wire
 	// their fingerprints and exits into components, and a session is
@@ -265,18 +263,18 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 		MinTypes:  2,
 		FlagScore: 4,
 	})
-	registry.MustRegister(detect.NewEntityGraphArm(graph))
+	arms = append(arms, detect.NewEntityGraphArm(graph))
 
 	// 7. Account history: every identified request ages and accrues on a
 	// lifecycle account, and a session is flagged when its account's
 	// request volume outruns its age — the paper's Section V observation
 	// that history is the signal an attacker cannot cheaply fake, read as
 	// a detector rather than a tier gate.
-	registry.MustRegister(detect.NewAccountArm(nil, detect.DefaultAccountArmConfig()))
+	arms = append(arms, detect.NewAccountArm(nil))
 
-	registry.Observe(env.App.Log().Requests(), sessions)
+	detect.Observe(arms, env.App.Log().Requests(), sessions)
 
-	for _, arm := range registry.Arms() {
+	for _, arm := range arms {
 		var score DetectorScore
 		score.Detector = arm.Name()
 		var hit, total [classOther + 1]int

@@ -7,24 +7,19 @@ import (
 	"funabuse/internal/weblog"
 )
 
-// AccountArmConfig tunes the account-history arm.
-type AccountArmConfig struct {
-	// MinAge: accounts whose observed lifetime is shorter than this are
-	// thin-history. Per the account-history literature, age is the one
+// The account arm flags accounts younger than a week carrying four-digit
+// request counts — far above any organic new account, far below a
+// scripted one.
+const (
+	// accountMinAge: accounts whose observed lifetime is shorter than this
+	// are thin-history. Per the account-history literature, age is the one
 	// feature an attacker cannot fake without paying for it in time.
-	MinAge time.Duration
-	// MinRequests: a thin-history account with at least this many
-	// accrued requests is high-velocity — history too short for the
-	// volume it is pushing.
-	MinRequests uint64
-}
-
-// DefaultAccountArmConfig flags accounts younger than a week carrying
-// four-digit request counts — far above any organic new account, far
-// below a scripted one.
-func DefaultAccountArmConfig() AccountArmConfig {
-	return AccountArmConfig{MinAge: 7 * 24 * time.Hour, MinRequests: 2000}
-}
+	accountMinAge = 7 * 24 * time.Hour
+	// accountMinRequests: a thin-history account with at least this many
+	// accrued requests is high-velocity — history too short for the volume
+	// it is pushing.
+	accountMinRequests = 2000
+)
 
 // AccountArm scores thin-history/high-velocity accounts: it feeds every
 // request into an account store keyed by actor identity (accounts are
@@ -33,23 +28,16 @@ func DefaultAccountArmConfig() AccountArmConfig {
 // It is the detection-side reading of the same lifecycle store the
 // gate's account layer reads for tier decisions.
 type AccountArm struct {
-	cfg   AccountArmConfig
 	store *account.Store
 }
 
 // NewAccountArm builds the arm over store; a nil store gets a fresh
 // default-config store of its own.
-func NewAccountArm(store *account.Store, cfg AccountArmConfig) *AccountArm {
+func NewAccountArm(store *account.Store) *AccountArm {
 	if store == nil {
 		store = account.NewStore(account.Config{})
 	}
-	if cfg.MinAge <= 0 {
-		cfg.MinAge = DefaultAccountArmConfig().MinAge
-	}
-	if cfg.MinRequests == 0 {
-		cfg.MinRequests = DefaultAccountArmConfig().MinRequests
-	}
-	return &AccountArm{cfg: cfg, store: store}
+	return &AccountArm{store: store}
 }
 
 // Name implements Arm.
@@ -92,7 +80,7 @@ func (a *AccountArm) Judge(s *weblog.Session) Verdict {
 	if !ok {
 		return Verdict{}
 	}
-	if snap.Age() < a.cfg.MinAge && snap.Requests >= a.cfg.MinRequests {
+	if snap.Age() < accountMinAge && snap.Requests >= accountMinRequests {
 		return Verdict{Flagged: true, Score: 0.8, Reason: "account:thin-history-high-velocity"}
 	}
 	return Verdict{}

@@ -11,7 +11,7 @@ import (
 var accountArmT0 = time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 
 // accountSession builds a session of n requests for one actor spread
-// over dur, observing each request into the arm.
+// over dur, observing each request into arm unless it is nil.
 func accountSession(arm *AccountArm, actorID string, n int, dur time.Duration) *weblog.Session {
 	s := &weblog.Session{Key: actorID}
 	for i := 0; i < n; i++ {
@@ -20,21 +20,23 @@ func accountSession(arm *AccountArm, actorID string, n int, dur time.Duration) *
 			Path:    "/search",
 			ActorID: actorID,
 		}
-		arm.ObserveRequest(r)
+		if arm != nil {
+			arm.ObserveRequest(r)
+		}
 		s.Requests = append(s.Requests, r)
 	}
 	return s
 }
 
 func TestAccountArmFlagsThinHighVelocity(t *testing.T) {
-	arm := NewAccountArm(nil, AccountArmConfig{MinAge: 7 * 24 * time.Hour, MinRequests: 100})
+	arm := NewAccountArm(nil)
 
-	// A scripted account: hundreds of requests inside one day.
-	bot := accountSession(arm, "bot-1", 500, 24*time.Hour)
+	// A scripted account: thousands of requests inside one day.
+	bot := accountSession(arm, "bot-1", 2500, 24*time.Hour)
 	// An organic new account: thin history, but low volume.
 	newbie := accountSession(arm, "human-1", 30, 24*time.Hour)
 	// A veteran account: high volume but with months of history.
-	veteran := accountSession(arm, "vet-1", 500, 60*24*time.Hour)
+	veteran := accountSession(arm, "vet-1", 2500, 60*24*time.Hour)
 
 	if v := arm.Judge(bot); !v.Flagged {
 		t.Fatalf("thin high-velocity account not flagged: %+v", v)
@@ -48,9 +50,9 @@ func TestAccountArmFlagsThinHighVelocity(t *testing.T) {
 }
 
 func TestAccountArmKeysByCookieWhenNoActorID(t *testing.T) {
-	arm := NewAccountArm(nil, AccountArmConfig{MinAge: time.Hour, MinRequests: 10})
+	arm := NewAccountArm(nil)
 	s := &weblog.Session{Key: "c-1"}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < accountMinRequests; i++ {
 		r := weblog.Request{
 			Time:   accountArmT0.Add(time.Duration(i) * time.Second),
 			Path:   "/search",
@@ -70,22 +72,24 @@ func TestAccountArmKeysByCookieWhenNoActorID(t *testing.T) {
 }
 
 func TestAccountArmInRegistry(t *testing.T) {
-	arm := NewAccountArm(nil, AccountArmConfig{MinAge: time.Hour, MinRequests: 50})
-	reg := NewRegistry(arm)
+	arm := NewAccountArm(nil)
 	var reqs []weblog.Request
 	var sessions []*weblog.Session
 	for i := 0; i < 3; i++ {
-		s := accountSession(arm, fmt.Sprintf("idle-%d", i), 5, time.Minute)
+		s := accountSession(nil, fmt.Sprintf("idle-%d", i), 5, time.Minute)
 		sessions = append(sessions, s)
 		reqs = append(reqs, s.Requests...)
 	}
-	// Observe is idempotent plumbing here — the sessions above already fed
-	// the arm; the registry path must not double-register names or panic.
-	reg.Observe(nil, nil)
-	_ = reqs
+	hot := accountSession(nil, "hot-1", accountMinRequests, time.Hour)
+	reqs = append(reqs, hot.Requests...)
+	// Observe feeds the arm the request stream; sessions are judged after.
+	Observe([]Arm{arm}, reqs, append(sessions, hot))
 	for _, s := range sessions {
-		if reg.Arms()[0].Judge(s).Flagged {
+		if arm.Judge(s).Flagged {
 			t.Fatalf("idle account flagged")
 		}
+	}
+	if !arm.Judge(hot).Flagged {
+		t.Fatal("thin high-velocity account not flagged after Observe")
 	}
 }

@@ -1,27 +1,24 @@
 package detect
 
 import (
-	"fmt"
-
 	"funabuse/internal/fingerprint"
 	"funabuse/internal/weblog"
 )
 
 // Arm is the unified detector interface: every detector family —
 // behaviour rules, classifiers, fingerprint checks, stream signals, the
-// entity-linkage graph — judges a session under one contract, so the
-// comparison experiment and the StreamMonitor iterate a registry instead
-// of hand-rolled per-detector plumbing. Stateful arms additionally
-// implement RequestObserver or SessionObserver to consume the traffic
-// before judging.
+// entity-linkage graph, account history — judges a session under one
+// contract, so the detection comparison iterates one []Arm instead of
+// hand-rolled per-detector plumbing. Stateful arms additionally implement
+// RequestObserver or SessionObserver to consume the traffic, fed by
+// Observe, before judging.
 //
 // Each arm wraps one detector's own entry point (VolumeRules.Judge,
-// GraphRules.JudgeSession, ...). The
-// application's request path and the case-B and ablation experiments call
-// those directly; the detection comparison and the StreamMonitor judge
-// through arms.
+// StreamMonitor.Flagged, ...). The application's request path and the
+// case-B and ablation experiments call those directly; only the detection
+// comparison judges through arms.
 type Arm interface {
-	// Name labels the arm in reports and registries.
+	// Name labels the arm in reports.
 	Name() string
 	// Judge evaluates one session.
 	Judge(s *weblog.Session) Verdict
@@ -40,58 +37,11 @@ type SessionObserver interface {
 	ObserveSession(s *weblog.Session)
 }
 
-// Registry is an ordered collection of arms. Registration order is
-// iteration order, so a registry-driven experiment reports rows in the
-// order the arms were registered.
-type Registry struct {
-	arms  []Arm
-	names map[string]bool
-}
-
-// NewRegistry returns a registry holding arms, in order. It panics on a
-// duplicate name — two arms reporting under one label is a construction
-// bug, not a runtime condition.
-func NewRegistry(arms ...Arm) *Registry {
-	r := &Registry{names: make(map[string]bool)}
+// Observe feeds the traffic to every stateful arm, in arms order: each
+// request to a RequestObserver (in stream order), then each session to a
+// SessionObserver. Call it once before judging; stateless arms ignore it.
+func Observe(arms []Arm, requests []weblog.Request, sessions []*weblog.Session) {
 	for _, a := range arms {
-		r.MustRegister(a)
-	}
-	return r
-}
-
-// Register appends an arm, rejecting duplicate names.
-func (r *Registry) Register(a Arm) error {
-	if r.names == nil {
-		r.names = make(map[string]bool)
-	}
-	if r.names[a.Name()] {
-		return fmt.Errorf("detect: arm %q already registered", a.Name())
-	}
-	r.names[a.Name()] = true
-	r.arms = append(r.arms, a)
-	return nil
-}
-
-// MustRegister is Register, panicking on error.
-func (r *Registry) MustRegister(a Arm) {
-	if err := r.Register(a); err != nil {
-		panic(err)
-	}
-}
-
-// Arms returns the registered arms in registration order.
-func (r *Registry) Arms() []Arm {
-	out := make([]Arm, len(r.arms))
-	copy(out, r.arms)
-	return out
-}
-
-// Observe feeds the traffic to every stateful arm: each request to the
-// RequestObservers (in stream order), then each session to the
-// SessionObservers. Call it once before judging; stateless arms ignore
-// it.
-func (r *Registry) Observe(requests []weblog.Request, sessions []*weblog.Session) {
-	for _, a := range r.arms {
 		if ro, ok := a.(RequestObserver); ok {
 			for _, req := range requests {
 				ro.ObserveRequest(req)
@@ -106,30 +56,14 @@ func (r *Registry) Observe(requests []weblog.Request, sessions []*weblog.Session
 }
 
 // VolumeArm adapts VolumeRules: the classical session-volume detector.
-type VolumeArm struct {
-	Rules VolumeRules
-}
+type VolumeArm struct{}
 
 // Name implements Arm.
 func (VolumeArm) Name() string { return "volume rules" }
 
 // Judge implements Arm.
-func (a VolumeArm) Judge(s *weblog.Session) Verdict {
-	return a.Rules.Judge(weblog.Extract(s))
-}
-
-// NavGraphArm adapts GraphRules: the navigation-graph degeneracy
-// detector.
-type NavGraphArm struct {
-	Rules GraphRules
-}
-
-// Name implements Arm.
-func (NavGraphArm) Name() string { return "navigation graph" }
-
-// Judge implements Arm.
-func (a NavGraphArm) Judge(s *weblog.Session) Verdict {
-	return a.Rules.JudgeSession(s)
+func (VolumeArm) Judge(s *weblog.Session) Verdict {
+	return VolumeRules{}.Judge(weblog.Extract(s))
 }
 
 // PointModel is the trained-classifier surface ClassifierArm wraps; both
@@ -205,7 +139,7 @@ func (a StreamArm) Judge(s *weblog.Session) Verdict {
 
 // AnyArm combines member arms with OR: the first flagging member's
 // verdict wins. It is how composite rows ("volume + fingerprint") are
-// expressed on the registry.
+// expressed as one arm.
 type AnyArm struct {
 	ArmName string
 	Members []Arm

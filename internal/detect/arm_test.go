@@ -52,36 +52,14 @@ func (a *stubArm) Judge(*weblog.Session) Verdict  { return a.verdict }
 func (a *stubArm) ObserveRequest(weblog.Request)  { a.requests++ }
 func (a *stubArm) ObserveSession(*weblog.Session) { a.sessions++ }
 
-func TestRegistryOrderAndDuplicates(t *testing.T) {
-	r := NewRegistry(&stubArm{name: "a"}, &stubArm{name: "b"})
-	r.MustRegister(&stubArm{name: "c"})
-	var got []string
-	for _, a := range r.Arms() {
-		got = append(got, a.Name())
-	}
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" || len(r.arms) != 3 {
-		t.Fatalf("registration order lost: %v", got)
-	}
-	if err := r.Register(&stubArm{name: "b"}); err == nil {
-		t.Fatal("duplicate name accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustRegister did not panic on duplicate")
-		}
-	}()
-	r.MustRegister(&stubArm{name: "a"})
-}
-
 func TestRegistryObserveDispatch(t *testing.T) {
 	a := &stubArm{name: "observer"}
-	r := NewRegistry(a)
 	sessions := []*weblog.Session{browseSession("h1"), browseSession("h2")}
 	var requests []weblog.Request
 	for _, s := range sessions {
 		requests = append(requests, s.Requests...)
 	}
-	r.Observe(requests, sessions)
+	Observe([]Arm{a}, requests, sessions)
 	if a.requests != len(requests) || a.sessions != len(sessions) {
 		t.Fatalf("dispatch miscounted: %d requests %d sessions", a.requests, a.sessions)
 	}
@@ -89,13 +67,8 @@ func TestRegistryObserveDispatch(t *testing.T) {
 
 func TestVolumeAndNavGraphArmsMatchAdapters(t *testing.T) {
 	s := browseSession("h1")
-	va := VolumeArm{Rules: DefaultVolumeRules()}
-	if got, want := va.Judge(s), va.Rules.Judge(weblog.Extract(s)); got != want {
+	if got, want := (VolumeArm{}).Judge(s), (VolumeRules{}).Judge(weblog.Extract(s)); got != want {
 		t.Fatalf("VolumeArm diverges from VolumeRules.Judge: %+v vs %+v", got, want)
-	}
-	ga := NavGraphArm{Rules: GraphRules{}}
-	if got, want := ga.Judge(s), ga.Rules.JudgeSession(s); got != want {
-		t.Fatalf("NavGraphArm diverges from GraphRules.JudgeSession: %+v vs %+v", got, want)
 	}
 }
 

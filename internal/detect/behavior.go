@@ -8,51 +8,42 @@ import (
 // session-volume features: total request counts, request rate, exploratory
 // breadth and trap files. It reliably catches scrapers and is — by
 // construction, as the paper argues — blind to low-volume functional abuse.
-type VolumeRules struct {
-	// MaxRequests flags sessions with more requests than a human plausibly
-	// issues.
-	MaxRequests int
-	// MaxReqPerMinute flags sustained super-human request rates.
-	MaxReqPerMinute float64
-	// MaxUniquePaths flags exhaustive crawling breadth.
-	MaxUniquePaths int
-	// MaxSearchShare flags sessions hammering the search/listing pages.
-	MaxSearchShare float64
-	// TrapFiles flags any access to honeytoken URLs.
-	TrapFiles bool
-	// MinGapStd flags robotically regular timing: sessions with many
+// Its thresholds are those of the web-log bot-detection literature the
+// paper cites, fixed so the measurement is the literature's.
+type VolumeRules struct{}
+
+const (
+	// volumeMaxRequests flags sessions with more requests than a human
+	// plausibly issues.
+	volumeMaxRequests = 120
+	// volumeMaxReqPerMinute flags sustained super-human request rates.
+	volumeMaxReqPerMinute = 40
+	// volumeMaxUniquePaths flags exhaustive crawling breadth.
+	volumeMaxUniquePaths = 80
+	// volumeMaxSearchShare flags sessions hammering the search/listing
+	// pages.
+	volumeMaxSearchShare = 0.90
+	// volumeMinGapStd flags robotically regular timing: sessions with many
 	// requests whose inter-arrival standard deviation is under this bound
 	// (seconds).
-	MinGapStd float64
-}
+	volumeMinGapStd = 0.05
+)
 
-// DefaultVolumeRules returns thresholds representative of the web-log
-// bot-detection literature the paper cites.
-func DefaultVolumeRules() VolumeRules {
-	return VolumeRules{
-		MaxRequests:     120,
-		MaxReqPerMinute: 40,
-		MaxUniquePaths:  80,
-		MaxSearchShare:  0.90,
-		TrapFiles:       true,
-		MinGapStd:       0.05,
-	}
-}
-
-// Judge evaluates one session's features.
-func (v VolumeRules) Judge(f weblog.Features) Verdict {
+// Judge evaluates one session's features. Any access to a honeytoken URL
+// flags it outright.
+func (VolumeRules) Judge(f weblog.Features) Verdict {
 	switch {
-	case v.TrapFiles && f.TrapHit:
+	case f.TrapHit:
 		return Verdict{Flagged: true, Score: 1, Reason: "trap-file"}
-	case v.MaxRequests > 0 && f.RequestCount > v.MaxRequests:
+	case f.RequestCount > volumeMaxRequests:
 		return Verdict{Flagged: true, Score: 0.9, Reason: "request-count"}
-	case v.MaxReqPerMinute > 0 && f.ReqPerMinute > v.MaxReqPerMinute && f.RequestCount >= 10:
+	case f.ReqPerMinute > volumeMaxReqPerMinute && f.RequestCount >= 10:
 		return Verdict{Flagged: true, Score: 0.8, Reason: "request-rate"}
-	case v.MaxUniquePaths > 0 && f.UniquePaths > v.MaxUniquePaths:
+	case f.UniquePaths > volumeMaxUniquePaths:
 		return Verdict{Flagged: true, Score: 0.7, Reason: "crawl-breadth"}
-	case v.MaxSearchShare > 0 && f.SearchShare > v.MaxSearchShare && f.RequestCount >= 20:
+	case f.SearchShare > volumeMaxSearchShare && f.RequestCount >= 20:
 		return Verdict{Flagged: true, Score: 0.6, Reason: "search-hammering"}
-	case v.MinGapStd > 0 && f.RequestCount >= 20 && f.MeanGapSec > 0 && f.StdGapSec < v.MinGapStd:
+	case f.RequestCount >= 20 && f.MeanGapSec > 0 && f.StdGapSec < volumeMinGapStd:
 		return Verdict{Flagged: true, Score: 0.6, Reason: "robotic-timing"}
 	default:
 		return Verdict{}

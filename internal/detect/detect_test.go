@@ -8,7 +8,7 @@ import (
 )
 
 func TestVolumeRulesFlagHighVolume(t *testing.T) {
-	rules := DefaultVolumeRules()
+	rules := VolumeRules{}
 	f := weblog.Features{RequestCount: 500, ReqPerMinute: 100, DurationSec: 300}
 	v := rules.Judge(f)
 	if !v.Flagged || v.Reason != "request-count" {
@@ -17,7 +17,7 @@ func TestVolumeRulesFlagHighVolume(t *testing.T) {
 }
 
 func TestVolumeRulesTrapFileWins(t *testing.T) {
-	rules := DefaultVolumeRules()
+	rules := VolumeRules{}
 	v := rules.Judge(weblog.Features{RequestCount: 500, TrapHit: true})
 	if !v.Flagged || v.Reason != "trap-file" {
 		t.Fatalf("verdict %+v", v)
@@ -27,7 +27,7 @@ func TestVolumeRulesTrapFileWins(t *testing.T) {
 func TestVolumeRulesMissLowVolume(t *testing.T) {
 	// The paper's core claim: a seat-spinning session issues a handful of
 	// requests and sails through volume rules.
-	rules := DefaultVolumeRules()
+	rules := VolumeRules{}
 	spinner := weblog.Features{
 		RequestCount: 4, ReqPerMinute: 2, UniquePaths: 3,
 		DurationSec: 120, MeanGapSec: 40, StdGapSec: 12, GETShare: 0.5, POSTShare: 0.5,
@@ -38,7 +38,7 @@ func TestVolumeRulesMissLowVolume(t *testing.T) {
 }
 
 func TestVolumeRulesRoboticTiming(t *testing.T) {
-	rules := DefaultVolumeRules()
+	rules := VolumeRules{}
 	f := weblog.Features{RequestCount: 30, MeanGapSec: 10, StdGapSec: 0.001, ReqPerMinute: 6}
 	v := rules.Judge(f)
 	if !v.Flagged || v.Reason != "robotic-timing" {
@@ -81,7 +81,7 @@ func TestLogRegSeparatesClasses(t *testing.T) {
 	rng := simrand.New(1)
 	train := synthSamples(rng.Derive("train"), 400)
 	test := synthSamples(rng.Derive("test"), 200)
-	m, err := TrainLogReg(rng.Derive("sgd"), train, DefaultLogRegConfig())
+	m, err := TrainLogReg(rng.Derive("sgd"), train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestLogRegSeparatesClasses(t *testing.T) {
 }
 
 func TestLogRegErrors(t *testing.T) {
-	if _, err := TrainLogReg(simrand.New(1), nil, DefaultLogRegConfig()); err == nil {
+	if _, err := TrainLogReg(simrand.New(1), nil); err == nil {
 		t.Fatal("empty training set accepted")
 	}
 	bad := []Sample{{X: []float64{1, 2}, Y: 0}, {X: []float64{1}, Y: 1}}
-	if _, err := TrainLogReg(simrand.New(1), bad, DefaultLogRegConfig()); err == nil {
+	if _, err := TrainLogReg(simrand.New(1), bad); err == nil {
 		t.Fatal("inconsistent dimensions accepted")
 	}
 }

@@ -11,37 +11,31 @@ import (
 // that catches the *manual* abuse of case study C, which keeps cookies,
 // types at human speed and never trips a volume rule, but whose sessions
 // consist of nothing but reservation posts.
-type GraphRules struct {
-	// MinTransitions is the minimum walk length before the rules apply;
-	// very short sessions carry no signal.
-	MinTransitions int
-	// MaxEntropy flags walks at or below this transition entropy (bits).
-	MaxEntropy float64
-	// MinDominantShare flags walks whose single most frequent transition
-	// carries at least this share.
-	MinDominantShare float64
-	// MaxNodes restricts the rules to narrow walks; exploratory sessions
-	// touching many pages are exempt however repetitive one edge is.
-	MaxNodes int
-}
+type GraphRules struct{}
 
-// DefaultGraphRules returns thresholds separating degenerate loops from
-// organic browsing.
-func DefaultGraphRules() GraphRules {
-	return GraphRules{
-		MinTransitions:   4,
-		MaxEntropy:       0.8,
-		MinDominantShare: 0.8,
-		MaxNodes:         2,
-	}
-}
+// Thresholds separating degenerate loops from organic browsing.
+const (
+	// graphMinTransitions is the minimum walk length before the rules
+	// apply; very short sessions carry no signal.
+	graphMinTransitions = 4
+	// graphMaxEntropy flags walks at or below this transition entropy
+	// (bits).
+	graphMaxEntropy = 0.8
+	// graphMinDominantShare flags walks whose single most frequent
+	// transition carries at least this share.
+	graphMinDominantShare = 0.8
+	// graphMaxNodes restricts the rules to narrow walks; exploratory
+	// sessions touching many pages are exempt however repetitive one edge
+	// is.
+	graphMaxNodes = 2
+)
 
 // Judge evaluates one session's navigation graph.
-func (g GraphRules) Judge(f weblog.GraphFeatures) Verdict {
-	if f.Transitions < g.MinTransitions || f.Nodes > g.MaxNodes {
+func (GraphRules) Judge(f weblog.GraphFeatures) Verdict {
+	if f.Transitions < graphMinTransitions || f.Nodes > graphMaxNodes {
 		return Verdict{}
 	}
-	if f.TransitionEntropy <= g.MaxEntropy && f.DominantEdgeShare >= g.MinDominantShare {
+	if f.TransitionEntropy <= graphMaxEntropy && f.DominantEdgeShare >= graphMinDominantShare {
 		return Verdict{Flagged: true, Score: 0.7, Reason: "degenerate-navigation"}
 	}
 	return Verdict{}

@@ -21,7 +21,7 @@ func graphSession(paths ...string) *weblog.Session {
 }
 
 func TestGraphRulesFlagDegenerateLoop(t *testing.T) {
-	rules := DefaultGraphRules()
+	rules := GraphRules{}
 	// The manual-spinner signature: nothing but reservation posts, at
 	// human pace, in one cookie session.
 	s := graphSession("/booking/hold", "/booking/hold", "/booking/hold",
@@ -33,7 +33,7 @@ func TestGraphRulesFlagDegenerateLoop(t *testing.T) {
 }
 
 func TestGraphRulesPassOrganicJourney(t *testing.T) {
-	rules := DefaultGraphRules()
+	rules := GraphRules{}
 	s := graphSession("/search", "/search/results/page1", "/flight/FL100",
 		"/search/results/page2", "/flight/FL200", "/booking/hold")
 	if v := rules.JudgeSession(s); v.Flagged {
@@ -42,7 +42,7 @@ func TestGraphRulesPassOrganicJourney(t *testing.T) {
 }
 
 func TestGraphRulesIgnoreShortSessions(t *testing.T) {
-	rules := DefaultGraphRules()
+	rules := GraphRules{}
 	// Two holds in one session: a legitimate customer rebooking. Too
 	// short to carry signal.
 	s := graphSession("/booking/hold", "/booking/hold")
@@ -52,7 +52,7 @@ func TestGraphRulesIgnoreShortSessions(t *testing.T) {
 }
 
 func TestGraphRulesExemptExploratorySessions(t *testing.T) {
-	rules := DefaultGraphRules()
+	rules := GraphRules{}
 	// Many nodes visited: even with one dominant edge the walk is
 	// exploratory (e.g. paging through results).
 	s := graphSession("/a", "/b", "/b", "/b", "/b", "/c", "/d", "/e")
@@ -62,7 +62,7 @@ func TestGraphRulesExemptExploratorySessions(t *testing.T) {
 }
 
 func TestGraphRulesTwoNodePingPong(t *testing.T) {
-	rules := DefaultGraphRules()
+	rules := GraphRules{}
 	// Availability-check + hold alternation: two nodes, two edges, 1 bit
 	// of entropy, dominant share 0.5 — repetitive but balanced, and the
 	// dominant-share bar keeps it unflagged at default thresholds.

@@ -25,33 +25,19 @@ type LogReg struct {
 	scaler  scaler
 }
 
-// LogRegConfig tunes training. Every weight decays under an L2 penalty of
-// logRegL2.
-type LogRegConfig struct {
-	Epochs       int
-	LearningRate float64
-}
-
-// logRegL2 is the L2 regularisation strength.
-const logRegL2 = 1e-4
-
-// DefaultLogRegConfig returns settings adequate for session-feature scale
-// problems.
-func DefaultLogRegConfig() LogRegConfig {
-	return LogRegConfig{Epochs: 200, LearningRate: 0.1}
-}
+// Training settings, adequate for session-feature scale problems. Every
+// weight decays under an L2 penalty of logRegL2.
+const (
+	logRegEpochs       = 200
+	logRegLearningRate = 0.1
+	logRegL2           = 1e-4
+)
 
 // TrainLogReg fits a model on samples. The RNG drives shuffling only, so
 // training is deterministic per seed.
-func TrainLogReg(rng *simrand.RNG, samples []Sample, cfg LogRegConfig) (*LogReg, error) {
+func TrainLogReg(rng *simrand.RNG, samples []Sample) (*LogReg, error) {
 	if len(samples) == 0 {
 		return nil, ErrNoTrainingData
-	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = DefaultLogRegConfig().Epochs
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = DefaultLogRegConfig().LearningRate
 	}
 	dim := len(samples[0].X)
 	for _, s := range samples {
@@ -67,9 +53,9 @@ func TrainLogReg(rng *simrand.RNG, samples []Sample, cfg LogRegConfig) (*LogReg,
 		idx[i] = i
 	}
 	x := make([]float64, 0, dim)
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < logRegEpochs; epoch++ {
 		rng.ShuffleInts(idx)
-		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
+		lr := logRegLearningRate / (1 + 0.01*float64(epoch))
 		for _, i := range idx {
 			x = sc.transform(x, samples[i].X)
 			p := m.prob(x)

@@ -53,44 +53,30 @@ func (p NamePattern) String() string {
 	}
 }
 
-// NamePatternConfig tunes the detector.
-type NamePatternConfig struct {
-	// MinReuse is how many reservations a single name must appear on
+// NamePatternConfig configures the detector. Its thresholds are fixed,
+// conservative production-style constants, so it has no fields.
+type NamePatternConfig struct{}
+
+const (
+	// nameMinReuse is how many reservations a single name must appear on
 	// before it is reported. Legitimate travellers rebook occasionally;
 	// attackers reuse pools dozens of times.
-	MinReuse int
-	// MinBirthdates is how many distinct birthdates a reused name must
+	nameMinReuse = 5
+	// nameMinBirthdates is how many distinct birthdates a reused name must
 	// present to be reported as rotating.
-	MinBirthdates int
-	// MinClusterSize is how many near-identical variants constitute a typo
-	// cluster.
-	MinClusterSize int
-}
-
-// DefaultNamePatternConfig returns conservative production-style thresholds.
-func DefaultNamePatternConfig() NamePatternConfig {
-	return NamePatternConfig{MinReuse: 5, MinBirthdates: 4, MinClusterSize: 3}
-}
+	nameMinBirthdates = 4
+	// nameMinClusterSize is how many near-identical variants constitute a
+	// typo cluster.
+	nameMinClusterSize = 3
+)
 
 // NamePatternDetector analyses accepted reservations for the passenger-
 // detail signatures of case study B.
-type NamePatternDetector struct {
-	cfg NamePatternConfig
-}
+type NamePatternDetector struct{}
 
-// NewNamePatternDetector returns a detector with the given thresholds.
-func NewNamePatternDetector(cfg NamePatternConfig) *NamePatternDetector {
-	def := DefaultNamePatternConfig()
-	if cfg.MinReuse <= 0 {
-		cfg.MinReuse = def.MinReuse
-	}
-	if cfg.MinBirthdates <= 0 {
-		cfg.MinBirthdates = def.MinBirthdates
-	}
-	if cfg.MinClusterSize <= 0 {
-		cfg.MinClusterSize = def.MinClusterSize
-	}
-	return &NamePatternDetector{cfg: cfg}
+// NewNamePatternDetector returns a detector.
+func NewNamePatternDetector(NamePatternConfig) *NamePatternDetector {
+	return &NamePatternDetector{}
 }
 
 // nameStats aggregates per-name reservation evidence.
@@ -151,10 +137,10 @@ func (d *NamePatternDetector) Analyze(records []booking.Record) []NameFinding {
 	var findings []NameFinding
 	for key, st := range stats {
 		n := st.reservations.len()
-		if n < d.cfg.MinReuse {
+		if n < nameMinReuse {
 			continue
 		}
-		if st.birthdates.len() >= d.cfg.MinBirthdates {
+		if st.birthdates.len() >= nameMinBirthdates {
 			findings = append(findings, NameFinding{
 				Pattern:      PatternRotatingBirthdate,
 				Key:          key,
@@ -186,7 +172,7 @@ func (d *NamePatternDetector) Analyze(records []booking.Record) []NameFinding {
 
 // typoClusters groups keys within Damerau-Levenshtein distance 1 of a
 // representative. Only clusters whose total reservation span reaches
-// MinClusterSize are reported.
+// nameMinClusterSize are reported.
 //
 // A single-character typo touches either the first or the last name, never
 // both, so candidate pairs must share one name part exactly. Bucketing on
@@ -247,7 +233,7 @@ func (d *NamePatternDetector) typoClusters(stats map[string]*nameStats) []NameFi
 			span += stats[k].reservations.len()
 			used[k] = true
 		}
-		if span >= d.cfg.MinClusterSize {
+		if span >= nameMinClusterSize {
 			findings = append(findings, NameFinding{
 				Pattern:      PatternTypoCluster,
 				Key:          rep,

@@ -78,7 +78,7 @@ func TestTypoClusterDetected(t *testing.T) {
 	for i := range 4 {
 		records = append(records, acceptedRecord(booking.HoldID(3+i), "manual-2", names.Misspell(r, id)))
 	}
-	findings := NewNamePatternDetector(NamePatternConfig{MinReuse: 99}).Analyze(records)
+	findings := NewNamePatternDetector(NamePatternConfig{}).Analyze(records)
 	found := false
 	for _, f := range findings {
 		if f.Pattern == PatternTypoCluster {

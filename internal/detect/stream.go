@@ -75,9 +75,8 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 	return &StreamMonitor{
 		cfg: cfg,
 		engine: signal.NewEngine(signal.EngineConfig{
-			Window:       cfg.rateWindow,
-			DisableSurge: true,
-			DisableTopK:  true,
+			Window:            cfg.rateWindow,
+			DistinctPrecision: signal.DefaultDistinctPrecision,
 		}),
 		flagged: make(map[string]string),
 	}

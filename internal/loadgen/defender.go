@@ -16,29 +16,6 @@ type Rule struct {
 	At time.Time
 }
 
-// RuleDeployerConfig assembles a RuleDeployer.
-type RuleDeployerConfig struct {
-	// Blocks is the gate's deny list the deployer pushes rules into.
-	Blocks *mitigate.BlockList
-	// Clock timestamps deployments; defaults to the real clock.
-	Clock simclock.Clock
-	// Threshold is the per-fingerprint request count within one window
-	// that triggers a block rule. Tune it above an honest client's
-	// per-window volume and below a bot burst.
-	Threshold int
-	// Window is the tumbling count window.
-	Window time.Duration
-	// Paths restricts counting to these request paths; empty watches all.
-	Paths []string
-	// Decoys, when non-nil, is the live honeypot inventory: an admitted
-	// request whose pnr query parameter names a decoy reference is
-	// journaled as a hit and its fingerprint blocked immediately — one
-	// decoy touch is hard enumeration evidence, no volume threshold
-	// applies. Honest clients book the references they were issued and
-	// never trip it.
-	Decoys *mitigate.DecoySet
-}
-
 // RuleDeployer is the server-side half of the arms race: a defender that
 // watches per-fingerprint volume on sensitive paths through the gate's
 // OnDecision hook and pushes a fingerprint block rule when a print runs
@@ -46,7 +23,6 @@ type RuleDeployerConfig struct {
 // practised, and the stimulus the adaptive attacker clients react to.
 // It is driven from the gate's serving goroutines and synchronises itself.
 type RuleDeployer struct {
-	decisionSinks
 	blocks    *mitigate.BlockList
 	clock     simclock.Clock
 	threshold int
@@ -60,26 +36,8 @@ type RuleDeployer struct {
 	ruleAt   map[uint64]time.Time
 }
 
-// NewRuleDeployer returns a deployer pushing rules into cfg.Blocks.
-func NewRuleDeployer(cfg RuleDeployerConfig) *RuleDeployer {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	d := &RuleDeployer{
-		blocks:    cfg.Blocks,
-		clock:     clock,
-		threshold: cfg.Threshold,
-		window:    cfg.Window,
-		decoys:    cfg.Decoys,
-		counts:    make(map[uint64]int),
-		ruleAt:    make(map[uint64]time.Time),
-	}
-	d.decisionSinks = decisionSinks{{cfg.Paths, len(cfg.Paths) == 0, d.feed}}
-	return d
-}
-
-// feed is the deployer's decision sink. Blocklist denials are not
+// feed is the deployer's share of the decision hook, watched when the
+// request's path is one of the rule paths. Blocklist denials are not
 // counted: a fingerprint already caught by a rule must not re-trigger
 // deployment, and everything else — including rate-limited requests — is
 // evidence of volume. With decoy inventory wired, an admitted request

@@ -4,10 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"funabuse/internal/account"
-	"funabuse/internal/httpgate"
 	"funabuse/internal/mitigate"
-	"funabuse/internal/simclock"
 )
 
 // EconModel prices an abusive class's operation. The paper's Section V
@@ -31,49 +28,6 @@ type EconModel struct {
 	// BudgetUSD caps each client's total spend; once reached the client
 	// stops issuing. Zero means unconstrained.
 	BudgetUSD float64
-}
-
-// AccountFeederConfig assembles an AccountFeeder.
-type AccountFeederConfig struct {
-	// Store receives one observation per identified request.
-	Store *account.Store
-	// Clock timestamps observations; defaults to the real clock.
-	Clock simclock.Clock
-	// BookingPaths are the paths an admitted request counts as a booking
-	// on — the history the tier thresholds read. Empty counts none.
-	BookingPaths []string
-}
-
-// AccountFeeder is the lifecycle half of the account defence: a gate
-// decision hook that creates accounts on first sight and accrues every
-// identified request onto them — admitted booking-path requests as
-// bookings, denials as denials — so tiers are earned by live traffic
-// rather than assigned. It is driven from the gate's serving goroutines;
-// the store synchronises itself.
-type AccountFeeder struct {
-	decisionSinks
-	store *account.Store
-	clock simclock.Clock
-}
-
-// NewAccountFeeder returns a feeder observing into cfg.Store.
-func NewAccountFeeder(cfg AccountFeederConfig) *AccountFeeder {
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	f := &AccountFeeder{store: cfg.Store, clock: clock}
-	f.decisionSinks = decisionSinks{{cfg.BookingPaths, false, f.feed}}
-	return f
-}
-
-// feed is the feeder's decision sink. Anonymous requests carry no account
-// identity and are ignored.
-func (f *AccountFeeder) feed(onBookingPath bool, _ string, info httpgate.ClientInfo, deniedBy string) {
-	if info.ClientKey == "" {
-		return
-	}
-	f.store.Observe(info.ClientKey, f.clock.Now(), deniedBy == "" && onBookingPath, deniedBy != "")
 }
 
 // ROILedgerConfig assembles a ROILedger.

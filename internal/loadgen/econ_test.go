@@ -147,19 +147,15 @@ func TestClientWithoutEconNeverRefuses(t *testing.T) {
 func TestAccountFeederObserves(t *testing.T) {
 	store := account.NewStore(account.Config{})
 	clock := simclock.NewManual(econT0)
-	f := NewAccountFeeder(AccountFeederConfig{
-		Store:        store,
-		Clock:        clock,
-		BookingPaths: []string{PathHold},
-	})
+	hook, _ := decisionHook(TargetConfig{Clock: clock, Accounts: store, AccountBookingPaths: []string{PathHold}}, nil)
 
 	hold := httptest.NewRequest(http.MethodGet, PathHold, nil)
 	search := httptest.NewRequest(http.MethodGet, PathSearch, nil)
 	info := httpgate.ClientInfo{ClientKey: "acct-1"}
-	f.OnDecision(hold, info, "")
-	f.OnDecision(search, info, "")
-	f.OnDecision(hold, info, "rate-limit-path")
-	f.OnDecision(hold, httpgate.ClientInfo{}, "") // anonymous: ignored
+	hook(hold, info, "")
+	hook(search, info, "")
+	hook(hold, info, "rate-limit-path")
+	hook(hold, httpgate.ClientInfo{}, "") // anonymous: ignored
 
 	snap, ok := store.Snapshot("acct-1")
 	if !ok {

@@ -251,19 +251,17 @@ func TestArmsRace(t *testing.T) {
 func TestRuleDeployerWindowAndThreshold(t *testing.T) {
 	clock := simclock.NewManual(t0)
 	blocks := mitigate.NewBlockList(0)
-	d := NewRuleDeployer(RuleDeployerConfig{
-		Blocks: blocks, Clock: clock, Threshold: 3, Window: 10 * time.Second,
-	})
+	hook, d := decisionHook(TargetConfig{Clock: clock, RuleThreshold: 3, RuleWindow: 10 * time.Second}, blocks)
 	req := httptest.NewRequest(http.MethodGet, "/booking/hold", nil)
 	info := httpgate.ClientInfo{Fingerprint: 0xbeef, HasFingerprint: true}
 
-	d.OnDecision(req, info, "")
-	d.OnDecision(req, info, httpgate.ReasonBlocklist) // must not count
-	d.OnDecision(req, info, "")
+	hook(req, info, "")
+	hook(req, info, httpgate.ReasonBlocklist) // must not count
+	hook(req, info, "")
 	if len(d.Rules()) != 0 {
 		t.Fatal("rule deployed below threshold")
 	}
-	d.OnDecision(req, info, httpgate.ReasonPathLimit) // rate-limited still counts
+	hook(req, info, httpgate.ReasonPathLimit) // rate-limited still counts
 	rules := d.Rules()
 	if len(rules) != 1 || rules[0].FP != 0xbeef {
 		t.Fatalf("rules = %+v, want one for beef", rules)
@@ -273,7 +271,7 @@ func TestRuleDeployerWindowAndThreshold(t *testing.T) {
 	}
 	// More volume from the same print must not duplicate the rule.
 	for range 5 {
-		d.OnDecision(req, info, "")
+		hook(req, info, "")
 	}
 	if len(d.Rules()) != 1 {
 		t.Fatalf("duplicate rules: %+v", d.Rules())
@@ -281,11 +279,11 @@ func TestRuleDeployerWindowAndThreshold(t *testing.T) {
 
 	// A second print's volume split across two windows never trips.
 	info2 := httpgate.ClientInfo{Fingerprint: 0xcafe, HasFingerprint: true}
-	d.OnDecision(req, info2, "")
-	d.OnDecision(req, info2, "")
+	hook(req, info2, "")
+	hook(req, info2, "")
 	clock.Advance(11 * time.Second)
-	d.OnDecision(req, info2, "")
-	d.OnDecision(req, info2, "")
+	hook(req, info2, "")
+	hook(req, info2, "")
 	if len(d.Rules()) != 1 {
 		t.Fatalf("window tumble failed to reset counts: %+v", d.Rules())
 	}

@@ -46,29 +46,15 @@ func SyndicateScenario(seed uint64, start time.Time) Scenario {
 	}
 }
 
-// GraphFeederConfig assembles a GraphFeeder.
-type GraphFeederConfig struct {
-	// Graph receives one observation per watched request.
-	Graph *entitygraph.Graph
-	// Weak is the per-request weak-signal score fed with each
-	// observation; a touch of suspicion per sensitive-path hit, so only
-	// sustained co-occurrence accrues to a flag.
-	Weak float64
-	// Paths restricts observation to these request paths; empty watches
-	// all.
-	Paths []string
-}
-
-// GraphFeeder is the observation half of the entity-linkage defence: a
-// gate decision hook that turns each watched request's identities — the
-// fingerprint, the client address, the booking reference it touches —
-// into one entity-graph observation. The graph does the rest: shared
-// resources union the observations into components, and the gate's
-// entity layer denies identities whose component crosses the flag
-// thresholds. It is driven from the gate's serving goroutines and
+// graphFeeder is the observation half of the entity-linkage defence: the
+// share of the gate's decision hook that turns each watched request's
+// identities — the fingerprint, the client address, the booking reference
+// it touches — into one entity-graph observation at score weak. The graph
+// does the rest: shared resources union the observations into components,
+// and the gate's entity layer denies identities whose component crosses
+// the flag thresholds. It is driven from the gate's serving goroutines and
 // synchronises itself.
-type GraphFeeder struct {
-	decisionSinks
+type graphFeeder struct {
 	graph *entitygraph.Graph
 	weak  float64
 
@@ -77,21 +63,11 @@ type GraphFeeder struct {
 	keys [3][]byte // views into buf, for ObserveBytes
 }
 
-// NewGraphFeeder returns a feeder observing into cfg.Graph.
-func NewGraphFeeder(cfg GraphFeederConfig) *GraphFeeder {
-	f := &GraphFeeder{graph: cfg.Graph, weak: cfg.Weak}
-	f.decisionSinks = decisionSinks{{cfg.Paths, len(cfg.Paths) == 0, f.feed}}
-	return f
-}
-
-// feed is the feeder's decision sink. Every watched-path request is
+// feed observes one watched request. Every watched-path request is
 // evidence, whatever its verdict: a denied request still demonstrates the
 // co-occurrence of its identities, and observing it keeps the component's
 // score honest.
-func (f *GraphFeeder) feed(watched bool, ref string, info httpgate.ClientInfo, _ string) {
-	if !watched {
-		return
-	}
+func (f *graphFeeder) feed(ref string, info httpgate.ClientInfo) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	// Grown to the observation's full length first, so no append below

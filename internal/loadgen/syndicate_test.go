@@ -115,22 +115,22 @@ func TestSyndicateFleetSharesPool(t *testing.T) {
 	}
 }
 
-// TestGraphFeederObserves drives the feeder by hand: watched-path
-// requests accrue into one component that crosses the flag thresholds,
-// unwatched paths and identity-free requests are ignored.
+// TestGraphFeederObserves drives the decision hook's graph feed by hand:
+// watched-path requests accrue into one component that crosses the flag
+// thresholds, unwatched paths and identity-free requests are ignored.
 func TestGraphFeederObserves(t *testing.T) {
 	g := entitygraph.New(entitygraph.Config{MinSize: 4, MinTypes: 3, FlagScore: 1})
-	f := NewGraphFeeder(GraphFeederConfig{Graph: g, Weak: 0.5, Paths: []string{PathHold}})
+	hook, _ := decisionHook(TargetConfig{EntityGraph: g, EntityWeak: 0.5, EntityPaths: []string{PathHold}}, nil)
 
 	hold := httptest.NewRequest(http.MethodGet, PathHold+"?pnr=PNR00001", nil)
 	search := httptest.NewRequest(http.MethodGet, PathSearch+"?pnr=PNR00001", nil)
 	info := httpgate.ClientInfo{IP: "203.0.5.9", Fingerprint: 0xfeed, HasFingerprint: true}
 
-	f.OnDecision(search, info, "") // unwatched path: ignored
+	hook(search, info, "") // unwatched path: ignored
 	if st := g.Stats(); st.Observations != 0 {
 		t.Fatalf("unwatched path observed: %+v", st)
 	}
-	f.OnDecision(hold, httpgate.ClientInfo{}, "") // no identities: ignored
+	hook(hold, httpgate.ClientInfo{}, "") // no identities: ignored
 	if st := g.Stats(); st.Observations != 0 {
 		t.Fatalf("identity-free request observed: %+v", st)
 	}
@@ -138,12 +138,12 @@ func TestGraphFeederObserves(t *testing.T) {
 	// Two ring members sharing the booking reference braid into one
 	// flagged component: 2 fps + 2 ips + 1 bk = size 5, three types.
 	other := httpgate.ClientInfo{IP: "203.0.5.10", Fingerprint: 0xbeef, HasFingerprint: true}
-	f.OnDecision(hold, info, "")
-	f.OnDecision(hold, other, "")
+	hook(hold, info, "")
+	hook(hold, other, "")
 	if !g.Flagged(entitygraph.FingerprintKey(0xfeed)) || !g.Flagged(entitygraph.FingerprintKey(0xbeef)) {
 		t.Fatalf("ring not flagged: %+v", g.Stats())
 	}
-	// The feeder spells its keys in scratch space; they must be the keys
+	// The graph feed spells its keys in scratch space; they must be the keys
 	// the graph's constructors — and so the gate's probes — spell.
 	for _, k := range []string{entitygraph.IPKey("203.0.5.10"), "bk:PNR00001"} {
 		if _, ok := g.Lookup(k); !ok {

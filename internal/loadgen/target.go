@@ -24,7 +24,7 @@ type TargetConfig struct {
 	// the real clock. Virtual runs pass the Runner's manual clock.
 	Clock simclock.Clock
 
-	// RuleThreshold, when positive, wires a RuleDeployer as the gate's
+	// RuleThreshold, when positive, wires a RuleDeployer into the gate's
 	// decision hook: RuleThreshold requests from one fingerprint within
 	// RuleWindow on RulePaths (empty: all paths) deploys a block rule.
 	RuleThreshold int
@@ -35,11 +35,12 @@ type TargetConfig struct {
 	// ways: the gate's account layer resolves each client key's loyalty
 	// tier from the store — denying AccountRestricted paths below their
 	// minimum tier and rate-limiting per tier at AccountBaseLimit scaled
-	// by the gate's tier multipliers over AccountWindow — and an
-	// AccountFeeder creates accounts on first sight and accrues every
-	// identified request (admitted AccountBookingPaths hits count as
-	// bookings). The caller owns the store and may pre-register
-	// established members.
+	// by the gate's tier multipliers over AccountWindow — and the
+	// decision hook creates accounts on first sight and accrues every
+	// identified request onto them (admitted AccountBookingPaths hits
+	// count as bookings, denials as denials), so tiers are earned by live
+	// traffic rather than assigned. The caller owns the store and may
+	// pre-register established members.
 	Accounts            *account.Store
 	AccountRestricted   map[string]int
 	AccountBaseLimit    int
@@ -55,10 +56,11 @@ type TargetConfig struct {
 
 	// EntityGraph, when non-nil, wires the entity-linkage defence both
 	// ways: the gate's entity layer denies requests whose fingerprint,
-	// address or client key sits in a flagged linkage component, and a
-	// GraphFeeder observes every EntityPaths request (fingerprint +
-	// address + booking reference, at EntityWeak score each) into the
-	// graph. The caller owns the graph and reads its Stats after the run.
+	// address or client key sits in a flagged linkage component, and the
+	// decision hook observes every EntityPaths request (empty: all paths;
+	// fingerprint + address + booking reference, at EntityWeak score each)
+	// into the graph. The caller owns the graph and reads its Stats after
+	// the run.
 	EntityGraph *entitygraph.Graph
 	EntityPaths []string
 	EntityWeak  float64
@@ -101,6 +103,7 @@ type Target struct {
 // fingerprint header, as a collector-backed deployment would.
 func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *RuleDeployer) {
 	blocks := mitigate.NewBlockList(0)
+	onDecision, deployer := decisionHook(cfg, blocks)
 	gcfg := httpgate.Config{
 		Clock:              cfg.Clock,
 		Blocks:             blocks,
@@ -114,19 +117,7 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 		ResourceWindow:     cfg.ResourceWindow,
 		// Inert without a ResourceLimit: the layer needs both.
 		ResourceKey: func(r *http.Request) string { return httpgate.QueryValue(r, "pnr") },
-	}
-	var deployer *RuleDeployer
-	var sinks decisionSinks
-	if cfg.RuleThreshold > 0 || cfg.Decoys != nil {
-		deployer = NewRuleDeployer(RuleDeployerConfig{
-			Blocks:    blocks,
-			Clock:     cfg.Clock,
-			Threshold: cfg.RuleThreshold,
-			Window:    cfg.RuleWindow,
-			Paths:     cfg.RulePaths,
-			Decoys:    cfg.Decoys,
-		})
-		sinks = append(sinks, deployer.decisionSinks...)
+		OnDecision:  onDecision,
 	}
 	var opts []httpgate.Option
 	if cfg.Accounts != nil {
@@ -136,22 +127,9 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 			BaseLimit:  cfg.AccountBaseLimit,
 			Window:     cfg.AccountWindow,
 		}))
-		sinks = append(sinks, NewAccountFeeder(AccountFeederConfig{
-			Store:        cfg.Accounts,
-			Clock:        cfg.Clock,
-			BookingPaths: cfg.AccountBookingPaths,
-		}).decisionSinks...)
 	}
 	if cfg.EntityGraph != nil {
 		gcfg.Entities = cfg.EntityGraph
-		sinks = append(sinks, NewGraphFeeder(GraphFeederConfig{
-			Graph: cfg.EntityGraph,
-			Weak:  cfg.EntityWeak,
-			Paths: cfg.EntityPaths,
-		}).decisionSinks...)
-	}
-	if len(sinks) > 0 {
-		gcfg.OnDecision = sinks.OnDecision
 	}
 	if cfg.Telemetry != nil {
 		opts = append(opts, httpgate.WithTelemetry(cfg.Telemetry))
@@ -162,24 +140,55 @@ func NewTargetGate(cfg TargetConfig) (*httpgate.Gate, *mitigate.BlockList, *Rule
 	return httpgate.New(gcfg, opts...), blocks, deployer
 }
 
-// decisionSinks is the gate's decision hook as a table, one row per
-// defender: the paths it watches (every path when all is set) and the
-// sink fed with every decision — whether its path is watched, the booking
-// reference (pnr parameter) it names, the attribution and the verdict.
-// Each defender embeds its own one-row table, whose promoted OnDecision
-// wires it into a gate alone; NewTargetGate concatenates them.
-type decisionSinks []struct {
-	paths []string
-	all   bool
-	feed  func(watched bool, ref string, info httpgate.ClientInfo, deniedBy string)
+// decisionHook builds the gate's decision hook from cfg: one func that
+// reads the request's path and booking reference (pnr parameter) once and
+// feeds every defender cfg enables — the rule deployer, which it also
+// returns and which pushes rules into blocks, the account store and the
+// entity graph. Both results are nil when cfg enables none.
+func decisionHook(cfg TargetConfig, blocks *mitigate.BlockList) (func(*http.Request, httpgate.ClientInfo, string), *RuleDeployer) {
+	clock := cfg.Clock
+	if clock == nil {
+		clock = simclock.Real{}
+	}
+	var deployer *RuleDeployer
+	if cfg.RuleThreshold > 0 || cfg.Decoys != nil {
+		deployer = &RuleDeployer{
+			blocks:    blocks,
+			clock:     clock,
+			threshold: cfg.RuleThreshold,
+			window:    cfg.RuleWindow,
+			decoys:    cfg.Decoys,
+			counts:    make(map[uint64]int),
+			ruleAt:    make(map[uint64]time.Time),
+		}
+	}
+	var graph *graphFeeder
+	if cfg.EntityGraph != nil {
+		graph = &graphFeeder{graph: cfg.EntityGraph, weak: cfg.EntityWeak}
+	}
+	if deployer == nil && cfg.Accounts == nil && graph == nil {
+		return nil, nil
+	}
+	return func(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
+		path, ref := r.URL.Path, httpgate.QueryValue(r, "pnr")
+		if deployer != nil {
+			deployer.feed(watches(cfg.RulePaths, path), ref, info, deniedBy)
+		}
+		// Anonymous requests carry no account identity.
+		if cfg.Accounts != nil && info.ClientKey != "" {
+			booking := deniedBy == "" && slices.Contains(cfg.AccountBookingPaths, path)
+			cfg.Accounts.Observe(info.ClientKey, clock.Now(), booking, deniedBy != "")
+		}
+		if graph != nil && watches(cfg.EntityPaths, path) {
+			graph.feed(ref, info)
+		}
+	}, deployer
 }
 
-// OnDecision reads path and booking reference once and feeds every row.
-func (s decisionSinks) OnDecision(r *http.Request, info httpgate.ClientInfo, deniedBy string) {
-	path, ref := r.URL.Path, httpgate.QueryValue(r, "pnr")
-	for _, row := range s {
-		row.feed(row.all || slices.Contains(row.paths, path), ref, info, deniedBy)
-	}
+// watches reports whether a defender watching paths sees path; an empty
+// list watches every path.
+func watches(paths []string, path string) bool {
+	return len(paths) == 0 || slices.Contains(paths, path)
 }
 
 // StartTarget boots the defended server on an ephemeral 127.0.0.1 port.

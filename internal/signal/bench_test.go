@@ -116,8 +116,13 @@ func BenchmarkTopKOffer(b *testing.B) {
 }
 
 func BenchmarkEngineObserveAttr(b *testing.B) {
-	e := NewEngine(EngineConfig{SurgeStart: time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)})
 	base := time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
+	e := NewEngine(EngineConfig{
+		TopK: 16, SketchWidth: 2048, SketchDepth: 4,
+		DistinctPrecision: DefaultDistinctPrecision,
+		SurgeStart:        base,
+		SurgePeriod:       24 * time.Hour,
+	})
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {

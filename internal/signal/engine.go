@@ -6,10 +6,10 @@ import (
 	"time"
 )
 
-// EngineConfig assembles an Engine; the zero value of every optional
-// field selects a sensible default, and zeroing TopK, SketchDepth,
-// DistinctPrecision or SurgePeriod does NOT disable the signal — explicit
-// Disable* flags exist so the zero config is fully armed.
+// EngineConfig assembles an Engine. Per-key sliding-window rates are
+// always on; every other signal is on when its size is set, so the zero
+// config tracks windows only and each signal costs memory only when asked
+// for.
 type EngineConfig struct {
 	// Shards is the lock-stripe count, rounded up to a power of two;
 	// defaults to DefaultShards.
@@ -17,21 +17,18 @@ type EngineConfig struct {
 	// Window is the sliding window for per-key rates, on rings of
 	// DefaultWindowBuckets buckets; defaults to 1 h.
 	Window time.Duration
-	// TopK is how many heavy hitters each shard tracks; defaults to 16.
+	// TopK, when positive, is how many heavy hitters each shard tracks.
 	TopK int
-	// SketchWidth and SketchDepth size each shard's count-min sketch;
-	// default 2048x4.
+	// SketchWidth, when positive, and SketchDepth size each shard's
+	// count-min sketch.
 	SketchWidth, SketchDepth int
-	// DistinctPrecision sizes per-key distinct counters; defaults to
-	// DefaultDistinctPrecision.
+	// DistinctPrecision, when positive, sizes per-key distinct counters
+	// (DefaultDistinctPrecision is the usual choice).
 	DistinctPrecision uint8
 	// SurgeStart anchors the surge detector's tumbling periods.
 	SurgeStart time.Time
-	// SurgePeriod is the surge baseline period; defaults to 24 h.
+	// SurgePeriod, when positive, is the surge baseline period.
 	SurgePeriod time.Duration
-	// DisableSurge, DisableDistinct, DisableSketch and DisableTopK turn
-	// individual signals off to save their memory.
-	DisableSurge, DisableDistinct, DisableSketch, DisableTopK bool
 }
 
 // Engine aggregates one dimension of an event stream — one key space,
@@ -80,36 +77,21 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Window <= 0 {
 		cfg.Window = time.Hour
 	}
-	if cfg.TopK <= 0 {
-		cfg.TopK = 16
-	}
-	if cfg.SketchWidth <= 0 {
-		cfg.SketchWidth = 2048
-	}
-	if cfg.SketchDepth <= 0 {
-		cfg.SketchDepth = 4
-	}
-	if cfg.DistinctPrecision == 0 {
-		cfg.DistinctPrecision = DefaultDistinctPrecision
-	}
-	if cfg.SurgePeriod <= 0 {
-		cfg.SurgePeriod = 24 * time.Hour
-	}
 	n := shardCount(cfg.Shards, DefaultShards)
 	e := &Engine{cfg: cfg, shards: make([]engineShard, n), mask: uint64(n - 1)}
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.windows = make(map[string]*Window)
-		if !cfg.DisableDistinct {
+		if cfg.DistinctPrecision > 0 {
 			s.distinct = make(map[string]*Distinct)
 		}
-		if !cfg.DisableSketch {
+		if cfg.SketchWidth > 0 {
 			s.sketch = NewCountMin(cfg.SketchWidth, cfg.SketchDepth)
 		}
-		if !cfg.DisableTopK {
+		if cfg.TopK > 0 {
 			s.topk = NewTopK(cfg.TopK)
 		}
-		if !cfg.DisableSurge {
+		if cfg.SurgePeriod > 0 {
 			s.surge = NewSurgeDetector(cfg.SurgeStart, cfg.SurgePeriod)
 		}
 	}

@@ -68,7 +68,7 @@ func (e *Engine) State() *State {
 	rings := windowSlab{width: bucketWidth(e.cfg.Window, DefaultWindowBuckets), buckets: DefaultWindowBuckets}
 	rings.reserve(nWindows)
 	var counters distinctSlab
-	if !e.cfg.DisableDistinct {
+	if e.cfg.DistinctPrecision > 0 {
 		st.precision = e.cfg.DistinctPrecision
 		st.distinct = make(map[string]*Distinct, nDistinct)
 		counters.p = clampPrecision(e.cfg.DistinctPrecision)

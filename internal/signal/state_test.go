@@ -114,10 +114,10 @@ func TestStateMergeRejectsMismatch(t *testing.T) {
 		"precision":  func(c *EngineConfig) { c.DistinctPrecision = 10 },
 		"period":     func(c *EngineConfig) { c.SurgePeriod = time.Minute },
 		"anchor":     func(c *EngineConfig) { c.SurgeStart = t0.Add(time.Second) },
-		"nosketch":   func(c *EngineConfig) { c.DisableSketch = true },
-		"notopk":     func(c *EngineConfig) { c.DisableTopK = true },
-		"nodistinct": func(c *EngineConfig) { c.DisableDistinct = true },
-		"nosurge":    func(c *EngineConfig) { c.DisableSurge = true },
+		"nosketch":   func(c *EngineConfig) { c.SketchWidth = 0 },
+		"notopk":     func(c *EngineConfig) { c.TopK = 0 },
+		"nodistinct": func(c *EngineConfig) { c.DistinctPrecision = 0 },
+		"nosurge":    func(c *EngineConfig) { c.SurgePeriod = 0 },
 	}
 	others := map[string]*State{}
 	for name, mutate := range mutations {

@@ -75,10 +75,13 @@ func TestSurgeDetectorHotAndAdvance(t *testing.T) {
 
 func TestEngineSignalsEndToEnd(t *testing.T) {
 	e := NewEngine(EngineConfig{
-		Window:      time.Hour,
-		SurgeStart:  t0,
-		SurgePeriod: 24 * time.Hour,
-		TopK:        4,
+		Window:            time.Hour,
+		SurgeStart:        t0,
+		SurgePeriod:       24 * time.Hour,
+		TopK:              4,
+		SketchWidth:       2048,
+		SketchDepth:       4,
+		DistinctPrecision: DefaultDistinctPrecision,
 	})
 	day := 24 * time.Hour
 	// Baseline day: modest traffic on two keys.
@@ -121,7 +124,10 @@ func TestEngineSignalsEndToEnd(t *testing.T) {
 }
 
 func TestEngineSweepsIdleState(t *testing.T) {
-	e := NewEngine(EngineConfig{Window: time.Minute, DisableSurge: true})
+	e := NewEngine(EngineConfig{
+		Window: time.Minute, TopK: 16, SketchWidth: 2048, SketchDepth: 4,
+		DistinctPrecision: DefaultDistinctPrecision,
+	})
 	for i := range 5000 {
 		e.ObserveAttr("k"+itoa(i), "attr", t0)
 	}
@@ -138,7 +144,12 @@ func TestEngineSweepsIdleState(t *testing.T) {
 }
 
 func TestEngineConcurrentObserve(t *testing.T) {
-	e := NewEngine(EngineConfig{SurgeStart: t0, SurgePeriod: time.Hour})
+	e := NewEngine(EngineConfig{
+		TopK: 16, SketchWidth: 2048, SketchDepth: 4,
+		DistinctPrecision: DefaultDistinctPrecision,
+		SurgeStart:        t0,
+		SurgePeriod:       time.Hour,
+	})
 	const workers = 8
 	const perWorker = 5000
 	done := make(chan struct{}, workers)
