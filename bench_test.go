@@ -1,6 +1,7 @@
 package funabuse_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -20,187 +21,41 @@ import (
 	"funabuse/internal/workload"
 )
 
-// Paper-artefact benchmarks: each regenerates one table or figure of the
-// evaluation end-to-end. The reported time is the cost of simulating the
-// full scenario (weeks of virtual time) plus the analysis.
-
-// BenchmarkFig1NiPDistribution regenerates Fig. 1 (three weeks of traffic,
-// attack, cap, adaptation).
-func BenchmarkFig1NiPDistribution(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunFig1(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.AttackerFinalNiP != 4 {
-			b.Fatalf("attacker final NiP %d", res.AttackerFinalNiP)
-		}
+// BenchmarkExperiments regenerates each paper artefact end to end through
+// its core.Experiments() row, seeds 1, 2, ...: the reported time is the
+// cost of simulating the full scenario (weeks of virtual time) plus the
+// analysis. Each experiment's Test*Shape asserts its result's shape at
+// seed 1; rowCounts adds the row counts no shape test asserts.
+func BenchmarkExperiments(b *testing.B) {
+	rowCounts := map[string]struct {
+		suffix string
+		n      int
+	}{
+		"caseC":     {"/pump_delivered", 5},
+		"detection": {"/human_fpr", 8},
+		"biometric": {"/reservations", 4},
 	}
-}
-
-// BenchmarkTable1SMSSurge regenerates Table I (two weeks: baseline plus
-// pumping campaign, surge analysis).
-func BenchmarkTable1SMSSurge(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunTable1(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Top10) != 10 {
-			b.Fatal("surge table truncated")
-		}
-	}
-}
-
-// BenchmarkCaseARotationWar regenerates the case A statistics (17 days of
-// traffic with an adaptive defender and rotating attacker).
-func BenchmarkCaseARotationWar(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunCaseA(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Rotations == 0 {
-			b.Fatal("no rotation war")
-		}
-	}
-}
-
-// BenchmarkCaseBNamePatterns regenerates the case B comparison (three days
-// of mixed traffic, name-pattern analysis).
-func BenchmarkCaseBNamePatterns(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunCaseB(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.AutoFlagged || !res.ManualFlagged {
-			b.Fatal("attackers not detected")
-		}
-	}
-}
-
-// BenchmarkCaseCBoardingPass regenerates the case C rate-limit ablation
-// (five postures, two weeks each).
-func BenchmarkCaseCBoardingPass(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunCaseC(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Variants) != 5 {
-			b.Fatal("ablation incomplete")
-		}
-	}
-}
-
-// BenchmarkDetectorComparison regenerates the Section III detector
-// comparison (three days of four-class traffic, eight detector arms).
-func BenchmarkDetectorComparison(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunDetectionComparison(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Scores) != 8 {
-			b.Fatal("detector set incomplete")
-		}
-	}
-}
-
-// BenchmarkHoneypotEconomics regenerates the Section V honeypot comparison
-// (two one-week arms).
-func BenchmarkHoneypotEconomics(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunHoneypot(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Arms) != 2 {
-			b.Fatal("arms incomplete")
-		}
-	}
-}
-
-// BenchmarkEconomicDeterrent regenerates the Section V economic sweeps
-// (seven three-day campaigns).
-func BenchmarkEconomicDeterrent(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunEconomics(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.CaptchaSweep) == 0 {
-			b.Fatal("sweep empty")
-		}
-	}
-}
-
-// BenchmarkBiometricDetection regenerates the Section V future-work
-// experiment (per-reservation behavioural biometrics, four classes).
-func BenchmarkBiometricDetection(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunBiometric(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Scores) != 4 {
-			b.Fatal("classes incomplete")
-		}
-	}
-}
-
-// BenchmarkAblations regenerates the design-choice studies (hold TTL,
-// block-rule granularity, sessionization gap).
-func BenchmarkAblations(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunAblations(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.TTL) == 0 || len(res.Granularity) == 0 || len(res.Gaps) == 0 {
-			b.Fatal("ablation incomplete")
-		}
-	}
-}
-
-// BenchmarkCarrierMitigation regenerates the settlement-chain mitigation
-// study (one campaign settled under three compensation policies).
-func BenchmarkCarrierMitigation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunCarrier(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Arms) != 3 {
-			b.Fatal("arms incomplete")
-		}
-	}
-}
-
-// BenchmarkPriceDistortion regenerates the Section II-A fare-manipulation
-// study (two weeks, hourly fare sampling).
-func BenchmarkPriceDistortion(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; b.Loop(); i++ {
-		res, err := core.RunPricing(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Samples == 0 {
-			b.Fatal("no samples")
-		}
+	for _, e := range core.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				sample, err := e.Run(uint64(i + 1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if want, ok := rowCounts[e.ID]; ok {
+					n := 0
+					for _, m := range sample {
+						if strings.HasSuffix(m.Name, want.suffix) {
+							n++
+						}
+					}
+					if n != want.n {
+						b.Fatalf("%d %s rows, want %d", n, want.suffix, want.n)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -268,12 +123,12 @@ func BenchmarkProxyPoolDraw(b *testing.B) {
 	}
 }
 
-// nopSMS accepts every SMS request, so BenchmarkWorkloadNewUser measures
-// visitor creation and nothing behind it.
-type nopSMS struct{}
+// nopSMS accepts every SMS request and counts the OTP logins, so
+// BenchmarkWorkloadNewUser measures visitor creation and nothing behind it.
+type nopSMS struct{ otps int }
 
-func (nopSMS) RequestOTP(app.ClientContext, geo.MSISDN, string) error       { return nil }
-func (nopSMS) SendBoardingPass(app.ClientContext, string, geo.MSISDN) error { return nil }
+func (s *nopSMS) RequestOTP(app.ClientContext, geo.MSISDN, string) error     { s.otps++; return nil }
+func (*nopSMS) SendBoardingPass(app.ClientContext, string, geo.MSISDN) error { return nil }
 
 // BenchmarkWorkloadNewUser runs one virtual day of OTP logins from a fresh
 // population against a no-op SMS surface: every login is one new visitor
@@ -284,13 +139,14 @@ func BenchmarkWorkloadNewUser(b *testing.B) {
 	for b.Loop() {
 		sched := simclock.NewScheduler(simclock.NewManual(core.SimStart))
 		until := core.SimStart.Add(24 * time.Hour)
+		sms := &nopSMS{}
 		pop := workload.NewPopulation(workload.Config{OTPPerHour: 400, TailMarketShare: 0.03, Until: until},
-			nil, nopSMS{}, nil, sched, simrand.New(1), geo.Default())
+			nil, sms, nil, sched, simrand.New(1), geo.Default())
 		pop.Start()
 		if err := sched.RunUntil(until); err != nil {
 			b.Fatal(err)
 		}
-		users = pop.OTPs()
+		users = sms.otps
 	}
 	b.ReportMetric(float64(users), "users/op")
 }

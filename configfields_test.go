@@ -10,10 +10,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
-	"os"
+	"maps"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -23,8 +22,8 @@ import (
 // non-test code sets but that stay anyway, each with the reason. Keys are
 // "pkg.Type.Field".
 var testOnlyConfigKeep = map[string]string{
-	"cluster.Config.Telemetry": "observability wiring: the cluster tests scrape the fleet's exposition through it, and the planned per-node operator view registers it",
-	"runner.Config.Telemetry":  "observability wiring: the runner tests scrape the replicate metrics through it",
+	"cluster.Config.Telemetry": "observability wiring: TestClusterCollectorFamilies and TestGossipRoundHistogramRegistered scrape the fleet through it",
+	"runner.Config.Telemetry":  "observability wiring: TestRunTelemetry and TestRunTelemetryCountsErrors scrape the replicate metrics through it",
 
 	"cluster.FaultConfig.DupRate":   "fault mode of the fault-injecting transport: the duplicate-storm test and the slot-view model test replay lossy gossip through it",
 	"cluster.FaultConfig.StaleRate": "fault mode of the fault-injecting transport: the slot-view model test replays lagged reads through it",
@@ -60,36 +59,32 @@ func TestNoTestOnlyConfigFields(t *testing.T) {
 	fields := configFields(l.pkgs)
 	set := map[*types.Var]bool{}
 	for _, f := range l.files {
-		walkFieldWrites(f, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) {
-			if !viaParam {
-				set[v] = true
-			}
-		}, nil)
+		walkFieldWrites(f, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) { set[v] = set[v] || !viaParam }, nil)
 	}
-
 	var unset []string
 	for v, key := range fields {
-		if set[v] {
-			if _, ok := testOnlyConfigKeep[key]; ok {
-				t.Errorf("testOnlyConfigKeep names %s, which non-test code now sets", key)
-			}
-			continue
-		}
-		if _, ok := testOnlyConfigKeep[key]; !ok {
+		switch _, keep := testOnlyConfigKeep[key]; {
+		case set[v] && keep:
+			t.Errorf("testOnlyConfigKeep names %s, which non-test code now sets", key)
+		case !set[v] && !keep:
 			unset = append(unset, key+" ("+l.fset.Position(v.Pos()).String()+")")
 		}
 	}
-	sort.Strings(unset)
+	slices.Sort(unset)
 	for _, u := range unset {
 		t.Errorf("config field set only by tests, or by nothing: %s", u)
 	}
-	declared := map[string]bool{}
-	for _, key := range fields {
-		declared[key] = true
-	}
-	for key := range testOnlyConfigKeep {
-		if !declared[key] {
-			t.Errorf("testOnlyConfigKeep names %s, which is no longer a config field", key)
+	staleRows(t, "testOnlyConfigKeep", testOnlyConfigKeep, fields)
+}
+
+func isStruct(t types.Type) bool { _, ok := t.Underlying().(*types.Struct); return ok }
+
+// staleRows reports the rows of keep that name no config field.
+func staleRows(t *testing.T, name string, keep map[string]string, fields map[*types.Var]string) {
+	declared := slices.Collect(maps.Values(fields))
+	for key := range keep {
+		if !slices.Contains(declared, key) {
+			t.Errorf("%s names %s, which is no longer a config field", name, key)
 		}
 	}
 }
@@ -153,19 +148,11 @@ func TestNoSingleValueConfigFields(t *testing.T) {
 			t.Errorf("singleValueKeep names %s, which non-test code sets to more than one value", key)
 		}
 	}
-	sort.Strings(single)
+	slices.Sort(single)
 	for _, s := range single {
 		t.Errorf("config field every caller sets to one constant: %s", s)
 	}
-	declared := map[string]bool{}
-	for _, key := range fields {
-		declared[key] = true
-	}
-	for key := range singleValueKeep {
-		if !declared[key] {
-			t.Errorf("singleValueKeep names %s, which is no longer a config field", key)
-		}
-	}
+	staleRows(t, "singleValueKeep", singleValueKeep, fields)
 }
 
 // TestNoDefaultOnlyConfigs fails when an exported Default* function in
@@ -178,123 +165,96 @@ func TestNoSingleValueConfigFields(t *testing.T) {
 // literal omits while its constructor fills in the callers' constant.
 func TestNoDefaultOnlyConfigs(t *testing.T) {
 	l := loadRepo(t)
-	defaults := map[types.Object]bool{}  // the Default functions
-	structs := map[string][]*types.Var{} // "pkg.DefaultX returns pkg.T" -> its exported fields
-	for _, f := range l.files {
-		if !strings.HasPrefix(filepath.ToSlash(l.fset.Position(f.Pos()).Filename), "internal/") {
+	structs := map[types.Object]*types.Named{} // the Default functions and the struct each returns
+	for path, p := range l.pkgs {
+		if p == nil || !strings.HasPrefix(path, module+"/internal/") {
 			continue
 		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() || !strings.HasPrefix(fd.Name.Name, "Default") {
+		for _, name := range p.Scope().Names() {
+			fn, ok := p.Scope().Lookup(name).(*types.Func)
+			if !ok || !fn.Exported() || !strings.HasPrefix(name, "Default") {
 				continue
 			}
-			fn := l.info.Defs[fd.Name]
-			defaults[fn] = true
-			results := fn.Type().(*types.Signature).Results()
-			for i := range results.Len() {
-				typ := results.At(i).Type()
+			for v := range fn.Type().(*types.Signature).Results().Variables() {
+				typ := v.Type()
 				if p, ok := typ.(*types.Pointer); ok {
 					typ = p.Elem()
 				}
-				named, ok := typ.(*types.Named)
-				if !ok {
-					continue
-				}
-				st, ok := named.Underlying().(*types.Struct)
-				if !ok {
-					continue
-				}
-				key := f.Name.Name + "." + fd.Name.Name + " returns " + named.Obj().Pkg().Name() + "." + named.Obj().Name()
-				for j := range st.NumFields() {
-					if v := st.Field(j); v.Exported() {
-						structs[key] = append(structs[key], v)
-					}
+				if named, ok := typ.(*types.Named); ok && isStruct(named) {
+					structs[fn] = named
 				}
 			}
 		}
 	}
-
 	written := map[*types.Var]bool{}
 	for _, f := range l.files {
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && defaults[l.info.Defs[fd.Name]] {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); !ok || structs[l.info.Defs[fd.Name]] == nil {
+				walkFieldWrites(d, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) { written[v] = written[v] || !viaParam }, nil)
 			}
-			walkFieldWrites(d, l.info, func(v *types.Var, _ ast.Expr, viaParam bool) {
-				if !viaParam {
-					written[v] = true
-				}
-			}, nil)
 		}
 	}
-
 	var flagged []string
-	for key, fields := range structs {
-		if !slices.ContainsFunc(fields, func(v *types.Var) bool { return written[v] }) {
-			flagged = append(flagged, key)
+	for fn, named := range structs {
+		var exported, set bool
+		for v := range named.Underlying().(*types.Struct).Fields() {
+			exported, set = exported || v.Exported(), set || v.Exported() && written[v]
+		}
+		if exported && !set {
+			flagged = append(flagged, fn.Pkg().Name()+"."+fn.Name()+" returns "+named.Obj().Pkg().Name()+"."+named.Obj().Name())
 		}
 	}
-	sort.Strings(flagged)
+	slices.Sort(flagged)
 	for _, k := range flagged {
 		t.Errorf("no caller writes a field of the struct a Default function returns, so its fields are constants: %s", k)
 	}
 }
-
-var (
-	repoOnce sync.Once
-	repo     *configLoader
-	repoErr  error
-)
 
 // loadRepo type-checks the non-test files of every package under
 // internal/, cmd/, examples/ and bench/ once per test binary; the root
 // guards share the result.
 func loadRepo(t *testing.T) *configLoader {
 	t.Helper()
-	repoOnce.Do(func() {
-		// Type-check the standard library's pure-Go variants: they
-		// declare the same API and need no C toolchain.
-		build.Default.CgoEnabled = false
-		fset := token.NewFileSet()
-		l := &configLoader{
-			fset: fset,
-			std:  importer.ForCompiler(fset, "source", nil),
-			pkgs: map[string]*types.Package{},
-			info: &types.Info{
-				Types:      map[ast.Expr]types.TypeAndValue{},
-				Defs:       map[*ast.Ident]types.Object{},
-				Uses:       map[*ast.Ident]types.Object{},
-				Selections: map[*ast.SelectorExpr]*types.Selection{},
-			},
-		}
-		for _, root := range []string{"internal", "cmd", "examples", "bench"} {
-			err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-				if err != nil || !d.IsDir() {
-					return err
-				}
-				if d.Name() == "testdata" || d.Name() == "out" {
-					return filepath.SkipDir
-				}
-				_, err = l.Import(module + "/" + filepath.ToSlash(path))
-				return err
-			})
-			if err != nil {
-				repoErr = err
-				return
-			}
-		}
-		if len(l.errs) > 0 {
-			repoErr = errors.Join(l.errs...)
-			return
-		}
-		repo = l
-	})
-	if repoErr != nil {
-		t.Fatal(repoErr)
+	l, err := repoOnce()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return repo
+	return l
 }
+
+var repoOnce = sync.OnceValues(func() (*configLoader, error) {
+	// Type-check the standard library's pure-Go variants: they declare the
+	// same API and need no C toolchain.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	l := &configLoader{
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		},
+	}
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" || d.Name() == "out" {
+				return filepath.SkipDir
+			}
+			_, err = l.Import(module + "/" + filepath.ToSlash(path))
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return l, errors.Join(l.errs...)
+})
 
 // configLoader type-checks the non-test files of this repository's
 // packages from source, sharing one types.Info across all of them, and
@@ -321,20 +281,13 @@ func (l *configLoader) Import(path string) (*types.Package, error) {
 	if dir == "" {
 		dir = "."
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
+	names, _ := filepath.Glob(filepath.Join(dir, "*.go"))
 	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+	for _, name := range names {
+		if ok, err := build.Default.MatchFile(dir, filepath.Base(name)); err != nil || !ok || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
@@ -357,22 +310,8 @@ func configFields(pkgs map[string]*types.Package) map[*types.Var]string {
 	out := map[*types.Var]string{}
 	var visit func(t types.Type)
 	visit = func(t types.Type) {
-		for {
-			switch x := t.(type) {
-			case *types.Pointer:
-				t = x.Elem()
-				continue
-			case *types.Slice:
-				t = x.Elem()
-				continue
-			case *types.Array:
-				t = x.Elem()
-				continue
-			case *types.Map:
-				t = x.Elem()
-				continue
-			}
-			break
+		for e, ok := t.(interface{ Elem() types.Type }); ok; e, ok = t.(interface{ Elem() types.Type }) {
+			t = e.Elem() // through pointers, slices, arrays and maps
 		}
 		named, ok := t.(*types.Named)
 		if !ok || named.Obj().Pkg() == nil || !strings.HasPrefix(named.Obj().Pkg().Path(), module+"/internal/") {
@@ -428,22 +367,19 @@ func walkFieldWrites(n ast.Node, info *types.Info, write func(v *types.Var, val 
 			return
 		}
 		base := sel.X
-		for {
+		for done := false; !done; {
 			switch x := base.(type) {
 			case *ast.SelectorExpr:
 				base = x.X
-				continue
 			case *ast.ParenExpr:
 				base = x.X
-				continue
 			case *ast.StarExpr:
 				base = x.X
-				continue
 			case *ast.IndexExpr:
 				base = x.X
-				continue
+			default:
+				done = true
 			}
-			break
 		}
 		id, ok := base.(*ast.Ident)
 		write(s.Obj().(*types.Var), val, ok && params[info.Uses[id]])
@@ -452,16 +388,10 @@ func walkFieldWrites(n ast.Node, info *types.Info, write func(v *types.Var, val 
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch x := n.(type) {
 			case *ast.FuncDecl:
-				inner := map[types.Object]bool{}
-				for _, list := range []*ast.FieldList{x.Recv, x.Type.Params} {
-					if list == nil {
-						continue
-					}
-					for _, field := range list.List {
-						for _, name := range field.Names {
-							inner[info.Defs[name]] = true
-						}
-					}
+				sig := info.Defs[x.Name].Type().(*types.Signature)
+				inner := map[types.Object]bool{sig.Recv(): true} // a nil receiver matches no use
+				for v := range sig.Params().Variables() {
+					inner[v] = true
 				}
 				if x.Body != nil {
 					walk(x.Body, inner)
@@ -482,23 +412,16 @@ func walkFieldWrites(n ast.Node, info *types.Info, write func(v *types.Var, val 
 					target(x.X, nil, params)
 				}
 			case *ast.CompositeLit:
-				tv, ok := info.Types[x]
-				if !ok {
-					return true
-				}
-				st, ok := tv.Type.Underlying().(*types.Struct)
+				st, ok := info.TypeOf(x).Underlying().(*types.Struct)
 				if !ok {
 					return true
 				}
 				named := map[*types.Var]bool{}
 				for i, el := range x.Elts {
-					if kv, ok := el.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							if v, ok := info.Uses[id].(*types.Var); ok {
-								named[v] = true
-								write(v, kv.Value, false)
-							}
-						}
+					if kv, ok := el.(*ast.KeyValueExpr); ok { // a struct literal's keys are its fields
+						v := info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+						named[v] = true
+						write(v, kv.Value, false)
 					} else if i < st.NumFields() {
 						named[st.Field(i)] = true
 						write(st.Field(i), el, false)

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"funabuse/internal/keytab"
-	"funabuse/internal/obs"
 )
 
 // Tier is a loyalty tier. Tiers only rise: age and accrued bookings are
@@ -354,34 +353,3 @@ func (s *Store) TierCount(t Tier) int {
 func (s *Store) Created() uint64    { return s.created.Load() }
 func (s *Store) Evicted() uint64    { return s.evicted.Load() }
 func (s *Store) Promotions() uint64 { return s.promotions.Load() }
-
-// Account-store metric names.
-const (
-	MetricAccounts   = "account_accounts"
-	MetricCreated    = "account_created_total"
-	MetricEvicted    = "account_evicted_total"
-	MetricPromotions = "account_promotions_total"
-)
-
-// Collector exposes the store's state as the obs snapshot contract:
-// per-tier account gauges plus the created/evicted/promotion counters.
-func (s *Store) Collector() obs.Collector {
-	return obs.CollectorFunc(func(dst []obs.Sample) []obs.Sample {
-		s.mu.RLock()
-		var byTier [NumTiers]int
-		copy(byTier[:], s.byTier[:])
-		s.mu.RUnlock()
-		for t := Guest; t < NumTiers; t++ {
-			dst = append(dst, obs.Sample{
-				Name:   MetricAccounts,
-				Labels: []obs.Label{{Name: "tier", Value: t.String()}},
-				Value:  float64(byTier[t]),
-			})
-		}
-		return append(dst,
-			obs.Sample{Name: MetricCreated, Value: float64(s.created.Load())},
-			obs.Sample{Name: MetricEvicted, Value: float64(s.evicted.Load())},
-			obs.Sample{Name: MetricPromotions, Value: float64(s.promotions.Load())},
-		)
-	})
-}

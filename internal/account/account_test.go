@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"funabuse/internal/obs"
 )
 
 var t0 = time.Date(2023, time.March, 1, 0, 0, 0, 0, time.UTC)
@@ -186,27 +184,5 @@ func TestConcurrentObserveAndTierOf(t *testing.T) {
 	wg.Wait()
 	if s.Len() > 64 {
 		t.Fatalf("budget exceeded: %d accounts", s.Len())
-	}
-}
-
-func TestCollectorShape(t *testing.T) {
-	s := NewStore(Config{})
-	s.Register("vip", t0.Add(-400*24*time.Hour), 30, t0)
-	s.Observe("g", t0, false, false)
-	reg := obs.NewRegistry()
-	reg.Register(s.Collector())
-	got := map[string]float64{}
-	for _, smp := range reg.Gather() {
-		key := smp.Name
-		for _, l := range smp.Labels {
-			key += "{" + l.Name + "=" + l.Value + "}"
-		}
-		got[key] = smp.Value
-	}
-	if got[MetricAccounts+"{tier=gold}"] != 1 || got[MetricAccounts+"{tier=guest}"] != 1 {
-		t.Fatalf("tier gauges %v", got)
-	}
-	if got[MetricCreated] != 2 {
-		t.Fatalf("created %v", got[MetricCreated])
 	}
 }

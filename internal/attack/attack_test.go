@@ -65,7 +65,6 @@ func (f *fakeAPI) RequestHold(ctx app.ClientContext, req booking.HoldRequest) (*
 		ID:        booking.HoldID(f.id),
 		Flight:    req.Flight,
 		NiP:       len(req.Passengers),
-		CreatedAt: f.clock.Now(),
 		ExpiresAt: f.clock.Now().Add(30 * time.Minute),
 	}, nil
 }
@@ -154,9 +153,10 @@ func TestSeatSpinnerParallelStreams(t *testing.T) {
 
 func TestSeatSpinnerAdaptsToCap(t *testing.T) {
 	_, sched, api, rng, svc := harness()
-	cap := 4
+	cap, rejects := 4, 0
 	api.fail = func(_ app.ClientContext, nip int) error {
 		if nip > cap {
+			rejects++
 			return booking.ErrNiPCapExceeded
 		}
 		return nil
@@ -173,8 +173,8 @@ func TestSeatSpinnerAdaptsToCap(t *testing.T) {
 	if s.CurrentNiP() != cap {
 		t.Fatalf("CurrentNiP = %d, want %d", s.CurrentNiP(), cap)
 	}
-	if s.Stats().CapRejects != 2 { // probes 6 -> 5 -> 4
-		t.Fatalf("CapRejects = %d, want 2", s.Stats().CapRejects)
+	if rejects != 2 { // probes 6 -> 5 -> 4
+		t.Fatalf("%d cap rejects, want 2", rejects)
 	}
 	if api.holds == 0 {
 		t.Fatal("no holds after adaptation")

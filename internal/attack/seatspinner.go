@@ -39,15 +39,10 @@ func (r Rotation) Interval() time.Duration { return r.ResumedAt.Sub(r.BlockedAt)
 
 // SpinnerStats aggregates a seat spinner's activity.
 type SpinnerStats struct {
-	Attempts     int
-	Holds        int
-	CapRejects   int
-	StockRejects int
-	Blocked      int
-	RateLimited  int
-	Rotations    []Rotation
-	// SeatsHeldTotal sums NiP over successful holds.
-	SeatsHeldTotal int
+	Attempts  int
+	Holds     int
+	Blocked   int
+	Rotations []Rotation
 }
 
 // MeanRotationInterval returns the average block→resume delay.
@@ -183,7 +178,7 @@ func (s *SeatSpinner) attempt(now time.Time, gen int) {
 	}
 	ctx := s.clientContext()
 	s.stats.Attempts++
-	hold, err := s.api.RequestHold(ctx, booking.HoldRequest{
+	_, err := s.api.RequestHold(ctx, booking.HoldRequest{
 		Flight:     s.cfg.Flight,
 		Passengers: s.pool.OverlappingParty(s.nip),
 		ActorID:    ctx.ClientKey,
@@ -191,13 +186,11 @@ func (s *SeatSpinner) attempt(now time.Time, gen int) {
 	switch {
 	case err == nil:
 		s.stats.Holds++
-		s.stats.SeatsHeldTotal += hold.NiP
 		// Re-hold the moment the current hold expires (small jitter).
 		jitter := time.Duration(s.rng.Intn(30)) * time.Second
 		reattempt(now.Add(s.cfg.ReholdInterval + jitter))
 
 	case errors.Is(err, booking.ErrNiPCapExceeded):
-		s.stats.CapRejects++
 		// Probe downward until the new cap admits us — the Fig. 1 shift
 		// from NiP 6 to the capped 4.
 		if s.nip > 1 {
@@ -206,7 +199,6 @@ func (s *SeatSpinner) attempt(now time.Time, gen int) {
 		reattempt(now.Add(time.Duration(10+s.rng.Intn(50)) * time.Second))
 
 	case errors.Is(err, booking.ErrInsufficientStock):
-		s.stats.StockRejects++
 		// Flight is (momentarily) full; retry when holds start expiring.
 		reattempt(now.Add(s.cfg.ReholdInterval / 2))
 
@@ -219,7 +211,6 @@ func (s *SeatSpinner) attempt(now time.Time, gen int) {
 		reattempt(now.Add(time.Duration(20+s.rng.Intn(40)) * time.Second))
 
 	case errors.Is(err, app.ErrRateLimited):
-		s.stats.RateLimited++
 		reattempt(now.Add(10 * time.Minute))
 
 	case errors.Is(err, booking.ErrFlightDeparted):

@@ -39,17 +39,14 @@ type Trace struct {
 
 // Features is the numeric summary the detector scores.
 type Features struct {
-	MeanKeyIntervalMs float64
 	// KeyIntervalCV is the coefficient of variation of inter-key delays —
 	// the single strongest human/bot separator: human typing is noisy,
 	// scripted delays are uniform, programmatic fills have no keystrokes
 	// at all.
-	KeyIntervalCV   float64
-	BackspaceRate   float64
-	DwellVarianceMs float64
-	PointerCurve    float64
-	FillTimeMs      float64
-	Keystrokes      int
+	KeyIntervalCV float64
+	PointerCurve  float64
+	FillTimeMs    float64
+	Keystrokes    int
 }
 
 // Extract summarises a trace.
@@ -70,24 +67,9 @@ func Extract(tr Trace) Features {
 			sq += d * d
 		}
 		std := math.Sqrt(sq / float64(n))
-		f.MeanKeyIntervalMs = mean
 		if mean > 0 {
 			f.KeyIntervalCV = std / mean
 		}
-		f.BackspaceRate = float64(tr.Backspaces) / float64(n+1)
-	}
-	if n := len(tr.FieldDwellMs); n > 1 {
-		var sum float64
-		for _, v := range tr.FieldDwellMs {
-			sum += v
-		}
-		mean := sum / float64(n)
-		var sq float64
-		for _, v := range tr.FieldDwellMs {
-			d := v - mean
-			sq += d * d
-		}
-		f.DwellVarianceMs = sq / float64(n)
 	}
 	return f
 }

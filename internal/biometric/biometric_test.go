@@ -108,23 +108,14 @@ func TestExtractFeatures(t *testing.T) {
 	if f.Keystrokes != 5 {
 		t.Fatalf("Keystrokes = %d", f.Keystrokes)
 	}
-	if f.MeanKeyIntervalMs != 150 {
-		t.Fatalf("MeanKeyIntervalMs = %v", f.MeanKeyIntervalMs)
-	}
 	if f.KeyIntervalCV <= 0.3 || f.KeyIntervalCV >= 0.4 {
 		t.Fatalf("KeyIntervalCV = %v, want 50/150", f.KeyIntervalCV)
-	}
-	if f.BackspaceRate != 0.2 {
-		t.Fatalf("BackspaceRate = %v", f.BackspaceRate)
-	}
-	if f.DwellVarianceMs != 1000*1000 {
-		t.Fatalf("DwellVarianceMs = %v", f.DwellVarianceMs)
 	}
 }
 
 func TestExtractEmptyTrace(t *testing.T) {
 	f := Extract(Trace{})
-	if f.Keystrokes != 1 || f.KeyIntervalCV != 0 || f.MeanKeyIntervalMs != 0 {
+	if f.Keystrokes != 1 || f.KeyIntervalCV != 0 {
 		t.Fatalf("empty trace features %+v", f)
 	}
 }

@@ -40,7 +40,6 @@ type FlightID string
 // Flight is one departure with finite seat stock.
 type Flight struct {
 	ID        FlightID
-	Airline   string
 	Capacity  int
 	Departure time.Time
 }
@@ -80,14 +79,10 @@ func (o Outcome) String() string {
 
 // Hold is a live temporary reservation.
 type Hold struct {
-	ID         HoldID
-	Flight     FlightID
-	NiP        int
-	Passengers []names.Identity
-	CreatedAt  time.Time
-	ExpiresAt  time.Time
-	// ActorID tags the originating simulated actor for evaluation.
-	ActorID string
+	ID        HoldID
+	Flight    FlightID
+	NiP       int
+	ExpiresAt time.Time
 }
 
 // Record is one journalled hold attempt. Accepted records carry the
@@ -107,9 +102,6 @@ type Record struct {
 // the boarding-pass (and thus SMS pumping) flow operates on.
 type Ticket struct {
 	RecordLocator string
-	Flight        FlightID
-	Passengers    []names.Identity
-	IssuedAt      time.Time
 }
 
 // Config parameterises the reservation system.
@@ -226,13 +218,10 @@ func (s *System) RequestHold(req HoldRequest) (*Hold, error) {
 	s.nextID++
 	passengers := append([]names.Identity(nil), req.Passengers...)
 	h := &Hold{
-		ID:         s.nextID,
-		Flight:     req.Flight,
-		NiP:        nip,
-		Passengers: passengers,
-		CreatedAt:  now,
-		ExpiresAt:  now.Add(s.cfg.HoldTTL),
-		ActorID:    req.ActorID,
+		ID:        s.nextID,
+		Flight:    req.Flight,
+		NiP:       nip,
+		ExpiresAt: now.Add(s.cfg.HoldTTL),
 	}
 	fs.held += nip
 	s.holds[h.ID] = h
@@ -253,12 +242,7 @@ func (s *System) Confirm(id HoldID) (Ticket, error) {
 	fs.sold += h.NiP
 	delete(s.holds, id)
 
-	t := Ticket{
-		RecordLocator: s.newRecordLocator(),
-		Flight:        h.Flight,
-		Passengers:    h.Passengers,
-		IssuedAt:      now,
-	}
+	t := Ticket{RecordLocator: s.newRecordLocator()}
 	s.tickets[t.RecordLocator] = t
 	return t, nil
 }
@@ -281,20 +265,6 @@ func (s *System) ExpireDue(now time.Time) int {
 	}
 	return len(due)
 }
-
-// HoldInfo returns a copy of a live hold.
-func (s *System) HoldInfo(id HoldID) (Hold, bool) {
-	h, ok := s.holds[id]
-	if !ok {
-		return Hold{}, false
-	}
-	cp := *h
-	cp.Passengers = append([]names.Identity(nil), h.Passengers...)
-	return cp, true
-}
-
-// LiveHolds returns the number of live holds.
-func (s *System) LiveHolds() int { return len(s.holds) }
 
 // Availability describes a flight's current inventory split.
 type Availability struct {

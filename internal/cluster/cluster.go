@@ -662,7 +662,6 @@ type Fleet struct {
 	URL string
 
 	srv *http.Server
-	ln  net.Listener
 }
 
 // Start assembles the cluster and serves its front on an ephemeral
@@ -679,7 +678,6 @@ func Start(cfg Config) (*Fleet, error) {
 		Cluster: c,
 		URL:     "http://" + ln.Addr().String(),
 		srv:     srv,
-		ln:      ln,
 	}, nil
 }
 

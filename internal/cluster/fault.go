@@ -100,8 +100,6 @@ type FaultStats struct {
 	Delays uint64
 	// Dups counts fetches re-served their previous snapshot.
 	Dups uint64
-	// Stales counts fetches served the oldest retained snapshot.
-	Stales uint64
 }
 
 // timedSnap is one publish-history entry.
@@ -134,7 +132,6 @@ type FaultTransport struct {
 	dropped atomic.Uint64
 	delayed atomic.Uint64
 	duped   atomic.Uint64
-	staled  atomic.Uint64
 }
 
 // NewFaultTransport wraps inner with the fault plan.
@@ -211,7 +208,6 @@ func (t *FaultTransport) FetchFrom(from, to int) (Snapshot, error) {
 			return snap, nil
 		}
 	case stale:
-		t.staled.Add(1)
 		return t.serveHistory(from, to, func(h []timedSnap) (timedSnap, bool) {
 			return h[0], true
 		})
@@ -272,7 +268,6 @@ func (t *FaultTransport) Stats() FaultStats {
 		Drops:   t.dropped.Load(),
 		Delays:  t.delayed.Load(),
 		Dups:    t.duped.Load(),
-		Stales:  t.staled.Load(),
 	}
 }
 

@@ -92,8 +92,6 @@ type HoldAudit struct {
 	ClientKey string
 	FPHash    uint64
 	IP        proxy.IP
-	Flight    booking.FlightID
-	NiP       int
 	Accepted  bool
 }
 
@@ -314,8 +312,6 @@ func (a *Application) RequestHold(ctx app.ClientContext, req booking.HoldRequest
 		ClientKey: ctx.ClientKey,
 		FPHash:    fp,
 		IP:        ctx.IP,
-		Flight:    req.Flight,
-		NiP:       len(req.Passengers),
 		Accepted:  err == nil,
 	})
 	if err != nil {

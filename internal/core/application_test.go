@@ -225,7 +225,7 @@ func TestAuditTrailRecordsHolds(t *testing.T) {
 	if len(audit) != 2 {
 		t.Fatalf("audit has %d entries", len(audit))
 	}
-	if !audit[0].Accepted || audit[0].NiP != 3 || audit[0].ClientKey != "u1" {
+	if !audit[0].Accepted || audit[0].ClientKey != "u1" {
 		t.Fatalf("audit[0] = %+v", audit[0])
 	}
 	if audit[1].Accepted {

@@ -24,8 +24,6 @@ var SimStart = time.Date(2022, time.May, 2, 0, 0, 0, 0, time.UTC)
 
 // Env bundles one scenario's substrates, defended application and drivers.
 type Env struct {
-	Seed     uint64
-	Clock    *simclock.Manual
 	Sched    *simclock.Scheduler
 	RNG      *simrand.RNG
 	Registry *geo.Registry
@@ -81,7 +79,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	for i := range cfg.FleetSize {
 		flights = append(flights, booking.Flight{
 			ID:        booking.FlightID("FL" + strconv.Itoa(100+i)),
-			Airline:   "A",
 			Capacity:  fleetCap,
 			Departure: SimStart.Add(fleetHorizon),
 		})
@@ -93,7 +90,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	if cfg.TargetID != "" {
 		flights = append(flights, booking.Flight{
 			ID:        cfg.TargetID,
-			Airline:   "A",
 			Capacity:  targetCap,
 			Departure: targetDep,
 		})
@@ -110,8 +106,6 @@ func NewEnv(cfg EnvConfig) *Env {
 	gateway := sms.NewGateway(clock, registry, gwOpts...)
 
 	return &Env{
-		Seed:     cfg.Seed,
-		Clock:    clock,
 		Sched:    sched,
 		RNG:      rng,
 		Registry: registry,

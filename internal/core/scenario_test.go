@@ -45,7 +45,7 @@ func TestEnvRunAdvancesClock(t *testing.T) {
 	if err := env.Run(48 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if got := env.Clock.Now(); !got.Equal(SimStart.Add(48 * time.Hour)) {
+	if got := env.Sched.Now(); !got.Equal(SimStart.Add(48 * time.Hour)) {
 		t.Fatalf("clock at %v", got)
 	}
 }

@@ -81,7 +81,7 @@ func (a *AccountArm) Judge(s *weblog.Session) Verdict {
 		return Verdict{}
 	}
 	if snap.Age() < accountMinAge && snap.Requests >= accountMinRequests {
-		return Verdict{Flagged: true, Score: 0.8, Reason: "account:thin-history-high-velocity"}
+		return Verdict{Flagged: true, Reason: "account:thin-history-high-velocity"}
 	}
 	return Verdict{}
 }

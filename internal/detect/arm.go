@@ -109,7 +109,7 @@ func (a FingerprintArm) Judge(s *weblog.Session) Verdict {
 			continue
 		}
 		if inc := fingerprint.Validate(f); len(inc) > 0 {
-			return Verdict{Flagged: true, Score: 0.8, Reason: "fp-inconsistent:" + inc[0].Check}
+			return Verdict{Flagged: true, Reason: "fp-inconsistent:" + inc[0].Check}
 		}
 	}
 	return Verdict{}
@@ -131,7 +131,7 @@ func (a StreamArm) ObserveRequest(r weblog.Request) { a.Monitor.Observe(r) }
 func (a StreamArm) Judge(s *weblog.Session) Verdict {
 	for _, r := range s.Requests {
 		if a.Monitor.Flagged(IdentityKey(r)) {
-			return Verdict{Flagged: true, Score: 0.8, Reason: "stream:" + a.Monitor.FlaggedSignal(IdentityKey(r))}
+			return Verdict{Flagged: true, Reason: "stream:" + a.Monitor.FlaggedSignal(IdentityKey(r))}
 		}
 	}
 	return Verdict{}

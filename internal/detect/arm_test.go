@@ -100,8 +100,8 @@ func TestFingerprintArm(t *testing.T) {
 func TestAnyArmFirstFlagWins(t *testing.T) {
 	a := AnyArm{ArmName: "combo", Members: []Arm{
 		&stubArm{name: "cold"},
-		&stubArm{name: "hot", verdict: Verdict{Flagged: true, Score: 0.9, Reason: "hot"}},
-		&stubArm{name: "hotter", verdict: Verdict{Flagged: true, Score: 1, Reason: "hotter"}},
+		&stubArm{name: "hot", verdict: Verdict{Flagged: true, Reason: "hot"}},
+		&stubArm{name: "hotter", verdict: Verdict{Flagged: true, Reason: "hotter"}},
 	}}
 	if a.Name() != "combo" {
 		t.Fatalf("name = %q", a.Name())

@@ -104,7 +104,7 @@ func (m *NaiveBayes) Prob(x []float64) float64 {
 // Judge classifies with a 0.5 threshold.
 func (m *NaiveBayes) Judge(x []float64) Verdict {
 	p := m.Prob(x)
-	return Verdict{Flagged: p >= 0.5, Score: p, Reason: "naive-bayes"}
+	return Verdict{Flagged: p >= 0.5, Reason: "naive-bayes"}
 }
 
 func logGauss(v, mean, variance float64) float64 {

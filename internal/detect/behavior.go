@@ -34,17 +34,17 @@ const (
 func (VolumeRules) Judge(f weblog.Features) Verdict {
 	switch {
 	case f.TrapHit:
-		return Verdict{Flagged: true, Score: 1, Reason: "trap-file"}
+		return Verdict{Flagged: true, Reason: "trap-file"}
 	case f.RequestCount > volumeMaxRequests:
-		return Verdict{Flagged: true, Score: 0.9, Reason: "request-count"}
+		return Verdict{Flagged: true, Reason: "request-count"}
 	case f.ReqPerMinute > volumeMaxReqPerMinute && f.RequestCount >= 10:
-		return Verdict{Flagged: true, Score: 0.8, Reason: "request-rate"}
+		return Verdict{Flagged: true, Reason: "request-rate"}
 	case f.UniquePaths > volumeMaxUniquePaths:
-		return Verdict{Flagged: true, Score: 0.7, Reason: "crawl-breadth"}
+		return Verdict{Flagged: true, Reason: "crawl-breadth"}
 	case f.SearchShare > volumeMaxSearchShare && f.RequestCount >= 20:
-		return Verdict{Flagged: true, Score: 0.6, Reason: "search-hammering"}
+		return Verdict{Flagged: true, Reason: "search-hammering"}
 	case f.RequestCount >= 20 && f.MeanGapSec > 0 && f.StdGapSec < volumeMinGapStd:
-		return Verdict{Flagged: true, Score: 0.6, Reason: "robotic-timing"}
+		return Verdict{Flagged: true, Reason: "robotic-timing"}
 	default:
 		return Verdict{}
 	}

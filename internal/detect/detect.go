@@ -19,8 +19,6 @@ package detect
 // reservation, request).
 type Verdict struct {
 	Flagged bool
-	// Score is the detector's confidence in [0,1] where defined.
-	Score float64
 	// Reason names the rule or signal that fired.
 	Reason string
 }

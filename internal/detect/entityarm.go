@@ -54,7 +54,7 @@ func (a *EntityGraphArm) Judge(s *weblog.Session) Verdict {
 	keys := SessionEntityKeys(s, nil)
 	for _, k := range keys {
 		if a.Graph.Flagged(k) {
-			return Verdict{Flagged: true, Score: 0.7, Reason: "entity-component"}
+			return Verdict{Flagged: true, Reason: "entity-component"}
 		}
 	}
 	return Verdict{}

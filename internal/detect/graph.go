@@ -36,7 +36,7 @@ func (GraphRules) Judge(f weblog.GraphFeatures) Verdict {
 		return Verdict{}
 	}
 	if f.TransitionEntropy <= graphMaxEntropy && f.DominantEdgeShare >= graphMinDominantShare {
-		return Verdict{Flagged: true, Score: 0.7, Reason: "degenerate-navigation"}
+		return Verdict{Flagged: true, Reason: "degenerate-navigation"}
 	}
 	return Verdict{}
 }

@@ -86,7 +86,7 @@ func (m *LogReg) Prob(x []float64) float64 {
 // Judge classifies with a 0.5 threshold.
 func (m *LogReg) Judge(x []float64) Verdict {
 	p := m.Prob(x)
-	return Verdict{Flagged: p >= 0.5, Score: p, Reason: "logreg"}
+	return Verdict{Flagged: p >= 0.5, Reason: "logreg"}
 }
 
 func sigmoid(z float64) float64 {

@@ -32,9 +32,6 @@ func NewNiPDrift(baselineRecords []booking.Record, maxBucket int) *NiPDrift {
 
 // DriftReport summarises one window against the baseline.
 type DriftReport struct {
-	// ChiSquare is Pearson's statistic over the bucket shares scaled by the
-	// window volume.
-	ChiSquare float64
 	// PSI is the population stability index, the drift measure fraud teams
 	// use operationally (>0.25 is conventionally "major shift").
 	PSI float64
@@ -43,8 +40,6 @@ type DriftReport struct {
 	TopBucket int
 	// TopBucketDelta is that bucket's share increase over baseline.
 	TopBucketDelta float64
-	// Shares is the window's observed distribution.
-	Shares []float64
 }
 
 // Anomalous applies the conventional PSI threshold.
@@ -54,19 +49,14 @@ func (r DriftReport) Anomalous() bool { return r.PSI > 0.25 }
 func (d *NiPDrift) Compare(window []booking.Record) DriftReport {
 	hist := booking.NiPHistogram(window, d.MaxBucket)
 	shares := booking.NiPShares(hist, d.MaxBucket)
-	total := 0
-	for _, n := range hist {
-		total += n
-	}
 
 	const eps = 1e-4
-	rep := DriftReport{Shares: shares}
+	var rep DriftReport
 	for i := range shares {
 		expected := d.baseline[i]
 		observed := shares[i]
 		e := math.Max(expected, eps)
 		o := math.Max(observed, eps)
-		rep.ChiSquare += float64(total) * (observed - expected) * (observed - expected) / e
 		rep.PSI += (o - e) * math.Log(o/e)
 		if delta := observed - expected; delta > rep.TopBucketDelta {
 			rep.TopBucketDelta = delta

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"funabuse/internal/obs"
 	"funabuse/internal/signal"
 	"funabuse/internal/weblog"
 )
@@ -144,44 +143,4 @@ func (m *StreamMonitor) FlaggedKeys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Observed returns how many requests the monitor consumed.
-func (m *StreamMonitor) Observed() uint64 { return m.engine.Observed() }
-
-// StreamStats is the monitor's observability snapshot on the obs
-// contract.
-type StreamStats struct {
-	// Observed is how many requests the monitor consumed.
-	Observed uint64
-	// Flagged is how many identities have crossed a threshold.
-	Flagged int
-	// TrackedKeys is the engine's live per-identity state count.
-	TrackedKeys int
-}
-
-// Stats snapshots the monitor's counters.
-func (m *StreamMonitor) Stats() StreamStats {
-	m.mu.Lock()
-	flagged := len(m.flagged)
-	m.mu.Unlock()
-	return StreamStats{
-		Observed:    m.Observed(),
-		Flagged:     flagged,
-		TrackedKeys: m.engine.TrackedKeys(),
-	}
-}
-
-// Collector exposes the monitor on the obs snapshot contract. This
-// supersedes polling Observed and counting FlaggedKeys by hand; those
-// accessors remain as thin adapters.
-func (m *StreamMonitor) Collector() obs.Collector {
-	return obs.CollectorFunc(func(dst []obs.Sample) []obs.Sample {
-		st := m.Stats()
-		return append(dst,
-			obs.Sample{Name: "stream_observed_total", Value: float64(st.Observed)},
-			obs.Sample{Name: "stream_flagged_identities", Value: float64(st.Flagged)},
-			obs.Sample{Name: "stream_tracked_keys", Value: float64(st.TrackedKeys)},
-		)
-	})
 }

@@ -171,42 +171,12 @@ func TestStreamMonitorConcurrentObserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if m.Observed() != 8*3000 {
-		t.Fatalf("observed %d", m.Observed())
+	if m.engine.Observed() != 8*3000 {
+		t.Fatalf("observed %d", m.engine.Observed())
 	}
 	// Every worker's identity rotated across 200 exits and exceeded the
 	// rate threshold; all eight must be flagged exactly once.
 	if got := len(m.FlaggedKeys()); got != 8 {
 		t.Fatalf("%d identities flagged, want 8", got)
-	}
-}
-
-func TestStreamMonitorStatsAndCollector(t *testing.T) {
-	m := NewStreamMonitor(StreamConfig{
-		RateThreshold: 2,
-	})
-	// Two identities cross the rate threshold.
-	for i := range 3 {
-		m.Observe(streamReq(st0.Add(time.Duration(i)*time.Second), "1.1.1.1", 0xa, "c1"))
-	}
-	for i := range 3 {
-		m.Observe(streamReq(st0.Add(time.Duration(i)*time.Second), "2.2.2.2", 0xb, "c2"))
-	}
-
-	st := m.Stats()
-	if st.Observed != 6 || st.Flagged != 2 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	if st.TrackedKeys != 2 {
-		t.Fatalf("TrackedKeys = %d, want 2", st.TrackedKeys)
-	}
-
-	byName := map[string]float64{}
-	for _, s := range m.Collector().Collect(nil) {
-		byName[s.Name] = s.Value
-	}
-	if byName["stream_flagged_identities"] != 2 ||
-		byName["stream_observed_total"] != 6 {
-		t.Fatalf("collector samples = %v", byName)
 	}
 }

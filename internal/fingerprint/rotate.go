@@ -132,8 +132,6 @@ func (ro *Rotator) Rotate() Fingerprint {
 type Inconsistency struct {
 	// Check is a short machine-readable name.
 	Check string
-	// Detail is a human-readable explanation.
-	Detail string
 }
 
 // Validate runs the consistency checks (in the spirit of FP-inconsistent)
@@ -141,43 +139,43 @@ type Inconsistency struct {
 // none.
 func Validate(f Fingerprint) []Inconsistency {
 	var out []Inconsistency
-	add := func(check, detail string) {
-		out = append(out, Inconsistency{Check: check, Detail: detail})
+	add := func(check string) {
+		out = append(out, Inconsistency{Check: check})
 	}
 
 	if f.Webdriver {
-		add("webdriver", "navigator.webdriver artifact present")
+		add("webdriver")
 	}
 	mobile := f.OS == OSAndroid || f.OS == OSIOS
 	if mobile && f.TouchPoints == 0 {
-		add("touch-mobile", "mobile OS with zero touch points")
+		add("touch-mobile")
 	}
 	if !mobile && f.TouchPoints > 0 {
-		add("touch-desktop", "desktop OS reporting touch points")
+		add("touch-desktop")
 	}
 	if mobile && f.ScreenW > 1000 {
-		add("screen-mobile", "mobile OS with desktop-class screen width")
+		add("screen-mobile")
 	}
 	if !mobile && f.ScreenW < 1000 {
-		add("screen-desktop", "desktop OS with mobile-class screen width")
+		add("screen-desktop")
 	}
 	if f.Browser == BrowserSafari && (f.OS == OSWindows || f.OS == OSLinux || f.OS == OSAndroid) {
-		add("safari-os", "Safari reported on a non-Apple OS")
+		add("safari-os")
 	}
 	if f.Browser == BrowserEdge && (f.OS == OSLinux || f.OS == OSAndroid || f.OS == OSIOS) {
-		add("edge-os", "Edge reported on an unsupported OS")
+		add("edge-os")
 	}
 	if f.Browser == BrowserSafari && f.PluginCount > 0 {
-		add("safari-plugins", "Safari reporting plugins")
+		add("safari-plugins")
 	}
 	if f.CanvasHash != RenderHash(f, "canvas") {
-		add("canvas-render", "canvas hash does not match reported stack")
+		add("canvas-render")
 	}
 	if f.WebGLHash != RenderHash(f, "webgl") {
-		add("webgl-render", "WebGL hash does not match reported stack")
+		add("webgl-render")
 	}
 	if f.FontCount < 10 && !mobile {
-		add("font-surface", "desktop browser with headless-sized font set")
+		add("font-surface")
 	}
 	return out
 }

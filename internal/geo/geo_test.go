@@ -187,15 +187,6 @@ func TestValidateMSISDN(t *testing.T) {
 	}
 }
 
-func TestRegionString(t *testing.T) {
-	if RegionCentralAsia.String() != "Central Asia" {
-		t.Fatalf("RegionCentralAsia.String() = %q", RegionCentralAsia.String())
-	}
-	if Region(99).String() != "Region(99)" {
-		t.Fatalf("unknown region String() = %q", Region(99).String())
-	}
-}
-
 func TestAllReturnsCopiesInOrder(t *testing.T) {
 	reg := Default()
 	all := reg.All()

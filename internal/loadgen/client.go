@@ -12,8 +12,8 @@ import (
 
 // Rotation is one identity change by an adaptive attacker client.
 type Rotation struct {
-	// FromFP and ToFP are the fingerprint hashes before and after.
-	FromFP, ToFP uint64
+	// FromFP is the fingerprint hash before the change.
+	FromFP uint64
 	// NoticedAt is when the client first saw a blocklist denial against
 	// FromFP — the moment it learned a rule names it.
 	NoticedAt time.Time
@@ -167,7 +167,7 @@ func (c *client) identity(now time.Time) (fpHex, sid, ip string, rotated bool) {
 			c.fp = f.Hash()
 			c.sid = fmt.Sprintf("%s-r%d", c.id, c.rot.Rotations())
 			c.rotations = append(c.rotations, Rotation{
-				FromFP: old, ToFP: c.fp, NoticedAt: c.noticedAt, At: now,
+				FromFP: old, NoticedAt: c.noticedAt, At: now,
 			})
 			c.noticedAt = time.Time{}
 			c.pendingAt = time.Time{}
@@ -237,10 +237,10 @@ func (c *client) charge() bool {
 }
 
 // econSnapshot reads the client's ledger lines.
-func (c *client) econSnapshot() (spentUSD float64, registrations, burned int) {
+func (c *client) econSnapshot() (registrations, burned int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.spentUSD, c.registrations, c.burned
+	return c.registrations, c.burned
 }
 
 // takeRotations snapshots the client's rotation log.

@@ -131,13 +131,9 @@ func (l *ROILedger) FoldResult(res *Result) {
 
 // ROIPoint is one cumulative timeline entry.
 type ROIPoint struct {
-	// At is the bucket's end instant.
-	At time.Time
-	// SpendUSD, BelievedUSD and ActualUSD are cumulative through this
-	// bucket.
-	SpendUSD    float64
-	BelievedUSD float64
-	ActualUSD   float64
+	// SpendUSD and ActualUSD are cumulative through this bucket.
+	SpendUSD  float64
+	ActualUSD float64
 }
 
 // ProfitUSD is the point's cumulative actual profit.
@@ -149,13 +145,12 @@ func (p ROIPoint) ProfitUSD() float64 { return p.ActualUSD - p.SpendUSD }
 func (l *ROILedger) At(t time.Time) ROIPoint {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	p := ROIPoint{At: t}
+	var p ROIPoint
 	for i := range l.spend {
 		if l.cfg.Start.Add(time.Duration(i+1) * l.cfg.Bucket).After(t) {
 			break
 		}
 		p.SpendUSD += l.spend[i]
-		p.BelievedUSD += l.believed[i]
 		p.ActualUSD += l.actual[i]
 	}
 	return p

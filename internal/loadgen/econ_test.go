@@ -50,11 +50,11 @@ func TestROILedgerPricesObservations(t *testing.T) {
 		t.Fatalf("revenue = %v/%v, want 1.0/1.0", believed, actual)
 	}
 
-	if got := l.At(econT0.Add(10 * time.Second)); got.BelievedUSD != 0.5 {
-		t.Fatalf("At(+10s) believed = %v, want only the first bucket's 0.5", got.BelievedUSD)
+	if got := l.At(econT0.Add(10 * time.Second)); got.ActualUSD != 0.5 {
+		t.Fatalf("At(+10s) revenue = %v, want only the first bucket's 0.5", got.ActualUSD)
 	}
-	if got := l.At(econT0.Add(time.Minute)); got.BelievedUSD != 1.0 {
-		t.Fatalf("At(+1m) believed = %v, want the full 1.0", got.BelievedUSD)
+	if got := l.At(econT0.Add(time.Minute)); got.ActualUSD != 1.0 {
+		t.Fatalf("At(+1m) revenue = %v, want the full 1.0", got.ActualUSD)
 	}
 }
 
@@ -129,9 +129,8 @@ func TestClientBudgetStopsCharges(t *testing.T) {
 	if cl.charge() {
 		t.Fatal("charge accepted past budget")
 	}
-	spent, _, _ := cl.econSnapshot()
-	if spent != 12.0 {
-		t.Fatalf("spent = %v, want 12.0", spent)
+	if cl.spentUSD != 12.0 {
+		t.Fatalf("spent = %v, want 12.0", cl.spentUSD)
 	}
 }
 

@@ -173,9 +173,9 @@ func TestRunWorkersGolden(t *testing.T) {
 	if !reflect.DeepEqual(rules1, rules4) {
 		t.Fatalf("deployed rules differ:\n1: %+v\n4: %+v", rules1, rules4)
 	}
-	for _, c := range res1.Classes {
+	for i, c := range res1.Classes {
 		if c.TransportErrors != 0 {
-			t.Fatalf("class %s: %d transport errors", c.Name, c.TransportErrors)
+			t.Fatalf("class %d: %d transport errors", i, c.TransportErrors)
 		}
 	}
 }
@@ -426,20 +426,21 @@ func TestRunnerTelemetryMatchesResult(t *testing.T) {
 		}
 		byID[id] = s.Value
 	}
-	for _, c := range res.Classes {
-		if got := byID[metricRequests+"|class="+c.Name+"|verdict=admit"]; got != float64(c.Admitted) {
-			t.Fatalf("class %s: scraped admit %v != result %d", c.Name, got, c.Admitted)
+	for i, c := range res.Classes {
+		name := plan.Scenario.Classes[i].Name
+		if got := byID[metricRequests+"|class="+name+"|verdict=admit"]; got != float64(c.Admitted) {
+			t.Fatalf("class %s: scraped admit %v != result %d", name, got, c.Admitted)
 		}
-		if got := byID[metricRotations+"|class="+c.Name]; got != float64(len(c.Rotations)) {
-			t.Fatalf("class %s: scraped rotations %v != result %d", c.Name, got, len(c.Rotations))
+		if got := byID[metricRotations+"|class="+name]; got != float64(len(c.Rotations)) {
+			t.Fatalf("class %s: scraped rotations %v != result %d", name, got, len(c.Rotations))
 		}
 		for reason, n := range c.Denied {
-			if got := byID[metricRequests+"|class="+c.Name+"|verdict="+reason]; got != float64(n) {
-				t.Fatalf("class %s: scraped %s %v != result %d", c.Name, reason, got, n)
+			if got := byID[metricRequests+"|class="+name+"|verdict="+reason]; got != float64(n) {
+				t.Fatalf("class %s: scraped %s %v != result %d", name, reason, got, n)
 			}
 		}
-		if got := byID[metricLatency+"_count|class="+c.Name]; got != float64(c.Completed()) {
-			t.Fatalf("class %s: latency count %v != completed %d", c.Name, got, c.Completed())
+		if got := byID[metricLatency+"_count|class="+name]; got != float64(c.Completed()) {
+			t.Fatalf("class %s: latency count %v != completed %d", name, got, c.Completed())
 		}
 	}
 }

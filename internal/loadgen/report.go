@@ -8,17 +8,15 @@ import (
 // gate ruled, and — for abusive classes — the rotation log the arms-race
 // analysis joins against the defender's rules.
 type ClassResult struct {
-	Name string
 	Kind ClassKind
 	// Sent counts requests handed to the transport; TransportErrors the
 	// ones that never produced a gate verdict.
 	Sent            uint64
 	TransportErrors uint64
 	// Admitted passed every layer; Denied maps the gate's X-Denied-By
-	// reason to its count; Other counts non-gate rejections.
+	// reason to its count.
 	Admitted uint64
 	Denied   map[string]uint64
-	Other    uint64
 	// DegradedSeen counts responses carrying X-Gate-Degraded.
 	DegradedSeen uint64
 	// Rotations is every identity change the class's clients performed,
@@ -27,11 +25,10 @@ type ClassResult struct {
 	// MeanLatency is the mean intended-start latency (zero in virtual
 	// runs, where the clock stands still inside each request).
 	MeanLatency time.Duration
-	// Economics, populated when the class carries an EconModel: total
-	// spend, account registrations (initial fleet plus re-registrations),
-	// accounts burned by blocking rules, and scheduled arrivals skipped
-	// because a client's budget was spent.
-	SpendUSD      float64
+	// Economics, populated when the class carries an EconModel: account
+	// registrations (initial fleet plus re-registrations), accounts burned
+	// by blocking rules, and scheduled arrivals skipped because a client's
+	// budget was spent.
 	Registrations int
 	Burned        int
 	BudgetSkipped uint64
@@ -105,12 +102,10 @@ func (r *Runner) result() *Result {
 	for ci, c := range r.cfg.Plan.Scenario.Classes {
 		t := r.tally[ci]
 		cr := ClassResult{
-			Name:            c.Name,
 			Kind:            c.Kind,
 			Sent:            t.sent.Load(),
 			TransportErrors: t.transport.Load(),
 			Admitted:        t.admitted.Load(),
-			Other:           t.other.Load(),
 			DegradedSeen:    t.degraded.Load(),
 			Denied:          make(map[string]uint64),
 		}
@@ -122,8 +117,7 @@ func (r *Runner) result() *Result {
 		cr.BudgetSkipped = t.budgetSkipped.Load()
 		for _, cl := range r.fleets[ci] {
 			cr.Rotations = append(cr.Rotations, cl.takeRotations()...)
-			spend, regs, burned := cl.econSnapshot()
-			cr.SpendUSD += spend
+			regs, burned := cl.econSnapshot()
 			cr.Registrations += regs
 			cr.Burned += burned
 		}

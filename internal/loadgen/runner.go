@@ -95,7 +95,6 @@ type classTally struct {
 	transport     atomic.Uint64
 	budgetSkipped atomic.Uint64
 	denied        []atomic.Uint64 // indexed like knownVerdicts; 0 (admit) unused
-	other         atomic.Uint64
 
 	// latSumNanos accumulates intended-start latency for the mean.
 	latSumNanos atomic.Int64
@@ -373,7 +372,6 @@ func (t *classTally) record(deniedBy string, status int) {
 			return
 		}
 	}
-	t.other.Add(1)
 	if t.otherCounter != nil {
 		t.otherCounter.Inc()
 	}

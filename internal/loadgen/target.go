@@ -91,7 +91,6 @@ type Target struct {
 	URL string
 
 	srv *http.Server
-	ln  net.Listener
 }
 
 // NewTargetGate builds the defended gate StartTarget serves, without a
@@ -211,7 +210,6 @@ func StartTarget(cfg TargetConfig) (*Target, error) {
 		Deployer: deployer,
 		URL:      "http://" + ln.Addr().String(),
 		srv:      srv,
-		ln:       ln,
 	}, nil
 }
 

@@ -1,7 +1,6 @@
 package mitigate
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"funabuse/internal/simrand"
@@ -52,16 +51,6 @@ func NewDecoySet(seed uint64, refs []string, fraction float64) *DecoySet {
 // IsDecoy reports whether ref is decoy inventory. Lock-free: membership
 // is immutable after construction, so this is safe on the serving path.
 func (d *DecoySet) IsDecoy(ref string) bool { return d.decoys[ref] }
-
-// Refs returns the decoy references in sorted order.
-func (d *DecoySet) Refs() []string {
-	out := make([]string, 0, len(d.decoys))
-	for ref := range d.decoys {
-		out = append(out, ref)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // RecordHit counts one decoy touch.
 func (d *DecoySet) RecordHit() { d.hits.Add(1) }

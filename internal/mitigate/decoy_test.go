@@ -21,11 +21,11 @@ func TestDecoySetDeterministicPerSeed(t *testing.T) {
 	refs := decoyRefs(40)
 	a := NewDecoySet(7, refs, 0.25)
 	b := NewDecoySet(7, refs, 0.25)
-	if !reflect.DeepEqual(a.Refs(), b.Refs()) {
-		t.Fatalf("same seed, different decoys:\n%v\n%v", a.Refs(), b.Refs())
+	if !reflect.DeepEqual(a.decoys, b.decoys) {
+		t.Fatalf("same seed, different decoys:\n%v\n%v", a.decoys, b.decoys)
 	}
 	c := NewDecoySet(8, refs, 0.25)
-	if reflect.DeepEqual(a.Refs(), c.Refs()) {
+	if reflect.DeepEqual(a.decoys, c.decoys) {
 		t.Fatal("different seeds picked identical decoy sets")
 	}
 }

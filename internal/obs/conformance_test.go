@@ -11,22 +11,17 @@ import (
 	"time"
 
 	"funabuse/internal/cluster"
-	"funabuse/internal/detect"
-	"funabuse/internal/entitygraph"
 	"funabuse/internal/httpgate"
 	"funabuse/internal/obs"
-	"funabuse/internal/resilience"
-	"funabuse/internal/signal"
 	"funabuse/internal/simclock"
-	"funabuse/internal/weblog"
 )
 
 var confT0 = time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
 
 // TestCollectorConformance is the table-driven contract test for the
-// obs.Collector adapters that replaced the four bespoke snapshot APIs
-// (httpgate.LayerStats, signal engine totals, resilience breaker state,
-// detect stream alert counters). Every collector must:
+// obs.Collector adapters a binary registers: the gate's and the fleet's
+// (the application's is scraped by TestObsSmoke in cmd/fraudsim). Every
+// collector must:
 //
 //  1. emit at least one sample;
 //  2. use valid Prometheus metric and label names;
@@ -52,54 +47,6 @@ func TestCollectorConformance(t *testing.T) {
 				r.RemoteAddr = "203.0.113.1:999"
 				h.ServeHTTP(httptest.NewRecorder(), r)
 				return g.Collector()
-			},
-		},
-		{
-			name: "signal.Engine",
-			build: func(t *testing.T) obs.Collector {
-				e := signal.NewEngine(signal.EngineConfig{Shards: 2})
-				e.Observe("SG", confT0)
-				e.ObserveAttr("TH", "1.2.3.4", confT0.Add(time.Minute))
-				return e.Collector("country")
-			},
-		},
-		{
-			name: "resilience.Breaker",
-			build: func(t *testing.T) obs.Collector {
-				b := resilience.NewBreaker(resilience.BreakerConfig{MinSamples: 1})
-				b.Record(confT0, true)
-				b.Record(confT0, false) // trips: 1 sample, 50% >= default rate
-				return b.Collector("blocklist")
-			},
-		},
-		{
-			name: "detect.StreamMonitor",
-			build: func(t *testing.T) obs.Collector {
-				m := detect.NewStreamMonitor(detect.StreamConfig{RateThreshold: 2})
-				for i := 0; i < 3; i++ {
-					m.Observe(weblog.Request{
-						Time: confT0.Add(time.Duration(i) * time.Second),
-						IP:   "9.9.9.9", Cookie: "c1",
-					})
-				}
-				return m.Collector()
-			},
-		},
-		{
-			name: "entitygraph.Graph",
-			build: func(t *testing.T) obs.Collector {
-				g := entitygraph.New(entitygraph.Config{})
-				g.Observe([]string{"fp:a", "ip:1", "bk:r1"}, 0.5)
-				g.Observe([]string{"fp:b", "ip:1"}, 0.5)
-				return g.Collector()
-			},
-		},
-		{
-			name: "obs.TraceRing",
-			build: func(t *testing.T) obs.Collector {
-				ring := obs.NewTraceRing(4)
-				ring.Record(obs.Span{Path: "/p", Verdict: obs.VerdictAdmit})
-				return ring.Collector()
 			},
 		},
 		{
@@ -248,23 +195,12 @@ func TestFleetGatesShareOneRegistry(t *testing.T) {
 	}
 }
 
-// TestCollectorsComposeOnOneRegistry scrapes all four subsystem
-// collectors through a single registry — the unified surface the ISSUE
-// asks for — and requires the whole exposition to parse.
+// TestCollectorsComposeOnOneRegistry scrapes a gate registered through
+// WithTelemetry and a fleet's collector through one registry, and
+// requires the whole exposition to parse.
 func TestCollectorsComposeOnOneRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-
-	e := signal.NewEngine(signal.EngineConfig{})
-	e.Observe("SG", confT0)
-	reg.Register(e.Collector("country"))
-
-	b := resilience.NewBreaker(resilience.BreakerConfig{})
-	b.Record(confT0, true)
-	reg.Register(b.Collector("journal"))
-
-	m := detect.NewStreamMonitor(detect.StreamConfig{RateThreshold: 100})
-	m.Observe(weblog.Request{Time: confT0, IP: "1.1.1.1", Cookie: "c"})
-	reg.Register(m.Collector())
+	reg.Register(cluster.New(cluster.Config{Nodes: 2, Clock: simclock.NewManual(confT0), Gossip: time.Second}).Collector())
 
 	g := httpgate.New(httpgate.Config{Clock: simclock.NewManual(confT0), PathLimit: 5, PathWindow: time.Hour},
 		httpgate.WithTelemetry(reg))
@@ -286,11 +222,10 @@ func TestCollectorsComposeOnOneRegistry(t *testing.T) {
 		t.Fatalf("combined exposition unparseable: %v", err)
 	}
 	want := map[string]bool{
-		"signal_engine_observed_total": false,
-		"breaker_state":                false,
-		"stream_observed_total":        false,
-		"gate_admitted_total":          false,
-		"gate_decision_seconds_count":  false,
+		cluster.MetricNodes:           false,
+		cluster.MetricFleetAdmitted:   false,
+		"gate_admitted_total":         false,
+		"gate_decision_seconds_count": false,
 	}
 	for _, s := range samples {
 		if _, ok := want[s.Name]; ok {

@@ -74,10 +74,9 @@ func (k Kind) String() string {
 // path, must not retain dst, and must emit samples in a deterministic
 // order so scrapes of a quiesced system are stable.
 //
-// httpgate.(*Gate).Collector, signal.(*Engine).Collector,
-// resilience.(*Breaker).Collector and detect.(*StreamMonitor).Collector
-// all return values of this type; see the conformance test in this
-// package for the exact contract.
+// httpgate.(*Gate).Collector, cluster.(*Cluster).Collector and
+// core.(*Application).Collector return values of this type; see the
+// conformance test in this package for the exact contract.
 type Collector interface {
 	Collect(dst []Sample) []Sample
 }

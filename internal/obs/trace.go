@@ -85,16 +85,3 @@ func (t *TraceRing) Total() uint64 {
 	defer t.mu.Unlock()
 	return t.next
 }
-
-// Cap returns the ring's capacity.
-func (t *TraceRing) Cap() int { return len(t.buf) }
-
-// Collector exposes the ring's journal totals as metrics.
-func (t *TraceRing) Collector() Collector {
-	return CollectorFunc(func(dst []Sample) []Sample {
-		return append(dst,
-			Sample{Name: "obs_trace_spans_total", Value: float64(t.Total())},
-			Sample{Name: "obs_trace_capacity", Value: float64(t.Cap())},
-		)
-	})
-}

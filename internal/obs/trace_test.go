@@ -40,7 +40,7 @@ func TestTraceRingPartialFill(t *testing.T) {
 }
 
 func TestTraceRingDefaultCapacity(t *testing.T) {
-	if got := NewTraceRing(0).Cap(); got != DefaultTraceCapacity {
+	if got := len(NewTraceRing(0).buf); got != DefaultTraceCapacity {
 		t.Fatalf("Cap = %d, want %d", got, DefaultTraceCapacity)
 	}
 }

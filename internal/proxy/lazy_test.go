@@ -114,9 +114,10 @@ func TestPoolSaturatedSpaceTerminates(t *testing.T) {
 		t.Fatal("NewPool on a saturated address space did not return")
 	}
 
-	s := NewService(simrand.New(2), WithPoolSize(1<<20))
+	s := NewService(simrand.New(2))
+	s.poolSize = 1 << 20
 	s.Exit("UZ")
 	if pool := s.pools["UZ"]; len(pool.exits) != poolSpace {
-		t.Fatalf("WithPoolSize(1<<20) built %d exits, want %d", len(pool.exits), poolSpace)
+		t.Fatalf("a 1<<20 pool size built %d exits, want %d", len(pool.exits), poolSpace)
 	}
 }

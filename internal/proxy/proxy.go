@@ -171,19 +171,12 @@ func (p *Pool) exit(i int) IP {
 // per-request price. Pricing is what makes honeypot/economic mitigations
 // bite: every wasted request still costs the attacker proxy bandwidth.
 type Service struct {
-	rng      *simrand.RNG
-	pools    map[string]*Pool
+	rng   *simrand.RNG
+	pools map[string]*Pool
+	// poolSize is how many exits each country pool holds; NewPool clamps
+	// it to the 65,024 addresses of a country's space.
 	poolSize int
 	requests int
-}
-
-// ServiceOption configures a Service.
-type ServiceOption func(*Service)
-
-// WithPoolSize sets how many exits each country pool holds. NewPool clamps
-// it to the 65,024 addresses of a country's space.
-func WithPoolSize(n int) ServiceOption {
-	return func(s *Service) { s.poolSize = n }
 }
 
 // DefaultCostPerRequestUSD is the price the attacker pays per proxied
@@ -193,16 +186,8 @@ func WithPoolSize(n int) ServiceOption {
 const DefaultCostPerRequestUSD = 0.0004
 
 // NewService returns a Service drawing from r.
-func NewService(r *simrand.RNG, opts ...ServiceOption) *Service {
-	s := &Service{
-		rng:      r,
-		pools:    make(map[string]*Pool),
-		poolSize: 512,
-	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	return s
+func NewService(r *simrand.RNG) *Service {
+	return &Service{rng: r, pools: make(map[string]*Pool), poolSize: 512}
 }
 
 // Exit returns an exit IP in the requested country, creating the country

@@ -68,7 +68,8 @@ func TestPoolDrawIsMember(t *testing.T) {
 }
 
 func TestServiceExitMatchesCountryPool(t *testing.T) {
-	s := NewService(simrand.New(6), WithPoolSize(64))
+	s := NewService(simrand.New(6))
+	s.poolSize = 64
 	ip := s.Exit("UZ")
 	pool, ok := s.pools["UZ"]
 	if !ok {
@@ -96,7 +97,8 @@ func TestServiceBilling(t *testing.T) {
 }
 
 func TestSessionPerRequestRotates(t *testing.T) {
-	s := NewService(simrand.New(9), WithPoolSize(1024))
+	s := NewService(simrand.New(9))
+	s.poolSize = 1024
 	sess := s.NewSession("FR", RotatePerRequest)
 	seen := map[IP]bool{}
 	for range 100 {
@@ -122,7 +124,8 @@ func TestSessionStickyHoldsExit(t *testing.T) {
 }
 
 func TestSessionOnBlockRotatesOnlyAfterBlock(t *testing.T) {
-	s := NewService(simrand.New(11), WithPoolSize(4096))
+	s := NewService(simrand.New(11))
+	s.poolSize = 4096
 	sess := s.NewSession("FR", RotateOnBlock)
 	first := sess.Addr()
 	if sess.Addr() != first {

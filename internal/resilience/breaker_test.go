@@ -183,3 +183,25 @@ func TestBreakerConcurrentUse(t *testing.T) {
 		t.Fatalf("state %v", b.State())
 	}
 }
+
+func TestBreakerStatsSnapshot(t *testing.T) {
+	b := NewBreaker(BreakerConfig{MinSamples: 2, OpenFor: time.Minute})
+
+	if b.State() != Closed || b.Opens() != 0 {
+		t.Fatalf("fresh breaker %v, %d opens", b.State(), b.Opens())
+	}
+
+	// Two failures trip the default 50% rate with MinSamples 2.
+	b.Record(t0, false)
+	b.Record(t0, false)
+	if b.State() != Open || b.Opens() != 1 || b.Transitions() != 1 {
+		t.Fatalf("tripped breaker %v, %d opens, %d transitions", b.State(), b.Opens(), b.Transitions())
+	}
+
+	if b.Allow(t0.Add(time.Second)) {
+		t.Fatal("open breaker allowed a call")
+	}
+	if b.ShortCircuits() != 1 {
+		t.Fatalf("ShortCircuits = %d, want 1", b.ShortCircuits())
+	}
+}

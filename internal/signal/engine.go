@@ -59,7 +59,6 @@ type Engine struct {
 	shards   []engineShard
 	mask     uint64
 	observed atomic.Uint64
-	sweeps   atomic.Uint64
 }
 
 type engineShard struct {
@@ -119,7 +118,6 @@ func (e *Engine) observe(key, attr string, now time.Time) int {
 	if s.ops >= sweepEvery {
 		s.ops = 0
 		s.sweep(now)
-		e.sweeps.Add(1)
 	}
 	w, ok := s.windows[key]
 	if !ok {
@@ -284,34 +282,5 @@ func (e *Engine) Sweep(now time.Time) {
 		s.mu.Lock()
 		s.sweep(now)
 		s.mu.Unlock()
-	}
-	e.sweeps.Add(1)
-}
-
-// Sweeps returns how many sweep passes have run (periodic per-shard
-// sweeps and explicit Sweep calls).
-func (e *Engine) Sweeps() uint64 { return e.sweeps.Load() }
-
-// EngineStats is the engine's observability snapshot on the obs contract.
-type EngineStats struct {
-	// Observed is how many events the engine has ingested.
-	Observed uint64
-	// TrackedKeys is how many keys currently hold per-key state.
-	TrackedKeys int
-	// Sweeps counts sweep passes over shard state.
-	Sweeps uint64
-	// Shards is the configured lock-stripe count.
-	Shards int
-}
-
-// Stats snapshots the engine's totals. TrackedKeys takes each shard lock
-// in turn, so the snapshot is approximate under concurrent writes and
-// exact when quiesced — the same contract as the cross-shard queries.
-func (e *Engine) Stats() EngineStats {
-	return EngineStats{
-		Observed:    e.Observed(),
-		TrackedKeys: e.TrackedKeys(),
-		Sweeps:      e.Sweeps(),
-		Shards:      len(e.shards),
 	}
 }

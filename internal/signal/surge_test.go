@@ -180,3 +180,27 @@ func TestEngineConcurrentObserve(t *testing.T) {
 		t.Fatal("heavy hitters empty after concurrent load")
 	}
 }
+
+func TestEngineStatsSnapshot(t *testing.T) {
+	t0 := time.Date(2022, time.December, 1, 0, 0, 0, 0, time.UTC)
+	e := NewEngine(EngineConfig{Shards: 4, Window: time.Hour})
+	e.Observe("a", t0)
+	e.Observe("b", t0)
+	e.ObserveAttr("a", "ip1", t0.Add(time.Minute))
+
+	if e.Observed() != 3 {
+		t.Fatalf("Observed = %d, want 3", e.Observed())
+	}
+	if e.TrackedKeys() != 2 {
+		t.Fatalf("TrackedKeys = %d, want 2", e.TrackedKeys())
+	}
+	if len(e.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(e.shards))
+	}
+
+	// An explicit sweep past the window drops both keys.
+	e.Sweep(t0.Add(3 * time.Hour))
+	if e.TrackedKeys() != 0 {
+		t.Fatalf("TrackedKeys after sweep = %d, want 0", e.TrackedKeys())
+	}
+}

@@ -219,7 +219,7 @@ func TestSchedulerLenExcludesCancelled(t *testing.T) {
 func TestEventAt(t *testing.T) {
 	s := NewScheduler(NewManual(epoch))
 	e := s.ScheduleAfter(time.Hour, func(time.Time) {})
-	if !e.At().Equal(epoch.Add(time.Hour)) {
-		t.Fatalf("At() = %v", e.At())
+	if !e.at.Equal(epoch.Add(time.Hour)) {
+		t.Fatalf("event at %v", e.at)
 	}
 }

@@ -20,9 +20,6 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the virtual instant the event is scheduled for.
-func (e *Event) At() time.Time { return e.at }
-
 // Cancel prevents the event from firing. Cancelling an already-fired or
 // already-cancelled event is a no-op. It reports whether the cancellation
 // took effect.

@@ -3,7 +3,6 @@ package sms
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"funabuse/internal/geo"
@@ -22,39 +21,9 @@ import (
 // enforce stricter validation for newly registered terminators and
 // withhold compensation on traffic the application flags as abusive.
 
-// OperatorClass distinguishes the settlement roles.
-type OperatorClass int
-
-// Operator classes.
-const (
-	// OperatorPrimary is the aggregator the application contracts with.
-	OperatorPrimary OperatorClass = iota + 1
-	// OperatorTransit forwards between networks for a small margin.
-	OperatorTransit
-	// OperatorTerminating delivers into the destination network and earns
-	// the termination fee.
-	OperatorTerminating
-)
-
-// String names the class.
-func (c OperatorClass) String() string {
-	switch c {
-	case OperatorPrimary:
-		return "primary"
-	case OperatorTransit:
-		return "transit"
-	case OperatorTerminating:
-		return "terminating"
-	default:
-		return fmt.Sprintf("OperatorClass(%d)", int(c))
-	}
-}
-
 // Operator is one settlement participant.
 type Operator struct {
-	ID      string
-	Class   OperatorClass
-	Country string
+	ID string
 	// Colluding marks terminators that share revenue with traffic
 	// generators. Ground truth for evaluation; the settlement system
 	// cannot see it directly.
@@ -71,8 +40,6 @@ type Settlement struct {
 	TerminatorID string
 	// TerminationFeeUSD is what the terminator earned.
 	TerminationFeeUSD float64
-	// TransitFeeUSD is the middle-mile margin.
-	TransitFeeUSD float64
 	// KickbackUSD is what a colluding terminator returned to the traffic
 	// generator.
 	KickbackUSD float64
@@ -138,8 +105,6 @@ func (c *Chain) RegisterTerminator(country string, colluding bool, at time.Time)
 	c.nextID++
 	op := &Operator{
 		ID:           fmt.Sprintf("term-%s-%d", country, c.nextID),
-		Class:        OperatorTerminating,
-		Country:      country,
 		Colluding:    colluding,
 		RegisteredAt: at,
 	}
@@ -184,7 +149,6 @@ func (c *Chain) Settle(m Message, at time.Time) (Settlement, error) {
 		Message:           m,
 		TerminatorID:      term.ID,
 		TerminationFeeUSD: m.CostUSD * 0.75,
-		TransitFeeUSD:     m.CostUSD * 0.10,
 		Delivered:         true,
 	}
 	if term.Colluding {
@@ -243,49 +207,4 @@ func (c *Chain) DeliveryRate() float64 {
 		}
 	}
 	return float64(delivered) / float64(len(c.ledger))
-}
-
-// TerminatorReport summarises one terminator's settled traffic — the view
-// a primary operator audits when hunting fraudulent secondaries.
-type TerminatorReport struct {
-	OperatorID string
-	Messages   int
-	FeesUSD    float64
-	// DeliveryRate below ~1 on volume is the short-stopping tell.
-	DeliveryRate float64
-}
-
-// TerminatorReports aggregates the ledger per terminator, sorted by
-// descending fees.
-func (c *Chain) TerminatorReports() []TerminatorReport {
-	agg := make(map[string]*TerminatorReport)
-	delivered := make(map[string]int)
-	for _, s := range c.ledger {
-		r, ok := agg[s.TerminatorID]
-		if !ok {
-			r = &TerminatorReport{OperatorID: s.TerminatorID}
-			agg[s.TerminatorID] = r
-		}
-		r.Messages++
-		if !s.Withheld {
-			r.FeesUSD += s.TerminationFeeUSD
-		}
-		if s.Delivered {
-			delivered[s.TerminatorID]++
-		}
-	}
-	out := make([]TerminatorReport, 0, len(agg))
-	for id, r := range agg {
-		if r.Messages > 0 {
-			r.DeliveryRate = float64(delivered[id]) / float64(r.Messages)
-		}
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].FeesUSD != out[j].FeesUSD {
-			return out[i].FeesUSD > out[j].FeesUSD
-		}
-		return out[i].OperatorID < out[j].OperatorID
-	})
-	return out
 }

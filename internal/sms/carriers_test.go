@@ -17,7 +17,6 @@ func chainFixture() *Chain {
 func msgTo(country, actor string) Message {
 	c := geo.Default().MustLookup(country)
 	return Message{
-		To:      geo.PlanFor(c).Random(simrand.New(2)),
 		Country: country,
 		Kind:    KindBoardingPass,
 		CostUSD: c.TerminationUSD,
@@ -35,9 +34,6 @@ func TestSettleSplitsMoney(t *testing.T) {
 	uz := geo.Default().MustLookup("UZ")
 	if math.Abs(s.TerminationFeeUSD-uz.TerminationUSD*0.75) > 1e-9 {
 		t.Fatalf("termination fee %v", s.TerminationFeeUSD)
-	}
-	if math.Abs(s.TransitFeeUSD-uz.TerminationUSD*0.10) > 1e-9 {
-		t.Fatalf("transit fee %v", s.TransitFeeUSD)
 	}
 	if s.KickbackUSD != 0 {
 		t.Fatal("honest terminator paid a kickback")
@@ -161,50 +157,10 @@ func TestWithholdingFreezesFlaggedTraffic(t *testing.T) {
 	}
 }
 
-func TestTerminatorReportsExposeShortStopping(t *testing.T) {
-	c := chainFixture()
-	honest := c.RegisterTerminator("GB", false, t0)
-	colluding := c.RegisterTerminator("UZ", true, t0)
-	for range 400 {
-		if _, err := c.Settle(msgTo("GB", "legit"), t0.Add(time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Settle(msgTo("UZ", "attacker"), t0.Add(time.Hour)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reports := c.TerminatorReports()
-	if len(reports) != 2 {
-		t.Fatalf("reports %d", len(reports))
-	}
-	byID := map[string]TerminatorReport{}
-	for _, r := range reports {
-		byID[r.OperatorID] = r
-	}
-	if got := byID[honest.ID].DeliveryRate; got != 1 {
-		t.Fatalf("honest delivery rate %v", got)
-	}
-	if got := byID[colluding.ID].DeliveryRate; got > 0.65 {
-		t.Fatalf("colluding delivery rate %v, short-stopping should show", got)
-	}
-	// The audit signal: high fees with sub-unity delivery.
-	if byID[colluding.ID].FeesUSD <= 0 {
-		t.Fatal("colluding terminator earned nothing")
-	}
-}
-
 func TestOperatorLookupAndClassString(t *testing.T) {
 	c := chainFixture()
 	op := c.RegisterTerminator("FR", false, t0)
-	got, ok := c.operators[op.ID]
-	if !ok || got.Country != "FR" {
+	if got, ok := c.operators[op.ID]; !ok || got != op {
 		t.Fatal("operator lookup failed")
-	}
-	if OperatorPrimary.String() != "primary" || OperatorTransit.String() != "transit" ||
-		OperatorTerminating.String() != "terminating" {
-		t.Fatal("class strings wrong")
-	}
-	if OperatorClass(9).String() != "OperatorClass(9)" {
-		t.Fatal("unknown class string wrong")
 	}
 }

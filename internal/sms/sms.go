@@ -54,15 +54,10 @@ func (k Kind) String() string {
 
 // Message is one delivered SMS.
 type Message struct {
-	To      geo.MSISDN
 	Country string // ISO code of the destination
 	Kind    Kind
 	SentAt  time.Time
 	CostUSD float64
-	Premium bool
-	// Ref ties the message to its application object (record locator,
-	// login name, ...).
-	Ref string
 	// ActorID is ground truth for evaluation; detectors never read it.
 	ActorID string
 }
@@ -96,8 +91,10 @@ func NewGateway(clock simclock.Clock, registry *geo.Registry, opts ...GatewayOpt
 }
 
 // Send delivers one message, billing the application owner. It returns the
-// delivered message for inspection.
-func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, error) {
+// delivered message for inspection. The third argument names the
+// application object the message is about (record locator, login); the
+// journal does not keep it.
+func (g *Gateway) Send(to geo.MSISDN, kind Kind, _, actorID string) (Message, error) {
 	country, ok := g.registry.CountryOf(to)
 	if !ok {
 		return Message{}, ErrUnknownDestination
@@ -105,19 +102,15 @@ func (g *Gateway) Send(to geo.MSISDN, kind Kind, ref, actorID string) (Message, 
 	if g.quota > 0 && g.sent >= g.quota {
 		return Message{}, ErrQuotaExceeded
 	}
-	premium := geo.PlanFor(country).IsPremium(to)
 	cost := country.TerminationUSD
-	if premium {
+	if geo.PlanFor(country).IsPremium(to) {
 		cost = country.PremiumUSD
 	}
 	m := Message{
-		To:      to,
 		Country: country.Code,
 		Kind:    kind,
 		SentAt:  g.clock.Now(),
 		CostUSD: cost,
-		Premium: premium,
-		Ref:     ref,
 		ActorID: actorID,
 	}
 	g.journal = append(g.journal, m)

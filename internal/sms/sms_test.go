@@ -36,7 +36,7 @@ func TestSendBillsDestinationRate(t *testing.T) {
 	if m.CostUSD != uz.TerminationUSD {
 		t.Fatalf("cost %v, want %v", m.CostUSD, uz.TerminationUSD)
 	}
-	if m.Country != "UZ" || m.Premium {
+	if m.Country != "UZ" {
 		t.Fatalf("message %+v", m)
 	}
 }
@@ -48,7 +48,7 @@ func TestSendPremiumRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	uz := geo.Default().MustLookup("UZ")
-	if !m.Premium || m.CostUSD != uz.PremiumUSD {
+	if m.CostUSD != uz.PremiumUSD {
 		t.Fatalf("premium message %+v", m)
 	}
 }

@@ -14,8 +14,6 @@ import (
 type GraphFeatures struct {
 	// Nodes is the number of distinct paths visited.
 	Nodes int
-	// Edges is the number of distinct transitions.
-	Edges int
 	// Transitions is the total transition count (requests - 1).
 	Transitions int
 	// TransitionEntropy is the Shannon entropy (bits) of the transition
@@ -23,9 +21,6 @@ type GraphFeatures struct {
 	TransitionEntropy float64
 	// DominantEdgeShare is the most frequent transition's share.
 	DominantEdgeShare float64
-	// SelfLoopShare is the share of transitions that revisit the same
-	// path.
-	SelfLoopShare float64
 }
 
 // ExtractGraph computes navigation-graph features for a session.
@@ -45,15 +40,9 @@ func ExtractGraph(s *Session) GraphFeatures {
 	}
 	f.Nodes = len(nodes)
 	edges := make(map[[2]string]int, len(s.Requests)-1)
-	selfLoops := 0
 	for i := 1; i < len(s.Requests); i++ {
-		from, to := s.Requests[i-1].Path, s.Requests[i].Path
-		edges[[2]string{from, to}]++
-		if from == to {
-			selfLoops++
-		}
+		edges[[2]string{s.Requests[i-1].Path, s.Requests[i].Path}]++
 	}
-	f.Edges = len(edges)
 	f.Transitions = len(s.Requests) - 1
 	total := float64(f.Transitions)
 	maxCount := 0
@@ -65,6 +54,5 @@ func ExtractGraph(s *Session) GraphFeatures {
 		}
 	}
 	f.DominantEdgeShare = float64(maxCount) / total
-	f.SelfLoopShare = float64(selfLoops) / total
 	return f
 }

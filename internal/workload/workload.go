@@ -89,7 +89,6 @@ type Population struct {
 
 	userSeq  int
 	holds    int
-	otps     int
 	friction int // legitimate requests rejected by defences
 }
 
@@ -132,9 +131,6 @@ func NewPopulation(
 
 // Holds returns successful legitimate holds.
 func (p *Population) Holds() int { return p.holds }
-
-// OTPs returns delivered OTP messages.
-func (p *Population) OTPs() int { return p.otps }
 
 // Friction returns legitimate requests rejected by the defence stack — the
 // usability cost the paper's Section V weighs.
@@ -186,9 +182,8 @@ func (p *Population) scheduleHour(hourStart time.Time) {
 
 // user materialises one visitor: identity, device, home market, address.
 type user struct {
-	ctx     app.ClientContext
-	country geo.Country
-	phone   geo.MSISDN
+	ctx   app.ClientContext
+	phone geo.MSISDN
 }
 
 func (p *Population) newUser() user {
@@ -218,8 +213,7 @@ func (p *Population) newUser() user {
 			Actor:       weblog.ActorHuman,
 			ActorID:     id,
 		},
-		country: country,
-		phone:   geo.PlanFor(country).Random(p.rng.Derive("phone-" + seq)),
+		phone: geo.PlanFor(country).Random(p.rng.Derive("phone-" + seq)),
 	}
 }
 
@@ -300,7 +294,5 @@ func (p *Population) otpLogin(now time.Time) {
 	u := p.newUser()
 	if err := p.smsa.RequestOTP(u.ctx, u.phone, u.ctx.ClientKey); err != nil {
 		p.friction++
-		return
 	}
-	p.otps++
 }
