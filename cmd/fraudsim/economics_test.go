@@ -9,9 +9,9 @@ import "testing"
 // arrivals appear only in the honeypot arm, whose attacker finishes under
 // water; neither tiering-only arm deploys a rule.
 func TestEconomicsROIOrdering(t *testing.T) {
-	plan, outcomes := mustOutcomes(t, economics)
+	run, outcomes := mustOutcomes(t, economics)
 
-	attacker := econAttackerClass(plan.Scenario)
+	attacker := econAttackerClass(run.plan.Scenario)
 	roi := make([]float64, len(outcomes))
 	for i, o := range outcomes {
 		r, ok := o.read.ledger.ROI()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"funabuse/internal/loadgen"
@@ -31,39 +32,34 @@ var goldenLabels = map[string][]string{
 	"economics": {"attacker ROI", "decoy hits", "accounts burned"},
 }
 
-// TestScenarioGolden runs every row of the load-scenario table under
-// virtual pacing at seed 1 with one worker and with four, and requires
-// both reports to equal the committed golden byte for byte — determinism
-// across reruns and worker counts, and report stability across commits, in
-// one table. A row without a golden fails, so a scenario cannot ship
-// unpinned. The printed plan hash must be the hash of the scenario's plan.
+// TestScenarioGolden renders every row of the load-scenario table from its
+// memoised seed-1 replay (virtual pacing, four workers) and requires the
+// report to equal the committed golden byte for byte — determinism across
+// worker counts and report stability across commits, in one table. -update
+// re-pins from a one-worker run of the CLI path first, so the pin comes
+// from the serial replay. A row without a golden fails, so a scenario
+// cannot ship unpinned. The printed plan hash must be the hash of the
+// scenario's plan.
 func TestScenarioGolden(t *testing.T) {
 	for _, s := range loadScenarios {
 		name := s.scenarioName()
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join("testdata", name+"_seed1.golden")
-			var want []byte
-			for _, workers := range []int{1, 4} {
+			if *update {
 				var out bytes.Buffer
-				opts := options{scenario: name, days: 1, seed: 1, loadWorkers: workers}
-				if err := run(opts, &out, io.Discard); err != nil {
-					t.Fatalf("run(%s, %d workers): %v", name, workers, err)
+				if err := run(options{scenario: name, days: 1, seed: 1, loadWorkers: 1}, &out, io.Discard); err != nil {
+					t.Fatalf("run(%s, 1 worker): %v", name, err)
 				}
-				if want == nil {
-					if *update {
-						if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-							t.Fatal(err)
-						}
-					}
-					var err error
-					if want, err = os.ReadFile(path); err != nil {
-						t.Fatalf("scenario %s has no golden (re-pin with -update): %v", name, err)
-					}
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
 				}
-				if got := out.String(); got != string(want) {
-					t.Fatalf("report with %d workers differs from %s:\n--- got ---\n%s\n--- want ---\n%s",
-						workers, path, got, want)
-				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("scenario %s has no golden (re-pin with -update): %v", name, err)
+			}
+			if got := s.(interface{ memoReport(*testing.T) string }).memoReport(t); got != string(want) {
+				t.Fatalf("report with 4 workers differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
 			}
 
 			plan, err := s.buildPlan(options{seed: 1})
@@ -83,19 +79,40 @@ func TestScenarioGolden(t *testing.T) {
 	}
 }
 
-// mustOutcomes replays a scenario's seed-1 arms through the harness's
-// outcomes entry point — what the behavioural tests assert on.
-func mustOutcomes[A armConfig, R any](t *testing.T, s scenario[A, R]) (*loadgen.Plan, []outcome[A, R]) {
+// replays maps a scenario name to the once-per-binary replay of its seed-1
+// arms at four workers, which the golden report and every behavioural test
+// read.
+var replays sync.Map
+
+type replay[A armConfig, R any] struct {
+	run  loadRun
+	outs []outcome[A, R]
+}
+
+// mustOutcomes returns the scenario's memoised seed-1 replay through the
+// harness's outcomes entry point — what the behavioural tests assert on.
+func mustOutcomes[A armConfig, R any](t *testing.T, s scenario[A, R]) (loadRun, []outcome[A, R]) {
 	t.Helper()
-	opts := options{scenario: s.name, seed: 1, loadWorkers: 2}
-	run, outs, err := s.outcomes(opts, nil, io.Discard)
+	once, _ := replays.LoadOrStore(s.name, sync.OnceValues(func() (replay[A, R], error) {
+		run, outs, err := s.outcomes(options{scenario: s.name, seed: 1, loadWorkers: 4}, nil, io.Discard)
+		return replay[A, R]{run, outs}, err
+	}))
+	r, err := once.(func() (replay[A, R], error))()
 	if err != nil {
 		t.Fatalf("%s outcomes: %v", s.name, err)
 	}
-	if len(outs) != len(s.arms) {
-		t.Fatalf("%s: got %d outcomes, want %d", s.name, len(outs), len(s.arms))
+	if len(r.outs) != len(s.arms) {
+		t.Fatalf("%s: got %d outcomes, want %d", s.name, len(r.outs), len(s.arms))
 	}
-	return run.plan, outs
+	return r.run, r.outs
+}
+
+// memoReport renders the scenario's report from its memoised replay.
+func (s scenario[A, R]) memoReport(t *testing.T) string {
+	run, outs := mustOutcomes(t, s)
+	var out bytes.Buffer
+	s.report(&out, run, outs)
+	return out.String()
 }
 
 // requireHonestUntaxed fails unless every completed honest request of the

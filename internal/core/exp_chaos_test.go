@@ -10,10 +10,7 @@ import (
 )
 
 func TestRunChaosOutageCosts(t *testing.T) {
-	res, err := RunChaos(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := atSeed1[ChaosResult](t, "chaos")
 	if len(res.Arms) != 4 {
 		t.Fatalf("%d arms, want 4", len(res.Arms))
 	}

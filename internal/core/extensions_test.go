@@ -8,9 +8,9 @@ import (
 // and the design-choice ablations).
 
 func TestBiometricShape(t *testing.T) {
-	res, err := RunBiometric(1)
-	if err != nil {
-		t.Fatal(err)
+	res := atSeed1[BiometricResult](t, "biometric")
+	if n := rowCount(t, "biometric", "/reservations"); n != 4 {
+		t.Fatalf("%d /reservations rows, want 4 classes", n)
 	}
 	byClass := map[string]BiometricScore{}
 	for _, s := range res.Scores {
@@ -45,10 +45,7 @@ func TestBiometricShape(t *testing.T) {
 }
 
 func TestCarrierShape(t *testing.T) {
-	res, err := RunCarrier(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := atSeed1[CarrierResult](t, "carrier")
 	if len(res.Arms) != 3 {
 		t.Fatalf("arms = %d", len(res.Arms))
 	}
@@ -82,10 +79,7 @@ func TestCarrierShape(t *testing.T) {
 }
 
 func TestPricingShape(t *testing.T) {
-	res, err := RunPricing(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := atSeed1[PricingResult](t, "pricing")
 	if res.Samples < 100 {
 		t.Fatalf("only %d attack-week samples", res.Samples)
 	}
@@ -111,10 +105,7 @@ func TestPricingShape(t *testing.T) {
 }
 
 func TestAblationTTLShape(t *testing.T) {
-	res, err := RunAblations(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := atSeed1[AblationResult](t, "ablations")
 	if len(res.TTL) < 3 {
 		t.Fatalf("TTL sweep has %d points", len(res.TTL))
 	}

@@ -16,14 +16,12 @@ import (
 // configuration-driven labels, never from sampled values), which is what
 // lets the runner merge samples into per-metric accumulators.
 
-// Experiment is one paper artefact: its id, its replicate function and
-// the renderer of its single-seed table.
+// Experiment is one paper artefact: its id and its Run* function.
 type Experiment struct {
-	ID  string
-	Run runner.Func
-	// Report runs the experiment at seed and writes its tables and note
-	// lines, as CSV when csv is set.
-	Report func(w io.Writer, seed uint64, csv bool) error
+	ID string
+	// run returns the Run* result and its sample. The result stays any: as
+	// a result its 13 itabs would grow the runtime's itab table by 8 KiB.
+	run func(seed uint64) (any, runner.Sample, error)
 }
 
 // result is what every Run* experiment returns.
@@ -34,24 +32,29 @@ type result interface {
 
 // experiment builds a registry row from an experiment's Run* function.
 func experiment[R result](id string, run func(seed uint64) (R, error)) Experiment {
-	return Experiment{
-		ID: id,
-		Run: func(seed uint64) (runner.Sample, error) {
-			res, err := run(seed)
-			if err != nil {
-				return nil, err
-			}
-			return res.sample(), nil
-		},
-		Report: func(w io.Writer, seed uint64, csv bool) error {
-			res, err := run(seed)
-			if err != nil {
-				return err
-			}
-			res.report(w, csv)
-			return nil
-		},
+	return Experiment{ID: id, run: func(seed uint64) (any, runner.Sample, error) {
+		res, err := run(seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, res.sample(), nil
+	}}
+}
+
+// Run is the experiment's replicate function: its sample at seed.
+func (e Experiment) Run(seed uint64) (runner.Sample, error) {
+	_, s, err := e.run(seed)
+	return s, err
+}
+
+// Report runs the experiment at seed and writes its tables (CSV if csv).
+func (e Experiment) Report(w io.Writer, seed uint64, csv bool) error {
+	res, _, err := e.run(seed)
+	if err != nil {
+		return err
 	}
+	res.(result).report(w, csv)
+	return nil
 }
 
 // Experiments returns every paper artefact, in the canonical -exp all
