@@ -32,6 +32,23 @@ func TestRunSingleExperiment(t *testing.T) {
 	}
 }
 
+// TestRunCSVOutput renders one experiment's CSV artefact through the
+// single-experiment path and requires it to appear verbatim in
+// testdata/all_seed1.golden, the -exp all render that pins it.
+func TestRunCSVOutput(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "biometric", 1, true, 1, 1); err != nil {
+		t.Fatalf("run(biometric, csv): %v", err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all_seed1.golden"))
+	if err != nil {
+		t.Fatalf("no golden (re-pin with -update): %v", err)
+	}
+	if buf.Len() == 0 || !strings.Contains(string(want), buf.String()) {
+		t.Fatalf("-exp biometric -seed 1 -csv is not a section of the golden:\n%s", buf.String())
+	}
+}
+
 // TestReplicateSummaryMode checks the replicate path produces the summary
 // header and per-metric stats rather than the single-seed table.
 func TestReplicateSummaryMode(t *testing.T) {
