@@ -90,15 +90,17 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ ./...
 
 # fuzz hammers what faces untrusted bytes for 15 s each, starting from the
-# seed corpus the plain test run already replays: the two gossip decoders
-# (the FAS1 sketch-state codec, every decoded ring's reads held equal to a
-# full scan; the FGS1 snapshot codec), the gate's in-place request scans,
+# seed corpus the plain test run already replays: the gossip decoders (the
+# FAS1 sketch-state codec, every decoded ring's reads held equal to a full
+# scan; the FAS1 rate view fleet nodes read, held equal to that codec; the
+# FGS1 snapshot codec), the gate's in-place request scans,
 # held equal to net/url on every raw query and to net/http on every Cookie
 # header, its X-Forwarded-For keying, held equal to net/netip, and the
 # /metrics exposition reader, whose accepted input must survive a write and
 # re-parse unchanged.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeState -fuzztime 15s ./internal/signal
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeRates -fuzztime 15s ./internal/signal
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSnapshot -fuzztime 15s ./internal/cluster
 	$(GO) test -run=^$$ -fuzz=FuzzQueryValue -fuzztime 15s ./internal/httpgate
 	$(GO) test -run=^$$ -fuzz=FuzzCookieValue -fuzztime 15s ./internal/httpgate

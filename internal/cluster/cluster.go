@@ -16,15 +16,18 @@
 // piggybacked on request handling: the front checks the interval before
 // routing each request, so under loadgen's virtual pacing (one request
 // in flight, clock set per arrival) full cluster runs are
-// seed-deterministic. A node keeps one decoded state per peer — a fresh
+// seed-deterministic. A node keeps one read-only rate view per peer
+// (signal.Rates, an index into the peer's published bytes) — a fresh
 // fetch replaces that peer's slot, a failed one leaves it alone — and
 // sums the slots when it needs a fleet rate, so no snapshot is ever
-// folded into a running total and nothing can be counted twice. The
-// in-process Transport is the first implementation; the interface is the
-// seam for real sockets.
+// folded into a running total and nothing can be counted twice. A round
+// decodes each distinct published payload once, and every node that
+// fetched those bytes shares the view. The in-process Transport is the
+// first implementation; the interface is the seam for real sockets.
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -76,9 +79,9 @@ type Config struct {
 	// the per-origin delta into their own blocklists.
 	ReplicateRules bool
 	// ReplicateState ships each node's per-key sliding windows as an
-	// encoded signal.State (its sketch sections empty); peers keep the
-	// latest one decoded per node and their detectors add its rates to
-	// local ones.
+	// encoded signal.State (its sketch sections empty); peers keep a rate
+	// view of the latest one per node and their detectors add its rates
+	// to local ones.
 	ReplicateState bool
 
 	// FetchRetry tunes the jittered-backoff retry wrapped around every
@@ -149,7 +152,7 @@ type Cluster struct {
 // node is one fleet member: a gate over its own blocklist, a local
 // signal engine keyed by fingerprint, and the replication state — the
 // originated-rule log it publishes, per-origin high-water marks for the
-// deltas it has applied, and the last decoded state of each peer.
+// deltas it has applied, and a rate view of each peer's last state.
 type node struct {
 	id      int
 	cluster *Cluster
@@ -166,13 +169,14 @@ type node struct {
 	seen       map[string]bool
 	applied    map[int]uint64
 	replicated uint64
-	// peers holds, by node id, the windows of the last snapshot that
+	// peers holds, by node id, a rate view of the last snapshot that
 	// fetched and decoded cleanly from each peer (nil until one does, for
 	// a snapshot shipped without state, and for the node itself);
 	// lastOKAt is when. A peer that cannot be reached this round keeps
 	// contributing its last-known state — graceful degradation instead of
-	// a shrinking fleet view. The states are only ever read.
-	peers    []*signal.State
+	// a shrinking fleet view. A view may be shared with other nodes that
+	// fetched the same bytes; views are only ever read.
+	peers    []*signal.Rates
 	lastOKAt map[int]time.Time
 
 	// degraded is recomputed after each absorb: some peer's last good
@@ -240,7 +244,7 @@ func New(cfg Config) *Cluster {
 			watch:    watch,
 			seen:     make(map[string]bool),
 			applied:  make(map[int]uint64),
-			peers:    make([]*signal.State, cfg.Nodes),
+			peers:    make([]*signal.Rates, cfg.Nodes),
 			lastOKAt: make(map[int]time.Time),
 		}
 		// Per-key windows only: the fleet reads nothing but Rate, so the
@@ -325,16 +329,16 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 }
 
 // peerRate sums key's in-window rate over the peer slots: the fleet view
-// minus this node's own engine. Rings of one geometry count additively as
+// minus this node's own engine. Windows of one geometry count additively as
 // long as no bucket lies after now — the fleet shares one clock, and a
 // slot raced in microseconds ahead of now only leaves its newest events
 // uncounted until the next request — so the sum is what one merged ring
 // would answer. Callers hold n.mu.
 func (n *node) peerRate(key string, now time.Time) int {
 	total := 0
-	for _, st := range n.peers {
-		if st != nil {
-			total += st.Rate(key, now)
+	for _, rs := range n.peers {
+		if rs != nil {
+			total += rs.Rate(key, now)
 		}
 	}
 	return total
@@ -374,14 +378,16 @@ func (c *Cluster) Gossip(now time.Time) {
 
 // gossip runs one anti-entropy round: every node publishes its snapshot,
 // then every node absorbs its peers'. Publishing completes first so a
-// round converges the whole fleet on this round's snapshots. Callers hold
-// gossipMu.
+// round converges the whole fleet on this round's snapshots, and the
+// round's decode memo turns N×(N−1) fetched states into N decodes.
+// Callers hold gossipMu.
 func (c *Cluster) gossip(now time.Time) {
 	for _, n := range c.nodes {
 		c.transport.Publish(n.snapshot(c.cfg.ReplicateState))
 	}
+	var memo decodeMemo
 	for _, n := range c.nodes {
-		n.absorb(now)
+		n.absorb(now, &memo)
 	}
 	c.rounds.Add(1)
 	if c.roundHist != nil {
@@ -404,7 +410,8 @@ func (n *node) snapshot(includeState bool) Snapshot {
 
 // absorb folds every peer's latest snapshot into this node: rule deltas
 // beyond the per-origin high-water mark land in the local blocklist, and
-// the peer's decoded windows replace its slot in n.peers.
+// a rate view of the peer's state, decoded through the round's memo,
+// replaces its slot in n.peers.
 //
 // This is the loop hardened for lossy networks. Each fetch runs behind
 // the configured retry; a peer that cannot be reached keeps the slot it
@@ -412,7 +419,7 @@ func (n *node) snapshot(includeState bool) Snapshot {
 // points, and the failure is counted by reason. Nothing needs re-applying for such a peer: its slot
 // already holds its last good state and its rules are already below the
 // high-water mark.
-func (n *node) absorb(now time.Time) {
+func (n *node) absorb(now time.Time, memo *decodeMemo) {
 	c := n.cluster
 	for _, peer := range c.nodes {
 		if peer.id == n.id {
@@ -423,9 +430,9 @@ func (n *node) absorb(now time.Time) {
 			c.countFailure(err)
 			continue
 		}
-		var st *signal.State
+		var rs *signal.Rates
 		if c.cfg.ReplicateState && len(snap.State) > 0 {
-			st, err = signal.DecodeState(snap.State)
+			rs, err = memo.decode(snap.State)
 		}
 		if err != nil {
 			// A fresh snapshot with corrupt state: its rule log still
@@ -435,7 +442,7 @@ func (n *node) absorb(now time.Time) {
 			c.failures[failDecode].Add(1)
 		} else {
 			n.mu.Lock()
-			n.peers[peer.id] = st
+			n.peers[peer.id] = rs
 			n.lastOKAt[peer.id] = now
 			n.mu.Unlock()
 		}
@@ -444,6 +451,34 @@ func (n *node) absorb(now time.Time) {
 		}
 	}
 	n.updateDegraded(now)
+}
+
+// decodeMemo holds one round's decoded state payloads, so each distinct
+// payload is decoded once however many nodes fetched it: a node that
+// fetched the same bytes shares the view, read-only, or the decode error,
+// which each such fetch still counts. A round holds about N payloads, so
+// a slice scan does; in-process transports hand every fetcher the same
+// backing array, which bytes.Equal matches without reading it, and copies
+// from a socket or a fault history match on content.
+type decodeMemo []decoded
+
+type decoded struct {
+	payload []byte
+	rates   *signal.Rates
+	err     error
+}
+
+// decode returns the view of payload, decoding it on the round's first
+// sight of those bytes.
+func (m *decodeMemo) decode(payload []byte) (*signal.Rates, error) {
+	for _, d := range *m {
+		if bytes.Equal(d.payload, payload) {
+			return d.rates, d.err
+		}
+	}
+	rs, err := signal.DecodeRates(payload)
+	*m = append(*m, decoded{payload: payload, rates: rs, err: err})
+	return rs, err
 }
 
 // fetchPeer fetches one peer's snapshot through the transport, behind the

@@ -48,7 +48,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 // sticky-error and bounds-checked throughout: truncated or corrupt gossip
 // yields an error, never a panic or an oversized allocation. The embedded
 // state bytes are returned raw — receivers validate them separately with
-// signal.DecodeState, so one peer's corrupt state cannot poison the rule
+// signal.DecodeRates, so one peer's corrupt state cannot poison the rule
 // delta that travelled beside it.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
 	if len(b) < len(snapshotMagic) || string(b[:len(snapshotMagic)]) != snapshotMagic {

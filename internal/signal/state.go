@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // State is a dimension-level snapshot of an Engine's mergeable signals,
@@ -16,10 +17,12 @@ import (
 // rings, per-key distinct counters, and one count-min sketch, heavy-hitter
 // table and surge detector for the whole dimension (each nil when the
 // engine disables it). It is the unit of replication in a gate fleet —
-// each node snapshots its windows-only engine, ships the compact Encode
-// form, and peers keep the latest state per node and sum Rate over them
+// each node snapshots its windows-only engine and ships the compact
+// Encode form. Peers never rebuild a State from it: they index the bytes
+// with DecodeRates, keep the latest view per node and sum Rate over them
 // at query time, which answers exactly what a merge would as long as no
-// ring holds a bucket later than the instant asked about.
+// ring holds a bucket later than the instant asked about. DecodeState and
+// Merge remain for the benchmark's codec probes.
 //
 // The per-key rings and counters of a snapshot or a decode are carved from
 // slabs the state owns, and decoded keys are views of shared chunks; a
@@ -376,10 +379,90 @@ var errDecodeBudget = errors.New("signal: state decode allocation budget exceede
 
 // DecodeState parses an Encode-produced buffer back into a State.
 func DecodeState(b []byte) (*State, error) {
+	return decodeState(b, nil)
+}
+
+// Rates is a read-only view of the per-key windows in one FAS1 payload,
+// for a reader that asks nothing but Rate — a fleet node summing its
+// peers' rates. It indexes each key to its sparse slot list inside the
+// payload and parses that list on each read, so it costs one map entry per
+// key where a decoded State costs a ring, and its keys alias the payload:
+// the bytes must not change while the view is in use.
+//
+// Rates is safe for concurrent use: every read is a pure read.
+type Rates struct {
+	b       []byte
+	width   time.Duration
+	buckets int
+	lists   map[string]rateList
+}
+
+// rateList locates one key's window: the offset of its slot list in the
+// payload when the list's slot indices strictly increase, as Encode writes
+// them, and otherwise — a slot written twice or out of order, which only
+// corrupt gossip holds — the ring DecodeState builds from it, so a read
+// costs O(buckets) whatever the list claims.
+type rateList struct {
+	off  int
+	ring *Window
+}
+
+// DecodeRates indexes an Encode-produced buffer for Rate reads. It accepts
+// exactly the buffers DecodeState accepts — the two share one walk — and
+// keeps b, which the caller must not modify afterwards.
+func DecodeRates(b []byte) (*Rates, error) {
+	rs := &Rates{b: b}
+	if _, err := decodeState(b, rs); err != nil {
+		return nil, err
+	}
+	return rs, nil
+}
+
+// Rate returns key's in-window event count as of now (0 for unseen keys):
+// exactly what State.Rate answers for the DecodeState of the same bytes.
+func (rs *Rates) Rate(key string, now time.Time) int {
+	return rs.rateAt(key, bucketIndex(now, rs.width))
+}
+
+// rateAt is Rate at bucket num: Window.scan over the key's slot list. A
+// decoded ring reads by scanning too (see scanOnly), and in a list whose
+// slot indices strictly increase each slot below buckets holds its one
+// entry, so summing the entries is summing the ring.
+func (rs *Rates) rateAt(key string, num int64) int {
+	l, ok := rs.lists[key]
+	if !ok {
+		return 0
+	}
+	if l.ring != nil {
+		return l.ring.countAt(num)
+	}
+	oldest := num - int64(rs.buckets) + 1
+	b := rs.b[l.off:]
+	used, n := binary.Uvarint(b)
+	b = b[n:]
+	total := 0
+	for range used {
+		slot, n := binary.Uvarint(b)
+		b = b[n:]
+		bucket, n := binary.Varint(b)
+		b = b[n:]
+		c, n := binary.Uvarint(b)
+		b = b[n:]
+		if slot < uint64(rs.buckets) && uint32(c) != 0 && bucket >= oldest && bucket <= num {
+			total += int(uint32(c))
+		}
+	}
+	return total
+}
+
+// decodeState is the one FAS1 parser. With rates nil it builds the State's
+// rings; otherwise it indexes each key's slot list into rates instead,
+// with keys viewing b, and the State it returns holds no windows.
+func decodeState(b []byte, rates *Rates) (*State, error) {
 	if len(b) < len(stateMagic) || string(b[:len(stateMagic)]) != stateMagic {
 		return nil, errors.New("signal: bad state magic")
 	}
-	r := &stateReader{b: b, off: len(stateMagic)}
+	r := &stateReader{b: b, off: len(stateMagic), view: rates != nil}
 	st := &State{
 		window:  time.Duration(r.uvarint()),
 		buckets: int(r.uvarint()),
@@ -393,10 +476,26 @@ func DecodeState(b []byte) (*State, error) {
 	if nWindows*st.buckets > maxDecodeWindowSlots {
 		return nil, errDecodeBudget
 	}
-	st.windows = make(map[string]*Window, nWindows)
 	rings := windowSlab{width: bucketWidth(st.window, st.buckets), buckets: st.buckets}
+	if rates != nil {
+		rates.width, rates.buckets = rings.width, st.buckets
+		rates.lists = make(map[string]rateList, nWindows)
+	} else {
+		st.windows = make(map[string]*Window, nWindows)
+	}
 	for i := range nWindows {
 		key := r.key()
+		if rates != nil {
+			off := r.off
+			if r.sortedSlots(st.buckets) {
+				rates.lists[key] = rateList{off: off}
+				continue
+			}
+			if r.err != nil {
+				return nil, r.err
+			}
+			r.off = off // build the ring below
+		}
 		if len(rings.rings) == 0 {
 			rings.reserve(r.chunk(nWindows-i, slabWindowSlots/st.buckets))
 		}
@@ -421,7 +520,11 @@ func DecodeState(b []byte) (*State, error) {
 		// A decoded ring is only ever read, and replaced by the next gossip
 		// round: it scans on read rather than recounting every slot here.
 		w.scanOnly(newest)
-		st.windows[key] = w
+		if rates != nil {
+			rates.lists[key] = rateList{ring: w}
+		} else {
+			st.windows[key] = w
+		}
 	}
 
 	if r.byte() == 1 {
@@ -538,11 +641,13 @@ func DecodeState(b []byte) (*State, error) {
 }
 
 // stateReader walks an encoded buffer with a sticky error. keys is the
-// chunk map keys are currently copied into.
+// chunk map keys are currently copied into; with view set, keys are views
+// of b instead.
 type stateReader struct {
 	b    []byte
 	off  int
 	err  error
+	view bool
 	keys strings.Builder
 }
 
@@ -591,11 +696,17 @@ func (r *stateReader) byte() byte {
 // chunks — one allocation per slabKeyBytes of keys rather than one per key
 // — that are never larger than the bytes still unread, and each returned
 // string is a view of its chunk: a Builder only ever appends, so the bytes
-// under a string already handed out never change.
+// under a string already handed out never change. With r.view set the key
+// is a view of the buffer itself.
 func (r *stateReader) key() string {
 	n := r.count()
 	if n == 0 {
 		return ""
+	}
+	if r.view {
+		k := unsafe.String(&r.b[r.off], n)
+		r.off += n
+		return k
 	}
 	if r.keys.Cap()-r.keys.Len() < n {
 		r.keys = strings.Builder{}
@@ -619,6 +730,24 @@ func (r *stateReader) count() int {
 		return 0
 	}
 	return int(n)
+}
+
+// sortedSlots reads one window's sparse slot list and reports whether its
+// slot indices below buckets strictly increase, as Encode writes them, and
+// the list read cleanly. Indices at or past buckets name no slot and are
+// ignored, as DecodeState ignores them.
+func (r *stateReader) sortedSlots(buckets int) bool {
+	sorted, next := true, uint64(0)
+	for range r.count() {
+		slot := r.uvarint()
+		r.varint()
+		r.uvarint()
+		if slot < uint64(buckets) {
+			sorted = sorted && slot >= next
+			next = slot + 1
+		}
+	}
+	return sorted && r.err == nil
 }
 
 // chunk sizes the next slab growth: the keys still claimed, capped by the

@@ -23,7 +23,7 @@ import (
 // idle for the whole span, so sweeps never touch an idle ring's slots. A
 // read before head — the clock stepped back, or a peer's ring raced ahead
 // of the reader's clock — falls back to scanning every slot, and so does
-// every read of a ring DecodeState built, which keeps no running total.
+// every read of a ring the FAS1 decoder built, which keeps no running total.
 // Either way the answer is exactly what a full scan of the ring would
 // give. Count and Empty are pure reads: they never move head, so reading
 // a decoded peer state leaves it as it arrived.
