@@ -57,6 +57,22 @@ const FleetDegradedHeader = "X-Fleet-Degraded"
 // staleness, the one degradation mode the anti-entropy loop can enter.
 const FleetDegradedStale = "gossip-stale"
 
+// fleetDegradedStale is FleetDegradedStale as a header value, assigned
+// into the header map instead of through Set so that stamping a response
+// allocates nothing. It is shared read-only with len == cap, so an Add on
+// the same key appends to a copy.
+var fleetDegradedStale = []string{FleetDegradedStale}
+
+// okBody is what every node's backend serves behind its gate.
+var okBody = []byte("ok\n")
+
+// serveOK is every node's backend. It never calls Header, so net/http
+// sniffs the body's Content-Type (text/plain; charset=utf-8) and skips
+// the header clone it makes for a handler that touched the map.
+func serveOK(w http.ResponseWriter, _ *http.Request) {
+	_, _ = w.Write(okBody) // a failed write is the client's lost connection
+}
+
 // Config assembles a Cluster.
 type Config struct {
 	// Nodes is the fleet size; non-positive selects 1.
@@ -264,10 +280,7 @@ func New(cfg Config) *Cluster {
 				httpgate.WithTelemetryLabels(obs.Label{Name: "node", Value: strconv.Itoa(i)}))
 		}
 		n.gate = httpgate.New(gcfg, opts...)
-		n.handler = n.gate.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			_, _ = w.Write([]byte("ok\n"))
-		}))
+		n.handler = n.gate.Wrap(http.HandlerFunc(serveOK))
 		c.nodes = append(c.nodes, n)
 	}
 	if cfg.Telemetry != nil {
@@ -291,7 +304,7 @@ func (c *Cluster) Handler() http.Handler {
 		}
 		n := c.nodes[idx]
 		if n.degraded.Load() {
-			w.Header().Set(FleetDegradedHeader, FleetDegradedStale)
+			w.Header()[FleetDegradedHeader] = fleetDegradedStale
 			n.degradedServed.Add(1)
 		}
 		n.handler.ServeHTTP(w, r)

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -240,5 +242,55 @@ func TestClusterCollectorFamilies(t *testing.T) {
 			t.Fatalf("duplicate series %s", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestFrontAnswersOverSocket checks what a client sees from the fleet
+// front over a real server: the node backend's ok with the sniffed
+// text/plain Content-Type, stamped FleetDegradedHeader while the node is
+// degraded; an outer handler's Add to that key leaves the shared value
+// as built.
+func TestFrontAnswersOverSocket(t *testing.T) {
+	c := New(Config{Nodes: 2, Clock: simclock.NewManual(epoch)})
+	front := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		front.ServeHTTP(w, r)
+		w.Header().Add(FleetDegradedHeader, "outer")
+	}))
+	defer srv.Close()
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for _, degraded := range []bool{false, true, true} {
+		for _, n := range c.nodes {
+			n.degraded.Store(degraded)
+		}
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/search", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(httpgate.FingerprintHeader, "feed")
+		req.Header.Set("X-Forwarded-For", "198.51.0.9")
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ""
+		if degraded {
+			want = FleetDegradedStale
+		}
+		h := resp.Header
+		if resp.StatusCode != http.StatusOK || string(body) != "ok\n" ||
+			h.Get("Content-Type") != "text/plain; charset=utf-8" || strings.Join(h.Values(FleetDegradedHeader), ",") != want {
+			t.Errorf("degraded=%v: answer %d %q %q, want 200 \"ok\\n\" text/plain, %s %q",
+				degraded, resp.StatusCode, h, body, FleetDegradedHeader, want)
+		}
+	}
+	if v := fleetDegradedStale; len(v) != 1 || cap(v) != 1 || v[0] != FleetDegradedStale {
+		t.Errorf("fleetDegradedStale = %q (cap %d), want [%q] with len == cap", v, cap(v), FleetDegradedStale)
 	}
 }

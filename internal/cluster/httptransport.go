@@ -20,6 +20,11 @@ const gossipPathPrefix = "/gossip/"
 // cannot stream an unbounded response into the anti-entropy loop.
 const maxSnapshotBytes = 16 << 20
 
+// octetStream is the snapshot responses' Content-Type value, assigned
+// into the header map instead of through Set (shared read-only, len ==
+// cap).
+var octetStream = []string{"application/octet-stream"}
+
 // HTTPTransport carries gossip snapshots over real sockets: each process
 // publishes its nodes' snapshots into the transport, serves them on
 // Handler, and fetches peers' through an http.Client against the base
@@ -162,7 +167,7 @@ func (t *HTTPTransport) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header()["Content-Type"] = octetStream
 		_, _ = w.Write(EncodeSnapshot(snap))
 	})
 }

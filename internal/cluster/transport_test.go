@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -72,6 +73,34 @@ func TestHTTPTransportRejectsWrongNodeBody(t *testing.T) {
 	if snap, err := other.FetchFrom(-1, 5); err != nil || snap.Node != 5 {
 		t.Fatalf("honest fetch = %+v, %v", snap, err)
 	}
+}
+
+// TestHTTPTransportServesOctetStream checks the snapshot route's
+// Content-Type, which the handler assigns from a shared value, and that
+// an outer handler's Add to it leaves that value as built.
+func TestHTTPTransportServesOctetStream(t *testing.T) {
+	tr := NewHTTPTransport(nil)
+	inner := tr.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(w, r)
+		w.Header().Add("Content-Type", "outer")
+	}))
+	t.Cleanup(srv.Close)
+	tr.Publish(Snapshot{Node: 3})
+	for range 2 {
+		resp, err := http.Get(srv.URL + gossipPathPrefix + "3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if got := resp.Header.Values("Content-Type"); resp.StatusCode != http.StatusOK || len(got) != 1 || got[0] != "application/octet-stream" {
+			t.Fatalf("answer %d with Content-Type %q, want 200 application/octet-stream", resp.StatusCode, got)
+		}
+	}
+	if v := octetStream; len(v) != 1 || cap(v) != 1 || v[0] != "application/octet-stream" {
+		t.Errorf("octetStream = %q (cap %d), want one element with len == cap", v, cap(v))
+	}
+	http.DefaultClient.CloseIdleConnections()
 }
 
 func TestHTTPTransportUnreachablePeerIsTransportError(t *testing.T) {

@@ -175,6 +175,12 @@ func BenchmarkGateDecideMutexBaseline(b *testing.B) {
 	})
 }
 
+// BenchmarkGateWrapEndToEnd drives Wrap in process through a recorder. Most
+// of its 21 allocs/op are the harness, built per op: 17 are benchRequest's
+// strings, httptest.NewRequest, AddCookie, the fingerprint header and
+// httptest.NewRecorder, and the rest is the recorder's header snapshot at
+// WriteHeader. The gate's own cost on a real socket is BenchmarkWrapSocket
+// in internal/loadgen.
 func BenchmarkGateWrapEndToEnd(b *testing.B) {
 	clock := simclock.NewManual(t0)
 	g := New(Config{

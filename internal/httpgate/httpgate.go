@@ -28,7 +28,10 @@
 // shared clock reading), the enabled rows of the package's layer table
 // (layers.go: order, call adapters, fail policies, denial reasons) are
 // resolved once at construction into a step table, and built-in layers
-// are probed with byte keys assembled in scratch space.
+// are probed with byte keys assembled in scratch space. Wrap answers a
+// denial from header values and bodies built once from the same table,
+// so its response write adds nothing beyond net/http's own header
+// handling.
 //
 // # Resilience
 //
@@ -416,16 +419,28 @@ func newLimiter(limit int, window time.Duration) *signal.Limiter {
 	return signal.NewLimiter(signal.LimiterConfig{Window: window, Limit: limit})
 }
 
-// Wrap returns next guarded by the gate.
+// Wrap returns next guarded by the gate. A denial is answered as
+// Header().Set(ReasonHeader, reason) and http.Error(w, StatusText(status),
+// status) would answer it — same status, headers and body — but from
+// values built once from the layer table (layers.go), so writing it
+// allocates nothing beyond net/http's own header handling.
 func (g *Gate) Wrap(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		d := g.Decide(r, g.Client(r))
 		if d.Degraded != 0 {
-			w.Header().Set(DegradedHeader, degradedNames[d.Degraded])
+			w.Header()[DegradedHeader] = headerValue(degradedNames[:], int(d.Degraded))
 		}
 		if d.Reason != "" {
-			w.Header().Set(ReasonHeader, d.Reason)
-			http.Error(w, http.StatusText(d.Status), d.Status)
+			// Decide emits only the table rows' reasons, each with its
+			// row's status.
+			i := reasonIndex(d.Reason)
+			h := w.Header()
+			delete(h, "Content-Length")
+			h[ReasonHeader] = headerValue(reasons[:], i)
+			h["Content-Type"] = textPlain
+			h["X-Content-Type-Options"] = noSniff
+			w.WriteHeader(d.Status)
+			_, _ = w.Write(denialBodies[i]) // a failed write is the client's lost connection
 			return
 		}
 		next.ServeHTTP(w, r)

@@ -190,6 +190,28 @@ var degradedNames = func() [1 << numLayers]string {
 	return names
 }()
 
+// textPlain and noSniff are the values http.Error sets, assigned into the
+// header map instead of through Set. Like every header value Wrap
+// assigns, they are shared read-only with len == cap, so an Add on the
+// same key appends to a copy instead of writing into them.
+var (
+	textPlain = []string{"text/plain; charset=utf-8"}
+	noSniff   = []string{"nosniff"}
+)
+
+// headerValue returns vs[i] as a one-element header value that aliases
+// vs (reasons, degradedNames): no allocation, and len == cap.
+func headerValue(vs []string, i int) []string { return vs[i : i+1 : i+1] }
+
+// denialBodies[i] is the body http.Error writes for the status of the row
+// denying with reasons[i].
+var denialBodies = func() (bs [len(layerTable)][]byte) {
+	for i, row := range layerTable {
+		bs[i] = []byte(http.StatusText(row.status) + "\n")
+	}
+	return bs
+}()
+
 // byteProbe is an in-process identity lookup over a byte key assembled in
 // per-decision scratch: BlockList.BlockedBytes, or EntityLookup's
 // FlaggedBytes (which ignores the instant).

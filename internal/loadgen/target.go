@@ -190,19 +190,26 @@ func watches(paths []string, path string) bool {
 	return len(paths) == 0 || slices.Contains(paths, path)
 }
 
+// okBody is what the backend behind StartTarget's gate serves.
+var okBody = []byte("ok\n")
+
+// serveOK is the backend behind StartTarget's gate. It never calls
+// Header, so net/http sniffs the body's Content-Type (text/plain;
+// charset=utf-8) and skips the header clone it makes for a handler that
+// touched the map.
+func serveOK(w http.ResponseWriter, _ *http.Request) {
+	_, _ = w.Write(okBody) // a failed write is the client's lost connection
+}
+
 // StartTarget boots the defended server on an ephemeral 127.0.0.1 port.
 func StartTarget(cfg TargetConfig) (*Target, error) {
 	gate, blocks, deployer := NewTargetGate(cfg)
 
-	backend := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte("ok\n"))
-	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: target listen: %w", err)
 	}
-	srv := &http.Server{Handler: gate.Wrap(backend)}
+	srv := &http.Server{Handler: gate.Wrap(http.HandlerFunc(serveOK))}
 	go func() { _ = srv.Serve(ln) }()
 	return &Target{
 		Gate:     gate,
