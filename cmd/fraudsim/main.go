@@ -259,8 +259,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 		registerApp(reg, env, opts)
 	}
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, core.SimStart.Add(warmup+horizon))
+	wl := workload.DefaultConfig(env.Flights(), core.SimStart.Add(warmup+horizon))
 	wl.HoldsPerHour = 60
 	pop := workload.NewPopulation(wl, env.App, env.App, env.App, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
@@ -285,7 +284,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 	until := core.SimStart.Add(warmup + horizon)
 
 	if opts.scenario == "seatspin" || opts.scenario == "mixed" {
-		spinner = env.StartSpinner(envCfg)
+		spinner = env.StartSpinner()
 	}
 	if opts.scenario == "smspump" || opts.scenario == "mixed" {
 		rot := fingerprint.NewRotator(env.RNG.Derive("prot"),

@@ -11,7 +11,6 @@ import (
 
 	"funabuse/internal/attack"
 	"funabuse/internal/core"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/proxy"
 	"funabuse/internal/workload"
 )
@@ -33,8 +32,7 @@ func run() error {
 
 	// 2. Legitimate traffic: booking journeys with the Fig. 1 party-size
 	//    mix, arriving at a diurnal rate.
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, core.SimStart.Add(2*24*time.Hour))
+	wl := workload.DefaultConfig(env.Flights(), core.SimStart.Add(2*24*time.Hour))
 	pop := workload.NewPopulation(wl, env.App, env.App, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
 
@@ -51,11 +49,6 @@ func run() error {
 	//    reservation on FA100, re-holding each time the 30-minute hold
 	//    expires, spoofing organic browser fingerprints and exiting
 	//    through per-request residential proxies.
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
 		ID:             "spin-1",
 		Flight:         envCfg.TargetID,
@@ -63,7 +56,7 @@ func run() error {
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
 		Parallel:       8,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
+	}, env.App, env.Sched, env.RNG.Derive("spinner"), env.SpoofedRotator(),
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	spinner.Start()
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"funabuse/internal/race"
 	"funabuse/internal/simrand"
 )
 
@@ -293,7 +294,7 @@ func TestSelfEvictedInsertLeavesNoGhost(t *testing.T) {
 // deletes emptied, and the selection runs in the scratch sized by that
 // first call.
 func TestObserveEvictSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	const budget, runs = 256, 1000

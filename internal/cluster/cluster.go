@@ -295,14 +295,9 @@ func New(cfg Config) *Cluster {
 // serves anyway — the failure model is degrade, never stall.
 func (c *Cluster) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		c.maybeGossip(c.clock.Now())
 		// Every node's gate is built from one Config, so any of them
 		// attributes the request exactly as the serving gate will.
-		idx := c.router.Route(routeInfo(c.nodes[0].gate.Client(r)), len(c.nodes))
-		if idx < 0 || idx >= len(c.nodes) {
-			idx = 0
-		}
-		n := c.nodes[idx]
+		n := c.route(c.nodes[0].gate.Client(r))
 		if n.degraded.Load() {
 			w.Header()[FleetDegradedHeader] = fleetDegradedStale
 			n.degradedServed.Add(1)

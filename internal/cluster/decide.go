@@ -6,25 +6,24 @@ import (
 	"funabuse/internal/httpgate"
 )
 
-// routeInfo builds the router's identity view from gate attribution:
-// what the caller extracted for Decide, what a node's gate.Client reads
-// off the request for Handler.
-func routeInfo(info httpgate.ClientInfo) RouteInfo {
-	return RouteInfo{
+// route is the front's one gossip-and-route step, shared by Decide and
+// Handler: it runs any due gossip round, then returns the node the router
+// picks for info's identity, node 0 when the router answers out of range.
+func (c *Cluster) route(info httpgate.ClientInfo) *node {
+	c.maybeGossip(c.clock.Now())
+	idx := c.router.Route(RouteInfo{
 		Fingerprint:    info.Fingerprint,
 		HasFingerprint: info.HasFingerprint,
 		IP:             info.IP,
-	}
-}
-
-// Decide routes one request exactly as Handler does — any due gossip
-// round first, then the router picks the owning node — and evaluates it
-// on that node's gate in-process, skipping the HTTP front entirely.
-func (c *Cluster) Decide(r *http.Request, info httpgate.ClientInfo) httpgate.Decision {
-	c.maybeGossip(c.clock.Now())
-	idx := c.router.Route(routeInfo(info), len(c.nodes))
+	}, len(c.nodes))
 	if idx < 0 || idx >= len(c.nodes) {
 		idx = 0
 	}
-	return c.nodes[idx].gate.Decide(r, info)
+	return c.nodes[idx]
+}
+
+// Decide routes one request exactly as Handler does and evaluates it on
+// that node's gate in-process, skipping the HTTP front entirely.
+func (c *Cluster) Decide(r *http.Request, info httpgate.ClientInfo) httpgate.Decision {
+	return c.route(info).gate.Decide(r, info)
 }

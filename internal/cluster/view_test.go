@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"funabuse/internal/race"
 	"funabuse/internal/resilience"
 	"funabuse/internal/signal"
 	"funabuse/internal/simclock"
@@ -447,7 +448,7 @@ func warmFleet(tb testing.TB, nodes, keysPerNode int) (*Cluster, *simclock.Manua
 // into rings cost 175 and 4.6 MB; a per-key codec or a merged view
 // rebuilt each round would cost tens of thousands.
 func TestGossipRoundAllocBound(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	c, manual := warmFleet(t, 4, 500)

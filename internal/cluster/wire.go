@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"funabuse/internal/wire"
 )
 
 // snapshotMagic opens every encoded Snapshot: "fleet gossip snapshot",
@@ -18,6 +20,8 @@ const snapshotMagic = "FGS1"
 // maxWireRuleLen bounds one encoded rule record; corrupt gossip cannot
 // force a huge allocation through a fabricated length prefix.
 const maxWireRuleLen = 1 << 16
+
+var errWireTruncated = errors.New("cluster: truncated snapshot")
 
 // EncodeSnapshot serializes the snapshot into the compact wire form
 // DecodeSnapshot reads. Encoding is a pure function of the snapshot's
@@ -33,8 +37,7 @@ func EncodeSnapshot(s Snapshot) []byte {
 		rec = rec[:0]
 		rec = binary.AppendUvarint(rec, uint64(r.Origin))
 		rec = binary.AppendUvarint(rec, r.Seq)
-		rec = binary.AppendUvarint(rec, uint64(len(r.Key)))
-		rec = append(rec, r.Key...)
+		rec = wire.AppendString(rec, r.Key)
 		rec = binary.AppendVarint(rec, r.At.UnixNano())
 		b = binary.AppendUvarint(b, uint64(len(rec)))
 		b = append(b, rec...)
@@ -44,8 +47,8 @@ func EncodeSnapshot(s Snapshot) []byte {
 	return b
 }
 
-// DecodeSnapshot parses an EncodeSnapshot-produced buffer. The reader is
-// sticky-error and bounds-checked throughout: truncated or corrupt gossip
+// DecodeSnapshot parses an EncodeSnapshot-produced buffer through the
+// shared wire.Reader, sticky-error and bounds-checked throughout: truncated or corrupt gossip
 // yields an error, never a panic or an oversized allocation. The embedded
 // state bytes are returned raw — receivers validate them separately with
 // signal.DecodeRates, so one peer's corrupt state cannot poison the rule
@@ -54,108 +57,48 @@ func DecodeSnapshot(b []byte) (Snapshot, error) {
 	if len(b) < len(snapshotMagic) || string(b[:len(snapshotMagic)]) != snapshotMagic {
 		return Snapshot{}, errors.New("cluster: bad snapshot magic")
 	}
-	r := &wireReader{b: b, off: len(snapshotMagic)}
+	r := wire.NewReader(b, len(snapshotMagic), errWireTruncated)
 	var s Snapshot
-	s.Node = int(r.uvarint())
-	nRules := r.count()
-	if r.err != nil {
-		return Snapshot{}, r.err
+	s.Node = int(r.Uvarint())
+	nRules := r.Count()
+	if r.Err != nil {
+		return Snapshot{}, r.Err
 	}
 	if nRules > 0 {
 		s.Rules = make([]Rule, 0, nRules)
 	}
 	for range nRules {
-		recLen := r.count()
-		if r.err != nil {
-			return Snapshot{}, r.err
+		recLen := r.Count()
+		if r.Err != nil {
+			return Snapshot{}, r.Err
 		}
 		if recLen > maxWireRuleLen {
 			return Snapshot{}, fmt.Errorf("cluster: rule record of %d bytes exceeds limit", recLen)
 		}
-		end := r.off + recLen
+		end := r.Off + recLen
 		var rule Rule
-		rule.Origin = int(r.uvarint())
-		rule.Seq = r.uvarint()
-		rule.Key = r.string()
-		rule.At = time.Unix(0, r.varint()).UTC()
-		if r.err != nil {
-			return Snapshot{}, r.err
+		rule.Origin = int(r.Uvarint())
+		rule.Seq = r.Uvarint()
+		rule.Key = r.Str()
+		rule.At = time.Unix(0, r.Varint()).UTC()
+		if r.Err != nil {
+			return Snapshot{}, r.Err
 		}
-		if r.off != end {
+		if r.Off != end {
 			return Snapshot{}, fmt.Errorf("cluster: rule record length %d does not match contents", recLen)
 		}
 		s.Rules = append(s.Rules, rule)
 	}
-	stateLen := r.count()
-	if r.err != nil {
-		return Snapshot{}, r.err
+	stateLen := r.Count()
+	if r.Err != nil {
+		return Snapshot{}, r.Err
 	}
 	if stateLen > 0 {
-		s.State = append([]byte(nil), r.b[r.off:r.off+stateLen]...)
-		r.off += stateLen
+		s.State = append([]byte(nil), r.B[r.Off:r.Off+stateLen]...)
+		r.Off += stateLen
 	}
-	if r.off != len(r.b) {
-		return Snapshot{}, fmt.Errorf("cluster: %d trailing bytes after snapshot", len(r.b)-r.off)
+	if r.Off != len(r.B) {
+		return Snapshot{}, fmt.Errorf("cluster: %d trailing bytes after snapshot", r.Left())
 	}
 	return s, nil
-}
-
-// wireReader walks an encoded buffer with a sticky error, mirroring the
-// signal package's state reader.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-var errWireTruncated = errors.New("cluster: truncated snapshot")
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errWireTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errWireTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) string() string {
-	n := r.count()
-	if r.err != nil {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-// count reads a collection or byte length, bounding it by the bytes
-// remaining so corrupt input cannot force huge allocations.
-func (r *wireReader) count() int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.err = errWireTruncated
-		return 0
-	}
-	return int(n)
 }

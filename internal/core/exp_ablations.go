@@ -139,7 +139,7 @@ func ablateTTL(seed uint64) ([]TTLRow, error) {
 		envCfg.TargetDep = SimStart.Add(10 * 24 * time.Hour)
 		env := NewEnv(envCfg)
 
-		spinner := env.StartSpinner(envCfg)
+		spinner := env.StartSpinner()
 		if err := env.Run(3 * 24 * time.Hour); err != nil {
 			return nil, err
 		}
@@ -245,17 +245,11 @@ func ablateSessionGap(seed uint64) ([]GapRow, error) {
 	envCfg.TargetDep = SimStart.Add(10 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(horizon))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(horizon))
 	wl.HoldsPerHour = 40
 	pop := workload.NewPopulation(wl, env.App, nil, env.App, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
 		ID:             "spin-1",
 		Flight:         envCfg.TargetID,
@@ -263,7 +257,7 @@ func ablateSessionGap(seed uint64) ([]GapRow, error) {
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
 		Parallel:       8,
-	}, env.App, env.Sched, env.RNG.Derive("spinner"), rot,
+	}, env.App, env.Sched, env.RNG.Derive("spinner"), env.SpoofedRotator(),
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	spinner.Start()
 

@@ -105,8 +105,7 @@ func RunCaseA(seed uint64) (CaseAResult, error) {
 	envCfg.TargetDep = SimStart.Add(17 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(17*24*time.Hour))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(17*24*time.Hour))
 	wl.HoldsPerHour = 60
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
@@ -121,7 +120,7 @@ func RunCaseA(seed uint64) (CaseAResult, error) {
 	defender.Start()
 
 	attackStart := env.Sched.Now()
-	spinner := env.StartSpinner(envCfg)
+	spinner := env.StartSpinner()
 
 	if err := env.Run(17 * 24 * time.Hour); err != nil {
 		return CaseAResult{}, err

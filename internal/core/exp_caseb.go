@@ -10,7 +10,6 @@ import (
 	"funabuse/internal/attack"
 	"funabuse/internal/booking"
 	"funabuse/internal/detect"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/proxy"
 	"funabuse/internal/runner"
@@ -90,19 +89,13 @@ func RunCaseB(seed uint64) (CaseBResult, error) {
 	envCfg.TargetDep = SimStart.Add(10 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(horizon))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(horizon))
 	wl.HoldsPerHour = 50
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
 
 	// Automated attacker: fixed lead name, rotating birthdate, overlapping
 	// pool members (Airline B pattern). Low NiP to blend in.
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
 	auto := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
 		ID:             "autob-1",
 		Flight:         envCfg.TargetID,
@@ -110,7 +103,7 @@ func RunCaseB(seed uint64) (CaseBResult, error) {
 		ReholdInterval: envCfg.Booking.HoldTTL,
 		Departure:      envCfg.TargetDep,
 		Parallel:       6,
-	}, env.App, env.Sched, env.RNG.Derive("auto"), rot,
+	}, env.App, env.Sched, env.RNG.Derive("auto"), env.SpoofedRotator(),
 		env.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	auto.Start()
 

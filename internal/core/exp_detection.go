@@ -103,8 +103,7 @@ func RunDetectionComparison(seed uint64) (DetectionResult, error) {
 	envCfg.TargetDep = SimStart.Add(10 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(horizon))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(horizon))
 	wl.HoldsPerHour = 40
 	wl.OTPPerHour = 20
 	pop := workload.NewPopulation(wl, env.App, env.App, env.App, env.Sched, env.RNG.Derive("pop"), env.Registry)

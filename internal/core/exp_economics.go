@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"funabuse/internal/attack"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/runner"
 	"funabuse/internal/workload"
@@ -143,17 +142,11 @@ func runEconArm(seed uint64, label string, defence DefenceConfig) (EconRow, erro
 	envCfg.TargetDep = SimStart.Add(30 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(horizon))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(horizon))
 	wl.HoldsPerHour = 40
 	pop := workload.NewPopulation(wl, env.App, env.App, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
 	pumper := attack.NewSMSPumper(attack.SMSPumperConfig{
 		ID:           pumpActorID,
 		Flight:       envCfg.TargetID,
@@ -161,7 +154,7 @@ func runEconArm(seed uint64, label string, defence DefenceConfig) (EconRow, erro
 		SendInterval: 90 * time.Second,
 		PremiumShare: 0.25,
 		Until:        SimStart.Add(horizon),
-	}, env.App, env.App, env.Sched, env.RNG.Derive("pumper"), env.Proxies, rot, env.Registry)
+	}, env.App, env.App, env.Sched, env.RNG.Derive("pumper"), env.Proxies, env.SpoofedRotator(), env.Registry)
 	pumper.Start()
 
 	if err := env.Run(horizon); err != nil {

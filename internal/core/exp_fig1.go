@@ -85,8 +85,7 @@ func RunFig1(seed uint64) (Fig1Result, error) {
 	envCfg.TargetDep = SimStart.Add(3*week + 48*time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(3*week))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(3*week))
 	wl.HoldsPerHour = 60
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
@@ -98,7 +97,7 @@ func RunFig1(seed uint64) (Fig1Result, error) {
 
 	// Week 2: the attack begins. The operator spoofs organic fingerprints
 	// and exits through residential proxies.
-	spinner := env.StartSpinner(envCfg)
+	spinner := env.StartSpinner()
 	if err := env.Run(2 * week); err != nil {
 		return Fig1Result{}, err
 	}

@@ -103,8 +103,7 @@ func runHoneypotArm(seed uint64, name string, honeypot bool) (HoneypotArm, error
 	envCfg.TargetDep = SimStart.Add(12 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(9*24*time.Hour))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(9*24*time.Hour))
 	wl.HoldsPerHour = 50
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
@@ -122,7 +121,7 @@ func runHoneypotArm(seed uint64, name string, honeypot bool) (HoneypotArm, error
 	defender := NewDefender(dcfg, env.App, env.Sched, baseline)
 	defender.Start()
 
-	spinner := env.StartSpinner(envCfg)
+	spinner := env.StartSpinner()
 
 	if err := env.Run(9 * 24 * time.Hour); err != nil {
 		return HoneypotArm{}, err

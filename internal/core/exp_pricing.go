@@ -77,8 +77,7 @@ func RunPricing(seed uint64) (PricingResult, error) {
 	env := NewEnv(envCfg)
 	schedule := booking.DefaultFareSchedule(targetCap)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(2*week))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(2*week))
 	wl.HoldsPerHour = 60
 	pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 	pop.Start()
@@ -135,7 +134,7 @@ func RunPricing(seed uint64) (PricingResult, error) {
 		return PricingResult{}, err
 	}
 
-	env.StartSpinner(envCfg)
+	env.StartSpinner()
 
 	if err := env.Run(2 * week); err != nil {
 		return PricingResult{}, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"funabuse/internal/attack"
-	"funabuse/internal/fingerprint"
 	"funabuse/internal/metrics"
 	"funabuse/internal/runner"
 	"funabuse/internal/sms"
@@ -177,8 +176,7 @@ func runPumpScenario(seed uint64, defence DefenceConfig, pumpInterval time.Durat
 	envCfg.TargetDep = SimStart.Add(40 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(2*week))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(2*week))
 	wl.HoldsPerHour = 100
 	wl.ConfirmProb = 0.60
 	wl.BoardingPassProb = 0.60
@@ -190,11 +188,6 @@ func runPumpScenario(seed uint64, defence DefenceConfig, pumpInterval time.Durat
 		return nil, nil, err
 	}
 
-	rot := fingerprint.NewRotator(
-		env.RNG.Derive("rot"),
-		fingerprint.NewGenerator(env.RNG.Derive("fpgen")),
-		fingerprint.WithSpoofing(),
-	)
 	pumper := attack.NewSMSPumper(attack.SMSPumperConfig{
 		ID:              pumpActorID,
 		Flight:          envCfg.TargetID,
@@ -203,7 +196,7 @@ func runPumpScenario(seed uint64, defence DefenceConfig, pumpInterval time.Durat
 		SendInterval:    pumpInterval,
 		PremiumShare:    0.25,
 		Until:           SimStart.Add(2 * week),
-	}, env.App, env.App, env.Sched, env.RNG.Derive("pumper"), env.Proxies, rot, env.Registry)
+	}, env.App, env.App, env.Sched, env.RNG.Derive("pumper"), env.Proxies, env.SpoofedRotator(), env.Registry)
 	pumper.Start()
 
 	if err := env.Run(2 * week); err != nil {

@@ -32,6 +32,8 @@ type Env struct {
 	Gateway  *sms.Gateway
 	App      *Application
 	Proxies  *proxy.Service
+
+	cfg EnvConfig // what NewEnv built the environment from
 }
 
 // EnvConfig parameterises scenario setup.
@@ -114,36 +116,47 @@ func NewEnv(cfg EnvConfig) *Env {
 		Gateway:  gateway,
 		App:      NewApplication(clock, rng.Derive("app"), cfg.Defence, bookings, decoy, gateway),
 		Proxies:  proxy.NewService(rng.Derive("proxies")),
+		cfg:      cfg,
 	}
 }
 
-// FleetIDs returns the background-flight IDs (excluding the target).
-func (e *Env) FleetIDs(cfg EnvConfig) []booking.FlightID {
-	out := make([]booking.FlightID, 0, cfg.FleetSize)
-	for i := range cfg.FleetSize {
+// Flights returns the IDs of every flight NewEnv added: the background
+// fleet, then the target.
+func (e *Env) Flights() []booking.FlightID {
+	out := make([]booking.FlightID, 0, e.cfg.FleetSize+1)
+	for i := range e.cfg.FleetSize {
 		out = append(out, booking.FlightID("FL"+strconv.Itoa(100+i)))
+	}
+	if e.cfg.TargetID != "" {
+		out = append(out, e.cfg.TargetID)
 	}
 	return out
 }
 
-// StartSpinner starts the Case A attacker against cfg's target flight: the
-// spin-1 seat spinner holding parties of six on ten parallel streams and
-// re-holding every hold TTL until departure, behind spoofed organic
-// fingerprints and per-request Singapore residential exits.
-func (e *Env) StartSpinner(cfg EnvConfig) *attack.SeatSpinner {
-	rot := fingerprint.NewRotator(
+// SpoofedRotator returns the fingerprint rotator every scenario attacker
+// hides behind: rotations draw organic fingerprints (WithSpoofing) from
+// the environment's "rot" and "fpgen" streams.
+func (e *Env) SpoofedRotator() *fingerprint.Rotator {
+	return fingerprint.NewRotator(
 		e.RNG.Derive("rot"),
 		fingerprint.NewGenerator(e.RNG.Derive("fpgen")),
 		fingerprint.WithSpoofing(),
 	)
+}
+
+// StartSpinner starts the Case A attacker against the target flight: the
+// spin-1 seat spinner holding parties of six on ten parallel streams and
+// re-holding every hold TTL until departure, behind spoofed organic
+// fingerprints and per-request Singapore residential exits.
+func (e *Env) StartSpinner() *attack.SeatSpinner {
 	spinner := attack.NewSeatSpinner(attack.SeatSpinnerConfig{
 		ID:             "spin-1",
-		Flight:         cfg.TargetID,
+		Flight:         e.cfg.TargetID,
 		TargetNiP:      6,
-		ReholdInterval: cfg.Booking.HoldTTL,
-		Departure:      cfg.TargetDep,
+		ReholdInterval: e.cfg.Booking.HoldTTL,
+		Departure:      e.cfg.TargetDep,
 		Parallel:       10,
-	}, e.App, e.Sched, e.RNG.Derive("spinner"), rot,
+	}, e.App, e.Sched, e.RNG.Derive("spinner"), e.SpoofedRotator(),
 		e.Proxies.NewSession("SG", proxy.RotatePerRequest))
 	spinner.Start()
 	return spinner

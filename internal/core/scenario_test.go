@@ -18,11 +18,11 @@ import (
 func TestNewEnvRegistersFleetAndTarget(t *testing.T) {
 	cfg := DefaultEnvConfig(1)
 	env := NewEnv(cfg)
-	ids := env.FleetIDs(cfg)
-	if len(ids) != cfg.FleetSize {
-		t.Fatalf("FleetIDs = %d", len(ids))
+	ids := env.Flights()
+	if len(ids) != cfg.FleetSize+1 || ids[cfg.FleetSize] != cfg.TargetID {
+		t.Fatalf("Flights = %d ending %v, want the %d-flight fleet then %s", len(ids), ids[len(ids)-1], cfg.FleetSize, cfg.TargetID)
 	}
-	for _, id := range ids {
+	for _, id := range ids[:cfg.FleetSize] {
 		if _, err := env.Bookings.AvailabilityOf(id); err != nil {
 			t.Fatalf("fleet flight %s not registered: %v", id, err)
 		}
@@ -54,8 +54,7 @@ func TestEnvDeterministicAcrossRuns(t *testing.T) {
 	build := func() int {
 		cfg := DefaultEnvConfig(7)
 		env := NewEnv(cfg)
-		flights := append(env.FleetIDs(cfg), cfg.TargetID)
-		wl := workload.DefaultConfig(flights, SimStart.Add(24*time.Hour))
+		wl := workload.DefaultConfig(env.Flights(), SimStart.Add(24*time.Hour))
 		pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 		pop.Start()
 		if err := env.Run(24 * time.Hour); err != nil {
@@ -79,8 +78,7 @@ func TestQuotaExhaustionLocksOutLegitimateUsers(t *testing.T) {
 	envCfg.TargetDep = SimStart.Add(30 * 24 * time.Hour)
 	env := NewEnv(envCfg)
 
-	flights := append(env.FleetIDs(envCfg), envCfg.TargetID)
-	wl := workload.DefaultConfig(flights, SimStart.Add(3*24*time.Hour))
+	wl := workload.DefaultConfig(env.Flights(), SimStart.Add(3*24*time.Hour))
 	wl.HoldsPerHour = 30
 	wl.OTPPerHour = 20
 	pop := workload.NewPopulation(wl, env.App, env.App, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
@@ -123,8 +121,7 @@ func TestEnvSeedsChangeOutcomes(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		cfg := DefaultEnvConfig(seed)
 		env := NewEnv(cfg)
-		flights := append(env.FleetIDs(cfg), cfg.TargetID)
-		wl := workload.DefaultConfig(flights, SimStart.Add(12*time.Hour))
+		wl := workload.DefaultConfig(env.Flights(), SimStart.Add(12*time.Hour))
 		pop := workload.NewPopulation(wl, env.App, nil, nil, env.Sched, env.RNG.Derive("pop"), env.Registry)
 		pop.Start()
 		if err := env.Run(12 * time.Hour); err != nil {
@@ -140,11 +137,11 @@ func TestEnvSeedsChangeOutcomes(t *testing.T) {
 func TestFleetIDsStable(t *testing.T) {
 	cfg := DefaultEnvConfig(1)
 	env := NewEnv(cfg)
-	ids := env.FleetIDs(cfg)
-	for i, id := range ids {
+	ids := env.Flights()
+	for i, id := range ids[:cfg.FleetSize] {
 		want := "FL" + strconv.Itoa(100+i)
 		if string(id) != want {
-			t.Fatalf("FleetIDs[%d] = %s, want %s", i, id, want)
+			t.Fatalf("Flights[%d] = %s, want %s", i, id, want)
 		}
 	}
 }

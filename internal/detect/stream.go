@@ -81,19 +81,12 @@ func NewStreamMonitor(cfg StreamConfig) *StreamMonitor {
 	}
 }
 
-// IdentityKey is the monitor's client identity for a request.
+// IdentityKey is the monitor's client identity for a request: the
+// fingerprint as 16 hex digits, "|", the cookie.
 func IdentityKey(r weblog.Request) string {
-	return u64hex(r.Fingerprint) + "|" + r.Cookie
-}
-
-func u64hex(v uint64) string {
-	const digits = "0123456789abcdef"
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(b[:])
+	var buf [64]byte
+	b := append(weblog.AppendU64Hex(buf[:0], r.Fingerprint), '|')
+	return string(append(b, r.Cookie...))
 }
 
 // Observe feeds one request through the monitor and reports whether its

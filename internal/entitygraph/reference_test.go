@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"funabuse/internal/race"
 	"funabuse/internal/simrand"
 )
 
@@ -388,7 +389,7 @@ func TestBudgetOfOneEvictsEverything(t *testing.T) {
 // and their keys land in freed slots, the index and the edge map reuse what
 // their deletes emptied, and the selection runs in a reused scratch.
 func TestObserveEvictSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	const budget, runs = 256, 1000

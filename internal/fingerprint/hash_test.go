@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"funabuse/internal/race"
 	"funabuse/internal/simrand"
 )
 
@@ -77,7 +78,7 @@ func TestFingerprintHashMatchesFNV(t *testing.T) {
 }
 
 func TestFingerprintHashZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	f := NewGenerator(simrand.New(12)).Organic()

@@ -8,6 +8,7 @@ import (
 
 	"funabuse/internal/account"
 	"funabuse/internal/obs"
+	"funabuse/internal/race"
 	"funabuse/internal/simclock"
 )
 
@@ -205,7 +206,7 @@ var accountGate = New(allocGateConfig,
 // including a store tier lookup, the restricted-path probe and the
 // per-tier limiter — still allocates nothing.
 func TestAccountDecideZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	r := httptest.NewRequest(http.MethodGet, "/booking/1", nil)

@@ -7,6 +7,7 @@ import (
 
 	"funabuse/internal/entitygraph"
 	"funabuse/internal/obs"
+	"funabuse/internal/race"
 	"funabuse/internal/simclock"
 )
 
@@ -70,7 +71,7 @@ func TestEntityLayerWrapSetsReasonHeader(t *testing.T) {
 // including flagged-component lookups for fingerprint, IP and client key —
 // still allocates nothing.
 func TestEntityDecideZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	r := httptest.NewRequest(http.MethodGet, "/booking/1", nil)

@@ -9,6 +9,7 @@ import (
 
 	"funabuse/internal/mitigate"
 	"funabuse/internal/obs"
+	"funabuse/internal/race"
 	"funabuse/internal/simclock"
 )
 
@@ -193,7 +194,7 @@ func TestWithResilienceOption(t *testing.T) {
 // pre-resolved step table and scratch-built byte keys leave no per-call
 // heap work to budget for.
 func TestDecideZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	r := httptest.NewRequest(http.MethodGet, "/booking/1", nil)
@@ -224,7 +225,7 @@ func TestDecideZeroAllocs(t *testing.T) {
 // entry point: once the pooled contexts and limiter keys are warm, a
 // 64-request DecideBatch on the instrumented gate allocates nothing.
 func TestDecideBatchZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	r := httptest.NewRequest(http.MethodGet, "/booking/1", nil)

@@ -11,6 +11,7 @@ import (
 	"funabuse/internal/account"
 	"funabuse/internal/entitygraph"
 	"funabuse/internal/httpgate"
+	"funabuse/internal/race"
 	"funabuse/internal/simclock"
 )
 
@@ -26,7 +27,7 @@ import (
 // by: the live heap at the end must equal the live heap after 100k of them,
 // to within what a sweep cycle moves it (1/16).
 func TestTargetGateChurnAllocAndHeapBound(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	const (

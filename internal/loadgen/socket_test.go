@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"funabuse/internal/httpgate"
+	"funabuse/internal/race"
 )
 
 // rawConn is one keep-alive loopback connection that writes
@@ -176,7 +177,7 @@ func mallocsPerRequest(t *testing.T, rc *rawConn, req []byte, wantStatus, n int)
 // denial — the header map's first bucket and net/http's clone of it,
 // taken because the denial writes its headers.
 func TestWrapSocketAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	bareAddr, targetAddr, admit, deny := socketTargets(t)

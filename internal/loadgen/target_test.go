@@ -10,6 +10,7 @@ import (
 	"funabuse/internal/entitygraph"
 	"funabuse/internal/httpgate"
 	"funabuse/internal/mitigate"
+	"funabuse/internal/race"
 	"funabuse/internal/simclock"
 )
 
@@ -20,7 +21,7 @@ import (
 // Only first sight of a key may allocate: the map that must retain it
 // clones it then.
 func TestTargetGateDecideZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
 	refs := []string{"PNR00001", "PNR00002", "PNR00003", "PNR00004"}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"funabuse/internal/race"
 	"funabuse/internal/simrand"
 )
 
@@ -95,7 +96,7 @@ func TestDamerauLevenshteinMatchesReference(t *testing.T) {
 }
 
 func TestDamerauLevenshteinZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	a := strings.Repeat("A", dlStackRow-1)

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"funabuse/internal/wire"
 )
 
 // FuzzDecodeState hammers the FAS1 decoder with corrupt gossip: whatever
@@ -196,7 +198,7 @@ func rawWindows(buckets int, keys ...rawKey) []byte {
 	b = binary.AppendUvarint(b, 0) // observed
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k.name)
+		b = wire.AppendString(b, k.name)
 		b = binary.AppendUvarint(b, uint64(len(k.slots)))
 		for _, s := range k.slots {
 			b = binary.AppendUvarint(b, uint64(s[0]))

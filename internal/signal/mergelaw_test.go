@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"funabuse/internal/race"
 	"funabuse/internal/simrand"
 )
 
@@ -154,7 +155,7 @@ func TestSlabKeysAreIsolated(t *testing.T) {
 // 500-key state a fleet node ships: a few dozen allocations, where one per
 // ring, slice, counter and key string would be thousands.
 func TestStateCodecAllocBounds(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	e := fleetProfileEngine(500)

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"funabuse/internal/race"
 )
 
 // windowsOnlyPayload is what a fleet node publishes: the encoded state of
@@ -79,7 +81,7 @@ func TestRatesMatchDecodeState(t *testing.T) {
 // TestPeerRateZeroAlloc pins the read a fleet node makes per peer on every
 // decision: a Rate hit and a miss on a rate view each allocate nothing.
 func TestPeerRateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	rs, err := DecodeRates(windowsOnlyPayload(500))

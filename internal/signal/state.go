@@ -10,6 +10,8 @@ import (
 	"sync"
 	"time"
 	"unsafe"
+
+	"funabuse/internal/wire"
 )
 
 // State is a dimension-level snapshot of an Engine's mergeable signals,
@@ -262,7 +264,7 @@ func (s *State) appendTo(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
 		w := s.windows[k]
-		b = appendString(b, k)
+		b = wire.AppendString(b, k)
 		used := 0
 		for _, c := range w.counts {
 			if c != 0 {
@@ -289,7 +291,7 @@ func (s *State) appendTo(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
 			d := s.distinct[k]
-			b = appendString(b, k)
+			b = wire.AppendString(b, k)
 			used := 0
 			for _, r := range d.regs {
 				if r != 0 {
@@ -331,7 +333,7 @@ func (s *State) appendTo(b []byte) []byte {
 		entries := s.topk.Top(0)
 		b = binary.AppendUvarint(b, uint64(len(entries)))
 		for _, e := range entries {
-			b = appendString(b, e.Key)
+			b = wire.AppendString(b, e.Key)
 			b = binary.AppendUvarint(b, e.Count)
 			b = binary.AppendUvarint(b, e.Err)
 		}
@@ -462,17 +464,17 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 	if len(b) < len(stateMagic) || string(b[:len(stateMagic)]) != stateMagic {
 		return nil, errors.New("signal: bad state magic")
 	}
-	r := &stateReader{b: b, off: len(stateMagic), view: rates != nil}
+	r := &stateReader{Reader: wire.NewReader(b, len(stateMagic), errTruncated), view: rates != nil}
 	st := &State{
-		window:  time.Duration(r.uvarint()),
-		buckets: int(r.uvarint()),
+		window:  time.Duration(r.Uvarint()),
+		buckets: int(r.Uvarint()),
 	}
-	st.observed = r.uvarint()
+	st.observed = r.Uvarint()
 	if st.window <= 0 || st.buckets <= 0 || st.buckets > 1<<20 {
 		return nil, errors.New("signal: bad state window geometry")
 	}
 
-	nWindows := r.count()
+	nWindows := r.Count()
 	if nWindows*st.buckets > maxDecodeWindowSlots {
 		return nil, errDecodeBudget
 	}
@@ -486,27 +488,27 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 	for i := range nWindows {
 		key := r.key()
 		if rates != nil {
-			off := r.off
+			off := r.Off
 			if r.sortedSlots(st.buckets) {
 				rates.lists[key] = rateList{off: off}
 				continue
 			}
-			if r.err != nil {
-				return nil, r.err
+			if r.Err != nil {
+				return nil, r.Err
 			}
-			r.off = off // build the ring below
+			r.Off = off // build the ring below
 		}
 		if len(rings.rings) == 0 {
 			rings.reserve(r.chunk(nWindows-i, slabWindowSlots/st.buckets))
 		}
 		w := rings.next()
-		used := r.count()
+		used := r.Count()
 		newest := int64(0) // no earlier than any occupied slot's bucket
 		for range used {
-			slot := r.uvarint()
-			num := r.varint()
-			c := r.uvarint()
-			if r.err == nil && slot < uint64(len(w.counts)) {
+			slot := r.Uvarint()
+			num := r.Varint()
+			c := r.Uvarint()
+			if r.Err == nil && slot < uint64(len(w.counts)) {
 				w.counts[slot] = uint32(c)
 				w.nums[slot] = num
 				if uint32(c) != 0 {
@@ -514,8 +516,8 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 				}
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		// A decoded ring is only ever read, and replaced by the next gossip
 		// round: it scans on read rather than recounting every slot here.
@@ -527,12 +529,12 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 		}
 	}
 
-	if r.byte() == 1 {
-		st.precision = r.byte()
+	if r.Byte() == 1 {
+		st.precision = r.Byte()
 		if st.precision < 4 || st.precision > 16 {
 			return nil, errors.New("signal: bad distinct precision")
 		}
-		nDistinct := r.count()
+		nDistinct := r.Count()
 		if nDistinct<<st.precision > maxDecodeDistinctRegs {
 			return nil, errDecodeBudget
 		}
@@ -544,64 +546,64 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 				counters.reserve(r.chunk(nDistinct-i, slabDistinctRegs>>st.precision))
 			}
 			d := counters.next()
-			used := r.count()
+			used := r.Count()
 			for range used {
-				idx := r.uvarint()
-				val := r.byte()
-				if r.err == nil && idx < uint64(len(d.regs)) {
+				idx := r.Uvarint()
+				val := r.Byte()
+				if r.Err == nil && idx < uint64(len(d.regs)) {
 					d.regs[idx] = val
 				}
 			}
-			if r.err != nil {
-				return nil, r.err
+			if r.Err != nil {
+				return nil, r.Err
 			}
 			st.distinct[key] = d
 		}
 	}
 
-	if r.byte() == 1 {
-		width := int(r.uvarint())
-		depth := int(r.uvarint())
+	if r.Byte() == 1 {
+		width := int(r.Uvarint())
+		depth := int(r.Uvarint())
 		// Bound each dimension before multiplying: the product of two
 		// attacker-supplied ints can overflow past the shape check.
-		if r.err != nil || width <= 0 || depth <= 0 ||
+		if r.Err != nil || width <= 0 || depth <= 0 ||
 			width > 1<<26 || depth > 1<<26 || width*depth > 1<<26 {
 			return nil, errors.New("signal: bad sketch shape")
 		}
 		// Every sketch cell costs at least one wire byte, so a shape the
 		// remaining bytes cannot back is corrupt — reject it before the
 		// rows are allocated.
-		if width*depth > len(r.b)-r.off {
+		if width*depth > r.Left() {
 			return nil, errDecodeBudget
 		}
 		cm := NewCountMin(width, depth)
-		cm.total = r.uvarint()
+		cm.total = r.Uvarint()
 		for i := range cm.rows {
 			for j := range cm.rows[i] {
-				cm.rows[i][j] = r.uvarint()
+				cm.rows[i][j] = r.Uvarint()
 			}
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		st.sketch = cm
 	}
 
-	if r.byte() == 1 {
-		k := int(r.uvarint())
-		if r.err != nil || k < 1 || k > 1<<20 {
+	if r.Byte() == 1 {
+		k := int(r.Uvarint())
+		if r.Err != nil || k < 1 || k > 1<<20 {
 			return nil, errors.New("signal: bad topk capacity")
 		}
-		n := r.count()
+		n := r.Count()
 		entries := make([]TopEntry, 0, n)
 		for range n {
 			key := r.key()
-			count := r.uvarint()
-			errBound := r.uvarint()
+			count := r.Uvarint()
+			errBound := r.Uvarint()
 			entries = append(entries, TopEntry{Key: key, Count: count, Err: errBound})
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		if len(entries) > k {
 			return nil, errors.New("signal: topk entries exceed capacity")
@@ -614,83 +616,42 @@ func decodeState(b []byte, rates *Rates) (*State, error) {
 		st.topk = tk
 	}
 
-	if r.byte() == 1 {
-		start := time.Unix(0, r.varint()).UTC()
-		period := time.Duration(r.uvarint())
-		curIdx := r.varint()
-		if r.err != nil || period <= 0 {
+	if r.Byte() == 1 {
+		start := time.Unix(0, r.Varint()).UTC()
+		period := time.Duration(r.Uvarint())
+		curIdx := r.Varint()
+		if r.Err != nil || period <= 0 {
 			return nil, errors.New("signal: bad surge header")
 		}
 		sd := &SurgeDetector{start: start, period: period, curIdx: curIdx}
-		if sd.cur = readCountMap(r); r.err != nil {
-			return nil, r.err
+		if sd.cur = readCountMap(r); r.Err != nil {
+			return nil, r.Err
 		}
-		if sd.prev = readCountMap(r); r.err != nil {
-			return nil, r.err
+		if sd.prev = readCountMap(r); r.Err != nil {
+			return nil, r.Err
 		}
 		st.surge = sd
 	}
 
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
-	if r.off != len(r.b) {
-		return nil, fmt.Errorf("signal: %d trailing bytes after state", len(r.b)-r.off)
+	if r.Off != len(r.B) {
+		return nil, fmt.Errorf("signal: %d trailing bytes after state", r.Left())
 	}
 	return st, nil
 }
 
-// stateReader walks an encoded buffer with a sticky error. keys is the
-// chunk map keys are currently copied into; with view set, keys are views
-// of b instead.
+// stateReader is the shared bounded reader plus FAS1's map keys. keys is
+// the chunk map keys are currently copied into; with view set, keys are
+// views of B instead.
 type stateReader struct {
-	b    []byte
-	off  int
-	err  error
+	wire.Reader
 	view bool
 	keys strings.Builder
 }
 
 var errTruncated = errors.New("signal: truncated state")
-
-func (r *stateReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *stateReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.err = errTruncated
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *stateReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.err = errTruncated
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
 
 // key reads one length-prefixed map key. Keys are copied into shared
 // chunks — one allocation per slabKeyBytes of keys rather than one per key
@@ -699,37 +660,23 @@ func (r *stateReader) byte() byte {
 // under a string already handed out never change. With r.view set the key
 // is a view of the buffer itself.
 func (r *stateReader) key() string {
-	n := r.count()
+	n := r.Count()
 	if n == 0 {
 		return ""
 	}
 	if r.view {
-		k := unsafe.String(&r.b[r.off], n)
-		r.off += n
+		k := unsafe.String(&r.B[r.Off], n)
+		r.Off += n
 		return k
 	}
 	if r.keys.Cap()-r.keys.Len() < n {
 		r.keys = strings.Builder{}
-		r.keys.Grow(max(n, min(slabKeyBytes, len(r.b)-r.off)))
+		r.keys.Grow(max(n, min(slabKeyBytes, r.Left())))
 	}
 	start := r.keys.Len()
-	r.keys.Write(r.b[r.off : r.off+n])
-	r.off += n
+	r.keys.Write(r.B[r.Off : r.Off+n])
+	r.Off += n
 	return r.keys.String()[start:]
-}
-
-// count reads a collection length, bounding it by the bytes remaining so
-// corrupt input cannot force huge allocations.
-func (r *stateReader) count() int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.err = errTruncated
-		return 0
-	}
-	return int(n)
 }
 
 // sortedSlots reads one window's sparse slot list and reports whether its
@@ -738,49 +685,44 @@ func (r *stateReader) count() int {
 // ignored, as DecodeState ignores them.
 func (r *stateReader) sortedSlots(buckets int) bool {
 	sorted, next := true, uint64(0)
-	for range r.count() {
-		slot := r.uvarint()
-		r.varint()
-		r.uvarint()
+	for range r.Count() {
+		slot := r.Uvarint()
+		r.Varint()
+		r.Uvarint()
 		if slot < uint64(buckets) {
 			sorted = sorted && slot >= next
 			next = slot + 1
 		}
 	}
-	return sorted && r.err == nil
+	return sorted && r.Err == nil
 }
 
 // chunk sizes the next slab growth: the keys still claimed, capped by the
 // slab's chunk and by the bytes left to spell them (a key costs at least
 // one), and never less than the one key about to be carved.
 func (r *stateReader) chunk(claimed, perChunk int) int {
-	return max(1, min(claimed, perChunk, len(r.b)-r.off))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return max(1, min(claimed, perChunk, r.Left()))
 }
 
 func appendCountMap(b []byte, m map[string]int) []byte {
 	keys := sortedKeys(m)
 	b = binary.AppendUvarint(b, uint64(len(keys)))
 	for _, k := range keys {
-		b = appendString(b, k)
+		b = wire.AppendString(b, k)
 		b = binary.AppendVarint(b, int64(m[k]))
 	}
 	return b
 }
 
-// readCountMap reads one surge period's counts; on a malformed map r.err
+// readCountMap reads one surge period's counts; on a malformed map r.Err
 // is set and the partial map is the caller's to drop.
 func readCountMap(r *stateReader) map[string]int {
-	n := r.count()
+	n := r.Count()
 	m := make(map[string]int, n)
 	for range n {
 		key := r.key()
-		v := r.varint()
-		if r.err != nil {
+		v := r.Varint()
+		if r.Err != nil {
 			break
 		}
 		m[key] = int(v)

@@ -184,10 +184,11 @@ func appendClientKey(buf []byte, r Request) []byte {
 	buf = append(buf, 'i', ':')
 	buf = append(buf, r.IP...)
 	buf = append(buf, '/')
-	return appendU64Hex(buf, r.Fingerprint)
+	return AppendU64Hex(buf, r.Fingerprint)
 }
 
-func appendU64Hex(buf []byte, v uint64) []byte {
+// AppendU64Hex appends v as 16 zero-padded lowercase hex digits.
+func AppendU64Hex(buf []byte, v uint64) []byte {
 	const digits = "0123456789abcdef"
 	var b [16]byte
 	for i := 15; i >= 0; i-- {

@@ -97,7 +97,8 @@ func TestReachableFromMain(t *testing.T) {
 // unreached returns what of the files under dir the roots leave unreached
 // and keep does not name, keyed as in reachKeep, each with its "file:line
 // (n lines) kind"; and the keep rows that name something unreached. The roots
-// are main, init, package-level vars, and methods named like a method of an
+// are main, init, blank (_) package-level vars — a named var's initializer
+// is reached through the var's uses — and methods named like a method of an
 // interface in an imported standard-library package (String, Error, Len,
 // ServeHTTP, ...: the library calls them). A reached body reaches every
 // function it names, called or not, through Origin, and every type and
@@ -160,7 +161,7 @@ func unreached(fset *token.FileSet, pkgs []*types.Package, files []*ast.File, in
 					for _, name := range s.Names {
 						bodies[info.Defs[name]] = []ast.Node{s}
 					}
-					if d.(*ast.GenDecl).Tok == token.VAR {
+					if d.(*ast.GenDecl).Tok == token.VAR && slices.ContainsFunc(s.Names, func(n *ast.Ident) bool { return n.Name == "_" }) {
 						queue = append(queue, s)
 					}
 				case *ast.TypeSpec:
@@ -257,7 +258,7 @@ func unreached(fset *token.FileSet, pkgs []*types.Package, files []*ast.File, in
 }
 
 // TestReachabilityRules runs the pass over a fixture with one case of each
-// of its rules: every name but the four it wants is reached.
+// of its rules: every name but the five it wants is reached.
 func TestReachabilityRules(t *testing.T) {
 	const src = `package main
 import "fmt"
@@ -273,14 +274,18 @@ func (g G[X]) Get() X { return g.x }          // called on G[int]
 type Kind int                                 // named by kindA only
 type Unused int
 const kindA Kind = 1
-var v = initOnly()
-func initOnly() string { return fmt.Sprint() } // called by v only
+var _ = initOnly()
+func initOnly() string { return fmt.Sprint() } // called by a blank var only
+var v = viaUse()
+func viaUse() int { return 0 }                // called by v, which main reads
+var u = unusedOnly()
+func unusedOnly() int { return 0 }            // called by u, which nothing reads
 func main() {
 	var i I = T{}
 	i.M()
 	var t T
 	t.g = 1
-	_, _, _, _ = T{}.N, &t.h, G[int]{}.Get(), kindA
+	_, _, _, _, _ = T{}.N, &t.h, G[int]{}.Get(), kindA, v
 }`
 	l := loadRepo(t)
 	f, err := parser.ParseFile(l.fset, "fixture.go", src, parser.ParseComments)
@@ -293,7 +298,7 @@ func main() {
 		t.Fatal(err)
 	}
 	found, _ := unreached(l.fset, []*types.Package{pkg}, []*ast.File{f}, info, "", nil)
-	if got, want := slices.Sorted(maps.Keys(found)), []string{"main.T.dead", "main.T.deadToo", "main.T.g", "main.Unused"}; !slices.Equal(got, want) {
+	if got, want := slices.Sorted(maps.Keys(found)), []string{"main.T.dead", "main.T.deadToo", "main.T.g", "main.Unused", "main.unusedOnly"}; !slices.Equal(got, want) {
 		t.Fatalf("findings %v, want %v", got, want)
 	}
 }
