@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -22,6 +24,35 @@ func TestRunUnknownScenario(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("error %q does not list scenario %q", err, name)
 		}
+	}
+}
+
+// TestSimScenarioGolden pins each in-process simulation's seed-1 report
+// under the CLI's default flags (seven attack days, no defender) byte for
+// byte. -update re-pins them along with the load-scenario goldens:
+//
+//	go test ./cmd/fraudsim -run 'ScenarioGolden' -update
+func TestSimScenarioGolden(t *testing.T) {
+	for _, name := range simScenarios {
+		t.Run(name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(options{scenario: name, days: 7, seed: 1}, &out, io.Discard); err != nil {
+				t.Fatalf("run(%s): %v", name, err)
+			}
+			path := filepath.Join("testdata", name+"_seed1.golden")
+			if *update {
+				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("scenario %s has no golden (re-pin with -update): %v", name, err)
+			}
+			if out.String() != string(want) {
+				t.Fatalf("report differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.String(), want)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package cluster runs a fleet of httpgate nodes behind one routing
 // front, with anti-entropy replication between nodes: blocklist rule
 // deltas carrying per-rule origin and sequence metadata, and each node's
-// per-key sliding windows in the compact signal.State wire form.
+// per-key sliding windows in the compact FAS1 wire form, written straight
+// from the node engine's shards.
 //
 // The package exists to model the paper's core warning at system scale:
 // functional abuse is distributed by design, so an attacker who spreads
@@ -94,10 +95,10 @@ type Config struct {
 	// ReplicateRules ships each node's originated-rule log; peers apply
 	// the per-origin delta into their own blocklists.
 	ReplicateRules bool
-	// ReplicateState ships each node's per-key sliding windows as an
-	// encoded signal.State (its sketch sections empty); peers keep a rate
-	// view of the latest one per node and their detectors add its rates
-	// to local ones.
+	// ReplicateState ships each node's per-key sliding windows as a
+	// windows-only FAS1 frame (signal.Engine.AppendWindows); peers keep a
+	// rate view of the latest one per node and their detectors add its
+	// rates to local ones.
 	ReplicateState bool
 
 	// FetchRetry tunes the jittered-backoff retry wrapped around every
@@ -319,21 +320,24 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 		return
 	}
 	now := n.clock.Now()
+	// The key is built on the stack and observed and looked up by bytes:
+	// a string of it exists only when a rule is originated.
 	var buf [len("fp:") + 16]byte
-	key := string(strconv.AppendUint(append(buf[:0], "fp:"...), info.Fingerprint, 16))
-	local := n.engine.Observe(key, now)
+	key := strconv.AppendUint(append(buf[:0], "fp:"...), info.Fingerprint, 16)
+	local := n.engine.ObserveBytes(key, now)
 	if n.cluster.cfg.RuleThreshold <= 0 {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if local+n.peerRate(key, now) < n.cluster.cfg.RuleThreshold || n.seen[key] {
+	if local+n.peerRate(key, now) < n.cluster.cfg.RuleThreshold || n.seen[string(key)] {
 		return
 	}
-	n.seen[key] = true
+	rule := string(key)
+	n.seen[rule] = true
 	n.seq++
-	n.originated = append(n.originated, Rule{Origin: n.id, Seq: n.seq, Key: key, At: now})
-	n.blocks.Block(key, now)
+	n.originated = append(n.originated, Rule{Origin: n.id, Seq: n.seq, Key: rule, At: now})
+	n.blocks.Block(rule, now)
 }
 
 // peerRate sums key's in-window rate over the peer slots: the fleet view
@@ -342,7 +346,7 @@ func (n *node) onDecision(r *http.Request, info httpgate.ClientInfo, deniedBy st
 // slot raced in microseconds ahead of now only leaves its newest events
 // uncounted until the next request — so the sum is what one merged ring
 // would answer. Callers hold n.mu.
-func (n *node) peerRate(key string, now time.Time) int {
+func (n *node) peerRate(key []byte, now time.Time) int {
 	total := 0
 	for _, rs := range n.peers {
 		if rs != nil {
@@ -390,9 +394,11 @@ func (c *Cluster) Gossip(now time.Time) {
 // round's decode memo turns N×(N−1) fetched states into N decodes.
 // Callers hold gossipMu.
 func (c *Cluster) gossip(now time.Time) {
+	buf := publishScratch.Get().(*[]byte)
 	for _, n := range c.nodes {
-		c.transport.Publish(n.snapshot(c.cfg.ReplicateState))
+		c.transport.Publish(n.snapshot(c.cfg.ReplicateState, buf))
 	}
+	publishScratch.Put(buf)
 	var memo decodeMemo
 	for _, n := range c.nodes {
 		n.absorb(now, &memo)
@@ -403,15 +409,26 @@ func (c *Cluster) gossip(now time.Time) {
 	}
 }
 
-// snapshot assembles the node's published payload.
-func (n *node) snapshot(includeState bool) Snapshot {
+// publishScratch holds the buffers gossip rounds write node states into:
+// a round takes one and reuses it for every node's snapshot, and it serves
+// the next round unless a collection has dropped it since, so an idle fleet
+// pins no buffer.
+var publishScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// snapshot assembles the node's published payload without copying: the
+// rule log is the prefix logged so far, whose records are never written
+// again (a later append writes past it or moves the log), and with
+// includeState the engine's windows are written straight from its shards
+// into *buf, which the next snapshot rewrites. Every Transport clones on
+// Publish, so neither is shared past it.
+func (n *node) snapshot(includeState bool, buf *[]byte) Snapshot {
 	n.mu.Lock()
-	rules := make([]Rule, len(n.originated))
-	copy(rules, n.originated)
+	rules := n.originated[:len(n.originated):len(n.originated)]
 	n.mu.Unlock()
 	snap := Snapshot{Node: n.id, Rules: rules}
 	if includeState {
-		snap.State = n.engine.State().Encode()
+		*buf = n.engine.AppendWindows((*buf)[:0])
+		snap.State = *buf
 	}
 	return snap
 }

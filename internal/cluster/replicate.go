@@ -19,8 +19,8 @@ type Rule struct {
 // Snapshot is one node's published anti-entropy payload: its full
 // originated-rule log in sequence order — receivers keep a per-origin
 // high-water mark and apply only the delta, so re-reading the full log is
-// idempotent — and, when state replication is on, the signal.State wire
-// encoding of its local engine's per-key windows.
+// idempotent — and, when state replication is on, its local engine's
+// per-key windows as a windows-only FAS1 frame (signal.Engine.AppendWindows).
 type Snapshot struct {
 	Node  int
 	Rules []Rule
@@ -28,8 +28,9 @@ type Snapshot struct {
 }
 
 // Clone returns a deep copy sharing no memory with the receiver. Every
-// Transport clones on Publish, so a node appending to its rule log after
-// publishing can never race a peer reading the stored snapshot.
+// Transport clones on Publish, so a node appending to its rule log or
+// rewriting its state buffer after publishing can never race a peer
+// reading the stored snapshot.
 func (s Snapshot) Clone() Snapshot {
 	c := Snapshot{Node: s.Node}
 	if s.Rules != nil {
@@ -48,8 +49,10 @@ var ErrNotPublished = errors.New("cluster: snapshot not published")
 
 // Transport moves snapshots between nodes. Publish replaces the node's
 // visible snapshot; Fetch reads the latest one published for a node.
-// Implementations must be safe for concurrent use, and must store a
-// defensive copy on Publish (use Snapshot.Clone) so publisher and
+// Implementations must be safe for concurrent use, and Publish must not
+// retain the snapshot's buffers: a gossip round writes every node's state
+// into one scratch buffer and hands over a prefix of each live rule log,
+// so Publish stores a defensive copy (use Snapshot.Clone) and publisher and
 // fetchers never share rule-slice or state-byte backing. InProc is the
 // in-process implementation; HTTPTransport carries the same snapshots
 // over real sockets in the FGS1 wire form.

@@ -1,9 +1,12 @@
 package signal
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"funabuse/internal/keytab"
 )
 
 // EngineConfig assembles an Engine. Per-key sliding-window rates are
@@ -47,11 +50,11 @@ type EngineConfig struct {
 // virtual time see exact values.
 //
 // Memory is bounded: sketches, heavy-hitter tables and ring windows are
-// fixed-size; per-key state (rate ring + distinct registers) is dropped
-// by periodic sweeps once a key has no in-window events. Alerts derived
-// from engine state must be journaled by the consumer (see
-// detect.StreamMonitor) — the engine itself is working memory, not a
-// ledger.
+// fixed-size; per-key state (rate ring + distinct registers) is freed by
+// periodic sweeps once a key has no in-window events, and its slot's ring
+// serves the next key. Alerts derived from engine state must be journaled
+// by the consumer (see detect.StreamMonitor) — the engine itself is
+// working memory, not a ledger.
 //
 // Engine is safe for concurrent use.
 type Engine struct {
@@ -61,15 +64,32 @@ type Engine struct {
 	observed atomic.Uint64
 }
 
+// engineShard is one lock stripe. Its per-key state lives in a
+// keytab.Table: the key's bytes and its state share a slot, iteration goes
+// by slot, and a slot freed by a sweep keeps its ring and key buffer for
+// the next key, as the limiter's shards keep their rings.
 type engineShard struct {
-	mu       sync.Mutex
-	windows  map[string]*Window
-	distinct map[string]*Distinct
-	sketch   *CountMin
-	topk     *TopK
-	surge    *SurgeDetector
-	ops      int
+	mu      sync.Mutex
+	keys    *keytab.Table[engineKey]
+	sketch  *CountMin
+	topk    *TopK
+	surge   *SurgeDetector
+	ops     int
+	inserts int // keys inserted since the last sweep
 }
+
+// engineKey is one key's per-key state: its rate ring, its distinct
+// counter (nil until an attribute arrives for the key), and a copy of its
+// bytes for the snapshot and publish paths, which keytab does not hand out.
+type engineKey struct {
+	w   Window
+	d   *Distinct
+	key []byte
+}
+
+// engineSlots caps nothing: the engine has no key budget (sweeps bound it),
+// so its tables grow a quarter at a time however many keys arrive.
+const engineSlots = math.MaxInt32
 
 // NewEngine returns an engine for one dimension.
 func NewEngine(cfg EngineConfig) *Engine {
@@ -80,10 +100,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{cfg: cfg, shards: make([]engineShard, n), mask: uint64(n - 1)}
 	for i := range e.shards {
 		s := &e.shards[i]
-		s.windows = make(map[string]*Window)
-		if cfg.DistinctPrecision > 0 {
-			s.distinct = make(map[string]*Distinct)
-		}
+		s.keys = keytab.New[engineKey](engineSlots)
 		if cfg.SketchWidth > 0 {
 			s.sketch = NewCountMin(cfg.SketchWidth, cfg.SketchDepth)
 		}
@@ -100,6 +117,14 @@ func NewEngine(cfg EngineConfig) *Engine {
 // Observe folds one event for key at the given instant into every enabled
 // signal and returns the key's updated in-window rate.
 func (e *Engine) Observe(key string, now time.Time) int {
+	return e.observe(bytesOf(key), "", now)
+}
+
+// ObserveBytes is Observe for a key assembled in a reusable byte buffer,
+// so a per-request caller can build a prefixed key ("fp:<hex>") in scratch
+// space. The engine copies a new key into its shard and keeps no
+// reference to the buffer.
+func (e *Engine) ObserveBytes(key []byte, now time.Time) int {
 	return e.observe(key, "", now)
 }
 
@@ -107,11 +132,14 @@ func (e *Engine) Observe(key string, now time.Time) int {
 // e.g. key = device fingerprint, attr = exit IP, so the counter estimates
 // how many residential exits one print has fanned out across.
 func (e *Engine) ObserveAttr(key, attr string, now time.Time) int {
-	return e.observe(key, attr, now)
+	return e.observe(bytesOf(key), attr, now)
 }
 
-func (e *Engine) observe(key, attr string, now time.Time) int {
-	h := hash64(key)
+// observe is the one observation body. key is only read: the shard's
+// table copies a new key into its slot, and a sketch that keeps keys gets
+// a string copy of its own.
+func (e *Engine) observe(key []byte, attr string, now time.Time) int {
+	h := hash64Bytes(key)
 	s := &e.shards[h&e.mask]
 	s.mu.Lock()
 	s.ops++
@@ -119,43 +147,76 @@ func (e *Engine) observe(key, attr string, now time.Time) int {
 		s.ops = 0
 		s.sweep(now)
 	}
-	w, ok := s.windows[key]
+	slot, ok := s.keys.Find(key)
 	if !ok {
-		w = NewWindow(e.cfg.Window, DefaultWindowBuckets)
-		s.windows[key] = w
+		slot = s.keys.Insert(key)
+		s.inserts++
+		e.resetKey(s.keys.At(slot), key)
 	}
-	rate := w.addCount(now)
+	k := s.keys.At(slot)
+	rate := k.w.addCount(now)
 	if s.sketch != nil {
 		s.sketch.AddHash(h, 1)
 	}
-	if s.topk != nil {
-		s.topk.Offer(key, 1)
-	}
-	if s.surge != nil {
-		s.surge.Observe(key, now)
-	}
-	if attr != "" && s.distinct != nil {
-		d, ok := s.distinct[key]
-		if !ok {
-			d = NewDistinct(e.cfg.DistinctPrecision)
-			s.distinct[key] = d
+	if s.topk != nil || s.surge != nil {
+		owned := string(key)
+		if s.topk != nil {
+			s.topk.Offer(owned, 1)
 		}
-		d.Add(attr)
+		if s.surge != nil {
+			s.surge.Observe(owned, now)
+		}
+	}
+	if attr != "" && e.cfg.DistinctPrecision > 0 {
+		if k.d == nil {
+			k.d = NewDistinct(e.cfg.DistinctPrecision)
+		}
+		k.d.Add(attr)
 	}
 	s.mu.Unlock()
 	e.observed.Add(1)
 	return rate
 }
 
-// sweep drops per-key state for keys with no in-window events. Callers
-// hold the shard lock.
+// resetKey readies a slot for a new key: a slot whose buffers a sweep
+// handed back gets a new ring, one that kept its ring keeps its buffers
+// (every ring of one engine has the same geometry, so a reset ring is a
+// new one). A slot comes out of a sweep without a distinct counter.
+func (e *Engine) resetKey(k *engineKey, key []byte) {
+	if k.w.counts == nil {
+		k.w = *NewWindow(e.cfg.Window, DefaultWindowBuckets)
+	} else {
+		k.w.Reset()
+	}
+	k.key = append(k.key[:0], key...)
+}
+
+// sweep drops the per-key state of keys with no in-window events. A freed
+// slot drops its distinct counter and keeps its ring and key buffer for
+// the next key, but the spare slots holding them may not outnumber the live keys plus the keys that arrived since
+// the previous sweep plus maxSpareRings, as in the limiter's shards: the
+// rest go back to the garbage collector. Callers hold the shard lock.
 func (s *engineShard) sweep(now time.Time) {
-	for k, w := range s.windows {
-		if w.Empty(now) {
-			delete(s.windows, k)
-			if s.distinct != nil {
-				delete(s.distinct, k)
+	spare := 0
+	for i := range int32(s.keys.Slots()) {
+		k := s.keys.At(i)
+		if s.keys.Used(i) {
+			if !k.w.Empty(now) {
+				continue
 			}
+			s.keys.Delete(i)
+			k.d = nil
+		}
+		if k.w.counts != nil {
+			spare++
+		}
+	}
+	keep := s.keys.Len() + s.inserts + maxSpareRings
+	s.inserts = 0
+	for i := int32(0); spare > keep; i++ {
+		if k := s.keys.At(i); !s.keys.Used(i) && k.w.counts != nil {
+			*k = engineKey{}
+			spare--
 		}
 	}
 }
@@ -166,11 +227,11 @@ func (e *Engine) Rate(key string, now time.Time) int {
 	s := &e.shards[hash64(key)&e.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w, ok := s.windows[key]
+	slot, ok := s.keys.Find(bytesOf(key))
 	if !ok {
 		return 0
 	}
-	return w.Count(now)
+	return s.keys.At(slot).w.Count(now)
 }
 
 // Freq returns the count-min estimate of key's lifetime frequency (an
@@ -192,14 +253,14 @@ func (e *Engine) Distinct(key string) float64 {
 	s := &e.shards[hash64(key)&e.mask]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.distinct == nil {
-		return 0
-	}
-	d, ok := s.distinct[key]
+	slot, ok := s.keys.Find(bytesOf(key))
 	if !ok {
 		return 0
 	}
-	return d.Estimate()
+	if d := s.keys.At(slot).d; d != nil {
+		return d.Estimate()
+	}
+	return 0
 }
 
 // Top returns the n heaviest keys merged across shards. Each key lives in
@@ -269,7 +330,7 @@ func (e *Engine) TrackedKeys() int {
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
-		total += len(s.windows)
+		total += s.keys.Len()
 		s.mu.Unlock()
 	}
 	return total

@@ -22,6 +22,9 @@ func FuzzDecodeState(f *testing.F) {
 	for _, b := range stateSeeds() {
 		f.Add(b)
 	}
+	for _, b := range publishSeeds() {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		st, err := DecodeState(b)
 		if err != nil {
@@ -68,13 +71,29 @@ func stateSeeds() [][]byte {
 	}
 }
 
+// publishSeeds are frames a fleet node publishes, written by
+// AppendWindows from an engine whose sweeps have freed and reused slots:
+// whole, one byte short and with one trailing byte.
+func publishSeeds() [][]byte {
+	e := NewEngine(EngineConfig{Shards: 4, Window: time.Minute})
+	for i := range 600 {
+		at := t0.Add(time.Duration(i) * 150 * time.Millisecond)
+		e.Observe("fp:"+itoa(i%40+i/200*25), at)
+		if i%200 == 199 {
+			e.Sweep(at.Add(50 * time.Second))
+		}
+	}
+	frame := e.AppendWindows(nil)
+	return [][]byte{frame, frame[:len(frame)-1], append(frame[:len(frame):len(frame)], 0)}
+}
+
 // FuzzDecodeRates holds the rate view to the decoder it replaces on a
 // fleet node: whatever the bytes, DecodeRates errs exactly when
 // DecodeState does, and on success its Rate answers what the decoded
 // state's does, for every key and an absent one, from newest−B−1 to
-// newest+B+1 buckets. The corpus is FuzzDecodeState's, testdata included,
-// plus a windows-only fleet payload, whole, truncated and with a trailing
-// byte.
+// newest+B+1 buckets. The corpus is FuzzDecodeState's, testdata and
+// published frames included, plus a windows-only payload State.Encode
+// writes, whole, truncated and with a trailing byte.
 func FuzzDecodeRates(f *testing.F) {
 	for _, b := range stateSeeds() {
 		f.Add(b)
@@ -95,6 +114,9 @@ func FuzzDecodeRates(f *testing.F) {
 			f.Fatalf("%s: %v", file.Name(), err)
 		}
 		f.Add([]byte(b))
+	}
+	for _, b := range publishSeeds() {
+		f.Add(b)
 	}
 	fleet := windowsOnlyPayload(200)
 	f.Add(fleet)
@@ -130,7 +152,7 @@ func ratesMismatch(b []byte) error {
 	}
 	const absent = "\x00absent"
 	if _, ok := st.windows[absent]; !ok {
-		if got := rs.rateAt(absent, 0); got != 0 {
+		if got := rs.rateAt([]byte(absent), 0); got != 0 {
 			return fmt.Errorf("absent key rates %d", got)
 		}
 	}
@@ -162,7 +184,7 @@ func ratesMismatch(b []byte) error {
 			probes = append(probes, num-1, num, num+span-2, num+span-1)
 		}
 		for _, num := range probes {
-			if got, want := rs.rateAt(key, num), w.countAt(num); got != want {
+			if got, want := rs.rateAt([]byte(key), num), w.countAt(num); got != want {
 				return fmt.Errorf("%q at bucket %d (newest %d, %d buckets): view %d, state %d", key, num, newest, w.buckets, got, want)
 			}
 		}
@@ -174,7 +196,7 @@ func ratesMismatch(b []byte) error {
 				continue
 			}
 			at := time.Unix(0, num*width)
-			if got, want := rs.Rate(key, at), st.Rate(key, at); got != want {
+			if got, want := rs.Rate([]byte(key), at), st.Rate(key, at); got != want {
 				return fmt.Errorf("%q Rate at %v: view %d, state %d", key, at, got, want)
 			}
 		}

@@ -65,7 +65,7 @@ func TestRatesMatchDecodeState(t *testing.T) {
 		st, _ := DecodeState(tc.wire)
 		for key := range st.windows {
 			for _, num := range []int64{math.MinInt64, math.MinInt64 + 2, math.MaxInt64 - 4, math.MaxInt64} {
-				if got, want := rs.rateAt(key, num), st.windows[key].countAt(num); got != want {
+				if got, want := rs.rateAt([]byte(key), num), st.windows[key].countAt(num); got != want {
 					t.Fatalf("%s: %q at bucket %d: view %d, state %d", tc.name, key, num, got, want)
 				}
 			}
@@ -73,7 +73,7 @@ func TestRatesMatchDecodeState(t *testing.T) {
 	}
 	// The later list of a repeated key is the one the view reads.
 	rs, _ := DecodeRates(cases[len(cases)-1].wire)
-	if got := rs.rateAt("fp:a", 10); got != 9 {
+	if got := rs.rateAt([]byte("fp:a"), 10); got != 9 {
 		t.Fatalf("repeated key rates %d at its later list's bucket, want 9", got)
 	}
 }
@@ -92,10 +92,10 @@ func TestPeerRateZeroAlloc(t *testing.T) {
 	fp, mult := uint64(7), uint64(0x9e3779b97f4a7c15)
 	fp *= mult
 	hit := "fp:" + strconv.FormatUint(fp, 16)
-	if rs.Rate(hit, now) == 0 {
+	if rs.Rate([]byte(hit), now) == 0 {
 		t.Fatalf("%s rates 0: not a hit", hit)
 	}
-	for name, key := range map[string]string{"hit": hit, "miss": "fp:absent"} {
+	for name, key := range map[string][]byte{"hit": []byte(hit), "miss": []byte("fp:absent")} {
 		if avg := testing.AllocsPerRun(200, func() { rs.Rate(key, now) }); avg != 0 {
 			t.Fatalf("Rate %s allocates %.1f times, want 0", name, avg)
 		}

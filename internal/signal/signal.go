@@ -35,28 +35,18 @@
 // deployment.
 package signal
 
-import "time"
+import (
+	"time"
+	"unsafe"
+)
 
 // hash64 is FNV-1a over the key bytes — the package's single hash
 // function. Sketches derive per-row hashes from it (Kirsch–Mitzenmacher),
 // shards take its low bits, and Distinct consumes it whole.
-func hash64(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
+func hash64(key string) uint64 { return hash64Bytes(bytesOf(key)) }
 
 // hash64Bytes is hash64 over a key assembled in a byte buffer, so hot
-// paths can hash scratch-built keys without materialising a string. For
-// equal content the two functions agree, which is what lets string-keyed
-// containers serve []byte lookups.
+// paths can hash scratch-built keys without materialising a string.
 func hash64Bytes(key []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -69,6 +59,11 @@ func hash64Bytes(key []byte) uint64 {
 	}
 	return h
 }
+
+// bytesOf is a read-only view of s's bytes, for the string entry points
+// of byte-keyed bodies: the bodies hash, compare and copy the bytes and
+// keep no reference to them.
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // mix64 is the SplitMix64 finalizer, used to whiten hash64 outputs into
 // independent-looking secondary hashes.

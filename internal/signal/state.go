@@ -18,13 +18,14 @@ import (
 // folded across shards and freed of shard structure: per-key window
 // rings, per-key distinct counters, and one count-min sketch, heavy-hitter
 // table and surge detector for the whole dimension (each nil when the
-// engine disables it). It is the unit of replication in a gate fleet —
-// each node snapshots its windows-only engine and ships the compact
-// Encode form. Peers never rebuild a State from it: they index the bytes
-// with DecodeRates, keep the latest view per node and sum Rate over them
-// at query time, which answers exactly what a merge would as long as no
-// ring holds a bucket later than the instant asked about. DecodeState and
-// Merge remain for the benchmark's codec probes.
+// engine disables it). Its Encode form is FAS1, the format a gate fleet
+// replicates, but no node builds a State: each publishes its windows-only
+// engine with Engine.AppendWindows, straight from the shards, and peers
+// index those bytes with DecodeRates, keep the latest view per node and
+// sum Rate over them at query time, which answers exactly what a merge
+// would as long as no ring holds a bucket later than the instant asked
+// about. Engine.State, Encode, DecodeState and Merge remain for the
+// benchmark's codec probes.
 //
 // The per-key rings and counters of a snapshot or a decode are carved from
 // slabs the state owns, and decoded keys are views of shared chunks; a
@@ -54,14 +55,14 @@ type State struct {
 // dimension, so its estimates carry the usual mergeable-summaries error
 // bounds rather than per-shard exactness.
 func (e *Engine) State() *State {
-	// Size the maps and slabs for the whole dimension up front. A shard
-	// that gained keys since the count just reserves again under its lock.
-	var nWindows, nDistinct int
+	// Size the maps and slabs for the whole dimension up front, a distinct
+	// counter for every key when the signal is on. A shard that gained keys
+	// since the count just reserves again under its lock.
+	nWindows := 0
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
-		nWindows += len(s.windows)
-		nDistinct += len(s.distinct)
+		nWindows += s.keys.Len()
 		s.mu.Unlock()
 	}
 	st := &State{
@@ -75,20 +76,37 @@ func (e *Engine) State() *State {
 	var counters distinctSlab
 	if e.cfg.DistinctPrecision > 0 {
 		st.precision = e.cfg.DistinctPrecision
-		st.distinct = make(map[string]*Distinct, nDistinct)
+		st.distinct = make(map[string]*Distinct, nWindows)
 		counters.p = clampPrecision(e.cfg.DistinctPrecision)
-		counters.reserve(nDistinct)
+		counters.reserve(nWindows)
 	}
 	for i := range e.shards {
 		s := &e.shards[i]
 		s.mu.Lock()
-		rings.reserve(len(s.windows))
-		for k, w := range s.windows {
-			st.windows[k] = rings.clone(w)
+		rings.reserve(s.keys.Len())
+		if st.distinct != nil {
+			counters.reserve(s.keys.Len())
 		}
-		counters.reserve(len(s.distinct))
-		for k, d := range s.distinct {
-			st.distinct[k] = counters.clone(d)
+		// The shard's keys are copied into one chunk, each a view of it:
+		// the chunk is sized exactly, so appending never moves it.
+		size := 0
+		for slot := range int32(s.keys.Slots()) {
+			if s.keys.Used(slot) {
+				size += len(s.keys.At(slot).key)
+			}
+		}
+		chunk := make([]byte, 0, size)
+		for slot := range int32(s.keys.Slots()) {
+			if !s.keys.Used(slot) {
+				continue
+			}
+			k := s.keys.At(slot)
+			chunk = append(chunk, k.key...)
+			name := unsafe.String(unsafe.SliceData(chunk[len(chunk)-len(k.key):]), len(k.key))
+			st.windows[name] = rings.clone(&k.w)
+			if k.d != nil && st.distinct != nil {
+				st.distinct[name] = counters.clone(k.d)
+			}
 		}
 		if s.sketch != nil {
 			if st.sketch == nil {
@@ -114,6 +132,39 @@ func (e *Engine) State() *State {
 		s.mu.Unlock()
 	}
 	return st
+}
+
+// AppendWindows appends the engine's per-key windows to dst as a
+// windows-only FAS1 frame — what a fleet node publishes: DecodeRates and
+// DecodeState read it, and its distinct, sketch, top-K and surge sections
+// are empty — and returns the extended slice. It writes straight from the
+// shards, one at a time under its own lock, copying no ring and sorting no
+// key: keys go in slot order, each key's occupied slots in index order
+// (DecodeRates' fast path needs that), and the header with the key count
+// is put in front once the count is known. A quiesced engine's frame
+// depends only on its history of operations, so two publishes of it are
+// byte-equal. Writing into a buffer kept across calls allocates nothing
+// once the buffer has reached the frame's size.
+func (e *Engine) AppendWindows(dst []byte) []byte {
+	start, keys := len(dst), 0
+	for i := range e.shards {
+		s := &e.shards[i]
+		s.mu.Lock()
+		for slot := range int32(s.keys.Slots()) {
+			if s.keys.Used(slot) {
+				k := s.keys.At(slot)
+				dst = appendWindow(dst, k.key, &k.w)
+				keys++
+			}
+		}
+		s.mu.Unlock()
+	}
+	var buf [len(stateMagic) + 4*binary.MaxVarintLen64]byte
+	head := appendHeader(buf[:0], e.cfg.Window, DefaultWindowBuckets, e.observed.Load(), keys)
+	dst = append(dst, head...) // room for the header; the entries move up
+	copy(dst[start+len(head):], dst[start:len(dst)-len(head)])
+	copy(dst[start:], head)
+	return append(dst, 0, 0, 0, 0) // no distinct, sketch, top-K or surge
 }
 
 // Merge folds another snapshot of identical dimensions into this one; the
@@ -254,32 +305,10 @@ var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendTo appends the wire form to b.
 func (s *State) appendTo(b []byte) []byte {
-	b = append(b, stateMagic...)
-	b = binary.AppendUvarint(b, uint64(s.window))
-	b = binary.AppendUvarint(b, uint64(s.buckets))
-	b = binary.AppendUvarint(b, s.observed)
-
-	// Per-key window rings, sparse: only slots holding events travel.
 	keys := sortedKeys(s.windows)
-	b = binary.AppendUvarint(b, uint64(len(keys)))
+	b = appendHeader(b, s.window, s.buckets, s.observed, len(keys))
 	for _, k := range keys {
-		w := s.windows[k]
-		b = wire.AppendString(b, k)
-		used := 0
-		for _, c := range w.counts {
-			if c != 0 {
-				used++
-			}
-		}
-		b = binary.AppendUvarint(b, uint64(used))
-		for i, c := range w.counts {
-			if c == 0 {
-				continue
-			}
-			b = binary.AppendUvarint(b, uint64(i))
-			b = binary.AppendVarint(b, w.nums[i])
-			b = binary.AppendUvarint(b, uint64(c))
-		}
+		b = appendWindow(b, bytesOf(k), s.windows[k])
 	}
 
 	// Per-key distinct counters, sparse registers.
@@ -353,6 +382,42 @@ func (s *State) appendTo(b []byte) []byte {
 	return b
 }
 
+// appendHeader appends a FAS1 frame's header: magic, window geometry, the
+// observation total and the count of the per-key window entries that
+// follow.
+func appendHeader(b []byte, window time.Duration, buckets int, observed uint64, keys int) []byte {
+	b = append(b, stateMagic...)
+	b = binary.AppendUvarint(b, uint64(window))
+	b = binary.AppendUvarint(b, uint64(buckets))
+	b = binary.AppendUvarint(b, observed)
+	return binary.AppendUvarint(b, uint64(keys))
+}
+
+// appendWindow appends one key's entry of a FAS1 window section, the one
+// writer AppendWindows and Encode share: the length-prefixed key, then the
+// ring's occupied slots in index order, each as slot, bucket and count.
+// Only slots holding events travel.
+func appendWindow(b, key []byte, w *Window) []byte {
+	b = binary.AppendUvarint(b, uint64(len(key)))
+	b = append(b, key...)
+	used := 0
+	for _, c := range w.counts {
+		if c != 0 {
+			used++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(used))
+	for i, c := range w.counts {
+		if c == 0 {
+			continue
+		}
+		b = binary.AppendUvarint(b, uint64(i))
+		b = binary.AppendVarint(b, w.nums[i])
+		b = binary.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
 // Decode-side allocation budgets. Every collection length in the wire form
 // is already bounded by the bytes remaining, but geometry fields (window
 // buckets, distinct precision) multiply: a small corrupt buffer could
@@ -400,18 +465,19 @@ type Rates struct {
 }
 
 // rateList locates one key's window: the offset of its slot list in the
-// payload when the list's slot indices strictly increase, as Encode writes
-// them, and otherwise — a slot written twice or out of order, which only
-// corrupt gossip holds — the ring DecodeState builds from it, so a read
-// costs O(buckets) whatever the list claims.
+// payload when the list's slot indices strictly increase, as appendWindow
+// writes them, and otherwise — a slot written twice or out of order, which
+// only corrupt gossip holds — the ring DecodeState builds from it, so a
+// read costs O(buckets) whatever the list claims.
 type rateList struct {
 	off  int
 	ring *Window
 }
 
-// DecodeRates indexes an Encode-produced buffer for Rate reads. It accepts
-// exactly the buffers DecodeState accepts — the two share one walk — and
-// keeps b, which the caller must not modify afterwards.
+// DecodeRates indexes a FAS1 buffer (a node's AppendWindows frame or an
+// Encode form) for Rate reads. It accepts exactly the buffers DecodeState
+// accepts — the two share one walk — and keeps b, which the caller must
+// not modify afterwards.
 func DecodeRates(b []byte) (*Rates, error) {
 	rs := &Rates{b: b}
 	if _, err := decodeState(b, rs); err != nil {
@@ -422,7 +488,9 @@ func DecodeRates(b []byte) (*Rates, error) {
 
 // Rate returns key's in-window event count as of now (0 for unseen keys):
 // exactly what State.Rate answers for the DecodeState of the same bytes.
-func (rs *Rates) Rate(key string, now time.Time) int {
+// The key is read in place, so a caller that assembles it in a byte buffer
+// looks it up without allocating.
+func (rs *Rates) Rate(key []byte, now time.Time) int {
 	return rs.rateAt(key, bucketIndex(now, rs.width))
 }
 
@@ -430,8 +498,8 @@ func (rs *Rates) Rate(key string, now time.Time) int {
 // decoded ring reads by scanning too (see scanOnly), and in a list whose
 // slot indices strictly increase each slot below buckets holds its one
 // entry, so summing the entries is summing the ring.
-func (rs *Rates) rateAt(key string, num int64) int {
-	l, ok := rs.lists[key]
+func (rs *Rates) rateAt(key []byte, num int64) int {
+	l, ok := rs.lists[string(key)]
 	if !ok {
 		return 0
 	}
@@ -680,8 +748,8 @@ func (r *stateReader) key() string {
 }
 
 // sortedSlots reads one window's sparse slot list and reports whether its
-// slot indices below buckets strictly increase, as Encode writes them, and
-// the list read cleanly. Indices at or past buckets name no slot and are
+// slot indices below buckets strictly increase, as appendWindow writes
+// them, and the list read cleanly. Indices at or past buckets name no slot and are
 // ignored, as DecodeState ignores them.
 func (r *stateReader) sortedSlots(buckets int) bool {
 	sorted, next := true, uint64(0)

@@ -48,6 +48,7 @@ var reachKeep = map[string]string{
 	"proxy.Pool.Contains":              "TestPoolLazyMatchesEager holds the lazy pool equal to the eager reference through it",
 	"resilience.Breaker.Transitions":   "httpgate's chaos_test counts a flap's state changes",
 	"signal.Engine.TrackedKeys":        "cluster's wire_test and signal's surge_test count per-key state",
+	"signal.Engine.Observe":            "signal's engine, rate-view and publish tests and cluster's wire_test feed engines string keys; nodes observe by bytes since publishing moved onto the shards",
 	"signal.Limiter.Denials":           "the limiter's reference-twin tests and httpgate's batch_test compare denial counts",
 	"simclock.Scheduler.RunFor":        "the tests of the packages built on the scheduler advance it",
 	"simclock.Scheduler.Drain":         "clock_test and property_test run the queue dry",
