@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check build test race allocs vet bench bench-smoke bench-module fuzz chaos obs-smoke cluster partition syndicate economics
+.PHONY: check fmt-check build test race allocs vet bench bench-smoke bench-module fuzz
 
 # The full pre-merge gate, each test once: formatting, vet, build, the whole
 # suite under the race detector (the replicate runner, signal engine,
@@ -9,49 +9,6 @@ GO ?= go
 # compile+run, and the nested bench/ module's own vet and tests (root ./...
 # does not reach it).
 check: fmt-check vet build race allocs bench-smoke bench-module
-
-# The targets below are local shortcuts: -run subsets of `race` for
-# iterating on one subsystem. They gate nothing — check and CI run every
-# test they name exactly once, through `race`.
-
-# cluster runs the multi-node gate-fleet suite — routing, anti-entropy
-# replication and the worker/node golden determinism tests — under the
-# race detector (gossip interleaves with request handling).
-cluster:
-	$(GO) test -race -count=1 ./internal/cluster
-
-# partition runs the socket-gossip and fault-injection fleet suites
-# under the race detector: the HTTP transport, the fault transport, the
-# wire codec, and the E16 partition-scenario behaviour tests (drop curve,
-# heal convergence).
-partition:
-	$(GO) test -race -count=1 -timeout 300s -run 'Partition|HTTPTransport|FaultTransport|SnapshotWire|FetchRetry|FetchTimeout|Degraded' ./cmd/fraudsim ./internal/cluster
-
-# syndicate runs the E17 entity-linkage suites under the race detector:
-# the entitygraph package, the gate's entity layer, the detect arms,
-# and the coordinated-ring scenario behaviour test (leak contrast,
-# honest admit).
-syndicate:
-	$(GO) test -race -count=1 ./internal/entitygraph
-	$(GO) test -race -count=1 -run 'Syndicate|Entity|Arm|GraphFeeder' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect
-
-# economics runs the E18 attacker-economics suites under the race
-# detector: the account store, the gate's account layer, the decoy set,
-# and the three-arm ROI scenario behaviour test (strict ROI ordering,
-# honest admit).
-economics:
-	$(GO) test -race -count=1 ./internal/account
-	$(GO) test -race -count=1 -run 'Economics|Account|Decoy|ROI|Econ' ./cmd/fraudsim ./internal/loadgen ./internal/httpgate ./internal/detect ./internal/mitigate
-
-# obs-smoke boots the telemetry mux, scrapes /metrics and /healthz, and
-# fails if the exposition contains a single unparseable line.
-obs-smoke:
-	$(GO) test -count=1 -run 'ObsSmoke|ServeTelemetry' ./cmd/fraudsim
-
-# chaos runs the fault-injection suites under the race detector: the
-# gate-level flap tests and the -exp chaos outage experiment.
-chaos:
-	$(GO) test -race -run 'Chaos' ./internal/httpgate ./internal/core ./internal/faultinject ./internal/resilience
 
 # fmt-check fails when gofmt would rewrite any file (bench/ included).
 fmt-check:

@@ -69,7 +69,7 @@ func run(w io.Writer, exp string, seed uint64, csv bool, replicates, workers int
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if exp == "all" {
-		return runAll(w, seed, csv, replicates, workers)
+		return runAll(w, core.Experiments(), seed, csv, replicates, workers)
 	}
 	for _, e := range core.Experiments() {
 		if e.ID == exp {
@@ -104,15 +104,14 @@ func runOne(w io.Writer, e core.Experiment, seed uint64, csv bool, replicates, w
 	return nil
 }
 
-// runAll fans the canonical experiment list out across the worker budget.
-// Each experiment renders into its own buffer; buffers are printed in
-// canonical order once every job has finished, so parallel runs emit
-// byte-identical output to -workers 1. Replicate pools inside each
-// experiment share the same worker budget: total in-flight replicates is
-// bounded by workers * experiments-in-flight, which the Go scheduler
-// time-shares — determinism never depends on the interleaving.
-func runAll(w io.Writer, seed uint64, csv bool, replicates, workers int) error {
-	exps := core.Experiments()
+// runAll fans exps out across the worker budget. Each experiment renders
+// into its own buffer; buffers are printed in list order once every job
+// has finished, so parallel runs emit byte-identical output to -workers 1.
+// Replicate pools inside each experiment share the same worker budget:
+// total in-flight replicates is bounded by workers * experiments-in-flight,
+// which the Go scheduler time-shares — determinism never depends on the
+// interleaving.
+func runAll(w io.Writer, exps []core.Experiment, seed uint64, csv bool, replicates, workers int) error {
 	bufs := make([]bytes.Buffer, len(exps))
 	errs := make([]error, len(exps))
 

@@ -2,18 +2,15 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-)
 
-// update re-pins the rendered-artefact golden:
-//
-//	go test ./cmd/figures -run RunAllParallelMatchesSerial -update
-var update = flag.Bool("update", false, "rewrite testdata/all_seed1.golden from the current output")
+	"funabuse/internal/core"
+)
 
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run(io.Discard, "nonsense", 1, false, 1, 1); err == nil {
@@ -22,13 +19,28 @@ func TestRunUnknownExperiment(t *testing.T) {
 }
 
 func TestRunSingleExperiment(t *testing.T) {
-	// The ablation study is the cheapest full experiment.
 	var buf bytes.Buffer
-	if err := run(&buf, "ablations", 1, false, 1, 1); err != nil {
-		t.Fatalf("run(ablations): %v", err)
+	if err := run(&buf, "chaos", 1, false, 1, 1); err != nil {
+		t.Fatalf("run(chaos): %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("no output")
+	}
+}
+
+// inGolden fails t unless render, experiment id's seed-1 CSV render, is a
+// section of testdata/all_seed1.golden, the pinned `figures -exp all -seed
+// 1 -csv` render. internal/core's TestReportsMatchFiguresGolden checks that
+// golden whole, and re-pins it with -update, from the results its test memo
+// holds; the tests here cover the plumbing on the cheapest experiments.
+func inGolden(t *testing.T, id, render string) {
+	t.Helper()
+	pinned, err := os.ReadFile(filepath.Join("testdata", "all_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if render == "" || !strings.Contains(string(pinned), render) {
+		t.Fatalf("-exp %s -seed 1 -csv is not a section of the golden:\n%s", id, render)
 	}
 }
 
@@ -37,24 +49,18 @@ func TestRunSingleExperiment(t *testing.T) {
 // testdata/all_seed1.golden, the -exp all render that pins it.
 func TestRunCSVOutput(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "biometric", 1, true, 1, 1); err != nil {
-		t.Fatalf("run(biometric, csv): %v", err)
+	if err := run(&buf, "caseB", 1, true, 1, 1); err != nil {
+		t.Fatalf("run(caseB, csv): %v", err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "all_seed1.golden"))
-	if err != nil {
-		t.Fatalf("no golden (re-pin with -update): %v", err)
-	}
-	if buf.Len() == 0 || !strings.Contains(string(want), buf.String()) {
-		t.Fatalf("-exp biometric -seed 1 -csv is not a section of the golden:\n%s", buf.String())
-	}
+	inGolden(t, "caseB", buf.String())
 }
 
 // TestReplicateSummaryMode checks the replicate path produces the summary
 // header and per-metric stats rather than the single-seed table.
 func TestReplicateSummaryMode(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run(&buf, "ablations", 1, false, 2, 2); err != nil {
-		t.Fatalf("run(ablations, replicates=2): %v", err)
+	if err := run(&buf, "chaos", 1, false, 2, 2); err != nil {
+		t.Fatalf("run(chaos, replicates=2): %v", err)
 	}
 	out := buf.String()
 	for _, want := range []string{"2 replicates (seeds 1..2)", "Mean", "Std", "replicate wall time"} {
@@ -64,34 +70,28 @@ func TestReplicateSummaryMode(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelMatchesSerial renders every experiment's single-seed
-// CSV artefact once, on 4 workers, and requires it to equal
-// testdata/all_seed1.golden byte for byte: what `figures -exp all -seed 1
-// -csv` prints is pinned across commits, and the parallel fan-out must
-// print what the serial path pinned. -update re-pins from a 1-worker
-// render before the comparison, so the pin always comes from the serial
-// path. The golden holds each experiment's CSV output, biometric's
-// included.
+// TestRunAllParallelMatchesSerial fans ablations (~60 ms) and chaos (~3 ms)
+// out on two workers, so chaos finishes first, and requires the output to
+// be each experiment's serial single-experiment render plus a blank line,
+// in list order, and each render to be a section of the golden.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
-	path := filepath.Join("testdata", "all_seed1.golden")
-	if *update {
-		var serial bytes.Buffer
-		if err := run(&serial, "all", 1, true, 1, 1); err != nil {
-			t.Fatalf("serial all: %v", err)
-		}
-		if err := os.WriteFile(path, serial.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no golden (re-pin with -update): %v", err)
-	}
+	exps := slices.DeleteFunc(core.Experiments(), func(e core.Experiment) bool {
+		return e.ID != "ablations" && e.ID != "chaos"
+	})
 	var parallel bytes.Buffer
-	if err := run(&parallel, "all", 1, true, 1, 4); err != nil {
-		t.Fatalf("parallel all: %v", err)
+	if err := runAll(&parallel, exps, 1, true, 1, 2); err != nil {
+		t.Fatalf("parallel: %v", err)
 	}
-	if got := parallel.String(); got != string(want) {
-		t.Fatalf("-exp all -seed 1 -csv on 4 workers differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	want := ""
+	for _, e := range exps {
+		var serial bytes.Buffer
+		if err := runOne(&serial, e, 1, true, 1, 1); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		inGolden(t, e.ID, serial.String())
+		want += serial.String() + "\n"
+	}
+	if got := parallel.String(); got != want {
+		t.Fatalf("fan-out on 2 workers differs from the serial renders in list order:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }

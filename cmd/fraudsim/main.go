@@ -287,6 +287,7 @@ func run(opts options, stdout, stderr io.Writer) error {
 		spinner = env.StartSpinner()
 	}
 	if opts.scenario == "smspump" || opts.scenario == "mixed" {
+		// Own labels: SpoofedRotator's "rot"/"fpgen" would replay the spinner's fingerprints.
 		rot := fingerprint.NewRotator(env.RNG.Derive("prot"),
 			fingerprint.NewGenerator(env.RNG.Derive("pfp")), fingerprint.WithSpoofing())
 		pumper = attack.NewSMSPumper(attack.SMSPumperConfig{

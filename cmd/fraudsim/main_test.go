@@ -151,7 +151,6 @@ func TestMetricsGolden(t *testing.T) {
 
 // TestObsSmoke boots the telemetry mux exactly as -serve does and fails
 // if /metrics emits a single unparseable line or /healthz is unhealthy.
-// `make obs-smoke` runs this test.
 func TestObsSmoke(t *testing.T) {
 	envCfg := core.DefaultEnvConfig(1)
 	env := core.NewEnv(envCfg)

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"reflect"
-	"strings"
 	"testing"
 
 	"funabuse/internal/resilience"
-	"funabuse/internal/runner"
 )
 
 func TestRunChaosOutageCosts(t *testing.T) {
@@ -50,48 +47,5 @@ func TestRunChaosOutageCosts(t *testing.T) {
 		if a.Workload == "seatspin" && a.Policy == resilience.FailClosed && a.Leaked != 0 {
 			t.Fatalf("seatspin fail-closed leaked %d abusive requests", a.Leaked)
 		}
-	}
-}
-
-func TestRunChaosDeterministicPerSeed(t *testing.T) {
-	a, err := RunChaos(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunChaos(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestReplicateChaosWorkersGolden is the satellite golden check: the chaos
-// experiment replicated over seeds 1..4 must render byte-identical
-// statistics whether the runner used one worker or four.
-func TestReplicateChaosWorkersGolden(t *testing.T) {
-	chaos, _ := ExperimentByID("chaos")
-	run := func(workers int) *runner.Summary {
-		sum, err := runner.Run("chaos", runner.Config{
-			Replicates: 4, Workers: workers, BaseSeed: 1,
-		}, chaos)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return sum
-	}
-	serial, parallel := run(1), run(4)
-	if !reflect.DeepEqual(serial.Samples, parallel.Samples) {
-		t.Fatal("parallel samples differ from serial")
-	}
-	// Byte-identical rendered output, minus the title line that names the
-	// worker count.
-	body := func(s *runner.Summary) string {
-		lines := strings.SplitN(s.Table().CSV(), "\n", 2)
-		return lines[len(lines)-1]
-	}
-	if body(serial) != body(parallel) {
-		t.Fatalf("rendered stats differ:\nserial:\n%s\nparallel:\n%s", body(serial), body(parallel))
 	}
 }

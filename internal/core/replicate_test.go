@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"flag"
 	"hash/fnv"
 	"math"
 	"os"
@@ -144,5 +146,49 @@ func TestReplicateParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// figuresGolden pins what `figures -exp all -seed 1 -csv` prints: each
+// experiment's report, then a blank line. Re-pin after an intended change:
+//
+//	go test ./internal/core -run ReportsMatchFiguresGolden -update
+const figuresGolden = "../../cmd/figures/testdata/all_seed1.golden"
+
+var update = flag.Bool("update", false, "rewrite "+figuresGolden+" from a serial seed-1 render")
+
+// TestReportsMatchFiguresGolden holds each memoised seed-1 result's CSV
+// report to its section of figuresGolden, in canonical order and byte for
+// byte. -update re-pins from a serial Experiment.Report render first, so
+// the pin comes from the serial path while the check reads the memo.
+func TestReportsMatchFiguresGolden(t *testing.T) {
+	if *update {
+		var serial bytes.Buffer
+		for _, e := range Experiments() {
+			if err := e.Report(&serial, 1, true); err != nil {
+				t.Fatalf("%s: %v", e.ID, err)
+			}
+			serial.WriteByte('\n')
+		}
+		if err := os.WriteFile(figuresGolden, serial.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(figuresGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range Experiments() {
+		var sec bytes.Buffer
+		res, _ := memoised(t, e.ID, 1)
+		res.(result).report(&sec, true)
+		sec.WriteByte('\n')
+		if !bytes.HasPrefix(want, sec.Bytes()) {
+			t.Fatalf("%s: seed-1 CSV render differs from %s:\n--- got ---\n%s--- golden from here ---\n%s", e.ID, figuresGolden, sec.Bytes(), want)
+		}
+		want = want[sec.Len():]
+	}
+	if len(want) != 0 {
+		t.Fatalf("%s goes on past the last experiment:\n%s", figuresGolden, want)
 	}
 }
